@@ -1,38 +1,84 @@
 //! Criterion benches: classifiers, benefit scoring and the label model.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use darwin_classifier::ClassifierKind;
+use darwin_classifier::{ClassifierKind, TextClassifier};
 use darwin_core::benefit::benefit;
-use darwin_datasets::directions;
+use darwin_datasets::{directions, Dataset};
 use darwin_index::IdSet;
 use darwin_labelmodel::{GenerativeConfig, GenerativeModel, LfMatrix};
 use darwin_text::embed::EmbedConfig;
 use darwin_text::Embeddings;
 
+/// The first `n_pos` positive and `n_neg` negative ids of `d`.
+fn training_ids(d: &Dataset, n_pos: usize, n_neg: usize) -> (Vec<u32>, Vec<u32>) {
+    let ids = |label: bool, n: usize| -> Vec<u32> {
+        (0..d.len() as u32)
+            .filter(|&i| d.labels[i as usize] == label)
+            .take(n)
+            .collect()
+    };
+    (ids(true, n_pos), ids(false, n_neg))
+}
+
+/// Time `fit` on a training set that changes by one negative every
+/// iteration: a warm classifier skips a refit on the set it already holds,
+/// so repeating one `(pos, neg)` would time that `return`, not a fit.
+fn bench_fit(
+    b: &mut criterion::Bencher,
+    clf: &mut dyn TextClassifier,
+    d: &Dataset,
+    emb: &Embeddings,
+    (pos, neg): &(Vec<u32>, Vec<u32>),
+) {
+    let mut sets = [neg[..neg.len() - 1].to_vec(), neg[1..].to_vec()];
+    b.iter(|| {
+        sets.swap(0, 1);
+        clf.fit(&d.corpus, emb, pos, &sets[0])
+    });
+}
+
 fn bench_classifiers(c: &mut Criterion) {
     let d = directions::generate(3000, 42);
     let emb = Embeddings::train(&d.corpus, &EmbedConfig::default());
-    let pos: Vec<u32> = (0..d.len() as u32)
-        .filter(|&i| d.labels[i as usize])
-        .take(100)
-        .collect();
-    let neg: Vec<u32> = (0..d.len() as u32)
-        .filter(|&i| !d.labels[i as usize])
-        .take(300)
-        .collect();
+    let small = training_ids(&d, 100, 301);
 
     let mut g = c.benchmark_group("classifier");
     g.sample_size(10);
     g.bench_function("logreg_fit_400", |b| {
         let mut clf = ClassifierKind::logreg().build(&emb, 1);
-        b.iter(|| clf.fit(&d.corpus, &emb, &pos, &neg));
+        bench_fit(b, clf.as_mut(), &d, &emb, &small);
     });
     g.bench_function("cnn_fit_400_4epochs", |b| {
         let mut clf = ClassifierKind::cnn_with_epochs(4).build(&emb, 1);
-        b.iter(|| clf.fit(&d.corpus, &emb, &pos, &neg));
+        bench_fit(b, clf.as_mut(), &d, &emb, &small);
     });
+
+    // The session-shaped pair: 580 + 1740 rows is the size of the late
+    // fits of `session_bench`'s `directions_logreg`. The cold row is the
+    // full-width dense loop, the same-run reference for the active-set one.
+    let late = training_ids(&d, 580, 1741);
+    let mut warm = ClassifierKind::logreg().build(&emb, 1);
+    let mut cold = ClassifierKind::logreg()
+        .with_warm_start(false)
+        .build(&emb, 1);
+    let (mut pw, mut pc) = (Vec::new(), Vec::new());
+    warm.fit(&d.corpus, &emb, &late.0, &late.1);
+    cold.fit(&d.corpus, &emb, &late.0, &late.1);
+    warm.predict_all(&d.corpus, &emb, &mut pw);
+    cold.predict_all(&d.corpus, &emb, &mut pc);
+    assert!(
+        pw.iter().zip(&pc).all(|(a, b)| a.to_bits() == b.to_bits()),
+        "active-set and dense fits must score bit-identically"
+    );
+    g.bench_function("logreg_fit_2320", |b| {
+        bench_fit(b, warm.as_mut(), &d, &emb, &late);
+    });
+    g.bench_function("logreg_fit_2320_cold", |b| {
+        bench_fit(b, cold.as_mut(), &d, &emb, &late);
+    });
+
     let mut trained = ClassifierKind::logreg().build(&emb, 1);
-    trained.fit(&d.corpus, &emb, &pos, &neg);
+    trained.fit(&d.corpus, &emb, &small.0, &small.1);
     g.bench_function("logreg_predict_all_3k", |b| {
         let mut out = Vec::new();
         b.iter(|| trained.predict_all(&d.corpus, &emb, &mut out));

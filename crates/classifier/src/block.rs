@@ -68,43 +68,65 @@ impl FeatureBlock {
 
     /// Materialize features for `ids`, replacing the previous contents.
     pub fn fill(&mut self, corpus: &Corpus, emb: &Embeddings, ids: &[u32]) {
-        debug_assert_eq!(self.emb_dim, emb.dim());
-        let dim = self.emb_dim;
-        self.rows = ids.len();
-        self.dense.resize(ids.len() * dim, 0.0);
+        self.rows = 0;
+        self.dense.clear();
         self.bow_idx.clear();
         self.bow_val.clear();
-        self.row_off.clear();
-        self.row_off.push(0);
-        for (r, &id) in ids.iter().enumerate() {
-            let toks = &corpus.sentence(id).tokens;
-            let row = &mut self.dense[r * dim..(r + 1) * dim];
-            emb.mean_into(toks, row);
-            // Same rescale as `logreg_features`: keep the embedding block
-            // competitive with the bag-of-words block.
-            row.iter_mut().for_each(|x| *x *= 4.0);
-            if !toks.is_empty() {
-                let w = 1.0 / (toks.len() as f32).sqrt();
-                self.buckets.clear();
-                self.buckets
-                    .extend(toks.iter().map(|&t| bow_bucket(t) as u32));
-                self.buckets.sort_unstable();
-                // Fold runs of equal buckets by repeated addition of the
-                // run's shared weight — the dense scatter-add's exact value.
-                let mut i = 0;
-                while i < self.buckets.len() {
-                    let b = self.buckets[i];
-                    let mut val = 0.0f32;
-                    while i < self.buckets.len() && self.buckets[i] == b {
-                        val += w;
-                        i += 1;
-                    }
-                    self.bow_idx.push(b);
-                    self.bow_val.push(val);
-                }
-            }
-            self.row_off.push(self.bow_idx.len());
+        self.row_off.truncate(1);
+        for &id in ids {
+            self.push(corpus, emb, id);
         }
+    }
+
+    /// Materialize sentence `id` as one more row; returns the row's index.
+    pub fn push(&mut self, corpus: &Corpus, emb: &Embeddings, id: u32) -> usize {
+        debug_assert_eq!(self.emb_dim, emb.dim());
+        let dim = self.emb_dim;
+        let r = self.rows;
+        self.rows += 1;
+        self.dense.resize((r + 1) * dim, 0.0);
+        let toks = &corpus.sentence(id).tokens;
+        let row = &mut self.dense[r * dim..];
+        emb.mean_into(toks, row);
+        // Same rescale as `logreg_features`: keep the embedding block
+        // competitive with the bag-of-words block.
+        row.iter_mut().for_each(|x| *x *= 4.0);
+        if !toks.is_empty() {
+            let w = 1.0 / (toks.len() as f32).sqrt();
+            self.buckets.clear();
+            self.buckets
+                .extend(toks.iter().map(|&t| bow_bucket(t) as u32));
+            self.buckets.sort_unstable();
+            // Fold runs of equal buckets by repeated addition of the
+            // run's shared weight — the dense scatter-add's exact value.
+            let mut i = 0;
+            while i < self.buckets.len() {
+                let b = self.buckets[i];
+                let mut val = 0.0f32;
+                while i < self.buckets.len() && self.buckets[i] == b {
+                    val += w;
+                    i += 1;
+                }
+                self.bow_idx.push(b);
+                self.bow_val.push(val);
+            }
+        }
+        self.row_off.push(self.bow_idx.len());
+        r
+    }
+
+    /// Row `r`'s rescaled mean embedding (`emb_dim` lanes).
+    #[inline]
+    pub fn dense_row(&self, r: usize) -> &[f32] {
+        &self.dense[r * self.emb_dim..(r + 1) * self.emb_dim]
+    }
+
+    /// Row `r`'s bag-of-words entries: ascending bucket ids and their
+    /// (strictly positive) values.
+    #[inline]
+    pub fn bow_row(&self, r: usize) -> (&[u32], &[f32]) {
+        let (lo, hi) = (self.row_off[r], self.row_off[r + 1]);
+        (&self.bow_idx[lo..hi], &self.bow_val[lo..hi])
     }
 
     /// The canonical logistic-regression score for row `r` under the flat
@@ -115,14 +137,9 @@ impl FeatureBlock {
     pub fn score_row(&self, w: &[f32], r: usize) -> f32 {
         let dim = self.emb_dim;
         debug_assert_eq!(w.len(), dim + BOW_BUCKETS + 1);
-        let dense = &self.dense[r * dim..(r + 1) * dim];
-        let (lo, hi) = (self.row_off[r], self.row_off[r + 1]);
-        let z = dot_f32(&w[..dim], dense)
-            + sparse_dot_f32(
-                &w[dim..dim + BOW_BUCKETS],
-                &self.bow_idx[lo..hi],
-                &self.bow_val[lo..hi],
-            );
+        let (idx, val) = self.bow_row(r);
+        let z = dot_f32(&w[..dim], self.dense_row(r))
+            + sparse_dot_f32(&w[dim..dim + BOW_BUCKETS], idx, val);
         sigmoid(z + w[dim + BOW_BUCKETS])
     }
 

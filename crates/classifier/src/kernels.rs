@@ -8,7 +8,9 @@
 //! count and reduction order, and the scalar per-id paths, the blocked
 //! batch paths and the training loops all call it. Batching, sharding and
 //! threading then change only *which buffers* feed the kernel, never the
-//! arithmetic.
+//! arithmetic. ([`dot_f32_nonzeros`] is not a second dot product: it
+//! drives [`dot_f32`]'s reduction tree from a sparse operand, and is the
+//! one definition of that.)
 //!
 //! The shapes are chosen for auto-vectorization, not explicit SIMD: eight
 //! independent accumulators over `chunks_exact(8)` give the optimizer a
@@ -42,10 +44,43 @@ pub fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
     for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
         tail += x * y;
     }
-    // Fixed pairwise reduction: ((0+1)+(2+3)) + ((4+5)+(6+7)), then tail.
+    combine(acc, tail)
+}
+
+/// Fixed pairwise reduction: ((0+1)+(2+3)) + ((4+5)+(6+7)), then tail.
+#[inline]
+fn combine(acc: [f32; DOT_LANES], tail: f32) -> f32 {
     let lo = (acc[0] + acc[1]) + (acc[2] + acc[3]);
     let hi = (acc[4] + acc[5]) + (acc[6] + acc[7]);
     (lo + hi) + tail
+}
+
+/// [`dot_f32`] over two `len`-long vectors, given only the positions where
+/// the second is non-zero: `terms` yields `(index, a[index], b[index])`
+/// in ascending `index`, and may include positions where `b` is zero.
+///
+/// This replays the dense kernel's reduction tree — product `index` goes
+/// to accumulator `index % DOT_LANES`, positions in the remainder past the
+/// last full chunk go to the sequential tail, then the same fixed combine
+/// — so the result equals `dot_f32(a, b)` bit for bit whenever every
+/// skipped `a[index]` is finite: a skipped term is `a·0.0 = ±0.0`, and
+/// adding `±0.0` to an accumulator that is `+0.0` or non-zero (it starts
+/// at `+0.0`, and a sum is `-0.0` only when both operands are) is the
+/// identity.
+#[inline]
+pub fn dot_f32_nonzeros(len: usize, terms: impl Iterator<Item = (usize, f32, f32)>) -> f32 {
+    let body = len - len % DOT_LANES;
+    let mut acc = [0.0f32; DOT_LANES];
+    let mut tail = 0.0f32;
+    terms.for_each(|(i, x, y)| {
+        debug_assert!(i < len);
+        if i < body {
+            acc[i % DOT_LANES] += x * y;
+        } else {
+            tail += x * y;
+        }
+    });
+    combine(acc, tail)
 }
 
 /// `bias + dot_f32(w, x)` — the convolution-window / dense-layer kernel.
@@ -121,6 +156,38 @@ mod tests {
         assert!(dot_f32(&a, &b).is_nan());
         a[13] = f32::INFINITY;
         assert_eq!(dot_f32(&a, &b), f32::INFINITY);
+    }
+
+    /// The non-zeros replay against the dense kernel on the expanded
+    /// vector, for lengths whose remainder is 0, 1 and 5 lanes, with
+    /// non-zeros in the body, on both sides of the body/remainder seam and
+    /// (where there is one) throughout the remainder. Weights are
+    /// sign-mixed so skipped terms are both `+0.0` and `-0.0`.
+    #[test]
+    fn nonzeros_replay_equals_dense_dot_bit_for_bit() {
+        for len in [64usize, 65, 69, 4129] {
+            let body = len - len % DOT_LANES;
+            let a: Vec<f32> = (0..len)
+                .map(|i| (((i * 2654435761) % 1000) as f32 / 500.0) - 1.0)
+                .collect();
+            let mut nz: Vec<usize> = vec![0, 3, 8, 11, 12, 40, body - 1];
+            nz.extend(body..len);
+            let mut b = vec![0.0f32; len];
+            for &i in &nz {
+                b[i] = ((i % 7) as f32 + 1.0) * -0.37;
+            }
+            let want = dot_f32(&a, &b);
+            let got = dot_f32_nonzeros(len, nz.iter().map(|&i| (i, a[i], b[i])));
+            assert_eq!(got.to_bits(), want.to_bits(), "len {len}: {got} vs {want}");
+            // Yielding a zero position is allowed: it is the dense term.
+            let with_zero = [1usize].iter().chain(&nz[1..]);
+            let got = dot_f32_nonzeros(len, with_zero.map(|&i| (i, a[i], b[i])));
+            let mut b1 = b.clone();
+            b1[0] = 0.0;
+            assert_eq!(got.to_bits(), dot_f32(&a, &b1).to_bits(), "len {len}");
+        }
+        assert_eq!(dot_f32_nonzeros(0, std::iter::empty()).to_bits(), 0);
+        assert_eq!(dot_f32_nonzeros(9, std::iter::empty()).to_bits(), 0);
     }
 
     #[test]

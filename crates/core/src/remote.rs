@@ -605,6 +605,14 @@ pub fn serve_classifier(t: &mut dyn Transport) -> Result<(), WireError> {
             Request::Fit { pos, neg } => match state.as_mut() {
                 None => reply_error(t, seq, "classifier worker not initialized".into())?,
                 Some(s) => {
+                    if pos
+                        .iter()
+                        .chain(&neg)
+                        .any(|&id| id as usize >= s.corpus.len())
+                    {
+                        reply_error(t, seq, "training id out of range".into())?;
+                        continue;
+                    }
                     s.clf.fit(&s.corpus, &s.emb, &pos, &neg);
                     reply(t, seq, &Response::Ack)?;
                 }
@@ -1002,6 +1010,44 @@ mod tests {
             matches!(resp, Response::FragmentDeltas { .. }),
             "got {resp:?}"
         );
+        session.call(&Request::Shutdown).unwrap();
+        assert!(handle.join().unwrap().is_ok());
+    }
+
+    /// Training ids arrive over the wire as raw sentence ids; one past the
+    /// worker's corpus must come back as a clean remote error — not an
+    /// index panic inside `fit` — and the worker must survive to train and
+    /// score a valid request.
+    #[test]
+    fn classifier_worker_rejects_out_of_range_training_ids() {
+        let (c, _labels) = corpus();
+        let (client, mut server) = darwin_wire::InProc::pair();
+        let handle = std::thread::spawn(move || serve_classifier(&mut server));
+        let mut session = Session::new(Box::new(client));
+        session.hello().unwrap();
+        let init = session.call(&Request::ClassifierInit {
+            corpus: CorpusSlice::full(&c),
+            embed_seed: 7,
+            kind: kind_to_wire(&ClassifierKind::logreg()),
+            model_seed: 9,
+        });
+        assert_eq!(init.unwrap(), Response::Ack);
+        let n = c.len() as u32;
+        for (pos, neg) in [(vec![0, n], vec![3]), (vec![0], vec![3, u32::MAX])] {
+            let err = session.call(&Request::Fit { pos, neg }).unwrap_err();
+            assert_eq!(err, WireError::Remote("training id out of range".into()));
+        }
+        // The loop survived: a valid fit trains and the model scores.
+        let fit = session.call(&Request::Fit {
+            pos: vec![0, 1],
+            neg: vec![3, 4],
+        });
+        assert_eq!(fit.unwrap(), Response::Ack);
+        let resp = session.call(&Request::PredictBatch { ids: vec![0, 3] });
+        match resp.unwrap() {
+            Response::Scores { scores } => assert!(scores[0] > scores[1], "{scores:?}"),
+            other => panic!("expected Scores, got {other:?}"),
+        }
         session.call(&Request::Shutdown).unwrap();
         assert!(handle.join().unwrap().is_ok());
     }
