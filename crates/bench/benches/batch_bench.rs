@@ -17,7 +17,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use darwin_core::batch::{BatchPolicy, SimulatedLatency};
-use darwin_core::{CostModel, Darwin, DarwinConfig, GroundTruthOracle, Oracle, RunResult, Seed};
+use darwin_core::{Darwin, DarwinConfig, GroundTruthOracle, Oracle, RunResult, Seed};
 use darwin_datasets::directions;
 use darwin_grammar::Heuristic;
 use darwin_index::{IndexConfig, IndexSet};
@@ -160,8 +160,7 @@ fn bench_batch(c: &mut Criterion) {
         for (label, policy) in policies {
             let mut oracle =
                 SimulatedLatency::new(GroundTruthOracle::new(&f.d.labels, 0.8), latency);
-            let out =
-                darwin(&f, policy).run_async_costed(seed(&f), &mut oracle, &CostModel::paper());
+            let out = darwin(&f, policy).run_async(seed(&f), &mut oracle);
             if label == "1" {
                 // The signature invariant, re-proven on the bench fixture:
                 // batch 1 asks the step loop's exact questions.

@@ -1,35 +1,43 @@
-//! The asynchronous batched-oracle loop (paper §4.3's crowd setting).
+//! The question loop: waves of oracle questions, applied at barriers
+//! (paper Algorithm 1, and §4.3's crowd setting).
 //!
 //! The paper's interactive loop assumes an oracle whose latency dwarfs the
 //! engine's compute — a human annotator takes seconds per question, a
-//! crowd round-trip minutes, while selection takes microseconds. The
-//! step-driven loops ([`crate::pipeline`], [`crate::parallel`]) serialize
-//! on every answer; this module pipelines instead:
+//! crowd round-trip minutes, while selection takes microseconds. So the
+//! one loop this crate runs ([`Session`]) is a pipelined one, and the
+//! one-question-at-a-time loop is its wave size 1:
 //!
 //! 1. **Waves.** The driver fills a *wave* of up to `k` in-flight
 //!    questions ([`crate::DarwinConfig::batch`] sizes `k`): the first pick comes
 //!    from the configured traversal strategy — exactly the synchronous
 //!    selection — and every further pick from
-//!    [`Engine::select_refill`], the in-flight generalization of
-//!    [`crate::parallel::select_diverse_batch`] (maximum gated benefit,
-//!    skipping rules that mostly duplicate a question already in flight).
+//!    [`Engine::select_refill_batch`] (maximum gated benefit, skipping
+//!    rules that mostly duplicate a question already in flight).
 //! 2. **Out-of-order application.** Answers come back from
 //!    [`AsyncOracle::poll`] in any order and are applied as they arrive
-//!    through [`Engine::resolve`] → [`Engine::record`] — the same
-//!    YES-journal / benefit-delta / frontier machinery as every other
-//!    loop, which is order-independent by construction (`P` grows as a
-//!    union; fixed-point sums commute).
+//!    through [`Engine::resolve`] → [`Engine::record`] — the YES-journal /
+//!    benefit-delta / frontier machinery, which is order-independent by
+//!    construction (`P` grows as a union; fixed-point sums commute).
 //! 3. **Barrier.** When the wave drains, the strategy observes all its
 //!    answers in submission order, and the classifier retrains once if
-//!    any YES arrived — the parallel loop's one-update-per-round
-//!    discipline, which is what makes the latency win real.
+//!    any YES arrived — one update per round, which is what makes the
+//!    latency win of `k` concurrent annotators real.
+//!
+//! Every run entry is an adapter over that loop: [`Darwin::run`] and
+//! [`Darwin::run_with`] pin the wave size to 1 over [`crate::Immediate`];
+//! [`Darwin::run_async`] drives to completion at the configured policy
+//! (`k` annotators in rounds is [`BatchPolicy::Fixed`]`(k)` over a
+//! [`crate::AnnotatorPool`]); [`Darwin::snapshot`] / [`Darwin::resume`]
+//! stop at and restart from a barrier; [`crate::stream::StreamSession`]
+//! parks the session between segments while its corpus grows.
 //!
 //! **The equivalence guarantee** (tested by `tests/batch_async.rs`): with
 //! `BatchPolicy::Fixed(1)` and the [`crate::Immediate`] adapter the driver
-//! replays [`Darwin::run`]'s synchronous trace byte for byte, at every
-//! shard and thread count; and for any fixed batch size, the *final*
-//! positive set, accepted rules and scores are invariant under the
-//! answer-arrival schedule — only per-wave trace ordering can differ.
+//! replays a loop of [`Engine::step`] — the sequential reference — byte
+//! for byte, at every shard and thread count; and for any fixed batch
+//! size, the *final* positive set, accepted rules and scores are
+//! invariant under the answer-arrival schedule — only per-wave trace
+//! ordering can differ.
 //!
 //! ```
 //! use darwin_core::batch::BatchPolicy;
@@ -54,7 +62,7 @@
 //!     ..DarwinConfig::fast()
 //! };
 //! let seed = Seed::Rule(Heuristic::phrase(&corpus, "to the airport").unwrap());
-//! // Any synchronous oracle rides the async loop via the adapter.
+//! // Any synchronous oracle rides the loop via the adapter.
 //! let mut oracle = Immediate::new(GroundTruthOracle::new(&labels, 0.8));
 //! let out = Darwin::new(&corpus, &index, cfg).run_async(Seed::clone(&seed), &mut oracle);
 //! assert!(!out.run.accepted.is_empty());
@@ -62,10 +70,10 @@
 //! assert_eq!(out.report.cost.questions, out.run.questions());
 //! ```
 
-use crate::engine::{Engine, EngineFlavor};
+use crate::engine::{Engine, EngineParts};
 use crate::oracle::{AsyncOracle, Oracle, QuestionId};
 use crate::pipeline::{Darwin, RunResult, Seed};
-use crate::snapshot::{SessionCounters, Snapshot};
+use crate::snapshot::{SessionCounters, Snapshot, SnapshotError};
 use crate::traversal::Strategy;
 use darwin_grammar::Heuristic;
 use darwin_index::fx::FxHashMap;
@@ -78,8 +86,7 @@ use std::time::{Duration, Instant};
 #[derive(Clone, Debug, PartialEq)]
 pub enum BatchPolicy {
     /// Keep up to `k` questions in flight per wave. `Fixed(1)` is the
-    /// synchronous reference: it replays [`Darwin::run`] byte for byte
-    /// under an [`crate::Immediate`] oracle.
+    /// one-question-at-a-time loop ([`Darwin::run`] pins it).
     Fixed(usize),
     /// Size waves adaptively from measured answer latency: propose as
     /// many questions as selection can prepare during one oracle
@@ -413,15 +420,20 @@ pub struct AsyncReport {
     /// the run ended early, *keeping* every answer already applied
     /// instead of discarding the paid work. `0` on a healthy run.
     pub abandoned: usize,
-    /// Wall-clock of the whole run, nanoseconds.
+    /// Wall-clock spent driving the run, nanoseconds — summed over every
+    /// [`Session::drive`] segment in this process (time between segments,
+    /// such as a corpus append, is not the loop's). A run resumed from
+    /// snapshot bytes counts from the resuming process.
     pub wall_ns: u128,
-    /// §4.3 crowd-cost accounting for the questions asked.
+    /// §4.3 crowd-cost accounting for the questions asked, priced with
+    /// [`CostModel::paper`]; any other pricing is
+    /// `model.report(run.questions())` at the call site.
     pub cost: CrowdCost,
 }
 
 /// A [`RunResult`] plus the async driver's instrumentation.
 pub struct AsyncRunResult {
-    /// The run output — same shape as every synchronous loop.
+    /// The run output — the same shape [`Darwin::run`] returns.
     pub run: RunResult,
     /// Pipelining and cost instrumentation.
     pub report: AsyncReport,
@@ -448,10 +460,10 @@ const SPIN_FREE_POLLS: usize = 64;
 /// polls) fall back to the driver's own backoff above.
 const POLL_DEADLINE: Duration = Duration::from_millis(10);
 
-/// What a suspendable driver session produced: either the run completed
-/// (budget exhausted, nothing left to ask, or the oracle went silent), or
-/// it was suspended at the requested wave barrier and the complete run
-/// state is in the returned [`Snapshot`] — feed it to
+/// What [`Darwin::snapshot`] produced: either the run completed (budget
+/// exhausted, nothing left to ask, or the oracle went silent), or it was
+/// suspended at the requested wave barrier and the complete run state is
+/// in the returned [`Snapshot`] — feed it to
 /// [`Darwin::resume`](crate::pipeline::Darwin::resume) to continue.
 // One value of this enum exists per driven session; the size gap between
 // the variants costs nothing worth boxing the result for.
@@ -463,277 +475,276 @@ pub enum SessionOutcome {
     Suspended(Box<Snapshot>),
 }
 
-/// The async driver — see the module docs for the wave protocol and the
-/// equivalence argument. Called via [`Darwin::run_async`].
-pub(crate) fn drive(
-    darwin: &Darwin<'_>,
-    seed: Seed,
-    oracle: &mut dyn AsyncOracle,
-    model: &CostModel,
-) -> AsyncRunResult {
-    let engine = Engine::new(darwin, seed, EngineFlavor::Sequential);
-    let strategy = crate::pipeline::default_strategy(darwin.config(), engine.seed_refs());
-    match drive_session(
-        darwin,
-        engine,
-        strategy,
-        SessionCounters::default(),
-        oracle,
-        model,
-        None,
-    ) {
-        SessionOutcome::Finished(result) => result,
-        SessionOutcome::Suspended(_) => unreachable!("drive() never requests suspension"),
+/// What a session has done so far that the engine does not itself record.
+/// `counters` is the part a [`Snapshot`] carries across processes;
+/// `wall_ns` and `abandoned` live only as long as the process.
+#[derive(Clone, Copy, Default)]
+struct Progress {
+    counters: SessionCounters,
+    abandoned: usize,
+    wall_ns: u128,
+}
+
+/// The question loop — the only code in this crate that asks an oracle on
+/// behalf of a run; the module docs have the wave protocol and the run
+/// entries that adapt it. Use it directly to hop a run from barrier to
+/// barrier: [`Session::resume`], [`Session::drive`] to a later barrier,
+/// [`Session::snapshot`] again.
+pub struct Session<'a> {
+    pub(crate) engine: Engine<'a>,
+    strategy: Box<dyn Strategy>,
+    policy: BatchPolicy,
+    progress: Progress,
+}
+
+/// A [`Session`] between segments with the `Darwin` borrow released: the
+/// engine decomposed but alive (classifier trained, remote sessions
+/// connected, frontier memo warm), so the corpus it views may grow.
+pub(crate) struct Parked {
+    parts: EngineParts,
+    strategy: Box<dyn Strategy>,
+    progress: Progress,
+}
+
+impl Parked {
+    /// Cumulative wave barriers crossed.
+    pub(crate) fn waves(&self) -> u64 {
+        self.progress.counters.waves
     }
 }
 
-/// How a driven segment ended: the run completed, or it stopped at the
-/// requested wave barrier with the engine still *live* — classifier
-/// trained, remote sessions connected, frontier memo warm. The live form
-/// is what [`crate::stream::StreamSession`] holds across a corpus append;
-/// [`drive_session`] converts it into a serialized [`Snapshot`] for the
-/// durable suspend path.
-pub(crate) enum SegmentEnd<'a> {
-    /// The run drove to completion.
-    Finished(AsyncRunResult),
-    /// The run stopped at a wave barrier; everything needed to continue
-    /// it (in this process or after an append) is returned alive.
-    Suspended {
-        /// The engine at the barrier: pending drained, feedback applied,
-        /// retrain (if any) done. Boxed — it dwarfs the finished variant.
-        engine: Box<Engine<'a>>,
-        /// The strategy, with all feedback observed.
-        strategy: Box<dyn Strategy>,
-        /// Cumulative counters at the barrier.
-        counters: SessionCounters,
-    },
-}
+impl<'a> Session<'a> {
+    /// A fresh run from `seed`, selecting with the configured traversal
+    /// strategy and batching by [`crate::DarwinConfig::batch`].
+    pub fn new(darwin: &'a Darwin<'a>, seed: Seed) -> Session<'a> {
+        let engine = Engine::new(darwin, seed);
+        let strategy = crate::pipeline::default_strategy(darwin.config(), engine.seed_refs());
+        Session::with_strategy(engine, strategy, darwin.config().batch.clone())
+    }
 
-/// The suspendable driver core. `start` carries the cumulative counters
-/// (zero for a fresh run, the snapshot's for a resumed one) so question
-/// ids and the final [`AsyncReport`] continue across a suspend exactly as
-/// if the run had never stopped. With `suspend_after = Some(w)` the
-/// driver returns [`SessionOutcome::Suspended`] at the first wave barrier
-/// where the *cumulative* wave count reaches `w` — a barrier is the only
-/// point where a snapshot is taken (pending set drained, feedback
-/// applied, retrain done), which is what makes resume trace-exact.
-pub(crate) fn drive_session<'a>(
-    darwin: &'a Darwin<'a>,
-    engine: Engine<'a>,
-    strategy: Box<dyn Strategy>,
-    start: SessionCounters,
-    oracle: &mut dyn AsyncOracle,
-    model: &CostModel,
-    suspend_after: Option<u64>,
-) -> SessionOutcome {
-    match drive_segment(
-        darwin,
-        engine,
-        strategy,
-        start,
-        oracle,
-        model,
-        suspend_after,
-    ) {
-        SegmentEnd::Finished(result) => SessionOutcome::Finished(result),
-        SegmentEnd::Suspended {
+    /// A fresh run over `engine` selecting with `strategy` in waves sized
+    /// by `policy`.
+    pub(crate) fn with_strategy(
+        engine: Engine<'a>,
+        strategy: Box<dyn Strategy>,
+        policy: BatchPolicy,
+    ) -> Session<'a> {
+        Session {
             engine,
             strategy,
-            counters,
-        } => {
-            let snap = Snapshot::capture(darwin, &engine, strategy.as_ref(), counters);
-            SessionOutcome::Suspended(Box::new(snap))
+            policy,
+            progress: Progress::default(),
         }
     }
-}
 
-/// [`drive_session`]'s engine-alive core — see [`SegmentEnd`]. The
-/// in-memory streaming path keeps the returned engine and continues it
-/// directly; the durable path serializes it into a [`Snapshot`] and lets
-/// it drop.
-pub(crate) fn drive_segment<'a>(
-    darwin: &'a Darwin<'a>,
-    mut engine: Engine<'a>,
-    mut strategy: Box<dyn Strategy>,
-    start: SessionCounters,
-    oracle: &mut dyn AsyncOracle,
-    model: &CostModel,
-    suspend_after: Option<u64>,
-) -> SegmentEnd<'a> {
-    let cfg = darwin.config();
-    let corpus = darwin.corpus();
-    let index = darwin.index();
-    let started = Instant::now();
+    /// Rebuild a suspended run from serialized snapshot bytes. The
+    /// snapshot is validated (frame checksum, version window,
+    /// config/corpus fingerprints, rule-handle bounds) before any state is
+    /// rebuilt; question ids and the wave/submit/retrain counts continue
+    /// where the suspended run stopped. [`AsyncReport::wall_ns`] counts
+    /// from the resuming process — wall-clock is not part of a snapshot.
+    pub fn resume(darwin: &'a Darwin<'a>, bytes: &[u8]) -> Result<Session<'a>, SnapshotError> {
+        let snap = Snapshot::from_bytes(bytes)?;
+        snap.validate_against(darwin)?;
+        let engine = Engine::resume(darwin, &snap)?;
+        let mut strategy = crate::pipeline::default_strategy(darwin.config(), engine.seed_refs());
+        strategy.import_state(&snap.strategy);
+        let mut session = Session::with_strategy(engine, strategy, darwin.config().batch.clone());
+        session.progress.counters = snap.counters;
+        Ok(session)
+    }
 
-    let mut batcher = AdaptiveBatcher::new(cfg.batch.clone());
-    let mut submitted = start.submitted as usize;
-    let mut waves = start.waves as usize;
-    let mut retrains = start.retrains as usize;
-    let mut peak = start.peak as usize;
-    let mut abandoned = 0usize;
-    let mut submit_at: FxHashMap<u64, Instant> = FxHashMap::default();
+    /// Release the `Darwin` borrow, keeping everything else alive.
+    pub(crate) fn park(self) -> Parked {
+        Parked {
+            parts: self.engine.into_parts(),
+            strategy: self.strategy,
+            progress: self.progress,
+        }
+    }
 
-    fn submit_one(
-        engine: &mut Engine<'_>,
+    /// Continue a parked session against `darwin` — the view the parts
+    /// were taken from, or one whose growth the caller reconciles through
+    /// [`Engine::apply_append`] before driving.
+    pub(crate) fn unpark(darwin: &'a Darwin<'a>, parked: Parked) -> Session<'a> {
+        Session {
+            engine: Engine::from_parts(darwin, parked.parts),
+            strategy: parked.strategy,
+            policy: darwin.config().batch.clone(),
+            progress: parked.progress,
+        }
+    }
+
+    /// Drive waves until the run is over (`true`: budget exhausted,
+    /// nothing left to ask, or the oracle went silent) or, with
+    /// `until_waves = Some(w)`, until the first wave barrier where the
+    /// *cumulative* wave count reaches `w` (`false`). A barrier is the
+    /// only stopping point — pending set drained, feedback applied,
+    /// retrain done — which is what makes [`Session::snapshot`] and a
+    /// corpus append there trace-exact.
+    pub fn drive(&mut self, oracle: &mut dyn AsyncOracle, until_waves: Option<u64>) -> bool {
+        let started = Instant::now();
+        let finished = self.drive_waves(oracle, until_waves);
+        self.progress.wall_ns += started.elapsed().as_nanos();
+        finished
+    }
+
+    fn submit(
+        &mut self,
         oracle: &mut dyn AsyncOracle,
-        index: &darwin_index::IndexSet,
-        corpus: &Corpus,
         submit_at: &mut FxHashMap<u64, Instant>,
-        submitted: &mut usize,
         rule: RuleRef,
     ) {
-        let qid = QuestionId(*submitted as u64);
-        *submitted += 1;
-        engine.begin_question(qid, rule);
+        let qid = QuestionId(self.progress.counters.submitted);
+        self.progress.counters.submitted += 1;
+        self.engine.begin_question(qid, rule);
+        let darwin = self.engine.darwin();
+        let index = darwin.index();
         let h = index.heuristic(rule);
         submit_at.insert(qid.0, Instant::now());
-        oracle.submit(qid, corpus, &h, index.coverage(rule));
+        oracle.submit(qid, darwin.corpus(), &h, index.coverage(rule));
     }
 
-    loop {
-        // ---- fill a wave ----
-        // First pick through the traversal strategy (the synchronous
-        // selection), refills through the diverse in-flight ranking —
-        // ranked once for the whole wave. The wave's membership is fixed
-        // before any of its answers are applied, which is what makes the
-        // final state invariant under arrival order.
-        let k = batcher.wave_size();
-        if submitted < cfg.budget {
-            let t = Instant::now();
-            if let Some(rule) = engine.select(&mut *strategy) {
-                batcher.note_select(t.elapsed().as_nanos() as u64);
-                let anchor = engine.benefit_sum(rule);
-                submit_one(
-                    &mut engine,
-                    oracle,
-                    index,
-                    corpus,
-                    &mut submit_at,
-                    &mut submitted,
-                    rule,
-                );
-                let want = (k - 1).min(cfg.budget - submitted);
-                if want > 0 {
-                    let t = Instant::now();
-                    let picks = engine.select_refill_batch(want, batcher.floor(Some(anchor)));
-                    if !picks.is_empty() {
-                        batcher.note_select(t.elapsed().as_nanos() as u64 / picks.len() as u64);
-                    }
-                    for rule in picks {
-                        submit_one(
-                            &mut engine,
-                            oracle,
-                            index,
-                            corpus,
-                            &mut submit_at,
-                            &mut submitted,
-                            rule,
-                        );
-                    }
-                }
-            }
+    fn drive_waves(&mut self, oracle: &mut dyn AsyncOracle, until_waves: Option<u64>) -> bool {
+        if self.progress.abandoned > 0 {
+            return true; // the oracle went silent in an earlier segment
         }
-        if engine.pending_len() == 0 {
-            break; // budget exhausted or nothing left to ask
-        }
-        waves += 1;
-        peak = peak.max(engine.pending_len());
+        let budget = self.engine.darwin().config().budget as u64;
+        let mut batcher = AdaptiveBatcher::new(self.policy.clone());
+        let mut submit_at: FxHashMap<u64, Instant> = FxHashMap::default();
 
-        // ---- drain it: answers apply in arrival order ----
-        let mut resolved: Vec<(QuestionId, RuleRef, bool)> = Vec::new();
-        let mut grew = false;
-        let mut idle_polls = 0usize;
-        let mut idle_since: Option<Instant> = None;
-        while engine.pending_len() > 0 {
-            let mut arrived = oracle.poll_deadline(POLL_DEADLINE);
-            if arrived.is_empty() {
-                // A dead oracle (wire worker gone) can never deliver:
-                // abandon immediately instead of waiting out the idle
-                // limit.
-                if !oracle.healthy() {
-                    abandoned = engine.abandon_pending();
-                    break;
+        loop {
+            // ---- fill a wave ----
+            // First pick through the traversal strategy (the synchronous
+            // selection), refills through the diverse in-flight ranking —
+            // ranked once for the whole wave. The wave's membership is fixed
+            // before any of its answers are applied, which is what makes the
+            // final state invariant under arrival order.
+            let k = batcher.wave_size() as u64;
+            if self.progress.counters.submitted < budget {
+                let t = Instant::now();
+                if let Some(rule) = self.engine.select(&mut *self.strategy) {
+                    batcher.note_select(t.elapsed().as_nanos() as u64);
+                    self.submit(oracle, &mut submit_at, rule);
+                    let want = (k - 1).min(budget - self.progress.counters.submitted) as usize;
+                    if want > 0 {
+                        let floor = batcher.floor(Some(self.engine.benefit_sum(rule)));
+                        let t = Instant::now();
+                        let picks = self.engine.select_refill_batch(want, floor);
+                        if !picks.is_empty() {
+                            batcher.note_select(t.elapsed().as_nanos() as u64 / picks.len() as u64);
+                        }
+                        for rule in picks {
+                            self.submit(oracle, &mut submit_at, rule);
+                        }
+                    }
                 }
-                // A non-blocking oracle with slow answers: back off
-                // instead of spinning; after a long wall-clock silence
-                // abandon the wave and keep the partial run.
-                let since = *idle_since.get_or_insert_with(Instant::now);
-                if since.elapsed() >= IDLE_LIMIT {
-                    abandoned = engine.abandon_pending();
-                    break;
-                }
-                idle_polls += 1;
-                if idle_polls > SPIN_FREE_POLLS {
-                    std::thread::sleep(Duration::from_millis(1));
-                }
-                continue;
             }
-            idle_polls = 0;
-            idle_since = None;
-            // Canonical order within one delivery batch; deliveries
-            // themselves arrive however the oracle pleases.
-            arrived.sort_unstable_by_key(|&(qid, _)| qid);
-            for (qid, answer) in arrived {
-                if let Some(at) = submit_at.remove(&qid.0) {
-                    batcher.note_latency(at.elapsed().as_nanos() as u64);
-                }
-                // An unknown or already-resolved id is a misbehaving
-                // oracle (a wire worker fabricating or re-delivering
-                // answers): `resolve` is a no-op for it, so state cannot
-                // corrupt — drop the answer instead of panicking, in
-                // line with the wire layer's no-panic discipline.
-                let Some(rule) = engine.resolve(qid, answer) else {
+            let in_flight = self.engine.pending_len();
+            if in_flight == 0 {
+                return true; // budget exhausted or nothing left to ask
+            }
+            let counters = &mut self.progress.counters;
+            counters.waves += 1;
+            counters.peak = counters.peak.max(in_flight as u64);
+
+            // ---- drain it: answers apply in arrival order ----
+            let mut resolved: Vec<(QuestionId, RuleRef, bool)> = Vec::new();
+            let mut grew = false;
+            let mut idle_polls = 0usize;
+            let mut idle_since: Option<Instant> = None;
+            while self.engine.pending_len() > 0 {
+                let mut arrived = oracle.poll_deadline(POLL_DEADLINE);
+                if arrived.is_empty() {
+                    // A dead oracle (wire worker gone, empty annotator
+                    // pool) can never deliver: abandon immediately instead
+                    // of waiting out the idle limit. A non-blocking oracle
+                    // with slow answers: back off instead of spinning;
+                    // after a long wall-clock silence abandon the wave and
+                    // keep the partial run.
+                    let since = *idle_since.get_or_insert_with(Instant::now);
+                    if !oracle.healthy() || since.elapsed() >= IDLE_LIMIT {
+                        self.progress.abandoned = self.engine.abandon_pending();
+                        break;
+                    }
+                    idle_polls += 1;
+                    if idle_polls > SPIN_FREE_POLLS {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
                     continue;
-                };
-                grew |= answer;
-                resolved.push((qid, rule, answer));
+                }
+                idle_polls = 0;
+                idle_since = None;
+                // Canonical order within one delivery batch; deliveries
+                // themselves arrive however the oracle pleases.
+                arrived.sort_unstable_by_key(|&(qid, _)| qid);
+                for (qid, answer) in arrived {
+                    if let Some(at) = submit_at.remove(&qid.0) {
+                        batcher.note_latency(at.elapsed().as_nanos() as u64);
+                    }
+                    // An unknown or already-resolved id is a misbehaving
+                    // oracle (a wire worker fabricating or re-delivering
+                    // answers): `resolve` is a no-op for it, so state cannot
+                    // corrupt — drop the answer instead of panicking, in
+                    // line with the wire layer's no-panic discipline.
+                    let Some(rule) = self.engine.resolve(qid, answer) else {
+                        continue;
+                    };
+                    grew |= answer;
+                    resolved.push((qid, rule, answer));
+                }
             }
-        }
 
-        // ---- barrier: strategies observe the wave in submission order,
-        // the classifier retrains once if P grew ----
-        resolved.sort_unstable_by_key(|&(qid, _, _)| qid);
-        for &(_, rule, answer) in &resolved {
-            let ctx = engine.ctx();
-            strategy.feedback(rule, answer, &ctx);
-        }
-        if grew {
-            engine.retrain_and_sync();
-            engine.regen_hierarchy();
-            retrains += 1;
-        }
-        if abandoned > 0 {
-            break; // the oracle went silent: return the partial run
-        }
-        // ---- suspend hook: barriers are the only snapshot points ----
-        // Pending is drained, feedback applied, the retrain (if any) done:
-        // the run's future is a pure function of the captured state.
-        if suspend_after.is_some_and(|stop| waves as u64 >= stop) {
-            let counters = SessionCounters {
-                submitted: submitted as u64,
-                waves: waves as u64,
-                retrains: retrains as u64,
-                peak: peak as u64,
-            };
-            return SegmentEnd::Suspended {
-                engine: Box::new(engine),
-                strategy,
-                counters,
-            };
+            // ---- barrier: strategies observe the wave in submission order,
+            // the classifier retrains once if P grew ----
+            resolved.sort_unstable_by_key(|&(qid, _, _)| qid);
+            for &(_, rule, answer) in &resolved {
+                let ctx = self.engine.ctx();
+                self.strategy.feedback(rule, answer, &ctx);
+            }
+            if grew {
+                self.engine.retrain_and_sync();
+                self.engine.regen_hierarchy();
+                self.progress.counters.retrains += 1;
+            }
+            if self.progress.abandoned > 0 {
+                return true; // the oracle went silent: keep the partial run
+            }
+            if until_waves.is_some_and(|stop| self.progress.counters.waves >= stop) {
+                return false;
+            }
         }
     }
 
-    let run = engine.finish();
-    let report = AsyncReport {
-        waves,
-        submitted,
-        peak_in_flight: peak,
-        retrains,
-        abandoned,
-        wall_ns: started.elapsed().as_nanos(),
-        cost: model.report(run.questions()),
-    };
-    SegmentEnd::Finished(AsyncRunResult { run, report })
+    /// Serialize the run at the barrier [`Session::drive`] stopped at.
+    pub fn snapshot(&self) -> Snapshot {
+        Snapshot::capture(
+            self.engine.darwin(),
+            &self.engine,
+            self.strategy.as_ref(),
+            self.progress.counters,
+        )
+    }
+
+    /// Consume the session into the run output and its instrumentation.
+    pub fn finish(self) -> AsyncRunResult {
+        let Progress {
+            counters,
+            abandoned,
+            wall_ns,
+        } = self.progress;
+        let run = self.engine.finish();
+        let report = AsyncReport {
+            waves: counters.waves as usize,
+            submitted: counters.submitted as usize,
+            peak_in_flight: counters.peak as usize,
+            retrains: counters.retrains as usize,
+            abandoned,
+            wall_ns,
+            cost: CostModel::paper().report(run.questions()),
+        };
+        AsyncRunResult { run, report }
+    }
 }
 
 #[cfg(test)]

@@ -102,13 +102,14 @@ pub struct DarwinConfig {
     /// fragments exactly (fixed-point sums), so every shard count selects
     /// the identical question sequence. 1 = the unsharded reference path.
     pub shards: usize,
-    /// How the asynchronous loop ([`crate::Darwin::run_async`]) sizes its
-    /// waves of in-flight oracle questions: a fixed count, a
-    /// latency-targeted adaptive size, or a benefit-decay cutoff (see
-    /// [`BatchPolicy`]). `Fixed(1)` — the default — replays the
-    /// synchronous loop byte for byte under an immediate-answer oracle;
-    /// the step-driven entry points (`run`, `run_parallel`) ignore this
-    /// knob.
+    /// How the question loop sizes its waves of in-flight oracle
+    /// questions under the async entry points
+    /// ([`crate::Darwin::run_async`], `snapshot`/`resume`,
+    /// [`crate::StreamSession`]): a fixed count, a latency-targeted
+    /// adaptive size, or a benefit-decay cutoff (see [`BatchPolicy`]).
+    /// `Fixed(1)` — the default — asks one question at a time;
+    /// [`crate::Darwin::run`] and `run_with` always do, whatever this
+    /// says.
     pub batch: BatchPolicy,
     /// How remote-shard broadcasts are driven (see [`Fanout`]); ignored
     /// by purely local runs.

@@ -1,11 +1,11 @@
 //! The incremental question-loop engine.
 //!
-//! Algorithm 1's loop used to live three times in this crate — once in
-//! [`crate::pipeline`], once in [`crate::parallel`], and implicitly under
-//! every baseline selector — and each copy recomputed `benefit()` over
-//! every candidate's full coverage on every oracle question, an
-//! O(|rules| × |coverage|) rescan. This module is the single shared loop,
-//! and it maintains per-rule benefit aggregates *by delta*:
+//! The state one run of Algorithm 1 evolves — positives, classifier,
+//! scores, candidate hierarchy — and the verbs the question loop
+//! ([`crate::batch::Session`]) composes: select, record, retrain,
+//! regenerate. Recomputing `benefit()` over every candidate's full
+//! coverage on every oracle question is an O(|rules| × |coverage|) rescan;
+//! the engine instead maintains per-rule benefit aggregates *by delta*:
 //!
 //! * when `P` gains sentence ids, only the rules covering those ids (found
 //!   via [`IndexSet::rules_covering`], the inverted postings) change
@@ -405,7 +405,7 @@ where
     }
 }
 
-/// The mutable run state every strategy and flavor of the loop shares.
+/// The mutable run state the loop and every strategy share.
 pub struct EngineState {
     /// The discovered positive set `P`.
     pub p: IdSet,
@@ -431,20 +431,6 @@ impl EngineState {
     pub(crate) fn asked_coverages(&self) -> &FxHashSet<u64> {
         &self.asked_coverages
     }
-}
-
-/// Which loop flavor an [`Engine`] serves. The two differ in RNG stream
-/// and in the parallel loop's always-incremental score cache. One
-/// deliberate unification vs. the pre-engine loops: both flavors now mark
-/// a resolved seed rule as queried, so the parallel batch selector can no
-/// longer re-offer the seed to an annotator (the sequential loop always
-/// excluded it).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EngineFlavor {
-    /// One annotator, retrain after every YES (`Darwin::run*`).
-    Sequential,
-    /// Batched annotators, retrain once per round (`Darwin::run_parallel`).
-    Parallel,
 }
 
 /// The step-driven question loop: owns the classifier, score cache,
@@ -477,7 +463,7 @@ pub struct Engine<'a> {
 impl<'a> Engine<'a> {
     /// Build the engine: apply the seed, train the initial classifier and
     /// generate the first hierarchy (Algorithm 1 lines 1–6).
-    pub fn new(darwin: &'a Darwin<'a>, seed: Seed, flavor: EngineFlavor) -> Engine<'a> {
+    pub fn new(darwin: &'a Darwin<'a>, seed: Seed) -> Engine<'a> {
         let corpus = darwin.corpus();
         let index = darwin.index();
         let cfg = darwin.config();
@@ -518,85 +504,16 @@ impl<'a> Engine<'a> {
             }
         }
 
-        // `warm_start` is a pure buffer-reuse knob (bit-identical weights),
-        // applied here so the config default flows into whichever kind the
-        // run configured. A remote classifier trains the identical recipe
-        // in its worker; a connect failure falls back to the local build
-        // and aborts the run via `wire_abort` before the first question.
-        let kind = cfg.classifier.clone().with_warm_start(cfg.warm_start);
-        let mut clf_abort: Option<darwin_wire::WireError> = None;
-        let clf: Box<dyn TextClassifier> = match darwin.remote_classifier() {
-            None => kind.build(darwin.embeddings(), cfg.seed),
-            Some(spec) => match (spec.connect)().and_then(|t| {
-                crate::remote::WireClassifier::connect(t, corpus, cfg.seed, &kind, cfg.seed)
-            }) {
-                Ok(wc) => Box::new(wc),
-                Err(e) => {
-                    clf_abort = Some(e);
-                    kind.build(darwin.embeddings(), cfg.seed)
-                }
-            },
+        let cache = match cfg.incremental_scoring {
+            true => ScoreCache::new(n),
+            false => ScoreCache::full_only(n),
         };
-        let cache = match flavor {
-            EngineFlavor::Sequential if !cfg.incremental_scoring => ScoreCache::full_only(n),
-            _ => ScoreCache::new(n),
-        }
-        .with_shards(cfg.shards)
-        .with_threads(cfg.threads);
-        let salt = match flavor {
-            EngineFlavor::Sequential => 0xDA,
-            EngineFlavor::Parallel => 0x9A11,
-        };
-        let rng = StdRng::seed_from_u64(cfg.seed ^ salt);
-        let max_count = (cfg.max_coverage_frac * n as f64).ceil() as usize;
-
-        let mut engine = Engine {
-            darwin,
-            state,
-            clf,
-            cache,
-            rng,
-            hierarchy: Hierarchy::new(index, Vec::new()),
-            store: None,
-            frontier: cfg.incremental_frontier.then(FrontierPool::new),
-            pending: Vec::new(),
-            seed_refs,
-            max_count,
-            wire_abort: clf_abort,
-        };
+        let rng = StdRng::seed_from_u64(cfg.seed ^ 0xDA);
+        let frontier = cfg.incremental_frontier.then(FrontierPool::new);
+        let mut engine =
+            Engine::assemble(darwin, state, cache, rng, frontier, Vec::new(), seed_refs);
         engine.retrain_and_sync();
-        if cfg.incremental_benefit {
-            // Created empty: the hierarchy generation below seeds the
-            // partitions from the candidate-search statistics.
-            let map = ShardMap::new(n, cfg.shards);
-            match darwin.remote_shards() {
-                None => engine.store = Some(ShardedBenefitStore::new(map)),
-                // Distributed deployment: one worker per shard, each
-                // initialized with the corpus, the coordinator index's
-                // own build recipe, and the current (P, scores) snapshot.
-                Some(spec) => match ShardedBenefitStore::connect_remote(
-                    map,
-                    corpus,
-                    index.config(),
-                    &engine.state.p,
-                    engine.cache.scores(),
-                    spec.connect.clone(),
-                    cfg.fanout,
-                ) {
-                    Ok(store) => engine.store = Some(store),
-                    Err(e) => engine.wire_abort = Some(e),
-                },
-            }
-        } else if darwin.remote_shards().is_some() {
-            // The rescan ablation has no distributed form: refusing
-            // loudly beats silently running an in-process run the caller
-            // believes is distributed.
-            engine.wire_abort = Some(darwin_wire::WireError::Protocol(
-                "remote shards require DarwinConfig::incremental_benefit".into(),
-            ));
-        }
-        engine.regen_hierarchy();
-        engine
+        engine.attach_store()
     }
 
     /// Rebuild an engine at the state a [`crate::snapshot::Snapshot`]
@@ -625,10 +542,8 @@ impl<'a> Engine<'a> {
         snap: &crate::snapshot::Snapshot,
     ) -> Result<Engine<'a>, crate::snapshot::SnapshotError> {
         use crate::snapshot::SnapshotError;
-        let corpus = darwin.corpus();
-        let index = darwin.index();
         let cfg = darwin.config();
-        let n = corpus.len();
+        let n = darwin.corpus().len();
         if snap.n as usize != n || snap.cache.scores.len() != n {
             return Err(SnapshotError::Mismatch(format!(
                 "snapshot sized for {} sentences ({} scores), live corpus has {n}",
@@ -646,27 +561,6 @@ impl<'a> Engine<'a> {
             asked: snap.asked.iter().cloned().collect(),
             asked_coverages: snap.asked_coverages.iter().copied().collect(),
         };
-
-        // The classifier is built exactly as in `Engine::new` — local or
-        // behind this deployment's connector — but left untrained.
-        let kind = cfg.classifier.clone().with_warm_start(cfg.warm_start);
-        let mut clf_abort: Option<darwin_wire::WireError> = None;
-        let clf: Box<dyn TextClassifier> = match darwin.remote_classifier() {
-            None => kind.build(darwin.embeddings(), cfg.seed),
-            Some(spec) => match (spec.connect)().and_then(|t| {
-                crate::remote::WireClassifier::connect(t, corpus, cfg.seed, &kind, cfg.seed)
-            }) {
-                Ok(wc) => Box::new(wc),
-                Err(e) => {
-                    clf_abort = Some(e);
-                    kind.build(darwin.embeddings(), cfg.seed)
-                }
-            },
-        };
-        let cache = ScoreCache::import(&snap.cache)
-            .with_shards(cfg.shards)
-            .with_threads(cfg.threads);
-        let rng = StdRng::from_state(snap.rng);
         let frontier = match (&snap.frontier, cfg.incremental_frontier) {
             (Some(img), true) => Some(FrontierPool::import(img).map_err(SnapshotError::Corrupt)?),
             // Resuming with the pool enabled but no captured memo: a fresh
@@ -675,54 +569,116 @@ impl<'a> Engine<'a> {
             (None, true) => Some(FrontierPool::new()),
             _ => None,
         };
-        let max_count = (cfg.max_coverage_frac * n as f64).ceil() as usize;
         let pending = snap
             .pending
             .iter()
-            .map(|&(q, r)| (crate::oracle::QuestionId(q), r))
+            .map(|&(q, r)| (QuestionId(q), r))
             .collect();
+        let engine = Engine::assemble(
+            darwin,
+            state,
+            ScoreCache::import(&snap.cache),
+            StdRng::from_state(snap.rng),
+            frontier,
+            pending,
+            snap.seed_refs.clone(),
+        );
+        Ok(engine.attach_store())
+    }
 
-        let mut engine = Engine {
+    /// What [`Engine::new`] and [`Engine::resume`] share up to the first
+    /// (possible) retrain: the classifier — untrained, local or behind
+    /// this deployment's connector — around the given run state, with no
+    /// benefit store or hierarchy yet.
+    fn assemble(
+        darwin: &'a Darwin<'a>,
+        state: EngineState,
+        cache: ScoreCache,
+        rng: StdRng,
+        frontier: Option<FrontierPool>,
+        pending: Vec<(QuestionId, RuleRef)>,
+        seed_refs: Vec<RuleRef>,
+    ) -> Engine<'a> {
+        let corpus = darwin.corpus();
+        let cfg = darwin.config();
+        // `warm_start` is a pure buffer-reuse knob (bit-identical weights),
+        // applied here so the config default flows into whichever kind the
+        // run configured. A remote classifier trains the identical recipe
+        // in its worker; a connect failure falls back to the local build
+        // and aborts the run via `wire_abort` before the first question.
+        let kind = cfg.classifier.clone().with_warm_start(cfg.warm_start);
+        let mut wire_abort: Option<darwin_wire::WireError> = None;
+        let clf: Box<dyn TextClassifier> = match darwin.remote_classifier() {
+            None => kind.build(darwin.embeddings(), cfg.seed),
+            Some(spec) => match (spec.connect)().and_then(|t| {
+                crate::remote::WireClassifier::connect(t, corpus, cfg.seed, &kind, cfg.seed)
+            }) {
+                Ok(wc) => Box::new(wc),
+                Err(e) => {
+                    wire_abort = Some(e);
+                    kind.build(darwin.embeddings(), cfg.seed)
+                }
+            },
+        };
+        Engine {
             darwin,
             state,
             clf,
-            cache,
+            cache: cache.with_shards(cfg.shards).with_threads(cfg.threads),
             rng,
-            hierarchy: Hierarchy::new(index, Vec::new()),
+            hierarchy: Hierarchy::new(darwin.index(), Vec::new()),
             store: None,
             frontier,
             pending,
-            seed_refs: snap.seed_refs.clone(),
-            max_count,
-            wire_abort: clf_abort,
-        };
+            seed_refs,
+            max_count: (cfg.max_coverage_frac * corpus.len() as f64).ceil() as usize,
+            wire_abort,
+        }
+    }
+
+    /// The construction tail [`Engine::new`] and [`Engine::resume`] share:
+    /// attach the benefit store over the current `(P, scores)` — local
+    /// partitions, or one worker per shard — and generate the hierarchy,
+    /// which seeds the partitions from the candidate-search statistics
+    /// (on resume it doubles as the `Track` replay).
+    fn attach_store(mut self) -> Engine<'a> {
+        let darwin = self.darwin;
+        let cfg = darwin.config();
         if cfg.incremental_benefit {
-            let map = ShardMap::new(n, cfg.shards);
+            let map = ShardMap::new(darwin.corpus().len(), cfg.shards);
             match darwin.remote_shards() {
-                None => engine.store = Some(ShardedBenefitStore::new(map)),
-                // Re-attach workers by replaying `ShardInit` with the
-                // *restored* (P, scores) — the state the suspended
-                // coordinator's workers held at the barrier.
+                None => self.store = Some(ShardedBenefitStore::new(map)),
+                // Distributed deployment: one worker per shard, each
+                // initialized with the corpus, the coordinator index's
+                // own build recipe, and the current (P, scores) snapshot.
                 Some(spec) => match ShardedBenefitStore::connect_remote(
                     map,
-                    corpus,
-                    index.config(),
-                    &engine.state.p,
-                    engine.cache.scores(),
+                    darwin.corpus(),
+                    darwin.index().config(),
+                    &self.state.p,
+                    self.cache.scores(),
                     spec.connect.clone(),
                     cfg.fanout,
                 ) {
-                    Ok(store) => engine.store = Some(store),
-                    Err(e) => engine.wire_abort = Some(e),
+                    Ok(store) => self.store = Some(store),
+                    Err(e) => self.wire_abort = Some(e),
                 },
             }
         } else if darwin.remote_shards().is_some() {
-            engine.wire_abort = Some(darwin_wire::WireError::Protocol(
+            // The rescan ablation has no distributed form: refusing
+            // loudly beats silently running an in-process run the caller
+            // believes is distributed.
+            self.wire_abort = Some(darwin_wire::WireError::Protocol(
                 "remote shards require DarwinConfig::incremental_benefit".into(),
             ));
         }
-        engine.regen_hierarchy();
-        Ok(engine)
+        self.regen_hierarchy();
+        self
+    }
+
+    /// The system this engine runs over.
+    pub(crate) fn darwin(&self) -> &'a Darwin<'a> {
+        self.darwin
     }
 
     /// The score cache (snapshot capture).
@@ -860,9 +816,9 @@ impl<'a> Engine<'a> {
 
     /// Mark `rule` as in flight under `qid`: selection keeps avoiding it
     /// (it is already in `queried` — [`Engine::select`] and
-    /// [`Engine::select_refill`] put it there) and
-    /// [`Engine::select_refill`] additionally steers new proposals away
-    /// from its uncovered sentences until the answer arrives.
+    /// [`Engine::select_refill_batch`] put it there) and
+    /// [`Engine::select_refill_batch`] additionally steers new proposals
+    /// away from its uncovered sentences until the answer arrives.
     pub fn begin_question(&mut self, qid: QuestionId, rule: RuleRef) {
         debug_assert!(
             self.state.queried.contains(&rule),
@@ -903,20 +859,13 @@ impl<'a> Engine<'a> {
         self.ctx().benefit(r).sum_q
     }
 
-    /// Propose one more question *while others are in flight* — see
-    /// [`Engine::select_refill_batch`]; this is the single-pick form.
-    pub fn select_refill(&mut self, floor: Option<i64>) -> Option<RuleRef> {
-        self.select_refill_batch(1, floor).pop()
-    }
-
     /// Propose up to `want` further questions *while others are in
-    /// flight*: the highest-ranked candidates under the parallel batch
-    /// gating ([`crate::parallel::select_diverse_batch`]'s ranking) whose
-    /// new coverage overlaps the union of in-flight and just-proposed
-    /// questions' new coverage by at most half — annotators working
-    /// concurrently should not review near-duplicates. The pool is ranked
-    /// once per call, so a whole wave refill costs one scan + sort, not
-    /// one per slot.
+    /// flight*: the highest-ranked candidates under the traversals' gating
+    /// (`rank_gated`) whose new coverage overlaps the union of in-flight
+    /// and just-proposed questions' new coverage by at most half —
+    /// annotators working concurrently should not review near-duplicates.
+    /// The pool is ranked once per call, so a whole wave refill costs one
+    /// scan + sort, not one per slot.
     ///
     /// `floor` (benefit-decay batching) ends the proposal scan — and with
     /// it the wave — at the first candidate whose total benefit fell
@@ -944,7 +893,7 @@ impl<'a> Engine<'a> {
         }
         let ranked = {
             let ctx = self.ctx();
-            crate::parallel::rank_gated(&ctx)
+            rank_gated(&ctx)
         };
         for (r, _, sum_q, _) in ranked {
             if picks.len() == want {
@@ -987,8 +936,8 @@ impl<'a> Engine<'a> {
 
     /// Record an oracle answer: on YES grow `P`, patch the benefit
     /// aggregates by delta, and log the trace step. Does *not* retrain —
-    /// the sequential loop retrains per YES, the parallel loop once per
-    /// round. Returns the answer (what the loops key retraining on).
+    /// the loop retrains once per wave that contained a YES. Returns the
+    /// answer (what retraining is keyed on).
     pub fn record(&mut self, rule: RuleRef, answer: bool) -> bool {
         let index = self.darwin.index();
         let h = index.heuristic(rule);
@@ -1056,15 +1005,9 @@ impl<'a> Engine<'a> {
             }
             guard += 1;
         }
-        let dbg = std::env::var("DARWIN_DEBUG_RETRAIN").is_ok();
-        let t0 = std::time::Instant::now();
         self.clf.fit(corpus, darwin.embeddings(), &pos, &neg);
-        let t_fit = t0.elapsed();
-        let t1 = std::time::Instant::now();
         self.cache.refresh(&*self.clf, corpus, darwin.embeddings());
-        let t_refresh = t1.elapsed();
 
-        let t2 = std::time::Instant::now();
         if let Some(store) = &mut self.store {
             let r = if self.cache.last_refresh_was_full() {
                 store.rebuild(
@@ -1077,19 +1020,6 @@ impl<'a> Engine<'a> {
                 store.on_scores_changed(self.cache.last_changes(), &self.state.p, darwin.index())
             };
             self.note_wire(r);
-        }
-        if dbg {
-            eprintln!(
-                "retrain: pos={} neg={} fit={:?} refresh={:?} (size={} full={} journal={}) sync={:?}",
-                pos.len(),
-                neg.len(),
-                t_fit,
-                t_refresh,
-                self.cache.last_refresh_size(),
-                self.cache.last_refresh_was_full(),
-                self.cache.last_changes().len(),
-                t2.elapsed()
-            );
         }
     }
 
@@ -1146,12 +1076,17 @@ impl<'a> Engine<'a> {
     /// and regenerating the hierarchy on YES). Returns `false` when the
     /// strategy has nothing left to ask.
     ///
+    /// This is the *sequential reference*, not a run entry: no `Darwin`
+    /// method calls it. It is Algorithm 1's loop body written out without
+    /// waves, kept so the equivalence suites have an independent
+    /// implementation to compare the driver ([`crate::batch::Session`])
+    /// against, and for callers that inspect state between questions.
+    ///
     /// The strategy observes the answer *after* [`Engine::record`] applied
     /// it — the `ctx` passed to [`Strategy::feedback`] already reflects
-    /// the grown `P`. The async loop ([`crate::batch`]) runs the same
-    /// order (answers record as they arrive, feedback at the wave
-    /// barrier), so batch size 1 replays this step exactly by
-    /// construction, whatever a strategy reads in its feedback.
+    /// the grown `P`. The driver runs the same order (answers record as
+    /// they arrive, feedback at the wave barrier), so wave size 1 replays
+    /// this step exactly, whatever a strategy reads in its feedback.
     pub fn step(&mut self, strategy: &mut dyn Strategy, oracle: &mut dyn Oracle) -> bool {
         let Some(rule) = self.select(strategy) else {
             return false;
@@ -1332,6 +1267,41 @@ impl<'a> Engine<'a> {
     }
 }
 
+/// Rank unqueried pool candidates for a wave refill, with the same gating
+/// as the sequential traversals: rules whose benefit per new instance
+/// clears the threshold rank first (by total benefit); everything else
+/// ranks by expected precision. Without this, waves fill with broad rules
+/// the oracle is certain to reject. Benefits come from the engine's
+/// delta-maintained aggregates via `ctx` — merged across shard partitions
+/// exactly, so wave composition is identical at every shard count.
+/// Returns `(rule, qualified, sum_q, average)` tuples in rank order.
+fn rank_gated(ctx: &Ctx<'_>) -> Vec<(RuleRef, bool, i64, f64)> {
+    let mut scored: Vec<(RuleRef, bool, i64, f64)> = ctx
+        .hierarchy
+        .rules()
+        .iter()
+        .copied()
+        .filter(|r| !ctx.queried.contains(r))
+        .map(|r| {
+            let b = ctx.benefit(r);
+            (r, b.average() > ctx.benefit_threshold, b.sum_q, b.average())
+        })
+        .filter(|(_, _, sum_q, _)| *sum_q > 0)
+        .collect();
+    scored.sort_by(|a, b| {
+        b.1.cmp(&a.1)
+            .then_with(|| {
+                if a.1 {
+                    b.2.cmp(&a.2)
+                } else {
+                    b.3.total_cmp(&a.3)
+                }
+            })
+            .then_with(|| a.0.cmp(&b.0))
+    });
+    scored
+}
+
 /// The owned state of a suspended-in-memory [`Engine`] — everything but
 /// the `Darwin` borrow. Produced by [`Engine::into_parts`] at a wave
 /// barrier, held across a corpus append (during which no engine exists and
@@ -1476,6 +1446,108 @@ mod tests {
                 idx.heuristic(r)
             );
         }
+    }
+
+    /// Direct harness for [`Engine::select_refill_batch`]: an engine over
+    /// [`setup`] whose candidate pool, positive set and queried set the
+    /// test sets by hand (no question asked), every sentence scored the
+    /// neutral prior so gating never empties the pool.
+    fn engine_over<'a>(darwin: &'a Darwin<'a>, pool: Vec<RuleRef>) -> Engine<'a> {
+        let mut engine = Engine::new(darwin, Seed::Positives(Vec::new()));
+        assert!(engine.state.p.is_empty() && engine.scores().iter().all(|&s| s == 0.5));
+        engine.hierarchy = Hierarchy::new(darwin.index(), pool);
+        engine
+    }
+
+    /// The diversity rule, stated directly: with one question in flight,
+    /// asking for more than the pool holds returns every candidate whose
+    /// coverage overlaps what is already out — in flight or picked
+    /// earlier — by at most half, and nothing else.
+    #[test]
+    fn refill_with_want_beyond_candidate_count_returns_everything_diverse() {
+        let (c, idx) = setup();
+        let darwin = Darwin::new(&c, &idx, crate::DarwinConfig::fast());
+        let all: Vec<RuleRef> = idx.all_rules().collect();
+        let out_rule = idx
+            .resolve(&Heuristic::phrase(&c, "shuttle").unwrap())
+            .unwrap();
+        let refill = |want: usize| {
+            let mut engine = engine_over(&darwin, all.clone());
+            engine.state.queried.insert(out_rule);
+            engine.begin_question(QuestionId(0), out_rule);
+            engine.select_refill_batch(want, None)
+        };
+        let picks = refill(all.len() + 50);
+        assert!(!picks.is_empty());
+        assert!(
+            picks.len() < all.len() - 1,
+            "overlap pruning must reject near-duplicates, not return the pool"
+        );
+        let mut out: Vec<u32> = idx.coverage(out_rule).to_vec();
+        for &r in &picks {
+            assert_ne!(r, out_rule, "the in-flight rule is never re-proposed");
+            let cov = idx.coverage(r);
+            let shared = cov.iter().filter(|s| out.contains(s)).count();
+            assert!(shared * 2 <= cov.len(), "near-duplicate of a question out");
+            out.extend_from_slice(cov);
+        }
+        let distinct: std::collections::HashSet<_> = picks.iter().collect();
+        assert_eq!(distinct.len(), picks.len(), "no rule proposed twice");
+        // Asking for exactly what was returned changes nothing.
+        assert_eq!(refill(picks.len()), picks);
+    }
+
+    #[test]
+    fn refill_takes_one_of_identical_coverage_candidates() {
+        let (c, idx) = setup();
+        let darwin = Darwin::new(&c, &idx, crate::DarwinConfig::fast());
+        // Find two indexed rules with identical coverage (alias pair).
+        let all: Vec<RuleRef> = idx.all_rules().collect();
+        let pair = all
+            .iter()
+            .enumerate()
+            .find_map(|(i, &a)| {
+                all[i + 1..]
+                    .iter()
+                    .find(|&&b| idx.coverage(a) == idx.coverage(b))
+                    .map(|&b| (a, b))
+            })
+            .expect("tiny corpus has coverage-duplicate rules");
+        let mut engine = engine_over(&darwin, vec![pair.0, pair.1]);
+        let picks = engine.select_refill_batch(2, None);
+        assert_eq!(
+            picks.len(),
+            1,
+            "identical coverage = 100% overlap: exactly one survives"
+        );
+        assert!(picks[0] == pair.0 || picks[0] == pair.1);
+    }
+
+    #[test]
+    fn refill_on_empty_frontier_is_empty() {
+        let (c, idx) = setup();
+        let darwin = Darwin::new(&c, &idx, crate::DarwinConfig::fast());
+        assert!(engine_over(&darwin, Vec::new())
+            .select_refill_batch(3, None)
+            .is_empty());
+
+        // A fully queried pool is as empty as an empty one.
+        let all: Vec<RuleRef> = idx.all_rules().collect();
+        let mut engine = engine_over(&darwin, all.clone());
+        engine.state.queried.extend(all);
+        assert!(engine.select_refill_batch(3, None).is_empty());
+    }
+
+    #[test]
+    fn refill_skips_rules_with_no_new_coverage() {
+        let (c, idx) = setup();
+        let darwin = Darwin::new(&c, &idx, crate::DarwinConfig::fast());
+        let mut engine = engine_over(&darwin, idx.all_rules().collect());
+        // Everything already positive: no rule adds anything.
+        for id in 0..c.len() as u32 {
+            engine.state.p.insert(id);
+        }
+        assert!(engine.select_refill_batch(4, None).is_empty());
     }
 
     #[test]

@@ -24,10 +24,14 @@
 //!    further diverse questions in flight while answers are outstanding
 //!    ([`batch`], with §4.3 crowd-cost accounting), and
 //! 4. on YES, grows the positive set, retrains the classifier and updates
-//!    all scores ([`pipeline`], Algorithm 1 — the loop itself is
-//!    [`engine::Engine::step`], shared by the sequential, parallel and
-//!    baseline runners; the async loop applies answers out of order
-//!    through the same machinery and retrains once per drained wave).
+//!    all scores (Algorithm 1). There is one question loop,
+//!    [`batch::Session`]: it applies a wave's answers in arrival order
+//!    and retrains once per drained wave, and every run entry in
+//!    [`pipeline`] — one question at a time, `k` annotators in rounds,
+//!    suspend/resume, streaming — is a few lines over it.
+//!    [`engine::Engine::step`] is the same loop body written out
+//!    sequentially, kept as the reference the equivalence tests compare
+//!    the driver against.
 //!
 //! The output is the accepted rule set, the discovered positives, the
 //! trained classifier scores, and a per-question trace from which the
@@ -43,7 +47,6 @@ pub mod engine;
 pub mod frontier;
 pub mod hierarchy;
 pub mod oracle;
-pub mod parallel;
 pub mod pipeline;
 pub mod remote;
 pub mod shard;
@@ -53,15 +56,15 @@ pub mod traversal;
 
 pub use batch::{
     AdaptiveBatcher, AsyncReport, AsyncRunResult, BatchPolicy, CostModel, CrowdCost,
-    ScriptedArrival, SessionOutcome, SimulatedLatency,
+    ScriptedArrival, Session, SessionOutcome, SimulatedLatency,
 };
 pub use config::{DarwinConfig, Fanout, TraversalKind};
-pub use engine::{BenefitAgg, BenefitStore, Engine, EngineFlavor, EngineParts, EngineState};
+pub use engine::{BenefitAgg, BenefitStore, Engine, EngineParts, EngineState};
 pub use frontier::{FrontierImage, FrontierPool, FrontierStats};
 pub use oracle::{
-    AsyncOracle, GroundTruthOracle, Immediate, Oracle, QuestionId, SampledAnnotatorOracle,
+    AnnotatorPool, AsyncOracle, GroundTruthOracle, Immediate, MajorityOracle, Oracle, QuestionId,
+    SampledAnnotatorOracle,
 };
-pub use parallel::{select_diverse_batch, MajorityOracle};
 pub use pipeline::{Darwin, RemoteShards, RunResult, Seed, TraceStep};
 pub use remote::{
     inproc_shard_connector, inproc_wire_classifier, inproc_wire_oracle, serve_classifier,

@@ -11,15 +11,17 @@
 //! Two calling conventions share the same answer semantics:
 //!
 //! * [`Oracle`] is the synchronous form — `ask` blocks until the verdict
-//!   is known. Every step-driven loop ([`crate::pipeline`],
-//!   [`crate::parallel`]) uses it.
-//! * [`AsyncOracle`] is the submit/poll split the batched loop
+//!   is known. Annotators, crowds ([`MajorityOracle`]) and the test
+//!   doubles are written against it.
+//! * [`AsyncOracle`] is the submit/poll split the question loop
 //!   ([`crate::batch`]) drives: questions go out tagged with a
 //!   [`QuestionId`], answers come back later — possibly out of order —
-//!   from `poll`. [`Immediate`] adapts any synchronous oracle to the
+//!   from `poll`. [`Immediate`] adapts one synchronous oracle to the
 //!   async surface (answers available at the next poll), which is also
-//!   the reference configuration for the batch layer's equivalence
-//!   guarantee.
+//!   the reference configuration for the loop's equivalence guarantee;
+//!   [`AnnotatorPool`] adapts `k` of them, one question each per wave
+//!   (paper §1: "asking different annotators to evaluate different
+//!   rules").
 
 use darwin_grammar::Heuristic;
 use darwin_text::Corpus;
@@ -162,6 +164,110 @@ impl<O: Oracle> AsyncOracle for Immediate<O> {
 
     fn queries(&self) -> usize {
         self.inner.queries()
+    }
+}
+
+/// `k` synchronous annotators working in parallel (paper §1: Darwin
+/// "supports parallel discovery of rules by asking different annotators
+/// to evaluate different rules"): submitted questions are dealt
+/// round-robin, one annotator per question, and every answer is available
+/// at the next poll. Driven at [`crate::BatchPolicy::Fixed`]`(k)` each
+/// wave is one round — every annotator reviews one of `k`
+/// coverage-diverse rules, then the classifier retrains once.
+///
+/// An empty pool can never answer: it reports [`AsyncOracle::healthy`]
+/// `false`, so the driver abandons the first wave at once and returns the
+/// (empty) partial run with `report.abandoned > 0` instead of panicking.
+pub struct AnnotatorPool<O> {
+    annotators: Vec<O>,
+    dealt: usize,
+    ready: Vec<(QuestionId, bool)>,
+}
+
+impl<O: Oracle> AnnotatorPool<O> {
+    /// A pool over `annotators`, dealt to in the given order.
+    pub fn new(annotators: Vec<O>) -> AnnotatorPool<O> {
+        AnnotatorPool {
+            annotators,
+            dealt: 0,
+            ready: Vec::new(),
+        }
+    }
+
+    /// The pooled annotators (e.g. to read each one's question count).
+    pub fn annotators(&self) -> &[O] {
+        &self.annotators
+    }
+}
+
+impl<O: Oracle> AsyncOracle for AnnotatorPool<O> {
+    fn submit(&mut self, qid: QuestionId, corpus: &Corpus, rule: &Heuristic, coverage: &[u32]) {
+        let k = self.annotators.len();
+        if k == 0 {
+            return; // nobody to ask; `healthy` tells the driver
+        }
+        let answer = self.annotators[self.dealt % k].ask(corpus, rule, coverage);
+        self.dealt += 1;
+        self.ready.push((qid, answer));
+    }
+
+    fn poll(&mut self) -> Vec<(QuestionId, bool)> {
+        std::mem::take(&mut self.ready)
+    }
+
+    fn healthy(&self) -> bool {
+        !self.annotators.is_empty()
+    }
+
+    fn queries(&self) -> usize {
+        self.dealt
+    }
+}
+
+/// Majority vote over several independent annotators (§4.3's cost model:
+/// "the oracle considers a majority vote by querying three crowd
+/// members"). One [`Oracle::ask`] call fans the same question out to
+/// every member and counts one logical query (the paper prices it as
+/// `members × 2¢`).
+pub struct MajorityOracle<'a> {
+    members: Vec<Box<dyn Oracle + 'a>>,
+    queries: usize,
+}
+
+impl<'a> MajorityOracle<'a> {
+    /// Combine `members` (at least one) by majority vote.
+    pub fn new(members: Vec<Box<dyn Oracle + 'a>>) -> Self {
+        assert!(
+            !members.is_empty(),
+            "majority oracle needs at least one member"
+        );
+        MajorityOracle {
+            members,
+            queries: 0,
+        }
+    }
+
+    /// Cost in cents under the paper's crowdsourcing model (2¢ per member
+    /// evaluation).
+    pub fn cost_cents(&self) -> usize {
+        self.queries * self.members.len() * 2
+    }
+}
+
+impl Oracle for MajorityOracle<'_> {
+    fn ask(&mut self, corpus: &Corpus, rule: &Heuristic, coverage: &[u32]) -> bool {
+        self.queries += 1;
+        let mut yes = 0;
+        for m in self.members.iter_mut() {
+            if m.ask(corpus, rule, coverage) {
+                yes += 1;
+            }
+        }
+        2 * yes > self.members.len()
+    }
+
+    fn queries(&self) -> usize {
+        self.queries
     }
 }
 
@@ -357,6 +463,66 @@ mod tests {
         let mut boxed: Box<dyn Oracle> = Box::new(GroundTruthOracle::new(&labels, 0.8));
         assert!(boxed.ask(&c, &r, &[0, 1, 2, 3]));
         assert_eq!(boxed.queries(), 1);
+    }
+
+    #[test]
+    fn annotator_pool_deals_round_robin_and_delivers_once() {
+        let c = corpus();
+        let labels = vec![true, true, true, true, false];
+        let r = dummy_rule(&c);
+        let mut a = GroundTruthOracle::new(&labels, 0.8);
+        let mut b = GroundTruthOracle::new(&labels, 0.8);
+        let members: Vec<&mut dyn Oracle> = vec![&mut a, &mut b];
+        let mut pool = AnnotatorPool::new(members);
+        assert!(pool.healthy());
+        pool.submit(QuestionId(0), &c, &r, &[0, 1, 2, 3]);
+        pool.submit(QuestionId(1), &c, &r, &[3, 4]);
+        pool.submit(QuestionId(2), &c, &r, &[0, 1]);
+        assert_eq!(
+            pool.poll(),
+            vec![
+                (QuestionId(0), true),
+                (QuestionId(1), false),
+                (QuestionId(2), true)
+            ]
+        );
+        assert!(pool.poll().is_empty(), "answers deliver exactly once");
+        assert_eq!(pool.queries(), 3);
+        let asked: Vec<usize> = pool.annotators().iter().map(|o| o.queries()).collect();
+        assert_eq!(asked, [2, 1], "q0 and q2 to the first, q1 to the second");
+    }
+
+    #[test]
+    fn majority_oracle_outvotes_one_bad_member() {
+        let c = Corpus::from_texts([
+            "a shuttle to the airport",
+            "the shuttle leaves hourly",
+            "a shuttle runs tonight",
+            "the pool opens at nine",
+            "order the pizza",
+            "the wifi code",
+        ]);
+        let labels = vec![true, true, true, false, false, false];
+        // Two reliable members and one error-prone k=2 annotator.
+        let m1 = Box::new(GroundTruthOracle::new(&labels, 0.8));
+        let m2 = Box::new(GroundTruthOracle::new(&labels, 0.8));
+        let m3 = Box::new(SampledAnnotatorOracle::new(&labels, 2, 5));
+        let mut crowd = MajorityOracle::new(vec![m1, m2, m3]);
+        let rule = Heuristic::phrase(&c, "shuttle").unwrap();
+        let cov = rule.coverage(&c);
+        assert!(
+            crowd.ask(&c, &rule, &cov),
+            "precise rule accepted by majority"
+        );
+        let junk = Heuristic::phrase(&c, "the").unwrap();
+        let jcov = junk.coverage(&c);
+        assert!(!crowd.ask(&c, &junk, &jcov));
+        assert_eq!(crowd.queries(), 2);
+        assert_eq!(
+            crowd.cost_cents(),
+            2 * 3 * 2,
+            "paper cost model: 2¢ × 3 members"
+        );
     }
 
     #[test]

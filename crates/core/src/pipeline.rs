@@ -1,18 +1,19 @@
 //! The end-to-end Darwin pipeline (paper Algorithm 1).
 //!
-//! The question loop itself lives in [`crate::engine`]; this module owns
-//! the run-level API ([`Darwin`], [`Seed`], [`RunResult`]) and maps the
-//! configured traversal strategy onto the engine. Execution-layer knobs
+//! The question loop itself is [`crate::batch::Session`]; this module owns
+//! the run-level API ([`Darwin`], [`Seed`], [`RunResult`]) — every run
+//! entry here is a few lines over that one loop — and maps the configured
+//! traversal strategy onto the engine. Execution-layer knobs
 //! ([`DarwinConfig::shards`], [`DarwinConfig::threads`]) never change a
 //! run's output — any configuration replays the same trace, so results
 //! are comparable across machines and deployments.
 
-use crate::batch::{AsyncRunResult, CostModel, SessionOutcome};
+use crate::batch::{AsyncRunResult, BatchPolicy, Session, SessionOutcome};
 use crate::config::{DarwinConfig, TraversalKind};
-use crate::engine::{Engine, EngineFlavor};
-use crate::oracle::{AsyncOracle, Oracle};
+use crate::engine::Engine;
+use crate::oracle::{AsyncOracle, Immediate, Oracle};
 use crate::shard::ShardConnector;
-use crate::snapshot::{SessionCounters, Snapshot, SnapshotError};
+use crate::snapshot::SnapshotError;
 use crate::traversal::{HybridSearch, LocalSearch, Strategy, UniversalSearch};
 use darwin_grammar::Heuristic;
 use darwin_index::fx::FxHashSet;
@@ -256,38 +257,48 @@ impl<'a> Darwin<'a> {
 
     /// A step-driven engine over this system — for callers that want to
     /// drive the question loop themselves (inspect state between
-    /// questions, interleave with other work).
+    /// questions, interleave with other work) through [`Engine::step`].
     pub fn engine(&self, seed: Seed) -> Engine<'_> {
-        Engine::new(self, seed, EngineFlavor::Sequential)
+        Engine::new(self, seed)
     }
 
-    /// Run with the configured traversal strategy.
+    /// Run with the configured traversal strategy, one question at a time
+    /// (retrain after every YES) — see [`Darwin::run_with`].
     pub fn run(&self, seed: Seed, oracle: &mut dyn Oracle) -> RunResult {
         let cfg = &self.cfg;
         self.run_with(seed, oracle, |seeds| default_strategy(cfg, seeds))
     }
 
+    /// Run with a custom selection strategy (how the HighP/HighC baselines
+    /// plug in) against a synchronous oracle: the question loop
+    /// ([`Session`]) at wave size 1 over [`Immediate`], whatever
+    /// [`DarwinConfig::batch`] says.
+    pub fn run_with(
+        &self,
+        seed: Seed,
+        oracle: &mut dyn Oracle,
+        make_strategy: impl FnOnce(&[RuleRef]) -> Box<dyn Strategy>,
+    ) -> RunResult {
+        let engine = self.engine(seed);
+        let strategy = make_strategy(engine.seed_refs());
+        let mut session = Session::with_strategy(engine, strategy, BatchPolicy::Fixed(1));
+        session.drive(&mut Immediate::new(oracle), None);
+        session.finish().run
+    }
+
     /// Run against an asynchronous oracle ([`crate::batch`]): selection
     /// keeps up to [`DarwinConfig::batch`] questions in flight, answers
     /// apply out of order as they arrive, and the classifier retrains
-    /// once per drained wave. With `BatchPolicy::Fixed(1)` and an
-    /// [`crate::Immediate`] adapter this replays [`Darwin::run`] byte for
-    /// byte; larger batches trade selection freshness for latency hiding.
-    /// Costs are accounted under the paper's §4.3 crowd model
-    /// ([`CostModel::paper`]); use [`Darwin::run_async_costed`] for a
-    /// different pricing.
+    /// once per drained wave. `BatchPolicy::Fixed(1)` over an
+    /// [`Immediate`] adapter is [`Darwin::run`]; larger batches trade
+    /// selection freshness for latency hiding, and `Fixed(k)` over an
+    /// [`crate::AnnotatorPool`] is `k` annotators answering in rounds.
+    /// [`crate::AsyncReport::cost`] prices the run under the paper's §4.3
+    /// crowd model.
     pub fn run_async(&self, seed: Seed, oracle: &mut dyn AsyncOracle) -> AsyncRunResult {
-        crate::batch::drive(self, seed, oracle, &CostModel::paper())
-    }
-
-    /// [`Darwin::run_async`] with explicit §4.3 cost accounting.
-    pub fn run_async_costed(
-        &self,
-        seed: Seed,
-        oracle: &mut dyn AsyncOracle,
-        model: &CostModel,
-    ) -> AsyncRunResult {
-        crate::batch::drive(self, seed, oracle, model)
+        let mut session = Session::new(self, seed);
+        session.drive(oracle, None);
+        session.finish()
     }
 
     /// Drive an async run and suspend it at a wave barrier: the first
@@ -295,9 +306,9 @@ impl<'a> Darwin<'a> {
     /// Barriers are the *only* snapshot points — the wave's questions are
     /// all answered and applied, the strategy has observed them, the
     /// classifier has retrained if `P` grew — so the returned
-    /// [`Snapshot`] (see [`SessionOutcome::Suspended`]) plus the seedless
-    /// re-derivations at resume determine the rest of the run exactly.
-    /// Runs that finish before the requested barrier return
+    /// [`crate::Snapshot`] (see [`SessionOutcome::Suspended`]) plus the
+    /// seedless re-derivations at resume determine the rest of the run
+    /// exactly. Runs that finish before the requested barrier return
     /// [`SessionOutcome::Finished`].
     pub fn snapshot(
         &self,
@@ -305,17 +316,11 @@ impl<'a> Darwin<'a> {
         oracle: &mut dyn AsyncOracle,
         after_waves: u64,
     ) -> SessionOutcome {
-        let engine = Engine::new(self, seed, EngineFlavor::Sequential);
-        let strategy = default_strategy(&self.cfg, engine.seed_refs());
-        crate::batch::drive_session(
-            self,
-            engine,
-            strategy,
-            SessionCounters::default(),
-            oracle,
-            &CostModel::paper(),
-            Some(after_waves),
-        )
+        let mut session = Session::new(self, seed);
+        match session.drive(oracle, Some(after_waves)) {
+            true => SessionOutcome::Finished(session.finish()),
+            false => SessionOutcome::Suspended(Box::new(session.snapshot())),
+        }
     }
 
     /// Resume a suspended run from serialized snapshot bytes and drive it
@@ -326,66 +331,22 @@ impl<'a> Darwin<'a> {
     /// by replaying `ShardInit`/`Track` from the restored `(P, scores)` —
     /// the deployment may differ freely from the suspended one (transport,
     /// shard count, thread count, fanout): those are perf knobs, and the
-    /// completed trace is byte-identical to the uninterrupted run.
+    /// completed trace is byte-identical to the uninterrupted run. To
+    /// suspend again at a later barrier instead — a run hopping process
+    /// to process — use [`Session::resume`], [`Session::drive`] and
+    /// [`Session::snapshot`] directly.
     pub fn resume(
         &self,
         bytes: &[u8],
         oracle: &mut dyn AsyncOracle,
     ) -> Result<AsyncRunResult, SnapshotError> {
-        match self.resume_suspendable(bytes, oracle, None)? {
-            SessionOutcome::Finished(result) => Ok(result),
-            SessionOutcome::Suspended(_) => unreachable!("resume() never requests suspension"),
-        }
-    }
-
-    /// [`Darwin::resume`], optionally suspending again at a later barrier
-    /// (`suspend_after` counts *cumulative* waves, like
-    /// [`Darwin::snapshot`]) — a run can hop process to process barrier
-    /// by barrier, snapshotting at each.
-    pub fn resume_suspendable(
-        &self,
-        bytes: &[u8],
-        oracle: &mut dyn AsyncOracle,
-        suspend_after: Option<u64>,
-    ) -> Result<SessionOutcome, SnapshotError> {
-        let snap = Snapshot::from_bytes(bytes)?;
-        snap.validate_against(self)?;
-        let engine = Engine::resume(self, &snap)?;
-        let mut strategy = default_strategy(&self.cfg, engine.seed_refs());
-        strategy.import_state(&snap.strategy);
-        Ok(crate::batch::drive_session(
-            self,
-            engine,
-            strategy,
-            snap.counters,
-            oracle,
-            &CostModel::paper(),
-            suspend_after,
-        ))
-    }
-
-    /// Run with a custom selection strategy (how the HighP/HighC baselines
-    /// plug in). The loop itself is [`Engine::step`].
-    pub fn run_with(
-        &self,
-        seed: Seed,
-        oracle: &mut dyn Oracle,
-        make_strategy: impl FnOnce(&[RuleRef]) -> Box<dyn Strategy>,
-    ) -> RunResult {
-        let mut engine = self.engine(seed);
-        let mut strategy = make_strategy(engine.seed_refs());
-        for _ in 0..self.cfg.budget {
-            if !engine.step(&mut *strategy, oracle) {
-                break;
-            }
-        }
-        engine.finish()
+        let mut session = Session::resume(self, bytes)?;
+        session.drive(oracle, None);
+        Ok(session.finish())
     }
 }
 
-/// The traversal strategy `cfg` configures, seeded with `seeds` — what
-/// [`Darwin::run`] and the async driver ([`crate::batch`]) both select
-/// with, so batch size 1 replays the synchronous choice exactly.
+/// The traversal strategy `cfg` configures, seeded with `seeds`.
 pub(crate) fn default_strategy(cfg: &DarwinConfig, seeds: &[RuleRef]) -> Box<dyn Strategy> {
     match cfg.traversal {
         TraversalKind::Local => Box::new(LocalSearch::new(seeds.to_vec())),

@@ -8,11 +8,11 @@
 //! while a session is underway.
 //!
 //! The session owns the corpus, the index and the embeddings, and drives
-//! the async question loop in *segments* ([`crate::batch`]'s wave
-//! protocol). Between segments — always at a wave barrier, the only
-//! point where no question is in flight, feedback is applied and the
-//! retrain (if any) is done — the engine is decomposed into its owned
-//! parts ([`Engine::into_parts`]), the corpus grows, and every
+//! the question loop ([`crate::batch::Session`]) in *segments*. Between
+//! segments — always at a wave barrier, the only point where no question
+//! is in flight, feedback is applied and the retrain (if any) is done —
+//! the loop's state is parked with its engine decomposed into owned parts
+//! ([`crate::Engine::into_parts`]), the corpus grows, and every
 //! id-dimensioned structure grows with it:
 //!
 //! * the corpus appends in place (existing ids, symbols and the vocabulary
@@ -22,7 +22,7 @@
 //!   to a from-scratch rebuild on the grown corpus,
 //! * the embeddings zero-pad ([`darwin_text::Embeddings::grow_to`]) —
 //!   appends never retrain embeddings,
-//! * the engine reconciles via [`Engine::apply_append`]: score cache
+//! * the engine reconciles via [`crate::Engine::apply_append`]: score cache
 //!   (appended ids at the 0.5 neutral prior), benefit store (local spans
 //!   and remote workers, via the `CorpusAppend` wire frame), frontier
 //!   memo (dense-id remap), coverage cap, hierarchy.
@@ -41,13 +41,10 @@
 //! reference path the suites compare against). Shards, threads and
 //! transport stay pure perf knobs throughout.
 
-use crate::batch::{drive_segment, AsyncRunResult, CostModel, SegmentEnd};
-use crate::engine::{Engine, EngineFlavor, EngineParts};
+use crate::batch::{AsyncRunResult, Parked, Session};
 use crate::oracle::AsyncOracle;
 use crate::pipeline::{ClassifierConnector, Darwin, Seed};
 use crate::shard::ShardConnector;
-use crate::snapshot::SessionCounters;
-use crate::traversal::Strategy;
 use crate::DarwinConfig;
 use darwin_index::{AppendError, IndexSet};
 use darwin_text::embed::EmbedConfig;
@@ -78,13 +75,6 @@ pub enum StreamStatus {
     Finished,
 }
 
-/// The engine between segments: decomposed but alive (classifier trained,
-/// remote sessions connected, frontier memo warm).
-struct Dormant {
-    parts: EngineParts,
-    strategy: Box<dyn Strategy>,
-}
-
 /// An interactive labeling session over a corpus that grows.
 ///
 /// ```no_run
@@ -109,14 +99,14 @@ pub struct StreamSession {
     emb: Option<Embeddings>,
     cfg: DarwinConfig,
     mode: AppendMode,
-    /// Consumed by the first segment's `Engine::new`.
+    /// Consumed by the first segment's `Session::new`.
     seed: Option<Seed>,
     /// Consumed by the first segment's `Darwin` (the engine's remote
     /// sessions outlive the view that connected them).
     remote: Option<Box<ShardConnector>>,
     remote_clf: Option<Box<ClassifierConnector>>,
-    live: Option<Dormant>,
-    counters: SessionCounters,
+    /// The question loop between segments.
+    live: Option<Parked>,
     result: Option<AsyncRunResult>,
 }
 
@@ -154,7 +144,6 @@ impl StreamSession {
             remote: None,
             remote_clf: None,
             live: None,
-            counters: SessionCounters::default(),
             result: None,
         }
     }
@@ -195,7 +184,11 @@ impl StreamSession {
 
     /// Cumulative wave barriers crossed.
     pub fn waves(&self) -> u64 {
-        self.counters.waves
+        match (&self.live, &self.result) {
+            (Some(parked), _) => parked.waves(),
+            (None, Some(done)) => done.report.waves as u64,
+            (None, None) => 0,
+        }
     }
 
     /// The completed run, once [`StreamStatus::Finished`].
@@ -229,44 +222,22 @@ impl StreamSession {
         if let Some(connect) = self.remote_clf.take() {
             darwin = darwin.with_remote_classifier(connect);
         }
-        let (engine, strategy) = match self.live.take() {
-            Some(d) => (Engine::from_parts(&darwin, d.parts), d.strategy),
+        let mut session = match self.live.take() {
+            Some(parked) => Session::unpark(&darwin, parked),
             None => {
                 let seed = self.seed.take().expect("fresh session carries a seed");
-                let engine = Engine::new(&darwin, seed, EngineFlavor::Sequential);
-                let strategy = crate::pipeline::default_strategy(&self.cfg, engine.seed_refs());
-                (engine, strategy)
+                Session::new(&darwin, seed)
             }
         };
-        let end = drive_segment(
-            &darwin,
-            engine,
-            strategy,
-            self.counters,
-            oracle,
-            &CostModel::paper(),
-            until_waves,
-        );
-        match end {
-            SegmentEnd::Finished(result) => self.result = Some(result),
-            SegmentEnd::Suspended {
-                engine,
-                strategy,
-                counters,
-            } => {
-                self.counters = counters;
-                self.live = Some(Dormant {
-                    parts: engine.into_parts(),
-                    strategy,
-                });
-            }
-        }
-        self.emb = Some(darwin.into_embeddings());
-        if self.result.is_some() {
+        let status = if session.drive(oracle, until_waves) {
+            self.result = Some(session.finish());
             StreamStatus::Finished
         } else {
+            self.live = Some(session.park());
             StreamStatus::Suspended
-        }
+        };
+        self.emb = Some(darwin.into_embeddings());
+        status
     }
 
     /// Append `texts` to the corpus and reconcile every id-dimensioned
@@ -310,15 +281,12 @@ impl StreamSession {
         if let Some(emb) = &mut self.emb {
             emb.grow_to(self.corpus.vocab().len());
         }
-        if let Some(d) = self.live.take() {
+        if let Some(parked) = self.live.take() {
             let emb = self.emb.take().expect("embeddings held between segments");
             let darwin = Darwin::with_embeddings(&self.corpus, &self.index, self.cfg.clone(), emb);
-            let mut engine = Engine::from_parts(&darwin, d.parts);
-            engine.apply_append(old_n, &texts, delta.as_ref());
-            self.live = Some(Dormant {
-                parts: engine.into_parts(),
-                strategy: d.strategy,
-            });
+            let mut session = Session::unpark(&darwin, parked);
+            session.engine.apply_append(old_n, &texts, delta.as_ref());
+            self.live = Some(session.park());
             self.emb = Some(darwin.into_embeddings());
         }
         Ok(texts.len())
@@ -328,11 +296,13 @@ impl StreamSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oracle::{GroundTruthOracle, Immediate};
+    use crate::oracle::{GroundTruthOracle, Immediate, QuestionId};
     use crate::pipeline::RunResult;
     use crate::remote::inproc_shard_connector;
-    use crate::{BatchPolicy, Fanout};
+    use crate::{BatchPolicy, Fanout, SimulatedLatency};
+    use darwin_grammar::Heuristic;
     use darwin_index::IndexConfig;
+    use std::time::{Duration, Instant};
 
     /// A transport-intent corpus large enough to keep the run alive
     /// across two appends, plus labels covering the *grown* corpus.
@@ -554,6 +524,68 @@ mod tests {
             &session.into_result().unwrap().run,
             &plain.into_result().unwrap().run,
             "empty append",
+        );
+    }
+
+    /// Counts the wall-clock the wrapped oracle's polls held the driver for
+    /// — a lower bound on the time spent in the segments that made them.
+    struct InsideOracle<O> {
+        inner: O,
+        inside: Duration,
+    }
+
+    impl<O: AsyncOracle> AsyncOracle for InsideOracle<O> {
+        fn submit(&mut self, qid: QuestionId, corpus: &Corpus, rule: &Heuristic, cov: &[u32]) {
+            self.inner.submit(qid, corpus, rule, cov);
+        }
+
+        fn poll(&mut self) -> Vec<(QuestionId, bool)> {
+            let t = Instant::now();
+            let got = self.inner.poll();
+            self.inside += t.elapsed();
+            got
+        }
+
+        fn queries(&self) -> usize {
+            self.inner.queries()
+        }
+    }
+
+    /// `AsyncReport::wall_ns` covers the whole run, not its last segment:
+    /// a session driven in two segments reports at least the time its
+    /// oracle measurably held the driver in both.
+    #[test]
+    fn wall_ns_accumulates_across_segments() {
+        let (base, _, labels) = streaming_fixture();
+        let corpus = Corpus::from_texts(base.iter());
+        let index = min1_index(&corpus);
+        let cfg = DarwinConfig {
+            budget: 6,
+            batch: BatchPolicy::Fixed(1),
+            ..stream_cfg(1, 1)
+        };
+        let mut session = StreamSession::new(corpus, index, cfg, Seed::Positives(vec![0, 3]));
+        let latency = Duration::from_millis(15);
+        let mut oracle = InsideOracle {
+            inner: SimulatedLatency::new(GroundTruthOracle::new(&labels, 0.8), latency),
+            inside: Duration::ZERO,
+        };
+        assert_eq!(session.drive(&mut oracle, Some(4)), StreamStatus::Suspended);
+        let first = oracle.inside;
+        assert!(
+            first >= 4 * latency,
+            "four waves each waited out the oracle"
+        );
+        assert_eq!(session.drive(&mut oracle, None), StreamStatus::Finished);
+        let second = oracle.inside - first;
+        assert!(second >= latency, "the second segment asked something");
+        let report = session.into_result().unwrap().report;
+        assert!(
+            report.wall_ns >= (first + second).as_nanos(),
+            "wall_ns {} < {:?} + {:?} measured inside the two segments",
+            report.wall_ns,
+            first,
+            second
         );
     }
 

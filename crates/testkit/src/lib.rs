@@ -8,8 +8,9 @@
 //!   6-sentence transport corpus up to sized `directions` datasets;
 //! * [`oracles`] — test doubles: [`ScriptedOracle`] (canned answers) and
 //!   [`NoisyOracle`] (ground truth with seeded answer flips);
-//! * [`trace`] — trace-capture assertions: byte-for-byte run equivalence,
-//!   final-state equality, candidate-pool equality;
+//! * [`trace`] — the stepped sequential reference run
+//!   ([`step_reference`]) and trace-capture assertions: byte-for-byte run
+//!   equivalence, final-state equality, candidate-pool equality;
 //! * [`strategies`] — proptest generators for random corpora;
 //! * [`transports`] — wire-boundary doubles: the fault-injecting
 //!   [`FlakyTransport`] and worker-deployment helpers for distributed
@@ -35,7 +36,9 @@ pub mod transports;
 pub use corpora::{directions_fixture, indexed, tiny_transport, transport};
 pub use crash::{assert_resumed_equivalent, snapshot_mutants, CrashPlan, Mutant};
 pub use oracles::{NoisyOracle, ScriptedOracle};
-pub use trace::{assert_equivalent, assert_same_final, assert_same_pool};
+pub use trace::{
+    assert_equivalent, assert_same_final, assert_same_pool, step_reference, step_reference_with,
+};
 pub use transports::{
     shard_connector, test_transport, wire_oracle, worker_bin, Fault, FlakyTransport, TransportKind,
 };

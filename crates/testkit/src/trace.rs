@@ -1,8 +1,42 @@
 //! Trace-capture assertions shared by the equivalence suites.
 
 use darwin_core::candidates::{generate_hierarchy_pooled, generate_hierarchy_scored};
-use darwin_core::{FrontierPool, RunResult};
-use darwin_index::{IdSet, IndexSet};
+use darwin_core::traversal::{HybridSearch, LocalSearch, UniversalSearch};
+use darwin_core::{Darwin, FrontierPool, Oracle, RunResult, Seed, Strategy, TraversalKind};
+use darwin_index::{IdSet, IndexSet, RuleRef};
+
+/// The sequential reference run: Algorithm 1 as a plain loop of
+/// `Engine::step` — select, ask, record, feed back, retrain on YES —
+/// until the budget is spent or nothing is left to ask. Every run entry
+/// of `Darwin` goes through the wave driver; the equivalence suites
+/// compare them against this loop, which shares no code with it (the
+/// configured-traversal mapping below is the harness's own copy).
+pub fn step_reference(darwin: &Darwin<'_>, seed: Seed, oracle: &mut dyn Oracle) -> RunResult {
+    let cfg = darwin.config();
+    step_reference_with(darwin, seed, oracle, |seeds| match cfg.traversal {
+        TraversalKind::Local => Box::new(LocalSearch::new(seeds.to_vec())),
+        TraversalKind::Universal => Box::new(UniversalSearch::new()),
+        TraversalKind::Hybrid => Box::new(HybridSearch::new(seeds.to_vec(), cfg.tau)),
+    })
+}
+
+/// [`step_reference`] with a custom selection strategy — the stepped twin
+/// of `Darwin::run_with`.
+pub fn step_reference_with(
+    darwin: &Darwin<'_>,
+    seed: Seed,
+    oracle: &mut dyn Oracle,
+    make_strategy: impl FnOnce(&[RuleRef]) -> Box<dyn Strategy>,
+) -> RunResult {
+    let mut engine = darwin.engine(seed);
+    let mut strategy = make_strategy(engine.seed_refs());
+    for _ in 0..darwin.config().budget {
+        if !engine.step(&mut *strategy, oracle) {
+            break;
+        }
+    }
+    engine.finish()
+}
 
 /// Assert two runs are byte-for-byte equivalent: same question sequence,
 /// same answers, same per-step `P` growth, same final positives and

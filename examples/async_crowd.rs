@@ -11,7 +11,6 @@
 //! ```
 
 use darwin::core::batch::SimulatedLatency;
-use darwin::core::CostModel;
 use darwin::datasets::directions;
 use darwin::prelude::*;
 use std::time::Duration;
@@ -42,7 +41,7 @@ fn main() {
         let darwin = Darwin::new(&data.corpus, &index, cfg);
         let seed = Heuristic::phrase(&data.corpus, data.seed_rules[0]).unwrap();
         let mut oracle = SimulatedLatency::new(GroundTruthOracle::new(&data.labels, 0.8), latency);
-        let out = darwin.run_async_costed(Seed::Rule(seed), &mut oracle, &CostModel::paper());
+        let out = darwin.run_async(Seed::Rule(seed), &mut oracle);
         println!(
             "{label:<22} {:>6.2} s wall  {:>2} waves  peak {:>2} in flight  recall {:.2}  cost ${:.2}",
             out.report.wall_ns as f64 / 1e9,

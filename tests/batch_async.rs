@@ -1,10 +1,12 @@
-//! The async batch layer's defining contracts (`darwin_core::batch`):
+//! The question loop's defining contracts (`darwin_core::batch`):
 //!
 //! 1. **Synchronous replay.** With `BatchPolicy::Fixed(1)` and the
-//!    `Immediate` adapter, `Darwin::run_async` replays the synchronous
-//!    `Darwin::run` trace byte for byte — at every shard count, thread
-//!    count and answer-arrival schedule (one question in flight means a
-//!    schedule can only delay, never reorder).
+//!    `Immediate` adapter, the wave driver (`Darwin::run_async`, and
+//!    `Darwin::run`/`run_with`, which are that configuration) replays the
+//!    sequential reference — a plain loop of `Engine::step`, which shares
+//!    no code with the driver — byte for byte, at every shard count,
+//!    thread count and answer-arrival schedule (one question in flight
+//!    means a schedule can only delay, never reorder).
 //! 2. **Arrival invariance.** For any fixed batch size, the *final* state
 //!    (positives, scores, question set, accepted set) is invariant under
 //!    the answer-arrival schedule and the S × threads execution matrix:
@@ -15,12 +17,13 @@
 //! `DARWIN_TEST_BATCH` (CI runs 1 and 8) sets the wave size the
 //! env-driven check runs with, mirroring `DARWIN_TEST_THREADS`.
 
+use darwin::baselines::HighP;
 use darwin::prelude::*;
 use darwin_core::batch::ScriptedArrival;
-use darwin_core::AsyncRunResult;
+use darwin_core::{AnnotatorPool, AsyncRunResult};
 use darwin_testkit::{
-    assert_equivalent, assert_same_final, directions_fixture, indexed, test_batch, test_threads,
-    transport, NoisyOracle, ScriptedOracle,
+    assert_equivalent, assert_same_final, directions_fixture, indexed, step_reference,
+    step_reference_with, test_batch, test_threads, transport, NoisyOracle, ScriptedOracle,
 };
 use proptest::prelude::*;
 
@@ -35,6 +38,8 @@ fn cfg(batch: BatchPolicy, shards: usize, threads: usize) -> DarwinConfig {
     }
 }
 
+/// The sequential reference: a loop of `Engine::step`, not a `Darwin` run
+/// entry (those all go through the driver under test).
 fn run_sync(n: usize, dseed: u64, shards: usize, threads: usize) -> RunResult {
     let (d, index) = directions_fixture(n, dseed);
     let darwin = Darwin::new(
@@ -44,7 +49,7 @@ fn run_sync(n: usize, dseed: u64, shards: usize, threads: usize) -> RunResult {
     );
     let seed = Seed::Rule(Heuristic::phrase(&d.corpus, d.seed_rules[0]).unwrap());
     let mut oracle = GroundTruthOracle::new(&d.labels, 0.8);
-    darwin.run(seed, &mut oracle)
+    step_reference(&darwin, seed, &mut oracle)
 }
 
 fn run_async(
@@ -63,8 +68,8 @@ fn run_async(
 }
 
 /// Contract 1, pinned on the suite fixture: batch 1 + immediate answers =
-/// the synchronous loop, byte for byte, across the shard matrix at the
-/// env-configured thread count.
+/// the stepped sequential loop, byte for byte, across the shard matrix at
+/// the env-configured thread count.
 #[test]
 fn batch1_immediate_replays_synchronous_trace() {
     let threads = test_threads();
@@ -172,7 +177,11 @@ fn scripted_answers_replay_identically_through_the_async_loop() {
 
     let sync = {
         let mut oracle = ScriptedOracle::new(script);
-        Darwin::new(&corpus, &index, make_cfg()).run(seed(), &mut oracle)
+        step_reference(
+            &Darwin::new(&corpus, &index, make_cfg()),
+            seed(),
+            &mut oracle,
+        )
     };
     let done = {
         let mut oracle = Immediate::new(ScriptedOracle::new(script));
@@ -182,38 +191,90 @@ fn scripted_answers_replay_identically_through_the_async_loop() {
     assert_equivalent(&sync, &done.run, "scripted batch=1 vs synchronous");
 }
 
-/// §4.3 accounting against noisy annotators: `run_parallel_costed` prices
-/// every asked question at members × 2¢ regardless of answer quality, the
-/// question count reconciles with the per-annotator ask counts, and a 10%
+/// A custom strategy rides the same driver: `run_with(HighP)` — and the
+/// default `run`, at a batch policy both must ignore — replay the stepped
+/// loop byte for byte.
+#[test]
+fn run_and_run_with_replay_the_step_loop() {
+    let (d, index) = directions_fixture(600, 42);
+    let darwin = Darwin::new(&d.corpus, &index, cfg(BatchPolicy::Fixed(3), 1, 1));
+    let seed = || Seed::Rule(Heuristic::phrase(&d.corpus, d.seed_rules[0]).unwrap());
+    let oracle = || GroundTruthOracle::new(&d.labels, 0.8);
+
+    let stepped = step_reference_with(&darwin, seed(), &mut oracle(), |_| Box::new(HighP));
+    let driven = darwin.run_with(seed(), &mut oracle(), |_| Box::new(HighP));
+    assert!(stepped.questions() > 5, "HighP reference run asked nothing");
+    assert_equivalent(&stepped, &driven, "run_with(HighP) vs step loop");
+
+    let stepped = step_reference(&darwin, seed(), &mut oracle());
+    let driven = darwin.run(seed(), &mut oracle());
+    assert_equivalent(&stepped, &driven, "run at Fixed(3) vs step loop");
+}
+
+/// §4.3 accounting against noisy annotators — three of them in an
+/// `AnnotatorPool`, waves of three: the report prices every asked
+/// question at members × 2¢ regardless of answer quality, the question
+/// count reconciles with the per-annotator ask counts, and a 10%
 /// answer-flip rate doesn't stall discovery.
 #[test]
 fn noisy_crowd_run_reconciles_with_cost_report() {
     let (d, index) = directions_fixture(600, 42);
-    let darwin = Darwin::new(&d.corpus, &index, cfg(BatchPolicy::Fixed(1), 1, 1));
+    let darwin = Darwin::new(&d.corpus, &index, cfg(BatchPolicy::Fixed(3), 1, 1));
     let seed = Seed::Rule(Heuristic::phrase(&d.corpus, d.seed_rules[0]).unwrap());
-    let mut a = NoisyOracle::new(&d.labels, 0.1, 1);
-    let mut b = NoisyOracle::new(&d.labels, 0.1, 2);
-    let mut c = NoisyOracle::new(&d.labels, 0.1, 3);
-    let (run, cost) = {
-        let mut annotators: Vec<&mut dyn Oracle> = vec![&mut a, &mut b, &mut c];
-        darwin.run_parallel_costed(seed, &mut annotators, 5, &CostModel::paper())
-    };
+    let mut pool = AnnotatorPool::new(vec![
+        NoisyOracle::new(&d.labels, 0.1, 1),
+        NoisyOracle::new(&d.labels, 0.1, 2),
+        NoisyOracle::new(&d.labels, 0.1, 3),
+    ]);
+    let AsyncRunResult { run, report } = darwin.run_async(seed, &mut pool);
     assert!(run.questions() > 3, "noisy crowd run stalled");
-    assert_eq!(cost.questions, run.questions());
-    assert_eq!(cost.judgments, run.questions() * 3);
-    assert_eq!(cost.cents, run.questions() * 6, "3 members × 2¢ a question");
+    assert!(report.peak_in_flight <= 3 && report.abandoned == 0);
+    assert_eq!(report.cost, CostModel::paper().report(run.questions()));
+    assert_eq!(report.cost.judgments, run.questions() * 3);
     assert_eq!(
-        a.queries() + b.queries() + c.queries(),
+        report.cost.cents,
+        run.questions() * 6,
+        "3 members × 2¢ a question"
+    );
+    let asked: Vec<usize> = pool.annotators().iter().map(|a| a.queries()).collect();
+    assert_eq!(
+        asked.iter().sum::<usize>(),
         run.questions(),
         "every question went to exactly one annotator"
     );
+    assert!(
+        asked.iter().all(|&q| q > 0),
+        "every annotator worked: {asked:?}"
+    );
+    let distinct: std::collections::HashSet<_> = run.trace.iter().map(|t| &t.rule).collect();
+    assert_eq!(distinct.len(), run.questions(), "a rule was asked twice");
     assert!(
         run.positives.len() > run.p_size_after(0),
         "10% flips must not stop P from growing"
     );
 }
 
-/// The async loop under a noisy oracle: §4.3 pricing rides the report, and
+/// An annotator pool with nobody in it is caller input, not a bug in this
+/// program: no panic — the driver sees an oracle that cannot answer,
+/// abandons the first wave at once and returns the (seed-only) run.
+#[test]
+fn empty_annotator_pool_abandons_instead_of_panicking() {
+    let (d, index) = directions_fixture(600, 42);
+    let darwin = Darwin::new(&d.corpus, &index, cfg(BatchPolicy::Fixed(3), 1, 1));
+    let seed = Seed::Rule(Heuristic::phrase(&d.corpus, d.seed_rules[0]).unwrap());
+    let mut nobody = AnnotatorPool::<GroundTruthOracle<'_>>::new(Vec::new());
+    assert!(!nobody.healthy());
+    let done = darwin.run_async(seed, &mut nobody);
+    assert_eq!(done.report.waves, 1, "gave up on the first wave");
+    assert_eq!(done.report.abandoned, done.report.submitted);
+    assert!(done.report.abandoned > 0 && done.report.abandoned <= 3);
+    assert_eq!(done.run.questions(), 0, "nothing was answered");
+    assert_eq!(done.run.positives.len(), done.run.p_size_after(0));
+    assert!(done.run.wire_error.is_none());
+}
+
+/// The async loop under a noisy oracle: §4.3 pricing rides the report
+/// (the paper's model; any other is one `CostModel::report` call), and
 /// determinism holds (same noise seed ⇒ same trace) even with batching.
 #[test]
 fn noisy_async_run_is_deterministic_and_priced() {
@@ -222,13 +283,15 @@ fn noisy_async_run_is_deterministic_and_priced() {
         let darwin = Darwin::new(&d.corpus, &index, cfg(BatchPolicy::Fixed(4), 1, 1));
         let seed = Seed::Rule(Heuristic::phrase(&d.corpus, d.seed_rules[0]).unwrap());
         let mut oracle = darwin_core::Immediate::new(NoisyOracle::new(&d.labels, 0.15, 7));
-        darwin.run_async_costed(seed, &mut oracle, &CostModel::single())
+        darwin.run_async(seed, &mut oracle)
     };
     let x = run();
     let y = run();
     assert_equivalent(&x.run, &y.run, "noisy async determinism");
-    assert_eq!(x.report.cost.cents, x.run.questions() * 2);
-    assert_eq!(x.report.cost.judgments, x.run.questions());
+    assert_eq!(x.report.cost.cents, x.run.questions() * 6);
+    let single = CostModel::single().report(x.run.questions());
+    assert_eq!(single.cents, x.run.questions() * 2);
+    assert_eq!(single.judgments, x.run.questions());
 }
 
 proptest! {

@@ -16,7 +16,7 @@ use darwin::baselines::{HighC, HighP};
 use darwin::classifier::{LogReg, LogRegConfig, ScoreCache};
 use darwin::prelude::*;
 use darwin::text::embed::EmbedConfig;
-use darwin_core::{DarwinConfig, Oracle, RunResult};
+use darwin_core::{AnnotatorPool, DarwinConfig, RunResult};
 use darwin_testkit::strategies::corpus_texts as corpus_strategy;
 use darwin_testkit::{assert_equivalent, directions_fixture, test_threads};
 use proptest::prelude::*;
@@ -238,27 +238,35 @@ fn baseline_selectors_select_identical_sequences() {
     }
 }
 
+/// Three annotators in rounds — waves of three over an `AnnotatorPool`,
+/// one retrain per round: the wave refill ranks by the same aggregates,
+/// so rescan ≡ incremental ≡ S=4 there too.
 #[test]
 fn parallel_rounds_select_identical_sequences() {
     let run = |incremental: bool, shards: usize| {
         let (d, index) = directions_fixture(600, 7);
         let cfg = DarwinConfig {
-            budget: 20,
+            budget: 12,
             n_candidates: 1200,
             incremental_benefit: incremental,
             shards,
             threads: test_threads(),
+            batch: BatchPolicy::Fixed(3),
             ..DarwinConfig::fast()
         };
         let darwin = Darwin::new(&d.corpus, &index, cfg);
         let seed = Seed::Rule(Heuristic::phrase(&d.corpus, d.seed_rules[0]).unwrap());
-        let mut a = GroundTruthOracle::new(&d.labels, 0.8);
-        let mut b = GroundTruthOracle::new(&d.labels, 0.8);
-        let mut c = GroundTruthOracle::new(&d.labels, 0.8);
-        let mut annotators: Vec<&mut dyn Oracle> = vec![&mut a, &mut b, &mut c];
-        darwin.run_parallel(seed, &mut annotators, 4)
+        let mut pool = AnnotatorPool::new(vec![
+            GroundTruthOracle::new(&d.labels, 0.8),
+            GroundTruthOracle::new(&d.labels, 0.8),
+            GroundTruthOracle::new(&d.labels, 0.8),
+        ]);
+        let done = darwin.run_async(seed, &mut pool);
+        assert!(done.report.peak_in_flight > 1, "rounds never batched");
+        done.run
     };
     let rescan = run(false, 1);
+    assert!(rescan.questions() > 3, "reference run asked nothing");
     let incremental = run(true, 1);
     assert_equivalent(&rescan, &incremental, "parallel");
     let sharded = run(true, 4);

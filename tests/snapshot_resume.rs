@@ -23,7 +23,7 @@
 
 use darwin::prelude::*;
 use darwin_core::snapshot::{config_fingerprint, SessionCounters, Snapshot, SnapshotError};
-use darwin_core::{AsyncOracle, SessionOutcome, StrategyState, TraceStep};
+use darwin_core::{AsyncOracle, Session, SessionOutcome, StrategyState, TraceStep};
 use darwin_index::RuleRef;
 use darwin_testkit::{
     assert_resumed_equivalent, directions_fixture, shard_connector, snapshot_mutants, CrashPlan,
@@ -180,15 +180,13 @@ fn chained_suspends_compose() {
         SessionOutcome::Finished(_) => panic!("finished before barrier 1"),
     };
     let mut oracle = Immediate::new(GroundTruthOracle::new(&d.labels, 0.8));
-    let second = match darwin
-        .resume_suspendable(&first, &mut oracle, Some(3))
-        .unwrap()
-    {
-        SessionOutcome::Suspended(snap) => {
-            assert_eq!(snap.counters.waves, 3, "cumulative wave count");
-            snap.to_bytes()
-        }
-        SessionOutcome::Finished(_) => panic!("finished before barrier 3"),
+    let second = {
+        let mut session = Session::resume(&darwin, &first).unwrap();
+        let finished = session.drive(&mut oracle, Some(3));
+        assert!(!finished, "finished before barrier 3");
+        let snap = session.snapshot();
+        assert_eq!(snap.counters.waves, 3, "cumulative wave count");
+        snap.to_bytes()
     };
     let mut oracle = Immediate::new(GroundTruthOracle::new(&d.labels, 0.8));
     let done = darwin.resume(&second, &mut oracle).unwrap();
