@@ -1,7 +1,8 @@
 //! The wire boundary's overhead, measured: codec throughput
 //! (encode/decode of the hot messages), round-trip cost of shard
 //! operations over `InProc` and `Proc` transports vs the direct
-//! in-memory call, and the CNN `predict_batch` scratch-hoisting win.
+//! in-memory call, and the CNN `predict_batch` win over per-id `predict`
+//! (one scratch and one window-activation table per call).
 //!
 //! Every remote row is asserted to produce fragments identical to the
 //! in-memory store before any timing is reported — a wire layer that

@@ -22,7 +22,7 @@
 //! batched, sharded and threaded execution all route through it.
 
 use crate::adam::sigmoid;
-use crate::features::{bow_bucket, embedding_matrix, BOW_BUCKETS};
+use crate::features::{bow_bucket, BOW_BUCKETS};
 use crate::kernels::{dot_f32, sparse_dot_f32};
 use darwin_text::{Corpus, Embeddings};
 
@@ -152,63 +152,6 @@ impl FeatureBlock {
     }
 }
 
-/// A batch of sentences materialized as stacked, zero-padded embedding
-/// matrices in one contiguous arena (`rows × max_len·dim` with per-row
-/// effective lengths) — the CNN's analogue of [`FeatureBlock`]. The
-/// batched prediction paths refill one block per [`BLOCK_ROWS`] chunk
-/// instead of restacking into a single matrix buffer per sentence; each
-/// row holds exactly the values [`embedding_matrix`] produces, so the
-/// forward pass is bit-identical to the per-id path by construction.
-pub struct EmbedBlock {
-    /// `max_len · dim`, the stride of one stacked matrix.
-    width: usize,
-    rows: usize,
-    /// `rows × width`, zero-padded matrices side by side.
-    store: Vec<f32>,
-    /// Effective token count per row.
-    lens: Vec<usize>,
-}
-
-impl EmbedBlock {
-    pub fn new(max_len: usize, dim: usize) -> EmbedBlock {
-        EmbedBlock {
-            width: max_len * dim,
-            rows: 0,
-            store: Vec::new(),
-            lens: Vec::new(),
-        }
-    }
-
-    pub fn rows(&self) -> usize {
-        self.rows
-    }
-
-    /// Stack the matrices for `ids`, replacing the previous contents
-    /// without releasing capacity. `max_len` must match `new`.
-    pub fn fill(&mut self, corpus: &Corpus, emb: &Embeddings, max_len: usize, ids: &[u32]) {
-        debug_assert_eq!(self.width, max_len * emb.dim());
-        self.rows = ids.len();
-        self.store.resize(ids.len() * self.width, 0.0);
-        self.lens.clear();
-        for (r, &id) in ids.iter().enumerate() {
-            // `embedding_matrix` zero-fills its slice first, so reusing a
-            // dirty arena is bit-identical to a fresh buffer per sentence.
-            let row = &mut self.store[r * self.width..(r + 1) * self.width];
-            self.lens
-                .push(embedding_matrix(corpus, emb, id, max_len, row));
-        }
-    }
-
-    /// Row `r`'s stacked matrix and its effective token count.
-    #[inline]
-    pub fn row(&self, r: usize) -> (&[f32], usize) {
-        (
-            &self.store[r * self.width..(r + 1) * self.width],
-            self.lens[r],
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,26 +248,6 @@ mod tests {
         let mut out = Vec::new();
         block.score_into(&w, &mut out);
         assert_eq!(out[0], sigmoid(0.25)); // dense 0, bow empty, bias 0.25
-    }
-
-    #[test]
-    fn embed_block_rows_match_embedding_matrix() {
-        let (c, e) = setup();
-        let max_len = 6;
-        let ids: Vec<u32> = (0..c.len() as u32).collect();
-        let mut block = EmbedBlock::new(max_len, e.dim());
-        block.fill(&c, &e, max_len, &ids);
-        // Refill with different contents, then back: capacity reuse must
-        // not leak stale lanes into the zero padding.
-        block.fill(&c, &e, max_len, &[31, 31, 31]);
-        block.fill(&c, &e, max_len, &ids);
-        let mut want = vec![0.0f32; max_len * e.dim()];
-        for (r, &id) in ids.iter().enumerate() {
-            let n = embedding_matrix(&c, &e, id, max_len, &mut want);
-            let (got, got_n) = block.row(r);
-            assert_eq!(got_n, n, "id {id}");
-            assert_eq!(got, &want[..], "id {id}");
-        }
     }
 
     #[test]

@@ -1,30 +1,12 @@
 //! Feature extraction shared by the classifiers.
 //!
-//! The CNN consumes "a matrix created by stacking the word-embedding vectors
-//! of the words appearing in the sentence" (paper §4.1); logistic regression
-//! consumes the mean embedding concatenated with a hashed bag-of-words.
+//! Logistic regression consumes the mean embedding concatenated with a
+//! hashed bag-of-words. (The CNN's "matrix created by stacking the
+//! word-embedding vectors of the words appearing in the sentence", paper
+//! §4.1, is never built: `cnn.rs` reads windows of it straight from the
+//! sentence's symbols and the embedding table.)
 
 use darwin_text::{Corpus, Embeddings, Sym};
-
-/// Stack the embedding matrix for sentence `id` into `out`
-/// (`max_len × dim`, zero-padded/truncated). Returns the effective length.
-pub fn embedding_matrix(
-    corpus: &Corpus,
-    emb: &Embeddings,
-    id: u32,
-    max_len: usize,
-    out: &mut [f32],
-) -> usize {
-    let dim = emb.dim();
-    debug_assert_eq!(out.len(), max_len * dim);
-    out.iter_mut().for_each(|x| *x = 0.0);
-    let toks = &corpus.sentence(id).tokens;
-    let n = toks.len().min(max_len);
-    for (t, &sym) in toks.iter().take(n).enumerate() {
-        out[t * dim..(t + 1) * dim].copy_from_slice(emb.vector(sym));
-    }
-    n
-}
 
 /// Number of hashed bag-of-words buckets used by [`logreg_features`].
 pub const BOW_BUCKETS: usize = 4096;
@@ -80,23 +62,6 @@ mod tests {
             },
         );
         (c, e)
-    }
-
-    #[test]
-    fn matrix_is_padded_and_truncated() {
-        let (c, e) = setup();
-        let mut out = vec![0.0; 4 * e.dim()];
-        let n = embedding_matrix(&c, &e, 0, 4, &mut out);
-        assert_eq!(n, 4, "6-token sentence truncated to 4");
-        // First row equals the embedding of "the".
-        let the = c.vocab().get("the").unwrap();
-        assert_eq!(&out[..e.dim()], e.vector(the));
-
-        let mut out2 = vec![1.0; 8 * e.dim()];
-        let n2 = embedding_matrix(&c, &e, 1, 8, &mut out2);
-        assert_eq!(n2, 4);
-        // Padding rows zeroed.
-        assert!(out2[4 * e.dim()..].iter().all(|&x| x == 0.0));
     }
 
     #[test]

@@ -23,7 +23,7 @@ pub mod logreg;
 pub mod model;
 pub mod scorer;
 
-pub use block::{EmbedBlock, FeatureBlock, BLOCK_ROWS};
+pub use block::{FeatureBlock, BLOCK_ROWS};
 pub use cnn::{CnnConfig, KimCnn};
 pub use logreg::{LogReg, LogRegConfig};
 pub use model::{ClassifierKind, TextClassifier};

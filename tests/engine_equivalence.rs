@@ -18,7 +18,7 @@ use darwin::prelude::*;
 use darwin::text::embed::EmbedConfig;
 use darwin_core::{AnnotatorPool, DarwinConfig, RunResult};
 use darwin_testkit::strategies::corpus_texts as corpus_strategy;
-use darwin_testkit::{assert_equivalent, directions_fixture, test_threads};
+use darwin_testkit::{assert_equivalent, directions_fixture, indexed, test_threads};
 use proptest::prelude::*;
 
 fn run_mode(incremental: bool, kind: TraversalKind, make: Option<MakeStrategy>) -> RunResult {
@@ -154,6 +154,49 @@ fn warm_start_selects_identical_sequences() {
         for threads in [1usize, test_threads().max(2)] {
             let warm = run_warm(true, shards, threads);
             assert_equivalent(&cold, &warm, &format!("warm S={shards} T={threads}"));
+        }
+    }
+}
+
+/// The same invariant on the paper's classifier: at `DarwinConfig::paper()`
+/// (the Kim CNN) a session is one trace, one positive set and one score
+/// vector whatever `threads`, `shards` and `warm_start` say — refresh
+/// threads and shards each score their ids through an activation table of
+/// their own, and a table can only ever hold what the kernel computed.
+#[test]
+fn cnn_sessions_are_invariant_under_threads_shards_and_warm_start() {
+    let d = darwin::datasets::professions::generate(2_000, 42);
+    let index = indexed(&d.corpus, 4);
+    let positives: Vec<u32> = (0..d.len() as u32)
+        .filter(|&id| d.labels[id as usize])
+        .take(2)
+        .collect();
+    let run = |threads: usize, shards: usize, warm: bool| {
+        let cfg = DarwinConfig {
+            budget: 6,
+            threads,
+            shards,
+            warm_start: warm,
+            ..DarwinConfig::paper()
+        };
+        let mut oracle = GroundTruthOracle::new(&d.labels, 0.8);
+        Darwin::new(&d.corpus, &index, cfg).run(Seed::Positives(positives.clone()), &mut oracle)
+    };
+    let reference = run(1, 1, false);
+    assert!(
+        !reference.accepted.is_empty() && reference.positives.len() > positives.len(),
+        "reference run accepted no rule: nothing was retrained on"
+    );
+    for threads in [1usize, 2] {
+        for shards in [1usize, 2] {
+            for warm in [true, false] {
+                if (threads, shards, warm) == (1, 1, false) {
+                    continue; // the reference cell itself
+                }
+                let got = run(threads, shards, warm);
+                let label = format!("cnn T={threads} S={shards} warm={warm}");
+                assert_equivalent(&reference, &got, &label);
+            }
         }
     }
 }
