@@ -17,9 +17,6 @@ fn bench_analysis(c: &mut Criterion) {
     g.bench_function("analyze_2k_sentences", |b| {
         b.iter(|| Corpus::from_texts(t.iter()));
     });
-    g.bench_function("analyze_2k_parallel4", |b| {
-        b.iter(|| Corpus::from_texts_parallel(&t, 4));
-    });
     g.finish();
 }
 
@@ -30,9 +27,6 @@ fn bench_index(c: &mut Criterion) {
     g.sample_size(10);
     g.bench_function("phrase_build_5k_depth6", |b| {
         b.iter(|| PhraseIndex::build(&corpus, 6));
-    });
-    g.bench_function("phrase_build_parallel4", |b| {
-        b.iter(|| PhraseIndex::build_parallel(&corpus, 6, 4));
     });
     g.bench_function("tree_build_5k", |b| {
         b.iter(|| TreeIndex::build(&corpus, &TreeSketchConfig::default()));
@@ -49,6 +43,19 @@ fn bench_index(c: &mut Criterion) {
     g.bench_function("phrase_lookup", |b| {
         b.iter(|| idx.lookup(&phrase));
     });
+    // The whole ingest routine (phrase + tree, no pruning) through the
+    // public constructor; `threads` only moves the tree-sketch enumeration.
+    for threads in [1, 2] {
+        let cfg = IndexConfig {
+            max_phrase_len: 6,
+            min_count: 1,
+            threads,
+            ..Default::default()
+        };
+        g.bench_function(&format!("index_build_5k_threads{threads}"), |b| {
+            b.iter(|| IndexSet::build(&corpus, &cfg));
+        });
+    }
     g.bench_function("incremental_add", |b| {
         b.iter_batched(
             || PhraseIndex::new(6),

@@ -165,9 +165,10 @@ pub fn serve_shard(t: &mut dyn Transport) -> Result<(), WireError> {
                         continue;
                     }
                 };
-                // Workers index sequentially regardless of the
-                // coordinator's build parallelism — both constructions are
-                // deterministic and identical.
+                // How many threads enumerate is this worker's choice, not
+                // the peer's (a shipped `threads` is untrusted input). It
+                // cannot change the numbering: `IndexSet::build` interns in
+                // one serial loop whatever the thread count.
                 let index_cfg = IndexConfig {
                     threads: 1,
                     ..index

@@ -31,7 +31,8 @@
 //! adaptive batcher's latency EWMAs (wall-clock measurements; only the
 //! deterministic policies replay exactly anyway), and anything owned by
 //! the deployment rather than the run — transports, worker processes,
-//! `shards`/`threads`/`fanout`. Resume re-attaches workers by replaying
+//! `shards`/`threads`/`fanout` and the index's build parallelism
+//! (`IndexConfig::threads`). Resume re-attaches workers by replaying
 //! `ShardInit`/`Track` through the *resuming* `Darwin`'s connectors, which
 //! is exactly the reconnect-and-replay machinery a mid-run worker death
 //! already exercises.
@@ -52,7 +53,7 @@ use crate::pipeline::{Darwin, TraceStep};
 use crate::traversal::{Strategy, StrategyState};
 use darwin_classifier::ScoreImage;
 use darwin_grammar::Heuristic;
-use darwin_index::{IndexSet, RuleRef};
+use darwin_index::{IndexConfig, IndexSet, RuleRef};
 use darwin_text::Corpus;
 use darwin_wire::{Decode, Encode, Reader, WireError};
 
@@ -211,13 +212,19 @@ pub fn config_fingerprint(cfg: &DarwinConfig) -> u64 {
 /// Fingerprint of the corpus texts plus the index build recipe — the pair
 /// that fixes every `RuleRef` handle. Two deployments agreeing on this
 /// fingerprint number their rules identically by construction.
+/// `IndexConfig::threads` is normalized away like the other deployment
+/// knobs: it only moves the sketch enumeration, never the numbering.
 pub fn corpus_fingerprint(corpus: &Corpus, index: &IndexSet) -> u64 {
     let mut buf = Vec::new();
     (corpus.len() as u64).encode(&mut buf);
     for id in 0..corpus.len() as u32 {
         corpus.text(id).encode(&mut buf);
     }
-    index.config().encode(&mut buf);
+    IndexConfig {
+        threads: 1,
+        ..index.config().clone()
+    }
+    .encode(&mut buf);
     fnv64(&buf)
 }
 
@@ -655,5 +662,21 @@ mod tests {
             fp,
             config_fingerprint(&base.with_traversal(TraversalKind::Local))
         );
+        // The same split for the index recipe: `threads` only moves the
+        // sketch enumeration, the other fields fix `RuleRef` numbering.
+        let corpus = Corpus::from_texts(["the shuttle to the airport", "a bus to the hotel"]);
+        let fp_of = |cfg: &IndexConfig| corpus_fingerprint(&corpus, &IndexSet::build(&corpus, cfg));
+        let recipe = IndexConfig::small();
+        let cfp = fp_of(&recipe);
+        let with = |edit: fn(&mut IndexConfig)| {
+            let mut cfg = recipe.clone();
+            edit(&mut cfg);
+            fp_of(&cfg)
+        };
+        assert_eq!(cfp, with(|c| c.threads = 4));
+        assert_ne!(cfp, with(|c| c.max_phrase_len = 3));
+        assert_ne!(cfp, with(|c| c.min_count = 2));
+        assert_ne!(cfp, with(|c| c.enable_tree = false));
+        assert_ne!(cfp, with(|c| c.tree.include_and = false));
     }
 }

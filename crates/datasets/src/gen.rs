@@ -8,7 +8,7 @@
 //! find the tail families).
 
 use crate::{Dataset, Task};
-use darwin_text::{Corpus, CorpusBuilder};
+use darwin_text::Corpus;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -69,10 +69,8 @@ impl Spec {
         );
         rows.shuffle(&mut rng);
 
-        let corpus = Corpus::from_texts_parallel(
-            &rows.iter().map(|(t, _, _)| t.as_str()).collect::<Vec<_>>(),
-            num_threads(n),
-        );
+        let mut corpus = Corpus::new();
+        corpus.append_texts(rows.iter().map(|(t, _, _)| t.as_str()), num_threads(n));
         let labels = rows.iter().map(|&(_, l, _)| l).collect();
         let family = rows.iter().map(|&(_, _, f)| f).collect();
 
@@ -101,7 +99,8 @@ impl Spec {
         let n_pos_total = ((n as f64) * self.positive_rate).round() as usize;
         let neg_base = self.pos_families.len() as u16;
 
-        let mut builder = CorpusBuilder::with_threads(num_threads(GEN_CHUNK));
+        let threads = num_threads(GEN_CHUNK);
+        let mut corpus = Corpus::new();
         let mut labels: Vec<bool> = Vec::with_capacity(n);
         let mut family: Vec<u16> = Vec::with_capacity(n);
         let mut rows: Vec<(String, bool, u16)> = Vec::with_capacity(GEN_CHUNK.min(n));
@@ -127,7 +126,7 @@ impl Spec {
                 &mut rng,
             );
             rows.shuffle(&mut rng);
-            builder.push_texts(rows.iter().map(|(t, _, _)| t.as_str()));
+            corpus.append_texts(rows.iter().map(|(t, _, _)| t.as_str()), threads);
             labels.extend(rows.iter().map(|&(_, l, _)| l));
             family.extend(rows.iter().map(|&(_, _, f)| f));
             start = end;
@@ -136,7 +135,7 @@ impl Spec {
         Dataset {
             name: self.name,
             task: self.task,
-            corpus: builder.finish(),
+            corpus,
             labels,
             family,
             family_names: self.family_names(),

@@ -19,54 +19,37 @@ use crate::api::{IndexSet, RuleRef};
 /// Transposed coverage: for each sentence id, the rules whose coverage
 /// contains it.
 pub struct InvertedIndex {
+    /// `usize`, not `u32`: the corpus-wide sum of coverages can pass u32
+    /// range long before any single posting list does.
     offsets: Vec<usize>,
     rules: Vec<RuleRef>,
 }
 
 impl InvertedIndex {
     /// Transpose the forward postings of `index` (the root is excluded — it
-    /// covers everything and carries no benefit signal).
+    /// covers everything and carries no benefit signal): the empty
+    /// transpose extended over every sentence.
     pub fn build(index: &IndexSet) -> InvertedIndex {
-        let n = index.sentences();
-        // Offsets are usize: the corpus-wide sum of coverages can pass u32
-        // range long before any single posting list does.
-        let mut counts = vec![0usize; n];
-        for r in index.all_rules() {
-            for &s in index.coverage(r) {
-                counts[s as usize] += 1;
-            }
-        }
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        offsets.push(0);
-        for &c in &counts {
-            acc += c;
-            offsets.push(acc);
-        }
-        let mut cursor: Vec<usize> = offsets[..n].to_vec();
-        let mut rules = vec![RuleRef::Root; acc];
-        for r in index.all_rules() {
-            for &s in index.coverage(r) {
-                let slot = &mut cursor[s as usize];
-                rules[*slot] = r;
-                *slot += 1;
-            }
-        }
-        InvertedIndex { offsets, rules }
+        let mut inv = InvertedIndex {
+            offsets: vec![0],
+            rules: Vec::new(),
+        };
+        inv.extend_for_append(index, 0);
+        inv
     }
 
     /// Extend the transpose for sentences appended after it was built:
     /// `index` has grown to cover ids `old_n..index.sentences()` and this
     /// transpose still ends at `old_n`.
     ///
-    /// Only *new* rows are written. That is sound because the caller
-    /// (`IndexSet::append`) guarantees an unpruned index (`min_count == 1`),
-    /// where a rule first materialized by an appended sentence can cover
-    /// only appended sentences — any earlier occurrence would already have
-    /// interned it — so no pre-existing row gains or loses a rule and the
-    /// result is bit-identical to a scratch [`InvertedIndex::build`] on the
-    /// grown index. Each rule's new postings are the tail of its sorted
-    /// posting list (`>= old_n`), found by one binary search.
+    /// Only *new* rows are written. From `old_n > 0` that is sound because
+    /// the caller (`IndexSet::append`) guarantees an unpruned index
+    /// (`min_count == 1`), where a rule first materialized by an appended
+    /// sentence can cover only appended sentences — any earlier occurrence
+    /// would already have interned it — so no pre-existing row gains or
+    /// loses a rule; [`InvertedIndex::build`] is the `old_n == 0` case,
+    /// where every row is new. Each rule's new postings are the tail of its
+    /// sorted posting list (`>= old_n`), found by one binary search.
     pub fn extend_for_append(&mut self, index: &IndexSet, old_n: usize) {
         debug_assert_eq!(self.sentences(), old_n, "transpose not at old_n");
         let new_n = index.sentences();

@@ -2,10 +2,10 @@
 //!
 //! Each node represents a contiguous phrase heuristic; it stores the number
 //! of sentences satisfying it and an inverted list of their ids. The index
-//! is created by merging per-sentence derivation sketches one at a time
-//! (sequential and incremental paths) or by building chunk-local tries in
-//! parallel and merging them (the paper notes the process "is also highly
-//! parallelizable").
+//! starts empty and grows by merging per-sentence derivation sketches one
+//! at a time, in sentence order ([`PhraseIndex::add_sentence`]) — the only
+//! way nodes are created, so node ids are first-occurrence order by
+//! construction.
 
 use crate::fx::FxHashMap;
 use darwin_text::{Corpus, Sentence, Sym};
@@ -54,69 +54,13 @@ impl PhraseIndex {
         }
     }
 
-    /// Build sequentially by merging each sentence's derivation sketch.
+    /// Grow an empty index over every sentence of `corpus`, in order.
     pub fn build(corpus: &Corpus, max_len: usize) -> PhraseIndex {
         let mut idx = PhraseIndex::new(max_len);
         for s in corpus.sentences() {
             idx.add_sentence(s);
         }
         idx
-    }
-
-    /// Build with `threads` workers: chunk-local tries merged in order.
-    /// Produces exactly the same index as [`PhraseIndex::build`].
-    pub fn build_parallel(corpus: &Corpus, max_len: usize, threads: usize) -> PhraseIndex {
-        let sents = corpus.sentences();
-        if threads <= 1 || sents.len() < 2048 {
-            return Self::build(corpus, max_len);
-        }
-        let chunk = sents.len().div_ceil(threads);
-        let mut parts: Vec<PhraseIndex> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = sents
-                .chunks(chunk)
-                .map(|c| {
-                    scope.spawn(move || {
-                        let mut idx = PhraseIndex::new(max_len);
-                        for s in c {
-                            idx.add_sentence(s);
-                        }
-                        idx
-                    })
-                })
-                .collect();
-            for h in handles {
-                parts.push(h.join().expect("index build thread panicked"));
-            }
-        });
-
-        let mut iter = parts.into_iter();
-        let mut acc = iter.next().expect("at least one chunk");
-        for p in iter {
-            acc.merge(p);
-        }
-        acc
-    }
-
-    /// Merge another index into this one. Postings are concatenated, which
-    /// preserves sortedness when `other` holds strictly larger sentence ids
-    /// (the parallel build merges chunks in corpus order).
-    pub fn merge(&mut self, other: PhraseIndex) {
-        assert_eq!(self.max_len, other.max_len, "mismatched index depth");
-        // Breadth-first walk of `other`, mapping its nodes onto ours.
-        let mut queue: Vec<(NodeId, NodeId)> = vec![(ROOT, ROOT)]; // (other, self)
-        while let Some((on, sn)) = queue.pop() {
-            // Move postings over.
-            let other_node = &other.nodes[on as usize];
-            self.nodes[sn as usize]
-                .postings
-                .extend_from_slice(&other_node.postings);
-            for (&sym, &oc) in &other_node.children {
-                let sc = self.child_or_insert(sn, sym);
-                queue.push((oc, sc));
-            }
-        }
-        self.sentences += other.sentences;
     }
 
     /// Incremental update: merge one sentence's derivation sketch
@@ -356,30 +300,6 @@ mod tests {
             let phrase = idx.phrase(n);
             assert_eq!(idx.lookup(&phrase), Some(n));
             assert_eq!(phrase.len(), idx.depth(n));
-        }
-    }
-
-    #[test]
-    fn parallel_build_matches_sequential() {
-        let texts: Vec<String> = (0..5000)
-            .map(|i| {
-                format!(
-                    "sentence {} about the way to airport gate {}",
-                    i % 97,
-                    i % 13
-                )
-            })
-            .collect();
-        let c = Corpus::from_texts(texts.iter());
-        let seq = PhraseIndex::build(&c, 4);
-        let par = PhraseIndex::build_parallel(&c, 4, 4);
-        assert_eq!(seq.len(), par.len());
-        assert_eq!(seq.sentences(), par.sentences());
-        // Same postings for every phrase.
-        for n in seq.node_ids() {
-            let phrase = seq.phrase(n);
-            let pn = par.lookup(&phrase).expect("phrase in parallel index");
-            assert_eq!(seq.postings(n), par.postings(pn), "phrase {phrase:?}");
         }
     }
 

@@ -299,51 +299,38 @@ pub fn for_each_tree_sketch_with(
     }
 }
 
-/// Enumerate one batch of sentences on `threads` workers: per-sentence
-/// key lists, deduplicated and capped exactly as the serial path would,
-/// joined in sentence order. Per-sentence enumeration is pure, so the
-/// ordered join is deterministic — interning the lists in order produces
-/// the same index the serial path builds (the same argument as the
-/// corpus analysis fan-out).
+/// Enumerate one batch of sentences on `threads` workers — the only
+/// fan-out of index growth: per-sentence key lists, deduplicated and capped
+/// exactly as the serial path would, joined in sentence order. Per-sentence
+/// enumeration is pure, so the ordered join is deterministic — interning
+/// the lists in order produces the same index the serial path builds (the
+/// same argument as the corpus analysis fan-out).
 pub fn sketch_batch(
     sentences: &[Sentence],
     cfg: &TreeSketchConfig,
     threads: usize,
 ) -> Vec<Vec<SketchKey>> {
-    let one = |scratch: &mut SketchScratch, s: &Sentence| -> Vec<SketchKey> {
-        let mut keys = Vec::new();
-        let mut seen: FxHashSet<SketchKey> = FxHashSet::default();
-        for_each_tree_sketch_with(scratch, s, cfg, &mut |k| {
-            let fresh = seen.insert(k);
-            if fresh {
-                keys.push(k);
-            }
-            fresh
-        });
-        keys
-    };
-    if threads <= 1 || sentences.len() < 256 {
+    // Batches below this many sentences are enumerated on the caller's thread.
+    const MIN_FAN_OUT: usize = 256;
+    darwin_text::fanout::map_chunks(sentences, threads, MIN_FAN_OUT, |chunk| {
         let mut scratch = SketchScratch::default();
-        return sentences.iter().map(|s| one(&mut scratch, s)).collect();
-    }
-    let chunk = sentences.len().div_ceil(threads);
-    let mut parts: Vec<Vec<Vec<SketchKey>>> = Vec::new();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = sentences
-            .chunks(chunk)
-            .map(|c| {
-                let one = &one;
-                scope.spawn(move || {
-                    let mut scratch = SketchScratch::default();
-                    c.iter().map(|s| one(&mut scratch, s)).collect::<Vec<_>>()
-                })
+        let mut seen: FxHashSet<SketchKey> = FxHashSet::default();
+        chunk
+            .iter()
+            .map(|s| {
+                let mut keys = Vec::new();
+                seen.clear();
+                for_each_tree_sketch_with(&mut scratch, s, cfg, &mut |k| {
+                    let fresh = seen.insert(k);
+                    if fresh {
+                        keys.push(k);
+                    }
+                    fresh
+                });
+                keys
             })
-            .collect();
-        for h in handles {
-            parts.push(h.join().expect("sketch thread panicked"));
-        }
-    });
-    parts.into_iter().flatten().collect()
+            .collect()
+    })
 }
 
 /// Token→POS generalization evidence: every `(token, tag)` occurrence of

@@ -41,6 +41,10 @@ enum TagEvidence {
 /// maintenance, interning and lookup all work on keys, and the boxed
 /// [`TreePattern`] is materialized lazily by [`TreeIndex::pattern`]
 /// (ingest never allocates a pattern).
+///
+/// The index starts empty ([`Default`]) and grows one sentence at a time,
+/// in sentence order, followed by a [`TreeIndex::finalize`] per batch.
+#[derive(Default)]
 pub struct TreeIndex {
     /// `keys[id]` is the compact identity of pattern `id`.
     keys: Vec<SketchKey>,
@@ -79,23 +83,9 @@ pub struct TreeIndex {
 }
 
 impl TreeIndex {
-    /// Build over a corpus.
+    /// Grow an empty index over every sentence of `corpus`, in order.
     pub fn build(corpus: &Corpus, cfg: &TreeSketchConfig) -> TreeIndex {
-        let mut idx = TreeIndex {
-            keys: Vec::new(),
-            ids: InternTable::default(),
-            postings: Vec::new(),
-            parents: Vec::new(),
-            children: Vec::new(),
-            roots: Vec::new(),
-            tok_tags: Vec::new(),
-            finalized: 0,
-            pending: FxHashMap::default(),
-            flips: Vec::new(),
-            scratch: SketchScratch::default(),
-            key_buf: Vec::new(),
-            seen: FxHashSet::default(),
-        };
+        let mut idx = TreeIndex::default();
         for s in corpus.sentences() {
             idx.add_sentence(s, cfg);
         }

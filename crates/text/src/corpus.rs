@@ -1,13 +1,17 @@
 //! Corpus container and (parallel) linguistic preprocessing.
 
 use crate::depparse;
+use crate::fanout::map_chunks;
 use crate::pos::Tagger;
 use crate::sentence::Sentence;
 use crate::vocab::{Sym, Vocab};
 
 /// An analyzed corpus: the shared vocabulary plus one [`Sentence`] per input
 /// text, in input order. Sentence ids are their positions.
-#[derive(Clone)]
+///
+/// A corpus starts empty and has one growth verb, [`Corpus::append_texts`];
+/// every way of constructing one is that verb applied to [`Corpus::new`].
+#[derive(Clone, Default)]
 pub struct Corpus {
     vocab: Vocab,
     sentences: Vec<Sentence>,
@@ -19,42 +23,20 @@ pub struct Corpus {
 }
 
 impl Corpus {
+    /// The empty corpus.
+    pub fn new() -> Corpus {
+        Corpus::default()
+    }
+
     /// Analyze `texts` sequentially (tokenize → intern → tag → parse).
     pub fn from_texts<I, S>(texts: I) -> Corpus
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        let token_lists: Vec<Vec<String>> = texts
-            .into_iter()
-            .map(|t| crate::tokenize::tokenize(t.as_ref()))
-            .collect();
-        Self::from_token_lists(token_lists, 1)
-    }
-
-    /// Analyze `texts` using `threads` worker threads for the tag/parse
-    /// phase (interning is inherently serial and cheap). Deterministic:
-    /// output is identical to the sequential path.
-    pub fn from_texts_parallel<S: AsRef<str> + Sync>(texts: &[S], threads: usize) -> Corpus {
-        Self::from_token_lists(tokenize_batch(texts, threads), threads)
-    }
-
-    fn from_token_lists(token_lists: Vec<Vec<String>>, threads: usize) -> Corpus {
-        let mut vocab = Vocab::new();
-        let mut sentences = Vec::with_capacity(token_lists.len());
-        let mut base_tags = Vec::new();
-        analyze_append(
-            &mut vocab,
-            &mut base_tags,
-            &mut sentences,
-            &token_lists,
-            threads,
-        );
-        Corpus {
-            vocab,
-            sentences,
-            base_tags,
-        }
+        let mut corpus = Corpus::new();
+        corpus.append_texts(texts, 1);
+        corpus
     }
 
     pub fn len(&self) -> usize {
@@ -94,31 +76,56 @@ impl Corpus {
     /// vocabulary, tag and parse, continuing sentence ids from
     /// [`Corpus::len`]. Returns the number of sentences appended.
     ///
-    /// The grown corpus is exactly what [`Corpus::from_texts`] would build
-    /// over the concatenation — interning is serial in input order and
-    /// analysis is per sentence, so pre-existing sentences, symbol ids and
-    /// the vocabulary prefix are all untouched (the same argument as
-    /// [`CorpusBuilder`], which is this method behind a by-value API).
-    ///
-    /// Both analysis phases — tokenization and tag/parse — fan out over
-    /// `threads` workers for large batches, with output identical to the
-    /// sequential path.
+    /// The result depends only on the concatenation of everything appended
+    /// so far — not on how it was split into calls, nor on `threads`:
+    /// interning (which numbers symbols and sentences) is one serial loop
+    /// in input order, and the two phases that fan out over `threads`
+    /// workers for large batches — tokenization and tag/parse — are pure
+    /// per sentence and joined in input order ([`map_chunks`]).
+    /// Pre-existing sentences, symbol ids and the vocabulary prefix are
+    /// never touched.
     pub fn append_texts<I, S>(&mut self, texts: I, threads: usize) -> usize
     where
         I: IntoIterator<Item = S>,
-        S: AsRef<str> + Sync,
+        S: AsRef<str>,
     {
+        // Batches below this many texts are analyzed on the caller's thread.
+        const MIN_FAN_OUT: usize = 1024;
         let texts: Vec<S> = texts.into_iter().collect();
-        let token_lists = tokenize_batch(&texts, threads.max(1));
-        let added = token_lists.len();
-        analyze_append(
-            &mut self.vocab,
-            &mut self.base_tags,
-            &mut self.sentences,
-            &token_lists,
-            threads.max(1),
-        );
-        added
+        let texts: Vec<&str> = texts.iter().map(AsRef::as_ref).collect();
+        let token_lists = map_chunks(&texts, threads, MIN_FAN_OUT, |chunk| {
+            chunk.iter().map(|t| crate::tokenize::tokenize(t)).collect()
+        });
+
+        let vocab = &mut self.vocab;
+        let numbered: Vec<(u32, Vec<Sym>)> = (self.sentences.len() as u32..)
+            .zip(&token_lists)
+            .map(|(id, toks)| (id, toks.iter().map(|t| vocab.intern(t)).collect()))
+            .collect();
+
+        // Extend the per-symbol tag cache for newly interned words: the
+        // context-free tag is a pure function of the string, so looking it up
+        // by symbol is identical to re-deriving it per occurrence.
+        for ix in self.base_tags.len()..vocab.len() {
+            self.base_tags
+                .push(Tagger::tag_word(vocab.resolve(Sym(ix as u32))));
+        }
+        let base_tags = &self.base_tags;
+        let to_sym = vocab.get("to");
+
+        let analyzed = map_chunks(&numbered, threads, MIN_FAN_OUT, |chunk| {
+            chunk
+                .iter()
+                .map(|(id, syms)| {
+                    let mut tags: Vec<_> = syms.iter().map(|s| base_tags[s.index()]).collect();
+                    Tagger::repair(&mut tags, |j| Some(syms[j]) == to_sym);
+                    let heads = depparse::parse(&tags);
+                    Sentence::new(*id, syms.clone(), tags, heads)
+                })
+                .collect()
+        });
+        self.sentences.extend(analyzed);
+        numbered.len()
     }
 
     /// Mean sentence length in tokens.
@@ -128,197 +135,6 @@ impl Corpus {
         }
         let total: usize = self.sentences.iter().map(|s| s.len()).sum();
         total as f64 / self.sentences.len() as f64
-    }
-}
-
-/// Tokenize a batch, fanning out over `threads` workers when the batch is
-/// large enough to amortize the spawns. Deterministic: per-text
-/// tokenization is pure and the chunked join preserves input order, so the
-/// output is identical for every thread count.
-fn tokenize_batch<S: AsRef<str> + Sync>(texts: &[S], threads: usize) -> Vec<Vec<String>> {
-    if threads <= 1 || texts.len() < 1024 {
-        return texts
-            .iter()
-            .map(|t| crate::tokenize::tokenize(t.as_ref()))
-            .collect();
-    }
-    let mut out: Vec<Vec<Vec<String>>> = Vec::new();
-    let chunk = texts.len().div_ceil(threads);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = texts
-            .chunks(chunk)
-            .map(|c| {
-                scope.spawn(move || {
-                    c.iter()
-                        .map(|t| crate::tokenize::tokenize(t.as_ref()))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        for h in handles {
-            out.push(h.join().expect("tokenizer thread panicked"));
-        }
-    });
-    out.into_iter().flatten().collect()
-}
-
-/// Intern, tag and parse `token_lists`, appending one [`Sentence`] per list
-/// to `sentences` (ids continue from `sentences.len()`). Interning is
-/// serial — symbol numbering must follow input order — while the tag/parse
-/// phase fans out over `threads` when the batch is large enough. Output is
-/// identical regardless of `threads`.
-fn analyze_append(
-    vocab: &mut Vocab,
-    base_tags: &mut Vec<crate::pos::PosTag>,
-    sentences: &mut Vec<Sentence>,
-    token_lists: &[Vec<String>],
-    threads: usize,
-) {
-    let base = sentences.len();
-    let sym_lists: Vec<Vec<Sym>> = token_lists
-        .iter()
-        .map(|toks| toks.iter().map(|t| vocab.intern(t)).collect())
-        .collect();
-
-    // Extend the per-symbol tag cache for newly interned words: the
-    // context-free tag is a pure function of the string, so looking it up
-    // by symbol is identical to re-deriving it per occurrence.
-    for ix in base_tags.len()..vocab.len() {
-        base_tags.push(Tagger::tag_word(vocab.resolve(Sym(ix as u32))));
-    }
-    let base_tags = &*base_tags;
-    let to_sym = vocab.get("to");
-
-    let build = |range: std::ops::Range<usize>| -> Vec<Sentence> {
-        range
-            .map(|i| {
-                let syms = &sym_lists[i];
-                let mut tags: Vec<_> = syms.iter().map(|s| base_tags[s.index()]).collect();
-                Tagger::repair(&mut tags, |j| Some(syms[j]) == to_sym);
-                let heads = depparse::parse(&tags);
-                Sentence::new((base + i) as u32, syms.clone(), tags, heads)
-            })
-            .collect()
-    };
-
-    let n = token_lists.len();
-    if threads <= 1 || n < 1024 {
-        sentences.extend(build(0..n));
-    } else {
-        let chunk = n.div_ceil(threads);
-        let mut parts: Vec<Vec<Sentence>> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n)
-                .step_by(chunk)
-                .map(|start| {
-                    let end = (start + chunk).min(n);
-                    let build = &build;
-                    scope.spawn(move || build(start..end))
-                })
-                .collect();
-            for h in handles {
-                parts.push(h.join().expect("analysis thread panicked"));
-            }
-        });
-        for part in parts {
-            sentences.extend(part);
-        }
-    }
-}
-
-/// Streaming corpus construction: push texts in chunks and analyze each
-/// chunk as it arrives, so only one chunk's token *strings* are ever
-/// alive at once — the memory high-water mark is the finished corpus plus
-/// one in-flight chunk, independent of the total sentence count.
-///
-/// [`CorpusBuilder::finish`] yields exactly the corpus
-/// [`Corpus::from_texts`] would build over the concatenation of every
-/// pushed chunk: interning order, sentence ids, tags and parses are all
-/// identical (interning is serial either way, and analysis is per
-/// sentence).
-pub struct CorpusBuilder {
-    vocab: Vocab,
-    sentences: Vec<Sentence>,
-    base_tags: Vec<crate::pos::PosTag>,
-    threads: usize,
-}
-
-impl Default for CorpusBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl CorpusBuilder {
-    /// A sequential builder.
-    pub fn new() -> CorpusBuilder {
-        Self::with_threads(1)
-    }
-
-    /// A builder whose tag/parse phase fans out over `threads` per chunk
-    /// (output identical to the sequential builder).
-    pub fn with_threads(threads: usize) -> CorpusBuilder {
-        CorpusBuilder {
-            vocab: Vocab::new(),
-            sentences: Vec::new(),
-            base_tags: Vec::new(),
-            threads: threads.max(1),
-        }
-    }
-
-    /// Continue building from an already-analyzed corpus: pushed chunks
-    /// append to its arenas (vocabulary and sentence list) exactly as if
-    /// they had been part of the original build. This is the builder-side
-    /// append path — `CorpusBuilder::resume(c, t).push_texts(more)` and
-    /// [`Corpus::append_texts`] produce identical corpora.
-    pub fn resume(corpus: Corpus, threads: usize) -> CorpusBuilder {
-        let Corpus {
-            vocab,
-            sentences,
-            base_tags,
-        } = corpus;
-        CorpusBuilder {
-            vocab,
-            sentences,
-            base_tags,
-            threads: threads.max(1),
-        }
-    }
-
-    /// Sentences analyzed so far.
-    pub fn len(&self) -> usize {
-        self.sentences.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.sentences.is_empty()
-    }
-
-    /// Tokenize and analyze one chunk of texts, appending to the corpus
-    /// under construction.
-    pub fn push_texts<I, S>(&mut self, texts: I)
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str> + Sync,
-    {
-        let texts: Vec<S> = texts.into_iter().collect();
-        let token_lists = tokenize_batch(&texts, self.threads);
-        analyze_append(
-            &mut self.vocab,
-            &mut self.base_tags,
-            &mut self.sentences,
-            &token_lists,
-            self.threads,
-        );
-    }
-
-    /// The finished corpus.
-    pub fn finish(self) -> Corpus {
-        Corpus {
-            vocab: self.vocab,
-            sentences: self.sentences,
-            base_tags: self.base_tags,
-        }
     }
 }
 
@@ -356,45 +172,6 @@ mod tests {
         assert_eq!(c.text(1), "is there a bart from sfo to the hotel ?");
     }
 
-    #[test]
-    fn parallel_matches_sequential() {
-        let texts: Vec<String> = (0..3000)
-            .map(|i| format!("sentence number {i} goes to the airport quickly"))
-            .collect();
-        let seq = Corpus::from_texts(texts.iter());
-        let par = Corpus::from_texts_parallel(&texts, 4);
-        assert_eq!(seq.len(), par.len());
-        assert_eq!(seq.vocab().len(), par.vocab().len());
-        for i in 0..seq.len() as u32 {
-            assert_eq!(seq.sentence(i).tokens, par.sentence(i).tokens);
-            assert_eq!(seq.sentence(i).tags, par.sentence(i).tags);
-            assert_eq!(seq.sentence(i).heads, par.sentence(i).heads);
-        }
-    }
-
-    #[test]
-    fn builder_matches_from_texts_on_concatenation() {
-        let texts: Vec<String> = (0..50)
-            .map(|i| format!("sentence {i} rides the bus to the airport"))
-            .collect();
-        let whole = Corpus::from_texts(texts.iter());
-        let mut b = CorpusBuilder::new();
-        for chunk in texts.chunks(7) {
-            b.push_texts(chunk);
-        }
-        assert_eq!(b.len(), texts.len());
-        let built = b.finish();
-        assert_eq!(built.len(), whole.len());
-        assert_eq!(built.vocab().len(), whole.vocab().len());
-        for i in 0..whole.len() as u32 {
-            assert_eq!(built.sentence(i).id, i);
-            assert_eq!(built.sentence(i).tokens, whole.sentence(i).tokens);
-            assert_eq!(built.sentence(i).tags, whole.sentence(i).tags);
-            assert_eq!(built.sentence(i).heads, whole.sentence(i).heads);
-            assert_eq!(built.text(i), whole.text(i));
-        }
-    }
-
     /// The append path must reproduce `from_texts` on the concatenation —
     /// sentence ids, tokens, analyses and vocabulary all identical, and
     /// the pre-append prefix untouched. This is the text-layer leg of the
@@ -422,22 +199,6 @@ mod tests {
         // Empty append is a no-op.
         assert_eq!(grown.append_texts(Vec::<String>::new(), 1), 0);
         assert_eq!(grown.len(), whole.len());
-        // Builder resume is the same path behind a by-value API.
-        let mut b = CorpusBuilder::resume(Corpus::from_texts(first.iter()), 1);
-        b.push_texts(extra.iter());
-        let resumed = b.finish();
-        assert_eq!(resumed.len(), whole.len());
-        assert_eq!(resumed.vocab().len(), whole.vocab().len());
-        for i in 0..whole.len() as u32 {
-            assert_eq!(resumed.sentence(i).tokens, whole.sentence(i).tokens);
-        }
-    }
-
-    #[test]
-    fn empty_builder_finishes_empty() {
-        let b = CorpusBuilder::default();
-        assert!(b.is_empty());
-        assert!(b.finish().is_empty());
     }
 
     #[test]

@@ -1,0 +1,57 @@
+//! The one ordered fan-out of the ingest path.
+
+/// Map `items` chunk-wise over `threads` scoped workers (one contiguous
+/// chunk each) and join the per-chunk outputs in input order. With
+/// `threads <= 1`, or fewer than `min_len` items — too few to amortize the
+/// spawns — `per_chunk` runs once over the whole slice on the caller's
+/// thread.
+///
+/// `per_chunk` must map each item independently of its neighbours (it
+/// takes a chunk, not an item, only so a worker can reuse scratch across
+/// its items); the output is then identical for every thread count.
+pub fn map_chunks<T, R, F>(items: &[T], threads: usize, min_len: usize, per_chunk: F) -> Vec<R>
+where
+    T: Sync,
+    R: Send,
+    F: Fn(&[T]) -> Vec<R> + Sync,
+{
+    if threads <= 1 || items.len() < min_len.max(1) {
+        return per_chunk(items);
+    }
+    let chunk = items.len().div_ceil(threads);
+    let per_chunk = &per_chunk;
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = items
+            .chunks(chunk)
+            .map(|c| scope.spawn(move || per_chunk(c)))
+            .collect();
+        let mut out = Vec::with_capacity(items.len());
+        for h in handles {
+            out.extend(h.join().expect("ingest worker panicked"));
+        }
+        out
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn output_is_in_input_order_for_every_thread_count() {
+        let items: Vec<u32> = (0..1000).collect();
+        let double = |c: &[u32]| c.iter().map(|x| x * 2).collect::<Vec<_>>();
+        let serial = map_chunks(&items, 1, 0, double);
+        for threads in [2, 3, 7, 1000, 5000] {
+            assert_eq!(map_chunks(&items, threads, 0, double), serial);
+        }
+        // Below the threshold the closure sees the whole slice once.
+        let calls = std::sync::atomic::AtomicUsize::new(0);
+        map_chunks(&items, 4, 1001, |c| {
+            calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            double(c)
+        });
+        assert_eq!(calls.into_inner(), 1);
+        assert!(map_chunks(&[] as &[u32], 4, 0, double).is_empty());
+    }
+}

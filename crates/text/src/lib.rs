@@ -12,8 +12,9 @@
 //! * [`pos::Tagger`] — a lexicon + suffix rule tagger over the universal POS
 //!   tagset (Petrov et al., as cited by the paper),
 //! * [`depparse`] — a deterministic head-attachment dependency parser,
-//! * [`corpus::Corpus`] — the container Darwin operates over, with parallel
-//!   construction,
+//! * [`corpus::Corpus`] — the container Darwin operates over: empty, then
+//!   grown by `append_texts` (analysis fans out through
+//!   [`fanout::map_chunks`], the ingest path's one ordered join),
 //! * [`embed::Embeddings`] — reflective random-indexing word vectors whose
 //!   similarity reflects corpus co-occurrence (the property UniversalSearch
 //!   relies on to generalize `bus` → `shuttle`).
@@ -21,12 +22,13 @@
 pub mod corpus;
 pub mod depparse;
 pub mod embed;
+pub mod fanout;
 pub mod pos;
 pub mod sentence;
 pub mod tokenize;
 pub mod vocab;
 
-pub use corpus::{Corpus, CorpusBuilder};
+pub use corpus::Corpus;
 pub use embed::Embeddings;
 pub use pos::PosTag;
 pub use sentence::Sentence;

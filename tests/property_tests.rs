@@ -9,6 +9,7 @@ use darwin::index::{IdSet, IndexConfig, IndexSet, RuleRef, ShardMap};
 use darwin::text::{Corpus, PosTag, Sym};
 use darwin_testkit::strategies::{corpus_texts as corpus_strategy, sentence, word};
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 40, ..Default::default() })]
@@ -485,6 +486,140 @@ proptest! {
             prop_assert_eq!(serial.coverage(r), threaded.coverage(r), "coverage of {:?}", r);
             prop_assert_eq!(serial.parents(r), threaded.parents(r), "parents of {:?}", r);
             prop_assert_eq!(serial.children(r), threaded.children(r), "children of {:?}", r);
+        }
+    }
+}
+
+/// Everything a consumer can observe of an index: the rule sequence, each
+/// rule's heuristic, coverage, dense id and hierarchy edges, and every row
+/// of the inverted transpose.
+fn assert_same_index(a: &IndexSet, b: &IndexSet, label: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.sentences(), b.sentences(), "{}: sentences", label);
+    let rules: Vec<RuleRef> = a.all_rules().collect();
+    prop_assert_eq!(
+        &rules,
+        &b.all_rules().collect::<Vec<_>>(),
+        "{}: rule sequence",
+        label
+    );
+    prop_assert_eq!(
+        a.children(RuleRef::Root),
+        b.children(RuleRef::Root),
+        "{}: root children",
+        label
+    );
+    for &r in &rules {
+        prop_assert_eq!(
+            a.heuristic(r),
+            b.heuristic(r),
+            "{}: heuristic of {:?}",
+            label,
+            r
+        );
+        prop_assert_eq!(
+            a.coverage(r),
+            b.coverage(r),
+            "{}: coverage of {:?}",
+            label,
+            r
+        );
+        prop_assert_eq!(
+            a.dense_id(r),
+            b.dense_id(r),
+            "{}: dense id of {:?}",
+            label,
+            r
+        );
+        prop_assert_eq!(a.parents(r), b.parents(r), "{}: parents of {:?}", label, r);
+        prop_assert_eq!(
+            a.children(r),
+            b.children(r),
+            "{}: children of {:?}",
+            label,
+            r
+        );
+    }
+    for id in 0..a.sentences() as u32 {
+        prop_assert_eq!(
+            a.inverted().rules_covering(id),
+            b.inverted().rules_covering(id),
+            "{}: transpose row {}",
+            label,
+            id
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig {
+        cases: if cfg!(debug_assertions) { 24 } else { 400 },
+        ..Default::default()
+    })]
+
+    /// Construction is growth from empty, so *how* a corpus arrived cannot
+    /// show: any split into batches (empty ones and a split at 0 included)
+    /// at any thread count yields the corpus `from_texts` makes and the
+    /// index `IndexSet::build` makes at one thread — vocabulary order,
+    /// analyses, rule numbering, hierarchy and transpose alike; and a
+    /// pruned build numbers its rules the same at every thread count.
+    /// Case 0 is longer than `SKETCH_BLOCK` and every eighth case is past
+    /// every fan-out threshold (256 / 1024 sentences; 2048 was the
+    /// chunk-local trie build's).
+    #[test]
+    fn ingest_is_invariant_under_batch_split_and_threads(
+        pool in prop::collection::vec(sentence(), 8300..8500),
+        small in 0usize..48,
+        cuts in prop::collection::vec(0usize..10_000, 0..6),
+    ) {
+        static CASE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = match CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed) {
+            0 => pool.len(),
+            case if case % 8 == 4 => 2048 + 8 * small,
+            _ => small,
+        };
+        let texts = &pool[..n];
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (n + 1)).collect();
+        cuts.sort_unstable();
+        cuts.push(n);
+
+        let recipe = |min_count, threads| IndexConfig { min_count, threads, ..IndexConfig::small() };
+        let whole = Corpus::from_texts(texts);
+        let scratch = IndexSet::build(&whole, &recipe(1, 1));
+        let pruned = IndexSet::build(&whole, &recipe(2, 1));
+
+        let mut thread_counts = vec![1, 2, 4];
+        if !thread_counts.contains(&darwin_testkit::test_threads()) {
+            thread_counts.push(darwin_testkit::test_threads());
+        }
+        for threads in thread_counts {
+            let label = format!("n={n} cuts={cuts:?} threads={threads}");
+            let mut grown = Corpus::new();
+            grown.append_texts(&texts[..cuts[0]], threads);
+            let mut index = IndexSet::build(&grown, &recipe(1, threads));
+            // Cache the transpose now so the appends extend it in place.
+            let _ = index.inverted();
+            for w in cuts.windows(2) {
+                prop_assert_eq!(grown.append_texts(&texts[w[0]..w[1]], threads), w[1] - w[0]);
+                let delta = index.append_with_threads(&grown, threads).unwrap();
+                prop_assert_eq!(delta.sentences, w[1] - w[0]);
+            }
+
+            prop_assert_eq!(grown.len(), whole.len(), "{}: corpus length", &label);
+            prop_assert_eq!(grown.vocab().len(), whole.vocab().len(), "{}: vocab size", &label);
+            for sym in (0..whole.vocab().len() as u32).map(Sym) {
+                prop_assert_eq!(
+                    grown.vocab().resolve(sym), whole.vocab().resolve(sym), "{}: vocab order", &label
+                );
+            }
+            for (g, w) in grown.sentences().iter().zip(whole.sentences()) {
+                prop_assert_eq!(g.id, w.id, "{}: sentence id", &label);
+                prop_assert_eq!(&g.tokens, &w.tokens, "{}: tokens of {}", &label, w.id);
+                prop_assert_eq!(&g.tags, &w.tags, "{}: tags of {}", &label, w.id);
+                prop_assert_eq!(&g.heads, &w.heads, "{}: heads of {}", &label, w.id);
+            }
+            assert_same_index(&scratch, &index, &label)?;
+            assert_same_index(&pruned, &IndexSet::build(&whole, &recipe(2, threads)), &format!("pruned {label}"))?;
         }
     }
 }

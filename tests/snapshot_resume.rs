@@ -119,6 +119,35 @@ fn resume_under_different_shards_threads_fanout() {
     assert!(plan.barriers >= 2, "only {} barriers killed", plan.barriers);
 }
 
+/// The index's build parallelism is one more deployment knob outside
+/// the fingerprints: suspend over an index built at `threads: 1`, resume
+/// over one built at `threads: 4` (a corpus past every fan-out
+/// threshold, unpruned so every first-seen node keeps its number) — the
+/// resume is accepted and replays the same P, scores and trace.
+#[test]
+fn resume_over_an_index_built_at_another_thread_count() {
+    let d = darwin_datasets::directions::generate(2500, DSEED);
+    let built_at = |threads| {
+        let recipe = IndexConfig {
+            max_phrase_len: 4,
+            min_count: 1,
+            threads,
+            ..Default::default()
+        };
+        IndexSet::build(&d.corpus, &recipe)
+    };
+    let (serial, threaded) = (built_at(1), built_at(4));
+    let seed = seed_of(&d);
+    let mut make = || {
+        Box::new(Immediate::new(GroundTruthOracle::new(&d.labels, 0.8)))
+            as Box<dyn AsyncOracle + '_>
+    };
+    let suspend_on = Darwin::new(&d.corpus, &serial, cfg(1, 1, 3));
+    let resume_on = Darwin::new(&d.corpus, &threaded, cfg(1, 1, 3));
+    let plan = CrashPlan::exhaustive(&suspend_on, &resume_on, &seed, &mut make, Some(2));
+    assert_eq!(plan.barriers, 1, "barrier 2 was never reached");
+}
+
 /// The transport matrix cell: suspend on one transport, resume on
 /// another (rotating InProc → Proc → Tcp → InProc), at S ∈ {1,2,4} — a
 /// session hops between genuinely different processes and sockets. One

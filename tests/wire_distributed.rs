@@ -233,6 +233,51 @@ fn remote_mirrors_audit_exact_after_stepping() {
     assert!(engine.store_is_consistent());
 }
 
+/// `IndexConfig::threads` is a deployment axis like any other: the
+/// coordinator builds its index at 4 threads over a corpus past every
+/// fan-out threshold, the shard workers rebuild theirs at 1, and both
+/// sides must mean the same rule by the same `RuleRef` — every tracked
+/// rule's merged remote benefit equals the local store's, the mirrors
+/// audit exact, and the distributed run replays the local trace.
+#[test]
+fn threaded_coordinator_index_numbers_rules_like_its_workers() {
+    let d = darwin::datasets::directions::generate(2500, 7);
+    let recipe = IndexConfig {
+        max_phrase_len: 4,
+        min_count: 1,
+        threads: 4,
+        ..Default::default()
+    };
+    let index = IndexSet::build(&d.corpus, &recipe);
+    let seed = || Seed::Rule(Heuristic::phrase(&d.corpus, d.seed_rules[0]).unwrap());
+    let run_cfg = DarwinConfig {
+        budget: 6,
+        ..cfg(d.len(), 2, 1, 1)
+    };
+    let local = Darwin::new(&d.corpus, &index, run_cfg.clone());
+    let remote = Darwin::new(&d.corpus, &index, run_cfg)
+        .with_remote_shards(shard_connector(TransportKind::InProc, None));
+
+    let (le, mut re) = (local.engine(seed()), remote.engine(seed()));
+    assert!(re.wire_error().is_none(), "{:?}", re.wire_error());
+    let tracked = le.hierarchy().rules().to_vec();
+    assert_eq!(tracked, re.hierarchy().rules());
+    assert!(tracked.len() > 100, "hierarchy too small to tell");
+    for &r in &tracked {
+        assert_eq!(le.benefit_sum(r), re.benefit_sum(r), "{r:?} benefit");
+    }
+    assert!(re.audit_remote_store().unwrap(), "mirror drifted");
+    drop((le, re));
+
+    let mut oracle = GroundTruthOracle::new(&d.labels, 0.8);
+    let reference = local.run(seed(), &mut oracle);
+    let mut oracle = GroundTruthOracle::new(&d.labels, 0.8);
+    let done = remote.run(seed(), &mut oracle);
+    assert!(done.wire_error.is_none(), "{:?}", done.wire_error);
+    assert!(reference.questions() > 3, "reference asked nothing");
+    assert_equivalent(&reference, &done, "index threads=4 vs workers at 1");
+}
+
 /// A shard worker that dies mid-run *and cannot be restarted*: the run
 /// aborts *cleanly* — the reconnect attempt fails, the error surfaces in
 /// `RunResult::wire_error`, the applied prefix stays coherent, and
