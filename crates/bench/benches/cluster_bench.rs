@@ -188,10 +188,9 @@ fn main() {
     let probe = f.rules[f.rules.len() / 2];
 
     // ---- encode-once amortization ----
-    // The broadcast encodes the journal entries into one fixed-width
-    // byte run and slices per-shard spans out of it, so the encode cost
-    // below is paid once per broadcast regardless of S (the sliced
-    // bodies are header + memcpy).
+    // Per-shard journal runs are disjoint, so a broadcast encodes every
+    // entry exactly once: the cost below is paid once per broadcast
+    // regardless of S.
     let encode_once_ns = median_ns(200, || {
         let mut entries = Vec::with_capacity(j.len() * 12);
         for c in &j {

@@ -3,11 +3,11 @@
 //! dense-scalar baseline replaying the pre-kernel scoring wall, and a
 //! million-sentence full refresh over the streamed professions corpus.
 //!
-//! Threads set the fan-out width of `ScoreCache::refresh`; the worker
-//! budget is the host's available parallelism, so on a single-core host
-//! the thread rows measure dispatch overhead only — the JSON records
-//! `host_threads` so the numbers can be read accordingly (the established
-//! convention of `BENCH_shard.json`).
+//! `threads` is the one split of `ScoreCache::refresh`: that many scoped
+//! workers, one contiguous id chunk each, whatever the host has — so rows
+//! above the host's available parallelism measure oversubscription, not
+//! speed-up. The JSON records `host_threads` so the numbers can be read
+//! accordingly.
 //!
 //! Besides the criterion report, running this bench rewrites
 //! `BENCH_refresh.json` at the repo root. Scores are asserted
@@ -25,8 +25,7 @@ use darwin_text::embed::EmbedConfig;
 use darwin_text::{Corpus, Embeddings};
 use std::time::Instant;
 
-const THREAD_COUNTS: [usize; 3] = [1, 4, 8];
-const SHARDS: usize = 8;
+const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// The scoring wall this PR tore down: one dense feature vector per
 /// sentence, scored with a sequential scalar dot over the full feature
@@ -118,21 +117,17 @@ fn bench_refresh(c: &mut Criterion) {
     let clf = trained_logreg(&d.corpus, &emb, d.seed_rules[0]);
     println!("refresh_bench fixture: {n} sentences, {host_threads} host threads");
 
-    // Bit-identity across every (shards, threads) configuration first.
+    // Bit-identity across every thread count first.
     let mut reference = ScoreCache::full_only(n);
     reference.refresh(&*clf, &d.corpus, &emb);
     for threads in THREAD_COUNTS {
-        for shards in [1, SHARDS] {
-            let mut cache = ScoreCache::full_only(n)
-                .with_shards(shards)
-                .with_threads(threads);
-            cache.refresh(&*clf, &d.corpus, &emb);
-            assert_eq!(
-                cache.scores(),
-                reference.scores(),
-                "threads={threads} shards={shards}: scores diverged"
-            );
-        }
+        let mut cache = ScoreCache::full_only(n).with_threads(threads);
+        cache.refresh(&*clf, &d.corpus, &emb);
+        assert_eq!(
+            cache.scores(),
+            reference.scores(),
+            "threads={threads}: scores diverged"
+        );
     }
 
     let baseline = DenseScalarLogReg::new(&emb);
@@ -148,15 +143,11 @@ fn bench_refresh(c: &mut Criterion) {
     let mut rows = Vec::new();
     for threads in THREAD_COUNTS {
         let full_ns = {
-            let mut cache = ScoreCache::full_only(n)
-                .with_shards(SHARDS)
-                .with_threads(threads);
+            let mut cache = ScoreCache::full_only(n).with_threads(threads);
             g.bench_function(&format!("full_refresh_t{threads}"), |b| {
                 b.iter(|| cache.refresh(&*clf, &d.corpus, &emb))
             });
-            let mut cache = ScoreCache::full_only(n)
-                .with_shards(SHARDS)
-                .with_threads(threads);
+            let mut cache = ScoreCache::full_only(n).with_threads(threads);
             median_ns(10, || cache.refresh(&*clf, &d.corpus, &emb))
         };
         let tp = n as f64 / (full_ns as f64 / 1e9);
@@ -165,7 +156,7 @@ fn bench_refresh(c: &mut Criterion) {
             "threads={threads}: full {full_ns} ns ({tp:.0} sentences/s, {speedup:.2}x vs dense-scalar)"
         );
         rows.push(format!(
-            "    {{\"threads\": {threads}, \"shards\": {SHARDS}, \"full_refresh_ns\": {full_ns}, \"full_refresh_sentences_per_s\": {tp:.0}, \"speedup_vs_dense_scalar\": {speedup:.2}}}"
+            "    {{\"threads\": {threads}, \"full_refresh_ns\": {full_ns}, \"full_refresh_sentences_per_s\": {tp:.0}, \"speedup_vs_dense_scalar\": {speedup:.2}}}"
         ));
     }
     g.finish();
@@ -183,17 +174,15 @@ fn bench_refresh(c: &mut Criterion) {
     );
     let big_clf = trained_logreg(&big.corpus, &big_emb, big.seed_rules[0]);
     let mut million_rows = Vec::new();
-    for threads in [1usize, 8] {
+    for threads in [1usize, 2, 8] {
         let full_ns = {
-            let mut cache = ScoreCache::full_only(big_n)
-                .with_shards(SHARDS)
-                .with_threads(threads);
+            let mut cache = ScoreCache::full_only(big_n).with_threads(threads);
             median_ns(3, || cache.refresh(&*big_clf, &big.corpus, &big_emb))
         };
         let tp = big_n as f64 / (full_ns as f64 / 1e9);
         println!("1M full refresh, threads={threads}: {full_ns} ns ({tp:.0} sentences/s)");
         million_rows.push(format!(
-            "    {{\"sentences\": {big_n}, \"threads\": {threads}, \"shards\": {SHARDS}, \"full_refresh_ns\": {full_ns}, \"full_refresh_sentences_per_s\": {tp:.0}}}"
+            "    {{\"sentences\": {big_n}, \"threads\": {threads}, \"full_refresh_ns\": {full_ns}, \"full_refresh_sentences_per_s\": {tp:.0}}}"
         ));
     }
 

@@ -1,21 +1,19 @@
-//! Sharded execution layer throughput: score-cache refresh (full and
-//! incremental) and benefit-store rebuild/selection vs. shard count, on a
-//! ≥20k-sentence corpus.
+//! Local span stores vs. shard count: benefit-store rebuild and merged
+//! selection over `S` in-memory partitions, on a ≥20k-sentence corpus.
 //!
-//! Shards set both the batch granularity and the parallelism width (the
-//! worker budget is the host's available parallelism, so on a multi-core
-//! host the shard counts > 1 run shard-parallel; on a single-core host
-//! they measure the batching effect alone — the JSON records
-//! `host_threads` so the numbers can be read accordingly). The
-//! `unbatched_incremental_ns` entry replays the pre-shard per-sentence
-//! `predict` loop as the reference the batch path replaced.
+//! The shard count names benefit-store partitions only — score refresh is
+//! split by `threads` alone and is measured in `refresh_bench`. Each local
+//! partition gets the whole worker budget (the host's available
+//! parallelism, recorded as `host_threads`) for its own chunking, so the
+//! rows read as the cost of partitioning: `S` scans of `1/S` of each
+//! coverage on rebuild, an `S`-way fragment merge on selection.
 //!
 //! Besides the criterion report, running this bench rewrites
-//! `BENCH_shard.json` at the repo root. Scores are asserted bit-identical
-//! across all shard counts — the bench is meaningless otherwise.
+//! `BENCH_shard.json` at the repo root. Merged benefits are asserted
+//! identical across all shard counts — the bench is meaningless otherwise.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use darwin_classifier::{ClassifierKind, ScoreCache, TextClassifier};
+use darwin_classifier::{ClassifierKind, ScoreCache};
 use darwin_core::candidates::generate_hierarchy;
 use darwin_core::traversal::{Ctx, Strategy, UniversalSearch};
 use darwin_core::ShardedBenefitStore;
@@ -24,17 +22,16 @@ use darwin_grammar::Heuristic;
 use darwin_index::fx::FxHashSet;
 use darwin_index::{IdSet, IndexConfig, IndexSet, ShardMap};
 use darwin_text::embed::EmbedConfig;
-use darwin_text::{Corpus, Embeddings};
+use darwin_text::Embeddings;
 use std::time::Instant;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 struct Fixture {
-    corpus: Corpus,
-    emb: Embeddings,
-    clf: Box<dyn TextClassifier>,
     index: IndexSet,
     p: IdSet,
+    /// One full refresh of a LogReg trained on the seed rule's coverage.
+    scores: Vec<f32>,
     n: usize,
     host_threads: usize,
 }
@@ -70,13 +67,12 @@ fn fixture() -> Fixture {
     let host_threads = std::thread::available_parallelism()
         .map(|p| p.get())
         .unwrap_or(1);
-    let d_corpus = d.corpus;
+    let mut cache = ScoreCache::full_only(n).with_threads(host_threads);
+    cache.refresh(&*clf, &d.corpus, &emb);
     Fixture {
-        corpus: d_corpus,
-        emb,
-        clf,
         index,
         p,
+        scores: cache.scores().to_vec(),
         n,
         host_threads,
     }
@@ -95,17 +91,6 @@ fn median_ns<R>(iters: usize, mut f: impl FnMut() -> R) -> u64 {
     samples[samples.len() / 2]
 }
 
-/// A cache primed past its first (full) round so the next refresh is
-/// incremental.
-fn primed_incremental(f: &Fixture, shards: usize) -> ScoreCache {
-    let mut cache = ScoreCache::new(f.n)
-        .with_shards(shards)
-        .with_threads(f.host_threads);
-    cache.full_every = u32::MAX;
-    cache.refresh(&*f.clf, &f.corpus, &f.emb);
-    cache
-}
-
 fn bench_sharded(c: &mut Criterion) {
     let f = fixture();
     println!(
@@ -115,106 +100,55 @@ fn bench_sharded(c: &mut Criterion) {
         f.p.len()
     );
 
-    // Scores must be bit-identical across shard counts.
-    let mut reference = ScoreCache::full_only(f.n);
-    reference.refresh(&*f.clf, &f.corpus, &f.emb);
-    for s in SHARD_COUNTS {
-        let mut cache = ScoreCache::full_only(f.n)
-            .with_shards(s)
-            .with_threads(f.host_threads);
-        cache.refresh(&*f.clf, &f.corpus, &f.emb);
-        assert_eq!(cache.scores(), reference.scores(), "S={s}: scores diverged");
-    }
-
+    let scores = &f.scores[..];
     let hierarchy = generate_hierarchy(&f.index, &f.p, 2000, f.n / 2);
     let queried = FxHashSet::default();
 
-    let mut g = c.benchmark_group("shard_refresh_20k");
+    let mut g = c.benchmark_group("shard_store_20k");
     g.sample_size(10);
     let mut rows = Vec::new();
+    let mut picks = Vec::new();
     for s in SHARD_COUNTS {
-        // Full pass: every sentence re-scored.
-        let full_ns = {
-            let mut cache = ScoreCache::full_only(f.n)
-                .with_shards(s)
-                .with_threads(f.host_threads);
-            g.bench_function(&format!("full_refresh_s{s}"), |b| {
-                b.iter(|| cache.refresh(&*f.clf, &f.corpus, &f.emb))
-            });
-            let mut cache = ScoreCache::full_only(f.n)
-                .with_shards(s)
-                .with_threads(f.host_threads);
-            median_ns(10, || cache.refresh(&*f.clf, &f.corpus, &f.emb))
-        };
-        // Incremental pass: only above-threshold sentences re-scored.
-        let incr_ns = {
-            let mut cache = primed_incremental(&f, s);
-            median_ns(10, || cache.refresh(&*f.clf, &f.corpus, &f.emb))
-        };
         // Benefit partition rebuild + merged selection.
         let mut store = ShardedBenefitStore::new(ShardMap::new(f.n, s));
         store
-            .track(
-                hierarchy.rules(),
-                &f.index,
-                &f.p,
-                reference.scores(),
-                f.host_threads,
-            )
+            .track(hierarchy.rules(), &f.index, &f.p, scores, f.host_threads)
             .unwrap();
-        let rebuild_ns = {
-            let (index, p, scores) = (&f.index, &f.p, reference.scores());
-            let threads = f.host_threads;
-            median_ns(10, || store.rebuild(index, p, scores, threads).unwrap())
-        };
+        let (index, p, threads) = (&f.index, &f.p, f.host_threads);
+        g.bench_function(&format!("store_rebuild_s{s}"), |b| {
+            b.iter(|| store.rebuild(index, p, scores, threads).unwrap())
+        });
+        let rebuild_ns = median_ns(10, || store.rebuild(index, p, scores, threads).unwrap());
         let select_ns = {
             let ctx = Ctx {
                 index: &f.index,
                 hierarchy: &hierarchy,
                 p: &f.p,
-                scores: reference.scores(),
+                scores,
                 queried: &queried,
                 benefit_threshold: 0.5,
                 store: Some(&store),
             };
             let mut us = UniversalSearch::new();
-            assert!(us.select(&ctx).is_some(), "S={s}: nothing selectable");
+            picks.push(us.select(&ctx).expect("nothing selectable"));
             median_ns(50, || us.select(&ctx))
         };
-        let throughput = f.n as f64 / (full_ns as f64 / 1e9);
-        println!(
-            "S={s}: full {full_ns} ns ({throughput:.0} sentences/s), incremental {incr_ns} ns, rebuild {rebuild_ns} ns, select {select_ns} ns"
-        );
+        println!("S={s}: rebuild {rebuild_ns} ns, select {select_ns} ns");
         rows.push(format!(
-            "    {{\"shards\": {s}, \"full_refresh_ns\": {full_ns}, \"full_refresh_sentences_per_s\": {throughput:.0}, \"incremental_refresh_ns\": {incr_ns}, \"store_rebuild_ns\": {rebuild_ns}, \"select_ns\": {select_ns}}}"
+            "    {{\"shards\": {s}, \"store_rebuild_ns\": {rebuild_ns}, \"select_ns\": {select_ns}}}"
         ));
     }
     g.finish();
-
-    // The pre-shard reference: one `predict` call per above-threshold
-    // sentence, interleaved with the scan (what `ScoreCache::refresh` did
-    // before the batch path).
-    let unbatched_ns = {
-        let cache = primed_incremental(&f, 1);
-        let scores: Vec<f32> = cache.scores().to_vec();
-        median_ns(10, || {
-            let mut out = 0f32;
-            for id in 0..f.n as u32 {
-                if scores[id as usize] >= cache.threshold {
-                    out += f.clf.predict(&f.corpus, &f.emb, id);
-                }
-            }
-            out
-        })
-    };
-    println!("unbatched incremental reference: {unbatched_ns} ns");
+    assert!(
+        picks.windows(2).all(|w| w[0] == w[1]),
+        "selection diverged across shard counts"
+    );
 
     let json = format!(
-        "{{\n  \"bench\": \"shard_refresh_20k\",\n  \"corpus_sentences\": {},\n  \"candidate_rules\": {},\n  \"host_threads\": {},\n  \"unbatched_incremental_ns\": {},\n  \"per_shard_count\": [\n{}\n  ],\n  \"scores_bit_identical_across_shard_counts\": true\n}}\n",
+        "{{\n  \"bench\": \"shard_store_20k\",\n  \"corpus_sentences\": {},\n  \"candidate_rules\": {},\n  \"host_threads\": {},\n  \"per_shard_count\": [\n{}\n  ],\n  \"selection_identical_across_shard_counts\": true\n}}\n",
         f.n,
         hierarchy.len(),
         f.host_threads,
-        unbatched_ns,
         rows.join(",\n")
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_shard.json");

@@ -6,8 +6,8 @@ use darwin_text::{Corpus, Embeddings};
 
 /// A binary short-text classifier ("Any short text classifier would be
 /// ideal for this task", paper §3.3 footnote). `Sync` because prediction
-/// is `&self` and the sharded [`crate::ScoreCache`] fans shard batches out
-/// across threads against one shared classifier.
+/// is `&self` and [`crate::ScoreCache`] fans id chunks out across threads
+/// against one shared classifier.
 pub trait TextClassifier: Send + Sync {
     /// Train from scratch on positive ids vs. negative ids.
     fn fit(&mut self, corpus: &Corpus, emb: &Embeddings, pos: &[u32], neg: &[u32]);
@@ -22,8 +22,8 @@ pub trait TextClassifier: Send + Sync {
     }
 
     /// P(positive) for each id in `ids`, appended to `out` in `ids` order.
-    /// This is the unit of work of the sharded [`crate::ScoreCache`]: one
-    /// call per shard, concatenated in shard order, must reproduce
+    /// This is the unit of work of [`crate::ScoreCache`]: one call per
+    /// worker chunk, concatenated in chunk order, must reproduce
     /// [`TextClassifier::predict_all`] bit for bit — implementations that
     /// override either method must keep per-id scores identical across all
     /// three entry points.

@@ -1,4 +1,4 @@
-//! Incremental corpus re-scoring (the §4.5 optimization), sharded.
+//! Incremental corpus re-scoring (the §4.5 optimization).
 //!
 //! The pipeline's bottleneck is "the time taken by the classifier to make a
 //! prediction for all instances in the corpus". The paper's optimization:
@@ -6,28 +6,17 @@
 //! exceeded a confidence threshold (default 0.3), and re-score everything
 //! every third round. This cut the professions runtime from 2h45m to 65m.
 //!
-//! On top of that, every prediction pass here is *sharded*: the id space is
-//! split into `S` contiguous ranges and each shard's sentences are scored
-//! as one [`TextClassifier::predict_batch`] call — shard-parallel when
-//! `threads > 1`, and batch-at-a-time even when sequential (the batch entry
-//! point lets classifiers reuse feature buffers instead of paying a fresh
-//! allocation per sentence, the cost of the old one-sentence-at-a-time
-//! loop). Shards are an execution detail only: per-shard outputs are
-//! concatenated in shard order and per-id predictions are pure, so scores
-//! are bit-identical for every shard and thread count.
+//! The paper says which ids a pass touches, not how the pass is
+//! partitioned. Here the sorted id list is split into `threads` contiguous
+//! chunks, each scored as one [`TextClassifier::predict_batch`] call (the
+//! batch entry point lets classifiers reuse feature buffers instead of
+//! paying a fresh allocation per sentence) and the outputs joined in chunk
+//! order. Per-id predictions are pure, so every contiguous split yields
+//! bit-identical scores: the thread count is a pure performance knob.
 
 use crate::model::TextClassifier;
+use darwin_text::fanout::map_chunks;
 use darwin_text::{Corpus, Embeddings};
-use rayon::prelude::*;
-
-/// Slice of a sorted id list restricted to `[lo, hi)` (the classifier crate
-/// sits below `darwin-index`, so it carries its own two-binary-search
-/// helper rather than depending on `ShardMap`).
-fn id_slice(ids: &[u32], lo: u32, hi: u32) -> &[u32] {
-    let a = ids.partition_point(|&s| s < lo);
-    let b = ids.partition_point(|&s| s < hi);
-    &ids[a..b]
-}
 
 /// Cached per-sentence positive probabilities with selective refresh.
 ///
@@ -49,10 +38,9 @@ fn id_slice(ids: &[u32], lo: u32, hi: u32) -> &[u32] {
 /// with the positive set alone, so its invalidation tracks `P`, never
 /// scores.)
 ///
-/// The change journal is sorted by id, and shards are contiguous id
-/// ranges, so a shard's journal is a contiguous run of the flat journal —
-/// [`ScoreCache::changes_in`] hands a shard coordinator its slice with two
-/// binary searches.
+/// The change journal is sorted by id, so a shard coordinator that owns
+/// contiguous id ranges slices it into per-shard runs with two binary
+/// searches per shard.
 pub struct ScoreCache {
     scores: Vec<f32>,
     round: u32,
@@ -64,13 +52,6 @@ pub struct ScoreCache {
     pub incremental: bool,
     shards: usize,
     threads: usize,
-    /// Coordinator-supplied shard ranges (`[lo, hi)` per shard). When set,
-    /// these — not a locally re-derived `⌈n/S⌉` split — bound every
-    /// sharded prediction pass, so the cache can never drift from the
-    /// `darwin_index::ShardMap` that owns the partition (this crate sits
-    /// below darwin-index and cannot name the type, so the ranges are
-    /// threaded in as plain pairs).
-    ranges: Option<Vec<(u32, u32)>>,
     refreshed_last_round: usize,
     epoch: u64,
     last_was_full: bool,
@@ -105,7 +86,6 @@ impl ScoreCache {
             incremental: true,
             shards: 1,
             threads: 1,
-            ranges: None,
             refreshed_last_round: 0,
             epoch: 0,
             last_was_full: false,
@@ -121,47 +101,21 @@ impl ScoreCache {
         }
     }
 
-    /// Split prediction passes into `shards` contiguous id ranges (1 =
-    /// unsharded). Scores are bit-identical for every shard count.
+    /// Record a shard count. Kept for source compatibility only: it no
+    /// longer affects any prediction pass — the pass is split by
+    /// [`ScoreCache::with_threads`] alone, and scores were bit-identical
+    /// for every shard count by contract, so no caller can observe the
+    /// difference.
     pub fn with_shards(mut self, shards: usize) -> ScoreCache {
         self.shards = shards.max(1);
         self
     }
 
-    /// Worker threads for shard-parallel prediction passes (1 =
-    /// sequential). Scores are bit-identical for every thread count.
+    /// Worker threads for prediction passes (1 = sequential): the ids of
+    /// a pass are split into this many contiguous chunks. Scores are
+    /// bit-identical for every thread count.
     pub fn with_threads(mut self, threads: usize) -> ScoreCache {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Adopt the coordinator's shard partition: `ranges[s]` is the
-    /// `[lo, hi)` id range shard `s` owns. The ranges must tile `0..n`
-    /// contiguously (the `ShardMap` contract). Once set, sharded
-    /// prediction passes split on these bounds instead of re-deriving a
-    /// `⌈n/S⌉` split locally — the split that silently disagreed with a
-    /// mid-run grown `ShardMap`. Per-id predictions are pure, so *any*
-    /// contiguous tiling yields bit-identical scores; threading the real
-    /// one in makes journal slices and prediction bounds one partition.
-    pub fn set_shard_ranges(&mut self, ranges: Vec<(u32, u32)>) {
-        let n = self.scores.len() as u32;
-        assert!(!ranges.is_empty(), "at least one shard range required");
-        let mut cursor = 0u32;
-        for &(lo, hi) in &ranges {
-            assert!(
-                lo == cursor && hi >= lo,
-                "ranges must tile 0..n contiguously"
-            );
-            cursor = hi;
-        }
-        assert_eq!(cursor, n, "ranges must cover exactly 0..{n}");
-        self.shards = ranges.len();
-        self.ranges = Some(ranges);
-    }
-
-    /// Builder form of [`ScoreCache::set_shard_ranges`].
-    pub fn with_shard_ranges(mut self, ranges: Vec<(u32, u32)>) -> ScoreCache {
-        self.set_shard_ranges(ranges);
         self
     }
 
@@ -169,22 +123,20 @@ impl ScoreCache {
     ///
     /// New ids enter at the 0.5 neutral prior — the same epistemic state
     /// every id starts a run in — and are journaled as `(id, 0.5, 0.5)`
-    /// movements so shard coordinators replaying [`ScoreCache::changes_in`]
-    /// see them (the journal stays id-sorted because appended ids are the
-    /// largest). They sit above the refresh threshold, so the next
-    /// incremental refresh scores them with the live classifier. Any
-    /// coordinator-supplied shard ranges are dropped: the grown partition
-    /// must be re-threaded from the grown `ShardMap`.
+    /// movements so shard coordinators replaying the journal see them (it
+    /// stays id-sorted because appended ids are the largest). They sit
+    /// above the refresh threshold, so the next incremental refresh scores
+    /// them with the live classifier.
     pub fn append(&mut self, added: usize) {
         let old_n = self.scores.len();
         self.scores.resize(old_n + added, 0.5);
         for id in old_n..old_n + added {
             self.changes.push((id as u32, 0.5, 0.5));
         }
-        self.ranges = None;
     }
 
-    /// Configured shard count.
+    /// The count recorded by [`ScoreCache::with_shards`] (compatibility
+    /// only).
     pub fn shards(&self) -> usize {
         self.shards
     }
@@ -222,47 +174,8 @@ impl ScoreCache {
         &self.changes
     }
 
-    /// The journal restricted to ids in `[lo, hi)` — a shard's view of
-    /// [`ScoreCache::last_changes`]. Contiguous because the journal is
-    /// id-sorted and shards own contiguous ranges.
-    pub fn changes_in(&self, lo: u32, hi: u32) -> &[(u32, f32, f32)] {
-        let a = self.changes.partition_point(|&(id, _, _)| id < lo);
-        let b = self.changes.partition_point(|&(id, _, _)| id < hi);
-        &self.changes[a..b]
-    }
-
-    /// Shard boundaries over the id space. Coordinator-supplied ranges
-    /// ([`ScoreCache::set_shard_ranges`]) when present; otherwise the
-    /// fresh-map `⌈n / S⌉` split — identical to `darwin_index::ShardMap`
-    /// at construction, but only the threaded ranges track a map grown
-    /// mid-epoch, so coordinators must thread theirs in.
-    fn shard_bounds(&self) -> Vec<(u32, u32)> {
-        if let Some(ranges) = &self.ranges {
-            return ranges.clone();
-        }
-        let n = self.scores.len() as u32;
-        let chunk = n.div_ceil(self.shards as u32).max(1);
-        (0..self.shards as u32)
-            .map(|s| {
-                let lo = (s * chunk).min(n);
-                let hi = if s + 1 == self.shards as u32 {
-                    n
-                } else {
-                    ((s + 1) * chunk).min(n)
-                };
-                (lo, hi)
-            })
-            .collect()
-    }
-
-    /// Predict the (sorted) `ids`, one `predict_batch` call per shard —
-    /// shard-parallel when configured. Output is in `ids` order.
-    ///
-    /// Effective parallelism is `min(shards, threads)` when sharded and
-    /// `threads` when unsharded: per-id predictions are pure, so *any*
-    /// contiguous partition of `ids` scored independently and concatenated
-    /// in order reproduces the single-batch pass bit for bit — shards need
-    /// not be the unit of parallelism.
+    /// Predict the (sorted) `ids`: one `predict_batch` call per worker
+    /// chunk, output in `ids` order.
     fn predict_ids(
         &self,
         clf: &dyn TextClassifier,
@@ -270,76 +183,17 @@ impl ScoreCache {
         emb: &Embeddings,
         ids: &[u32],
     ) -> Vec<f32> {
-        if self.shards <= 1 {
-            if self.threads > 1 && !ids.is_empty() {
-                let chunk = ids.len().div_ceil(self.threads);
-                let parts: Vec<Vec<f32>> = ids
-                    .par_chunks(chunk)
-                    .map(|chunk_ids| {
-                        let mut out = Vec::with_capacity(chunk_ids.len());
-                        clf.predict_batch(corpus, emb, chunk_ids, &mut out);
-                        out
-                    })
-                    .collect();
-                let mut out = Vec::with_capacity(ids.len());
-                for part in parts {
-                    out.extend_from_slice(&part);
-                }
-                return out;
-            }
-            let mut out = Vec::with_capacity(ids.len());
-            clf.predict_batch(corpus, emb, ids, &mut out);
-            return out;
-        }
-        let slices: Vec<&[u32]> = self
-            .shard_bounds()
-            .into_iter()
-            .map(|(lo, hi)| id_slice(ids, lo, hi))
-            .collect();
-        let parts: Vec<Vec<f32>> = if self.threads > 1 {
-            // One chunk of shards per configured worker: the rayon shim
-            // (and real rayon) won't use more threads than there are
-            // chunks, so `threads` is an effective upper bound.
-            let chunk = slices.len().div_ceil(self.threads);
-            slices
-                .par_chunks(chunk)
-                .map(|group| {
-                    group
-                        .iter()
-                        .map(|ids| {
-                            let mut out = Vec::with_capacity(ids.len());
-                            clf.predict_batch(corpus, emb, ids, &mut out);
-                            out
-                        })
-                        .collect::<Vec<_>>()
-                })
-                .collect::<Vec<_>>()
-                .into_iter()
-                .flatten()
-                .collect()
-        } else {
-            slices
-                .iter()
-                .map(|ids| {
-                    let mut out = Vec::with_capacity(ids.len());
-                    clf.predict_batch(corpus, emb, ids, &mut out);
-                    out
-                })
-                .collect()
-        };
-        // Shards are contiguous and `ids` is sorted, so concatenating in
-        // shard order restores `ids` order exactly.
-        let mut out = Vec::with_capacity(ids.len());
-        for part in parts {
-            out.extend_from_slice(&part);
-        }
-        out
+        map_chunks(ids, self.threads, 0, |chunk| {
+            let mut out = Vec::with_capacity(chunk.len());
+            clf.predict_batch(corpus, emb, chunk, &mut out);
+            out
+        })
     }
 
     /// Capture the cache's refresh state as a plain-data image for
-    /// session snapshots. Execution knobs (`shards`, `threads`) are
-    /// deliberately absent: they are pure performance parameters, and a
-    /// resumed session may legally run with different ones.
+    /// session snapshots. The thread count is deliberately absent: it is a
+    /// pure performance parameter, and a resumed session may legally run
+    /// with a different one.
     pub fn export(&self) -> ScoreImage {
         ScoreImage {
             scores: self.scores.clone(),
@@ -354,9 +208,9 @@ impl ScoreCache {
         }
     }
 
-    /// Rebuild a cache from an exported image (sequential, unsharded —
-    /// apply [`ScoreCache::with_shards`] / [`ScoreCache::with_threads`]
-    /// for the new deployment). The refresh cadence continues exactly
+    /// Rebuild a cache from an exported image (sequential — apply
+    /// [`ScoreCache::with_threads`] for the new deployment). The refresh
+    /// cadence continues exactly
     /// where the exporter stopped: `round` drives the full-vs-incremental
     /// decision, so a resumed run schedules its next full pass on the same
     /// retrain as the uninterrupted one.
@@ -369,7 +223,6 @@ impl ScoreCache {
             incremental: img.incremental,
             shards: 1,
             threads: 1,
-            ranges: None,
             refreshed_last_round: img.refreshed_last_round as usize,
             epoch: img.epoch,
             last_was_full: img.last_was_full,
@@ -386,7 +239,7 @@ impl ScoreCache {
         self.changes.clear();
         self.last_was_full = full;
         if full {
-            if self.shards <= 1 && self.threads <= 1 {
+            if self.threads <= 1 {
                 let mut out = Vec::with_capacity(self.scores.len());
                 clf.predict_all(corpus, emb, &mut out);
                 self.scores = out;
@@ -398,8 +251,8 @@ impl ScoreCache {
             self.epoch += 1;
         } else {
             // §4.5 selective refresh, batched: collect the above-threshold
-            // ids first, then score them through the same shard-parallel
-            // batch path as a full pass — instead of interleaving the scan
+            // ids first, then score them through the same chunked batch
+            // path as a threaded full pass — instead of interleaving the scan
             // with one `predict` call per sentence.
             let ids: Vec<u32> = (0..self.scores.len() as u32)
                 .filter(|&id| self.scores[id as usize] >= self.threshold)
@@ -540,8 +393,8 @@ mod tests {
         }
     }
 
-    /// Shard and thread count are execution details: every configuration
-    /// must produce bit-identical scores and journals through full and
+    /// The thread count is an execution detail: every configuration must
+    /// produce bit-identical scores and journals through full and
     /// incremental rounds alike.
     #[test]
     fn sharded_refresh_is_bit_identical_to_unsharded() {
@@ -554,56 +407,93 @@ mod tests {
         clf.fit(&c, &e, &[0, 2, 4, 6, 8], &[1, 3, 5, 7, 9]);
         reference.refresh(clf.as_ref(), &c, &e); // incremental
 
-        for shards in [1usize, 2, 3, 7, 64] {
-            for threads in [1usize, 4] {
-                let mut clf = ClassifierKind::logreg().build(&e, 1);
-                clf.fit(&c, &e, &[0, 2, 4], &[1, 3, 5]);
-                let mut cache = ScoreCache::new(c.len())
-                    .with_shards(shards)
-                    .with_threads(threads);
-                cache.full_every = 100;
-                cache.refresh(clf.as_ref(), &c, &e);
-                clf.fit(&c, &e, &[0, 2, 4, 6, 8], &[1, 3, 5, 7, 9]);
-                cache.refresh(clf.as_ref(), &c, &e);
-                assert_eq!(
-                    cache.scores(),
-                    reference.scores(),
-                    "S={shards} T={threads}: scores diverged"
-                );
-                assert_eq!(
-                    cache.last_changes(),
-                    reference.last_changes(),
-                    "S={shards} T={threads}: journals diverged"
-                );
-                assert_eq!(cache.last_refresh_size(), reference.last_refresh_size());
-            }
+        for threads in [1usize, 2, 3, 7] {
+            let mut clf = ClassifierKind::logreg().build(&e, 1);
+            clf.fit(&c, &e, &[0, 2, 4], &[1, 3, 5]);
+            let mut cache = ScoreCache::new(c.len()).with_threads(threads);
+            cache.full_every = 100;
+            cache.refresh(clf.as_ref(), &c, &e);
+            clf.fit(&c, &e, &[0, 2, 4, 6, 8], &[1, 3, 5, 7, 9]);
+            cache.refresh(clf.as_ref(), &c, &e);
+            assert_eq!(
+                cache.scores(),
+                reference.scores(),
+                "T={threads}: scores diverged"
+            );
+            assert_eq!(
+                cache.last_changes(),
+                reference.last_changes(),
+                "T={threads}: journals diverged"
+            );
+            assert_eq!(cache.last_refresh_size(), reference.last_refresh_size());
         }
     }
 
-    #[test]
-    fn changes_in_tiles_the_journal() {
-        let (c, e) = setup();
-        let mut clf = ClassifierKind::logreg().build(&e, 1);
-        clf.fit(&c, &e, &[0, 2, 4], &[1, 3, 5]);
-        let mut cache = ScoreCache::new(c.len()).with_shards(4);
-        cache.full_every = 100;
-        cache.refresh(clf.as_ref(), &c, &e);
-        clf.fit(&c, &e, &[0, 2, 4, 6, 8], &[1, 3, 5, 7, 9]);
-        cache.refresh(clf.as_ref(), &c, &e);
-        assert!(
-            !cache.last_changes().is_empty(),
-            "retraining must move some scores"
-        );
-        // Journal is sorted by id, and range views tile it exactly.
-        let ids: Vec<u32> = cache.last_changes().iter().map(|&(id, _, _)| id).collect();
-        assert!(ids.windows(2).all(|w| w[0] < w[1]), "journal sorted");
-        let n = c.len() as u32;
-        let mut rebuilt = Vec::new();
-        for lo in (0..n).step_by(10) {
-            rebuilt.extend_from_slice(cache.changes_in(lo, (lo + 10).min(n)));
+    /// A stub whose score depends only on `(id, generation)` and which
+    /// counts its `predict_batch` calls.
+    struct Counting {
+        generation: u32,
+        batches: std::sync::atomic::AtomicUsize,
+    }
+
+    impl TextClassifier for Counting {
+        fn fit(&mut self, _: &Corpus, _: &Embeddings, _: &[u32], _: &[u32]) {
+            self.generation += 1;
         }
-        assert_eq!(rebuilt, cache.last_changes());
-        assert_eq!(cache.changes_in(0, n), cache.last_changes());
+
+        fn predict(&self, _: &Corpus, _: &Embeddings, id: u32) -> f32 {
+            // Ids divisible by 4 fall under the 0.3 threshold; the rest
+            // stay above it and move with every generation.
+            if id.is_multiple_of(4) {
+                0.1
+            } else {
+                0.4 + 0.01 * self.generation as f32 + 0.001 * id as f32
+            }
+        }
+
+        fn predict_batch(&self, c: &Corpus, e: &Embeddings, ids: &[u32], out: &mut Vec<f32>) {
+            self.batches
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            out.extend(ids.iter().map(|&id| self.predict(c, e, id)));
+        }
+    }
+
+    /// One pass, one split: an incremental refresh issues one
+    /// `predict_batch` call per worker chunk — `threads` of them, whatever
+    /// shard count was recorded — and the result equals the sequential
+    /// cache's.
+    #[test]
+    fn incremental_refresh_issues_one_batch_per_thread() {
+        use std::sync::atomic::Ordering;
+        let (c, e) = setup();
+        let run = |threads: usize| {
+            let mut clf = Counting {
+                generation: 0,
+                batches: Default::default(),
+            };
+            let mut cache = ScoreCache::new(c.len())
+                .with_shards(7)
+                .with_threads(threads);
+            cache.full_every = 100;
+            cache.refresh(&clf, &c, &e); // round 1: full
+            clf.fit(&c, &e, &[], &[]);
+            clf.batches.store(0, Ordering::Relaxed);
+            cache.refresh(&clf, &c, &e); // round 2: incremental
+            assert!(!cache.last_refresh_was_full());
+            (cache, clf.batches.into_inner())
+        };
+        let (reference, calls) = run(1);
+        assert_eq!(calls, 1);
+        // 40 sentences, every fourth below threshold: 30 ids re-scored.
+        assert_eq!(reference.last_refresh_size(), 30);
+        assert_eq!(reference.last_changes().len(), 30);
+        for threads in [2usize, 3] {
+            let (cache, calls) = run(threads);
+            assert_eq!(calls, threads, "T={threads}: one batch per worker chunk");
+            assert_eq!(cache.scores(), reference.scores(), "T={threads}");
+            assert_eq!(cache.last_changes(), reference.last_changes());
+            assert_eq!(cache.last_refresh_size(), 30);
+        }
     }
 
     /// An exported-then-imported cache must continue the refresh cadence
@@ -628,9 +518,7 @@ mod tests {
             reference.refresh(clf.as_ref(), &c, &e);
             live.refresh(clf.as_ref(), &c, &e);
         }
-        let mut resumed = ScoreCache::import(&live.export())
-            .with_shards(2)
-            .with_threads(2);
+        let mut resumed = ScoreCache::import(&live.export()).with_threads(2);
         assert_eq!(resumed.epoch(), live.epoch());
         for (pos, neg) in &sets[2..] {
             clf.fit(&c, &e, pos, neg);
@@ -644,39 +532,6 @@ mod tests {
             assert_eq!(resumed.last_changes(), reference.last_changes());
         }
         assert_eq!(resumed.epoch(), reference.epoch());
-    }
-
-    /// Satellite pin: threaded coordinator ranges must drive sharded
-    /// prediction and stay bit-identical to the locally-derived split —
-    /// including on a *grown* id space, where the epoch-frozen map's
-    /// ranges no longer match a fresh `⌈n/S⌉` derivation.
-    #[test]
-    fn threaded_shard_ranges_agree_on_grown_corpora() {
-        let (c, e) = setup();
-        let n = c.len() as u32;
-        let mut clf = ClassifierKind::logreg().build(&e, 1);
-        clf.fit(&c, &e, &[0, 2, 4], &[1, 3, 5]);
-        let mut reference = ScoreCache::new(c.len());
-        reference.full_every = 100;
-        reference.refresh(clf.as_ref(), &c, &e);
-
-        // Epoch-frozen grown partition: a 4-shard map built when the
-        // corpus was 12 sentences (chunk 3), grown to n — the last shard
-        // owns [9, n), which no fresh split of n would produce.
-        let grown = vec![(0u32, 3u32), (3, 6), (6, 9), (9, n)];
-        let mut cache = ScoreCache::new(c.len())
-            .with_threads(2)
-            .with_shard_ranges(grown);
-        cache.full_every = 100;
-        cache.refresh(clf.as_ref(), &c, &e);
-        assert_eq!(cache.scores(), reference.scores());
-        assert_eq!(cache.shards(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "tile 0..n")]
-    fn shard_ranges_that_do_not_tile_are_rejected() {
-        let _ = ScoreCache::new(10).with_shard_ranges(vec![(0, 4), (5, 10)]);
     }
 
     /// Appended ids enter at the 0.5 prior, are journaled, sit above the
@@ -705,15 +560,16 @@ mod tests {
         cache.append(3);
         assert_eq!(cache.scores().len(), c.len());
         assert!(cache.scores()[c.len() - 3..].iter().all(|&s| s == 0.5));
-        // New ids journaled, id-sorted, visible through changes_in.
+        // New ids journaled, id-sorted.
         let tail = &cache.last_changes()[journal_before..];
-        assert_eq!(tail.len(), 3);
+        let first_new = c.len() as u32 - 3;
+        assert_eq!(
+            tail,
+            [0, 1, 2].map(|k| (first_new + k, 0.5, 0.5)),
+            "appended ids journaled at the prior"
+        );
         let ids: Vec<u32> = cache.last_changes().iter().map(|&(id, _, _)| id).collect();
         assert!(ids.windows(2).all(|w| w[0] < w[1]), "journal stays sorted");
-        assert_eq!(
-            cache.changes_in(c.len() as u32 - 3, c.len() as u32).len(),
-            3
-        );
         // The next incremental refresh re-scores them (0.5 >= threshold).
         cache.refresh(clf.as_ref(), &c, &e);
         assert!(!cache.last_refresh_was_full());

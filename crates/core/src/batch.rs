@@ -153,11 +153,6 @@ impl AdaptiveBatcher {
         }
     }
 
-    /// The policy being executed.
-    pub fn policy(&self) -> &BatchPolicy {
-        &self.policy
-    }
-
     /// Target in-flight size for the next wave.
     pub fn wave_size(&self) -> usize {
         match self.policy {

@@ -26,8 +26,8 @@ impl TraversalKind {
     }
 }
 
-/// How multi-shard *remote* operations are driven (local partitions
-/// shard-parallel through [`DarwinConfig::threads`] instead). Replies
+/// How multi-shard *remote* operations are driven (local partitions are
+/// visited in shard order, each using [`DarwinConfig::threads`]). Replies
 /// fold in fixed shard order under both settings, so the knob never
 /// changes a run's output — only how many round-trip latencies a
 /// broadcast costs.
@@ -92,15 +92,16 @@ pub struct DarwinConfig {
     /// bit-identical to cold starts; `false` keeps the from-scratch
     /// reference path alive for the equivalence proof.
     pub warm_start: bool,
-    /// Worker threads for the engine's aggregate rebuild after a full
-    /// re-score epoch and for shard-parallel score refreshes
-    /// (1 = sequential).
+    /// Worker threads — the one local parallelism axis: score refreshes
+    /// and benefit-aggregate tracking/rebuilds split their work into this
+    /// many contiguous chunks (1 = sequential).
     pub threads: usize,
     /// Corpus shards: sentence ids are partitioned into this many
-    /// contiguous ranges, each with its own score-refresh batches and
-    /// benefit-aggregate partition; selection merges the per-shard
-    /// fragments exactly (fixed-point sums), so every shard count selects
-    /// the identical question sequence. 1 = the unsharded reference path.
+    /// contiguous ranges, each with its own benefit-aggregate partition
+    /// (a local span store or a remote worker); selection merges the
+    /// per-shard fragments exactly (fixed-point sums), so every shard
+    /// count selects the identical question sequence. 1 = the unsharded
+    /// reference path.
     pub shards: usize,
     /// How the question loop sizes its waves of in-flight oracle
     /// questions under the async entry points

@@ -45,6 +45,7 @@ use darwin_classifier::{ScoreCache, TextClassifier};
 use darwin_grammar::Heuristic;
 use darwin_index::fx::{FxHashMap, FxHashSet};
 use darwin_index::{AppendDelta, IdSet, IndexSet, RuleRef, ShardMap};
+use darwin_text::fanout::map_chunks;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -378,31 +379,17 @@ impl BenefitStore {
     }
 }
 
-/// Map `f` over `items`, chunked one-per-worker when `threads > 1` and the
-/// batch is big enough to amortize thread spawns. Output preserves input
-/// order (the engine's determinism guarantee leans on this).
+/// Map `f` over `items`, one chunk per worker when `threads > 1` and the
+/// batch is big enough (64 items) to amortize thread spawns. Output
+/// preserves input order (the engine's determinism guarantee leans on
+/// this).
 fn parallel_batch<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
 where
     T: Sync,
     R: Send,
     F: Fn(&T) -> R + Sync,
 {
-    if threads > 1 && items.len() >= 64 {
-        use rayon::prelude::*;
-        // One chunk per configured worker: the shim (and real rayon) won't
-        // use more threads than there are chunks, so the configured count
-        // is an effective upper bound.
-        let chunk = items.len().div_ceil(threads);
-        items
-            .par_chunks(chunk)
-            .map(|part| part.iter().map(&f).collect::<Vec<R>>())
-            .collect::<Vec<_>>()
-            .into_iter()
-            .flatten()
-            .collect()
-    } else {
-        items.iter().map(&f).collect()
-    }
+    map_chunks(items, threads, 64, |part| part.iter().map(&f).collect())
 }
 
 /// The mutable run state the loop and every strategy share.
@@ -520,9 +507,9 @@ impl<'a> Engine<'a> {
     /// captured — the resume half of the durable-session contract.
     ///
     /// What is restored directly: the run state (`P`, queried/asked sets,
-    /// accepted/rejected, trace), the score cache image (re-sharded for
-    /// *this* deployment's `shards`/`threads` — pure perf knobs), the RNG
-    /// at its exact captured words, the frontier memo, the in-flight
+    /// accepted/rejected, trace), the score cache image (refreshed with
+    /// *this* deployment's `threads` — a pure perf knob), the RNG at its
+    /// exact captured words, the frontier memo, the in-flight
     /// question set and the seed handles. What is *re-derived*: the
     /// classifier (untrained — `fit` is a pure function of
     /// `(P, RNG draws, seed)`, so the next retrain reproduces the
@@ -624,7 +611,7 @@ impl<'a> Engine<'a> {
             darwin,
             state,
             clf,
-            cache: cache.with_shards(cfg.shards).with_threads(cfg.threads),
+            cache: cache.with_threads(cfg.threads),
             rng,
             hierarchy: Hierarchy::new(darwin.index(), Vec::new()),
             store: None,
@@ -1211,8 +1198,7 @@ impl<'a> Engine<'a> {
     /// 2. the benefit store folds the appended ids into every tracked
     ///    aggregate at that prior and extends its span/partition
     ///    ([`ShardedBenefitStore::on_corpus_appended`] — remote shards get
-    ///    the `CorpusAppend` frame), after which the grown partition is
-    ///    re-threaded into the cache's shard bounds;
+    ///    the `CorpusAppend` frame);
     /// 3. a corpus-mirroring classifier (wire worker) is forwarded the
     ///    growth;
     /// 4. the frontier memo folds the appended ids (`delta` carries the
@@ -1238,12 +1224,6 @@ impl<'a> Engine<'a> {
         self.cache.append(added);
         if let Some(store) = &mut self.store {
             let mut r = store.on_corpus_appended(corpus, texts, index, self.cache.scores());
-            let ranges = store
-                .shard_map()
-                .ranges()
-                .map(|r| (r.start, r.end))
-                .collect();
-            self.cache.set_shard_ranges(ranges);
             if r.is_ok() && delta.is_none() {
                 // Scratch-rebuild reference path: recompute every tracked
                 // aggregate from the grown (P, scores) instead of trusting

@@ -25,15 +25,15 @@
 //!   `ScoreCache::last_changes` invariant) is sliced into per-shard runs
 //!   with two binary searches per shard
 //!   ([`ShardedBenefitStore::on_scores_changed`]);
-//! * **fans bulk work out across shards** — local partitions shard-parallel
-//!   when `threads > 1`; remote partitions are driven per the configured
-//!   [`Fanout`]: one blocking round trip per shard (`Sequential`, the
-//!   reference trace) or all requests issued first and the replies joined
-//!   in fixed shard order (`Concurrent`, so `S` network round trips
-//!   overlap into roughly one). Shard-invariant request bodies (tracking
-//!   lists, retain lists, audits) are encoded *once* and broadcast;
-//!   per-shard bodies (journal runs) are sliced out of one encoded
-//!   buffer. The fold order is the fixed shard order under both
+//! * **fans bulk work out across shards** — local partitions are visited
+//!   in shard order, each splitting its own work over the whole `threads`
+//!   budget (one level of parallelism); remote partitions are driven per
+//!   the configured [`Fanout`]: one blocking round trip per shard
+//!   (`Sequential`, the reference trace) or all requests issued first and
+//!   the replies joined in fixed shard order (`Concurrent`, so `S` network
+//!   round trips overlap into roughly one). Shard-invariant request
+//!   bodies (tracking lists, retain lists) are encoded *once* and
+//!   broadcast. The fold order is the fixed shard order under both
 //!   settings, so the knob never changes any state;
 //! * **merges fragments exactly at read time** —
 //!   [`ShardedBenefitStore::benefit_of`] sums the per-shard fragments in
@@ -68,7 +68,7 @@ use crate::engine::{BenefitAgg, BenefitStore};
 use darwin_index::fx::FxHashMap;
 use darwin_index::{IdSet, IndexConfig, IndexSet, RuleRef, ShardMap};
 use darwin_text::Corpus;
-use darwin_wire::msg::{CorpusSlice, Response, ScoredRule, Session, WireAgg};
+use darwin_wire::msg::{tag, CorpusSlice, Response, ScoredRule, Session, WireAgg};
 use darwin_wire::{Encode, Transport, WireError};
 use std::sync::Arc;
 
@@ -94,25 +94,12 @@ pub(crate) fn agg_to_wire(a: &BenefitAgg) -> WireAgg {
     }
 }
 
-// Request tag bytes, as written by `darwin_wire::msg::Request::encode`.
-// The coordinator hand-assembles request bodies around these so a
-// shard-invariant payload is encoded once and broadcast, instead of
-// re-encoded per shard; `bodies_match_request_encoding` pins the
-// equivalence.
-const TAG_SHARD_INIT: u8 = 1;
-const TAG_TRACK: u8 = 2;
-const TAG_TRACK_SCORED: u8 = 3;
-const TAG_REBUILD: u8 = 4;
-const TAG_RETAIN: u8 = 5;
-const TAG_POSITIVES_ADDED: u8 = 6;
-const TAG_SCORES_CHANGED: u8 = 7;
-const TAG_FRAGMENTS: u8 = 8;
-const TAG_SHUTDOWN: u8 = 14;
-const TAG_CORPUS_APPEND: u8 = 15;
-
 /// `tag` + the `Vec<T>` wire encoding of `items` — byte-identical to
-/// encoding the corresponding single-field [`Request`] variant, without
-/// cloning `items` into one.
+/// encoding the corresponding single-field `Request` variant, without
+/// cloning `items` into one. The coordinator hand-assembles request bodies
+/// so a shard-invariant payload is encoded once and broadcast instead of
+/// re-encoded per shard; `bodies_match_request_encoding` pins the
+/// equivalence.
 fn body_of<T: Encode>(tag: u8, items: &[T]) -> Vec<u8> {
     let mut out = vec![tag];
     (items.len() as u32).encode(&mut out);
@@ -146,6 +133,7 @@ fn expect_ack(resp: Response, what: &str) -> Result<(), WireError> {
 /// worker's reply confirms the request was applied — never before: a
 /// failed request must leave the mirrors at the worker's last confirmed
 /// state, so a reconnect can rebuild the worker from them and replay.
+#[derive(Clone)]
 enum Post {
     None,
     /// New positive ids (merged into the sorted span-positives mirror).
@@ -172,6 +160,47 @@ enum Post {
 struct Pending {
     body: Vec<u8>,
     post: Post,
+}
+
+// One builder per mutating request: its encoded body and the mirror
+// update its success implies. Both the per-shard `RemoteShard` methods and
+// the store's broadcasts go through these.
+
+fn track_req(rules: &[RuleRef]) -> (Vec<u8>, Post) {
+    (body_of(tag::TRACK, rules), Post::None)
+}
+
+fn track_scored_req(cands: &[Candidate]) -> (Vec<u8>, Post) {
+    let cands: Vec<ScoredRule> = cands
+        .iter()
+        .map(|c| ScoredRule {
+            rule: c.rule,
+            overlap: c.overlap as u64,
+            count: c.count as u64,
+        })
+        .collect();
+    (body_of(tag::TRACK_SCORED, &cands), Post::None)
+}
+
+/// `span` is the receiving shard's slice of the new scores.
+fn rebuild_req(span: &[f32]) -> (Vec<u8>, Post) {
+    (body_of(tag::REBUILD, span), Post::Rebuild(span.to_vec()))
+}
+
+/// `kept` must be sorted (the mirror prune binary-searches it).
+fn retain_req(kept: Vec<RuleRef>) -> (Vec<u8>, Post) {
+    (body_of(tag::RETAIN, &kept), Post::Retain(Arc::new(kept)))
+}
+
+/// `ids` must all lie in the receiving shard's span.
+fn positives_added_req(ids: Vec<u32>) -> (Vec<u8>, Post) {
+    (body_of(tag::POSITIVES_ADDED, &ids), Post::Positives(ids))
+}
+
+/// `changes` is the receiving shard's run of the id-sorted journal.
+fn scores_changed_req(changes: &[(u32, f32, f32)]) -> (Vec<u8>, Post) {
+    let writes = changes.iter().map(|&(id, _, new)| (id, new)).collect();
+    (body_of(tag::SCORES_CHANGED, changes), Post::Scores(writes))
 }
 
 /// Coordinator-side handle to a shard partition living in a worker behind
@@ -269,7 +298,7 @@ impl RemoteShard {
     /// to encoding [`Request::ShardInit`] with the same fields.
     fn init_body(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(1 + self.prefix.len() + 16 + 4 * self.scores.len());
-        out.push(TAG_SHARD_INIT);
+        out.push(tag::SHARD_INIT);
         out.extend_from_slice(&self.prefix);
         self.lo.encode(&mut out);
         self.hi.encode(&mut out);
@@ -349,7 +378,7 @@ impl RemoteShard {
     }
 
     /// A mutating exchange, whole: begin + finish.
-    fn mutate(&mut self, body: Vec<u8>, post: Post) -> Result<(), WireError> {
+    fn mutate(&mut self, (body, post): (Vec<u8>, Post)) -> Result<(), WireError> {
         self.begin(body, post)?;
         self.finish()
     }
@@ -431,7 +460,7 @@ impl RemoteShard {
         let mut rules: Vec<RuleRef> = self.mirror.keys().copied().collect();
         rules.sort_unstable();
         if !rules.is_empty() {
-            let resp = self.call_encoded(&body_of(TAG_TRACK, &rules))?;
+            let resp = self.call_encoded(&track_req(&rules).0)?;
             self.fold(resp)?;
         }
         if let Some(p) = self.pending.take() {
@@ -443,44 +472,44 @@ impl RemoteShard {
 
     /// Track `rules` (the worker computes fragments for the missing ones).
     pub fn track(&mut self, rules: &[RuleRef]) -> Result<(), WireError> {
-        self.mutate(body_of(TAG_TRACK, rules), Post::None)
+        self.mutate(track_req(rules))
     }
 
     /// Track freshly generated candidates, statistics attached.
     pub fn track_scored(&mut self, cands: &[Candidate]) -> Result<(), WireError> {
-        let cands: Vec<ScoredRule> = cands.iter().map(scored_rule).collect();
-        self.mutate(body_of(TAG_TRACK_SCORED, &cands), Post::None)
+        self.mutate(track_scored_req(cands))
     }
 
     /// Full re-score epoch: ship the span's new scores, the worker
     /// rebuilds every fragment and replies with all of them.
     pub fn rebuild(&mut self, full_scores: &[f32]) -> Result<(), WireError> {
-        let span = &full_scores[self.lo as usize..self.hi as usize];
-        self.mutate(body_of(TAG_REBUILD, span), Post::Rebuild(span.to_vec()))
+        self.mutate(rebuild_req(
+            &full_scores[self.lo as usize..self.hi as usize],
+        ))
+    }
+
+    /// The mirrored rules satisfying `keep`, sorted.
+    fn kept(&self, keep: impl Fn(RuleRef) -> bool) -> Vec<RuleRef> {
+        let mut kept: Vec<RuleRef> = self.mirror.keys().copied().filter(|&r| keep(r)).collect();
+        kept.sort_unstable();
+        kept
     }
 
     /// Drop fragments for rules not satisfying `keep`, on both sides.
     pub fn retain(&mut self, keep: impl Fn(RuleRef) -> bool) -> Result<(), WireError> {
-        let mut kept: Vec<RuleRef> = self.mirror.keys().copied().filter(|&r| keep(r)).collect();
-        kept.sort_unstable();
-        let body = body_of(TAG_RETAIN, &kept);
-        self.mutate(body, Post::Retain(Arc::new(kept)))
+        self.mutate(retain_req(self.kept(keep)))
     }
 
     /// `P` grew by `ids` (all owned by this shard, pre-retrain scores
     /// still current on the worker).
     pub fn on_positives_added(&mut self, ids: &[u32]) -> Result<(), WireError> {
         debug_assert!(ids.iter().all(|&id| self.lo <= id && id < self.hi));
-        self.mutate(
-            body_of(TAG_POSITIVES_ADDED, ids),
-            Post::Positives(ids.to_vec()),
-        )
+        self.mutate(positives_added_req(ids.to_vec()))
     }
 
     /// Ship this shard's slice of an incremental score journal.
     pub fn on_scores_changed(&mut self, changes: &[(u32, f32, f32)]) -> Result<(), WireError> {
-        let writes = changes.iter().map(|&(id, _, new)| (id, new)).collect();
-        self.mutate(body_of(TAG_SCORES_CHANGED, changes), Post::Scores(writes))
+        self.mutate(scores_changed_req(changes))
     }
 
     /// Send phase of an audit: request every mirrored rule's fragment,
@@ -489,7 +518,8 @@ impl RemoteShard {
     fn audit_begin(&mut self) -> Result<Vec<RuleRef>, WireError> {
         let mut rules: Vec<RuleRef> = self.mirror.keys().copied().collect();
         rules.sort_unstable();
-        self.session.send_encoded(&body_of(TAG_FRAGMENTS, &rules))?;
+        self.session
+            .send_encoded(&body_of(tag::FRAGMENTS, &rules))?;
         Ok(rules)
     }
 
@@ -519,19 +549,19 @@ impl RemoteShard {
         self.audit_finish(&rules)
     }
 
+    fn shutdown_begin(&mut self) -> Result<(), WireError> {
+        self.session.send_encoded(&[tag::SHUTDOWN])
+    }
+
+    fn shutdown_finish(&mut self) -> Result<(), WireError> {
+        expect_ack(self.session.recv_reply()?, "shutdown")
+    }
+
     /// Orderly worker teardown (dropping the transport also works — the
     /// worker exits on disconnect — but this confirms delivery).
     pub fn shutdown(mut self) -> Result<(), WireError> {
-        let resp = self.call_encoded(&[TAG_SHUTDOWN])?;
-        expect_ack(resp, "shutdown")
-    }
-}
-
-fn scored_rule(c: &Candidate) -> ScoredRule {
-    ScoredRule {
-        rule: c.rule,
-        overlap: c.overlap as u64,
-        count: c.count as u64,
+        self.shutdown_begin()?;
+        self.shutdown_finish()
     }
 }
 
@@ -564,9 +594,10 @@ impl Part {
     }
 }
 
-/// Drive one request across every remote partition. `payload(s)` builds
-/// shard `s`'s encoded body and post-state (`None` = the shard has no
-/// work in this operation, and no frame is sent).
+/// Drive one exchange across every remote partition. `begin(s, w)` sends
+/// shard `s`'s request and returns what the matching `finish` needs
+/// (`None` = the shard has no work in this operation, and no frame was
+/// sent); `finish` receives the reply and folds it.
 ///
 /// `Sequential` performs one blocking round trip per shard in shard
 /// order — the reference wire trace. `Concurrent` sends to every shard
@@ -576,51 +607,43 @@ impl Part {
 /// partial failure under `Concurrent`, the surviving shards are still
 /// joined (their replies drained) before the first error is returned —
 /// no reply is left buffered to be misattributed to a later request.
-fn fan_out(
+fn fan_out<T>(
     parts: &mut [Part],
     fanout: Fanout,
-    mut payload: impl FnMut(usize) -> Option<(Vec<u8>, Post)>,
+    mut begin: impl FnMut(usize, &mut RemoteShard) -> Result<Option<T>, WireError>,
+    mut finish: impl FnMut(&mut RemoteShard, T) -> Result<(), WireError>,
 ) -> Result<(), WireError> {
+    let remotes = parts.iter_mut().enumerate().filter_map(|(s, p)| match p {
+        Part::Remote(w) => Some((s, w)),
+        Part::Local(_) => None,
+    });
     match fanout {
         Fanout::Sequential => {
-            for (s, part) in parts.iter_mut().enumerate() {
-                if let Part::Remote(w) = part {
-                    if let Some((body, post)) = payload(s) {
-                        w.mutate(body, post)?;
-                    }
+            for (s, w) in remotes {
+                if let Some(t) = begin(s, w)? {
+                    finish(w, t)?;
                 }
             }
             Ok(())
         }
         Fanout::Concurrent => {
             let mut first_err: Option<WireError> = None;
-            let mut sent = vec![false; parts.len()];
-            for (s, part) in parts.iter_mut().enumerate() {
-                if let Part::Remote(w) = part {
-                    if let Some((body, post)) = payload(s) {
-                        match w.begin(body, post) {
-                            Ok(()) => sent[s] = true,
-                            Err(e) => {
-                                first_err.get_or_insert(e);
-                            }
-                        }
-                    }
-                }
-            }
-            for (s, part) in parts.iter_mut().enumerate() {
-                if !sent[s] {
-                    continue;
-                }
-                if let Part::Remote(w) = part {
-                    if let Err(e) = w.finish() {
+            let mut sent = Vec::new();
+            for (s, w) in remotes {
+                match begin(s, w) {
+                    Ok(Some(t)) => sent.push((w, t)),
+                    Ok(None) => {}
+                    Err(e) => {
                         first_err.get_or_insert(e);
                     }
                 }
             }
-            match first_err {
-                None => Ok(()),
-                Some(e) => Err(e),
+            for (w, t) in sent {
+                if let Err(e) = finish(w, t) {
+                    first_err.get_or_insert(e);
+                }
             }
+            first_err.map_or(Ok(()), Err)
         }
     }
 }
@@ -797,9 +820,40 @@ impl ShardedBenefitStore {
         }
     }
 
+    /// Drive one mutating request across every remote partition under
+    /// the poison discipline. `payload(s)` builds shard `s`'s encoded body
+    /// and post-state (`None` = the shard has no work in this operation).
+    fn broadcast(
+        &mut self,
+        mut payload: impl FnMut(usize) -> Option<(Vec<u8>, Post)>,
+    ) -> Result<(), WireError> {
+        self.guarded(|parts, fanout| {
+            fan_out(
+                parts,
+                fanout,
+                |s, w| {
+                    payload(s)
+                        .map(|(body, post)| w.begin(body, post))
+                        .transpose()
+                },
+                |w, ()| w.finish(),
+            )
+        })
+    }
+
+    /// The local partitions, in shard order. Bulk operations visit them
+    /// one after another and give each the whole `threads` budget for its
+    /// own chunking — one level of parallelism, not a fan-out across
+    /// stores with another inside each.
+    fn locals_mut(&mut self) -> impl Iterator<Item = &mut BenefitStore> {
+        self.parts.iter_mut().filter_map(|p| match p {
+            Part::Local(b) => Some(b),
+            Part::Remote(_) => None,
+        })
+    }
+
     /// Ensure every rule in `rules` has a fragment in every partition
-    /// (shard-parallel when local and `threads > 1`; encoded once and
-    /// broadcast when remote).
+    /// (encoded once and broadcast when remote).
     pub fn track(
         &mut self,
         rules: &[RuleRef],
@@ -809,14 +863,12 @@ impl ShardedBenefitStore {
         threads: usize,
     ) -> Result<(), WireError> {
         if self.is_remote() {
-            let body = body_of(TAG_TRACK, rules);
-            return self.guarded(|parts, fanout| {
-                fan_out(parts, fanout, |_| Some((body.clone(), Post::None)))
-            });
+            let req = track_req(rules);
+            return self.broadcast(|_| Some(req.clone()));
         }
-        self.for_each_local(threads, |part, intra_threads| {
-            part.track(rules.iter().copied(), index, p, scores, intra_threads)
-        });
+        for part in self.locals_mut() {
+            part.track(rules.iter().copied(), index, p, scores, threads);
+        }
         Ok(())
     }
 
@@ -832,21 +884,18 @@ impl ShardedBenefitStore {
         threads: usize,
     ) -> Result<(), WireError> {
         if self.is_remote() {
-            let cands: Vec<ScoredRule> = cands.iter().map(scored_rule).collect();
-            let body = body_of(TAG_TRACK_SCORED, &cands);
-            return self.guarded(|parts, fanout| {
-                fan_out(parts, fanout, |_| Some((body.clone(), Post::None)))
-            });
+            let req = track_scored_req(cands);
+            return self.broadcast(|_| Some(req.clone()));
         }
-        self.for_each_local(threads, |part, intra_threads| {
-            part.track_scored(cands, index, p, scores, intra_threads)
-        });
+        for part in self.locals_mut() {
+            part.track_scored(cands, index, p, scores, threads);
+        }
         Ok(())
     }
 
     /// Recompute every fragment from scratch after a full re-score epoch
-    /// (shard-parallel when local and `threads > 1`; remote workers
-    /// receive their span's new scores and rebuild on their side).
+    /// (remote workers receive their span's new scores and rebuild on
+    /// their side).
     pub fn rebuild(
         &mut self,
         index: &IndexSet,
@@ -856,46 +905,27 @@ impl ShardedBenefitStore {
     ) -> Result<(), WireError> {
         if self.is_remote() {
             let map = self.map.clone();
-            return self.guarded(|parts, fanout| {
-                fan_out(parts, fanout, |s| {
-                    let r = map.range(s);
-                    let span = &scores[r.start as usize..r.end as usize];
-                    Some((body_of(TAG_REBUILD, span), Post::Rebuild(span.to_vec())))
-                })
+            return self.broadcast(|s| {
+                let r = map.range(s);
+                Some(rebuild_req(&scores[r.start as usize..r.end as usize]))
             });
         }
-        self.for_each_local(threads, |part, intra_threads| {
-            part.rebuild(index, p, scores, intra_threads)
-        });
+        for part in self.locals_mut() {
+            part.rebuild(index, p, scores, threads);
+        }
         Ok(())
     }
 
     /// Drop fragments for rules not satisfying `keep`, in every partition.
     pub fn retain(&mut self, keep: impl Fn(RuleRef) -> bool + Sync) -> Result<(), WireError> {
-        if self.is_remote() {
-            return self.guarded(|parts, fanout| {
-                // Every partition tracks the same rule set, so the keep
-                // list (and its encoding) is computed once and shared.
-                let first = parts.iter().find_map(|p| match p {
-                    Part::Remote(w) => Some(w),
-                    Part::Local(_) => None,
-                });
-                let mut kept: Vec<RuleRef> = match first {
-                    Some(w) => w.mirror.keys().copied().filter(|&r| keep(r)).collect(),
-                    None => return Ok(()),
-                };
-                kept.sort_unstable();
-                let body = body_of(TAG_RETAIN, &kept);
-                let kept = Arc::new(kept);
-                fan_out(parts, fanout, |_| {
-                    Some((body.clone(), Post::Retain(kept.clone())))
-                })
-            });
+        if let Some(Part::Remote(first)) = self.parts.first() {
+            // Every partition tracks the same rule set, so the keep list
+            // (and its encoding) is computed once and shared.
+            let req = retain_req(first.kept(&keep));
+            return self.broadcast(|_| Some(req.clone()));
         }
-        for part in &mut self.parts {
-            if let Part::Local(b) = part {
-                b.retain(&keep);
-            }
+        for part in self.locals_mut() {
+            part.retain(&keep);
         }
         Ok(())
     }
@@ -911,20 +941,14 @@ impl ShardedBenefitStore {
     ) -> Result<(), WireError> {
         if self.is_remote() {
             let map = self.map.clone();
-            return self.guarded(|parts, fanout| {
-                fan_out(parts, fanout, |s| {
-                    let r = map.range(s);
-                    let run: Vec<u32> = new_ids
-                        .iter()
-                        .copied()
-                        .filter(|&id| r.start <= id && id < r.end)
-                        .collect();
-                    if run.is_empty() {
-                        return None;
-                    }
-                    let body = body_of(TAG_POSITIVES_ADDED, &run);
-                    Some((body, Post::Positives(run)))
-                })
+            return self.broadcast(|s| {
+                let r = map.range(s);
+                let run: Vec<u32> = new_ids
+                    .iter()
+                    .copied()
+                    .filter(|&id| r.contains(&id))
+                    .collect();
+                (!run.is_empty()).then(|| positives_added_req(run))
             });
         }
         if self.parts.len() == 1 {
@@ -942,10 +966,8 @@ impl ShardedBenefitStore {
     }
 
     /// Slice an id-sorted change journal into per-shard runs and patch each
-    /// owning partition with its run. Remote: the journal entries are
-    /// encoded *once* into a fixed-width byte run, and each shard's body
-    /// is a slice of it (count-prefixed), so the encode cost is paid once
-    /// regardless of `S`.
+    /// owning partition with its run (runs are disjoint, so every entry is
+    /// encoded once whatever `S` is).
     pub fn on_scores_changed(
         &mut self,
         changes: &[(u32, f32, f32)],
@@ -957,35 +979,12 @@ impl ShardedBenefitStore {
             "change journal must be sorted by id"
         );
         if self.is_remote() {
-            if changes.is_empty() {
-                return Ok(());
-            }
-            let mut entries = Vec::with_capacity(changes.len() * 12);
-            for c in changes {
-                c.encode(&mut entries);
-            }
-            // (u32, f32, f32) encodes fixed-width, so a shard's run of
-            // entries is a byte slice at entry-width offsets.
-            let width = entries.len() / changes.len();
             let map = self.map.clone();
-            return self.guarded(|parts, fanout| {
-                fan_out(parts, fanout, |s| {
-                    let r = map.range(s);
-                    let a = changes.partition_point(|&(id, _, _)| id < r.start);
-                    let b = changes.partition_point(|&(id, _, _)| id < r.end);
-                    if a == b {
-                        return None;
-                    }
-                    let mut body = Vec::with_capacity(5 + (b - a) * width);
-                    body.push(TAG_SCORES_CHANGED);
-                    ((b - a) as u32).encode(&mut body);
-                    body.extend_from_slice(&entries[a * width..b * width]);
-                    let writes = changes[a..b]
-                        .iter()
-                        .map(|&(id, _, new)| (id, new))
-                        .collect();
-                    Some((body, Post::Scores(writes)))
-                })
+            return self.broadcast(|s| {
+                let r = map.range(s);
+                let a = changes.partition_point(|&(id, _, _)| id < r.start);
+                let b = changes.partition_point(|&(id, _, _)| id < r.end);
+                (a < b).then(|| scores_changed_req(&changes[a..b]))
             });
         }
         if self.parts.len() == 1 {
@@ -1046,30 +1045,28 @@ impl ShardedBenefitStore {
             }
             let map = self.map.clone();
             let last = self.parts.len() - 1;
-            self.guarded(|parts, fanout| {
-                fan_out(parts, fanout, |s| {
-                    let new_hi = map.range(s).end;
-                    let span: &[f32] = if s == last {
-                        &scores[old_n as usize..new_hi as usize]
-                    } else {
-                        &[]
-                    };
-                    let mut body = Vec::with_capacity(1 + texts_enc.len() + 8 + 4 * span.len());
-                    body.push(TAG_CORPUS_APPEND);
-                    body.extend_from_slice(&texts_enc);
-                    new_hi.encode(&mut body);
-                    (span.len() as u32).encode(&mut body);
-                    for v in span {
-                        v.encode(&mut body);
-                    }
-                    Some((
-                        body,
-                        Post::Append {
-                            new_hi,
-                            scores: span.to_vec(),
-                        },
-                    ))
-                })
+            self.broadcast(|s| {
+                let new_hi = map.range(s).end;
+                let span: &[f32] = if s == last {
+                    &scores[old_n as usize..new_hi as usize]
+                } else {
+                    &[]
+                };
+                let mut body = Vec::with_capacity(1 + texts_enc.len() + 8 + 4 * span.len());
+                body.push(tag::CORPUS_APPEND);
+                body.extend_from_slice(&texts_enc);
+                new_hi.encode(&mut body);
+                (span.len() as u32).encode(&mut body);
+                for v in span {
+                    v.encode(&mut body);
+                }
+                Some((
+                    body,
+                    Post::Append {
+                        new_hi,
+                        scores: span.to_vec(),
+                    },
+                ))
             })?;
             let prefix = Arc::new(init_prefix(corpus, index.config()));
             for part in &mut self.parts {
@@ -1094,138 +1091,32 @@ impl ShardedBenefitStore {
     /// broadcast; a wire failure poisons the store (after draining the
     /// surviving shards' replies).
     pub fn audit_remote(&mut self) -> Result<bool, WireError> {
-        if let Some(e) = &self.poisoned {
-            return Err(e.clone());
-        }
-        let fanout = self.fanout;
         let mut exact = true;
-        let result = match fanout {
-            Fanout::Sequential => {
-                let mut run = || -> Result<(), WireError> {
-                    for part in &mut self.parts {
-                        if let Part::Remote(w) = part {
-                            exact &= w.audit()?;
-                        }
-                    }
+        self.guarded(|parts, fanout| {
+            fan_out(
+                parts,
+                fanout,
+                |_, w| w.audit_begin().map(Some),
+                |w, rules| {
+                    exact &= w.audit_finish(&rules)?;
                     Ok(())
-                };
-                run()
-            }
-            Fanout::Concurrent => {
-                let mut first_err: Option<WireError> = None;
-                let mut sent: Vec<Option<Vec<RuleRef>>> = Vec::new();
-                sent.resize_with(self.parts.len(), || None);
-                for (s, part) in self.parts.iter_mut().enumerate() {
-                    if let Part::Remote(w) = part {
-                        match w.audit_begin() {
-                            Ok(rules) => sent[s] = Some(rules),
-                            Err(e) => {
-                                first_err.get_or_insert(e);
-                            }
-                        }
-                    }
-                }
-                for (s, part) in self.parts.iter_mut().enumerate() {
-                    let Some(rules) = sent[s].take() else {
-                        continue;
-                    };
-                    if let Part::Remote(w) = part {
-                        match w.audit_finish(&rules) {
-                            Ok(ok) => exact &= ok,
-                            Err(e) => {
-                                first_err.get_or_insert(e);
-                            }
-                        }
-                    }
-                }
-                match first_err {
-                    None => Ok(()),
-                    Some(e) => Err(e),
-                }
-            }
-        };
-        match result {
-            Ok(()) => Ok(exact),
-            Err(e) => {
-                self.poisoned = Some(e.clone());
-                Err(e)
-            }
-        }
+                },
+            )
+        })?;
+        Ok(exact)
     }
 
     /// Tear down remote workers in an orderly fashion (no-op for local
     /// partitions; concurrent fan-out sends every `Shutdown` before
     /// joining the `Ack`s). Dropping the store also works — workers exit
     /// on disconnect.
-    pub fn shutdown(self) -> Result<(), WireError> {
-        let fanout = self.fanout;
-        let mut remotes: Vec<RemoteShard> = self
-            .parts
-            .into_iter()
-            .filter_map(|p| match p {
-                Part::Remote(w) => Some(w),
-                Part::Local(_) => None,
-            })
-            .collect();
-        match fanout {
-            Fanout::Sequential => {
-                for w in remotes {
-                    w.shutdown()?;
-                }
-            }
-            Fanout::Concurrent => {
-                for w in &mut remotes {
-                    w.session.send_encoded(&[TAG_SHUTDOWN])?;
-                }
-                for w in &mut remotes {
-                    expect_ack(w.session.recv_reply()?, "shutdown")?;
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Run `op` over every local partition — shard-parallel when
-    /// `threads > 1` and there is more than one shard (each worker owns
-    /// disjoint partitions, so order and results are deterministic); a
-    /// single full-span partition instead gets the whole thread budget for
-    /// its intra-store chunking.
-    fn for_each_local(
-        &mut self,
-        threads: usize,
-        op: impl Fn(&mut BenefitStore, usize) + Sync + Send,
-    ) {
-        let mut slots: Vec<&mut BenefitStore> = self
-            .parts
-            .iter_mut()
-            .filter_map(|p| match p {
-                Part::Local(b) => Some(b),
-                Part::Remote(_) => None,
-            })
-            .collect();
-        if slots.len() == 1 {
-            return op(slots[0], threads);
-        }
-        if threads > 1 {
-            use rayon::prelude::*;
-            // One chunk of shards per configured worker, same bounding
-            // idiom as the engine's batch computation. Leftover width
-            // (threads > shards) is handed to each group as its
-            // intra-store chunking budget, so few-shard configurations
-            // keep the full thread budget of the unsharded path.
-            let chunk = slots.len().div_ceil(threads);
-            let groups = slots.len().div_ceil(chunk);
-            let intra = (threads / groups).max(1);
-            slots.par_chunks_mut(chunk).for_each(|group| {
-                for part in group.iter_mut() {
-                    op(part, intra);
-                }
-            });
-        } else {
-            for part in slots {
-                op(part, 1);
-            }
-        }
+    pub fn shutdown(mut self) -> Result<(), WireError> {
+        fan_out(
+            &mut self.parts,
+            self.fanout,
+            |_, w| w.shutdown_begin().map(Some),
+            |w, ()| w.shutdown_finish(),
+        )
     }
 }
 
@@ -1260,68 +1151,66 @@ mod tests {
         let scores = vec![0.25f32, 0.5, 0.75];
         let ids = vec![4u32, 9];
         let changes = vec![(2u32, 0.1f32, 0.9f32), (5, 0.3, 0.05)];
+        let cands = vec![Candidate {
+            rule: RuleRef::Phrase(3),
+            overlap: 2,
+            count: 5,
+        }];
         let cases: Vec<(Vec<u8>, Request)> = vec![
             (
-                body_of(TAG_TRACK, &rules),
+                track_req(&rules).0,
                 Request::Track {
                     rules: rules.clone(),
                 },
             ),
             (
-                body_of(TAG_REBUILD, &scores),
+                track_scored_req(&cands).0,
+                Request::TrackScored {
+                    cands: vec![ScoredRule {
+                        rule: RuleRef::Phrase(3),
+                        overlap: 2,
+                        count: 5,
+                    }],
+                },
+            ),
+            (
+                rebuild_req(&scores).0,
                 Request::Rebuild {
                     scores: scores.clone(),
                 },
             ),
             (
-                body_of(TAG_RETAIN, &rules),
+                retain_req(rules.clone()).0,
                 Request::Retain {
                     keep: rules.clone(),
                 },
             ),
             (
-                body_of(TAG_POSITIVES_ADDED, &ids),
+                positives_added_req(ids.clone()).0,
                 Request::PositivesAdded { ids: ids.clone() },
             ),
             (
-                body_of(TAG_SCORES_CHANGED, &changes),
+                scores_changed_req(&changes).0,
                 Request::ScoresChanged {
                     changes: changes.clone(),
                 },
             ),
             (
-                body_of(TAG_FRAGMENTS, &rules),
+                body_of(tag::FRAGMENTS, &rules),
                 Request::Fragments {
                     rules: rules.clone(),
                 },
             ),
-            (vec![TAG_SHUTDOWN], Request::Shutdown),
+            (vec![tag::SHUTDOWN], Request::Shutdown),
         ];
         for (body, req) in cases {
             assert_eq!(body, req.to_bytes(), "{req:?}");
         }
-        // The sliced ScoresChanged body: count prefix + a byte run cut
-        // at entry-width offsets must equal encoding the sub-journal.
-        let mut entries = Vec::new();
-        for c in &changes {
-            c.encode(&mut entries);
-        }
-        let width = entries.len() / changes.len();
-        let mut sliced = vec![TAG_SCORES_CHANGED];
-        1u32.encode(&mut sliced);
-        sliced.extend_from_slice(&entries[width..2 * width]);
-        assert_eq!(
-            sliced,
-            Request::ScoresChanged {
-                changes: changes[1..].to_vec()
-            }
-            .to_bytes()
-        );
         // And the assembled ShardInit body equals the encoded variant.
         let (c, _) = setup();
         let cfg = IndexConfig::small();
         let prefix = Arc::new(init_prefix(&c, &cfg));
-        let mut init = vec![TAG_SHARD_INIT];
+        let mut init = vec![tag::SHARD_INIT];
         init.extend_from_slice(&prefix);
         2u32.encode(&mut init);
         5u32.encode(&mut init);
@@ -1348,7 +1237,7 @@ mod tests {
         for t in &texts {
             t.encode(&mut texts_enc);
         }
-        let mut append = vec![TAG_CORPUS_APPEND];
+        let mut append = vec![tag::CORPUS_APPEND];
         append.extend_from_slice(&texts_enc);
         9u32.encode(&mut append);
         (span.len() as u32).encode(&mut append);

@@ -1,4 +1,4 @@
-//! The one ordered fan-out of the ingest path.
+//! The workspace's one ordered, scoped fan-out.
 
 /// Map `items` chunk-wise over `threads` scoped workers (one contiguous
 /// chunk each) and join the per-chunk outputs in input order. With
@@ -27,7 +27,7 @@ where
             .collect();
         let mut out = Vec::with_capacity(items.len());
         for h in handles {
-            out.extend(h.join().expect("ingest worker panicked"));
+            out.extend(h.join().expect("map_chunks worker panicked"));
         }
         out
     })
@@ -36,21 +36,32 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn output_is_in_input_order_for_every_thread_count() {
         let items: Vec<u32> = (0..1000).collect();
         let double = |c: &[u32]| c.iter().map(|x| x * 2).collect::<Vec<_>>();
         let serial = map_chunks(&items, 1, 0, double);
+        let calls = AtomicUsize::new(0);
+        let counted = |c: &[u32]| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            double(c)
+        };
         for threads in [2, 3, 7, 1000, 5000] {
-            assert_eq!(map_chunks(&items, threads, 0, double), serial);
+            calls.store(0, Ordering::Relaxed);
+            assert_eq!(map_chunks(&items, threads, 0, counted), serial);
+            // `threads` bounds the workers: `per_chunk` runs at most that
+            // many times (and never on an empty chunk).
+            let ran = calls.load(Ordering::Relaxed);
+            assert!(
+                ran <= threads.min(items.len()),
+                "{ran} calls at T={threads}"
+            );
         }
         // Below the threshold the closure sees the whole slice once.
-        let calls = std::sync::atomic::AtomicUsize::new(0);
-        map_chunks(&items, 4, 1001, |c| {
-            calls.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            double(c)
-        });
+        calls.store(0, Ordering::Relaxed);
+        map_chunks(&items, 4, 1001, counted);
         assert_eq!(calls.into_inner(), 1);
         assert!(map_chunks(&[] as &[u32], 4, 0, double).is_empty());
     }

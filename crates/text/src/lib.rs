@@ -14,7 +14,7 @@
 //! * [`depparse`] — a deterministic head-attachment dependency parser,
 //! * [`corpus::Corpus`] — the container Darwin operates over: empty, then
 //!   grown by `append_texts` (analysis fans out through
-//!   [`fanout::map_chunks`], the ingest path's one ordered join),
+//!   [`fanout::map_chunks`], the workspace's one ordered scoped join),
 //! * [`embed::Embeddings`] — reflective random-indexing word vectors whose
 //!   similarity reflects corpus co-occurrence (the property UniversalSearch
 //!   relies on to generalize `bus` → `shuttle`).

@@ -276,7 +276,7 @@ pub enum Request {
         ids: Vec<u32>,
     },
     /// Incremental re-score journal for the span (`(id, old, new)`,
-    /// id-sorted — a `ScoreCache::changes_in` slice).
+    /// id-sorted — one shard's run of `ScoreCache::last_changes`).
     ScoresChanged {
         /// The journal run.
         changes: Vec<(u32, f32, f32)>,
@@ -383,11 +383,49 @@ pub enum Response {
     },
 }
 
+/// The tag byte that opens each encoded [`Request`] variant — the one
+/// definition `encode`, `decode` and coordinators that hand-assemble a
+/// request body around a pre-encoded payload (`darwin_core::shard`) share.
+pub mod tag {
+    /// [`super::Request::Hello`].
+    pub const HELLO: u8 = 0;
+    /// [`super::Request::ShardInit`].
+    pub const SHARD_INIT: u8 = 1;
+    /// [`super::Request::Track`].
+    pub const TRACK: u8 = 2;
+    /// [`super::Request::TrackScored`].
+    pub const TRACK_SCORED: u8 = 3;
+    /// [`super::Request::Rebuild`].
+    pub const REBUILD: u8 = 4;
+    /// [`super::Request::Retain`].
+    pub const RETAIN: u8 = 5;
+    /// [`super::Request::PositivesAdded`].
+    pub const POSITIVES_ADDED: u8 = 6;
+    /// [`super::Request::ScoresChanged`].
+    pub const SCORES_CHANGED: u8 = 7;
+    /// [`super::Request::Fragments`].
+    pub const FRAGMENTS: u8 = 8;
+    /// [`super::Request::Submit`].
+    pub const SUBMIT: u8 = 9;
+    /// [`super::Request::Poll`].
+    pub const POLL: u8 = 10;
+    /// [`super::Request::ClassifierInit`].
+    pub const CLASSIFIER_INIT: u8 = 11;
+    /// [`super::Request::Fit`].
+    pub const FIT: u8 = 12;
+    /// [`super::Request::PredictBatch`].
+    pub const PREDICT_BATCH: u8 = 13;
+    /// [`super::Request::Shutdown`].
+    pub const SHUTDOWN: u8 = 14;
+    /// [`super::Request::CorpusAppend`].
+    pub const CORPUS_APPEND: u8 = 15;
+}
+
 impl Encode for Request {
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
             Request::Hello { version } => {
-                out.push(0);
+                out.push(tag::HELLO);
                 version.encode(out);
             }
             Request::ShardInit {
@@ -398,7 +436,7 @@ impl Encode for Request {
                 positives,
                 scores,
             } => {
-                out.push(1);
+                out.push(tag::SHARD_INIT);
                 corpus.encode(out);
                 index.encode(out);
                 lo.encode(out);
@@ -407,31 +445,31 @@ impl Encode for Request {
                 scores.encode(out);
             }
             Request::Track { rules } => {
-                out.push(2);
+                out.push(tag::TRACK);
                 rules.encode(out);
             }
             Request::TrackScored { cands } => {
-                out.push(3);
+                out.push(tag::TRACK_SCORED);
                 cands.encode(out);
             }
             Request::Rebuild { scores } => {
-                out.push(4);
+                out.push(tag::REBUILD);
                 scores.encode(out);
             }
             Request::Retain { keep } => {
-                out.push(5);
+                out.push(tag::RETAIN);
                 keep.encode(out);
             }
             Request::PositivesAdded { ids } => {
-                out.push(6);
+                out.push(tag::POSITIVES_ADDED);
                 ids.encode(out);
             }
             Request::ScoresChanged { changes } => {
-                out.push(7);
+                out.push(tag::SCORES_CHANGED);
                 changes.encode(out);
             }
             Request::Fragments { rules } => {
-                out.push(8);
+                out.push(tag::FRAGMENTS);
                 rules.encode(out);
             }
             Request::Submit {
@@ -439,13 +477,13 @@ impl Encode for Request {
                 rule,
                 coverage,
             } => {
-                out.push(9);
+                out.push(tag::SUBMIT);
                 qid.encode(out);
                 rule.encode(out);
                 coverage.encode(out);
             }
             Request::Poll { timeout_ms } => {
-                out.push(10);
+                out.push(tag::POLL);
                 timeout_ms.encode(out);
             }
             Request::ClassifierInit {
@@ -454,28 +492,28 @@ impl Encode for Request {
                 kind,
                 model_seed,
             } => {
-                out.push(11);
+                out.push(tag::CLASSIFIER_INIT);
                 corpus.encode(out);
                 embed_seed.encode(out);
                 kind.encode(out);
                 model_seed.encode(out);
             }
             Request::Fit { pos, neg } => {
-                out.push(12);
+                out.push(tag::FIT);
                 pos.encode(out);
                 neg.encode(out);
             }
             Request::PredictBatch { ids } => {
-                out.push(13);
+                out.push(tag::PREDICT_BATCH);
                 ids.encode(out);
             }
-            Request::Shutdown => out.push(14),
+            Request::Shutdown => out.push(tag::SHUTDOWN),
             Request::CorpusAppend {
                 texts,
                 new_hi,
                 scores,
             } => {
-                out.push(15);
+                out.push(tag::CORPUS_APPEND);
                 texts.encode(out);
                 new_hi.encode(out);
                 scores.encode(out);
@@ -487,10 +525,10 @@ impl Encode for Request {
 impl Decode for Request {
     fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         match u8::decode(r)? {
-            0 => Ok(Request::Hello {
+            tag::HELLO => Ok(Request::Hello {
                 version: u8::decode(r)?,
             }),
-            1 => Ok(Request::ShardInit {
+            tag::SHARD_INIT => Ok(Request::ShardInit {
                 corpus: CorpusSlice::decode(r)?,
                 index: IndexConfig::decode(r)?,
                 lo: u32::decode(r)?,
@@ -498,50 +536,50 @@ impl Decode for Request {
                 positives: Vec::decode(r)?,
                 scores: Vec::decode(r)?,
             }),
-            2 => Ok(Request::Track {
+            tag::TRACK => Ok(Request::Track {
                 rules: Vec::decode(r)?,
             }),
-            3 => Ok(Request::TrackScored {
+            tag::TRACK_SCORED => Ok(Request::TrackScored {
                 cands: Vec::decode(r)?,
             }),
-            4 => Ok(Request::Rebuild {
+            tag::REBUILD => Ok(Request::Rebuild {
                 scores: Vec::decode(r)?,
             }),
-            5 => Ok(Request::Retain {
+            tag::RETAIN => Ok(Request::Retain {
                 keep: Vec::decode(r)?,
             }),
-            6 => Ok(Request::PositivesAdded {
+            tag::POSITIVES_ADDED => Ok(Request::PositivesAdded {
                 ids: Vec::decode(r)?,
             }),
-            7 => Ok(Request::ScoresChanged {
+            tag::SCORES_CHANGED => Ok(Request::ScoresChanged {
                 changes: Vec::decode(r)?,
             }),
-            8 => Ok(Request::Fragments {
+            tag::FRAGMENTS => Ok(Request::Fragments {
                 rules: Vec::decode(r)?,
             }),
-            9 => Ok(Request::Submit {
+            tag::SUBMIT => Ok(Request::Submit {
                 qid: u64::decode(r)?,
                 rule: Heuristic::decode(r)?,
                 coverage: Vec::decode(r)?,
             }),
-            10 => Ok(Request::Poll {
+            tag::POLL => Ok(Request::Poll {
                 timeout_ms: u64::decode(r)?,
             }),
-            11 => Ok(Request::ClassifierInit {
+            tag::CLASSIFIER_INIT => Ok(Request::ClassifierInit {
                 corpus: CorpusSlice::decode(r)?,
                 embed_seed: u64::decode(r)?,
                 kind: WireClassifierKind::decode(r)?,
                 model_seed: u64::decode(r)?,
             }),
-            12 => Ok(Request::Fit {
+            tag::FIT => Ok(Request::Fit {
                 pos: Vec::decode(r)?,
                 neg: Vec::decode(r)?,
             }),
-            13 => Ok(Request::PredictBatch {
+            tag::PREDICT_BATCH => Ok(Request::PredictBatch {
                 ids: Vec::decode(r)?,
             }),
-            14 => Ok(Request::Shutdown),
-            15 => Ok(Request::CorpusAppend {
+            tag::SHUTDOWN => Ok(Request::Shutdown),
+            tag::CORPUS_APPEND => Ok(Request::CorpusAppend {
                 texts: Vec::decode(r)?,
                 new_hi: u32::decode(r)?,
                 scores: Vec::decode(r)?,
