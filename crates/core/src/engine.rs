@@ -48,6 +48,7 @@ use darwin_index::{AppendDelta, IdSet, IndexSet, RuleRef, ShardMap};
 use darwin_text::fanout::map_chunks;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
 
 /// Order-sensitive hash of a sorted coverage set (coverage-duplicate
 /// detection: rules with identical coverage get identical oracle answers).
@@ -347,24 +348,43 @@ impl BenefitStore {
         }
     }
 
-    /// The corpus grew: ids in `new_ids` were appended (none positive, all
+    /// The corpus grew: ids in `appended` were appended (none positive, all
     /// scored — the neutral prior until the next retrain). Every tracked
     /// rule covering an owned appended id gains it as a new instance.
     /// `extend_span` must be called first when the store is the last shard's
     /// fragment, so ownership covers the appended tail.
-    pub fn on_ids_appended(&mut self, new_ids: &[u32], index: &IndexSet, scores: &[f32]) {
-        for &id in new_ids {
-            if !self.owns(id) {
+    ///
+    /// Appended ids are a suffix of the id space, so each tracked rule's
+    /// new postings are one contiguous run of its sorted posting list,
+    /// clipped to the owned span and found by two binary searches: the
+    /// fold costs `O(tracked · log |C_r|)` plus the postings it adds,
+    /// never a transpose row per appended id. Returns the rules whose
+    /// aggregate moved, sorted.
+    pub fn on_ids_appended(
+        &mut self,
+        appended: Range<u32>,
+        index: &IndexSet,
+        scores: &[f32],
+    ) -> Vec<RuleRef> {
+        let lo = appended.start.max(self.lo);
+        let hi = appended.end.min(self.hi);
+        let mut moved = Vec::new();
+        if lo >= hi {
+            return moved;
+        }
+        for (&r, agg) in &mut self.aggs {
+            let tail = darwin_index::shard_slice(index.coverage(r), lo, hi);
+            if tail.is_empty() {
                 continue;
             }
-            let q = quantize(scores[id as usize]);
-            for r in index.rules_covering(id) {
-                if let Some(agg) = self.aggs.get_mut(&r) {
-                    agg.new_instances += 1;
-                    agg.sum_q += q;
-                }
+            agg.new_instances += tail.len();
+            for &s in tail {
+                agg.sum_q += quantize(scores[s as usize]);
             }
+            moved.push(r);
         }
+        moved.sort_unstable();
+        moved
     }
 
     /// Extend the owned span to `[lo, new_hi)` — the epoch growth rule for
@@ -1109,6 +1129,20 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// End the engine and shut its remote shard workers down in order:
+    /// each releases its state, then acknowledges, before this returns.
+    /// Dropping the engine ends them too, but each frees its state only
+    /// once it notices the hang-up, while the caller has moved on. A
+    /// poisoned store is just dropped.
+    pub(crate) fn shut_down_workers(self) {
+        if self.wire_error().is_none() {
+            if let Some(store) = self.store {
+                // On failure the workers still exit on the disconnect.
+                let _ = store.shutdown();
+            }
+        }
+    }
+
     /// Verify every tracked aggregate against a from-scratch recomputation
     /// (test/diagnostic hook; the property tests drive this): each *local*
     /// shard partition's fragments must equal a span-scratch
@@ -1235,10 +1269,7 @@ impl<'a> Engine<'a> {
         }
         self.clf.corpus_appended(texts, n);
         match (&mut self.frontier, delta) {
-            (Some(pool), Some(delta)) => {
-                let new_ids: Vec<u32> = (old_n..n as u32).collect();
-                pool.append_ids(index, &new_ids, delta);
-            }
+            (Some(pool), Some(delta)) => pool.append_ids(index, delta),
             (Some(pool), None) => *pool = FrontierPool::new(),
             (None, _) => {}
         }
@@ -1403,12 +1434,12 @@ mod tests {
             1,
         );
         idx.append(&c).unwrap();
-        let new_ids: Vec<u32> = (old_n as u32..c.len() as u32).collect();
+        let appended = old_n as u32..c.len() as u32;
         scores.resize(c.len(), 0.5); // neutral prior until the next retrain
 
-        full.on_ids_appended(&new_ids, &idx, &scores);
+        full.on_ids_appended(appended.clone(), &idx, &scores);
         span.extend_span(c.len() as u32);
-        span.on_ids_appended(&new_ids, &idx, &scores);
+        span.on_ids_appended(appended, &idx, &scores);
 
         // Positives stay dimensioned for the grown universe.
         let p = IdSet::from_ids(&[0, 1], c.len());
@@ -1426,6 +1457,76 @@ mod tests {
                 idx.heuristic(r)
             );
         }
+    }
+
+    /// The append fold one transpose row per owned appended id: the
+    /// oracle the range fold must reproduce.
+    fn on_ids_appended_per_id(
+        store: &mut BenefitStore,
+        appended: Range<u32>,
+        index: &IndexSet,
+        scores: &[f32],
+    ) -> Vec<RuleRef> {
+        let mut moved = FxHashSet::default();
+        for id in appended {
+            if !store.owns(id) {
+                continue;
+            }
+            let q = quantize(scores[id as usize]);
+            for r in index.rules_covering(id) {
+                if let Some(agg) = store.aggs.get_mut(&r) {
+                    agg.new_instances += 1;
+                    agg.sum_q += q;
+                    moved.insert(r);
+                }
+            }
+        }
+        let mut moved: Vec<RuleRef> = moved.into_iter().collect();
+        moved.sort_unstable();
+        moved
+    }
+
+    #[test]
+    fn range_append_fold_matches_the_per_id_fold() {
+        let (c, idx) = setup();
+        let n = c.len() as u32;
+        let p = IdSet::from_ids(&[0], c.len());
+        let scores = vec![0.9, 0.35, 0.8, 0.2, 0.65];
+        let rules: Vec<RuleRef> = idx.all_rules().collect();
+        let (span_lo, span_hi) = (1, 4);
+        // Before, inside, straddling either edge of and past the span
+        // [1, 4), the whole corpus, and empty ranges (one reversed).
+        #[allow(clippy::reversed_empty_ranges)]
+        let ranges = [0..1, 1..3, 2..4, 0..2, 3..n, 4..n, 0..n, 2..2, n..n, 3..1];
+        let mut folds_that_moved = 0;
+        for full_span in [true, false] {
+            let make = || {
+                let mut store = if full_span {
+                    BenefitStore::new()
+                } else {
+                    BenefitStore::for_span(span_lo, span_hi)
+                };
+                // Track every other rule, so untracked rules stay unmoved.
+                store.track(rules.iter().copied().step_by(2), &idx, &p, &scores, 1);
+                store
+            };
+            for range in ranges.clone() {
+                let (mut by_range, mut by_id) = (make(), make());
+                let moved = by_range.on_ids_appended(range.clone(), &idx, &scores);
+                let want = on_ids_appended_per_id(&mut by_id, range.clone(), &idx, &scores);
+                assert_eq!(moved, want, "full_span={full_span} {range:?}: moved rules");
+                folds_that_moved += usize::from(!moved.is_empty());
+                for &r in &rules {
+                    assert_eq!(
+                        by_range.agg(r),
+                        by_id.agg(r),
+                        "full_span={full_span} {range:?}: {r:?}"
+                    );
+                }
+            }
+        }
+        // Full span: the seven non-empty ranges; span [1, 4): five of them.
+        assert_eq!(folds_that_moved, 7 + 5);
     }
 
     /// Direct harness for [`Engine::select_refill_batch`]: an engine over

@@ -300,8 +300,9 @@ impl FrontierPool {
     ///   tree rule's slot up — the memo's tree block moves with them, and
     ///   appended rules start `ABSENT` like any never-visited rule;
     /// * every memoized `count = |C_r|` grows by the rule's appended
-    ///   coverage, patched through the same inverted-postings delta route
-    ///   as a small dirty batch (`rules_covering` per appended id);
+    ///   coverage: the tail of its sorted posting list at or past the old
+    ///   corpus end, one binary search per memoized rule (appended ids
+    ///   are a suffix of the id space, so no transpose row is read);
     /// * derivation edges are no longer immutable: an existing node can
     ///   gain children materialized by the new sentences (and the root
     ///   gains new tree roots), so the adjacency cache — whose runs also
@@ -312,11 +313,12 @@ impl FrontierPool {
     /// After the fold, a pooled regeneration is byte-identical to a
     /// scratch walk over the grown index and unchanged `P` — the memo
     /// holds exactly the `(overlap, count)` a fresh visit would compute.
-    pub fn append_ids(&mut self, index: &IndexSet, new_ids: &[u32], delta: &AppendDelta) {
+    pub fn append_ids(&mut self, index: &IndexSet, delta: &AppendDelta) {
         if self.nodes.is_empty() {
             return; // never used: sized lazily against the grown index
         }
         debug_assert_eq!(self.nodes.len(), delta.dense_before, "stale delta");
+        let old_n = (index.sentences() - delta.sentences) as u32;
         let absent = NodeStat {
             overlap: 0,
             count: ABSENT,
@@ -331,17 +333,16 @@ impl FrontierPool {
         self.nodes = nodes;
         self.kids.clear();
         self.kids.push(0); // slot 0 stays the "unexpanded" sentinel
-        for slot in &mut self.nodes {
+        for (dense, slot) in self.nodes.iter_mut().enumerate() {
             slot.kids = 0;
-        }
-        for &id in new_ids {
-            for &r in index.inverted().rules_covering(id) {
-                let slot = &mut self.nodes[index.dense_id(r) as usize];
-                if !slot.absent() {
-                    slot.count += 1;
-                    self.total_cov += 1;
-                }
+            // Slot 0 is the root, which the walk never memoizes.
+            if dense == 0 || slot.absent() {
+                continue;
             }
+            let cov = index.coverage(index.rule_of_dense(dense as u32));
+            let tail = (cov.len() - cov.partition_point(|&s| s < old_n)) as u32;
+            slot.count += tail;
+            self.total_cov += tail as u64;
         }
     }
 
@@ -362,7 +363,7 @@ impl FrontierPool {
         if per_id_cost <= self.total_cov {
             self.stats.deltas_by_postings += 1;
             for &d in dirty {
-                for &r in inv.rules_covering(d) {
+                for r in inv.rules_covering(d) {
                     let slot = &mut self.nodes[index.dense_id(r) as usize];
                     if !slot.absent() {
                         slot.overlap += 1;
@@ -746,8 +747,17 @@ mod tests {
         let old_n = c.len();
         c.append_texts(extra.iter(), 1);
         let delta = idx.append(&c).unwrap();
-        let new_ids: Vec<u32> = (old_n as u32..c.len() as u32).collect();
-        pool.append_ids(&idx, &new_ids, &delta);
+        pool.append_ids(&idx, &delta);
+        // Every memoized count is the grown coverage size.
+        let mut memoized = 0;
+        for (dense, slot) in pool.nodes.iter().enumerate() {
+            if !slot.absent() {
+                let r = idx.rule_of_dense(dense as u32);
+                assert_eq!(slot.count as usize, idx.count(r), "{r:?} count");
+                memoized += 1;
+            }
+        }
+        assert!(memoized > 0 && memoized == pool.len());
 
         let pooled = pool.generate_scored(&idx, &p, 10_000, usize::MAX);
         let scratch = generate_scored(&idx, &p, 10_000, usize::MAX);

@@ -310,6 +310,10 @@ impl<'a> Darwin<'a> {
     /// seedless re-derivations at resume determine the rest of the run
     /// exactly. Runs that finish before the requested barrier return
     /// [`SessionOutcome::Finished`].
+    ///
+    /// A suspended run's remote shard workers are shut down before this
+    /// returns, each having released its state, so a resume never builds
+    /// its workers beside them.
     pub fn snapshot(
         &self,
         seed: Seed,
@@ -319,7 +323,11 @@ impl<'a> Darwin<'a> {
         let mut session = Session::new(self, seed);
         match session.drive(oracle, Some(after_waves)) {
             true => SessionOutcome::Finished(session.finish()),
-            false => SessionOutcome::Suspended(Box::new(session.snapshot())),
+            false => {
+                let image = session.snapshot();
+                session.engine.shut_down_workers();
+                SessionOutcome::Suspended(Box::new(image))
+            }
         }
     }
 

@@ -127,6 +127,10 @@ pub fn serve_shard(t: &mut dyn Transport) -> Result<(), WireError> {
         match req {
             Request::Hello { version } => answer_hello(t, seq, version)?,
             Request::Shutdown => {
+                // Release the shard state before acknowledging: a
+                // coordinator that waits for the `Ack` then knows this
+                // worker holds nothing.
+                drop(state.take());
                 reply(t, seq, &Response::Ack)?;
                 return Ok(());
             }
@@ -333,12 +337,10 @@ fn shard_request(s: &mut ShardState, req: Request) -> Response {
             // zero placeholder, exactly like init.
             s.scores.resize(s.corpus.len(), 0.0);
             s.scores[old_hi as usize..new_hi as usize].copy_from_slice(&scores);
-            let new_owned: Vec<u32> = (old_hi..new_hi).collect();
-            let affected = s.affected(new_owned.iter().copied());
             s.store.extend_span(new_hi);
-            s.store.on_ids_appended(&new_owned, &s.index, &s.scores);
+            let moved = s.store.on_ids_appended(old_hi..new_hi, &s.index, &s.scores);
             s.hi = new_hi;
-            s.deltas(affected)
+            s.deltas(moved)
         }
         other => Response::Error {
             message: format!("not a shard request: {other:?}"),

@@ -558,7 +558,8 @@ impl RemoteShard {
     }
 
     /// Orderly worker teardown (dropping the transport also works — the
-    /// worker exits on disconnect — but this confirms delivery).
+    /// worker exits on disconnect — but this confirms delivery, and a
+    /// shard worker releases its state before it acknowledges).
     pub fn shutdown(mut self) -> Result<(), WireError> {
         self.shutdown_begin()?;
         self.shutdown_finish()
@@ -1076,11 +1077,10 @@ impl ShardedBenefitStore {
             }
             return Ok(());
         }
-        let new_ids: Vec<u32> = (old_n..new_n).collect();
         let last = self.parts.len() - 1;
         if let Part::Local(b) = &mut self.parts[last] {
             b.extend_span(new_n);
-            b.on_ids_appended(&new_ids, index, scores);
+            b.on_ids_appended(old_n..new_n, index, scores);
         }
         Ok(())
     }

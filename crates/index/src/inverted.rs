@@ -9,20 +9,60 @@
 //! rule's coverage (the same delta principle as incremental view
 //! maintenance under updates).
 //!
-//! Stored as CSR: one contiguous `RuleRef` arena plus per-sentence offsets.
-//! Within a sentence's slice, rules appear in [`crate::IndexSet::all_rules`]
-//! order (phrases in node order, then tree patterns), which makes every
-//! delta walk deterministic.
+//! Stored as CSR: per-sentence offsets into one contiguous arena of packed
+//! `u32` rule words, four bytes a posting (a [`RuleRef`] is eight). A phrase
+//! node `n` packs as `n` and a tree pattern `p` as `1 << 31 | p`; the root
+//! covers everything and is never stored. Within a sentence's row, rules
+//! appear in [`crate::IndexSet::all_rules`] order (phrases in node order,
+//! then tree patterns), which is also ascending word order and makes every
+//! delta walk deterministic. Unlike [`crate::IndexSet::dense_id`], whose
+//! tree block shifts whenever an append adds phrase nodes, a word depends
+//! only on the rule's own handle, so rows written before an append stay
+//! valid after it.
 
 use crate::api::{IndexSet, RuleRef};
 
+/// The grammar bit of a packed rule word: set for tree patterns.
+const TREE_BIT: u32 = 1 << 31;
+
+/// Pack a non-root rule into its transpose word.
+#[inline]
+fn pack(r: RuleRef) -> u32 {
+    let (grammar, id) = match r {
+        RuleRef::Phrase(n) => (0, n),
+        RuleRef::Tree(p) => (TREE_BIT, p),
+        RuleRef::Root => (0, 0),
+    };
+    debug_assert!(r != RuleRef::Root, "the root is never stored");
+    debug_assert!(
+        id < TREE_BIT,
+        "{r:?} beyond the 2^31 ids a grammar may number"
+    );
+    grammar | id
+}
+
+/// Inverse of [`pack`].
+#[inline]
+fn unpack(w: u32) -> RuleRef {
+    if w & TREE_BIT == 0 {
+        RuleRef::Phrase(w)
+    } else {
+        RuleRef::Tree(w & !TREE_BIT)
+    }
+}
+
 /// Transposed coverage: for each sentence id, the rules whose coverage
 /// contains it.
+///
+/// Each grammar may number at most 2^31 rules (phrase nodes and tree
+/// patterns alike): the top bit of a packed word names the grammar.
+/// Both sub-indexes number with `u32`, so the bound halves their
+/// headroom; debug builds check it when a word is written.
 pub struct InvertedIndex {
     /// `usize`, not `u32`: the corpus-wide sum of coverages can pass u32
     /// range long before any single posting list does.
     offsets: Vec<usize>,
-    rules: Vec<RuleRef>,
+    rules: Vec<u32>,
 }
 
 impl InvertedIndex {
@@ -71,23 +111,24 @@ impl InvertedIndex {
             acc += c;
             self.offsets.push(acc);
         }
-        self.rules.resize(acc, RuleRef::Root);
+        self.rules.resize(acc, 0);
         for r in index.all_rules() {
             let cov = index.coverage(r);
             let tail = cov.partition_point(|&s| (s as usize) < old_n);
+            let word = pack(r);
             for &s in &cov[tail..] {
                 let slot = &mut cursor[s as usize - old_n];
-                self.rules[*slot] = r;
+                self.rules[*slot] = word;
                 *slot += 1;
             }
         }
     }
 
     /// Rules covering sentence `id`, in [`IndexSet::all_rules`] order.
-    pub fn rules_covering(&self, id: u32) -> &[RuleRef] {
+    pub fn rules_covering(&self, id: u32) -> impl ExactSizeIterator<Item = RuleRef> + '_ {
         let lo = self.offsets[id as usize];
         let hi = self.offsets[id as usize + 1];
-        &self.rules[lo..hi]
+        self.rules[lo..hi].iter().map(|&w| unpack(w))
     }
 
     /// Number of sentences the transpose covers.
@@ -127,7 +168,7 @@ mod tests {
         for r in idx.all_rules() {
             for &s in idx.coverage(r) {
                 assert!(
-                    inv.rules_covering(s).contains(&r),
+                    inv.rules_covering(s).any(|x| x == r),
                     "rule {:?} covers {s} but transpose misses it",
                     r
                 );
@@ -143,9 +184,8 @@ mod tests {
         let (c, idx) = setup();
         let inv = InvertedIndex::build(&idx);
         for s in 0..c.len() as u32 {
-            let rules = inv.rules_covering(s);
             let mut seen = crate::fx::FxHashSet::default();
-            for &r in rules {
+            for r in inv.rules_covering(s) {
                 assert!(seen.insert(r), "duplicate rule {r:?} for sentence {s}");
                 assert!(idx.coverage(r).contains(&s));
             }
@@ -157,7 +197,48 @@ mod tests {
         let (_, idx) = setup();
         let inv = InvertedIndex::build(&idx);
         for s in 0..inv.sentences() as u32 {
-            assert!(!inv.rules_covering(s).contains(&RuleRef::Root));
+            assert!(inv.rules_covering(s).all(|r| r != RuleRef::Root));
         }
+    }
+
+    #[test]
+    fn transpose_costs_four_bytes_per_posting() {
+        let (_, idx) = setup();
+        let inv = InvertedIndex::build(&idx);
+        assert!(inv.postings_len() > 0);
+        assert_eq!(std::mem::size_of_val(&*inv.rules), 4 * inv.postings_len());
+    }
+
+    #[test]
+    fn rows_follow_all_rules_order() {
+        let (c, idx) = setup();
+        let all: Vec<RuleRef> = idx.all_rules().collect();
+        assert!(all.iter().any(|r| matches!(r, RuleRef::Phrase(_))));
+        assert!(all.iter().any(|r| matches!(r, RuleRef::Tree(_))));
+        let inv = InvertedIndex::build(&idx);
+        for s in 0..c.len() as u32 {
+            let want: Vec<RuleRef> = all
+                .iter()
+                .copied()
+                .filter(|&r| idx.coverage(r).binary_search(&s).is_ok())
+                .collect();
+            let row = inv.rules_covering(s);
+            assert_eq!(row.len(), want.len(), "row {s} length");
+            assert_eq!(row.collect::<Vec<_>>(), want, "row {s}");
+        }
+    }
+
+    #[test]
+    fn pack_roundtrips_at_the_id_bounds() {
+        let top = TREE_BIT - 1;
+        for r in [
+            RuleRef::Phrase(1),
+            RuleRef::Phrase(top),
+            RuleRef::Tree(0),
+            RuleRef::Tree(top),
+        ] {
+            assert_eq!(unpack(pack(r)), r);
+        }
+        assert!(pack(RuleRef::Phrase(top)) < pack(RuleRef::Tree(0)));
     }
 }

@@ -15,8 +15,8 @@
 //! * [`api`] — [`IndexSet`]: the unified view the Darwin pipeline consumes
 //!   ([`RuleRef`] = a node in either index; children/parents/coverage),
 //! * [`inverted`] — the sentence → covering-rules transpose
-//!   ([`IndexSet::rules_covering`]), the delta primitive of the
-//!   incremental benefit engine,
+//!   ([`IndexSet::rules_covering`]), four bytes a posting, the delta
+//!   primitive of the incremental benefit engine,
 //! * [`shard`] — [`ShardMap`]: contiguous sentence-id partitioning with
 //!   shard-sliced postings, the ownership layer of the sharded execution
 //!   engine, plus [`intersect_count`], the sorted-posting intersection

@@ -33,7 +33,8 @@ use darwin_wire::{Decode, Encode, InProc, Transport, WireError};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 const N: usize = 500;
 const DSEED: u64 = 42;
@@ -279,6 +280,56 @@ fn worker_death_after_snapshot_recovers() {
         "shard 0 must actually have died and been re-dialed"
     );
     assert_resumed_equivalent(&reference, &resumed, "flaky resume deployment");
+}
+
+/// A client transport the test holds a second handle on, so the
+/// coordinator dropping its handle is no hang-up.
+struct Kept(Arc<Mutex<InProc>>);
+
+impl Transport for Kept {
+    fn send(&mut self, payload: &[u8]) -> Result<(), WireError> {
+        self.0.lock().unwrap().send(payload)
+    }
+
+    fn recv_timeout(&mut self, timeout: Option<Duration>) -> Result<Option<Vec<u8>>, WireError> {
+        self.0.lock().unwrap().recv_timeout(timeout)
+    }
+}
+
+/// Suspending shuts the run's shard workers down: when `snapshot`
+/// returns, every worker has been told to stop and has released its
+/// state, so a resume does not build its workers beside them. The test
+/// keeps each coordinator channel open, so a worker that was only hung
+/// up on would still be waiting for its next request.
+#[test]
+fn suspending_shuts_its_shard_workers_down() {
+    let (d, index) = fixture();
+    let workers = Arc::new(Mutex::new(Vec::new()));
+    let workers_in = workers.clone();
+    let connect: Box<darwin_core::ShardConnector> = Box::new(move |_s, _range| {
+        let (client, mut server) = InProc::pair();
+        let worker = std::thread::spawn(move || {
+            let _ = darwin_core::serve_shard(&mut server);
+        });
+        let client = Arc::new(Mutex::new(client));
+        workers_in.lock().unwrap().push((client.clone(), worker));
+        Ok(Box::new(Kept(client)) as Box<dyn Transport>)
+    });
+    let darwin = Darwin::new(&d.corpus, &index, cfg(2, 1, 3)).with_remote_shards(connect);
+    let mut oracle = Immediate::new(GroundTruthOracle::new(&d.labels, 0.8));
+    let outcome = darwin.snapshot(seed_of(&d), &mut oracle, 1);
+    assert!(matches!(outcome, SessionOutcome::Suspended(_)));
+    let workers = std::mem::take(&mut *workers.lock().unwrap());
+    assert_eq!(workers.len(), 2, "one dial per shard");
+    for (_client, worker) in workers {
+        // The worker acknowledged, then returns: allow it that moment.
+        let t = Instant::now();
+        while !worker.is_finished() && t.elapsed() < Duration::from_secs(10) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(worker.is_finished(), "a shard worker outlived suspension");
+        worker.join().unwrap();
+    }
 }
 
 // ---- rejection: corruption, mismatch, versioning ------------------------
