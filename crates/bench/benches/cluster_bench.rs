@@ -204,7 +204,7 @@ fn main() {
     );
 
     // ---- in-memory reference ----
-    let mut local = ShardedBenefitStore::new(ShardMap::new(N, 1));
+    let mut local = ShardedBenefitStore::local();
     local.track(&f.rules, &f.index, &f.p, &f.scores, 1).unwrap();
     let local_ns = {
         let (p, index) = (&f.p, &f.index);

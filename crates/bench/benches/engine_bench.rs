@@ -17,7 +17,7 @@ use darwin_core::ShardedBenefitStore;
 use darwin_datasets::directions;
 use darwin_grammar::Heuristic;
 use darwin_index::fx::FxHashSet;
-use darwin_index::{IdSet, IndexConfig, IndexSet, ShardMap};
+use darwin_index::{IdSet, IndexConfig, IndexSet};
 use std::time::Instant;
 
 struct Fixture {
@@ -48,7 +48,7 @@ fn fixture() -> Fixture {
     let scores: Vec<f32> = (0..n)
         .map(|i| (i as f32 * 0.137).fract() * 0.6 + 0.2)
         .collect();
-    let mut store = ShardedBenefitStore::new(ShardMap::new(n, 1));
+    let mut store = ShardedBenefitStore::local();
     store
         .track(hierarchy.rules(), &index, &p, &scores, 1)
         .unwrap();

@@ -22,7 +22,7 @@ use darwin_core::candidates::generate_hierarchy;
 use darwin_core::{serve_shard, RemoteShard, ShardedBenefitStore};
 use darwin_datasets::directions;
 use darwin_grammar::Heuristic;
-use darwin_index::{IdSet, IndexConfig, IndexSet, RuleRef, ShardMap};
+use darwin_index::{IdSet, IndexConfig, IndexSet, RuleRef};
 use darwin_text::embed::EmbedConfig;
 use darwin_text::{Corpus, Embeddings};
 use darwin_wire::{Decode, Encode, InProc, ProcTransport, Request, StdioTransport};
@@ -131,7 +131,7 @@ fn main() {
     );
 
     // ---- in-memory reference: journal patch on a local store ----
-    let mut local = ShardedBenefitStore::new(ShardMap::new(N, 1));
+    let mut local = ShardedBenefitStore::local();
     local.track(&f.rules, &f.index, &f.p, &f.scores, 1).unwrap();
     let local_ns = {
         let (p, index) = (&f.p, &f.index);

@@ -26,11 +26,9 @@ impl TraversalKind {
     }
 }
 
-/// How multi-shard *remote* operations are driven (local partitions are
-/// visited in shard order, each using [`DarwinConfig::threads`]). Replies
-/// fold in fixed shard order under both settings, so the knob never
-/// changes a run's output — only how many round-trip latencies a
-/// broadcast costs.
+/// How requests to remote shard workers are driven. Replies fold in fixed
+/// shard order under both settings, so the knob never changes a run's
+/// output — only how many round-trip latencies a broadcast costs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum Fanout {
     /// One blocking round trip per shard, in shard order: `S` shards
@@ -96,12 +94,12 @@ pub struct DarwinConfig {
     /// and benefit-aggregate tracking/rebuilds split their work into this
     /// many contiguous chunks (1 = sequential).
     pub threads: usize,
-    /// Corpus shards: sentence ids are partitioned into this many
-    /// contiguous ranges, each with its own benefit-aggregate partition
-    /// (a local span store or a remote worker); selection merges the
-    /// per-shard fragments exactly (fixed-point sums), so every shard
-    /// count selects the identical question sequence. 1 = the unsharded
-    /// reference path.
+    /// Remote shard workers ([`crate::Darwin::with_remote_shards`]):
+    /// sentence ids are partitioned into this many contiguous ranges, each
+    /// with its benefit-aggregate fragments in one worker; selection merges
+    /// the per-shard fragments exactly (fixed-point sums), so every shard
+    /// count selects the identical question sequence. A local run keeps one
+    /// full-span store and ignores this, as it ignores `fanout`.
     pub shards: usize,
     /// How the question loop sizes its waves of in-flight oracle
     /// questions under the async entry points

@@ -17,19 +17,21 @@
 //!   bumps), sums are rebuilt from scratch — in parallel when
 //!   [`crate::DarwinConfig::threads`] > 1.
 //!
-//! With [`crate::DarwinConfig::shards`] > 1 the engine is a *coordinator*:
-//! aggregates are partitioned into per-shard [`BenefitStore`]s (one per
-//! contiguous id range), deltas route to the shard owning the sentence,
-//! and selection reads fragments merged by [`ShardedBenefitStore`] — see
-//! [`crate::shard`] for why the merge is exact.
+//! A local run keeps the aggregates in one full-span [`BenefitStore`].
+//! With remote shard workers ([`crate::Darwin::with_remote_shards`]) the
+//! engine is a *coordinator*: each worker keeps the fragments of one
+//! contiguous id range, deltas go to the worker whose span holds the
+//! sentence, and selection reads fragments merged by
+//! [`ShardedBenefitStore`] — see [`crate::shard`] for why the merge is
+//! exact.
 //!
-//! Selection then reads cached aggregates — O(|rules| · shards) per
-//! question instead of O(|rules| × |coverage|). Because sums are kept in
-//! the fixed-point domain of [`crate::benefit::quantize`], the aggregates
-//! are *bit-equal* to a from-scratch [`crate::benefit::benefit`] call at
-//! every step, so
+//! Selection then reads cached aggregates — O(|rules|) per question
+//! (times the worker count when remote) instead of
+//! O(|rules| × |coverage|). Because sums are kept in the fixed-point
+//! domain of [`crate::benefit::quantize`], the aggregates are *bit-equal*
+//! to a from-scratch [`crate::benefit::benefit`] call at every step, so
 //! the incremental engine asks the exact same question sequence as the
-//! rescan path at every shard count
+//! rescan path in every deployment
 //! (`DarwinConfig { incremental_benefit: false, .. }` keeps that path alive
 //! as an ablation and as the reference for the equivalence tests).
 
@@ -97,11 +99,12 @@ impl BenefitAgg {
 /// move, rebuilt only on full re-score epochs.
 ///
 /// A store covers a *span* of sentence ids: the default ([`BenefitStore::new`])
-/// spans the whole corpus and its aggregates are the global benefit — the
-/// unsharded reference path. [`BenefitStore::for_span`] builds a shard-local
-/// partition whose aggregates count only the span's slice of each rule's
-/// coverage; [`crate::shard::ShardedBenefitStore`] merges those fragments
-/// back into the global benefit exactly (integer fixed-point sums).
+/// spans the whole corpus and its aggregates are the global benefit — what
+/// a local run selects from. [`BenefitStore::for_span`] builds the store a
+/// shard worker ([`crate::remote::serve_shard`]) keeps: its aggregates
+/// count only the span's slice of each rule's coverage, and
+/// [`crate::shard::ShardedBenefitStore`] merges those fragments back into
+/// the global benefit exactly (integer fixed-point sums).
 pub struct BenefitStore {
     pub(crate) aggs: FxHashMap<RuleRef, BenefitAgg>,
     /// Owned id span `[lo, hi)`. The full-span marker is `(0, u32::MAX)`,
@@ -644,22 +647,21 @@ impl<'a> Engine<'a> {
     }
 
     /// The construction tail [`Engine::new`] and [`Engine::resume`] share:
-    /// attach the benefit store over the current `(P, scores)` — local
-    /// partitions, or one worker per shard — and generate the hierarchy,
-    /// which seeds the partitions from the candidate-search statistics
-    /// (on resume it doubles as the `Track` replay).
+    /// attach the benefit store over the current `(P, scores)` — one local
+    /// store, or one worker per shard — and generate the hierarchy, which
+    /// seeds the store from the candidate-search statistics (on resume it
+    /// doubles as the `Track` replay).
     fn attach_store(mut self) -> Engine<'a> {
         let darwin = self.darwin;
         let cfg = darwin.config();
         if cfg.incremental_benefit {
-            let map = ShardMap::new(darwin.corpus().len(), cfg.shards);
             match darwin.remote_shards() {
-                None => self.store = Some(ShardedBenefitStore::new(map)),
+                None => self.store = Some(ShardedBenefitStore::local()),
                 // Distributed deployment: one worker per shard, each
                 // initialized with the corpus, the coordinator index's
                 // own build recipe, and the current (P, scores) snapshot.
                 Some(spec) => match ShardedBenefitStore::connect_remote(
-                    map,
+                    ShardMap::new(darwin.corpus().len(), cfg.shards),
                     darwin.corpus(),
                     darwin.index().config(),
                     &self.state.p,
@@ -1143,29 +1145,20 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Verify every tracked aggregate against a from-scratch recomputation
-    /// (test/diagnostic hook; the property tests drive this): each *local*
-    /// shard partition's fragments must equal a span-scratch
-    /// recomputation, and the merged aggregates must equal the global one.
-    /// Remote mirrors are audited against their workers by
-    /// [`Engine::audit_remote_store`] instead (that check needs the wire).
+    /// Verify every tracked aggregate of the local store against a
+    /// from-scratch recomputation (test/diagnostic hook; the property
+    /// tests drive this). Remote mirrors are audited against their workers
+    /// by [`Engine::audit_remote_store`] instead (that check needs the
+    /// wire).
     pub fn store_is_consistent(&self) -> bool {
-        let Some(store) = &self.store else {
+        let Some(local) = self.store.as_ref().and_then(ShardedBenefitStore::as_local) else {
             return true;
         };
         let index = self.darwin.index();
         let (p, scores) = (&self.state.p, self.cache.scores());
-        let fragments_ok = store.local_parts().all(|part| {
-            part.tracked()
-                .all(|(r, agg)| *agg == part.compute(index, p, scores, r))
-        });
-        let global = BenefitStore::new();
-        let merge_ok = store.local_parts().next().into_iter().all(|first| {
-            first
-                .tracked()
-                .all(|(r, _)| store.agg(r) == Some(global.compute(index, p, scores, r)))
-        });
-        fragments_ok && merge_ok
+        local
+            .tracked()
+            .all(|(r, agg)| *agg == local.compute(index, p, scores, r))
     }
 
     /// Decompose the engine into its owned state, releasing the `Darwin`
@@ -1230,9 +1223,9 @@ impl<'a> Engine<'a> {
     ///    prior and are journaled so the next incremental refresh scores
     ///    them with the live classifier;
     /// 2. the benefit store folds the appended ids into every tracked
-    ///    aggregate at that prior and extends its span/partition
+    ///    aggregate at that prior
     ///    ([`ShardedBenefitStore::on_corpus_appended`] — remote shards get
-    ///    the `CorpusAppend` frame);
+    ///    the `CorpusAppend` frame, and the last one's span grows);
     /// 3. a corpus-mirroring classifier (wire worker) is forwarded the
     ///    growth;
     /// 4. the frontier memo folds the appended ids (`delta` carries the
@@ -1283,8 +1276,8 @@ impl<'a> Engine<'a> {
 /// clears the threshold rank first (by total benefit); everything else
 /// ranks by expected precision. Without this, waves fill with broad rules
 /// the oracle is certain to reject. Benefits come from the engine's
-/// delta-maintained aggregates via `ctx` — merged across shard partitions
-/// exactly, so wave composition is identical at every shard count.
+/// delta-maintained aggregates via `ctx` — merged across shard workers
+/// exactly, so wave composition is identical in every deployment.
 /// Returns `(rule, qualified, sum_q, average)` tuples in rank order.
 fn rank_gated(ctx: &Ctx<'_>) -> Vec<(RuleRef, bool, i64, f64)> {
     let mut scored: Vec<(RuleRef, bool, i64, f64)> = ctx

@@ -16,8 +16,8 @@
 //!    far ([`benefit`]) and maintained incrementally by the [`engine`]
 //!    (per-rule aggregates patched by delta as `P` grows and scores move,
 //!    instead of a per-question rescan of every candidate's coverage) —
-//!    partitioned across corpus shards and merged exactly at selection
-//!    time when [`DarwinConfig::shards`] > 1 ([`shard`]),
+//!    partitioned across shard workers and merged exactly at selection
+//!    time in a remote deployment ([`shard`]),
 //! 3. asks the [`oracle::Oracle`] a YES/NO question about the selected
 //!    heuristic — or, against a slow (human/crowd) oracle, *submits* it
 //!    through the [`oracle::AsyncOracle`] split and keeps a wave of

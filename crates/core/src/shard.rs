@@ -1,46 +1,42 @@
-//! The sharded benefit coordinator, generic over local and remote shards.
+//! The benefit store a run selects from: one local store, or a fleet of
+//! shard workers.
 //!
-//! [`ShardedBenefitStore`] partitions the corpus across `S` shard
-//! partitions, one per contiguous id range of a [`darwin_index::ShardMap`].
-//! Each partition maintains, for every tracked rule, the *fragment* of its
-//! benefit aggregate contributed by the shard's slice of the rule's
-//! coverage. A partition is one of two backends:
+//! [`ShardedBenefitStore`] holds exactly one of two backends:
 //!
-//! * **local** — an in-memory [`BenefitStore`] (the pre-wire path, and the
-//!   `S = 1` full-span reference);
-//! * **remote** — a [`RemoteShard`]: the partition lives in a *worker*
-//!   (another thread or another process) behind a
-//!   [`darwin_wire::Transport`]. The coordinator ships deltas — new
-//!   positives, score-journal runs, rule-tracking requests — as wire
-//!   messages, and every mutating reply carries the fragments that
-//!   changed, which the coordinator applies to a local *mirror*. Selection
-//!   reads the mirror, so the read path costs no round-trips and the
-//!   merged benefit is computed exactly as in the local case.
+//! * **local** — one full-span [`BenefitStore`] in this process. A local
+//!   run has no shards: [`crate::DarwinConfig::shards`] counts workers,
+//!   and a local run ignores it like it ignores `fanout`;
+//! * **remote** — `S` [`RemoteShard`]s, one per contiguous id range of a
+//!   [`darwin_index::ShardMap`]. Each worker (another thread or another
+//!   process, behind a [`darwin_wire::Transport`]) maintains, for every
+//!   tracked rule, the *fragment* of its benefit aggregate contributed by
+//!   the shard's slice of the rule's coverage. The coordinator ships
+//!   deltas — new positives, score-journal runs, rule-tracking requests —
+//!   as wire messages, and every mutating reply carries the fragments
+//!   that changed, which the coordinator applies to a local *mirror*.
+//!   Selection reads the mirror, so the read path costs no round-trips.
 //!
-//! The coordinator:
+//! The remote coordinator:
 //!
-//! * **routes deltas to owners** — a YES answer's new positive ids go to
-//!   the shard that owns them ([`ShardedBenefitStore::on_positives_added`]),
-//!   and an incremental re-score journal (sorted by id, the
-//!   `ScoreCache::last_changes` invariant) is sliced into per-shard runs
-//!   with two binary searches per shard
-//!   ([`ShardedBenefitStore::on_scores_changed`]);
-//! * **fans bulk work out across shards** — local partitions are visited
-//!   in shard order, each splitting its own work over the whole `threads`
-//!   budget (one level of parallelism); remote partitions are driven per
-//!   the configured [`Fanout`]: one blocking round trip per shard
-//!   (`Sequential`, the reference trace) or all requests issued first and
-//!   the replies joined in fixed shard order (`Concurrent`, so `S` network
-//!   round trips overlap into roughly one). Shard-invariant request
-//!   bodies (tracking lists, retain lists) are encoded *once* and
-//!   broadcast. The fold order is the fixed shard order under both
-//!   settings, so the knob never changes any state;
+//! * **slices deltas by span** — a YES answer's new positive ids go to
+//!   the shards whose spans hold them
+//!   ([`ShardedBenefitStore::on_positives_added`]), and an incremental
+//!   re-score journal (sorted by id, the `ScoreCache::last_changes`
+//!   invariant) is sliced into per-shard runs with two binary searches
+//!   per shard ([`ShardedBenefitStore::on_scores_changed`]);
+//! * **fans requests out** per the configured [`Fanout`]: one blocking
+//!   round trip per shard (`Sequential`, the reference trace) or all
+//!   requests issued first and the replies joined in fixed shard order
+//!   (`Concurrent`, so `S` network round trips overlap into roughly one).
+//!   Shard-invariant request bodies (tracking lists, retain lists) are
+//!   encoded *once* and broadcast. The fold order is the fixed shard
+//!   order under both settings, so the knob never changes any state;
 //! * **merges fragments exactly at read time** —
 //!   [`ShardedBenefitStore::benefit_of`] sums the per-shard fragments in
 //!   the fixed-point domain of [`crate::benefit::quantize`], where integer
 //!   addition is associative, so the merged benefit is bit-identical to
-//!   the single-store value for any shard count, any delta interleaving
-//!   *and any backend* — fragments are integers on the wire, so transport
+//!   the local store's value for any shard count and any delta
+//!   interleaving — fragments are integers on the wire, so transport
 //!   changes nothing.
 //!
 //! **Failure discipline:** a wire failure during any fan-out operation
@@ -57,9 +53,6 @@
 //! read answers `None`, so selection can never act on a partially-merged
 //! state. The engine aborts the run cleanly when it sees the poison;
 //! nothing panics.
-//!
-//! `S = 1` with local backing constructs one full-span [`BenefitStore`] —
-//! the pre-shard reference path, byte for byte.
 
 use crate::benefit::Benefit;
 use crate::candidates::Candidate;
@@ -70,13 +63,14 @@ use darwin_index::{IdSet, IndexConfig, IndexSet, RuleRef, ShardMap};
 use darwin_text::Corpus;
 use darwin_wire::msg::{tag, CorpusSlice, Response, ScoredRule, Session, WireAgg};
 use darwin_wire::{Encode, Transport, WireError};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Builds the transport to one shard worker: called once per shard with
 /// the shard index and its id range (and again on reconnect after a wire
 /// failure, when the deployment supports re-dialing).
 pub type ShardConnector =
-    dyn Fn(usize, std::ops::Range<u32>) -> Result<Box<dyn Transport>, WireError> + Send + Sync;
+    dyn Fn(usize, Range<u32>) -> Result<Box<dyn Transport>, WireError> + Send + Sync;
 
 pub(crate) fn agg_from_wire(w: WireAgg) -> BenefitAgg {
     BenefitAgg {
@@ -566,36 +560,7 @@ impl RemoteShard {
     }
 }
 
-/// One shard partition: in-memory, or mirrored from a worker.
-enum Part {
-    Local(BenefitStore),
-    Remote(RemoteShard),
-}
-
-impl Part {
-    fn agg(&self, r: RuleRef) -> Option<BenefitAgg> {
-        match self {
-            Part::Local(b) => b.agg(r).copied(),
-            Part::Remote(w) => w.agg(r),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Part::Local(b) => b.len(),
-            Part::Remote(w) => w.len(),
-        }
-    }
-
-    fn contains(&self, r: RuleRef) -> bool {
-        match self {
-            Part::Local(b) => b.contains(r),
-            Part::Remote(w) => w.contains(r),
-        }
-    }
-}
-
-/// Drive one exchange across every remote partition. `begin(s, w)` sends
+/// Drive one exchange across every shard of a fleet. `begin(s, w)` sends
 /// shard `s`'s request and returns what the matching `finish` needs
 /// (`None` = the shard has no work in this operation, and no frame was
 /// sent); `finish` receives the reply and folds it.
@@ -609,18 +574,14 @@ impl Part {
 /// joined (their replies drained) before the first error is returned —
 /// no reply is left buffered to be misattributed to a later request.
 fn fan_out<T>(
-    parts: &mut [Part],
+    shards: &mut [RemoteShard],
     fanout: Fanout,
     mut begin: impl FnMut(usize, &mut RemoteShard) -> Result<Option<T>, WireError>,
     mut finish: impl FnMut(&mut RemoteShard, T) -> Result<(), WireError>,
 ) -> Result<(), WireError> {
-    let remotes = parts.iter_mut().enumerate().filter_map(|(s, p)| match p {
-        Part::Remote(w) => Some((s, w)),
-        Part::Local(_) => None,
-    });
     match fanout {
         Fanout::Sequential => {
-            for (s, w) in remotes {
+            for (s, w) in shards.iter_mut().enumerate() {
                 if let Some(t) = begin(s, w)? {
                     finish(w, t)?;
                 }
@@ -630,7 +591,7 @@ fn fan_out<T>(
         Fanout::Concurrent => {
             let mut first_err: Option<WireError> = None;
             let mut sent = Vec::new();
-            for (s, w) in remotes {
+            for (s, w) in shards.iter_mut().enumerate() {
                 match begin(s, w) {
                     Ok(Some(t)) => sent.push((w, t)),
                     Ok(None) => {}
@@ -649,41 +610,96 @@ fn fan_out<T>(
     }
 }
 
-/// Per-shard benefit partitions — local stores or remote workers — behind
-/// one store-shaped facade.
-pub struct ShardedBenefitStore {
+/// The remote backend: one worker per range of `map`, driven per
+/// `fanout`, and the wire failure that poisoned the fleet, if any.
+struct Fleet {
     map: ShardMap,
-    parts: Vec<Part>,
+    shards: Vec<RemoteShard>,
     fanout: Fanout,
     poisoned: Option<WireError>,
 }
 
-impl ShardedBenefitStore {
-    /// One in-memory partition per range of `map`. With one shard the
-    /// single partition is a full-span [`BenefitStore`] — the unsharded
-    /// reference path.
-    pub fn new(map: ShardMap) -> ShardedBenefitStore {
-        let parts = if map.shards() == 1 {
-            vec![Part::Local(BenefitStore::new())]
-        } else {
-            map.ranges()
-                .map(|r| Part::Local(BenefitStore::for_span(r.start, r.end)))
-                .collect()
-        };
-        ShardedBenefitStore {
-            map,
-            parts,
-            fanout: Fanout::default(),
-            poisoned: None,
+impl Fleet {
+    /// The per-shard fragments summed in the fixed-point domain; `None`
+    /// when untracked or poisoned.
+    fn agg(&self, r: RuleRef) -> Option<BenefitAgg> {
+        if self.poisoned.is_some() {
+            return None;
         }
+        let mut merged = BenefitAgg {
+            covered_pos: 0,
+            new_instances: 0,
+            sum_q: 0,
+        };
+        for w in &self.shards {
+            let frag = w.agg(r)?;
+            merged.covered_pos += frag.covered_pos;
+            merged.new_instances += frag.new_instances;
+            merged.sum_q += frag.sum_q;
+        }
+        Some(merged)
     }
 
-    /// One *remote* partition per range of `map`: `connect` builds the
-    /// transport for each shard, and every worker is initialized with the
-    /// corpus (encoded once, shared across all `S` inits), the index
-    /// recipe and the current `(P, scores)` state. The connector is kept
-    /// for reconnect-and-replay after a mid-run wire failure; `fanout`
-    /// selects how broadcasts are driven.
+    /// Run a fallible fan-out under the poison discipline: refuse if
+    /// already poisoned, poison on first failure.
+    fn guarded(
+        &mut self,
+        f: impl FnOnce(&ShardMap, &mut [RemoteShard], Fanout) -> Result<(), WireError>,
+    ) -> Result<(), WireError> {
+        if let Some(e) = &self.poisoned {
+            return Err(e.clone());
+        }
+        let result = f(&self.map, &mut self.shards, self.fanout);
+        if let Err(e) = &result {
+            self.poisoned = Some(e.clone());
+        }
+        result
+    }
+
+    /// Drive one mutating request across every shard under the poison
+    /// discipline. `payload(span)` builds the encoded body and post-state
+    /// for the shard owning `span` (`None` = no work for that shard).
+    fn broadcast(
+        &mut self,
+        mut payload: impl FnMut(Range<u32>) -> Option<(Vec<u8>, Post)>,
+    ) -> Result<(), WireError> {
+        self.guarded(|map, shards, fanout| {
+            fan_out(
+                shards,
+                fanout,
+                |s, w| {
+                    payload(map.range(s))
+                        .map(|(body, post)| w.begin(body, post))
+                        .transpose()
+                },
+                |w, ()| w.finish(),
+            )
+        })
+    }
+}
+
+enum Backend {
+    Local(BenefitStore),
+    Remote(Fleet),
+}
+
+/// The run's benefit aggregates behind one store-shaped facade: one
+/// full-span [`BenefitStore`] in this process, or a fleet of shard
+/// workers whose fragments merge exactly (see the module docs).
+pub struct ShardedBenefitStore(Backend);
+
+impl ShardedBenefitStore {
+    /// The local backend: one full-span [`BenefitStore`].
+    pub fn local() -> ShardedBenefitStore {
+        ShardedBenefitStore(Backend::Local(BenefitStore::new()))
+    }
+
+    /// The remote backend, one worker per range of `map`: `connect`
+    /// builds the transport for each shard, and every worker is
+    /// initialized with the corpus (encoded once, shared across all `S`
+    /// inits), the index recipe and the current `(P, scores)` state. The
+    /// connector is kept for reconnect-and-replay after a mid-run wire
+    /// failure; `fanout` selects how broadcasts are driven.
     pub fn connect_remote(
         map: ShardMap,
         corpus: &Corpus,
@@ -694,11 +710,11 @@ impl ShardedBenefitStore {
         fanout: Fanout,
     ) -> Result<ShardedBenefitStore, WireError> {
         let prefix = Arc::new(init_prefix(corpus, index_cfg));
-        let mut parts = Vec::with_capacity(map.shards());
+        let mut shards = Vec::with_capacity(map.shards());
         for (s, r) in map.ranges().enumerate() {
             let transport = connect(s, r.clone())?;
             let positives: Vec<u32> = p.iter().filter(|&id| r.start <= id && id < r.end).collect();
-            parts.push(Part::Remote(RemoteShard::connect_with(
+            shards.push(RemoteShard::connect_with(
                 transport,
                 s,
                 prefix.clone(),
@@ -707,63 +723,63 @@ impl ShardedBenefitStore {
                 positives,
                 scores[r.start as usize..r.end as usize].to_vec(),
                 Some(connect.clone()),
-            )?));
+            )?);
         }
-        Ok(ShardedBenefitStore {
+        Ok(ShardedBenefitStore(Backend::Remote(Fleet {
             map,
-            parts,
+            shards,
             fanout,
             poisoned: None,
-        })
+        })))
     }
 
-    /// Number of shard partitions.
+    /// Number of shard workers (1 for the local store).
     pub fn shards(&self) -> usize {
-        self.parts.len()
+        match &self.0 {
+            Backend::Local(_) => 1,
+            Backend::Remote(f) => f.shards.len(),
+        }
     }
 
-    /// The id partition this store coordinates.
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.map
-    }
-
-    /// Whether any partition is remote (mirror-backed).
+    /// Whether the aggregates live in shard workers (mirror-backed).
     pub fn is_remote(&self) -> bool {
-        matches!(self.parts.first(), Some(Part::Remote(_)))
+        matches!(self.0, Backend::Remote(_))
     }
 
-    /// Replace the fan-out discipline. A pure driving knob (requests,
-    /// replies and fold order are unchanged), so flipping it between
-    /// broadcasts is always safe — the bench compares modes on one
-    /// worker fleet this way.
+    /// The local full-span store (`None` for a remote fleet).
+    pub fn as_local(&self) -> Option<&BenefitStore> {
+        match &self.0 {
+            Backend::Local(b) => Some(b),
+            Backend::Remote(_) => None,
+        }
+    }
+
+    /// Replace a remote fleet's fan-out discipline (a local store has
+    /// none). A pure driving knob (requests, replies and fold order are
+    /// unchanged), so flipping it between broadcasts is always safe — the
+    /// bench compares modes on one worker fleet this way.
     pub fn set_fanout(&mut self, fanout: Fanout) {
-        self.fanout = fanout;
-    }
-
-    /// How remote broadcasts are driven.
-    pub fn fanout(&self) -> Fanout {
-        self.fanout
+        if let Backend::Remote(f) = &mut self.0 {
+            f.fanout = fanout;
+        }
     }
 
     /// The wire failure that poisoned this coordinator, if any. Poisoned
     /// stores answer `None` to every read — partial merges are
     /// unrepresentable.
     pub fn wire_error(&self) -> Option<&WireError> {
-        self.poisoned.as_ref()
+        match &self.0 {
+            Backend::Local(_) => None,
+            Backend::Remote(f) => f.poisoned.as_ref(),
+        }
     }
 
-    /// The local shard partitions, in shard order (diagnostics, benches;
-    /// empty when the partitions are remote).
-    pub fn local_parts(&self) -> impl Iterator<Item = &BenefitStore> {
-        self.parts.iter().filter_map(|p| match p {
-            Part::Local(b) => Some(b),
-            Part::Remote(_) => None,
-        })
-    }
-
-    /// Number of tracked rules (every partition tracks the same set).
+    /// Number of tracked rules (every shard tracks the same set).
     pub fn len(&self) -> usize {
-        self.parts[0].len()
+        match &self.0 {
+            Backend::Local(b) => b.len(),
+            Backend::Remote(f) => f.shards[0].len(),
+        }
     }
 
     /// Whether no rule is tracked.
@@ -771,90 +787,31 @@ impl ShardedBenefitStore {
         self.len() == 0
     }
 
-    /// Whether `r` has tracked fragments.
+    /// Whether `r` is tracked (never, once poisoned).
     pub fn contains(&self, r: RuleRef) -> bool {
-        self.poisoned.is_none() && self.parts[0].contains(r)
+        match &self.0 {
+            Backend::Local(b) => b.contains(r),
+            Backend::Remote(f) => f.poisoned.is_none() && f.shards[0].contains(r),
+        }
     }
 
-    /// The merged aggregate for `r`: per-shard fragments summed in the
-    /// fixed-point domain — bit-identical to a single full-span store.
-    /// `None` when untracked or when the coordinator is poisoned.
+    /// The aggregate for `r` — for a fleet, the per-shard fragments
+    /// merged in the fixed-point domain, bit-identical to the local
+    /// store's. `None` when untracked or when the coordinator is poisoned.
     pub fn agg(&self, r: RuleRef) -> Option<BenefitAgg> {
-        if self.poisoned.is_some() {
-            return None;
+        match &self.0 {
+            Backend::Local(b) => b.agg(r).copied(),
+            Backend::Remote(f) => f.agg(r),
         }
-        let mut merged = BenefitAgg {
-            covered_pos: 0,
-            new_instances: 0,
-            sum_q: 0,
-        };
-        for part in &self.parts {
-            let frag = part.agg(r)?;
-            merged.covered_pos += frag.covered_pos;
-            merged.new_instances += frag.new_instances;
-            merged.sum_q += frag.sum_q;
-        }
-        Some(merged)
     }
 
-    /// The merged benefit for `r`, if tracked (what selection reads).
+    /// The benefit for `r`, if tracked (what selection reads).
     pub fn benefit_of(&self, r: RuleRef) -> Option<Benefit> {
         self.agg(r).map(|a| a.benefit())
     }
 
-    /// Run a fallible mutation under the poison discipline: refuse if
-    /// already poisoned, poison on first failure.
-    fn guarded(
-        &mut self,
-        f: impl FnOnce(&mut Vec<Part>, Fanout) -> Result<(), WireError>,
-    ) -> Result<(), WireError> {
-        if let Some(e) = &self.poisoned {
-            return Err(e.clone());
-        }
-        let fanout = self.fanout;
-        match f(&mut self.parts, fanout) {
-            Ok(()) => Ok(()),
-            Err(e) => {
-                self.poisoned = Some(e.clone());
-                Err(e)
-            }
-        }
-    }
-
-    /// Drive one mutating request across every remote partition under
-    /// the poison discipline. `payload(s)` builds shard `s`'s encoded body
-    /// and post-state (`None` = the shard has no work in this operation).
-    fn broadcast(
-        &mut self,
-        mut payload: impl FnMut(usize) -> Option<(Vec<u8>, Post)>,
-    ) -> Result<(), WireError> {
-        self.guarded(|parts, fanout| {
-            fan_out(
-                parts,
-                fanout,
-                |s, w| {
-                    payload(s)
-                        .map(|(body, post)| w.begin(body, post))
-                        .transpose()
-                },
-                |w, ()| w.finish(),
-            )
-        })
-    }
-
-    /// The local partitions, in shard order. Bulk operations visit them
-    /// one after another and give each the whole `threads` budget for its
-    /// own chunking — one level of parallelism, not a fan-out across
-    /// stores with another inside each.
-    fn locals_mut(&mut self) -> impl Iterator<Item = &mut BenefitStore> {
-        self.parts.iter_mut().filter_map(|p| match p {
-            Part::Local(b) => Some(b),
-            Part::Remote(_) => None,
-        })
-    }
-
-    /// Ensure every rule in `rules` has a fragment in every partition
-    /// (encoded once and broadcast when remote).
+    /// Ensure every rule in `rules` is tracked (encoded once and
+    /// broadcast when remote).
     pub fn track(
         &mut self,
         rules: &[RuleRef],
@@ -863,18 +820,20 @@ impl ShardedBenefitStore {
         scores: &[f32],
         threads: usize,
     ) -> Result<(), WireError> {
-        if self.is_remote() {
-            let req = track_req(rules);
-            return self.broadcast(|_| Some(req.clone()));
+        match &mut self.0 {
+            Backend::Local(b) => {
+                b.track(rules.iter().copied(), index, p, scores, threads);
+                Ok(())
+            }
+            Backend::Remote(f) => {
+                let req = track_req(rules);
+                f.broadcast(|_| Some(req.clone()))
+            }
         }
-        for part in self.locals_mut() {
-            part.track(rules.iter().copied(), index, p, scores, threads);
-        }
-        Ok(())
     }
 
     /// [`ShardedBenefitStore::track`] for freshly generated candidates,
-    /// seeding fragments from the search statistics (see
+    /// seeding aggregates from the search statistics (see
     /// [`BenefitStore::track_scored`]).
     pub fn track_scored(
         &mut self,
@@ -884,17 +843,19 @@ impl ShardedBenefitStore {
         scores: &[f32],
         threads: usize,
     ) -> Result<(), WireError> {
-        if self.is_remote() {
-            let req = track_scored_req(cands);
-            return self.broadcast(|_| Some(req.clone()));
+        match &mut self.0 {
+            Backend::Local(b) => {
+                b.track_scored(cands, index, p, scores, threads);
+                Ok(())
+            }
+            Backend::Remote(f) => {
+                let req = track_scored_req(cands);
+                f.broadcast(|_| Some(req.clone()))
+            }
         }
-        for part in self.locals_mut() {
-            part.track_scored(cands, index, p, scores, threads);
-        }
-        Ok(())
     }
 
-    /// Recompute every fragment from scratch after a full re-score epoch
+    /// Recompute every aggregate from scratch after a full re-score epoch
     /// (remote workers receive their span's new scores and rebuild on
     /// their side).
     pub fn rebuild(
@@ -904,71 +865,61 @@ impl ShardedBenefitStore {
         scores: &[f32],
         threads: usize,
     ) -> Result<(), WireError> {
-        if self.is_remote() {
-            let map = self.map.clone();
-            return self.broadcast(|s| {
-                let r = map.range(s);
-                Some(rebuild_req(&scores[r.start as usize..r.end as usize]))
-            });
+        match &mut self.0 {
+            Backend::Local(b) => {
+                b.rebuild(index, p, scores, threads);
+                Ok(())
+            }
+            Backend::Remote(f) => {
+                f.broadcast(|r| Some(rebuild_req(&scores[r.start as usize..r.end as usize])))
+            }
         }
-        for part in self.locals_mut() {
-            part.rebuild(index, p, scores, threads);
-        }
-        Ok(())
     }
 
-    /// Drop fragments for rules not satisfying `keep`, in every partition.
-    pub fn retain(&mut self, keep: impl Fn(RuleRef) -> bool + Sync) -> Result<(), WireError> {
-        if let Some(Part::Remote(first)) = self.parts.first() {
-            // Every partition tracks the same rule set, so the keep list
-            // (and its encoding) is computed once and shared.
-            let req = retain_req(first.kept(&keep));
-            return self.broadcast(|_| Some(req.clone()));
+    /// Drop aggregates for rules not satisfying `keep`.
+    pub fn retain(&mut self, keep: impl Fn(RuleRef) -> bool) -> Result<(), WireError> {
+        match &mut self.0 {
+            Backend::Local(b) => {
+                b.retain(keep);
+                Ok(())
+            }
+            Backend::Remote(f) => {
+                // Every shard tracks the same rule set, so the keep list
+                // (and its encoding) is computed once and shared.
+                let req = retain_req(f.shards[0].kept(keep));
+                f.broadcast(|_| Some(req.clone()))
+            }
         }
-        for part in self.locals_mut() {
-            part.retain(&keep);
-        }
-        Ok(())
     }
 
-    /// Route each new positive id to its owning shard's partition (the
-    /// partition walks the inverted postings for the id). Must be called
-    /// with pre-retrain scores, like [`BenefitStore::on_positives_added`].
+    /// `P` grew by `new_ids`; each shard receives the ids in its span
+    /// (and walks the inverted postings for them). Must be called with
+    /// pre-retrain scores, like [`BenefitStore::on_positives_added`].
     pub fn on_positives_added(
         &mut self,
         new_ids: &[u32],
         index: &IndexSet,
         scores: &[f32],
     ) -> Result<(), WireError> {
-        if self.is_remote() {
-            let map = self.map.clone();
-            return self.broadcast(|s| {
-                let r = map.range(s);
+        match &mut self.0 {
+            Backend::Local(b) => {
+                b.on_positives_added(new_ids, index, scores);
+                Ok(())
+            }
+            Backend::Remote(f) => f.broadcast(|r| {
                 let run: Vec<u32> = new_ids
                     .iter()
                     .copied()
-                    .filter(|&id| r.contains(&id))
+                    .filter(|id| r.contains(id))
                     .collect();
                 (!run.is_empty()).then(|| positives_added_req(run))
-            });
+            }),
         }
-        if self.parts.len() == 1 {
-            if let Part::Local(b) = &mut self.parts[0] {
-                b.on_positives_added(new_ids, index, scores);
-            }
-            return Ok(());
-        }
-        for &id in new_ids {
-            if let Part::Local(b) = &mut self.parts[self.map.owner(id)] {
-                b.on_positives_added(&[id], index, scores);
-            }
-        }
-        Ok(())
     }
 
-    /// Slice an id-sorted change journal into per-shard runs and patch each
-    /// owning partition with its run (runs are disjoint, so every entry is
-    /// encoded once whatever `S` is).
+    /// Patch the aggregates with an id-sorted change journal. A fleet
+    /// slices it into per-shard runs (disjoint, so every entry is encoded
+    /// once whatever `S` is).
     pub fn on_scores_changed(
         &mut self,
         changes: &[(u32, f32, f32)],
@@ -979,44 +930,31 @@ impl ShardedBenefitStore {
             changes.windows(2).all(|w| w[0].0 <= w[1].0),
             "change journal must be sorted by id"
         );
-        if self.is_remote() {
-            let map = self.map.clone();
-            return self.broadcast(|s| {
-                let r = map.range(s);
+        match &mut self.0 {
+            Backend::Local(b) => {
+                b.on_scores_changed(changes, p, index);
+                Ok(())
+            }
+            Backend::Remote(f) => f.broadcast(|r| {
                 let a = changes.partition_point(|&(id, _, _)| id < r.start);
                 let b = changes.partition_point(|&(id, _, _)| id < r.end);
                 (a < b).then(|| scores_changed_req(&changes[a..b]))
-            });
+            }),
         }
-        if self.parts.len() == 1 {
-            if let Part::Local(b) = &mut self.parts[0] {
-                b.on_scores_changed(changes, p, index);
-            }
-            return Ok(());
-        }
-        for (s, part) in self.parts.iter_mut().enumerate() {
-            let r = self.map.range(s);
-            let a = changes.partition_point(|&(id, _, _)| id < r.start);
-            let b = changes.partition_point(|&(id, _, _)| id < r.end);
-            if let Part::Local(store) = part {
-                store.on_scores_changed(&changes[a..b], p, index);
-            }
-        }
-        Ok(())
     }
 
-    /// The corpus grew at an append barrier: ids `old_n..corpus.len()`
-    /// were appended, `index` and `scores` already cover them, and none
-    /// are positive. Grows the id partition under the epoch rule
-    /// ([`ShardMap::grow`] — the chunk split stays frozen, every new id
-    /// joins the last shard), extends the last partition's span, and
-    /// folds the appended ids into its fragments.
+    /// The corpus grew at an append barrier: `texts` were appended as ids
+    /// `corpus.len() - texts.len()..corpus.len()`, `index` and `scores`
+    /// already cover them, and none are positive. The local store folds
+    /// the appended ids into its aggregates.
     ///
-    /// Remote: every worker receives the appended texts (each needs the
-    /// full grown corpus to grow its index), but only the last shard's
-    /// span — and its slice of `scores` — actually moves. After the
-    /// fan-out confirms, the shared `ShardInit` reconnect prefix is
-    /// re-encoded from the grown corpus so a later worker death replays
+    /// A fleet grows its id partition under the epoch rule
+    /// ([`ShardMap::grow`] — the chunk split stays frozen, every new id
+    /// joins the last shard). Every worker receives the appended texts
+    /// (each needs the full grown corpus to grow its index), but only the
+    /// last shard's span — and its slice of `scores` — actually moves.
+    /// After the fan-out confirms, the shared `ShardInit` reconnect prefix
+    /// is re-encoded from the grown corpus so a later worker death replays
     /// the grown deployment. A failure mid-append poisons the store like
     /// any other broadcast; the per-shard reconnect path replays the
     /// append body itself, so a transient death during the fan-out still
@@ -1028,73 +966,71 @@ impl ShardedBenefitStore {
         index: &IndexSet,
         scores: &[f32],
     ) -> Result<(), WireError> {
-        let old_n = self.map.sentences() as u32;
         let new_n = corpus.len() as u32;
-        debug_assert_eq!(old_n as usize + texts.len(), new_n as usize);
+        let old_n = new_n - texts.len() as u32;
         debug_assert_eq!(scores.len(), new_n as usize);
         if new_n == old_n {
             return Ok(());
         }
-        self.map.grow(new_n as usize);
-        if self.is_remote() {
-            // The texts dominate the frame; encode them once and share the
-            // byte run across every shard's body.
-            let mut texts_enc = Vec::new();
-            (texts.len() as u32).encode(&mut texts_enc);
-            for t in texts {
-                t.encode(&mut texts_enc);
+        let f = match &mut self.0 {
+            Backend::Local(b) => {
+                b.on_ids_appended(old_n..new_n, index, scores);
+                return Ok(());
             }
-            let map = self.map.clone();
-            let last = self.parts.len() - 1;
-            self.broadcast(|s| {
-                let new_hi = map.range(s).end;
-                let span: &[f32] = if s == last {
-                    &scores[old_n as usize..new_hi as usize]
-                } else {
-                    &[]
-                };
-                let mut body = Vec::with_capacity(1 + texts_enc.len() + 8 + 4 * span.len());
-                body.push(tag::CORPUS_APPEND);
-                body.extend_from_slice(&texts_enc);
-                new_hi.encode(&mut body);
-                (span.len() as u32).encode(&mut body);
-                for v in span {
-                    v.encode(&mut body);
-                }
-                Some((
-                    body,
-                    Post::Append {
-                        new_hi,
-                        scores: span.to_vec(),
-                    },
-                ))
-            })?;
-            let prefix = Arc::new(init_prefix(corpus, index.config()));
-            for part in &mut self.parts {
-                if let Part::Remote(w) = part {
-                    w.prefix = prefix.clone();
-                }
-            }
-            return Ok(());
+            Backend::Remote(f) => f,
+        };
+        debug_assert_eq!(f.map.sentences(), old_n as usize);
+        f.map.grow(new_n as usize);
+        // The texts dominate the frame; encode them once and share the
+        // byte run across every shard's body.
+        let mut texts_enc = Vec::new();
+        (texts.len() as u32).encode(&mut texts_enc);
+        for t in texts {
+            t.encode(&mut texts_enc);
         }
-        let last = self.parts.len() - 1;
-        if let Part::Local(b) = &mut self.parts[last] {
-            b.extend_span(new_n);
-            b.on_ids_appended(old_n..new_n, index, scores);
+        f.broadcast(|r| {
+            // Only the last shard's span reaches past the old universe.
+            let span: &[f32] = if r.end > old_n {
+                &scores[old_n as usize..r.end as usize]
+            } else {
+                &[]
+            };
+            let mut body = Vec::with_capacity(1 + texts_enc.len() + 8 + 4 * span.len());
+            body.push(tag::CORPUS_APPEND);
+            body.extend_from_slice(&texts_enc);
+            r.end.encode(&mut body);
+            (span.len() as u32).encode(&mut body);
+            for v in span {
+                v.encode(&mut body);
+            }
+            Some((
+                body,
+                Post::Append {
+                    new_hi: r.end,
+                    scores: span.to_vec(),
+                },
+            ))
+        })?;
+        let prefix = Arc::new(init_prefix(corpus, index.config()));
+        for w in &mut f.shards {
+            w.prefix = prefix.clone();
         }
         Ok(())
     }
 
     /// Audit every remote mirror against its worker's ground truth
-    /// (`Ok(true)` when all mirrors are exact; trivially true for local
-    /// partitions). Driven per the configured fan-out like every other
+    /// (`Ok(true)` when all mirrors are exact; trivially true for the
+    /// local store). Driven per the configured fan-out like every other
     /// broadcast; a wire failure poisons the store (after draining the
     /// surviving shards' replies).
     pub fn audit_remote(&mut self) -> Result<bool, WireError> {
+        let Backend::Remote(f) = &mut self.0 else {
+            return Ok(true);
+        };
         let mut exact = true;
-        self.guarded(|parts, fanout| {
+        f.guarded(|_, shards, fanout| {
             fan_out(
-                parts,
+                shards,
                 fanout,
                 |_, w| w.audit_begin().map(Some),
                 |w, rules| {
@@ -1106,14 +1042,17 @@ impl ShardedBenefitStore {
         Ok(exact)
     }
 
-    /// Tear down remote workers in an orderly fashion (no-op for local
-    /// partitions; concurrent fan-out sends every `Shutdown` before
+    /// Tear down remote workers in an orderly fashion (no-op for the
+    /// local store; concurrent fan-out sends every `Shutdown` before
     /// joining the `Ack`s). Dropping the store also works — workers exit
     /// on disconnect.
-    pub fn shutdown(mut self) -> Result<(), WireError> {
+    pub fn shutdown(self) -> Result<(), WireError> {
+        let Backend::Remote(mut f) = self.0 else {
+            return Ok(());
+        };
         fan_out(
-            &mut self.parts,
-            self.fanout,
+            &mut f.shards,
+            f.fanout,
             |_, w| w.shutdown_begin().map(Some),
             |w, ()| w.shutdown_finish(),
         )
@@ -1255,6 +1194,36 @@ mod tests {
         );
     }
 
+    fn inproc_connector() -> Arc<ShardConnector> {
+        Arc::new(|_, _| {
+            let (client, mut server) = darwin_wire::InProc::pair();
+            std::thread::spawn(move || {
+                let _ = crate::remote::serve_shard(&mut server);
+            });
+            Ok(Box::new(client) as Box<dyn Transport>)
+        })
+    }
+
+    /// `shards` InProc workers over `c`, initialized from `(p, scores)`.
+    fn fleet(
+        c: &Corpus,
+        shards: usize,
+        p: &IdSet,
+        scores: &[f32],
+        fanout: Fanout,
+    ) -> ShardedBenefitStore {
+        ShardedBenefitStore::connect_remote(
+            ShardMap::new(c.len(), shards),
+            c,
+            &IndexConfig::small(),
+            p,
+            scores,
+            inproc_connector(),
+            fanout,
+        )
+        .unwrap()
+    }
+
     /// Merged fragments equal the global benefit for every shard count,
     /// through tracking, positive deltas, journal patches and rebuilds.
     #[test]
@@ -1265,7 +1234,10 @@ mod tests {
         for shards in [1usize, 2, 3, 4, 7] {
             let mut p = IdSet::from_ids(&[0], n);
             let mut scores: Vec<f32> = (0..n).map(|i| (i as f32 * 0.31).fract()).collect();
-            let mut store = ShardedBenefitStore::new(ShardMap::new(n, shards));
+            let mut store = match shards {
+                1 => ShardedBenefitStore::local(),
+                _ => fleet(&c, shards, &p, &scores, Fanout::Concurrent),
+            };
             store.track(&rules, &idx, &p, &scores, 1).unwrap();
 
             let check = |store: &ShardedBenefitStore, p: &IdSet, scores: &[f32], label: &str| {
@@ -1306,16 +1278,19 @@ mod tests {
             }
             store.rebuild(&idx, &p, &scores, 4).unwrap();
             check(&store, &p, &scores, "after rebuild");
+            store.shutdown().unwrap();
         }
     }
 
     #[test]
-    fn single_shard_is_full_span() {
-        let (c, _) = setup();
-        let store = ShardedBenefitStore::new(ShardMap::new(c.len(), 1));
+    fn local_store_is_one_full_span_store() {
+        let mut store = ShardedBenefitStore::local();
         assert_eq!(store.shards(), 1);
         assert!(!store.is_remote());
-        assert_eq!(store.local_parts().next().unwrap().span(), (0, u32::MAX));
+        assert_eq!(store.as_local().unwrap().span(), (0, u32::MAX));
+        assert!(store.wire_error().is_none());
+        assert_eq!(store.audit_remote(), Ok(true));
+        store.shutdown().unwrap();
     }
 
     #[test]
@@ -1324,23 +1299,15 @@ mod tests {
         let rules: Vec<RuleRef> = idx.all_rules().collect();
         let p = IdSet::from_ids(&[0, 1], c.len());
         let scores = vec![0.5; c.len()];
-        let mut store = ShardedBenefitStore::new(ShardMap::new(c.len(), 3));
+        let mut store = fleet(&c, 3, &p, &scores, Fanout::Concurrent);
         store.track(&rules, &idx, &p, &scores, 1).unwrap();
         let keep = rules[0];
         store.retain(|r| r == keep).unwrap();
         assert_eq!(store.len(), 1);
         assert!(store.contains(keep));
         assert!(store.benefit_of(rules[1]).is_none());
-    }
-
-    fn inproc_connector() -> Arc<ShardConnector> {
-        Arc::new(|_, _| {
-            let (client, mut server) = darwin_wire::InProc::pair();
-            std::thread::spawn(move || {
-                let _ = crate::remote::serve_shard(&mut server);
-            });
-            Ok(Box::new(client) as Box<dyn Transport>)
-        })
+        assert!(store.audit_remote().unwrap());
+        store.shutdown().unwrap();
     }
 
     /// Drive the full mutation vocabulary through remote workers under
@@ -1355,17 +1322,8 @@ mod tests {
         for fanout in [Fanout::Sequential, Fanout::Concurrent] {
             let mut p = IdSet::from_ids(&[0], n);
             let mut scores: Vec<f32> = (0..n).map(|i| (i as f32 * 0.31).fract()).collect();
-            let mut store = ShardedBenefitStore::connect_remote(
-                ShardMap::new(n, 3),
-                &c,
-                &IndexConfig::small(),
-                &p,
-                &scores,
-                inproc_connector(),
-                fanout,
-            )
-            .unwrap();
-            let mut reference = ShardedBenefitStore::new(ShardMap::new(n, 1));
+            let mut store = fleet(&c, 3, &p, &scores, fanout);
+            let mut reference = ShardedBenefitStore::local();
 
             let check =
                 |store: &ShardedBenefitStore, reference: &ShardedBenefitStore, label: &str| {
@@ -1461,8 +1419,8 @@ mod tests {
 
         // Sever shard 0's transport under the store's feet: the next
         // broadcast fails mid-fan-out and must recover by re-dialing.
-        if let Part::Remote(w) = &mut store.parts[0] {
-            w.session = Session::new(Box::new(darwin_wire::DeadTransport));
+        if let Backend::Remote(f) = &mut store.0 {
+            f.shards[0].session = Session::new(Box::new(darwin_wire::DeadTransport));
         }
         let changes: Vec<(u32, f32, f32)> = vec![(1, 0.5, 0.9), (5, 0.5, 0.1)];
         store.on_scores_changed(&changes, &p, &idx).unwrap();
@@ -1471,7 +1429,7 @@ mod tests {
 
         // The recovered deployment is still exact.
         assert!(store.audit_remote().unwrap());
-        let mut reference = ShardedBenefitStore::new(ShardMap::new(n, 1));
+        let mut reference = ShardedBenefitStore::local();
         reference.track(&rules, &idx, &p, &scores, 1).unwrap();
         reference.on_scores_changed(&changes, &p, &idx).unwrap();
         for &r in &rules {
@@ -1482,9 +1440,11 @@ mod tests {
 
     /// The store leg of append equivalence: growing the partition at an
     /// append barrier leaves every merged benefit identical to a scratch
-    /// pass over the grown corpus — locally for every shard count, and
-    /// remotely under both fan-outs (where the append deltas must also
-    /// keep the mirrors exact against worker ground truth). Growth then
+    /// pass over the grown corpus — for the local store, and for worker
+    /// fleets at several shard counts under both fan-outs (where the
+    /// append deltas must also keep the mirrors exact against worker
+    /// ground truth). S = 5 over seven sentences leaves a non-last shard
+    /// clipped by the universe edge, which must not grow. Growth then
     /// continues across the barrier: an appended id turning positive
     /// flows through the ordinary delta route.
     #[test]
@@ -1505,7 +1465,12 @@ mod tests {
             idx.append(&c).unwrap();
             scores.resize(c.len(), 0.5); // neutral prior for appended ids
             store.on_corpus_appended(&c, &extra, &idx, &scores).unwrap();
-            assert_eq!(store.shard_map().sentences(), c.len(), "{label}");
+            if let Backend::Remote(f) = &store.0 {
+                assert_eq!(f.map.sentences(), c.len(), "{label}");
+                let spans: Vec<(u32, u32)> = f.shards.iter().map(RemoteShard::span).collect();
+                let ranges: Vec<(u32, u32)> = f.map.ranges().map(|r| (r.start, r.end)).collect();
+                assert_eq!(spans, ranges, "{label}: confirmed spans follow the map");
+            }
             for &r in &rules {
                 assert_eq!(
                     store.benefit_of(r).unwrap(),
@@ -1531,32 +1496,21 @@ mod tests {
             }
             store
         };
-        let n = setup().0.len();
-        for shards in [1usize, 2, 3, 4] {
-            run(
-                ShardedBenefitStore::new(ShardMap::new(n, shards)),
-                &format!("local S={shards}"),
-            );
-        }
-        for fanout in [Fanout::Sequential, Fanout::Concurrent] {
-            let (c, _) = setup();
-            let p = IdSet::from_ids(&[0, 1], n);
-            let scores: Vec<f32> = (0..n).map(|i| (i as f32 * 0.31).fract()).collect();
-            let store = ShardedBenefitStore::connect_remote(
-                ShardMap::new(n, 3),
-                &c,
-                &IndexConfig::small(),
-                &p,
-                &scores,
-                inproc_connector(),
-                fanout,
-            )
-            .unwrap();
-            let mut store = run(store, &format!("remote {fanout:?}"));
-            assert!(
-                store.audit_remote().unwrap(),
-                "{fanout:?} audit post-append"
-            );
+        run(ShardedBenefitStore::local(), "local");
+        let (c, _) = setup();
+        let n = c.len();
+        let p = IdSet::from_ids(&[0, 1], n);
+        let scores: Vec<f32> = (0..n).map(|i| (i as f32 * 0.31).fract()).collect();
+        for (shards, fanout) in [
+            (2, Fanout::Concurrent),
+            (3, Fanout::Sequential),
+            (3, Fanout::Concurrent),
+            (4, Fanout::Concurrent),
+            (5, Fanout::Concurrent),
+        ] {
+            let label = format!("remote S={shards} {fanout:?}");
+            let mut store = run(fleet(&c, shards, &p, &scores, fanout), &label);
+            assert!(store.audit_remote().unwrap(), "{label}: audit post-append");
             store.shutdown().unwrap();
         }
     }

@@ -395,9 +395,9 @@ mod tests {
         assert_eq!(a.wire_error, b.wire_error, "{label}: wire error");
     }
 
-    /// The tentpole invariant: the delta append path is bit-identical to
-    /// the from-scratch rebuild reference, and shards / threads /
-    /// transport stay pure perf knobs across appends.
+    /// The delta append path is bit-identical to the from-scratch rebuild
+    /// reference, and shard workers / threads / fan-out stay pure perf
+    /// knobs across appends.
     #[test]
     fn append_schedule_matches_rebuild_across_deployments() {
         let reference = run_schedule(stream_cfg(1, 1), AppendMode::Rebuild, false, false);
@@ -414,8 +414,8 @@ mod tests {
         );
         for (shards, threads, remote) in [
             (1, 1, false),
-            (2, 2, false),
-            (3, 1, false),
+            (2, 2, true),
+            (3, 1, true),
             (2, 1, true),
             (3, 2, true),
         ] {

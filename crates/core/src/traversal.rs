@@ -35,9 +35,9 @@ pub struct Ctx<'a> {
     pub queried: &'a FxHashSet<RuleRef>,
     /// UniversalSearch's benefit-per-instance pruning bar (Algorithm 4).
     pub benefit_threshold: f64,
-    /// Delta-maintained benefit aggregates, partitioned by shard. When
-    /// present, [`Ctx::benefit`] is an O(shards) fragment merge for
-    /// tracked rules; when absent (rescan mode), it recomputes from raw
+    /// Delta-maintained benefit aggregates. When present, [`Ctx::benefit`]
+    /// is a lookup for tracked rules (an O(shards) fragment merge when the
+    /// store is remote); when absent (rescan mode), it recomputes from raw
     /// coverage. Both paths return bit-identical values — see
     /// [`crate::benefit`] and [`crate::shard`].
     pub store: Option<&'a ShardedBenefitStore>,

@@ -18,8 +18,8 @@
 //!   ([`IndexSet::rules_covering`]), four bytes a posting, the delta
 //!   primitive of the incremental benefit engine,
 //! * [`shard`] — [`ShardMap`]: contiguous sentence-id partitioning with
-//!   shard-sliced postings, the ownership layer of the sharded execution
-//!   engine, plus [`intersect_count`], the sorted-posting intersection
+//!   shard-sliced postings, the span layout of a remote shard deployment,
+//!   plus [`intersect_count`], the sorted-posting intersection
 //!   primitive incremental maintenance filters dirty ids with,
 //! * [`bitset`] — a dense id set used throughout the pipeline,
 //! * [`fx`] — the FxHash hasher (integer-keyed maps are hot here).

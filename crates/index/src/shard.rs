@@ -1,5 +1,5 @@
-//! Contiguous sentence-id sharding (the partition layer of the sharded
-//! execution engine).
+//! Contiguous sentence-id sharding (the span layout of a remote shard
+//! deployment).
 //!
 //! A [`ShardMap`] splits the id space `0..n` into `S` contiguous,
 //! near-equal ranges. Contiguity is the property everything downstream
@@ -9,14 +9,11 @@
 //!   so shard-sliced coverage is two binary searches ([`shard_slice`]), not
 //!   a filter;
 //! * per-shard outputs concatenated in shard order reproduce the id-order
-//!   output of an unsharded pass bit for bit (score refreshes, change
-//!   journals);
-//! * ownership is O(1) arithmetic ([`ShardMap::owner`]), so routing a
-//!   per-sentence delta to its shard costs nothing.
+//!   output of an unsharded pass bit for bit;
+//! * an id-sorted delta splits into per-shard runs with two binary
+//!   searches per shard, the same way postings do.
 //!
-//! The map is pure bookkeeping — it holds no postings. `S = 1` degenerates
-//! to a single shard spanning the whole corpus, which is how the unsharded
-//! path stays alive as the equivalence reference.
+//! The map is pure bookkeeping — it holds no postings.
 
 use std::ops::Range;
 
@@ -80,10 +77,15 @@ pub fn intersect_count(a: &[u32], b: &[u32]) -> usize {
 ///
 /// Shard `s` owns `[s·c, min((s+1)·c, n))` with `c = ⌈n / S⌉`; when
 /// `S > n` the trailing shards are empty (harmless — they own nothing and
-/// contribute zero to every merge).
+/// contribute zero to every merge). After [`ShardMap::grow`], `n` in that
+/// formula stays the universe the map was cut for, and the last shard
+/// extends to the grown universe.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct ShardMap {
     n: u32,
+    /// The universe the split was cut for: every shard but the last keeps
+    /// its range within it when [`ShardMap::grow`] extends `n`.
+    base: u32,
     shards: usize,
     chunk: u32,
 }
@@ -96,6 +98,7 @@ impl ShardMap {
         let n = u32::try_from(n_sentences).expect("corpus exceeds u32 id space");
         ShardMap {
             n,
+            base: n,
             shards,
             chunk: n.div_ceil(shards as u32).max(1),
         }
@@ -111,28 +114,16 @@ impl ShardMap {
         self.n as usize
     }
 
-    /// The shard owning sentence `id`, clamped to the last shard.
-    ///
-    /// The clamp is a real invariant in every build profile, not a debug
-    /// assertion: the result is always `< shards()`, so downstream
-    /// fragment-vector indexing cannot run past the end even if a caller
-    /// hands in an id at (or beyond) the universe edge. It is also the
-    /// epoch-growth rule — after [`grow`](ShardMap::grow) the chunk split
-    /// stays frozen and every appended id lands on the last shard.
-    pub fn owner(&self, id: u32) -> usize {
-        ((id / self.chunk) as usize).min(self.shards - 1)
-    }
-
     /// The id range shard `s` owns (empty for trailing shards of an
     /// over-partitioned corpus). The last shard always extends to `n`, so
     /// ranges keep tiling the universe after [`grow`](ShardMap::grow).
     pub fn range(&self, s: usize) -> Range<u32> {
         debug_assert!(s < self.shards);
-        let lo = (s as u32).saturating_mul(self.chunk).min(self.n);
+        let lo = (s as u32).saturating_mul(self.chunk).min(self.base);
         let hi = if s + 1 == self.shards {
             self.n
         } else {
-            lo.saturating_add(self.chunk).min(self.n)
+            lo.saturating_add(self.chunk).min(self.base)
         };
         lo..hi
     }
@@ -152,12 +143,6 @@ impl ShardMap {
     /// All shard ranges, in shard order.
     pub fn ranges(&self) -> impl Iterator<Item = Range<u32>> + '_ {
         (0..self.shards).map(|s| self.range(s))
-    }
-
-    /// Shard `s`'s slice of a sorted posting list.
-    pub fn slice<'a>(&self, postings: &'a [u32], s: usize) -> &'a [u32] {
-        let r = self.range(s);
-        shard_slice(postings, r.start, r.end)
     }
 }
 
@@ -182,11 +167,13 @@ mod tests {
     }
 
     #[test]
-    fn owner_agrees_with_ranges() {
+    fn every_id_lies_in_exactly_one_range() {
         let m = ShardMap::new(103, 7);
         for id in 0..103u32 {
-            let s = m.owner(id);
-            assert!(m.range(s).contains(&id));
+            let holders: Vec<usize> = (0..m.shards())
+                .filter(|&s| m.range(s).contains(&id))
+                .collect();
+            assert_eq!(holders.len(), 1, "id {id} held by {holders:?}");
         }
     }
 
@@ -198,15 +185,13 @@ mod tests {
     }
 
     #[test]
-    fn slices_cover_postings_exactly() {
+    fn shard_slices_tile_the_postings() {
         let postings: Vec<u32> = vec![0, 3, 4, 9, 17, 40, 41, 99];
         let m = ShardMap::new(100, 4);
         let mut rebuilt = Vec::new();
-        for s in 0..m.shards() {
-            let slice = m.slice(&postings, s);
-            for &id in slice {
-                assert_eq!(m.owner(id), s);
-            }
+        for r in m.ranges() {
+            let slice = shard_slice(&postings, r.start, r.end);
+            assert!(slice.iter().all(|id| r.contains(id)), "{r:?}");
             rebuilt.extend_from_slice(slice);
         }
         assert_eq!(rebuilt, postings, "shard slices must tile the postings");
@@ -244,40 +229,34 @@ mod tests {
     }
 
     #[test]
-    fn owner_clamps_to_last_shard_in_all_profiles() {
-        // Pinned satellite behavior: an id at or past the universe edge
-        // must never produce an owner >= shards() in any build profile
-        // (release builds skip the debug_assert and used to return a
-        // nonsense shard that indexed past the fragment vector).
-        let m = ShardMap::new(100, 4);
-        for id in [99u32, 100, 101, 1000, u32::MAX] {
-            assert_eq!(m.owner(id).min(m.shards() - 1), m.owner(id));
-            assert!(m.owner(id) < m.shards(), "id {id} escaped the clamp");
-        }
-        assert_eq!(ShardMap::new(1, 8).owner(u32::MAX), 7, "chunk=1 clamp");
-    }
-
-    #[test]
     fn grow_keeps_chunk_and_routes_new_ids_to_last_shard() {
-        let mut m = ShardMap::new(100, 4); // chunk = 25
-        let frozen: Vec<_> = (0..100).map(|id| m.owner(id)).collect();
-        m.grow(140);
-        assert_eq!(m.sentences(), 140);
-        // Pre-existing ids keep their owners — the epoch invariant.
-        for id in 0..100u32 {
-            assert_eq!(m.owner(id), frozen[id as usize]);
+        // 100 ids in 4 shards (chunk 25), and 5 ids in 4 shards (chunk 2),
+        // where the third shard is clipped by the universe edge and the
+        // last one starts out empty.
+        for (n, s, grown) in [(100usize, 4usize, 140usize), (5, 4, 9)] {
+            let mut m = ShardMap::new(n, s);
+            let before: Vec<_> = m.ranges().collect();
+            m.grow(grown);
+            assert_eq!(m.sentences(), grown);
+            // Every shard but the last keeps its range — the epoch
+            // invariant — and the last one absorbs the appended ids.
+            let after: Vec<_> = m.ranges().collect();
+            assert_eq!(after[..s - 1], before[..s - 1], "n={n} s={s}");
+            assert_eq!(after[s - 1], before[s - 1].start..grown as u32);
+            let mut cursor = 0u32;
+            for r in &after {
+                assert_eq!(r.start, cursor, "n={n} s={s}: gap or overlap");
+                cursor = r.end;
+            }
+            assert_eq!(cursor, grown as u32);
+            let postings: Vec<u32> = (0..grown as u32).collect();
+            assert_eq!(
+                shard_slice(&postings, after[s - 1].start, after[s - 1].end),
+                &postings[before[s - 1].start as usize..],
+                "n={n} s={s}: the last shard's slice holds every appended id"
+            );
         }
-        // Appended ids all land on the last shard, and ranges still tile.
-        for id in 100..140u32 {
-            assert_eq!(m.owner(id), 3);
-        }
-        let mut cursor = 0u32;
-        for r in m.ranges() {
-            assert_eq!(r.start, cursor);
-            cursor = r.end;
-        }
-        assert_eq!(cursor, 140);
-        assert_eq!(m.range(3), 75..140, "last shard absorbs the growth");
+        assert_eq!(ShardMap::new(100, 4).range(3), 75..100);
     }
 
     #[test]

@@ -40,7 +40,8 @@ pub use trace::{
     assert_equivalent, assert_same_final, assert_same_pool, step_reference, step_reference_with,
 };
 pub use transports::{
-    shard_connector, test_transport, wire_oracle, worker_bin, Fault, FlakyTransport, TransportKind,
+    inproc_shards, shard_connector, test_transport, wire_oracle, worker_bin, Fault, FlakyTransport,
+    TransportKind,
 };
 
 use darwin_core::{BatchPolicy, DarwinConfig};

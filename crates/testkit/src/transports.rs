@@ -12,9 +12,10 @@
 //!   processes dialing back over loopback TCP sockets.
 //! * [`shard_connector`] / [`wire_oracle`] — build a worker deployment of
 //!   the selected kind for `Darwin::with_remote_shards` and
-//!   `Darwin::run_async`.
+//!   `Darwin::run_async`; [`inproc_shards`] deploys a config's shard count
+//!   as InProc workers.
 
-use darwin_core::{serve_oracle, Oracle, ShardConnector, WireOracle};
+use darwin_core::{serve_oracle, Darwin, Oracle, ShardConnector, WireOracle};
 use darwin_text::Corpus;
 use darwin_wire::{InProc, ProcTransport, Transport, WireError};
 use rand::rngs::StdRng;
@@ -223,6 +224,18 @@ pub fn shard_connector(kind: TransportKind, worker_exe: Option<PathBuf>) -> Box<
                 tcp_worker(&exe, &args)
             })
         }
+    }
+}
+
+/// `darwin` with its configured shard count deployed as InProc shard
+/// workers, one per shard — or unchanged at one shard. A local run keeps
+/// one full-span store whatever `DarwinConfig::shards` says, so the S axis
+/// of an equivalence suite exists only over workers.
+pub fn inproc_shards(darwin: Darwin<'_>) -> Darwin<'_> {
+    if darwin.config().shards > 1 {
+        darwin.with_remote_shards(darwin_core::inproc_shard_connector())
+    } else {
+        darwin
     }
 }
 

@@ -4,9 +4,10 @@
 //!    `Immediate` adapter, the wave driver (`Darwin::run_async`, and
 //!    `Darwin::run`/`run_with`, which are that configuration) replays the
 //!    sequential reference — a plain loop of `Engine::step`, which shares
-//!    no code with the driver — byte for byte, at every shard count,
-//!    thread count and answer-arrival schedule (one question in flight
-//!    means a schedule can only delay, never reorder).
+//!    no code with the driver — byte for byte, at every shard count (S > 1
+//!    runs over InProc shard workers), thread count and answer-arrival
+//!    schedule (one question in flight means a schedule can only delay,
+//!    never reorder).
 //! 2. **Arrival invariance.** For any fixed batch size, the *final* state
 //!    (positives, scores, question set, accepted set) is invariant under
 //!    the answer-arrival schedule and the S × threads execution matrix:
@@ -22,8 +23,9 @@ use darwin::prelude::*;
 use darwin_core::batch::ScriptedArrival;
 use darwin_core::{AnnotatorPool, AsyncRunResult};
 use darwin_testkit::{
-    assert_equivalent, assert_same_final, directions_fixture, indexed, step_reference,
-    step_reference_with, test_batch, test_threads, transport, NoisyOracle, ScriptedOracle,
+    assert_equivalent, assert_same_final, directions_fixture, indexed, inproc_shards,
+    step_reference, step_reference_with, test_batch, test_threads, transport, NoisyOracle,
+    ScriptedOracle,
 };
 use proptest::prelude::*;
 
@@ -61,7 +63,7 @@ fn run_async(
     threads: usize,
 ) -> AsyncRunResult {
     let (d, index) = directions_fixture(n, dseed);
-    let darwin = Darwin::new(&d.corpus, &index, cfg(batch, shards, threads));
+    let darwin = inproc_shards(Darwin::new(&d.corpus, &index, cfg(batch, shards, threads)));
     let seed = Seed::Rule(Heuristic::phrase(&d.corpus, d.seed_rules[0]).unwrap());
     let mut oracle = ScriptedArrival::new(GroundTruthOracle::new(&d.labels, 0.8), holds.to_vec());
     darwin.run_async(seed, &mut oracle)

@@ -1,10 +1,12 @@
 //! The incremental engine's defining guarantee: delta-maintained benefit
 //! aggregates select the *exact same rule sequence* as the pre-refactor
 //! full-rescan path, on every traversal strategy and on the baseline
-//! selectors — and, since the execution layer went sharded, for *every
-//! shard count*: per-shard fragments merged in the fixed-point domain are
-//! bit-identical to the single-store sums, so `DarwinConfig::shards` can
-//! never change a trace. `DarwinConfig { incremental_benefit: false, .. }`
+//! selectors — and for *every shard count*: shard workers' fragments
+//! merged in the fixed-point domain are bit-identical to the local
+//! store's sums, so `DarwinConfig::shards` can never change a trace.
+//! Shards exist only as workers, so every cell with S > 1 deploys that
+//! many InProc shard workers (`darwin_testkit::inproc_shards`); a local
+//! run ignores the count. `DarwinConfig { incremental_benefit: false, .. }`
 //! keeps the rescan path alive as the reference; the engine's fixed-point
 //! sums make the paths bit-comparable (see `darwin_core::benefit`).
 //!
@@ -18,7 +20,7 @@ use darwin::prelude::*;
 use darwin::text::embed::EmbedConfig;
 use darwin_core::{AnnotatorPool, DarwinConfig, RunResult};
 use darwin_testkit::strategies::corpus_texts as corpus_strategy;
-use darwin_testkit::{assert_equivalent, directions_fixture, indexed, test_threads};
+use darwin_testkit::{assert_equivalent, directions_fixture, indexed, inproc_shards, test_threads};
 use proptest::prelude::*;
 
 fn run_mode(incremental: bool, kind: TraversalKind, make: Option<MakeStrategy>) -> RunResult {
@@ -52,7 +54,7 @@ fn run_cfg(
         threads,
         ..DarwinConfig::fast().with_traversal(kind)
     };
-    let darwin = Darwin::new(&d.corpus, &index, cfg);
+    let darwin = inproc_shards(Darwin::new(&d.corpus, &index, cfg));
     let seed = Seed::Rule(Heuristic::phrase(&d.corpus, d.seed_rules[0]).unwrap());
     let mut oracle = GroundTruthOracle::new(&d.labels, 0.8);
     match make {
@@ -79,9 +81,9 @@ fn traversals_select_identical_sequences() {
 }
 
 /// Sharding is an execution detail: on every traversal strategy, S ∈
-/// {2, 4, 7} shards must replay the single-shard trace byte for byte (and
-/// the single-shard incremental trace already equals the rescan reference,
-/// by the test above).
+/// {2, 4, 7} shard workers must replay the local trace byte for byte (and
+/// the local incremental trace already equals the rescan reference, by the
+/// test above).
 #[test]
 fn shard_counts_select_identical_sequences() {
     for kind in [
@@ -143,7 +145,7 @@ fn warm_start_selects_identical_sequences() {
             threads,
             ..DarwinConfig::fast()
         };
-        let darwin = Darwin::new(&d.corpus, &index, cfg);
+        let darwin = inproc_shards(Darwin::new(&d.corpus, &index, cfg));
         let seed = Seed::Rule(Heuristic::phrase(&d.corpus, d.seed_rules[0]).unwrap());
         let mut oracle = GroundTruthOracle::new(&d.labels, 0.8);
         darwin.run(seed, &mut oracle)
@@ -161,8 +163,8 @@ fn warm_start_selects_identical_sequences() {
 /// The same invariant on the paper's classifier: at `DarwinConfig::paper()`
 /// (the Kim CNN) a session is one trace, one positive set and one score
 /// vector whatever `threads`, `shards` and `warm_start` say — refresh
-/// threads and shards each score their ids through an activation table of
-/// their own, and a table can only ever hold what the kernel computed.
+/// threads each score their ids through an activation table of their own,
+/// and a table can only ever hold what the kernel computed.
 #[test]
 fn cnn_sessions_are_invariant_under_threads_shards_and_warm_start() {
     let d = darwin::datasets::professions::generate(2_000, 42);
@@ -180,7 +182,8 @@ fn cnn_sessions_are_invariant_under_threads_shards_and_warm_start() {
             ..DarwinConfig::paper()
         };
         let mut oracle = GroundTruthOracle::new(&d.labels, 0.8);
-        Darwin::new(&d.corpus, &index, cfg).run(Seed::Positives(positives.clone()), &mut oracle)
+        inproc_shards(Darwin::new(&d.corpus, &index, cfg))
+            .run(Seed::Positives(positives.clone()), &mut oracle)
     };
     let reference = run(1, 1, false);
     assert!(
@@ -297,7 +300,7 @@ fn parallel_rounds_select_identical_sequences() {
             batch: BatchPolicy::Fixed(3),
             ..DarwinConfig::fast()
         };
-        let darwin = Darwin::new(&d.corpus, &index, cfg);
+        let darwin = inproc_shards(Darwin::new(&d.corpus, &index, cfg));
         let seed = Seed::Rule(Heuristic::phrase(&d.corpus, d.seed_rules[0]).unwrap());
         let mut pool = AnnotatorPool::new(vec![
             GroundTruthOracle::new(&d.labels, 0.8),
@@ -317,8 +320,8 @@ fn parallel_rounds_select_identical_sequences() {
 }
 
 /// Drive the engine step by step and verify the delta-maintained aggregates
-/// never drift from a from-scratch recomputation mid-run — per shard
-/// partition *and* after the merge, at 1 and 4 shards.
+/// never drift mid-run: the local store against a from-scratch
+/// recomputation, and four shard workers' mirrors against the workers.
 #[test]
 fn aggregates_stay_consistent_through_a_run() {
     for shards in [1usize, 4] {
@@ -330,14 +333,17 @@ fn aggregates_stay_consistent_through_a_run() {
             threads: test_threads(),
             ..DarwinConfig::fast()
         };
-        let darwin = Darwin::new(&d.corpus, &index, cfg);
+        let darwin = inproc_shards(Darwin::new(&d.corpus, &index, cfg));
         let seed = Seed::Rule(Heuristic::phrase(&d.corpus, d.seed_rules[0]).unwrap());
         let mut oracle = GroundTruthOracle::new(&d.labels, 0.8);
         let mut engine = darwin.engine(seed);
         let mut strategy =
             darwin_core::traversal::HybridSearch::new(engine.seed_refs().to_vec(), 5);
+        let consistent = |engine: &mut darwin_core::Engine<'_>| {
+            engine.store_is_consistent() && engine.audit_remote_store() == Ok(true)
+        };
         assert!(
-            engine.store_is_consistent(),
+            consistent(&mut engine),
             "S={shards}: inconsistent before the first question"
         );
         for _ in 0..15 {
@@ -345,16 +351,46 @@ fn aggregates_stay_consistent_through_a_run() {
                 break;
             }
             assert!(
-                engine.store_is_consistent(),
+                consistent(&mut engine),
                 "S={shards}: aggregates drifted after question {}",
                 engine.questions()
             );
         }
+        assert_eq!(engine.store().unwrap().is_remote(), shards > 1);
         assert!(
             engine.questions() > 3,
             "S={shards}: run ended suspiciously early"
         );
     }
+}
+
+/// A local run is one full-span store whatever `DarwinConfig::shards`
+/// says: at `shards: 4` without workers the engine holds a single local
+/// store, and the run replays the `shards: 1` trace, positives and scores
+/// bit for bit.
+#[test]
+fn local_run_is_one_full_span_store_at_any_shard_count() {
+    let (d, index) = directions_fixture(500, 11);
+    let cfg = |shards| DarwinConfig {
+        budget: 15,
+        n_candidates: 1000,
+        shards,
+        threads: test_threads(),
+        ..DarwinConfig::fast()
+    };
+    let seed = || Seed::Rule(Heuristic::phrase(&d.corpus, d.seed_rules[0]).unwrap());
+    let four = Darwin::new(&d.corpus, &index, cfg(4));
+    {
+        let engine = four.engine(seed());
+        let store = engine.store().expect("incremental benefit keeps a store");
+        assert_eq!(store.shards(), 1);
+        assert!(!store.is_remote());
+        assert_eq!(store.as_local().map(|b| b.span()), Some((0, u32::MAX)));
+    }
+    let run = |darwin: &Darwin<'_>| darwin.run(seed(), &mut GroundTruthOracle::new(&d.labels, 0.8));
+    let reference = run(&Darwin::new(&d.corpus, &index, cfg(1)));
+    assert!(reference.questions() > 3, "reference run ended early");
+    assert_equivalent(&reference, &run(&four), "local S=4 vs S=1");
 }
 
 /// The reusable tree match kernel (`MatchCtx`) now computes every

@@ -3,7 +3,7 @@
 //! contract.
 
 use darwin::core::benefit::benefit;
-use darwin::core::{BenefitStore, ShardedBenefitStore};
+use darwin::core::{inproc_shard_connector, BenefitStore, Fanout, ShardedBenefitStore};
 use darwin::grammar::{Heuristic, PhraseElem, PhrasePattern, TreePattern};
 use darwin::index::{IdSet, IndexConfig, IndexSet, RuleRef, ShardMap};
 use darwin::text::{Corpus, PosTag, Sym};
@@ -162,8 +162,8 @@ proptest! {
     }
 
     /// The sharded coordinator's contract: after ANY random interleaving
-    /// of deltas, the per-shard fragments merged across ANY shard count
-    /// equal the global from-scratch benefit, bit for bit.
+    /// of deltas, the fragments of ANY number of InProc shard workers,
+    /// merged, equal the global from-scratch benefit, bit for bit.
     #[test]
     fn sharded_aggregates_equal_scratch_recomputation(
         texts in corpus_strategy(),
@@ -177,7 +177,16 @@ proptest! {
         let mut scores: Vec<f32> = (0..n).map(|i| (i as f32 * 0.193).fract()).collect();
 
         let rules: Vec<RuleRef> = index.all_rules().collect();
-        let mut store = ShardedBenefitStore::new(ShardMap::new(n, shards));
+        let mut store = ShardedBenefitStore::connect_remote(
+            ShardMap::new(n, shards),
+            &corpus,
+            index.config(),
+            &p,
+            &scores,
+            std::sync::Arc::from(inproc_shard_connector()),
+            Fanout::Concurrent,
+        )
+        .unwrap();
         store.track(&rules, &index, &p, &scores, 2).unwrap();
 
         for (raw_id, centi, kind) in ops {
@@ -211,6 +220,8 @@ proptest! {
                 "S={}: rule {} drifted", shards, index.heuristic(r).display(corpus.vocab())
             );
         }
+        prop_assert!(store.audit_remote().unwrap(), "S={}: mirrors drifted", shards);
+        store.shutdown().unwrap();
     }
 
     /// Gap-pattern matching is monotone: adding a Star never removes matches.
@@ -242,10 +253,10 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 3, ..Default::default() })]
 
     /// Shard determinism over full runs: every (shards, threads) cell of
-    /// the S ∈ {1, 2, 4, 7} × T ∈ {1, 4} matrix replays the exact same
-    /// question trace and lands on the exact same final positive set and
-    /// scores — sharding and threading are execution details, never
-    /// observable in the output.
+    /// the S ∈ {1, 2, 4, 7} × T ∈ {1, 4} matrix (S > 1 over InProc shard
+    /// workers) replays the exact same question trace and lands on the
+    /// exact same final positive set and scores — sharding and threading
+    /// are execution details, never observable in the output.
     #[test]
     fn shard_thread_matrix_is_trace_deterministic(
         n in 200usize..320,
@@ -274,7 +285,12 @@ proptest! {
                     threads,
                     ..DarwinConfig::fast()
                 };
-                let darwin = Darwin::with_embeddings(&d.corpus, &index, cfg, emb.clone());
+                let darwin = darwin_testkit::inproc_shards(Darwin::with_embeddings(
+                    &d.corpus,
+                    &index,
+                    cfg,
+                    emb.clone(),
+                ));
                 let seed = Seed::Rule(Heuristic::phrase(&d.corpus, d.seed_rules[0]).unwrap());
                 let mut oracle = GroundTruthOracle::new(&d.labels, 0.8);
                 let run = darwin.run(seed, &mut oracle);

@@ -56,7 +56,7 @@ fn batch_texts(round: usize, size: usize, labels: &mut Vec<bool>) -> Vec<String>
 }
 
 /// One sampled deployment: shard count, thread count, transport (`None` =
-/// in-process sharded store) and fanout.
+/// the local store, which has one shard) and fanout.
 #[derive(Clone, Debug)]
 struct Deployment {
     shards: usize,
@@ -86,7 +86,7 @@ fn deployment() -> impl Strategy<Value = Deployment> {
         prop::bool::ANY,
     )
         .prop_map(|(shards, threads, transport, concurrent)| Deployment {
-            shards,
+            shards: if transport.is_some() { shards } else { 1 },
             threads,
             transport,
             fanout: if concurrent {
