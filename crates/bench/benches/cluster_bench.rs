@@ -207,9 +207,9 @@ fn main() {
     let mut local = ShardedBenefitStore::local();
     local.track(&f.rules, &f.index, &f.p, &f.scores, 1).unwrap();
     let local_ns = {
-        let (p, index) = (&f.p, &f.index);
+        let (p, corpus, index) = (&f.p, &f.corpus, &f.index);
         median_ns(REPS, || {
-            local.on_scores_changed(&j, p, index).unwrap();
+            local.on_scores_changed(&j, p, corpus, index).unwrap();
         })
     };
     let local_sum = local.agg(probe).map(|a| a.sum_q).unwrap_or(0);
@@ -242,9 +242,9 @@ fn main() {
             for fanout in [Fanout::Sequential, Fanout::Concurrent] {
                 store.set_fanout(fanout);
                 let ns = {
-                    let (p, index) = (&f.p, &f.index);
+                    let (p, corpus, index) = (&f.p, &f.corpus, &f.index);
                     median_ns(REPS, || {
-                        store.on_scores_changed(&j, p, index).unwrap();
+                        store.on_scores_changed(&j, p, corpus, index).unwrap();
                     })
                 };
                 per_mode.push(ns);
@@ -252,9 +252,9 @@ fn main() {
             // Exactness before the numbers mean anything: the remote
             // fleet applied 1 + 2·REPS patches, the local store 1 + REPS;
             // re-sync the local side and compare the merged fragment.
-            let (p, index) = (&f.p, &f.index);
+            let (p, corpus, index) = (&f.p, &f.corpus, &f.index);
             for _ in 0..REPS {
-                local.on_scores_changed(&j, p, index).unwrap();
+                local.on_scores_changed(&j, p, corpus, index).unwrap();
             }
             let local_sum_now = local.agg(probe).map(|a| a.sum_q).unwrap_or(0);
             assert_eq!(

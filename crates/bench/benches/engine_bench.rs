@@ -21,6 +21,7 @@ use darwin_index::{IdSet, IndexConfig, IndexSet};
 use std::time::Instant;
 
 struct Fixture {
+    corpus: darwin_text::Corpus,
     index: IndexSet,
     p: IdSet,
     scores: Vec<f32>,
@@ -53,6 +54,7 @@ fn fixture() -> Fixture {
         .track(hierarchy.rules(), &index, &p, &scores, 1)
         .unwrap();
     Fixture {
+        corpus: d.corpus,
         index,
         p,
         scores,
@@ -142,8 +144,10 @@ fn bench_selection(c: &mut Criterion) {
     let patch_ns = {
         let store = &mut f.store;
         let p = &f.p;
-        let index = &f.index;
-        median_ns(100, || store.on_scores_changed(&journal, p, index).unwrap())
+        let (corpus, index) = (&f.corpus, &f.index);
+        median_ns(100, || {
+            store.on_scores_changed(&journal, p, corpus, index).unwrap()
+        })
     };
     let rebuild_ns = {
         let store = &mut f.store;

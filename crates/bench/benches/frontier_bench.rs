@@ -31,6 +31,7 @@ const YES_STEPS: usize = 12;
 const REPLAYS: usize = 5;
 
 struct Fixture {
+    corpus: darwin_text::Corpus,
     index: IndexSet,
     /// `P` before each YES step, and the ids that step adds.
     p_before: Vec<IdSet>,
@@ -85,6 +86,7 @@ fn fixture(n: usize) -> Fixture {
         new_ids.push(fresh);
     }
     Fixture {
+        corpus: d.corpus,
         index,
         p_before,
         new_ids,
@@ -128,7 +130,7 @@ fn measure(f: &Fixture) -> Vec<StepTimes> {
         // Prime on the seed-only positives — the engine builds its first
         // hierarchy before any question is asked, so per-YES costs start
         // from a warm pool, exactly as in a run.
-        let primed = pool.generate_scored(&f.index, &f.p_before[0], K, f.max_count);
+        let primed = pool.generate_scored(&f.corpus, &f.index, &f.p_before[0], K, f.max_count);
         assert_same(
             &primed,
             &generate_scored(&f.index, &f.p_before[0], K, f.max_count),
@@ -141,9 +143,9 @@ fn measure(f: &Fixture) -> Vec<StepTimes> {
 
             let (full_ns, reference) = time_ns(|| generate_scored(&f.index, &p, K, f.max_count));
             pool.note_positives(&f.new_ids[step]);
-            let (delta_ns, ()) = time_ns(|| pool.sync(&f.index, &p));
+            let (delta_ns, ()) = time_ns(|| pool.sync(&f.corpus, &f.index, &p));
             let (replay_ns, pooled) =
-                time_ns(|| pool.generate_scored(&f.index, &p, K, f.max_count));
+                time_ns(|| pool.generate_scored(&f.corpus, &f.index, &p, K, f.max_count));
             assert_same(&pooled, &reference, &format!("step {step}"));
             samples.push(StepTimes {
                 full_ns,
@@ -191,8 +193,8 @@ fn bench_frontier(c: &mut Criterion) {
         g.bench_function("incremental", |b| {
             // Warm pool, no dirty ids: the steady-state replay cost.
             let mut pool = FrontierPool::new();
-            pool.generate_scored(&f.index, &p_last, K, f.max_count);
-            b.iter(|| pool.generate_scored(&f.index, &p_last, K, f.max_count))
+            pool.generate_scored(&f.corpus, &f.index, &p_last, K, f.max_count);
+            b.iter(|| pool.generate_scored(&f.corpus, &f.index, &p_last, K, f.max_count))
         });
         g.finish();
 

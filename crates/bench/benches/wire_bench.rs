@@ -134,9 +134,9 @@ fn main() {
     let mut local = ShardedBenefitStore::local();
     local.track(&f.rules, &f.index, &f.p, &f.scores, 1).unwrap();
     let local_ns = {
-        let (p, index) = (&f.p, &f.index);
+        let (p, corpus, index) = (&f.p, &f.corpus, &f.index);
         median_ns(20, || {
-            local.on_scores_changed(&j, p, index).unwrap();
+            local.on_scores_changed(&j, p, corpus, index).unwrap();
         })
     };
     let local_sum = local.agg(probe).map(|a| a.sum_q).unwrap_or(0);

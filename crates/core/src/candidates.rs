@@ -9,6 +9,7 @@
 use crate::frontier::FrontierPool;
 use crate::hierarchy::Hierarchy;
 use darwin_index::{IdSet, IndexSet, RuleRef};
+use darwin_text::Corpus;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -202,13 +203,14 @@ pub fn generate_hierarchy_scored(
 /// scans only for rules the frontier reaches for the first time. Output is
 /// byte-for-byte identical to the from-scratch variant.
 pub fn generate_hierarchy_pooled(
+    corpus: &Corpus,
     index: &IndexSet,
     p: &IdSet,
     k: usize,
     max_count: usize,
     pool: &mut FrontierPool,
 ) -> (Hierarchy, Vec<Candidate>) {
-    finish_hierarchy(index, pool.generate_scored(index, p, k, max_count))
+    finish_hierarchy(index, pool.generate_scored(corpus, index, p, k, max_count))
 }
 
 /// The §3.2.1 cleanup + hierarchy assembly shared by the full-walk and

@@ -7,12 +7,15 @@
 //! coverage on every oracle question is an O(|rules| × |coverage|) rescan;
 //! the engine instead maintains per-rule benefit aggregates *by delta*:
 //!
-//! * when `P` gains sentence ids, only the rules covering those ids (found
-//!   via [`IndexSet::rules_covering`], the inverted postings) change
+//! * when `P` gains sentence ids, only the rules covering those ids change
 //!   benefit — each loses the ids' score contributions;
 //! * when the classifier re-scores a few sentences incrementally, the
 //!   `(id, old, new)` journal from [`ScoreCache::last_changes`] patches the
-//!   same way;
+//!   same way.
+//!
+//!   Both folds pick one of two exact routes by size: a few moved ids
+//!   recompute their covering rules ([`IndexSet::covering_rules`]), a
+//!   larger batch walks every tracked rule's postings once;
 //! * when the classifier does a *full* re-score ([`ScoreCache::epoch`]
 //!   bumps), sums are rebuilt from scratch — in parallel when
 //!   [`crate::DarwinConfig::threads`] > 1.
@@ -48,6 +51,7 @@ use darwin_grammar::Heuristic;
 use darwin_index::fx::{FxHashMap, FxHashSet};
 use darwin_index::{AppendDelta, IdSet, IndexSet, RuleRef, ShardMap};
 use darwin_text::fanout::map_chunks;
+use darwin_text::Corpus;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;
@@ -309,46 +313,123 @@ impl BenefitStore {
         self.aggs.iter().map(|(&r, agg)| (r, agg))
     }
 
-    /// `P` grew by `new_ids` (none previously positive): every tracked rule
-    /// covering one of them absorbs it — the id's score contribution moves
-    /// out of the benefit sum. Must be called with the scores the sums
-    /// currently reflect (i.e. *before* the post-answer retrain). Ids
-    /// outside this store's span are ignored (they belong to a sibling
-    /// shard).
-    pub fn on_positives_added(&mut self, new_ids: &[u32], index: &IndexSet, scores: &[f32]) {
-        for &id in new_ids {
-            if !self.owns(id) {
-                continue;
-            }
-            let q = quantize(scores[id as usize]);
-            for r in index.rules_covering(id) {
-                if let Some(agg) = self.aggs.get_mut(&r) {
-                    agg.covered_pos += 1;
-                    agg.new_instances -= 1;
-                    agg.sum_q -= q;
-                }
-            }
-        }
+    /// `P` grew by `new_ids` (distinct, none previously positive): every
+    /// tracked rule covering one of them absorbs it — the id's score
+    /// contribution moves out of the benefit sum. Must be called with the
+    /// scores the sums currently reflect (i.e. *before* the post-answer
+    /// retrain). Ids outside this store's span are ignored (they belong to
+    /// a sibling shard). Returns the rules whose aggregate moved, sorted.
+    pub fn on_positives_added(
+        &mut self,
+        new_ids: &[u32],
+        corpus: &Corpus,
+        index: &IndexSet,
+        scores: &[f32],
+    ) -> Vec<RuleRef> {
+        let moves = self.positive_moves(new_ids, scores);
+        self.fold(corpus, index, &moves, true, None)
     }
 
-    /// The classifier incrementally re-scored some sentences: patch every
-    /// tracked rule covering a moved id that is still outside `P`. Ids
-    /// outside this store's span are ignored.
-    pub fn on_scores_changed(&mut self, changes: &[(u32, f32, f32)], p: &IdSet, index: &IndexSet) {
-        for &(id, old, new) in changes {
-            if !self.owns(id) || p.contains(id) {
-                continue; // sibling shard's id, or contributes nothing
+    /// The classifier incrementally re-scored some sentences (`changes`
+    /// holds one entry per id, like the journal): patch every tracked rule
+    /// covering a moved id that is still outside `P`. Ids outside this
+    /// store's span, ids in `P` and movements that quantize to nothing are
+    /// ignored. Returns the rules whose aggregate moved, sorted.
+    pub fn on_scores_changed(
+        &mut self,
+        changes: &[(u32, f32, f32)],
+        p: &IdSet,
+        corpus: &Corpus,
+        index: &IndexSet,
+    ) -> Vec<RuleRef> {
+        let moves = self.score_moves(changes, p);
+        self.fold(corpus, index, &moves, false, None)
+    }
+
+    /// `(id, −quantize(score))` for each owned new positive.
+    fn positive_moves(&self, new_ids: &[u32], scores: &[f32]) -> Vec<(u32, i64)> {
+        let owned = new_ids.iter().filter(|&&id| self.owns(id));
+        owned
+            .map(|&id| (id, -quantize(scores[id as usize])))
+            .collect()
+    }
+
+    /// `(id, Δquantize)` for each owned id outside `P` whose movement
+    /// survives quantization.
+    fn score_moves(&self, changes: &[(u32, f32, f32)], p: &IdSet) -> Vec<(u32, i64)> {
+        let owned = changes
+            .iter()
+            .filter(|&&(id, ..)| self.owns(id) && !p.contains(id));
+        let moves = owned.map(|&(id, old, new)| (id, quantize(new) - quantize(old)));
+        moves.filter(|&(_, dq)| dq != 0).collect()
+    }
+
+    /// Fold `moves` — `(id, Δsum_q)`, distinct owned ids — into
+    /// every tracked aggregate whose coverage holds one of the ids; with
+    /// `positives` each hit also moves one new instance to `covered_pos`.
+    /// The rows route recomputes each id's covering rules; the walk route
+    /// reads every tracked rule's postings, clipped to the ids' range,
+    /// against a dense per-id delta. Both visit the same (rule, id) hits
+    /// and add integers, so aggregates and the returned moved rules
+    /// (sorted) are identical. `by_rows: None` picks by [`rows_pay`],
+    /// against a walk over the tracked rules' `Σ count(r)` postings.
+    fn fold(
+        &mut self,
+        corpus: &Corpus,
+        index: &IndexSet,
+        moves: &[(u32, i64)],
+        positives: bool,
+        by_rows: Option<bool>,
+    ) -> Vec<RuleRef> {
+        let apply = |agg: &mut BenefitAgg, hits: usize, dq: i64| {
+            if positives {
+                agg.covered_pos += hits;
+                agg.new_instances -= hits;
             }
-            let dq = quantize(new) - quantize(old);
-            if dq == 0 {
-                continue;
-            }
-            for r in index.rules_covering(id) {
-                if let Some(agg) = self.aggs.get_mut(&r) {
-                    agg.sum_q += dq;
+            agg.sum_q += dq;
+        };
+        let mut moved = Vec::new();
+        let ids = || moves.iter().map(|&(id, _)| id);
+        let (Some(lo), Some(last)) = (ids().min(), ids().max()) else {
+            return moved;
+        };
+        let walk_postings = || self.aggs.keys().map(|&r| index.count(r) as u64).sum();
+        if by_rows.unwrap_or_else(|| rows_pay(moves.len(), walk_postings())) {
+            let mut row = Vec::new();
+            for &(id, dq) in moves {
+                index.covering_rules(corpus.sentence(id), &mut row);
+                for r in &row {
+                    if let Some(agg) = self.aggs.get_mut(r) {
+                        apply(agg, 1, dq);
+                        moved.push(*r);
+                    }
                 }
             }
+            moved.sort_unstable();
+            moved.dedup();
+            return moved;
         }
+        const UNMOVED: i64 = i64::MIN;
+        let mut delta = vec![UNMOVED; (last - lo + 1) as usize];
+        for &(id, dq) in moves {
+            delta[(id - lo) as usize] = dq;
+        }
+        for (&r, agg) in &mut self.aggs {
+            let (mut hits, mut sum) = (0, 0);
+            for &s in darwin_index::shard_slice(index.coverage(r), lo, last + 1) {
+                let dq = delta[(s - lo) as usize];
+                if dq != UNMOVED {
+                    hits += 1;
+                    sum += dq;
+                }
+            }
+            if hits > 0 {
+                apply(agg, hits, sum);
+                moved.push(r);
+            }
+        }
+        moved.sort_unstable();
+        moved
     }
 
     /// The corpus grew: ids in `appended` were appended (none positive, all
@@ -361,7 +442,7 @@ impl BenefitStore {
     /// new postings are one contiguous run of its sorted posting list,
     /// clipped to the owned span and found by two binary searches: the
     /// fold costs `O(tracked · log |C_r|)` plus the postings it adds,
-    /// never a transpose row per appended id. Returns the rules whose
+    /// never a covering-rules row per appended id. Returns the rules whose
     /// aggregate moved, sorted.
     pub fn on_ids_appended(
         &mut self,
@@ -400,6 +481,20 @@ impl BenefitStore {
         assert!(new_hi >= self.hi, "BenefitStore span cannot shrink");
         self.hi = new_hi;
     }
+}
+
+/// What one moved id costs a fold's rows route, counted in the postings
+/// its walk route reads for the same time. Measured in-session on the four
+/// benchmark workloads (2-thread host): a row — recomputing a sentence's
+/// covering rules ([`IndexSet::covering_rules`]) plus one probe per rule —
+/// took 7–15 µs, a walked posting 1–2 ns (1–5 ns per `Σ count` bound in
+/// the frontier's intersection sweep).
+const ROW_COST: u64 = 4096;
+
+/// Whether recomputing `moved` ids' covering rules costs no more than
+/// walking `postings` postings — the route rule of every delta fold.
+pub(crate) fn rows_pay(moved: usize, postings: u64) -> bool {
+    moved as u64 * ROW_COST <= postings
 }
 
 /// Map `f` over `items`, one chunk per worker when `threads > 1` and the
@@ -961,7 +1056,12 @@ impl<'a> Engine<'a> {
             if let Some(store) = &mut self.store {
                 // Scores are still pre-retrain here — exactly what the sums
                 // reflect.
-                let r = store.on_positives_added(&new_ids, index, self.cache.scores());
+                let r = store.on_positives_added(
+                    &new_ids,
+                    self.darwin.corpus(),
+                    index,
+                    self.cache.scores(),
+                );
                 self.note_wire(r);
             }
             if let Some(pool) = &mut self.frontier {
@@ -1026,7 +1126,12 @@ impl<'a> Engine<'a> {
                     cfg.threads,
                 )
             } else {
-                store.on_scores_changed(self.cache.last_changes(), &self.state.p, darwin.index())
+                store.on_scores_changed(
+                    self.cache.last_changes(),
+                    &self.state.p,
+                    corpus,
+                    darwin.index(),
+                )
             };
             self.note_wire(r);
         }
@@ -1048,6 +1153,7 @@ impl<'a> Engine<'a> {
             // the surviving state — identical output, no root-to-frontier
             // posting rescan.
             Some(pool) => generate_hierarchy_pooled(
+                darwin.corpus(),
                 darwin.index(),
                 &self.state.p,
                 cfg.n_candidates,
@@ -1374,7 +1480,7 @@ mod tests {
 
         // P gains sentences 1 and 2.
         let new_ids = [1u32, 2];
-        store.on_positives_added(&new_ids, &idx, &scores);
+        store.on_positives_added(&new_ids, &c, &idx, &scores);
         p.extend_from_slice(&new_ids);
 
         for &r in &rules {
@@ -1398,7 +1504,7 @@ mod tests {
 
         // Re-score: one id outside P, one inside P (must be ignored).
         let changes = [(2u32, 0.8f32, 0.3f32), (1u32, 0.9f32, 0.5f32)];
-        store.on_scores_changed(&changes, &p, &idx);
+        store.on_scores_changed(&changes, &p, &c, &idx);
         scores[2] = 0.3;
         scores[1] = 0.5;
 
@@ -1452,8 +1558,14 @@ mod tests {
         }
     }
 
-    /// The append fold one transpose row per owned appended id: the
-    /// oracle the range fold must reproduce.
+    /// Whether sentence `id` is in `r`'s coverage — brute force over the
+    /// forward postings, the oracle both fold routes answer to.
+    fn covers(index: &IndexSet, r: RuleRef, id: u32) -> bool {
+        index.coverage(r).binary_search(&id).is_ok()
+    }
+
+    /// The append fold one owned appended id at a time, on brute-force
+    /// coverage: the oracle the range fold must reproduce.
     fn on_ids_appended_per_id(
         store: &mut BenefitStore,
         appended: Range<u32>,
@@ -1466,8 +1578,8 @@ mod tests {
                 continue;
             }
             let q = quantize(scores[id as usize]);
-            for r in index.rules_covering(id) {
-                if let Some(agg) = store.aggs.get_mut(&r) {
+            for (&r, agg) in &mut store.aggs {
+                if covers(index, r, id) {
                     agg.new_instances += 1;
                     agg.sum_q += q;
                     moved.insert(r);
@@ -1477,6 +1589,91 @@ mod tests {
         let mut moved: Vec<RuleRef> = moved.into_iter().collect();
         moved.sort_unstable();
         moved
+    }
+
+    /// Both fold routes on the same inputs, for a full-span and a span
+    /// store tracking every other rule: a YES, then a score journal with
+    /// an id in `P`, an unowned id and a move that quantizes to nothing.
+    /// After every step the two routes and the public entry
+    /// points (which pick a route themselves) hold aggregates bit-equal to
+    /// a scratch `compute`, and report the same moved set: exactly the
+    /// tracked rules covering a moved id, which includes every aggregate
+    /// that changed.
+    #[test]
+    fn fold_routes_agree_with_each_other_and_scratch() {
+        let (c, idx) = setup();
+        let n = c.len();
+        let rules: Vec<RuleRef> = idx.all_rules().collect();
+        for span in [None, Some((1u32, 4u32))] {
+            let mut p = IdSet::from_ids(&[0], n);
+            let mut scores = vec![0.9f32, 0.35, 0.8, 0.2, 0.65];
+            let make = || {
+                let mut store = match span {
+                    None => BenefitStore::new(),
+                    Some((lo, hi)) => BenefitStore::for_span(lo, hi),
+                };
+                store.track(rules.iter().copied().step_by(2), &idx, &p, &scores, 1);
+                store
+            };
+            // Rows route, walk route, public entry point.
+            let mut stores = [make(), make(), make()];
+            let journal = [
+                (1u32, 0.35f32, 0.9f32), // in P after the YES
+                (3, 0.2, 0.75),
+                (4, 0.65, 0.65),
+            ];
+            for step in 0..2 {
+                let positives = step == 0;
+                let before: Vec<Option<BenefitAgg>> =
+                    rules.iter().map(|&r| stores[0].agg(r).copied()).collect();
+                let (moves, auto) = if positives {
+                    let ids = [1u32, 2];
+                    let moves = stores[0].positive_moves(&ids, &scores);
+                    (moves, stores[2].on_positives_added(&ids, &c, &idx, &scores))
+                } else {
+                    let moves = stores[0].score_moves(&journal, &p);
+                    (moves, stores[2].on_scores_changed(&journal, &p, &c, &idx))
+                };
+                let label = format!("span={span:?} positives={positives}");
+                assert!(!moves.is_empty(), "{label}: nothing moved");
+                let rows = stores[0].fold(&c, &idx, &moves, positives, Some(true));
+                let walk = stores[1].fold(&c, &idx, &moves, positives, Some(false));
+                assert_eq!(rows, walk, "{label}: moved sets");
+                assert_eq!(auto, rows, "{label}: public entry point");
+                let want: Vec<RuleRef> = rules
+                    .iter()
+                    .copied()
+                    .filter(|&r| stores[0].contains(r))
+                    .filter(|&r| moves.iter().any(|&(id, _)| covers(&idx, r, id)))
+                    .collect();
+                assert_eq!(rows, want, "{label}: moved = tracked rules covering a move");
+
+                if positives {
+                    p.extend_from_slice(&[1, 2]);
+                } else {
+                    for &(id, _, new) in &journal {
+                        scores[id as usize] = new;
+                    }
+                }
+                for (i, &r) in rules.iter().enumerate() {
+                    let Some(&agg) = stores[0].agg(r) else {
+                        continue;
+                    };
+                    assert_eq!(
+                        agg,
+                        stores[0].compute(&idx, &p, &scores, r),
+                        "{label}: {r:?}"
+                    );
+                    assert_eq!(Some(&agg), stores[1].agg(r), "{label}: walk {r:?}");
+                    assert_eq!(Some(&agg), stores[2].agg(r), "{label}: auto {r:?}");
+                    if before[i] != Some(agg) {
+                        assert!(rows.contains(&r), "{label}: {r:?} changed unreported");
+                    }
+                }
+            }
+        }
+        // The size rule: rows while moved ids cost no more than the walk.
+        assert!(rows_pay(1, ROW_COST) && !rows_pay(2, ROW_COST) && rows_pay(0, 0));
     }
 
     #[test]

@@ -17,9 +17,10 @@
 //!   probe is an array load, not a hash;
 //! * a **dirty-id journal**: [`FrontierPool::note_positives`] records the
 //!   newly-labeled sentence ids lazily, and the next regeneration re-scores
-//!   exactly the frontier entries whose postings intersect them — via the
-//!   inverted postings ([`darwin_index::IndexSet::rules_covering`]) when
-//!   the batch is small, or one sorted posting intersection per entry
+//!   exactly the frontier entries whose postings intersect them — via each
+//!   id's recomputed covering rules
+//!   ([`darwin_index::IndexSet::covering_rules`]) when the batch is small,
+//!   or one sorted posting intersection per entry
 //!   ([`darwin_index::intersect_count`]) when it is large;
 //! * an **epoch stamp** (the pool's view of `|P|`): regeneration checks it
 //!   against the live positive set and, on any mismatch, rejects the cached
@@ -45,7 +46,9 @@
 //! consume the `ScoreCache` journal separately.)
 
 use crate::candidates::{best_first_walk, Candidate, WalkSource};
+use crate::engine::rows_pay;
 use darwin_index::{intersect_count, AppendDelta, IdSet, IndexSet, RuleRef};
+use darwin_text::Corpus;
 
 /// Memoized best-first statistics for one visited rule. `count` is
 /// immutable (the index never changes within a run); `overlap` is patched
@@ -89,7 +92,9 @@ pub struct FrontierStats {
     /// `Σ |C_r ∩ dirty|` over memoized rules, identical whichever delta
     /// route a batch takes.
     pub rules_rescored: u64,
-    /// Delta batches routed through the inverted postings (small batches).
+    /// Delta batches routed through each dirty id's recomputed covering
+    /// rules ([`IndexSet::covering_rules`]; small batches). The name is
+    /// kept because benchmark reports read it.
     pub deltas_by_postings: u64,
     /// Delta batches routed through per-entry posting intersection (large
     /// batches).
@@ -197,12 +202,13 @@ impl FrontierPool {
     /// (plus the dirty-delta application below).
     pub fn generate_scored(
         &mut self,
+        corpus: &Corpus,
         index: &IndexSet,
         p: &IdSet,
         k: usize,
         max_count: usize,
     ) -> Vec<Candidate> {
-        self.sync(index, p);
+        self.sync(corpus, index, p);
         self.stats.generations += 1;
         self.walk_gen += 1;
         let mut src = PoolSource {
@@ -226,7 +232,7 @@ impl FrontierPool {
     /// public so callers can flush the journal eagerly (e.g. off the
     /// selection path, or to observe the delta cost in isolation — the
     /// benches do).
-    pub fn sync(&mut self, index: &IndexSet, p: &IdSet) {
+    pub fn sync(&mut self, corpus: &Corpus, index: &IndexSet, p: &IdSet) {
         if self.nodes.len() != index.dense_rules() {
             // First use (or a different index — a broken contract we treat
             // as plain invalidation): size the memo table.
@@ -280,7 +286,7 @@ impl FrontierPool {
             return;
         }
         if !pending.is_empty() {
-            self.apply_dirty(&pending, index);
+            self.apply_dirty(&pending, corpus, index, None);
             self.stats.delta_batches += 1;
             self.synced_p = p.len();
         }
@@ -302,7 +308,8 @@ impl FrontierPool {
     /// * every memoized `count = |C_r|` grows by the rule's appended
     ///   coverage: the tail of its sorted posting list at or past the old
     ///   corpus end, one binary search per memoized rule (appended ids
-    ///   are a suffix of the id space, so no transpose row is read);
+    ///   are a suffix of the id space, so no covering-rules row is
+    ///   recomputed);
     /// * derivation edges are no longer immutable: an existing node can
     ///   gain children materialized by the new sentences (and the root
     ///   gains new tree roots), so the adjacency cache — whose runs also
@@ -347,33 +354,35 @@ impl FrontierPool {
     }
 
     /// Re-score exactly the frontier entries whose postings intersect the
-    /// dirty ids. Two exact strategies, chosen by measured cost: walking
-    /// the inverted postings costs `Σ |rules_covering(d)|` memo probes —
-    /// optimal for the typical YES, whose handful of new ids touch a tiny
-    /// slice of the memo — while one sorted intersection per memoized
-    /// entry costs at most `Σ min(|C_r|, |dirty|)` and wins only when a
-    /// YES floods in so many ids that the per-id bill would exceed a
-    /// whole-memo sweep (`total_cov` bounds that sweep from above).
-    fn apply_dirty(&mut self, dirty: &[u32], index: &IndexSet) {
-        let inv = index.inverted();
-        let per_id_cost: u64 = dirty
-            .iter()
-            .map(|&d| inv.rules_covering(d).len() as u64)
-            .sum();
-        if per_id_cost <= self.total_cov {
-            self.stats.deltas_by_postings += 1;
-            for &d in dirty {
-                for r in inv.rules_covering(d) {
-                    let slot = &mut self.nodes[index.dense_id(r) as usize];
-                    if !slot.absent() {
-                        slot.overlap += 1;
-                        debug_assert!(slot.overlap <= slot.count, "{r:?} overlap beyond coverage");
-                        self.stats.rules_rescored += 1;
-                    }
+    /// dirty ids. Two exact routes, chosen by the benefit folds' size rule
+    /// ([`rows_pay`]): recomputing each dirty id's covering rules, one memo
+    /// probe per rule, suits the typical YES, whose handful of new ids
+    /// touch a tiny slice of the memo; one sorted intersection per memoized
+    /// entry costs at most `Σ min(|C_r|, |dirty|)` (`total_cov` bounds it)
+    /// and takes over when a YES floods in ids. `by_rows` overrides the
+    /// rule.
+    fn apply_dirty(
+        &mut self,
+        dirty: &[u32],
+        corpus: &Corpus,
+        index: &IndexSet,
+        by_rows: Option<bool>,
+    ) {
+        if !by_rows.unwrap_or_else(|| rows_pay(dirty.len(), self.total_cov)) {
+            return self.apply_by_intersection(dirty, index);
+        }
+        self.stats.deltas_by_postings += 1;
+        let mut row = Vec::new();
+        for &d in dirty {
+            index.covering_rules(corpus.sentence(d), &mut row);
+            for &r in &row {
+                let slot = &mut self.nodes[index.dense_id(r) as usize];
+                if !slot.absent() {
+                    slot.overlap += 1;
+                    debug_assert!(slot.overlap <= slot.count, "{r:?} overlap beyond coverage");
+                    self.stats.rules_rescored += 1;
                 }
             }
-        } else {
-            self.apply_by_intersection(dirty, index);
         }
     }
 
@@ -601,7 +610,7 @@ mod tests {
             let mut pool = FrontierPool::new();
             let mut p = IdSet::from_ids(&[0], n);
             let growth: [&[u32]; 3] = [&[1], &[2, 5], &[6, 7]];
-            let first = pool.generate_scored(&idx, &p, k, usize::MAX);
+            let first = pool.generate_scored(&c, &idx, &p, k, usize::MAX);
             assert_eq!(
                 as_tuples(&first),
                 as_tuples(&generate_scored(&idx, &p, k, usize::MAX))
@@ -609,7 +618,7 @@ mod tests {
             for batch in growth {
                 pool.note_positives(batch);
                 p.extend_from_slice(batch);
-                let pooled = pool.generate_scored(&idx, &p, k, usize::MAX);
+                let pooled = pool.generate_scored(&c, &idx, &p, k, usize::MAX);
                 let scratch = generate_scored(&idx, &p, k, usize::MAX);
                 assert_eq!(
                     as_tuples(&pooled),
@@ -630,13 +639,13 @@ mod tests {
         let mut pool = FrontierPool::new();
         let mut p = IdSet::from_ids(&[0, 1], c.len());
         for max_count in [2usize, 4] {
-            let a = pool.generate_scored(&idx, &p, 100, max_count);
+            let a = pool.generate_scored(&c, &idx, &p, 100, max_count);
             let b = generate_scored(&idx, &p, 100, max_count);
             assert_eq!(as_tuples(&a), as_tuples(&b), "max_count={max_count}");
         }
         pool.note_positives(&[3]);
         p.insert(3);
-        let a = pool.generate_scored(&idx, &p, 100, 3);
+        let a = pool.generate_scored(&c, &idx, &p, 100, 3);
         let b = generate_scored(&idx, &p, 100, 3);
         assert_eq!(as_tuples(&a), as_tuples(&b));
     }
@@ -649,11 +658,11 @@ mod tests {
         let mut pool = FrontierPool::new();
         // Only the pizza sentence: the airport/shuttle subtrees prune.
         let mut p = IdSet::from_ids(&[3], c.len());
-        let before = pool.generate_scored(&idx, &p, 10_000, usize::MAX);
+        let before = pool.generate_scored(&c, &idx, &p, 10_000, usize::MAX);
         // A shuttle sentence turns positive: its whole rule family revives.
         pool.note_positives(&[0]);
         p.insert(0);
-        let after = pool.generate_scored(&idx, &p, 10_000, usize::MAX);
+        let after = pool.generate_scored(&c, &idx, &p, 10_000, usize::MAX);
         assert!(after.len() > before.len(), "revived rules must appear");
         assert_eq!(
             as_tuples(&after),
@@ -663,7 +672,7 @@ mod tests {
     }
 
     /// The large-batch intersection path computes the same deltas as the
-    /// inverted-postings path.
+    /// recomputed-rows path.
     #[test]
     fn intersection_delta_path_is_exact() {
         let (c, idx) = setup();
@@ -671,14 +680,14 @@ mod tests {
         let mut by_postings = FrontierPool::new();
         let mut by_intersection = FrontierPool::new();
         let p0 = IdSet::from_ids(&[0], n);
-        by_postings.generate_scored(&idx, &p0, 10_000, usize::MAX);
-        by_intersection.generate_scored(&idx, &p0, 10_000, usize::MAX);
+        by_postings.generate_scored(&c, &idx, &p0, 10_000, usize::MAX);
+        by_intersection.generate_scored(&c, &idx, &p0, 10_000, usize::MAX);
 
         let dirty = [5u32, 1, 7]; // deliberately unsorted
         let mut p = p0.clone();
         p.extend_from_slice(&dirty);
-        by_postings.note_positives(&dirty);
-        by_postings.sync(&idx, &p); // small batch → inverted postings
+        by_postings.apply_dirty(&dirty, &c, &idx, Some(true)); // forced
+        by_postings.synced_p = p.len();
         assert_eq!(by_postings.stats().deltas_by_postings, 1);
         by_intersection.apply_by_intersection(&dirty, &idx); // forced
         by_intersection.synced_p = p.len();
@@ -693,8 +702,8 @@ mod tests {
                 idx.rule_of_dense(dense as u32)
             );
         }
-        let a = by_postings.generate_scored(&idx, &p, 10_000, usize::MAX);
-        let b = by_intersection.generate_scored(&idx, &p, 10_000, usize::MAX);
+        let a = by_postings.generate_scored(&c, &idx, &p, 10_000, usize::MAX);
+        let b = by_intersection.generate_scored(&c, &idx, &p, 10_000, usize::MAX);
         assert_eq!(as_tuples(&a), as_tuples(&b));
     }
 
@@ -707,7 +716,7 @@ mod tests {
         let n = c.len();
         let mut pool = FrontierPool::new();
         let mut p = IdSet::from_ids(&[0, 1], n);
-        pool.generate_scored(&idx, &p, 10_000, usize::MAX);
+        pool.generate_scored(&c, &idx, &p, 10_000, usize::MAX);
         pool.note_positives(&[2]);
         p.insert(2);
 
@@ -719,8 +728,8 @@ mod tests {
             pool.note_positives(batch);
             copy.note_positives(batch);
             p.extend_from_slice(batch);
-            let a = pool.generate_scored(&idx, &p, 10_000, usize::MAX);
-            let b = copy.generate_scored(&idx, &p, 10_000, usize::MAX);
+            let a = pool.generate_scored(&c, &idx, &p, 10_000, usize::MAX);
+            let b = copy.generate_scored(&c, &idx, &p, 10_000, usize::MAX);
             assert_eq!(as_tuples(&a), as_tuples(&b));
         }
         assert_eq!(copy.stats().full_rebuilds, 0, "import must not rebuild");
@@ -742,7 +751,7 @@ mod tests {
         let mut idx = IndexSet::build(&c, &IndexConfig::small());
         let mut pool = FrontierPool::new();
         let mut p = IdSet::from_ids(&[0, 3], c.len());
-        pool.generate_scored(&idx, &p, 10_000, usize::MAX);
+        pool.generate_scored(&c, &idx, &p, 10_000, usize::MAX);
 
         let old_n = c.len();
         c.append_texts(extra.iter(), 1);
@@ -759,7 +768,7 @@ mod tests {
         }
         assert!(memoized > 0 && memoized == pool.len());
 
-        let pooled = pool.generate_scored(&idx, &p, 10_000, usize::MAX);
+        let pooled = pool.generate_scored(&c, &idx, &p, 10_000, usize::MAX);
         let scratch = generate_scored(&idx, &p, 10_000, usize::MAX);
         assert_eq!(as_tuples(&pooled), as_tuples(&scratch), "post-append walk");
         assert_eq!(pool.stats().full_rebuilds, 0, "fold must avoid a rebuild");
@@ -769,7 +778,7 @@ mod tests {
         let appended_id = old_n as u32 + 1;
         pool.note_positives(&[appended_id]);
         p.insert(appended_id);
-        let pooled = pool.generate_scored(&idx, &p, 10_000, usize::MAX);
+        let pooled = pool.generate_scored(&c, &idx, &p, 10_000, usize::MAX);
         let scratch = generate_scored(&idx, &p, 10_000, usize::MAX);
         assert_eq!(as_tuples(&pooled), as_tuples(&scratch), "post-YES walk");
         assert_eq!(pool.stats().full_rebuilds, 0);
@@ -781,7 +790,7 @@ mod tests {
         let (c, idx) = setup();
         let mut pool = FrontierPool::new();
         let p = IdSet::from_ids(&[0], c.len());
-        pool.generate_scored(&idx, &p, 10_000, usize::MAX);
+        pool.generate_scored(&c, &idx, &p, 10_000, usize::MAX);
         let img = pool.export(c.len());
 
         let mut bad = img.clone();

@@ -73,8 +73,9 @@ fn answer_hello(t: &mut dyn Transport, seq: u64, version: u8) -> Result<(), Wire
 // ---- shard worker --------------------------------------------------------
 
 /// The state a shard worker owns after `ShardInit`. The corpus is retained
-/// after indexing (the fragment math runs entirely on postings, but a later
-/// `CorpusAppend` re-enters the analyzer to grow the index in place).
+/// after indexing: a few moved ids recompute their covering rules from it,
+/// and a later `CorpusAppend` re-enters the analyzer to grow the index in
+/// place.
 struct ShardState {
     corpus: Corpus,
     index: IndexSet,
@@ -95,20 +96,6 @@ impl ShardState {
             .filter_map(|r| self.store.agg(r).map(|a| (r, agg_to_wire(a))))
             .collect();
         Response::FragmentDeltas { changed }
-    }
-
-    /// Tracked rules covering any of `ids` (the fragments a positive or
-    /// score delta can move).
-    fn affected(&self, ids: impl Iterator<Item = u32>) -> Vec<RuleRef> {
-        let mut out: FxHashSet<RuleRef> = FxHashSet::default();
-        for id in ids {
-            for r in self.index.rules_covering(id) {
-                if self.store.contains(r) {
-                    out.insert(r);
-                }
-            }
-        }
-        out.into_iter().collect()
     }
 }
 
@@ -261,39 +248,39 @@ fn shard_request(s: &mut ShardState, req: Request) -> Response {
             Response::Ack
         }
         Request::PositivesAdded { ids } => {
-            if ids
-                .iter()
-                .any(|&id| id < s.lo || id >= s.hi || s.p.contains(id))
+            if ids.windows(2).any(|w| w[0] >= w[1])
+                || ids
+                    .iter()
+                    .any(|&id| id < s.lo || id >= s.hi || s.p.contains(id))
             {
                 return Response::Error {
-                    message: "positive id outside span or already positive".into(),
+                    message: "positive ids not increasing, outside span or already positive".into(),
                 };
             }
-            let affected = s.affected(ids.iter().copied());
             // Pre-retrain scores are still current here — exactly what the
             // fragments reflect (the coordinator sends positives before
             // any score message of the retrain that follows).
-            s.store.on_positives_added(&ids, &s.index, &s.scores);
+            let moved = s
+                .store
+                .on_positives_added(&ids, &s.corpus, &s.index, &s.scores);
             s.p.extend_from_slice(&ids);
-            s.deltas(affected)
+            s.deltas(moved)
         }
         Request::ScoresChanged { changes } => {
-            if changes.iter().any(|&(id, _, _)| id < s.lo || id >= s.hi) {
+            if changes.windows(2).any(|w| w[0].0 >= w[1].0)
+                || changes.iter().any(|&(id, _, _)| id < s.lo || id >= s.hi)
+            {
                 return Response::Error {
-                    message: "score change outside span".into(),
+                    message: "score changes not id-increasing or outside span".into(),
                 };
             }
-            let affected = s.affected(
-                changes
-                    .iter()
-                    .filter(|&&(id, _, _)| !s.p.contains(id))
-                    .map(|&(id, _, _)| id),
-            );
-            s.store.on_scores_changed(&changes, &s.p, &s.index);
+            let moved = s
+                .store
+                .on_scores_changed(&changes, &s.p, &s.corpus, &s.index);
             for &(id, _, new) in &changes {
                 s.scores[id as usize] = new;
             }
-            s.deltas(affected)
+            s.deltas(moved)
         }
         Request::Fragments { rules } => Response::Fragments {
             aggs: rules

@@ -893,17 +893,18 @@ impl ShardedBenefitStore {
     }
 
     /// `P` grew by `new_ids`; each shard receives the ids in its span
-    /// (and walks the inverted postings for them). Must be called with
+    /// (and folds them into its fragments). Must be called with
     /// pre-retrain scores, like [`BenefitStore::on_positives_added`].
     pub fn on_positives_added(
         &mut self,
         new_ids: &[u32],
+        corpus: &Corpus,
         index: &IndexSet,
         scores: &[f32],
     ) -> Result<(), WireError> {
         match &mut self.0 {
             Backend::Local(b) => {
-                b.on_positives_added(new_ids, index, scores);
+                b.on_positives_added(new_ids, corpus, index, scores);
                 Ok(())
             }
             Backend::Remote(f) => f.broadcast(|r| {
@@ -924,6 +925,7 @@ impl ShardedBenefitStore {
         &mut self,
         changes: &[(u32, f32, f32)],
         p: &IdSet,
+        corpus: &Corpus,
         index: &IndexSet,
     ) -> Result<(), WireError> {
         debug_assert!(
@@ -932,7 +934,7 @@ impl ShardedBenefitStore {
         );
         match &mut self.0 {
             Backend::Local(b) => {
-                b.on_scores_changed(changes, p, index);
+                b.on_scores_changed(changes, p, corpus, index);
                 Ok(())
             }
             Backend::Remote(f) => f.broadcast(|r| {
@@ -1254,7 +1256,9 @@ mod tests {
 
             // P grows across shard boundaries.
             let new_ids = [1u32, 5, 6];
-            store.on_positives_added(&new_ids, &idx, &scores).unwrap();
+            store
+                .on_positives_added(&new_ids, &c, &idx, &scores)
+                .unwrap();
             p.extend_from_slice(&new_ids);
             check(&store, &p, &scores, "after positives");
 
@@ -1269,7 +1273,7 @@ mod tests {
                     scores[id as usize] = new;
                 }
             }
-            store.on_scores_changed(&changes, &p, &idx).unwrap();
+            store.on_scores_changed(&changes, &p, &c, &idx).unwrap();
             check(&store, &p, &scores, "after journal");
 
             // Full epoch.
@@ -1342,9 +1346,11 @@ mod tests {
             check(&store, &reference, "after track");
 
             let new_ids = [1u32, 5, 6];
-            store.on_positives_added(&new_ids, &idx, &scores).unwrap();
+            store
+                .on_positives_added(&new_ids, &c, &idx, &scores)
+                .unwrap();
             reference
-                .on_positives_added(&new_ids, &idx, &scores)
+                .on_positives_added(&new_ids, &c, &idx, &scores)
                 .unwrap();
             p.extend_from_slice(&new_ids);
             check(&store, &reference, "after positives");
@@ -1359,8 +1365,8 @@ mod tests {
                     scores[id as usize] = new;
                 }
             }
-            store.on_scores_changed(&changes, &p, &idx).unwrap();
-            reference.on_scores_changed(&changes, &p, &idx).unwrap();
+            store.on_scores_changed(&changes, &p, &c, &idx).unwrap();
+            reference.on_scores_changed(&changes, &p, &c, &idx).unwrap();
             check(&store, &reference, "after journal");
 
             for (i, s) in scores.iter_mut().enumerate() {
@@ -1423,7 +1429,7 @@ mod tests {
             f.shards[0].session = Session::new(Box::new(darwin_wire::DeadTransport));
         }
         let changes: Vec<(u32, f32, f32)> = vec![(1, 0.5, 0.9), (5, 0.5, 0.1)];
-        store.on_scores_changed(&changes, &p, &idx).unwrap();
+        store.on_scores_changed(&changes, &p, &c, &idx).unwrap();
         assert!(store.wire_error().is_none(), "recovered, not poisoned");
         assert!(dials.load(Ordering::SeqCst) > before, "re-dialed");
 
@@ -1431,7 +1437,7 @@ mod tests {
         assert!(store.audit_remote().unwrap());
         let mut reference = ShardedBenefitStore::local();
         reference.track(&rules, &idx, &p, &scores, 1).unwrap();
-        reference.on_scores_changed(&changes, &p, &idx).unwrap();
+        reference.on_scores_changed(&changes, &p, &c, &idx).unwrap();
         for &r in &rules {
             assert_eq!(store.benefit_of(r), reference.benefit_of(r));
         }
@@ -1483,7 +1489,7 @@ mod tests {
             // An appended sentence turns positive across the barrier.
             let appended = old_n as u32 + 1;
             store
-                .on_positives_added(&[appended], &idx, &scores)
+                .on_positives_added(&[appended], &c, &idx, &scores)
                 .unwrap();
             p.insert(appended);
             for &r in &rules {
@@ -1513,6 +1519,64 @@ mod tests {
             assert!(store.audit_remote().unwrap(), "{label}: audit post-append");
             store.shutdown().unwrap();
         }
+    }
+
+    /// A `ScoresChanged` that moves no fragment — every entry's old and
+    /// new scores quantize equal, or every id is already in `P` — gets an
+    /// empty `FragmentDeltas` reply (the worker names the rules its fold
+    /// moved, not every tracked rule covering an id), and the mirrors stay
+    /// exact.
+    #[test]
+    fn worker_replies_nothing_for_score_moves_that_move_nothing() {
+        let (c, idx) = setup();
+        let n = c.len();
+        let rules: Vec<RuleRef> = idx.all_rules().collect();
+        let p = IdSet::from_ids(&[0, 1, 4], n);
+        let scores: Vec<f32> = (0..n).map(|i| (i as f32 * 0.31).fract()).collect();
+        let mut store = fleet(&c, 2, &p, &scores, Fanout::Concurrent);
+        store.track(&rules, &idx, &p, &scores, 1).unwrap();
+        let quantize_equal = vec![(2, scores[2], scores[2]), (3, scores[3], scores[3])];
+        let all_in_p = vec![(0, scores[0], 0.9), (1, scores[1], 0.05)];
+        for (label, changes) in [("quantize-equal", quantize_equal), ("all in P", all_in_p)] {
+            let Backend::Remote(f) = &mut store.0 else {
+                unreachable!("a fleet is remote")
+            };
+            let w = &mut f.shards[0];
+            let (lo, hi) = w.span();
+            let run: Vec<(u32, f32, f32)> = changes
+                .iter()
+                .copied()
+                .filter(|&(id, _, _)| lo <= id && id < hi)
+                .collect();
+            assert!(!run.is_empty(), "{label}: shard 0 must receive entries");
+            let (body, post) = scores_changed_req(&run);
+            let resp = w.call_encoded(&body).unwrap();
+            assert_eq!(
+                resp,
+                Response::FragmentDeltas {
+                    changed: Vec::new()
+                },
+                "{label}"
+            );
+            w.apply(resp, post).unwrap();
+            // Delta ids out of order are refused, not folded.
+            for body in [
+                scores_changed_req(&[(3, scores[3], 0.1), (2, scores[2], 0.1)]).0,
+                positives_added_req(vec![3, 2]).0,
+            ] {
+                let refused = w.call_encoded(&body);
+                assert!(matches!(refused, Err(WireError::Remote(_))), "{refused:?}");
+            }
+            assert!(store.audit_remote().unwrap(), "{label}: audit");
+            for &r in &rules {
+                assert_eq!(
+                    store.benefit_of(r).unwrap(),
+                    benefit(idx.coverage(r), &p, &scores),
+                    "{label}: {r:?}"
+                );
+            }
+        }
+        store.shutdown().unwrap();
     }
 
     /// A dead transport must surface as a clean error and poison the

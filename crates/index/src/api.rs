@@ -1,12 +1,11 @@
 //! Unified index facade consumed by the Darwin pipeline.
 
-use crate::inverted::InvertedIndex;
+use crate::fx::FxHashSet;
 use crate::phrase_index::{NodeId, PhraseIndex};
 use crate::sketch::TreeSketchConfig;
 use crate::tree_index::{PatId, TreeIndex};
 use darwin_grammar::{Heuristic, PhrasePattern};
-use darwin_text::Corpus;
-use std::sync::OnceLock;
+use darwin_text::{Corpus, Sentence};
 
 /// A handle to a heuristic materialized in the index.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -146,9 +145,6 @@ pub struct IndexSet {
     tree: Option<TreeIndex>,
     cfg: IndexConfig,
     all_ids: Vec<u32>,
-    /// Sentence → rules transpose, built on first use (the question loop
-    /// needs it; index-only workloads never pay for it).
-    inverted: OnceLock<InvertedIndex>,
 }
 
 /// A multi-threaded grow enumerates tree sketches in blocks of this many
@@ -170,7 +166,6 @@ impl IndexSet {
             tree: cfg.enable_tree.then(TreeIndex::default),
             cfg: cfg.clone(),
             all_ids: Vec::new(),
-            inverted: OnceLock::new(),
         };
         set.grow(corpus, cfg.threads);
         set
@@ -193,12 +188,9 @@ impl IndexSet {
     /// the grown corpus, not merely equal to it: `build` is this same
     /// growth applied to the empty index, so trie nodes and tree patterns
     /// are numbered in first-occurrence order by the one interning loop
-    /// whatever the batch split or thread count, the tree hierarchy is
-    /// folded in incrementally by `finalize`, and a cached inverted
-    /// transpose is extended in place (sound because new rules can only
-    /// cover new sentences — see [`InvertedIndex::extend_for_append`]).
-    /// That identity is what lets streaming sessions prove append ≡
-    /// rebuild downstream.
+    /// whatever the batch split or thread count, and the tree hierarchy is
+    /// folded in incrementally by `finalize`. That identity is what lets
+    /// streaming sessions prove append ≡ rebuild downstream.
     ///
     /// Refused for pruned indexes (`min_count > 1`): pruning renumbers
     /// nodes, so delta growth could not match a scratch rebuild.
@@ -258,7 +250,6 @@ impl IndexSet {
         if new.is_empty() {
             return;
         }
-        let inverted = self.inverted.take();
         for s in new {
             self.phrase.add_sentence(s);
         }
@@ -282,24 +273,39 @@ impl IndexSet {
             tree.finalize();
         }
         self.all_ids.extend(old_n as u32..corpus.len() as u32);
-        if let Some(mut inv) = inverted {
-            inv.extend_for_append(self, old_n);
-            let _ = self.inverted.set(inv);
+    }
+
+    /// Write into `out` every indexed rule whose coverage holds the
+    /// indexed sentence `s` (the root excluded), sorted in
+    /// [`IndexSet::all_rules`] order and deduplicated: `s`'s row of the
+    /// sentence → rules transpose, recomputed from the index instead of
+    /// stored. When `P` gains `s` (or `s` is re-scored), exactly these
+    /// rules' benefit aggregates move.
+    ///
+    /// Phrases are the trie walk along `s`'s n-grams; tree patterns are
+    /// the interned ids of `s`'s sketch keys, enumerated with ingest's
+    /// per-sentence dedup and `max_patterns` cap. Both are exact: a
+    /// pruned phrase node goes with its whole subtree, tree postings are
+    /// written only from a sentence's own key list, and `finalize` touches
+    /// hierarchy edges only.
+    pub fn covering_rules(&self, s: &Sentence, out: &mut Vec<RuleRef>) {
+        out.clear();
+        self.phrase
+            .for_each_node_of(s, |n| out.push(RuleRef::Phrase(n)));
+        if let Some(tree) = &self.tree {
+            // Sized for a typical sentence's keys: growing from empty
+            // cost a quarter of the call.
+            let mut seen = FxHashSet::with_capacity_and_hasher(128, Default::default());
+            crate::sketch::for_each_tree_sketch(s, &self.cfg.tree, &mut |k| {
+                let fresh = seen.insert(k);
+                if fresh {
+                    out.extend(tree.id_of(k).map(RuleRef::Tree));
+                }
+                fresh
+            });
         }
-    }
-
-    /// The sentence → covering-rules transpose (built and cached on first
-    /// call).
-    pub fn inverted(&self) -> &InvertedIndex {
-        self.inverted.get_or_init(|| InvertedIndex::build(self))
-    }
-
-    /// All indexed rules whose coverage contains sentence `id`, in
-    /// [`IndexSet::all_rules`] order. This is the delta primitive of the
-    /// incremental benefit engine: when `P` gains `id` (or `id` is
-    /// re-scored), exactly these rules' benefit aggregates change.
-    pub fn rules_covering(&self, id: u32) -> impl Iterator<Item = RuleRef> + '_ {
-        self.inverted().rules_covering(id)
+        out.sort_unstable();
+        out.dedup();
     }
 
     /// The phrase sub-index.
@@ -613,10 +619,68 @@ mod tests {
         );
     }
 
+    /// `s`'s covering rules by brute force over the forward postings.
+    fn brute_row(idx: &IndexSet, s: u32) -> Vec<RuleRef> {
+        idx.all_rules()
+            .filter(|r| idx.coverage(*r).binary_search(&s).is_ok())
+            .collect()
+    }
+
+    fn row(idx: &IndexSet, s: &Sentence) -> Vec<RuleRef> {
+        let mut out = vec![RuleRef::Root]; // stale contents are cleared
+        idx.covering_rules(s, &mut out);
+        out
+    }
+
+    /// The recomputed rows are the transpose of the forward postings —
+    /// pruned and phrase-only builds, a sentence that repeats n-grams, and
+    /// one whose enumeration hits `max_patterns` included.
+    #[test]
+    fn covering_rules_equal_brute_force() {
+        let c = Corpus::from_texts([
+            "to get to get to the airport to get there",
+            "lightning caused the fire near the old airport",
+            "what is the best way to get to sfo airport",
+            "is there a bart from sfo to the hotel",
+            "the storm caused the outage",
+        ]);
+        let capped = TreeSketchConfig {
+            max_patterns: 12,
+            ..TreeSketchConfig::default()
+        };
+        assert!(
+            crate::sketch::tree_sketch(c.sentence(1), &TreeSketchConfig::default()).len() > 12,
+            "sentence 1 must hit the cap"
+        );
+        let configs = [
+            IndexConfig::small(),
+            IndexConfig {
+                min_count: 2,
+                ..IndexConfig::small()
+            },
+            IndexConfig {
+                tree: capped,
+                ..IndexConfig::small()
+            },
+            IndexConfig {
+                enable_tree: false,
+                ..IndexConfig::small()
+            },
+        ];
+        for cfg in configs {
+            let idx = IndexSet::build(&c, &cfg);
+            for s in c.sentences() {
+                let want = brute_row(&idx, s.id);
+                assert!(!want.is_empty());
+                assert_eq!(row(&idx, s), want, "{cfg:?}: row {}", s.id);
+            }
+        }
+    }
+
     /// The index-layer leg of the append-equivalence argument: a
     /// delta-grown index must be indistinguishable from a scratch build on
     /// the grown corpus — same rule set, numbering, coverage, hierarchy
-    /// edges and inverted transpose.
+    /// edges and covering rules.
     #[test]
     fn append_matches_scratch_build_on_grown_corpus() {
         let first: Vec<String> = (0..12)
@@ -629,9 +693,6 @@ mod tests {
         ];
         let mut corpus = Corpus::from_texts(first.iter());
         let mut grown = IndexSet::build(&corpus, &IndexConfig::small());
-        // Populate the inverted cache *before* the append so the delta
-        // extension path (not a fresh transpose) is what gets compared.
-        let _ = grown.inverted();
         corpus.append_texts(extra.iter(), 1);
         let delta = grown.append(&corpus).unwrap();
         assert_eq!(delta.sentences, extra.len());
@@ -655,15 +716,11 @@ mod tests {
             grown.children(RuleRef::Root),
             scratch.children(RuleRef::Root)
         );
-        // Inverted transpose: delta-extended rows equal scratch rows.
-        for s in 0..corpus.len() as u32 {
-            assert!(
-                grown
-                    .inverted()
-                    .rules_covering(s)
-                    .eq(scratch.inverted().rules_covering(s)),
-                "transpose row {s}"
-            );
+        // Covering rules: grown rows equal scratch rows and brute force.
+        for s in corpus.sentences() {
+            let want = brute_row(&scratch, s.id);
+            assert_eq!(row(&scratch, s), want, "scratch row {}", s.id);
+            assert_eq!(row(&grown, s), want, "grown row {}", s.id);
         }
         // Appending nothing is a no-op.
         assert_eq!(grown.append(&corpus).unwrap().sentences, 0);

@@ -8,15 +8,15 @@
 //! (Figures 5 and 6 of the paper).
 //!
 //! * [`sketch`] — per-sentence enumeration for both grammars,
-//! * [`phrase_index`] — the trie over TokensRegex n-grams with sequential,
-//!   parallel (chunk + merge) and incremental construction,
+//! * [`phrase_index`] — the trie over TokensRegex n-grams, grown one
+//!   sentence at a time,
 //! * [`tree_index`] — the pattern table over TreeMatch patterns with
 //!   structural generalization edges,
 //! * [`api`] — [`IndexSet`]: the unified view the Darwin pipeline consumes
-//!   ([`RuleRef`] = a node in either index; children/parents/coverage),
-//! * [`inverted`] — the sentence → covering-rules transpose
-//!   ([`IndexSet::rules_covering`]), four bytes a posting, the delta
-//!   primitive of the incremental benefit engine,
+//!   ([`RuleRef`] = a node in either index; children/parents/coverage,
+//!   and [`IndexSet::covering_rules`], one sentence's row of the
+//!   sentence → rules transpose recomputed on demand — no transpose is
+//!   stored),
 //! * [`shard`] — [`ShardMap`]: contiguous sentence-id partitioning with
 //!   shard-sliced postings, the span layout of a remote shard deployment,
 //!   plus [`intersect_count`], the sorted-posting intersection
@@ -30,7 +30,6 @@ pub mod api;
 pub mod bitset;
 pub mod fx;
 mod intern;
-pub mod inverted;
 pub mod phrase_index;
 pub mod shard;
 pub mod sketch;
@@ -38,7 +37,6 @@ pub mod tree_index;
 
 pub use api::{AppendDelta, AppendError, IndexConfig, IndexSet, RuleRef};
 pub use bitset::IdSet;
-pub use inverted::InvertedIndex;
 pub use phrase_index::PhraseIndex;
 pub use shard::{intersect_count, shard_slice, ShardMap};
 pub use sketch::TreeSketchConfig;

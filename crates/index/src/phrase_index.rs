@@ -90,6 +90,23 @@ impl PhraseIndex {
         self.sentences += 1;
     }
 
+    /// Read-only [`PhraseIndex::add_sentence`]: visit the node of every
+    /// indexed n-gram of `s`, stopping each start's walk at the first
+    /// missing child (a pruned node takes its subtree with it). A node is
+    /// visited once per occurrence, so repeats need the caller's dedup.
+    pub(crate) fn for_each_node_of(&self, s: &Sentence, mut f: impl FnMut(NodeId)) {
+        for start in 0..s.tokens.len() {
+            let mut cur = ROOT;
+            for sym in &s.tokens[start..(start + self.max_len).min(s.tokens.len())] {
+                match self.nodes[cur as usize].children.get(sym) {
+                    Some(&c) => cur = c,
+                    None => break,
+                }
+                f(cur);
+            }
+        }
+    }
+
     fn child_or_insert(&mut self, parent: NodeId, sym: Sym) -> NodeId {
         if let Some(&c) = self.nodes[parent as usize].children.get(&sym) {
             return c;

@@ -306,7 +306,12 @@ impl TreeIndex {
 
     /// Find the id of an (enumerated) pattern.
     pub fn lookup(&self, p: &TreePattern) -> Option<PatId> {
-        SketchKey::of_pattern(p).and_then(|k| self.ids.get(k.pack()))
+        SketchKey::of_pattern(p).and_then(|k| self.id_of(k))
+    }
+
+    /// The interned id of a key, if any.
+    pub(crate) fn id_of(&self, k: SketchKey) -> Option<PatId> {
+        self.ids.get(k.pack())
     }
 
     /// Sorted ids of sentences matching the pattern.

@@ -4,6 +4,7 @@ use darwin_core::candidates::{generate_hierarchy_pooled, generate_hierarchy_scor
 use darwin_core::traversal::{HybridSearch, LocalSearch, UniversalSearch};
 use darwin_core::{Darwin, FrontierPool, Oracle, RunResult, Seed, Strategy, TraversalKind};
 use darwin_index::{IdSet, IndexSet, RuleRef};
+use darwin_text::Corpus;
 
 /// The sequential reference run: Algorithm 1 as a plain loop of
 /// `Engine::step` — select, ask, record, feed back, retrain on YES —
@@ -105,8 +106,15 @@ pub fn assert_same_final(a: &RunResult, b: &RunResult, label: &str) {
 
 /// Assert a [`FrontierPool`]-backed hierarchy regeneration reproduces the
 /// from-scratch walk exactly: same rule pool, same candidate statistics.
-pub fn assert_same_pool(idx: &IndexSet, p: &IdSet, k: usize, pool: &mut FrontierPool, label: &str) {
-    let (pooled_h, pooled_c) = generate_hierarchy_pooled(idx, p, k, usize::MAX, pool);
+pub fn assert_same_pool(
+    corpus: &Corpus,
+    idx: &IndexSet,
+    p: &IdSet,
+    k: usize,
+    pool: &mut FrontierPool,
+    label: &str,
+) {
+    let (pooled_h, pooled_c) = generate_hierarchy_pooled(corpus, idx, p, k, usize::MAX, pool);
     let (scratch_h, scratch_c) = generate_hierarchy_scored(idx, p, k, usize::MAX);
     assert_eq!(
         pooled_h.rules(),

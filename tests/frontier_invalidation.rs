@@ -20,9 +20,9 @@ fn empty_dirty_set_rescores_nothing() {
     let (c, idx) = setup();
     let p = IdSet::from_ids(&[0, 1], c.len());
     let mut pool = FrontierPool::new();
-    assert_same_pool(&idx, &p, 500, &mut pool, "first generation");
+    assert_same_pool(&c, &idx, &p, 500, &mut pool, "first generation");
     let after_first = pool.stats();
-    assert_same_pool(&idx, &p, 500, &mut pool, "regeneration, nothing dirty");
+    assert_same_pool(&c, &idx, &p, 500, &mut pool, "regeneration, nothing dirty");
     let after_second = pool.stats();
     assert_eq!(after_second.delta_batches, after_first.delta_batches);
     assert_eq!(after_second.rules_rescored, after_first.rules_rescored);
@@ -45,20 +45,27 @@ fn pool_emptying_yes_matches_full_regeneration() {
     let n = c.len();
     let mut pool = FrontierPool::new();
     let mut p = IdSet::from_ids(&[0, 1], n);
-    assert_same_pool(&idx, &p, 10_000, &mut pool, "before the flood");
+    assert_same_pool(&c, &idx, &p, 10_000, &mut pool, "before the flood");
 
     // The flood: every remaining sentence turns positive at once.
     let rest: Vec<u32> = (0..n as u32).filter(|&id| !p.contains(id)).collect();
     pool.note_positives(&rest);
     p.extend_from_slice(&rest);
-    assert_same_pool(&idx, &p, 10_000, &mut pool, "after the flood");
-    let (h, _) = generate_hierarchy_pooled(&idx, &p, 10_000, usize::MAX, &mut pool);
+    assert_same_pool(&c, &idx, &p, 10_000, &mut pool, "after the flood");
+    let (h, _) = generate_hierarchy_pooled(&c, &idx, &p, 10_000, usize::MAX, &mut pool);
     assert!(
         h.is_empty(),
         "P covers the corpus: every candidate is fully covered and cleaned away"
     );
     // Asking again (empty pool, empty dirty set) stays correct and cheap.
-    assert_same_pool(&idx, &p, 10_000, &mut pool, "regeneration after the flood");
+    assert_same_pool(
+        &c,
+        &idx,
+        &p,
+        10_000,
+        &mut pool,
+        "regeneration after the flood",
+    );
     assert_eq!(pool.stats().full_rebuilds, 0, "deltas covered everything");
 }
 
@@ -72,26 +79,26 @@ fn epoch_stale_pool_reuse_is_rejected() {
     let n = c.len();
     let mut pool = FrontierPool::new();
     let mut p = IdSet::from_ids(&[0], n);
-    assert_same_pool(&idx, &p, 500, &mut pool, "initial");
+    assert_same_pool(&c, &idx, &p, 500, &mut pool, "initial");
     assert_eq!(pool.epoch(), 1);
 
     // P grows behind the pool's back.
     p.extend_from_slice(&[1, 2]);
     assert_ne!(pool.epoch(), p.len(), "the pool is now provably stale");
-    assert_same_pool(&idx, &p, 500, &mut pool, "after unreported growth");
+    assert_same_pool(&c, &idx, &p, 500, &mut pool, "after unreported growth");
     assert_eq!(pool.stats().full_rebuilds, 1, "stale reuse must rebuild");
     assert_eq!(pool.epoch(), p.len(), "rebuild re-stamps the epoch");
 
     // Incomplete reporting (one of two new ids) is just as stale.
     pool.note_positives(&[3]);
     p.extend_from_slice(&[3, 4]);
-    assert_same_pool(&idx, &p, 500, &mut pool, "after partial report");
+    assert_same_pool(&c, &idx, &p, 500, &mut pool, "after partial report");
     assert_eq!(pool.stats().full_rebuilds, 2);
 
     // Back under contract: correctly reported growth patches by delta.
     pool.note_positives(&[5]);
     p.insert(5);
-    assert_same_pool(&idx, &p, 500, &mut pool, "back under contract");
+    assert_same_pool(&c, &idx, &p, 500, &mut pool, "back under contract");
     assert_eq!(
         pool.stats().full_rebuilds,
         2,
@@ -109,20 +116,20 @@ fn compensating_journal_violations_are_rejected() {
     let n = c.len();
     let mut pool = FrontierPool::new();
     let mut p = IdSet::from_ids(&[0], n);
-    assert_same_pool(&idx, &p, 500, &mut pool, "initial");
+    assert_same_pool(&c, &idx, &p, 500, &mut pool, "initial");
 
     // P gains {1, 2}, but the caller reports [1, 1].
     pool.note_positives(&[1, 1]);
     p.extend_from_slice(&[1, 2]);
     assert_eq!(pool.epoch(), p.len(), "the |P| stamp alone cannot tell");
-    assert_same_pool(&idx, &p, 500, &mut pool, "after double-report");
+    assert_same_pool(&c, &idx, &p, 500, &mut pool, "after double-report");
     assert_eq!(pool.stats().full_rebuilds, 1, "must reject, not patch");
 
     // P gains {3}, but the caller reports the long-positive id 0.
     pool.note_positives(&[0]);
     p.insert(3);
     assert_eq!(pool.epoch(), p.len());
-    assert_same_pool(&idx, &p, 500, &mut pool, "after stale-id report");
+    assert_same_pool(&c, &idx, &p, 500, &mut pool, "after stale-id report");
     assert_eq!(pool.stats().full_rebuilds, 2);
 }
 

@@ -130,7 +130,7 @@ proptest! {
                 // Grow P by one new id (no-op when already positive).
                 0..=4 => {
                     if !p.contains(id) {
-                        store.on_positives_added(&[id], &index, &scores);
+                        store.on_positives_added(&[id], &corpus, &index, &scores);
                         p.insert(id);
                     }
                 }
@@ -139,7 +139,7 @@ proptest! {
                 5..=8 => {
                     let new = centi as f32 / 100.0;
                     let old = scores[id as usize];
-                    store.on_scores_changed(&[(id, old, new)], &p, &index);
+                    store.on_scores_changed(&[(id, old, new)], &p, &corpus, &index);
                     scores[id as usize] = new;
                 }
                 // Full retrain epoch: every score moves, store rebuilds.
@@ -194,14 +194,14 @@ proptest! {
             match kind {
                 0..=4 => {
                     if !p.contains(id) {
-                        store.on_positives_added(&[id], &index, &scores).unwrap();
+                        store.on_positives_added(&[id], &corpus, &index, &scores).unwrap();
                         p.insert(id);
                     }
                 }
                 5..=8 => {
                     let new = centi as f32 / 100.0;
                     let old = scores[id as usize];
-                    store.on_scores_changed(&[(id, old, new)], &p, &index).unwrap();
+                    store.on_scores_changed(&[(id, old, new)], &p, &corpus, &index).unwrap();
                     scores[id as usize] = new;
                 }
                 _ => {
@@ -506,9 +506,9 @@ proptest! {
     }
 }
 
-/// Everything a consumer can observe of an index: the rule sequence, each
-/// rule's heuristic, coverage, dense id and hierarchy edges, and every row
-/// of the inverted transpose.
+/// Everything a consumer can observe of an index's rules: the rule
+/// sequence, each rule's heuristic, coverage, dense id and hierarchy edges
+/// (covering rules are compared through [`rows`]).
 fn assert_same_index(a: &IndexSet, b: &IndexSet, label: &str) -> Result<(), TestCaseError> {
     prop_assert_eq!(a.sentences(), b.sentences(), "{}: sentences", label);
     let rules: Vec<RuleRef> = a.all_rules().collect();
@@ -555,16 +555,32 @@ fn assert_same_index(a: &IndexSet, b: &IndexSet, label: &str) -> Result<(), Test
             r
         );
     }
-    for id in 0..a.sentences() as u32 {
-        prop_assert_eq!(
-            a.rules_covering(id).collect::<Vec<_>>(),
-            b.rules_covering(id).collect::<Vec<_>>(),
-            "{}: transpose row {}",
-            label,
-            id
-        );
-    }
     Ok(())
+}
+
+/// Every indexed sentence's covering rules, recomputed by the index.
+fn rows(corpus: &Corpus, index: &IndexSet) -> Vec<Vec<RuleRef>> {
+    corpus.sentences()[..index.sentences()]
+        .iter()
+        .map(|s| {
+            let mut row = Vec::new();
+            index.covering_rules(s, &mut row);
+            row
+        })
+        .collect()
+}
+
+/// Every sentence's covering rules by brute force: `all_rules()` filtered
+/// to those whose forward postings hold the sentence, built as one
+/// transpose of the postings (rules arrive in `all_rules` order).
+fn brute_rows(index: &IndexSet) -> Vec<Vec<RuleRef>> {
+    let mut rows = vec![Vec::new(); index.sentences()];
+    for r in index.all_rules() {
+        for &s in index.coverage(r) {
+            rows[s as usize].push(r);
+        }
+    }
+    rows
 }
 
 proptest! {
@@ -577,8 +593,10 @@ proptest! {
     /// show: any split into batches (empty ones and a split at 0 included)
     /// at any thread count yields the corpus `from_texts` makes and the
     /// index `IndexSet::build` makes at one thread — vocabulary order,
-    /// analyses, rule numbering, hierarchy and transpose alike; and a
+    /// analyses, rule numbering, hierarchy and covering rules alike; and a
     /// pruned build numbers its rules the same at every thread count.
+    /// Covering rules also equal brute force over the forward postings,
+    /// pruned build included.
     /// Case 0 is longer than `SKETCH_BLOCK` and every eighth case is past
     /// every fan-out threshold (256 / 1024 sentences; 2048 was the
     /// chunk-local trie build's).
@@ -603,6 +621,10 @@ proptest! {
         let whole = Corpus::from_texts(texts);
         let scratch = IndexSet::build(&whole, &recipe(1, 1));
         let pruned = IndexSet::build(&whole, &recipe(2, 1));
+        let scratch_rows = rows(&whole, &scratch);
+        prop_assert_eq!(&scratch_rows, &brute_rows(&scratch), "n={}: covering rules", n);
+        let pruned_rows = rows(&whole, &pruned);
+        prop_assert_eq!(&pruned_rows, &brute_rows(&pruned), "n={}: pruned covering rules", n);
 
         let mut thread_counts = vec![1, 2, 4];
         if !thread_counts.contains(&darwin_testkit::test_threads()) {
@@ -613,8 +635,6 @@ proptest! {
             let mut grown = Corpus::new();
             grown.append_texts(&texts[..cuts[0]], threads);
             let mut index = IndexSet::build(&grown, &recipe(1, threads));
-            // Cache the transpose now so the appends extend it in place.
-            let _ = index.inverted();
             for w in cuts.windows(2) {
                 prop_assert_eq!(grown.append_texts(&texts[w[0]..w[1]], threads), w[1] - w[0]);
                 let delta = index.append_with_threads(&grown, threads).unwrap();
@@ -635,7 +655,10 @@ proptest! {
                 prop_assert_eq!(&g.heads, &w.heads, "{}: heads of {}", &label, w.id);
             }
             assert_same_index(&scratch, &index, &label)?;
-            assert_same_index(&pruned, &IndexSet::build(&whole, &recipe(2, threads)), &format!("pruned {label}"))?;
+            prop_assert_eq!(&rows(&grown, &index), &scratch_rows, "{}: covering rules", &label);
+            let pruned_at = IndexSet::build(&whole, &recipe(2, threads));
+            assert_same_index(&pruned, &pruned_at, &format!("pruned {label}"))?;
+            prop_assert_eq!(&rows(&whole, &pruned_at), &pruned_rows, "pruned {}: covering rules", &label);
         }
     }
 }
