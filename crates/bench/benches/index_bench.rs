@@ -44,7 +44,8 @@ fn bench_index(c: &mut Criterion) {
         b.iter(|| idx.lookup(&phrase));
     });
     // The whole ingest routine (phrase + tree, no pruning) through the
-    // public constructor; `threads` only moves the tree-sketch enumeration.
+    // public constructor; `threads` fans out resolving sentences to the
+    // nodes and patterns that already exist, and interning stays serial.
     for threads in [1, 2] {
         let cfg = IndexConfig {
             max_phrase_len: 6,

@@ -213,7 +213,8 @@ pub fn config_fingerprint(cfg: &DarwinConfig) -> u64 {
 /// that fixes every `RuleRef` handle. Two deployments agreeing on this
 /// fingerprint number their rules identically by construction.
 /// `IndexConfig::threads` is normalized away like the other deployment
-/// knobs: it only moves the sketch enumeration, never the numbering.
+/// knobs: it only sets how many workers resolve new sentences against
+/// the existing index, never the numbering.
 pub fn corpus_fingerprint(corpus: &Corpus, index: &IndexSet) -> u64 {
     let mut buf = Vec::new();
     (corpus.len() as u64).encode(&mut buf);
@@ -662,8 +663,8 @@ mod tests {
             fp,
             config_fingerprint(&base.with_traversal(TraversalKind::Local))
         );
-        // The same split for the index recipe: `threads` only moves the
-        // sketch enumeration, the other fields fix `RuleRef` numbering.
+        // The same split for the index recipe: `threads` only sets the
+        // resolve workers, the other fields fix `RuleRef` numbering.
         let corpus = Corpus::from_texts(["the shuttle to the airport", "a bus to the hotel"]);
         let fp_of = |cfg: &IndexConfig| corpus_fingerprint(&corpus, &IndexSet::build(&corpus, cfg));
         let recipe = IndexConfig::small();

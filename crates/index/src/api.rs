@@ -5,6 +5,7 @@ use crate::phrase_index::{NodeId, PhraseIndex};
 use crate::sketch::TreeSketchConfig;
 use crate::tree_index::{PatId, TreeIndex};
 use darwin_grammar::{Heuristic, PhrasePattern};
+use darwin_text::fanout::map_chunks;
 use darwin_text::{Corpus, Sentence};
 
 /// A handle to a heuristic materialized in the index.
@@ -30,10 +31,11 @@ pub struct IndexConfig {
     pub enable_tree: bool,
     /// TreeMatch enumeration bounds.
     pub tree: TreeSketchConfig,
-    /// Worker threads for [`IndexSet::build`]'s tree-sketch enumeration.
-    /// A pure performance knob: rules are numbered in first-occurrence
-    /// order for every thread count, because interning is one serial loop
-    /// in sentence order and only the per-sentence enumeration fans out.
+    /// Worker threads for index growth ([`IndexSet::build`] and the
+    /// appends). A pure performance knob: workers only resolve new
+    /// sentences to the trie nodes and pattern ids that already exist, and
+    /// what is new is interned by one serial loop in sentence order, so
+    /// rules are numbered in first-occurrence order for every thread count.
     pub threads: usize,
 }
 
@@ -147,9 +149,77 @@ pub struct IndexSet {
     all_ids: Vec<u32>,
 }
 
-/// A multi-threaded grow enumerates tree sketches in blocks of this many
-/// sentences, so only one block's key lists are alive at a time.
-const SKETCH_BLOCK: usize = 8_192;
+/// Index growth gives each worker this many sentences per block. Workers
+/// resolve a block against the index as it stood when the block started,
+/// and the block's rows wait for the serial apply: bigger blocks pay fewer
+/// spawn/join barriers, smaller ones buffer fewer rows (all a one-thread
+/// build, which spawns nothing, adds to peak memory).
+const WORKER_SENTENCES: usize = 4_096;
+
+/// Blocks below this many sentences are resolved on the caller's thread.
+const MIN_FAN_OUT: usize = 256;
+
+/// Row word flag: `MISS | i` names `Resolved::misses[i]`; a word without
+/// it is an id that existed before the block.
+pub(crate) const MISS: u32 = 1 << 31;
+
+/// One chunk of a growth block, resolved read-only by a worker: per
+/// sentence, in order, the ids it touches that already existed, and the
+/// misses the serial apply must intern.
+pub(crate) struct Resolved<M> {
+    /// Every sentence's row, back to back: an id, or `MISS | i`.
+    pub(crate) rows: Vec<u32>,
+    /// The chunk's `j`-th row is `rows[ends[j - 1]..ends[j]]`.
+    pub(crate) ends: Vec<u32>,
+    /// What each miss word names.
+    pub(crate) misses: Vec<M>,
+}
+
+impl<M> Resolved<M> {
+    pub(crate) fn new() -> Self {
+        Resolved {
+            rows: Vec::new(),
+            ends: Vec::new(),
+            misses: Vec::new(),
+        }
+    }
+
+    /// Close the current sentence's row.
+    pub(crate) fn end_row(&mut self) {
+        assert!(
+            self.misses.len() <= MISS as usize,
+            "miss index overflows its row word"
+        );
+        self.ends
+            .push(u32::try_from(self.rows.len()).expect("chunk rows fit u32 ends"));
+    }
+}
+
+/// The two halves of growing one sub-index over `new`, a block at a time:
+/// `resolve` maps chunks of the block to rows on `threads` workers, reading
+/// the index only, then `apply` folds the rows in serially, in sentence
+/// order — the one loop that creates ids.
+fn grow_blocks<I: Sync, M: Send>(
+    index: &mut I,
+    new: &[Sentence],
+    threads: usize,
+    resolve: impl Fn(&I, &[Sentence]) -> Resolved<M> + Sync,
+    mut apply: impl FnMut(&mut I, &Sentence, &[u32], &[M]),
+) {
+    for block in new.chunks(WORKER_SENTENCES * threads.max(1)) {
+        let shared = &*index;
+        let chunks = map_chunks(block, threads, MIN_FAN_OUT, |c| vec![resolve(shared, c)]);
+        let mut sentences = block.iter();
+        for r in &chunks {
+            let mut start = 0;
+            for &end in &r.ends {
+                let s = sentences.next().expect("one row per sentence");
+                apply(index, s, &r.rows[start..end as usize], &r.misses);
+                start = end as usize;
+            }
+        }
+    }
+}
 
 impl IndexSet {
     /// Build all enabled sub-indexes over `corpus`: an empty index grown
@@ -159,7 +229,7 @@ impl IndexSet {
     /// Trie nodes and tree patterns are numbered in first-occurrence order
     /// for every `cfg.threads` — and for every way of splitting the corpus
     /// between `build` and later appends — because there is one interning
-    /// loop, serial in sentence order; threads only enumerate.
+    /// loop, serial in sentence order; threads only resolve what exists.
     pub fn build(corpus: &Corpus, cfg: &IndexConfig) -> IndexSet {
         let mut set = IndexSet {
             phrase: PhraseIndex::new(cfg.max_phrase_len),
@@ -201,11 +271,10 @@ impl IndexSet {
         self.append_with_threads(corpus, 1)
     }
 
-    /// [`IndexSet::append`] with the tree-sketch enumeration of the new
-    /// batch fanned out over `threads` workers ([`crate::sketch::sketch_batch`]).
-    /// Per-sentence enumeration is pure and the per-sentence key lists are
-    /// interned in sentence order, so the result is bit-identical to the
-    /// serial append for any thread count.
+    /// [`IndexSet::append`] with the new sentences resolved against the
+    /// existing index on `threads` workers; only the interning of what is
+    /// new stays serial. The result is bit-identical to the one-thread
+    /// append for any thread count (see [`IndexConfig::threads`]).
     pub fn append_with_threads(
         &mut self,
         corpus: &Corpus,
@@ -238,38 +307,43 @@ impl IndexSet {
     /// The one ingest routine behind [`IndexSet::build`] and
     /// [`IndexSet::append_with_threads`]: fold sentences
     /// `self.sentences()..corpus.len()` into every sub-index, one pass per
-    /// sub-index (measured faster than alternating per sentence — each
-    /// table has the cache to itself — and it lets a pruned build shed
-    /// its rare phrases before the tree index exists). Interning — trie
-    /// nodes and tree patterns alike — is serial in sentence order;
-    /// `threads > 1` only moves the tree-sketch enumeration ahead of it,
-    /// a block at a time.
+    /// sub-index (each table has the cache to itself, and a pruned build
+    /// sheds its rare phrases before the tree index exists).
+    ///
+    /// Each pass resolves a block's sentences in parallel against the
+    /// index as it stood when the block started — existing trie nodes and
+    /// pattern ids, read only — and then one serial loop walks the rows in
+    /// sentence order, pushing postings and interning the misses. A miss
+    /// that an earlier sentence of the block has since created is found
+    /// by that intern, so ids come out in first-occurrence order exactly
+    /// as the per-sentence `add_sentence` paths number them, at every
+    /// thread count.
     fn grow(&mut self, corpus: &Corpus, threads: usize) {
         let old_n = self.all_ids.len();
         let new = &corpus.sentences()[old_n..];
         if new.is_empty() {
             return;
         }
-        for s in new {
-            self.phrase.add_sentence(s);
-        }
+        grow_blocks(
+            &mut self.phrase,
+            new,
+            threads,
+            PhraseIndex::resolve,
+            PhraseIndex::apply_row,
+        );
         // Only a build can reach here with `min_count > 1` (appends to a
         // pruned index are refused), so the one span a pruned trie ever
         // sees is pruned before the tree index is grown beside it.
         self.phrase.prune(self.cfg.min_count);
         if let Some(tree) = &mut self.tree {
-            if threads > 1 {
-                for block in new.chunks(SKETCH_BLOCK) {
-                    let key_lists = crate::sketch::sketch_batch(block, &self.cfg.tree, threads);
-                    for (s, keys) in block.iter().zip(&key_lists) {
-                        tree.add_sentence_keys(s, keys);
-                    }
-                }
-            } else {
-                for s in new {
-                    tree.add_sentence(s, &self.cfg.tree);
-                }
-            }
+            let cfg = &self.cfg.tree;
+            grow_blocks(
+                tree,
+                new,
+                threads,
+                |t, chunk| t.resolve(chunk, cfg),
+                TreeIndex::apply_row,
+            );
             tree.finalize();
         }
         self.all_ids.extend(old_n as u32..corpus.len() as u32);
@@ -291,7 +365,7 @@ impl IndexSet {
     pub fn covering_rules(&self, s: &Sentence, out: &mut Vec<RuleRef>) {
         out.clear();
         self.phrase
-            .for_each_node_of(s, |n| out.push(RuleRef::Phrase(n)));
+            .walk(s, |n| out.push(RuleRef::Phrase(n)), |_, _| {});
         if let Some(tree) = &self.tree {
             // Sized for a typical sentence's keys: growing from empty
             // cost a quarter of the call.
@@ -490,6 +564,7 @@ impl IndexSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use darwin_text::PosTag;
 
     fn corpus() -> Corpus {
         Corpus::from_texts([
@@ -724,6 +799,165 @@ mod tests {
         }
         // Appending nothing is a no-op.
         assert_eq!(grown.append(&corpus).unwrap().sentences, 0);
+    }
+
+    /// `grow`'s trie and pattern table against the per-sentence
+    /// `add_sentence` builds: every node's phrase, postings, parent and
+    /// children order; every pattern's key, postings and hierarchy lists,
+    /// and the roots.
+    fn assert_matches_reference(idx: &IndexSet, c: &Corpus, cfg: &IndexConfig, label: &str) {
+        let (got, want) = (
+            idx.phrase_index(),
+            &PhraseIndex::build(c, cfg.max_phrase_len),
+        );
+        assert_eq!(got.len(), want.len(), "{label}: trie nodes");
+        assert_eq!(got.sentences(), want.sentences(), "{label}: trie sentences");
+        for n in want.node_ids() {
+            assert_eq!(got.phrase(n), want.phrase(n), "{label}: phrase of node {n}");
+            assert_eq!(
+                got.postings(n),
+                want.postings(n),
+                "{label}: postings of node {n}"
+            );
+            assert_eq!(got.parent(n), want.parent(n), "{label}: parent of node {n}");
+        }
+        for n in 0..want.len() as NodeId {
+            let kids = |t: &PhraseIndex| t.children(n).collect::<Vec<_>>();
+            assert_eq!(kids(got), kids(want), "{label}: children of node {n}");
+        }
+        let (got, want) = (idx.tree_index().unwrap(), &TreeIndex::build(c, &cfg.tree));
+        assert_eq!(got.len(), want.len(), "{label}: patterns");
+        assert_eq!(got.roots(), want.roots(), "{label}: roots");
+        for p in want.pat_ids() {
+            assert_eq!(got.key(p), want.key(p), "{label}: key of pattern {p}");
+            assert_eq!(
+                got.postings(p),
+                want.postings(p),
+                "{label}: postings of {p}"
+            );
+            assert_eq!(got.parents(p), want.parents(p), "{label}: parents of {p}");
+            assert_eq!(
+                got.children(p),
+                want.children(p),
+                "{label}: children of {p}"
+            );
+        }
+    }
+
+    /// Growth resolves blocks on workers and interns serially; whatever the
+    /// thread count and batch split it must number, post and link exactly
+    /// as the per-sentence reference. The 600-sentence block is past the
+    /// fan-out threshold, and its fixtures are where a wrong miss path
+    /// shows: phrases and patterns new to the block and seen again in the
+    /// last worker's chunk ("zebra") or only there ("walrus"); a
+    /// continuation an earlier start of the same sentence created ("to get
+    /// to get to", where "to" exists and "to get" does not); a sentence
+    /// whose capped key list mixes hits with a repeated miss; an empty and
+    /// a punctuation-only sentence; and "walk", a noun before the block
+    /// and a verb in it.
+    #[test]
+    fn grow_matches_the_per_sentence_reference() {
+        let base = [
+            "a walk in the park",
+            "lightning caused the fire near the old airport",
+            "a shuttle to the airport is fast",
+        ];
+        let capped_text = "thunder thunder caused the fire near the old airport";
+        let fillers = ["red bus", "green train", "blue cab", "slow van", "old tram"];
+        let mut block: Vec<String> = (0..600)
+            .map(|i| format!("the {} goes to the airport", fillers[i % fillers.len()]))
+            .collect();
+        let zebra = "the zebra crossed the frozen river";
+        for (at, text) in [
+            (0, zebra),
+            (1, "to get to get to the airport"),
+            (2, ""),
+            (3, "? !"),
+            (4, "we walk to the park"),
+            (5, capped_text),
+            (300, zebra),
+            (450, "a purple walrus sings to the zebra"),
+            (599, zebra),
+        ] {
+            block[at] = text.to_string();
+        }
+        let texts: Vec<&str> = base
+            .iter()
+            .copied()
+            .chain(block.iter().map(|t| t.as_str()))
+            .collect();
+        let whole = Corpus::from_texts(texts.iter());
+        assert_eq!(whole.sentence(5).len(), 0, "empty sentence");
+        let punct = whole.sentence(6);
+        assert!(!punct.tags.is_empty() && punct.tags.iter().all(|&t| t == PosTag::Punct));
+        let walk = whole.vocab().get("walk").unwrap();
+        let tag_of = |id: u32| {
+            let s = whole.sentence(id);
+            s.tags[s.tokens.iter().position(|&t| t == walk).unwrap()]
+        };
+        assert_ne!(
+            tag_of(0),
+            tag_of(7),
+            "\"walk\" must flip its tag in the block"
+        );
+
+        const CAP: usize = 20;
+        // The capped sentence's first CAP fresh keys hold hits on the base
+        // index and a miss key enumerated twice.
+        let base_idx = IndexSet::build(&Corpus::from_texts(base), &IndexConfig::small());
+        let base_tree = base_idx.tree_index().unwrap();
+        let (mut seen, mut hits, mut repeated_miss) = (Vec::new(), 0, false);
+        crate::sketch::for_each_tree_sketch(
+            whole.sentence(8),
+            &TreeSketchConfig::default(),
+            &mut |k| {
+                let fresh = !seen.contains(&k);
+                if seen.len() < CAP {
+                    match base_tree.id_of(k) {
+                        Some(_) => hits += fresh as usize,
+                        None => repeated_miss |= !fresh,
+                    }
+                }
+                if fresh {
+                    seen.push(k);
+                }
+                fresh
+            },
+        );
+        assert!(seen.len() > CAP, "the capped sentence must hit the cap");
+        assert!(
+            hits > 0 && repeated_miss,
+            "hits {hits}, repeated miss {repeated_miss}"
+        );
+
+        let capped = IndexConfig {
+            tree: TreeSketchConfig {
+                max_patterns: CAP,
+                ..TreeSketchConfig::default()
+            },
+            ..IndexConfig::small()
+        };
+        for cfg in [IndexConfig::small(), capped] {
+            for threads in [1, 2, 3] {
+                let cfg = IndexConfig {
+                    threads,
+                    ..cfg.clone()
+                };
+                let label = format!("build, {threads} threads, cap {}", cfg.tree.max_patterns);
+                assert_matches_reference(&IndexSet::build(&whole, &cfg), &whole, &cfg, &label);
+                for cuts in [&[3][..], &[3, 303], &[153, 453]] {
+                    let mut corpus = Corpus::from_texts(&texts[..cuts[0]]);
+                    let mut idx = IndexSet::build(&corpus, &cfg);
+                    for (i, &from) in cuts.iter().enumerate() {
+                        let to = cuts.get(i + 1).copied().unwrap_or(texts.len());
+                        corpus.append_texts(&texts[from..to], 1);
+                        idx.append_with_threads(&corpus, threads).unwrap();
+                    }
+                    let label = format!("appends at {cuts:?}, {threads} threads");
+                    assert_matches_reference(&idx, &whole, &cfg, &label);
+                }
+            }
+        }
     }
 
     #[test]

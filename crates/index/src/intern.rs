@@ -1,13 +1,12 @@
 //! Open-addressing intern table for packed sketch keys.
 //!
 //! Tree ingest probes the pattern intern map once per enumerated key —
-//! millions of probes per batch, each a dependent-load chain on a table
-//! far larger than L2. A general `HashMap` pays two chained lines per
-//! probe (control bytes, then the slot); this table packs the whole slot
-//! into one `u128` word — a [`crate::sketch::SketchKey::pack`] value
-//! occupies 101 bits, leaving 27 for the pattern id — so a probe touches
-//! exactly one cache line, and [`InternTable::prefetch`] lets list-driven
-//! callers hide even that line's latency behind the previous keys' work.
+//! millions of probes per batch, read-only on the growth workers and
+//! interning on the serial apply. A general `HashMap` pays two chained
+//! lines per probe (control bytes, then the slot); this table packs the
+//! whole slot into one `u128` word — a [`crate::sketch::SketchKey::pack`]
+//! value occupies 101 bits, leaving 27 for the pattern id — so a probe
+//! touches exactly one cache line.
 //!
 //! Linear probing, power-of-two capacity, load factor ≤ 1/2, no deletes
 //! (patterns are never removed from a [`crate::TreeIndex`]).
@@ -105,26 +104,6 @@ impl InternTable {
         }
     }
 
-    /// Hint the CPU to pull `k`'s home cache line; a later
-    /// [`InternTable::get_or_insert_with`] for the same key then finds the
-    /// line resident. Purely advisory — correct (and a no-op off x86-64)
-    /// whatever happens to the table in between.
-    #[inline]
-    pub(crate) fn prefetch(&self, k: u128) {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: prefetch is a hint; it cannot fault even on a bad
-        // address, and the address is in-bounds here anyway.
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch(
-                self.slots.as_ptr().add(self.bucket(k)) as *const i8,
-                _MM_HINT_T0,
-            );
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = k;
-    }
-
     fn grow(&mut self) {
         let old = std::mem::replace(&mut self.slots, vec![EMPTY; 0]);
         let cap = old.len() * 2;
@@ -194,6 +173,5 @@ mod tests {
         t.get_or_insert_with(b, || 2);
         assert_eq!(t.get(a), Some(1));
         assert_eq!(t.get(b), Some(2));
-        t.prefetch(a); // smoke: advisory, must not crash
     }
 }

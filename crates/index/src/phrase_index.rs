@@ -2,11 +2,12 @@
 //!
 //! Each node represents a contiguous phrase heuristic; it stores the number
 //! of sentences satisfying it and an inverted list of their ids. The index
-//! starts empty and grows by merging per-sentence derivation sketches one
-//! at a time, in sentence order ([`PhraseIndex::add_sentence`]) — the only
-//! way nodes are created, so node ids are first-occurrence order by
-//! construction.
+//! starts empty and grows by merging per-sentence derivation sketches in
+//! sentence order ([`PhraseIndex::add_sentence`], or a block's read-only
+//! walks applied in order by index growth) — the only way nodes are
+//! created, so node ids are first-occurrence order by construction.
 
+use crate::api::{Resolved, MISS};
 use crate::fx::FxHashMap;
 use darwin_text::{Corpus, Sentence, Sym};
 
@@ -75,35 +76,96 @@ impl PhraseIndex {
     /// (first occurrence) and postings are identical to the sketch-driven
     /// insert — the postings tail check stands in for the sketch's
     /// per-sentence dedup.
+    ///
+    /// The per-sentence reference for index growth, which resolves a
+    /// block's walks read-only (`PhraseIndex::resolve`) and only creates
+    /// nodes from where they miss (`PhraseIndex::apply_row`).
     pub fn add_sentence(&mut self, s: &Sentence) {
         for start in 0..s.tokens.len() {
             let mut cur = ROOT;
             let end = (start + self.max_len).min(s.tokens.len());
             for i in start..end {
                 cur = self.child_or_insert(cur, s.tokens[i]);
-                let postings = &mut self.nodes[cur as usize].postings;
-                if postings.last() != Some(&s.id) {
-                    postings.push(s.id);
-                }
+                self.post(cur, s.id);
             }
         }
         self.sentences += 1;
     }
 
     /// Read-only [`PhraseIndex::add_sentence`]: visit the node of every
-    /// indexed n-gram of `s`, stopping each start's walk at the first
-    /// missing child (a pruned node takes its subtree with it). A node is
-    /// visited once per occurrence, so repeats need the caller's dedup.
-    pub(crate) fn for_each_node_of(&self, s: &Sentence, mut f: impl FnMut(NodeId)) {
+    /// indexed n-gram of `s` with `hit`, and stop each start's walk at the
+    /// first missing child with `miss(node, position)` — the last node
+    /// found and the position of the token it lacks (a pruned node takes
+    /// its subtree with it). A node is visited once per occurrence, so
+    /// repeats need the caller's dedup.
+    pub(crate) fn walk(
+        &self,
+        s: &Sentence,
+        mut hit: impl FnMut(NodeId),
+        mut miss: impl FnMut(NodeId, usize),
+    ) {
         for start in 0..s.tokens.len() {
             let mut cur = ROOT;
-            for sym in &s.tokens[start..(start + self.max_len).min(s.tokens.len())] {
-                match self.nodes[cur as usize].children.get(sym) {
+            for i in start..(start + self.max_len).min(s.tokens.len()) {
+                match self.nodes[cur as usize].children.get(&s.tokens[i]) {
                     Some(&c) => cur = c,
-                    None => break,
+                    None => {
+                        miss(cur, i);
+                        break;
+                    }
                 }
-                f(cur);
+                hit(cur);
             }
+        }
+    }
+
+    /// The worker half of growth: every sentence of `chunk` walked
+    /// read-only, a row of the nodes found plus one `(node, position)`
+    /// continuation per start that runs off the trie.
+    pub(crate) fn resolve(&self, chunk: &[Sentence]) -> Resolved<(NodeId, u32)> {
+        let mut out = Resolved::new();
+        for s in chunk {
+            // Continuations go after the row's hits: only they create
+            // nodes, and they keep their start order.
+            let first = out.misses.len();
+            self.walk(
+                s,
+                |n| out.rows.push(n),
+                |n, i| out.misses.push((n, i as u32)),
+            );
+            out.rows
+                .extend((first..out.misses.len()).map(|i| MISS | i as u32));
+            out.end_row();
+        }
+        out
+    }
+
+    /// The serial half of growth: post sentence `s` on its row's nodes and
+    /// create the continuations from where they missed. A continuation
+    /// may find nodes an earlier sentence, or an earlier start of `s`, has
+    /// created since the block was resolved.
+    pub(crate) fn apply_row(&mut self, s: &Sentence, row: &[u32], misses: &[(NodeId, u32)]) {
+        for &w in row {
+            if w & MISS == 0 {
+                self.post(w, s.id);
+                continue;
+            }
+            let (mut cur, pos) = misses[(w & !MISS) as usize];
+            // The walk started `depth` tokens before `pos`.
+            let end = (pos as usize + self.max_len - self.depth(cur)).min(s.tokens.len());
+            for &sym in &s.tokens[pos as usize..end] {
+                cur = self.child_or_insert(cur, sym);
+                self.post(cur, s.id);
+            }
+        }
+        self.sentences += 1;
+    }
+
+    /// Add `sid` to a node's postings unless it is already the tail.
+    fn post(&mut self, n: NodeId, sid: u32) {
+        let postings = &mut self.nodes[n as usize].postings;
+        if postings.last() != Some(&sid) {
+            postings.push(sid);
         }
     }
 

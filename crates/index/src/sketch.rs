@@ -143,8 +143,9 @@ impl SketchKey {
 /// * two-edge descendants: `a//c` for grandparent pairs,
 /// * conjunctions: `(x/b ∧ x/c)` for sibling child constraints.
 ///
-/// Each reported pattern is also returned with the `(token, tag)` evidence
-/// needed to register token→POS generalization edges.
+/// Patterns are reported once each, in enumeration order; the `(token,
+/// tag)` evidence for token→POS generalization edges comes separately
+/// from [`term_generalizations`].
 pub fn tree_sketch(sentence: &Sentence, cfg: &TreeSketchConfig) -> Vec<TreePattern> {
     let mut out = Vec::new();
     let mut seen: FxHashSet<SketchKey> = FxHashSet::default();
@@ -173,8 +174,10 @@ pub struct SketchScratch {
 /// enumerated key, in the exact order `tree_sketch` reports patterns.
 /// **Deduplication is the callback's job**: `f` returns whether the key
 /// was new for this sentence (only fresh keys count against
-/// `max_patterns`). The tree index dedupes for free off its postings
-/// tail, which is why no per-sentence hash set exists on this path.
+/// `max_patterns`), so every caller keeps its own per-sentence record of
+/// the keys it has seen — a hash set here and in
+/// [`crate::tree_index::TreeIndex::add_sentence`], stamps on interned ids
+/// plus a set of the misses in index growth.
 pub fn for_each_tree_sketch(
     sentence: &Sentence,
     cfg: &TreeSketchConfig,
@@ -184,8 +187,8 @@ pub fn for_each_tree_sketch(
 }
 
 /// [`for_each_tree_sketch`] with caller-owned scratch — the
-/// allocation-free primitive behind
-/// [`crate::tree_index::TreeIndex::add_sentence`].
+/// allocation-free primitive behind index growth's per-worker
+/// enumeration.
 pub fn for_each_tree_sketch_with(
     scratch: &mut SketchScratch,
     sentence: &Sentence,
@@ -297,40 +300,6 @@ pub fn for_each_tree_sketch_with(
             }
         }
     }
-}
-
-/// Enumerate one batch of sentences on `threads` workers — the only
-/// fan-out of index growth: per-sentence key lists, deduplicated and capped
-/// exactly as the serial path would, joined in sentence order. Per-sentence
-/// enumeration is pure, so the ordered join is deterministic — interning
-/// the lists in order produces the same index the serial path builds (the
-/// same argument as the corpus analysis fan-out).
-pub fn sketch_batch(
-    sentences: &[Sentence],
-    cfg: &TreeSketchConfig,
-    threads: usize,
-) -> Vec<Vec<SketchKey>> {
-    // Batches below this many sentences are enumerated on the caller's thread.
-    const MIN_FAN_OUT: usize = 256;
-    darwin_text::fanout::map_chunks(sentences, threads, MIN_FAN_OUT, |chunk| {
-        let mut scratch = SketchScratch::default();
-        let mut seen: FxHashSet<SketchKey> = FxHashSet::default();
-        chunk
-            .iter()
-            .map(|s| {
-                let mut keys = Vec::new();
-                seen.clear();
-                for_each_tree_sketch_with(&mut scratch, s, cfg, &mut |k| {
-                    let fresh = seen.insert(k);
-                    if fresh {
-                        keys.push(k);
-                    }
-                    fresh
-                });
-                keys
-            })
-            .collect()
-    })
 }
 
 /// Token→POS generalization evidence: every `(token, tag)` occurrence of

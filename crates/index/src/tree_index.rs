@@ -11,10 +11,12 @@
 //! * `p ∧ q` is a specialization of both `p` and `q`,
 //! * `Term(tok)` is a specialization of `Term(POS-of-tok)` (evidence-based).
 
+use crate::api::{Resolved, MISS};
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::intern::InternTable;
 use crate::sketch::{
-    for_each_tree_sketch_with, term_generalizations, SketchKey, SketchScratch, TreeSketchConfig,
+    for_each_tree_sketch, for_each_tree_sketch_with, term_generalizations, SketchKey,
+    SketchScratch, TreeSketchConfig,
 };
 use darwin_grammar::{TreePattern, TreeTerm};
 use darwin_text::{Corpus, PosTag, Sentence, Sym};
@@ -42,8 +44,9 @@ enum TagEvidence {
 /// [`TreePattern`] is materialized lazily by [`TreeIndex::pattern`]
 /// (ingest never allocates a pattern).
 ///
-/// The index starts empty ([`Default`]) and grows one sentence at a time,
-/// in sentence order, followed by a [`TreeIndex::finalize`] per batch.
+/// The index starts empty ([`Default`]) and grows in sentence order —
+/// one sentence at a time, or a block's resolved rows applied in order —
+/// followed by a [`TreeIndex::finalize`] per batch.
 #[derive(Default)]
 pub struct TreeIndex {
     /// `keys[id]` is the compact identity of pattern `id`.
@@ -73,13 +76,6 @@ pub struct TreeIndex {
     /// finalize, with the tag they held before — their `Term(tok) →
     /// Term(POS)` edge (or pending wait) must be retracted.
     flips: Vec<(Sym, PosTag)>,
-    /// Reusable per-sentence enumeration scratch.
-    scratch: SketchScratch,
-    /// Reusable per-sentence key list + dedup set: [`TreeIndex::add_sentence`]
-    /// enumerates into these before interning, so the intern loop can
-    /// prefetch ahead over a known key list.
-    key_buf: Vec<SketchKey>,
-    seen: FxHashSet<SketchKey>,
 }
 
 impl TreeIndex {
@@ -96,61 +92,98 @@ impl TreeIndex {
     /// Merge one sentence's sketch. Call [`TreeIndex::finalize`] after the
     /// last addition to (re)compute hierarchy edges.
     ///
-    /// Two phases per sentence: enumerate the deduplicated key list into a
-    /// reused buffer (first occurrence wins, matching the postings-tail
-    /// dedup the intern probe used to provide), then intern the known list
-    /// with prefetch-ahead — the same loop the batched path uses — so the
-    /// table probe's cache-line pull overlaps earlier keys' work instead
-    /// of stalling the enumeration.
+    /// Interns each deduplicated key as it is enumerated. The per-sentence
+    /// reference for index growth, which resolves a block's keys to the
+    /// ids that already exist on workers (`TreeIndex::resolve`) and
+    /// only interns the misses serially (`TreeIndex::apply_row`).
     pub fn add_sentence(&mut self, s: &Sentence, cfg: &TreeSketchConfig) {
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let mut buf = std::mem::take(&mut self.key_buf);
-        let mut seen = std::mem::take(&mut self.seen);
-        buf.clear();
-        seen.clear();
-        for_each_tree_sketch_with(&mut scratch, s, cfg, &mut |k| {
+        let mut seen = FxHashSet::default();
+        for_each_tree_sketch(s, cfg, &mut |k| {
             let fresh = seen.insert(k);
             if fresh {
-                buf.push(k);
+                let id = self.intern(k);
+                self.post(id, s.id);
             }
             fresh
         });
-        self.scratch = scratch;
-        self.add_sentence_keys(s, &buf);
-        self.key_buf = buf;
-        self.seen = seen;
+        self.observe_tags(s);
     }
 
-    /// The key-list half of [`TreeIndex::add_sentence`], for batches whose
-    /// enumeration was fanned out with [`crate::sketch::sketch_batch`]:
-    /// `keys` must be sentence `s`'s deduplicated key list in enumeration
-    /// order. Interning lists in sentence order reproduces the serial
-    /// path's numbering exactly.
-    pub fn add_sentence_keys(&mut self, s: &Sentence, sentence_keys: &[SketchKey]) {
-        let sid = s.id;
-        let ids = &mut self.ids;
-        let keys = &mut self.keys;
-        let postings = &mut self.postings;
-        // Prefetch a few keys ahead: the key list is known up front, so
-        // each slot's cache line is pulled while earlier keys are being
-        // interned, hiding the probe latency the list order exposes.
-        const LOOKAHEAD: usize = 8;
-        for (i, &k) in sentence_keys.iter().enumerate() {
-            if let Some(&ahead) = sentence_keys.get(i + LOOKAHEAD) {
-                ids.prefetch(ahead.pack());
-            }
-            let (id, _) = ids.get_or_insert_with(k.pack(), || {
-                let id = keys.len() as PatId;
-                keys.push(k);
-                postings.push(Vec::new());
-                id
+    /// The worker half of growth: each sentence of `chunk` enumerated
+    /// into a row of the pattern ids its keys already have, and `MISS`
+    /// words naming the keys that have none yet — each missing key named
+    /// once per chunk, so a cold block buffers one word per key. Dedups
+    /// exactly as [`TreeIndex::add_sentence`] does, since only fresh keys
+    /// count against `max_patterns`: a hit or a miss is fresh unless it
+    /// is already stamped with this sentence.
+    pub(crate) fn resolve(
+        &self,
+        chunk: &[Sentence],
+        cfg: &TreeSketchConfig,
+    ) -> Resolved<SketchKey> {
+        let mut out = Resolved::new();
+        let mut scratch = SketchScratch::default();
+        // `stamp[id] == j + 1` once the chunk's `j`-th sentence listed
+        // `id`; `miss_stamp` the same for the chunk's misses.
+        let mut stamp = vec![0u32; self.keys.len()];
+        let (mut missed, mut miss_stamp) = (FxHashMap::default(), Vec::new());
+        for (j, s) in chunk.iter().enumerate() {
+            let mark = j as u32 + 1;
+            for_each_tree_sketch_with(&mut scratch, s, cfg, &mut |k| {
+                let (word, last) = match self.id_of(k) {
+                    Some(id) => (id, &mut stamp[id as usize]),
+                    None => {
+                        let i = *missed.entry(k).or_insert_with(|| {
+                            out.misses.push(k);
+                            miss_stamp.push(0);
+                            out.misses.len() as u32 - 1
+                        });
+                        (MISS | i, &mut miss_stamp[i as usize])
+                    }
+                };
+                let fresh = std::mem::replace(last, mark) != mark;
+                if fresh {
+                    out.rows.push(word);
+                }
+                fresh
             });
-            let p = &mut postings[id as usize];
-            if p.last() != Some(&sid) {
-                p.push(sid);
-            }
+            out.end_row();
+        }
+        out
+    }
+
+    /// The serial half of growth: post sentence `s` on its row's patterns,
+    /// interning the misses in row order — a miss an earlier sentence of
+    /// the block has interned since is found, not renumbered.
+    pub(crate) fn apply_row(&mut self, s: &Sentence, row: &[u32], misses: &[SketchKey]) {
+        for &w in row {
+            let id = if w & MISS == 0 {
+                w
+            } else {
+                self.intern(misses[(w & !MISS) as usize])
+            };
+            self.post(id, s.id);
         }
         self.observe_tags(s);
+    }
+
+    /// The id of `k`, interning it as the next id if it has none.
+    fn intern(&mut self, k: SketchKey) -> PatId {
+        let (keys, postings) = (&mut self.keys, &mut self.postings);
+        let (id, _) = self.ids.get_or_insert_with(k.pack(), || {
+            keys.push(k);
+            postings.push(Vec::new());
+            keys.len() as PatId - 1
+        });
+        id
+    }
+
+    /// Add `sid` to a pattern's postings unless it is already the tail.
+    fn post(&mut self, id: PatId, sid: u32) {
+        let p = &mut self.postings[id as usize];
+        if p.last() != Some(&sid) {
+            p.push(sid);
+        }
     }
 
     fn observe_tags(&mut self, s: &Sentence) {
@@ -462,14 +495,20 @@ mod tests {
         let texts = [
             "the storm caused the outage in the city",
             "lightning caused the fire",
+            "a walk in the park",
             "his job is a teacher at the school",
             "uber is the best way to our hotel",
-            "they fire the lazy teacher",     // "fire" NOUN→VERB flip
-            "the storm will outage the grid", // "outage" flips too
+            "we walk to the park", // "walk" NOUN→VERB flip
             "a shuttle to the airport is fast",
             "the best shuttle leaves at dawn",
         ];
         let cfg = TreeSketchConfig::default();
+        let flip = Corpus::from_texts([texts[2], texts[5]]);
+        assert_ne!(
+            flip.sentence(0).tags[1],
+            flip.sentence(1).tags[1],
+            "walk flips"
+        );
         for split in 1..texts.len() {
             let scratch_corpus = Corpus::from_texts(texts.iter().copied());
             let scratch = TreeIndex::build(&scratch_corpus, &cfg);

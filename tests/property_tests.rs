@@ -5,7 +5,7 @@
 use darwin::core::benefit::benefit;
 use darwin::core::{inproc_shard_connector, BenefitStore, Fanout, ShardedBenefitStore};
 use darwin::grammar::{Heuristic, PhraseElem, PhrasePattern, TreePattern};
-use darwin::index::{IdSet, IndexConfig, IndexSet, RuleRef, ShardMap};
+use darwin::index::{IdSet, IndexConfig, IndexSet, PhraseIndex, RuleRef, ShardMap, TreeIndex};
 use darwin::text::{Corpus, PosTag, Sym};
 use darwin_testkit::strategies::{corpus_texts as corpus_strategy, sentence, word};
 use proptest::prelude::*;
@@ -558,6 +558,69 @@ fn assert_same_index(a: &IndexSet, b: &IndexSet, label: &str) -> Result<(), Test
     Ok(())
 }
 
+/// An index against the per-sentence `PhraseIndex::build` (pruned to the
+/// recipe's `min_count`) and `TreeIndex::build` — an oracle that shares no
+/// resolve or apply code with `IndexSet`'s growth: numbering, postings,
+/// trie parents and children order, pattern hierarchy and roots.
+fn assert_matches_reference(
+    index: &IndexSet,
+    corpus: &Corpus,
+    cfg: &IndexConfig,
+    label: &str,
+) -> Result<(), TestCaseError> {
+    let mut trie = PhraseIndex::build(corpus, cfg.max_phrase_len);
+    trie.prune(cfg.min_count);
+    let got = index.phrase_index();
+    prop_assert_eq!(got.len(), trie.len(), "{}: trie nodes", label);
+    for n in 0..trie.len() as u32 {
+        prop_assert_eq!(got.phrase(n), trie.phrase(n), "{}: phrase of {}", label, n);
+        prop_assert_eq!(
+            got.postings(n),
+            trie.postings(n),
+            "{}: postings of {}",
+            label,
+            n
+        );
+        prop_assert_eq!(got.parent(n), trie.parent(n), "{}: parent of {}", label, n);
+        prop_assert_eq!(
+            got.children(n).collect::<Vec<_>>(),
+            trie.children(n).collect::<Vec<_>>(),
+            "{}: children of {}",
+            label,
+            n
+        );
+    }
+    let tree = TreeIndex::build(corpus, &cfg.tree);
+    let got = index.tree_index().expect("tree index enabled");
+    prop_assert_eq!(got.len(), tree.len(), "{}: patterns", label);
+    prop_assert_eq!(got.roots(), tree.roots(), "{}: roots", label);
+    for p in tree.pat_ids() {
+        prop_assert_eq!(got.key(p), tree.key(p), "{}: key of {}", label, p);
+        prop_assert_eq!(
+            got.postings(p),
+            tree.postings(p),
+            "{}: postings of {}",
+            label,
+            p
+        );
+        prop_assert_eq!(
+            got.parents(p),
+            tree.parents(p),
+            "{}: parents of {}",
+            label,
+            p
+        );
+        prop_assert_eq!(
+            got.children(p),
+            tree.children(p),
+            "{}: children of {}",
+            label,
+            p
+        );
+    }
+    Ok(())
+}
+
 /// Every indexed sentence's covering rules, recomputed by the index.
 fn rows(corpus: &Corpus, index: &IndexSet) -> Vec<Vec<RuleRef>> {
     corpus.sentences()[..index.sentences()]
@@ -596,9 +659,14 @@ proptest! {
     /// analyses, rule numbering, hierarchy and covering rules alike; and a
     /// pruned build numbers its rules the same at every thread count.
     /// Covering rules also equal brute force over the forward postings,
-    /// pruned build included.
-    /// Case 0 is longer than `SKETCH_BLOCK` and every eighth case is past
-    /// every fan-out threshold (256 / 1024 sentences; 2048 was the
+    /// pruned build included. Every side of that runs the same growth
+    /// routine, so both one-thread builds are also held to the
+    /// per-sentence `add_sentence` reference.
+    /// Case 0 spans several of index growth's blocks (4 096 sentences per
+    /// worker) at one and two threads, so a later block resolves against
+    /// what an earlier one interned, and
+    /// every eighth case is past every fan-out threshold (256 sentences
+    /// for index growth, 1024 for corpus analysis; 2048 was the
     /// chunk-local trie build's).
     #[test]
     fn ingest_is_invariant_under_batch_split_and_threads(
@@ -621,6 +689,8 @@ proptest! {
         let whole = Corpus::from_texts(texts);
         let scratch = IndexSet::build(&whole, &recipe(1, 1));
         let pruned = IndexSet::build(&whole, &recipe(2, 1));
+        assert_matches_reference(&scratch, &whole, &recipe(1, 1), &format!("n={n}"))?;
+        assert_matches_reference(&pruned, &whole, &recipe(2, 1), &format!("pruned n={n}"))?;
         let scratch_rows = rows(&whole, &scratch);
         prop_assert_eq!(&scratch_rows, &brute_rows(&scratch), "n={}: covering rules", n);
         let pruned_rows = rows(&whole, &pruned);
