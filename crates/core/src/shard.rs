@@ -241,7 +241,7 @@ impl RemoteShard {
         scores: &[f32],
     ) -> Result<RemoteShard, WireError> {
         let positives: Vec<u32> = p.iter().filter(|&id| lo <= id && id < hi).collect();
-        RemoteShard::connect_with(
+        let mut shard = RemoteShard::dial(
             transport,
             0,
             Arc::new(init_prefix(corpus, index_cfg)),
@@ -250,14 +250,18 @@ impl RemoteShard {
             positives,
             scores[lo as usize..hi as usize].to_vec(),
             None,
-        )
+        )?;
+        shard.init_begin()?;
+        shard.init_finish()?;
+        Ok(shard)
     }
 
-    /// [`RemoteShard::connect`] from pre-encoded parts — what
-    /// [`ShardedBenefitStore::connect_remote`] uses so `S` shards share
-    /// one corpus encode, and what a reconnect replays from.
+    /// Handshake with a worker that has no partition yet, from
+    /// pre-encoded parts — what [`ShardedBenefitStore::connect_remote`]
+    /// uses so `S` shards share one corpus encode. `ShardInit` follows
+    /// through `init_begin` / `init_finish`.
     #[allow(clippy::too_many_arguments)]
-    fn connect_with(
+    fn dial(
         transport: Box<dyn Transport>,
         shard: usize,
         prefix: Arc<Vec<u8>>,
@@ -269,7 +273,7 @@ impl RemoteShard {
     ) -> Result<RemoteShard, WireError> {
         let mut session = Session::new(transport);
         session.hello()?;
-        let mut shard = RemoteShard {
+        Ok(RemoteShard {
             session,
             shard,
             lo,
@@ -280,11 +284,19 @@ impl RemoteShard {
             prefix,
             redial,
             pending: None,
-        };
-        let body = shard.init_body();
-        let resp = shard.call_encoded(&body)?;
-        expect_ack(resp, "shard init")?;
-        Ok(shard)
+        })
+    }
+
+    /// Send phase of `ShardInit`: the worker analyzes the corpus and
+    /// builds its index before it acknowledges.
+    fn init_begin(&mut self) -> Result<(), WireError> {
+        let body = self.init_body();
+        self.session.send_encoded(&body)
+    }
+
+    /// Join phase of `ShardInit`.
+    fn init_finish(&mut self) -> Result<(), WireError> {
+        expect_ack(self.session.recv_reply()?, "shard init")
     }
 
     /// The `ShardInit` request body for this shard's current confirmed
@@ -444,9 +456,8 @@ impl RemoteShard {
         let transport = redial(self.shard, self.lo..self.hi)?;
         self.session = Session::new(transport);
         self.session.hello()?;
-        let body = self.init_body();
-        let resp = self.call_encoded(&body)?;
-        expect_ack(resp, "shard re-init")?;
+        self.init_begin()?;
+        self.init_finish()?;
         // Re-track every mirrored rule. The worker recomputes their
         // fragments from (index, P, scores); mirror exactness means the
         // returned values equal what we already hold, so folding them
@@ -698,8 +709,11 @@ impl ShardedBenefitStore {
     /// builds the transport for each shard, and every worker is
     /// initialized with the corpus (encoded once, shared across all `S`
     /// inits), the index recipe and the current `(P, scores)` state. The
-    /// connector is kept for reconnect-and-replay after a mid-run wire
-    /// failure; `fanout` selects how broadcasts are driven.
+    /// workers are dialed in turn, and the `ShardInit`s go out per
+    /// `fanout` like any broadcast, so under `Concurrent` the `S` corpus
+    /// analyses and index builds overlap. The connector is kept for
+    /// reconnect-and-replay after a mid-run wire failure; `fanout`
+    /// selects how broadcasts are driven.
     pub fn connect_remote(
         map: ShardMap,
         corpus: &Corpus,
@@ -714,7 +728,7 @@ impl ShardedBenefitStore {
         for (s, r) in map.ranges().enumerate() {
             let transport = connect(s, r.clone())?;
             let positives: Vec<u32> = p.iter().filter(|&id| r.start <= id && id < r.end).collect();
-            shards.push(RemoteShard::connect_with(
+            shards.push(RemoteShard::dial(
                 transport,
                 s,
                 prefix.clone(),
@@ -725,6 +739,12 @@ impl ShardedBenefitStore {
                 Some(connect.clone()),
             )?);
         }
+        fan_out(
+            &mut shards,
+            fanout,
+            |_, w| w.init_begin().map(Some),
+            |w, ()| w.init_finish(),
+        )?;
         Ok(ShardedBenefitStore(Backend::Remote(Fleet {
             map,
             shards,
@@ -1577,6 +1597,102 @@ mod tests {
             }
         }
         store.shutdown().unwrap();
+    }
+
+    /// Fleet stand-up is a fan-out like any broadcast: under `Concurrent`
+    /// every worker's `ShardInit` is sent before the first Ack is read, so
+    /// the workers' corpus analyses and index builds overlap; under
+    /// `Sequential` sends and Acks alternate in shard order.
+    #[test]
+    fn shard_inits_follow_the_fanout() {
+        use std::sync::Mutex;
+        #[derive(Debug, PartialEq)]
+        enum Ev {
+            Init(usize),
+            Ack(usize),
+        }
+        /// An InProc client that logs its shard's `ShardInit` send and
+        /// the reply read after it.
+        struct Recorder {
+            inner: darwin_wire::InProc,
+            shard: usize,
+            awaiting_ack: bool,
+            log: Arc<Mutex<Vec<Ev>>>,
+        }
+        impl Transport for Recorder {
+            fn send(&mut self, payload: &[u8]) -> Result<(), WireError> {
+                // The payload is the 8-byte sequence number, then the tag.
+                if payload.get(8) == Some(&tag::SHARD_INIT) {
+                    self.awaiting_ack = true;
+                    self.log.lock().unwrap().push(Ev::Init(self.shard));
+                }
+                self.inner.send(payload)
+            }
+            fn recv_timeout(
+                &mut self,
+                timeout: Option<std::time::Duration>,
+            ) -> Result<Option<Vec<u8>>, WireError> {
+                let reply = self.inner.recv_timeout(timeout)?;
+                if reply.is_some() && std::mem::take(&mut self.awaiting_ack) {
+                    self.log.lock().unwrap().push(Ev::Ack(self.shard));
+                }
+                Ok(reply)
+            }
+        }
+
+        let (c, _) = setup();
+        let p = IdSet::from_ids(&[0], c.len());
+        let scores = vec![0.5; c.len()];
+        for fanout in [Fanout::Concurrent, Fanout::Sequential] {
+            let log = Arc::new(Mutex::new(Vec::new()));
+            let sink = log.clone();
+            let connect: Arc<ShardConnector> = Arc::new(move |shard, _| {
+                let (inner, mut server) = darwin_wire::InProc::pair();
+                std::thread::spawn(move || {
+                    let _ = crate::remote::serve_shard(&mut server);
+                });
+                Ok(Box::new(Recorder {
+                    inner,
+                    shard,
+                    awaiting_ack: false,
+                    log: sink.clone(),
+                }) as Box<dyn Transport>)
+            });
+            let store = ShardedBenefitStore::connect_remote(
+                ShardMap::new(c.len(), 3),
+                &c,
+                &IndexConfig::small(),
+                &p,
+                &scores,
+                connect,
+                fanout,
+            )
+            .unwrap();
+            let want = match fanout {
+                Fanout::Concurrent => {
+                    vec![
+                        Ev::Init(0),
+                        Ev::Init(1),
+                        Ev::Init(2),
+                        Ev::Ack(0),
+                        Ev::Ack(1),
+                        Ev::Ack(2),
+                    ]
+                }
+                Fanout::Sequential => {
+                    vec![
+                        Ev::Init(0),
+                        Ev::Ack(0),
+                        Ev::Init(1),
+                        Ev::Ack(1),
+                        Ev::Init(2),
+                        Ev::Ack(2),
+                    ]
+                }
+            };
+            assert_eq!(*log.lock().unwrap(), want, "{fanout:?}");
+            store.shutdown().unwrap();
+        }
     }
 
     /// A dead transport must surface as a clean error and poison the

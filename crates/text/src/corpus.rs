@@ -2,9 +2,11 @@
 
 use crate::depparse;
 use crate::fanout::map_chunks;
-use crate::pos::Tagger;
+use crate::pos::{PosTag, Tagger};
 use crate::sentence::Sentence;
+use crate::tokenize;
 use crate::vocab::{Sym, Vocab};
+use std::collections::HashMap;
 
 /// An analyzed corpus: the shared vocabulary plus one [`Sentence`] per input
 /// text, in input order. Sentence ids are their positions.
@@ -19,7 +21,7 @@ pub struct Corpus {
     /// symbol ([`Tagger::tag_word`] is a pure function of the string), so
     /// tagging a sentence is a table lookup per token plus the positional
     /// repair passes instead of a lexicon scan per occurrence.
-    base_tags: Vec<crate::pos::PosTag>,
+    base_tags: Vec<PosTag>,
 }
 
 impl Corpus {
@@ -77,13 +79,15 @@ impl Corpus {
     /// [`Corpus::len`]. Returns the number of sentences appended.
     ///
     /// The result depends only on the concatenation of everything appended
-    /// so far — not on how it was split into calls, nor on `threads`:
-    /// interning (which numbers symbols and sentences) is one serial loop
-    /// in input order, and the two phases that fan out over `threads`
-    /// workers for large batches — tokenization and tag/parse — are pure
-    /// per sentence and joined in input order ([`map_chunks`]).
-    /// Pre-existing sentences, symbol ids and the vocabulary prefix are
-    /// never touched.
+    /// so far — not on how it was split into calls, nor on `threads`.
+    /// One [`map_chunks`] pass analyzes the batch on `threads` workers:
+    /// each resolves its texts' tokens against the vocabulary as it stood
+    /// when the batch started (read only), tags, parses and builds the
+    /// sentences, naming the words the vocabulary lacks. Then one serial
+    /// loop in input order numbers those words — so symbols keep their
+    /// first-occurrence order — counts frequencies and numbers the
+    /// sentences. Pre-existing sentences, symbol ids and the vocabulary
+    /// prefix are never touched.
     pub fn append_texts<I, S>(&mut self, texts: I, threads: usize) -> usize
     where
         I: IntoIterator<Item = S>,
@@ -93,39 +97,43 @@ impl Corpus {
         const MIN_FAN_OUT: usize = 1024;
         let texts: Vec<S> = texts.into_iter().collect();
         let texts: Vec<&str> = texts.iter().map(AsRef::as_ref).collect();
-        let token_lists = map_chunks(&texts, threads, MIN_FAN_OUT, |chunk| {
-            chunk.iter().map(|t| crate::tokenize::tokenize(t)).collect()
+        let (vocab, base_tags) = (&self.vocab, &self.base_tags[..]);
+        let chunks = map_chunks(&texts, threads, MIN_FAN_OUT, |chunk| {
+            vec![analyze(vocab, base_tags, chunk)]
         });
 
-        let vocab = &mut self.vocab;
-        let numbered: Vec<(u32, Vec<Sym>)> = (self.sentences.len() as u32..)
-            .zip(&token_lists)
-            .map(|(id, toks)| (id, toks.iter().map(|t| vocab.intern(t)).collect()))
-            .collect();
-
-        // Extend the per-symbol tag cache for newly interned words: the
-        // context-free tag is a pure function of the string, so looking it up
-        // by symbol is identical to re-deriving it per occurrence.
-        for ix in self.base_tags.len()..vocab.len() {
-            self.base_tags
-                .push(Tagger::tag_word(vocab.resolve(Sym(ix as u32))));
-        }
-        let base_tags = &self.base_tags;
-        let to_sym = vocab.get("to");
-
-        let analyzed = map_chunks(&numbered, threads, MIN_FAN_OUT, |chunk| {
-            chunk
-                .iter()
-                .map(|(id, syms)| {
-                    let mut tags: Vec<_> = syms.iter().map(|s| base_tags[s.index()]).collect();
-                    Tagger::repair(&mut tags, |j| Some(syms[j]) == to_sym);
-                    let heads = depparse::parse(&tags);
-                    Sentence::new(*id, syms.clone(), tags, heads)
+        let mut id = self.sentences.len() as u32;
+        for mut chunk in chunks {
+            // A word an earlier chunk numbered is found here, not renumbered.
+            let syms: Vec<Sym> = (chunk.misses.iter())
+                .map(|(word, tag)| {
+                    let s = self.vocab.number(word);
+                    if s.index() == self.base_tags.len() {
+                        self.base_tags.push(*tag);
+                    }
+                    s
                 })
-                .collect()
-        });
-        self.sentences.extend(analyzed);
-        numbered.len()
+                .collect();
+            assert!(
+                self.vocab.len() <= MISS as usize,
+                "vocabulary overflows the miss flag"
+            );
+            for s in &mut chunk.sentences {
+                for t in &mut s.tokens {
+                    if t.0 & MISS != 0 {
+                        *t = syms[(t.0 & !MISS) as usize];
+                    }
+                    self.vocab.count(*t);
+                }
+                (s.id, id) = (id, id + 1);
+            }
+            // A build into an empty corpus keeps the first chunk's buffer.
+            if self.sentences.is_empty() {
+                std::mem::swap(&mut self.sentences, &mut chunk.sentences);
+            }
+            self.sentences.append(&mut chunk.sentences);
+        }
+        texts.len()
     }
 
     /// Mean sentence length in tokens.
@@ -136,6 +144,59 @@ impl Corpus {
         let total: usize = self.sentences.iter().map(|s| s.len()).sum();
         total as f64 / self.sentences.len() as f64
     }
+}
+
+/// Token flag in an [`Analyzed`] sentence: `MISS | i` names `misses[i]`;
+/// a token without it is a symbol that existed before the batch.
+const MISS: u32 = 1 << 31;
+
+/// One chunk of a batch, analyzed by a worker.
+struct Analyzed {
+    /// One sentence per text, id unset, tokens as `MISS`-flagged words.
+    sentences: Vec<Sentence>,
+    /// The words the vocabulary lacked, each named once, in
+    /// first-occurrence order, with its [`Tagger::tag_word`].
+    misses: Vec<(Box<str>, PosTag)>,
+}
+
+/// The worker half of [`Corpus::append_texts`]: tokenize `texts`, resolve
+/// every token against `vocab` (read only) — a hit to its symbol and
+/// cached base tag, a miss to a `MISS` word — then tag, parse and build
+/// each sentence.
+fn analyze(vocab: &Vocab, base_tags: &[PosTag], texts: &[&str]) -> Analyzed {
+    let (mut missed, mut misses) = (HashMap::<Box<str>, u32>::new(), Vec::new());
+    // Per-sentence scratch, copied out at exact length.
+    let (mut tokens, mut tags, mut is_to) = (Vec::new(), Vec::new(), Vec::new());
+    let sentences = (texts.iter())
+        .map(|text| {
+            tokens.clear();
+            tags.clear();
+            is_to.clear();
+            tokenize::for_each_token(text, |t| {
+                let (sym, tag) = match vocab.get(t) {
+                    Some(s) => (s, base_tags[s.index()]),
+                    None => {
+                        let i = match missed.get(t) {
+                            Some(&i) => i as usize,
+                            None => {
+                                missed.insert(t.into(), misses.len() as u32);
+                                misses.push((t.into(), Tagger::tag_word(t)));
+                                misses.len() - 1
+                            }
+                        };
+                        (Sym(MISS | i as u32), misses[i].1)
+                    }
+                };
+                tokens.push(sym);
+                tags.push(tag);
+                is_to.push(t == "to");
+            });
+            Tagger::repair(&mut tags, |j| is_to[j]);
+            let heads = depparse::parse(&tags);
+            Sentence::new(0, tokens.clone(), tags.clone(), heads)
+        })
+        .collect();
+    Analyzed { sentences, misses }
 }
 
 impl std::fmt::Debug for Corpus {
@@ -172,33 +233,95 @@ mod tests {
         assert_eq!(c.text(1), "is there a bart from sfo to the hotel ?");
     }
 
-    /// The append path must reproduce `from_texts` on the concatenation —
-    /// sentence ids, tokens, analyses and vocabulary all identical, and
-    /// the pre-append prefix untouched. This is the text-layer leg of the
+    /// The per-sentence analyzer: tokenize, intern, tag and parse one
+    /// text at a time, in input order.
+    fn reference(texts: &[String]) -> (Vocab, Vec<Sentence>) {
+        let mut vocab = Vocab::new();
+        let sentences = (0u32..)
+            .zip(texts)
+            .map(|(id, text)| {
+                let words = tokenize::tokenize(text);
+                let tokens = words.iter().map(|w| vocab.intern(w)).collect();
+                let tags = Tagger::tag(&words);
+                let heads = depparse::parse(&tags);
+                Sentence::new(id, tokens, tags, heads)
+            })
+            .collect();
+        (vocab, sentences)
+    }
+
+    /// 3 000 texts, past the fan-out threshold, so chunks really split:
+    /// "zebra" is new only to the later chunks, "quokka" is missed by
+    /// several chunks and repeated within a sentence, "to" is first seen
+    /// at text 1 500, and the specials exercise folding, peeled and
+    /// split punctuation, and empty texts.
+    fn fixture() -> Vec<String> {
+        let specials = [
+            "",
+            "  \t\n ",
+            "Really?! \"hello\" what's the check-in at the Café?",
+            "ΟΔΟΣ (Check-In/OUT) … ΟΔΟΣ",
+        ];
+        (0..3000)
+            .map(|i| {
+                let mut t = match i % 97 {
+                    0 => specials[(i / 97) % specials.len()].to_string(),
+                    _ => format!(
+                        "Sentence {} rides the {} downtown",
+                        i % 37,
+                        ["bus", "shuttle", "TRAM"][i % 3]
+                    ),
+                };
+                if i >= 1500 && i % 5 == 0 {
+                    t.push_str(" to get to the airport");
+                }
+                if i >= 2500 && i % 7 == 0 {
+                    t.push_str(" with a zebra");
+                }
+                if [100, 1400, 2900].contains(&i) {
+                    t.push_str(" and a quokka, QUOKKA!");
+                }
+                t
+            })
+            .collect()
+    }
+
+    /// `append_texts` — from empty or after any prefix, at every thread
+    /// count — reproduces the per-sentence analyzer exactly: sentence
+    /// ids, tokens, tags, heads and children, and the vocabulary's order
+    /// and frequencies. This is the text-layer leg of the
     /// append-equivalence argument.
     #[test]
-    fn append_texts_matches_from_texts_on_concatenation() {
-        let first: Vec<String> = (0..30)
-            .map(|i| format!("sentence {i} rides the bus to the airport"))
-            .collect();
-        let extra: Vec<String> = (0..20)
-            .map(|i| format!("new arrival {i} orders a pizza margherita"))
-            .collect();
-        let whole = Corpus::from_texts(first.iter().chain(extra.iter()));
-        let mut grown = Corpus::from_texts(first.iter());
-        assert_eq!(grown.append_texts(extra.iter(), 2), extra.len());
-        assert_eq!(grown.len(), whole.len());
-        assert_eq!(grown.vocab().len(), whole.vocab().len());
-        for i in 0..whole.len() as u32 {
-            assert_eq!(grown.sentence(i).id, i);
-            assert_eq!(grown.sentence(i).tokens, whole.sentence(i).tokens);
-            assert_eq!(grown.sentence(i).tags, whole.sentence(i).tags);
-            assert_eq!(grown.sentence(i).heads, whole.sentence(i).heads);
-            assert_eq!(grown.text(i), whole.text(i));
+    fn append_texts_matches_the_per_sentence_reference() {
+        let texts = fixture();
+        let (vocab, sentences) = reference(&texts);
+        let check = |c: &Corpus, label: &str| {
+            assert_eq!(c.len(), sentences.len(), "{label}");
+            assert_eq!(c.vocab().len(), vocab.len(), "{label}: vocab size");
+            for (s, w) in vocab.iter() {
+                assert_eq!(c.vocab().resolve(s), w, "{label}: vocab order");
+                assert_eq!(c.vocab().freq(s), vocab.freq(s), "{label}: freq of {w}");
+            }
+            for (g, w) in c.sentences().iter().zip(&sentences) {
+                assert_eq!(g.id, w.id, "{label}");
+                assert_eq!(g.tokens, w.tokens, "{label}: tokens of {}", w.id);
+                assert_eq!(g.tags, w.tags, "{label}: tags of {}", w.id);
+                assert_eq!(g.heads, w.heads, "{label}: heads of {}", w.id);
+                for i in 0..w.len() {
+                    assert_eq!(g.children_slice(i), w.children_slice(i), "{label}");
+                }
+            }
+        };
+        check(&Corpus::from_texts(&texts), "from_texts");
+        for threads in [1, 2, 3] {
+            for cut in [0, 1, 700, 1600, 2999, 3000] {
+                let mut grown = Corpus::new();
+                assert_eq!(grown.append_texts(&texts[..cut], threads), cut);
+                let rest = &texts[cut..];
+                assert_eq!(grown.append_texts(rest, threads), rest.len());
+                check(&grown, &format!("threads={threads} cut={cut}"));
+            }
         }
-        // Empty append is a no-op.
-        assert_eq!(grown.append_texts(Vec::<String>::new(), 1), 0);
-        assert_eq!(grown.len(), whole.len());
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //!   tagset (Petrov et al., as cited by the paper),
 //! * [`depparse`] — a deterministic head-attachment dependency parser,
 //! * [`corpus::Corpus`] — the container Darwin operates over: empty, then
-//!   grown by `append_texts` (analysis fans out through
-//!   [`fanout::map_chunks`], the workspace's one ordered scoped join),
+//!   grown by `append_texts`, whose workers resolve tokens against the
+//!   existing vocabulary, tag and parse in one [`fanout::map_chunks`] pass
+//!   (the workspace's one ordered scoped join), and whose one serial loop
+//!   numbers only the new words,
 //! * [`embed::Embeddings`] — reflective random-indexing word vectors whose
 //!   similarity reflects corpus co-occurrence (the property UniversalSearch
 //!   relies on to generalize `bus` → `shuttle`).

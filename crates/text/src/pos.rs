@@ -378,9 +378,9 @@ const SUFFIX_RULES: &[(&str, PosTag)] = &[
 ];
 
 impl Tagger {
-    /// Tag a tokenized sentence. `tokens` are the lowercase token strings and
-    /// `originals` the pre-lowercasing forms when available (used for the
-    /// proper-noun capitalization cue); pass the same slice twice otherwise.
+    /// Tag a tokenized sentence of lowercase token strings: each word's
+    /// context-free lexicon + suffix-rule tag, then the positional repair
+    /// passes.
     pub fn tag<T: AsRef<str>>(tokens: &[T]) -> Vec<PosTag> {
         let mut tags: Vec<PosTag> = tokens.iter().map(|t| Self::tag_word(t.as_ref())).collect();
         Self::repair(&mut tags, |i| tokens[i].as_ref() == "to");

@@ -9,10 +9,18 @@
 /// Tokenize `text` into lowercase tokens.
 pub fn tokenize(text: &str) -> Vec<String> {
     let mut out = Vec::with_capacity(text.len() / 5 + 1);
-    for raw in text.split_whitespace() {
-        split_token(raw, &mut out);
-    }
+    for_each_token(text, |t| out.push(t.to_string()));
     out
+}
+
+/// Visit the lowercase tokens of `text` in order — the tokens
+/// [`tokenize`] returns, without a `String` each: a token is a slice of
+/// `text` unless its whitespace-separated word needed case folding, which
+/// builds one lowercased copy of that word's core.
+pub fn for_each_token(text: &str, mut visit: impl FnMut(&str)) {
+    for raw in text.split_whitespace() {
+        split_token(raw, &mut visit);
+    }
 }
 
 /// True for characters that should become standalone punctuation tokens.
@@ -44,54 +52,62 @@ fn is_word_internal(c: char) -> bool {
     c.is_alphanumeric() || c == '\'' || c == '-'
 }
 
-fn split_token(raw: &str, out: &mut Vec<String>) {
+/// Visit each character of `s` as its own token (punctuation is caseless,
+/// so it needs no folding).
+fn each_char(s: &str, visit: &mut impl FnMut(&str)) {
+    for (i, c) in s.char_indices() {
+        visit(&s[i..i + c.len_utf8()]);
+    }
+}
+
+fn split_token(raw: &str, visit: &mut impl FnMut(&str)) {
     // Fast path: an already-lowercase ASCII word with nothing to peel or
     // split (no uppercase to fold, no punctuation — apostrophes excluded
     // because leading/trailing ones peel). The general path below would
-    // reproduce the token byte-for-byte, so this only skips its char
-    // buffer and intermediate strings.
+    // reproduce the token byte-for-byte, so this only skips its scans.
     if !raw.is_empty()
         && raw
             .bytes()
             .all(|b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'-')
     {
-        out.push(raw.to_string());
+        visit(raw);
         return;
     }
-    let chars: Vec<char> = raw.chars().collect();
-    let mut start = 0;
-    let mut end = chars.len();
-
-    // Peel leading punctuation.
-    while start < end && is_punct(chars[start]) {
-        out.push(chars[start].to_lowercase().collect());
-        start += 1;
-    }
-    // Find trailing punctuation (emitted after the core token).
-    let mut trail = Vec::new();
-    while end > start && is_punct(chars[end - 1]) {
-        trail.push(chars[end - 1].to_lowercase().collect::<String>());
-        end -= 1;
-    }
-    if start < end {
-        let core: String = chars[start..end].iter().collect::<String>().to_lowercase();
+    // Peel leading punctuation; trailing punctuation is emitted after the
+    // core token, in its original order.
+    let start = raw.find(|c| !is_punct(c)).unwrap_or(raw.len());
+    each_char(&raw[..start], visit);
+    let rest = &raw[start..];
+    let (core, trail) = rest.split_at(rest.trim_end_matches(is_punct).len());
+    if !core.is_empty() {
+        // Fold the whole core at once (a final sigma depends on its
+        // context), and only when folding could change it.
+        let folded;
+        let core = if core
+            .bytes()
+            .all(|b| b.is_ascii() && !b.is_ascii_uppercase())
+        {
+            core
+        } else {
+            folded = core.to_lowercase();
+            folded.as_str()
+        };
         // Split any remaining non-word-internal characters inside the core.
-        let mut piece = String::new();
-        for c in core.chars() {
-            if is_word_internal(c) {
-                piece.push(c);
-            } else {
-                if !piece.is_empty() {
-                    out.push(std::mem::take(&mut piece));
+        let mut piece = 0;
+        for (i, c) in core.char_indices() {
+            if !is_word_internal(c) {
+                if piece < i {
+                    visit(&core[piece..i]);
                 }
-                out.push(c.to_string());
+                piece = i + c.len_utf8();
+                visit(&core[i..piece]);
             }
         }
-        if !piece.is_empty() {
-            out.push(piece);
+        if piece < core.len() {
+            visit(&core[piece..]);
         }
     }
-    out.extend(trail.into_iter().rev());
+    each_char(trail, visit);
 }
 
 #[cfg(test)]
@@ -147,5 +163,16 @@ mod tests {
     #[test]
     fn unicode_words_survive() {
         assert_eq!(toks("café naïve"), vec!["café", "naïve"]);
+    }
+
+    #[test]
+    fn folding_sees_the_whole_core() {
+        // A final capital sigma folds to `ς` only in word-final position,
+        // so the core is folded before it is split.
+        assert_eq!(toks("ΟΔΟΣ,"), vec!["οδος", ","]);
+        assert_eq!(
+            toks("(Check-In/OUT)"),
+            vec!["(", "check-in", "/", "out", ")"]
+        );
     }
 }

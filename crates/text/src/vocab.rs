@@ -45,15 +45,26 @@ impl Vocab {
 
     /// Intern `tok`, incrementing its frequency.
     pub fn intern(&mut self, tok: &str) -> Sym {
+        let s = self.number(tok);
+        self.count(s);
+        s
+    }
+
+    /// The symbol of `tok`, numbered next (at frequency 0) if it is new.
+    pub(crate) fn number(&mut self, tok: &str) -> Sym {
         if let Some(&s) = self.map.get(tok) {
-            self.freq[s.index()] += 1;
             return s;
         }
         let s = Sym(self.strings.len() as u32);
         self.strings.push(tok.into());
-        self.freq.push(1);
+        self.freq.push(0);
         self.map.insert(tok.into(), s);
         s
+    }
+
+    /// Count one more occurrence of `s`.
+    pub(crate) fn count(&mut self, s: Sym) {
+        self.freq[s.index()] += 1;
     }
 
     /// Look up an already-interned token without changing frequencies.

@@ -6,7 +6,10 @@ use darwin::core::benefit::benefit;
 use darwin::core::{inproc_shard_connector, BenefitStore, Fanout, ShardedBenefitStore};
 use darwin::grammar::{Heuristic, PhraseElem, PhrasePattern, TreePattern};
 use darwin::index::{IdSet, IndexConfig, IndexSet, PhraseIndex, RuleRef, ShardMap, TreeIndex};
-use darwin::text::{Corpus, PosTag, Sym};
+use darwin::text::depparse::parse;
+use darwin::text::pos::Tagger;
+use darwin::text::tokenize::tokenize;
+use darwin::text::{Corpus, PosTag, Sym, Vocab};
 use darwin_testkit::strategies::{corpus_texts as corpus_strategy, sentence, word};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -558,6 +561,39 @@ fn assert_same_index(a: &IndexSet, b: &IndexSet, label: &str) -> Result<(), Test
     Ok(())
 }
 
+/// A corpus against the per-sentence analyzer — `tokenize`, `Vocab::intern`,
+/// `Tagger::tag`, `depparse::parse` and `Sentence::new`, one text at a time
+/// — an oracle that shares no resolve or numbering code with
+/// `Corpus::append_texts`: vocabulary order and frequencies, tokens, tags
+/// and heads.
+fn assert_matches_analyzer(
+    corpus: &Corpus,
+    texts: &[String],
+    label: &str,
+) -> Result<(), TestCaseError> {
+    let mut vocab = Vocab::new();
+    prop_assert_eq!(corpus.len(), texts.len(), "{}: corpus length", label);
+    for (s, text) in corpus.sentences().iter().zip(texts) {
+        let words = tokenize(text);
+        let tokens: Vec<Sym> = words.iter().map(|w| vocab.intern(w)).collect();
+        let tags = Tagger::tag(&words);
+        prop_assert_eq!(&s.tokens, &tokens, "{}: tokens of {}", label, s.id);
+        prop_assert_eq!(&s.heads, &parse(&tags), "{}: heads of {}", label, s.id);
+        prop_assert_eq!(&s.tags, &tags, "{}: tags of {}", label, s.id);
+    }
+    assert_same_vocab(corpus.vocab(), &vocab, label)
+}
+
+/// Same words in the same order, at the same frequencies.
+fn assert_same_vocab(got: &Vocab, want: &Vocab, label: &str) -> Result<(), TestCaseError> {
+    prop_assert_eq!(got.len(), want.len(), "{}: vocab size", label);
+    for (sym, word) in want.iter() {
+        prop_assert_eq!(got.resolve(sym), word, "{}: vocab order", label);
+        prop_assert_eq!(got.freq(sym), want.freq(sym), "{}: freq of {}", label, word);
+    }
+    Ok(())
+}
+
 /// An index against the per-sentence `PhraseIndex::build` (pruned to the
 /// recipe's `min_count`) and `TreeIndex::build` — an oracle that shares no
 /// resolve or apply code with `IndexSet`'s growth: numbering, postings,
@@ -655,12 +691,13 @@ proptest! {
     /// Construction is growth from empty, so *how* a corpus arrived cannot
     /// show: any split into batches (empty ones and a split at 0 included)
     /// at any thread count yields the corpus `from_texts` makes and the
-    /// index `IndexSet::build` makes at one thread — vocabulary order,
-    /// analyses, rule numbering, hierarchy and covering rules alike; and a
-    /// pruned build numbers its rules the same at every thread count.
-    /// Covering rules also equal brute force over the forward postings,
-    /// pruned build included. Every side of that runs the same growth
-    /// routine, so both one-thread builds are also held to the
+    /// index `IndexSet::build` makes at one thread — vocabulary order and
+    /// frequencies, analyses, rule numbering, hierarchy and covering rules
+    /// alike; and a pruned build numbers its rules the same at every
+    /// thread count. Covering rules also equal brute force over the
+    /// forward postings, pruned build included. Every side of that runs
+    /// the same growth routines, so the one-thread corpus is also held to
+    /// the per-sentence analyzer, and both one-thread builds to the
     /// per-sentence `add_sentence` reference.
     /// Case 0 spans several of index growth's blocks (4 096 sentences per
     /// worker) at one and two threads, so a later block resolves against
@@ -687,6 +724,7 @@ proptest! {
 
         let recipe = |min_count, threads| IndexConfig { min_count, threads, ..IndexConfig::small() };
         let whole = Corpus::from_texts(texts);
+        assert_matches_analyzer(&whole, texts, &format!("n={n}"))?;
         let scratch = IndexSet::build(&whole, &recipe(1, 1));
         let pruned = IndexSet::build(&whole, &recipe(2, 1));
         assert_matches_reference(&scratch, &whole, &recipe(1, 1), &format!("n={n}"))?;
@@ -712,12 +750,7 @@ proptest! {
             }
 
             prop_assert_eq!(grown.len(), whole.len(), "{}: corpus length", &label);
-            prop_assert_eq!(grown.vocab().len(), whole.vocab().len(), "{}: vocab size", &label);
-            for sym in (0..whole.vocab().len() as u32).map(Sym) {
-                prop_assert_eq!(
-                    grown.vocab().resolve(sym), whole.vocab().resolve(sym), "{}: vocab order", &label
-                );
-            }
+            assert_same_vocab(grown.vocab(), whole.vocab(), &label)?;
             for (g, w) in grown.sentences().iter().zip(whole.sentences()) {
                 prop_assert_eq!(g.id, w.id, "{}: sentence id", &label);
                 prop_assert_eq!(&g.tokens, &w.tokens, "{}: tokens of {}", &label, w.id);
