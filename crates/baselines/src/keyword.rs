@@ -53,7 +53,13 @@ impl KeywordSampling {
             .filter_map(|k| corpus.vocab().get(k))
             .collect();
         let mut pool: Vec<u32> = (0..corpus.len() as u32)
-            .filter(|&id| corpus.sentence(id).tokens.iter().any(|t| keys.contains(t)))
+            .filter(|&id| {
+                corpus
+                    .sentence(id)
+                    .tokens()
+                    .iter()
+                    .any(|t| keys.contains(t))
+            })
             .collect();
         let pool_size = pool.len();
         pool.shuffle(&mut rng);

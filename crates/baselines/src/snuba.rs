@@ -80,7 +80,7 @@ impl Snuba {
         // 1. Candidates: n-grams from labeled positives.
         let mut cand_set: FxHashSet<Vec<Sym>> = FxHashSet::default();
         for &id in &pos {
-            let toks = &corpus.sentence(id).tokens;
+            let toks = corpus.sentence(id).tokens();
             for start in 0..toks.len() {
                 for len in 1..=self.cfg.max_ngram.min(toks.len() - start) {
                     cand_set.insert(toks[start..start + len].to_vec());
@@ -217,7 +217,7 @@ mod tests {
         }
         // Its union therefore misses most shuttle positives.
         let shuttle_pos: Vec<u32> = (0..d.len() as u32)
-            .filter(|&i| d.labels[i as usize] && d.corpus.sentence(i).tokens.contains(&shuttle))
+            .filter(|&i| d.labels[i as usize] && d.corpus.sentence(i).tokens().contains(&shuttle))
             .collect();
         let covered = shuttle_pos
             .iter()

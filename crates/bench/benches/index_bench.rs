@@ -61,7 +61,7 @@ fn bench_index(c: &mut Criterion) {
         b.iter_batched(
             || PhraseIndex::new(6),
             |mut idx| {
-                for s in corpus.sentences().iter().take(100) {
+                for s in corpus.sentences().take(100) {
                     idx.add_sentence(s);
                 }
                 idx

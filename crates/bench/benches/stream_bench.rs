@@ -29,6 +29,7 @@ use darwin_core::{BatchPolicy, DarwinConfig, GroundTruthOracle, Immediate, Seed}
 use darwin_datasets::directions;
 use darwin_grammar::{Heuristic, MatchCtx, TreePattern};
 use darwin_index::{IndexConfig, IndexSet};
+use darwin_text::Corpus;
 use std::time::Instant;
 
 const SEED: u64 = 42;
@@ -148,7 +149,7 @@ struct KernelCell {
 /// reusable kernel (memo/size/stack arenas reused across calls) and once
 /// with the recursive reference it must replay; assert identical hit
 /// counts so the speedup is an equivalence-checked measurement.
-fn measure_match_kernel() -> (Vec<TreePattern>, Vec<darwin_text::Sentence>, KernelCell) {
+fn measure_match_kernel() -> (Vec<TreePattern>, Corpus, KernelCell) {
     let d = directions::generate(BASE_SENTENCES, SEED);
     let index = IndexSet::build(&d.corpus, &min1());
     let patterns: Vec<TreePattern> = index
@@ -159,13 +160,12 @@ fn measure_match_kernel() -> (Vec<TreePattern>, Vec<darwin_text::Sentence>, Kern
         })
         .take(512)
         .collect();
-    let sentences = d.corpus.sentences().to_vec();
 
     let mut ctx = MatchCtx::new();
     let t = Instant::now();
     let mut kernel_hits = 0usize;
     for p in &patterns {
-        for s in &sentences {
+        for s in d.corpus.sentences() {
             kernel_hits += ctx.matches(p, s) as usize;
         }
     }
@@ -174,7 +174,7 @@ fn measure_match_kernel() -> (Vec<TreePattern>, Vec<darwin_text::Sentence>, Kern
     let t = Instant::now();
     let mut recursive_hits = 0usize;
     for p in &patterns {
-        for s in &sentences {
+        for s in d.corpus.sentences() {
             recursive_hits += p.matches(s) as usize;
         }
     }
@@ -183,11 +183,11 @@ fn measure_match_kernel() -> (Vec<TreePattern>, Vec<darwin_text::Sentence>, Kern
 
     let cell = KernelCell {
         patterns: patterns.len(),
-        sentences: sentences.len(),
+        sentences: d.corpus.len(),
         kernel_ns,
         recursive_ns,
     };
-    (patterns, sentences, cell)
+    (patterns, d.corpus, cell)
 }
 
 fn bench_stream(c: &mut Criterion) {
@@ -207,13 +207,13 @@ fn bench_stream(c: &mut Criterion) {
             ))
         })
     });
-    let (patterns, sentences, kernel) = measure_match_kernel();
+    let (patterns, corpus, kernel) = measure_match_kernel();
     g.bench_function("tree_match_kernel", |b| {
         let mut ctx = MatchCtx::new();
         b.iter(|| {
             let mut hits = 0usize;
             for p in patterns.iter().take(32) {
-                for s in &sentences {
+                for s in corpus.sentences() {
                     hits += ctx.matches(p, s) as usize;
                 }
             }

@@ -1,4 +1,5 @@
-//! Regenerates the corresponding paper result. See DESIGN.md §3.
+//! Regenerates the corresponding paper result. See ARCHITECTURE.md,
+//! "Paper substitutions and experiments".
 fn main() {
     darwin_bench::experiments::fig12_sensitivity();
 }

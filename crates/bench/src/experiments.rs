@@ -1,4 +1,5 @@
-//! One function per paper table/figure. See DESIGN.md §3 for the index.
+//! One function per paper table/figure. ARCHITECTURE.md, "Paper
+//! substitutions and experiments", indexes them.
 
 use crate::support::{checkpoints, coverage_curve, prepare, scaled, Prepared};
 use darwin_baselines::{ActiveLearning, HighC, HighP, KeywordSampling, Snuba, SnubaConfig};
@@ -644,7 +645,7 @@ pub fn efficiency() {
 
     let mut t = Table::new(
         "label collection (budget 50)",
-        &["configuration", "seconds", "recall", "last refresh size"],
+        &["configuration", "seconds", "recall"],
     );
     for (label, incremental) in [("incremental re-scoring", true), ("full re-scoring", false)] {
         let cfg = DarwinConfig {
@@ -662,7 +663,6 @@ pub fn efficiency() {
             label.into(),
             format!("{:.1}", t2.elapsed().as_secs_f64()),
             format!("{:.2}", coverage(&run.positives, &data.labels)),
-            "-".into(),
         ]);
     }
     println!("{}", t.render());

@@ -85,7 +85,7 @@ impl FeatureBlock {
         let r = self.rows;
         self.rows += 1;
         self.dense.resize((r + 1) * dim, 0.0);
-        let toks = &corpus.sentence(id).tokens;
+        let toks = corpus.sentence(id).tokens();
         let row = &mut self.dense[r * dim..];
         emb.mean_into(toks, row);
         // Same rescale as `logreg_features`: keep the embedding block
@@ -242,7 +242,7 @@ mod tests {
         let n = logreg_dim(&e);
         let w = vec![0.25f32; n];
         let empty_id = 30u32; // the pushed empty text
-        assert!(c.sentence(empty_id).tokens.is_empty());
+        assert!(c.sentence(empty_id).tokens().is_empty());
         let mut block = FeatureBlock::new(e.dim());
         block.fill(&c, &e, &[empty_id]);
         let mut out = Vec::new();

@@ -419,7 +419,7 @@ impl KimCnn {
         let mut total = 0.0;
         for (ids, y) in [(pos, 1.0), (neg, 0.0)] {
             for &id in ids {
-                let toks = &corpus.sentence(id).tokens;
+                let toks = corpus.sentence(id).tokens();
                 total += bce(self.forward(emb, toks, None, &mut s), y);
             }
         }
@@ -441,7 +441,7 @@ impl KimCnn {
         let mut tables: Vec<ActTable> = self.cfg.widths.iter().map(table).collect();
         out.reserve(ids.len());
         for &id in ids {
-            let toks = &corpus.sentence(id).tokens;
+            let toks = corpus.sentence(id).tokens();
             out.push(self.forward(emb, toks, Some(&mut tables), &mut s));
         }
     }
@@ -482,7 +482,7 @@ impl TextClassifier for KimCnn {
             for batch in data.chunks(self.cfg.batch) {
                 self.zero_grads();
                 for &(id, y) in batch {
-                    let toks = &corpus.sentence(id).tokens;
+                    let toks = corpus.sentence(id).tokens();
                     let p = self.forward(emb, toks, None, &mut scratch);
                     let w = if y > 0.5 { pos_weight } else { 1.0 };
                     self.backward(w * (p - y), emb, toks, &mut scratch);
@@ -497,7 +497,7 @@ impl TextClassifier for KimCnn {
     }
 
     fn predict(&self, corpus: &Corpus, emb: &Embeddings, id: u32) -> f32 {
-        let toks = &corpus.sentence(id).tokens;
+        let toks = corpus.sentence(id).tokens();
         self.forward(emb, toks, None, &mut self.scratch())
     }
 
@@ -671,7 +671,7 @@ mod tests {
             9,
         );
         let mut s = cnn.scratch();
-        let toks = &c.sentence(0).tokens;
+        let toks = c.sentence(0).tokens();
         let y = 1.0;
         let p = cnn.forward(&e, toks, None, &mut s);
         cnn.zero_grads();
@@ -929,7 +929,7 @@ mod tests {
     fn forward_and_backward_equal_the_oracle_on_the_edge_lengths() {
         for dim in [5usize, 8] {
             let (c, e) = vocab12(dim);
-            let all = &c.sentence(0).tokens;
+            let all = c.sentence(0).tokens();
             for (max_len, filters) in [(3usize, 5usize), (6, 12), (1, 4)] {
                 let cfg = CnnConfig {
                     widths: vec![2, 3, 4, 5],
@@ -963,7 +963,7 @@ mod tests {
             seed in 0u64..1000,
         ) {
             let (c, e) = vocab12(dim);
-            let all = &c.sentence(0).tokens;
+            let all = c.sentence(0).tokens();
             // Few distinct symbols: windows repeat inside one sentence.
             let toks: Vec<Sym> = draws.iter().map(|&d| all[d % (1 + seed as usize % 12)]).collect();
             let cfg = CnnConfig { widths, filters, hidden, max_len, ..Default::default() };

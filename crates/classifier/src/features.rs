@@ -21,7 +21,7 @@ pub fn logreg_features(corpus: &Corpus, emb: &Embeddings, id: u32, out: &mut [f3
     let dim = emb.dim();
     debug_assert_eq!(out.len(), logreg_dim(emb));
     out.iter_mut().for_each(|x| *x = 0.0);
-    let toks = &corpus.sentence(id).tokens;
+    let toks = corpus.sentence(id).tokens();
     emb.mean_into(toks, &mut out[..dim]);
     // The mean of unit vectors has small magnitude; rescale so the
     // embedding block competes with the bag-of-words block instead of

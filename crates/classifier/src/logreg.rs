@@ -476,11 +476,11 @@ mod tests {
             );
             let mut pool: Vec<u32> = (0..17).collect(); // 16 ordinary + the empty one
             pool.extend((17..c.len() as u32).filter(|&id| {
-                let toks = &c.sentence(id).tokens;
+                let toks = c.sentence(id).tokens();
                 toks.iter()
                     .any(|&t| crate::features::bow_bucket(t) >= BOW_BUCKETS - 5)
             }));
-            assert!(c.sentence(16).tokens.is_empty());
+            assert!(c.sentence(16).tokens().is_empty());
             assert!(pool.len() > 17, "no sentence reaches the last buckets");
             (c, e, pool)
         })
@@ -569,7 +569,7 @@ mod tests {
         cold.fit(c, e, pos, neg);
         let mut touched = vec![false; BOW_BUCKETS];
         for &id in pos.iter().chain(neg) {
-            for &t in &c.sentence(id).tokens {
+            for &t in c.sentence(id).tokens() {
                 touched[crate::features::bow_bucket(t)] = true;
             }
         }

@@ -2,8 +2,9 @@
 //! Table 1).
 //!
 //! The original corpora are internal (directions), licensed (ClueWeb), or
-//! large external resources (Wikipedia + NELL); per DESIGN.md we substitute
-//! seeded template generators that reproduce the statistics of Table 1 and
+//! large external resources (Wikipedia + NELL); per ARCHITECTURE.md ("Paper
+//! substitutions and experiments") we substitute seeded template
+//! generators that reproduce the statistics of Table 1 and
 //! — more importantly — the *combinatorial structure* the evaluation
 //! exercises: each positive class is a Zipf-weighted mixture of dozens of
 //! surface-pattern families, negatives share tokens with positives so that
@@ -116,7 +117,7 @@ impl Dataset {
         let excl = self.corpus.vocab().get(exclude_token);
         let mut ids: Vec<u32> = (0..self.len() as u32)
             .filter(|&id| match excl {
-                Some(sym) => !self.corpus.sentence(id).tokens.contains(&sym),
+                Some(sym) => !self.corpus.sentence(id).tokens().contains(&sym),
                 None => true,
             })
             .collect();
@@ -186,7 +187,7 @@ mod tests {
         let ids = d.biased_seed_sample(200, "shuttle", 3);
         let shuttle = d.corpus.vocab().get("shuttle").unwrap();
         for id in ids {
-            assert!(!d.corpus.sentence(id).tokens.contains(&shuttle));
+            assert!(!d.corpus.sentence(id).tokens().contains(&shuttle));
         }
     }
 

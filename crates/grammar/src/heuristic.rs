@@ -55,7 +55,7 @@ impl Heuristic {
     }
 
     /// Does `sentence` satisfy the heuristic?
-    pub fn matches(&self, sentence: &Sentence) -> bool {
+    pub fn matches(&self, sentence: Sentence<'_>) -> bool {
         match self {
             Heuristic::Phrase(p) => p.matches(sentence),
             Heuristic::Tree(t) => t.matches(sentence),
@@ -71,17 +71,15 @@ impl Heuristic {
         match self {
             Heuristic::Phrase(p) => corpus
                 .sentences()
-                .iter()
-                .filter(|s| p.matches(s))
-                .map(|s| s.id)
+                .filter(|&s| p.matches(s))
+                .map(|s| s.id())
                 .collect(),
             Heuristic::Tree(t) => {
                 let mut ctx = crate::tree::MatchCtx::new();
                 corpus
                     .sentences()
-                    .iter()
-                    .filter(|s| ctx.matches(t, s))
-                    .map(|s| s.id)
+                    .filter(|&s| ctx.matches(t, s))
+                    .map(|s| s.id())
                     .collect()
             }
         }

@@ -70,11 +70,11 @@ impl PhrasePattern {
     /// Does `sentence` satisfy this heuristic? The pattern may match
     /// starting at any token (substring semantics, like the paper's
     /// "a sentence satisfies the heuristic if it contains that phrase").
-    pub fn matches(&self, sentence: &Sentence) -> bool {
+    pub fn matches(&self, sentence: Sentence<'_>) -> bool {
         if self.elems.is_empty() {
             return true; // ε matches everything (the root heuristic `*`).
         }
-        let toks = &sentence.tokens;
+        let toks = sentence.tokens();
         (0..=toks.len()).any(|start| match_at(&self.elems, toks, start, true))
     }
 

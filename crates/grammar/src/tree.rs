@@ -23,8 +23,8 @@ impl TreeTerm {
     #[inline]
     pub fn matches_node(&self, s: &Sentence, i: usize) -> bool {
         match self {
-            TreeTerm::Tok(t) => s.tokens[i] == *t,
-            TreeTerm::Pos(p) => s.tags[i] == *p,
+            TreeTerm::Tok(t) => s.tokens()[i] == *t,
+            TreeTerm::Pos(p) => s.tags()[i] == *p,
         }
     }
 }
@@ -75,9 +75,9 @@ impl TreePattern {
     /// Does the pattern hold at tree node `i`? Plain recursion over the
     /// corpus-resident CSR adjacency; [`MatchCtx`] is the amortized kernel
     /// for whole-sentence sweeps.
-    pub fn matches_at(&self, s: &Sentence, i: usize) -> bool {
+    pub fn matches_at(&self, s: Sentence<'_>, i: usize) -> bool {
         match self {
-            TreePattern::Term(t) => t.matches_node(s, i),
+            TreePattern::Term(t) => t.matches_node(&s, i),
             TreePattern::Child(a, b) => {
                 a.matches_at(s, i) && s.children(i).any(|c| b.matches_at(s, c))
             }
@@ -89,7 +89,7 @@ impl TreePattern {
     }
 
     /// Does `sentence` satisfy this heuristic (the pattern holds at any node)?
-    pub fn matches(&self, sentence: &Sentence) -> bool {
+    pub fn matches(&self, sentence: Sentence<'_>) -> bool {
         (0..sentence.len()).any(|i| self.matches_at(sentence, i))
     }
 }
@@ -130,17 +130,17 @@ impl MatchCtx {
 
     /// Does the pattern hold at any node of `s`? Equivalent to
     /// [`TreePattern::matches`], amortized over all anchors.
-    pub fn matches(&mut self, p: &TreePattern, s: &Sentence) -> bool {
-        self.bind(p, s);
-        (0..s.len()).any(|i| self.eval(p, 0, s, i))
+    pub fn matches(&mut self, p: &TreePattern, s: Sentence<'_>) -> bool {
+        self.bind(p, &s);
+        (0..s.len()).any(|i| self.eval(p, 0, &s, i))
     }
 
     /// Does the pattern hold at node `i`? Equivalent to
     /// [`TreePattern::matches_at`]. Rebinds the arena, so prefer
     /// [`MatchCtx::matches`] when sweeping anchors.
-    pub fn matches_at(&mut self, p: &TreePattern, s: &Sentence, i: usize) -> bool {
-        self.bind(p, s);
-        self.eval(p, 0, s, i)
+    pub fn matches_at(&mut self, p: &TreePattern, s: Sentence<'_>, i: usize) -> bool {
+        self.bind(p, &s);
+        self.eval(p, 0, &s, i)
     }
 
     fn bind(&mut self, p: &TreePattern, s: &Sentence) {

@@ -195,25 +195,29 @@ impl<M> Resolved<M> {
     }
 }
 
-/// The two halves of growing one sub-index over `new`, a block at a time:
-/// `resolve` maps chunks of the block to rows on `threads` workers, reading
-/// the index only, then `apply` folds the rows in serially, in sentence
-/// order — the one loop that creates ids.
+/// The two halves of growing one sub-index over the `corpus` sentences
+/// `new` (ids, ascending), a block at a time: `resolve` maps chunks of the
+/// block's ids to rows on `threads` workers, reading the index only, then
+/// `apply` folds the rows in serially, in sentence order — the one loop
+/// that creates ids.
 fn grow_blocks<I: Sync, M: Send>(
     index: &mut I,
-    new: &[Sentence],
+    corpus: &Corpus,
+    new: &[u32],
     threads: usize,
-    resolve: impl Fn(&I, &[Sentence]) -> Resolved<M> + Sync,
-    mut apply: impl FnMut(&mut I, &Sentence, &[u32], &[M]),
+    resolve: impl Fn(&I, &Corpus, &[u32]) -> Resolved<M> + Sync,
+    mut apply: impl FnMut(&mut I, Sentence<'_>, &[u32], &[M]),
 ) {
     for block in new.chunks(WORKER_SENTENCES * threads.max(1)) {
         let shared = &*index;
-        let chunks = map_chunks(block, threads, MIN_FAN_OUT, |c| vec![resolve(shared, c)]);
-        let mut sentences = block.iter();
+        let chunks = map_chunks(block, threads, MIN_FAN_OUT, |ids| {
+            vec![resolve(shared, corpus, ids)]
+        });
+        let mut ids = block.iter();
         for r in &chunks {
             let mut start = 0;
             for &end in &r.ends {
-                let s = sentences.next().expect("one row per sentence");
+                let s = corpus.sentence(*ids.next().expect("one row per sentence"));
                 apply(index, s, &r.rows[start..end as usize], &r.misses);
                 start = end as usize;
             }
@@ -320,12 +324,14 @@ impl IndexSet {
     /// thread count.
     fn grow(&mut self, corpus: &Corpus, threads: usize) {
         let old_n = self.all_ids.len();
-        let new = &corpus.sentences()[old_n..];
-        if new.is_empty() {
+        if corpus.len() == old_n {
             return;
         }
+        self.all_ids.extend(old_n as u32..corpus.len() as u32);
+        let new = &self.all_ids[old_n..];
         grow_blocks(
             &mut self.phrase,
+            corpus,
             new,
             threads,
             PhraseIndex::resolve,
@@ -339,14 +345,14 @@ impl IndexSet {
             let cfg = &self.cfg.tree;
             grow_blocks(
                 tree,
+                corpus,
                 new,
                 threads,
-                |t, chunk| t.resolve(chunk, cfg),
+                |t, corpus, ids| t.resolve(corpus, ids, cfg),
                 TreeIndex::apply_row,
             );
             tree.finalize();
         }
-        self.all_ids.extend(old_n as u32..corpus.len() as u32);
     }
 
     /// Write into `out` every indexed rule whose coverage holds the
@@ -362,7 +368,7 @@ impl IndexSet {
     /// pruned phrase node goes with its whole subtree, tree postings are
     /// written only from a sentence's own key list, and `finalize` touches
     /// hierarchy edges only.
-    pub fn covering_rules(&self, s: &Sentence, out: &mut Vec<RuleRef>) {
+    pub fn covering_rules(&self, s: Sentence<'_>, out: &mut Vec<RuleRef>) {
         out.clear();
         self.phrase
             .walk(s, |n| out.push(RuleRef::Phrase(n)), |_, _| {});
@@ -564,6 +570,7 @@ impl IndexSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use darwin_text::sentence::MAX_TOKENS;
     use darwin_text::PosTag;
 
     fn corpus() -> Corpus {
@@ -701,7 +708,7 @@ mod tests {
             .collect()
     }
 
-    fn row(idx: &IndexSet, s: &Sentence) -> Vec<RuleRef> {
+    fn row(idx: &IndexSet, s: Sentence<'_>) -> Vec<RuleRef> {
         let mut out = vec![RuleRef::Root]; // stale contents are cleared
         idx.covering_rules(s, &mut out);
         out
@@ -745,9 +752,9 @@ mod tests {
         for cfg in configs {
             let idx = IndexSet::build(&c, &cfg);
             for s in c.sentences() {
-                let want = brute_row(&idx, s.id);
+                let want = brute_row(&idx, s.id());
                 assert!(!want.is_empty());
-                assert_eq!(row(&idx, s), want, "{cfg:?}: row {}", s.id);
+                assert_eq!(row(&idx, s), want, "{cfg:?}: row {}", s.id());
             }
         }
     }
@@ -793,9 +800,9 @@ mod tests {
         );
         // Covering rules: grown rows equal scratch rows and brute force.
         for s in corpus.sentences() {
-            let want = brute_row(&scratch, s.id);
-            assert_eq!(row(&scratch, s), want, "scratch row {}", s.id);
-            assert_eq!(row(&grown, s), want, "grown row {}", s.id);
+            let want = brute_row(&scratch, s.id());
+            assert_eq!(row(&scratch, s), want, "scratch row {}", s.id());
+            assert_eq!(row(&grown, s), want, "grown row {}", s.id());
         }
         // Appending nothing is a no-op.
         assert_eq!(grown.append(&corpus).unwrap().sentences, 0);
@@ -889,11 +896,11 @@ mod tests {
         let whole = Corpus::from_texts(texts.iter());
         assert_eq!(whole.sentence(5).len(), 0, "empty sentence");
         let punct = whole.sentence(6);
-        assert!(!punct.tags.is_empty() && punct.tags.iter().all(|&t| t == PosTag::Punct));
+        assert!(!punct.tags().is_empty() && punct.tags().iter().all(|&t| t == PosTag::Punct));
         let walk = whole.vocab().get("walk").unwrap();
         let tag_of = |id: u32| {
             let s = whole.sentence(id);
-            s.tags[s.tokens.iter().position(|&t| t == walk).unwrap()]
+            s.tags()[s.tokens().iter().position(|&t| t == walk).unwrap()]
         };
         assert_ne!(
             tag_of(0),
@@ -958,6 +965,33 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A text of more than `MAX_TOKENS` tokens is one sentence capped at
+    /// `MAX_TOKENS`, every head in range, and it indexes: past the cap a
+    /// `u16` head would wrap into a cycle the tree walks never leave.
+    #[test]
+    fn over_long_text_is_capped_and_indexes() {
+        let long = "7 , ".repeat(35_000);
+        let texts = [
+            "a shuttle to the airport",
+            long.as_str(),
+            "the bus to the airport",
+        ];
+        let corpus = Corpus::from_texts(texts);
+        assert_eq!(corpus.len(), 3, "one sentence per text");
+        let s = corpus.sentence(1);
+        assert_eq!(s.len(), MAX_TOKENS);
+        assert!(s.heads().iter().all(|&h| (h as usize) < s.len()));
+        assert!(s.root().is_some());
+        let idx = IndexSet::build(&corpus, &IndexConfig::small());
+        assert_eq!(idx.sentences(), 3);
+        let seven = RuleRef::Phrase(
+            idx.phrase_index()
+                .lookup(&[corpus.vocab().get("7").unwrap()])
+                .unwrap(),
+        );
+        assert_eq!(idx.coverage(seven), &[1]);
     }
 
     #[test]

@@ -80,13 +80,13 @@ impl PhraseIndex {
     /// The per-sentence reference for index growth, which resolves a
     /// block's walks read-only (`PhraseIndex::resolve`) and only creates
     /// nodes from where they miss (`PhraseIndex::apply_row`).
-    pub fn add_sentence(&mut self, s: &Sentence) {
-        for start in 0..s.tokens.len() {
+    pub fn add_sentence(&mut self, s: Sentence<'_>) {
+        let toks = s.tokens();
+        for start in 0..toks.len() {
             let mut cur = ROOT;
-            let end = (start + self.max_len).min(s.tokens.len());
-            for i in start..end {
-                cur = self.child_or_insert(cur, s.tokens[i]);
-                self.post(cur, s.id);
+            for &sym in &toks[start..(start + self.max_len).min(toks.len())] {
+                cur = self.child_or_insert(cur, sym);
+                self.post(cur, s.id());
             }
         }
         self.sentences += 1;
@@ -100,14 +100,16 @@ impl PhraseIndex {
     /// repeats need the caller's dedup.
     pub(crate) fn walk(
         &self,
-        s: &Sentence,
+        s: Sentence<'_>,
         mut hit: impl FnMut(NodeId),
         mut miss: impl FnMut(NodeId, usize),
     ) {
-        for start in 0..s.tokens.len() {
+        let toks = s.tokens();
+        for start in 0..toks.len() {
             let mut cur = ROOT;
-            for i in start..(start + self.max_len).min(s.tokens.len()) {
-                match self.nodes[cur as usize].children.get(&s.tokens[i]) {
+            let end = (start + self.max_len).min(toks.len());
+            for (i, sym) in (start..).zip(&toks[start..end]) {
+                match self.nodes[cur as usize].children.get(sym) {
                     Some(&c) => cur = c,
                     None => {
                         miss(cur, i);
@@ -119,12 +121,13 @@ impl PhraseIndex {
         }
     }
 
-    /// The worker half of growth: every sentence of `chunk` walked
+    /// The worker half of growth: every `corpus` sentence of `ids` walked
     /// read-only, a row of the nodes found plus one `(node, position)`
     /// continuation per start that runs off the trie.
-    pub(crate) fn resolve(&self, chunk: &[Sentence]) -> Resolved<(NodeId, u32)> {
+    pub(crate) fn resolve(&self, corpus: &Corpus, ids: &[u32]) -> Resolved<(NodeId, u32)> {
         let mut out = Resolved::new();
-        for s in chunk {
+        for &id in ids {
+            let s = corpus.sentence(id);
             // Continuations go after the row's hits: only they create
             // nodes, and they keep their start order.
             let first = out.misses.len();
@@ -144,18 +147,18 @@ impl PhraseIndex {
     /// create the continuations from where they missed. A continuation
     /// may find nodes an earlier sentence, or an earlier start of `s`, has
     /// created since the block was resolved.
-    pub(crate) fn apply_row(&mut self, s: &Sentence, row: &[u32], misses: &[(NodeId, u32)]) {
+    pub(crate) fn apply_row(&mut self, s: Sentence<'_>, row: &[u32], misses: &[(NodeId, u32)]) {
         for &w in row {
             if w & MISS == 0 {
-                self.post(w, s.id);
+                self.post(w, s.id());
                 continue;
             }
             let (mut cur, pos) = misses[(w & !MISS) as usize];
             // The walk started `depth` tokens before `pos`.
-            let end = (pos as usize + self.max_len - self.depth(cur)).min(s.tokens.len());
-            for &sym in &s.tokens[pos as usize..end] {
+            let end = (pos as usize + self.max_len - self.depth(cur)).min(s.tokens().len());
+            for &sym in &s.tokens()[pos as usize..end] {
                 cur = self.child_or_insert(cur, sym);
-                self.post(cur, s.id);
+                self.post(cur, s.id());
             }
         }
         self.sentences += 1;

@@ -14,8 +14,8 @@ use darwin_text::{PosTag, Sentence, Sym};
 /// Enumerate every contiguous n-gram of `sentence` with length in
 /// `1..=max_len`, deduplicated (an n-gram occurring twice in a sentence is
 /// reported once — the index counts sentences, not occurrences).
-pub fn phrase_sketch(sentence: &Sentence, max_len: usize) -> Vec<Vec<Sym>> {
-    let toks = &sentence.tokens;
+pub fn phrase_sketch(sentence: Sentence<'_>, max_len: usize) -> Vec<Vec<Sym>> {
+    let toks = sentence.tokens();
     let mut seen: FxHashSet<&[Sym]> = FxHashSet::default();
     let mut out = Vec::new();
     for start in 0..toks.len() {
@@ -146,7 +146,7 @@ impl SketchKey {
 /// Patterns are reported once each, in enumeration order; the `(token,
 /// tag)` evidence for token→POS generalization edges comes separately
 /// from [`term_generalizations`].
-pub fn tree_sketch(sentence: &Sentence, cfg: &TreeSketchConfig) -> Vec<TreePattern> {
+pub fn tree_sketch(sentence: Sentence<'_>, cfg: &TreeSketchConfig) -> Vec<TreePattern> {
     let mut out = Vec::new();
     let mut seen: FxHashSet<SketchKey> = FxHashSet::default();
     for_each_tree_sketch(sentence, cfg, &mut |k| {
@@ -179,7 +179,7 @@ pub struct SketchScratch {
 /// [`crate::tree_index::TreeIndex::add_sentence`], stamps on interned ids
 /// plus a set of the misses in index growth.
 pub fn for_each_tree_sketch(
-    sentence: &Sentence,
+    sentence: Sentence<'_>,
     cfg: &TreeSketchConfig,
     f: &mut impl FnMut(SketchKey) -> bool,
 ) {
@@ -191,7 +191,7 @@ pub fn for_each_tree_sketch(
 /// enumeration.
 pub fn for_each_tree_sketch_with(
     scratch: &mut SketchScratch,
-    sentence: &Sentence,
+    sentence: Sentence<'_>,
     cfg: &TreeSketchConfig,
     f: &mut impl FnMut(SketchKey) -> bool,
 ) {
@@ -203,21 +203,20 @@ pub fn for_each_tree_sketch_with(
         }
     };
 
-    let usable = |i: usize| !(cfg.skip_punct && sentence.tags[i] == PosTag::Punct);
+    let (tokens, tags) = (sentence.tokens(), sentence.tags());
+    let usable = |i: usize| !(cfg.skip_punct && tags[i] == PosTag::Punct);
     // Determiners and punctuation carry no pattern signal: a rule anchored
     // on "the" can never be a precise labeling heuristic, and enumerating
     // such patterns floods the candidate pool (the paper's diversity
     // constraints in §3.2.1 serve the same purpose).
-    let anchorable = |i: usize| usable(i) && sentence.tags[i] != PosTag::Det;
+    let anchorable = |i: usize| usable(i) && tags[i] != PosTag::Det;
     // Per-node terminals: the literal token, plus the POS tag for content
     // tags. Cheap enough to derive in place wherever the edge loops below
     // need them.
     let terms = |i: usize| {
         [
-            Some(TreeTerm::Tok(sentence.tokens[i])),
-            sentence.tags[i]
-                .is_content()
-                .then_some(TreeTerm::Pos(sentence.tags[i])),
+            Some(TreeTerm::Tok(tokens[i])),
+            tags[i].is_content().then_some(TreeTerm::Pos(tags[i])),
         ]
         .into_iter()
         .flatten()
@@ -281,7 +280,7 @@ pub fn for_each_tree_sketch_with(
         // enumerate unordered pairs of the distinct terms matched by any
         // child — complete and canonical (b1 < b2 by the derived ordering).
         if cfg.include_and && !scratch.children.is_empty() {
-            let head = TreeTerm::Tok(sentence.tokens[i]);
+            let head = TreeTerm::Tok(sentence.tokens()[i]);
             scratch.child_terms.clear();
             for k in 0..scratch.children.len() {
                 let c = scratch.children[k] as usize;
@@ -308,11 +307,13 @@ pub fn for_each_tree_sketch_with(
 /// detect tag-ambiguous tokens, for which such an edge would not be
 /// coverage-monotone — so *all* occurrences must be reported, not just the
 /// content-tagged ones.
-pub fn term_generalizations(sentence: &Sentence) -> impl Iterator<Item = (Sym, PosTag)> + '_ {
+pub fn term_generalizations<'a>(
+    sentence: Sentence<'a>,
+) -> impl Iterator<Item = (Sym, PosTag)> + 'a {
     sentence
-        .tokens
+        .tokens()
         .iter()
-        .zip(&sentence.tags)
+        .zip(sentence.tags())
         .map(|(s, t)| (*s, *t))
 }
 

@@ -96,20 +96,20 @@ impl TreeIndex {
     /// reference for index growth, which resolves a block's keys to the
     /// ids that already exist on workers (`TreeIndex::resolve`) and
     /// only interns the misses serially (`TreeIndex::apply_row`).
-    pub fn add_sentence(&mut self, s: &Sentence, cfg: &TreeSketchConfig) {
+    pub fn add_sentence(&mut self, s: Sentence<'_>, cfg: &TreeSketchConfig) {
         let mut seen = FxHashSet::default();
         for_each_tree_sketch(s, cfg, &mut |k| {
             let fresh = seen.insert(k);
             if fresh {
                 let id = self.intern(k);
-                self.post(id, s.id);
+                self.post(id, s.id());
             }
             fresh
         });
         self.observe_tags(s);
     }
 
-    /// The worker half of growth: each sentence of `chunk` enumerated
+    /// The worker half of growth: each `corpus` sentence of `ids` enumerated
     /// into a row of the pattern ids its keys already have, and `MISS`
     /// words naming the keys that have none yet — each missing key named
     /// once per chunk, so a cold block buffers one word per key. Dedups
@@ -118,7 +118,8 @@ impl TreeIndex {
     /// is already stamped with this sentence.
     pub(crate) fn resolve(
         &self,
-        chunk: &[Sentence],
+        corpus: &Corpus,
+        ids: &[u32],
         cfg: &TreeSketchConfig,
     ) -> Resolved<SketchKey> {
         let mut out = Resolved::new();
@@ -127,7 +128,8 @@ impl TreeIndex {
         // `id`; `miss_stamp` the same for the chunk's misses.
         let mut stamp = vec![0u32; self.keys.len()];
         let (mut missed, mut miss_stamp) = (FxHashMap::default(), Vec::new());
-        for (j, s) in chunk.iter().enumerate() {
+        for (j, &id) in ids.iter().enumerate() {
+            let s = corpus.sentence(id);
             let mark = j as u32 + 1;
             for_each_tree_sketch_with(&mut scratch, s, cfg, &mut |k| {
                 let (word, last) = match self.id_of(k) {
@@ -155,14 +157,14 @@ impl TreeIndex {
     /// The serial half of growth: post sentence `s` on its row's patterns,
     /// interning the misses in row order — a miss an earlier sentence of
     /// the block has interned since is found, not renumbered.
-    pub(crate) fn apply_row(&mut self, s: &Sentence, row: &[u32], misses: &[SketchKey]) {
+    pub(crate) fn apply_row(&mut self, s: Sentence<'_>, row: &[u32], misses: &[SketchKey]) {
         for &w in row {
             let id = if w & MISS == 0 {
                 w
             } else {
                 self.intern(misses[(w & !MISS) as usize])
             };
-            self.post(id, s.id);
+            self.post(id, s.id());
         }
         self.observe_tags(s);
     }
@@ -186,7 +188,7 @@ impl TreeIndex {
         }
     }
 
-    fn observe_tags(&mut self, s: &Sentence) {
+    fn observe_tags(&mut self, s: Sentence<'_>) {
         for (tok, tag) in term_generalizations(s) {
             let ix = tok.index();
             if ix >= self.tok_tags.len() {
@@ -414,9 +416,8 @@ mod tests {
             let p = idx.pattern(id);
             let brute: Vec<u32> = c
                 .sentences()
-                .iter()
-                .filter(|s| p.matches(s))
-                .map(|s| s.id)
+                .filter(|&s| p.matches(s))
+                .map(|s| s.id())
                 .collect();
             assert_eq!(idx.postings(id), &brute[..], "{}", p.display(c.vocab()));
         }
@@ -505,8 +506,8 @@ mod tests {
         let cfg = TreeSketchConfig::default();
         let flip = Corpus::from_texts([texts[2], texts[5]]);
         assert_ne!(
-            flip.sentence(0).tags[1],
-            flip.sentence(1).tags[1],
+            flip.sentence(0).tags()[1],
+            flip.sentence(1).tags()[1],
             "walk flips"
         );
         for split in 1..texts.len() {
@@ -518,7 +519,7 @@ mod tests {
             for t in &texts[split..] {
                 let base = corpus.len();
                 corpus.append_texts([t], 1);
-                for s in &corpus.sentences()[base..] {
+                for s in corpus.sentences().skip(base) {
                     grown.add_sentence(s, &cfg);
                 }
                 grown.finalize();

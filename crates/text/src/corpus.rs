@@ -3,20 +3,21 @@
 use crate::depparse;
 use crate::fanout::map_chunks;
 use crate::pos::{PosTag, Tagger};
-use crate::sentence::Sentence;
+use crate::sentence::{Columns, Sentence, MAX_TOKENS};
 use crate::tokenize;
 use crate::vocab::{Sym, Vocab};
 use std::collections::HashMap;
 
 /// An analyzed corpus: the shared vocabulary plus one [`Sentence`] per input
-/// text, in input order. Sentence ids are their positions.
+/// text, in input order, held column-wise ([`Columns`]: one allocation per
+/// field, not per sentence). Sentence ids are their positions.
 ///
 /// A corpus starts empty and has one growth verb, [`Corpus::append_texts`];
 /// every way of constructing one is that verb applied to [`Corpus::new`].
 #[derive(Clone, Default)]
 pub struct Corpus {
     vocab: Vocab,
-    sentences: Vec<Sentence>,
+    sentences: Columns,
     /// `base_tags[sym]` caches the context-free lexicon tag of each interned
     /// symbol ([`Tagger::tag_word`] is a pure function of the string), so
     /// tagging a sentence is a table lookup per token plus the positional
@@ -53,19 +54,23 @@ impl Corpus {
         &self.vocab
     }
 
-    pub fn sentence(&self, id: u32) -> &Sentence {
-        &self.sentences[id as usize]
+    /// The view of sentence `id`.
+    #[inline]
+    pub fn sentence(&self, id: u32) -> Sentence<'_> {
+        self.sentences.get(id)
     }
 
-    pub fn sentences(&self) -> &[Sentence] {
-        &self.sentences
+    /// Every sentence's view, in id order.
+    pub fn sentences(
+        &self,
+    ) -> impl ExactSizeIterator<Item = Sentence<'_>> + DoubleEndedIterator + Clone + '_ {
+        self.sentences.iter()
     }
 
     /// Reconstruct display text for a sentence (tokens joined by spaces).
     pub fn text(&self, id: u32) -> String {
-        let s = self.sentence(id);
         let mut out = String::new();
-        for (i, &t) in s.tokens.iter().enumerate() {
+        for (i, &t) in self.sentence(id).tokens().iter().enumerate() {
             if i > 0 {
                 out.push(' ');
             }
@@ -78,16 +83,23 @@ impl Corpus {
     /// vocabulary, tag and parse, continuing sentence ids from
     /// [`Corpus::len`]. Returns the number of sentences appended.
     ///
+    /// Each text becomes exactly one sentence, so label ids line up with
+    /// input positions. A text of more than [`MAX_TOKENS`] tokens keeps its
+    /// first `MAX_TOKENS`; the rest are dropped (neither interned nor
+    /// counted), which keeps every token index, head and child offset
+    /// inside the `u16` range the columns store them in.
+    ///
     /// The result depends only on the concatenation of everything appended
     /// so far — not on how it was split into calls, nor on `threads`.
     /// One [`map_chunks`] pass analyzes the batch on `threads` workers:
     /// each resolves its texts' tokens against the vocabulary as it stood
-    /// when the batch started (read only), tags, parses and builds the
-    /// sentences, naming the words the vocabulary lacks. Then one serial
-    /// loop in input order numbers those words — so symbols keep their
-    /// first-occurrence order — counts frequencies and numbers the
-    /// sentences. Pre-existing sentences, symbol ids and the vocabulary
-    /// prefix are never touched.
+    /// when the batch started (read only), tags and parses them into
+    /// chunk-local columns, naming the words the vocabulary lacks. Then
+    /// one serial loop in input order numbers those words — so symbols
+    /// keep their first-occurrence order — patches them into the chunk's
+    /// token column, counts frequencies and appends the chunk's columns.
+    /// Pre-existing sentences, symbol ids and the vocabulary prefix are
+    /// never touched.
     pub fn append_texts<I, S>(&mut self, texts: I, threads: usize) -> usize
     where
         I: IntoIterator<Item = S>,
@@ -102,7 +114,6 @@ impl Corpus {
             vec![analyze(vocab, base_tags, chunk)]
         });
 
-        let mut id = self.sentences.len() as u32;
         for mut chunk in chunks {
             // A word an earlier chunk numbered is found here, not renumbered.
             let syms: Vec<Sym> = (chunk.misses.iter())
@@ -118,20 +129,18 @@ impl Corpus {
                 self.vocab.len() <= MISS as usize,
                 "vocabulary overflows the miss flag"
             );
-            for s in &mut chunk.sentences {
-                for t in &mut s.tokens {
-                    if t.0 & MISS != 0 {
-                        *t = syms[(t.0 & !MISS) as usize];
-                    }
-                    self.vocab.count(*t);
+            for t in &mut chunk.sentences.tokens {
+                if t.0 & MISS != 0 {
+                    *t = syms[(t.0 & !MISS) as usize];
                 }
-                (s.id, id) = (id, id + 1);
+                self.vocab.count(*t);
             }
-            // A build into an empty corpus keeps the first chunk's buffer.
+            // A build into an empty corpus keeps the first chunk's columns.
             if self.sentences.is_empty() {
-                std::mem::swap(&mut self.sentences, &mut chunk.sentences);
+                self.sentences = chunk.sentences;
+            } else {
+                self.sentences.append(&chunk.sentences);
             }
-            self.sentences.append(&mut chunk.sentences);
         }
         texts.len()
     }
@@ -141,8 +150,7 @@ impl Corpus {
         if self.sentences.is_empty() {
             return 0.0;
         }
-        let total: usize = self.sentences.iter().map(|s| s.len()).sum();
-        total as f64 / self.sentences.len() as f64
+        self.sentences.tokens_len() as f64 / self.sentences.len() as f64
     }
 }
 
@@ -152,8 +160,8 @@ const MISS: u32 = 1 << 31;
 
 /// One chunk of a batch, analyzed by a worker.
 struct Analyzed {
-    /// One sentence per text, id unset, tokens as `MISS`-flagged words.
-    sentences: Vec<Sentence>,
+    /// One sentence per text, tokens as `MISS`-flagged words.
+    sentences: Columns,
     /// The words the vocabulary lacked, each named once, in
     /// first-occurrence order, with its [`Tagger::tag_word`].
     misses: Vec<(Box<str>, PosTag)>,
@@ -161,41 +169,43 @@ struct Analyzed {
 
 /// The worker half of [`Corpus::append_texts`]: tokenize `texts`, resolve
 /// every token against `vocab` (read only) — a hit to its symbol and
-/// cached base tag, a miss to a `MISS` word — then tag, parse and build
-/// each sentence.
+/// cached base tag, a miss to a `MISS` word — then tag and parse each
+/// sentence into the chunk's columns. Tokens past [`MAX_TOKENS`] are
+/// skipped before they are resolved.
 fn analyze(vocab: &Vocab, base_tags: &[PosTag], texts: &[&str]) -> Analyzed {
     let (mut missed, mut misses) = (HashMap::<Box<str>, u32>::new(), Vec::new());
-    // Per-sentence scratch, copied out at exact length.
+    // Per-sentence scratch, copied into the columns.
     let (mut tokens, mut tags, mut is_to) = (Vec::new(), Vec::new(), Vec::new());
-    let sentences = (texts.iter())
-        .map(|text| {
-            tokens.clear();
-            tags.clear();
-            is_to.clear();
-            tokenize::for_each_token(text, |t| {
-                let (sym, tag) = match vocab.get(t) {
-                    Some(s) => (s, base_tags[s.index()]),
-                    None => {
-                        let i = match missed.get(t) {
-                            Some(&i) => i as usize,
-                            None => {
-                                missed.insert(t.into(), misses.len() as u32);
-                                misses.push((t.into(), Tagger::tag_word(t)));
-                                misses.len() - 1
-                            }
-                        };
-                        (Sym(MISS | i as u32), misses[i].1)
-                    }
-                };
-                tokens.push(sym);
-                tags.push(tag);
-                is_to.push(t == "to");
-            });
-            Tagger::repair(&mut tags, |j| is_to[j]);
-            let heads = depparse::parse(&tags);
-            Sentence::new(0, tokens.clone(), tags.clone(), heads)
-        })
-        .collect();
+    let mut sentences = Columns::new();
+    for text in texts {
+        tokens.clear();
+        tags.clear();
+        is_to.clear();
+        tokenize::for_each_token(text, |t| {
+            if tokens.len() == MAX_TOKENS {
+                return;
+            }
+            let (sym, tag) = match vocab.get(t) {
+                Some(s) => (s, base_tags[s.index()]),
+                None => {
+                    let i = match missed.get(t) {
+                        Some(&i) => i as usize,
+                        None => {
+                            missed.insert(t.into(), misses.len() as u32);
+                            misses.push((t.into(), Tagger::tag_word(t)));
+                            misses.len() - 1
+                        }
+                    };
+                    (Sym(MISS | i as u32), misses[i].1)
+                }
+            };
+            tokens.push(sym);
+            tags.push(tag);
+            is_to.push(t == "to");
+        });
+        Tagger::repair(&mut tags, |j| is_to[j]);
+        sentences.push(&tokens, &tags, &depparse::parse(&tags));
+    }
     Analyzed { sentences, misses }
 }
 
@@ -211,7 +221,12 @@ impl std::fmt::Debug for Corpus {
 }
 
 #[cfg(test)]
+#[path = "../tests/fixture/mod.rs"]
+mod fixture;
+
+#[cfg(test)]
 mod tests {
+    use super::fixture::fixture;
     use super::*;
 
     const TEXTS: &[&str] = &[
@@ -229,61 +244,24 @@ mod tests {
         assert_eq!(c.len(), 6);
         assert!(c.vocab().get("bart").is_some());
         assert!(c.vocab().get("shuttle").is_none());
-        assert_eq!(c.sentence(0).id, 0);
+        assert_eq!(c.sentence(0).id(), 0);
         assert_eq!(c.text(1), "is there a bart from sfo to the hotel ?");
     }
 
-    /// The per-sentence analyzer: tokenize, intern, tag and parse one
-    /// text at a time, in input order.
-    fn reference(texts: &[String]) -> (Vocab, Vec<Sentence>) {
+    /// The per-sentence analyzer: tokenize (keeping the first
+    /// [`MAX_TOKENS`]), intern, tag and parse one text at a time, in input
+    /// order, pushing each sentence onto its own columns.
+    fn reference(texts: &[String]) -> (Vocab, Columns) {
         let mut vocab = Vocab::new();
-        let sentences = (0u32..)
-            .zip(texts)
-            .map(|(id, text)| {
-                let words = tokenize::tokenize(text);
-                let tokens = words.iter().map(|w| vocab.intern(w)).collect();
-                let tags = Tagger::tag(&words);
-                let heads = depparse::parse(&tags);
-                Sentence::new(id, tokens, tags, heads)
-            })
-            .collect();
+        let mut sentences = Columns::new();
+        for text in texts {
+            let mut words = tokenize::tokenize(text);
+            words.truncate(MAX_TOKENS);
+            let tokens: Vec<Sym> = words.iter().map(|w| vocab.intern(w)).collect();
+            let tags = Tagger::tag(&words);
+            sentences.push(&tokens, &tags, &depparse::parse(&tags));
+        }
         (vocab, sentences)
-    }
-
-    /// 3 000 texts, past the fan-out threshold, so chunks really split:
-    /// "zebra" is new only to the later chunks, "quokka" is missed by
-    /// several chunks and repeated within a sentence, "to" is first seen
-    /// at text 1 500, and the specials exercise folding, peeled and
-    /// split punctuation, and empty texts.
-    fn fixture() -> Vec<String> {
-        let specials = [
-            "",
-            "  \t\n ",
-            "Really?! \"hello\" what's the check-in at the Café?",
-            "ΟΔΟΣ (Check-In/OUT) … ΟΔΟΣ",
-        ];
-        (0..3000)
-            .map(|i| {
-                let mut t = match i % 97 {
-                    0 => specials[(i / 97) % specials.len()].to_string(),
-                    _ => format!(
-                        "Sentence {} rides the {} downtown",
-                        i % 37,
-                        ["bus", "shuttle", "TRAM"][i % 3]
-                    ),
-                };
-                if i >= 1500 && i % 5 == 0 {
-                    t.push_str(" to get to the airport");
-                }
-                if i >= 2500 && i % 7 == 0 {
-                    t.push_str(" with a zebra");
-                }
-                if [100, 1400, 2900].contains(&i) {
-                    t.push_str(" and a quokka, QUOKKA!");
-                }
-                t
-            })
-            .collect()
     }
 
     /// `append_texts` — from empty or after any prefix, at every thread
@@ -302,11 +280,11 @@ mod tests {
                 assert_eq!(c.vocab().resolve(s), w, "{label}: vocab order");
                 assert_eq!(c.vocab().freq(s), vocab.freq(s), "{label}: freq of {w}");
             }
-            for (g, w) in c.sentences().iter().zip(&sentences) {
-                assert_eq!(g.id, w.id, "{label}");
-                assert_eq!(g.tokens, w.tokens, "{label}: tokens of {}", w.id);
-                assert_eq!(g.tags, w.tags, "{label}: tags of {}", w.id);
-                assert_eq!(g.heads, w.heads, "{label}: heads of {}", w.id);
+            for (g, w) in c.sentences().zip(sentences.iter()) {
+                assert_eq!(g.id(), w.id(), "{label}");
+                assert_eq!(g.tokens(), w.tokens(), "{label}: tokens of {}", w.id());
+                assert_eq!(g.tags(), w.tags(), "{label}: tags of {}", w.id());
+                assert_eq!(g.heads(), w.heads(), "{label}: heads of {}", w.id());
                 for i in 0..w.len() {
                     assert_eq!(g.children_slice(i), w.children_slice(i), "{label}");
                 }

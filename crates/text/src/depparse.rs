@@ -4,7 +4,8 @@
 //! a rule-based head-attachment pass (no learned model): it picks a root
 //! verb, attaches modifiers to the nearest plausible head on the correct
 //! side, and guarantees the result is a tree (single root, acyclic). This is
-//! the SpaCy substitution described in DESIGN.md — TreeMatch only consumes
+//! the SpaCy substitution described in ARCHITECTURE.md ("Paper
+//! substitutions and experiments") — TreeMatch only consumes
 //! `(tag, head)` pairs, so a consistent deterministic parse exercises the
 //! same code paths as a learned parse.
 //!
@@ -20,15 +21,22 @@
 #![allow(clippy::needless_range_loop)] // head-attachment rules index neighbors
 
 use crate::pos::PosTag;
+use crate::sentence::MAX_TOKENS;
 
 /// Compute the head array for a tagged sentence. `heads[i] == i` marks the
 /// root. Deterministic for a given `(tokens, tags)` input.
+///
+/// # Panics
+/// If `tags` holds more than [`MAX_TOKENS`] tokens: heads are `u16`.
 pub fn parse(tags: &[PosTag]) -> Vec<u16> {
     let n = tags.len();
     if n == 0 {
         return Vec::new();
     }
-    debug_assert!(n < u16::MAX as usize, "sentence too long to parse");
+    assert!(
+        n <= MAX_TOKENS,
+        "a sentence of {n} tokens is too long to parse"
+    );
 
     let root = pick_root(tags);
     let mut heads: Vec<u16> = vec![root as u16; n];

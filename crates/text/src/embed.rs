@@ -88,7 +88,7 @@ impl Embeddings {
             ctx_sum.iter_mut().for_each(|x| *x = 0.0);
             ctx_cnt.iter_mut().for_each(|x| *x = 0.0);
             for s in corpus.sentences() {
-                let toks = &s.tokens;
+                let toks = s.tokens();
                 for (i, &t) in toks.iter().enumerate() {
                     let lo = i.saturating_sub(cfg.window);
                     let hi = (i + cfg.window + 1).min(toks.len());

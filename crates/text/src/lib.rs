@@ -33,5 +33,5 @@ pub mod vocab;
 pub use corpus::Corpus;
 pub use embed::Embeddings;
 pub use pos::PosTag;
-pub use sentence::Sentence;
+pub use sentence::{Columns, Sentence};
 pub use vocab::{Sym, Vocab};

@@ -6,7 +6,7 @@
 //! tagset. It is intentionally simple: TreeMatch only needs *consistent*
 //! tags so that a pattern like `is/NOUN ∧ job` matches the same sentences on
 //! every run — linguistic perfection is not required for the evaluation
-//! (see DESIGN.md, substitutions table).
+//! (see ARCHITECTURE.md, "Paper substitutions and experiments").
 
 use std::fmt;
 use std::str::FromStr;

@@ -1,73 +1,205 @@
-//! The per-sentence record Darwin operates on.
+//! The analyzed sentences of a corpus, stored column-wise, and the
+//! borrowed per-sentence view Darwin operates on.
 
 use crate::pos::PosTag;
 use crate::vocab::Sym;
 
-/// A fully analyzed sentence: interned tokens, universal POS tags, and a
-/// dependency tree encoded as a head array (`heads[i]` is the index of token
-/// `i`'s head; the root points to itself).
+/// The most tokens an analyzed sentence holds. Token indices, heads and
+/// the sentence-relative child offsets are `u16`, so a sentence of up to
+/// `u16::MAX` tokens keeps every index below `u16::MAX` and every offset
+/// at most `u16::MAX`. [`crate::Corpus::append_texts`] drops the tokens
+/// of a text past this cap.
+pub const MAX_TOKENS: usize = u16::MAX as usize;
+
+/// Every analyzed sentence of a corpus, one column per field: sentence
+/// `id`'s tokens, tags, heads and child list are the entries
+/// `starts[id]..starts[id + 1]` of their columns, and its `n + 1` child
+/// offsets start at `starts[id] + id`. So one `starts` entry per sentence
+/// locates everything, and the corpus holds a fixed number of
+/// allocations however many sentences it has.
 ///
-/// The tree is additionally materialized as a CSR child adjacency
-/// (`child_offsets`/`child_list`), built once at construction: children of
-/// token `i` are `child_list[child_offsets[i]..child_offsets[i+1]]`, in
-/// increasing token order — the same order the head-array filter scan used
-/// to produce, so every consumer iterates identically. The CSR fields are
-/// private so they can never drift from `heads`.
+/// The dependency tree is the head array (`heads[i]` is the index of
+/// token `i`'s head; a root points to itself), additionally materialized
+/// by [`Columns::push`] as a CSR child adjacency: the children of token
+/// `i` are `child_list[child_offsets[i]..child_offsets[i + 1]]`, in
+/// increasing token order — the order a filter scan of the head array
+/// yields, so every consumer iterates identically. Heads, child offsets
+/// and the child list are sentence-relative, so columns append to one
+/// another by copying.
 #[derive(Clone, Debug)]
-pub struct Sentence {
-    /// Position of this sentence in its [`crate::Corpus`].
-    pub id: u32,
-    pub tokens: Vec<Sym>,
-    pub tags: Vec<PosTag>,
-    pub heads: Vec<u16>,
-    child_offsets: Vec<u32>,
+pub struct Columns {
+    starts: Vec<u32>,
+    pub(crate) tokens: Vec<Sym>,
+    tags: Vec<PosTag>,
+    heads: Vec<u16>,
+    child_offsets: Vec<u16>,
     child_list: Vec<u16>,
 }
 
-impl Sentence {
-    /// Analyze-time constructor: takes the head array and materializes the
-    /// CSR child adjacency (two counting passes, children ascending).
-    pub fn new(id: u32, tokens: Vec<Sym>, tags: Vec<PosTag>, heads: Vec<u16>) -> Sentence {
-        let n = heads.len();
-        let mut child_offsets = vec![0u32; n + 1];
+impl Default for Columns {
+    fn default() -> Columns {
+        Columns {
+            starts: vec![0],
+            tokens: Vec::new(),
+            tags: Vec::new(),
+            heads: Vec::new(),
+            child_offsets: Vec::new(),
+            child_list: Vec::new(),
+        }
+    }
+}
+
+impl Columns {
+    /// No sentences.
+    pub fn new() -> Columns {
+        Columns::default()
+    }
+
+    /// Number of sentences.
+    pub fn len(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Tokens over every sentence.
+    pub(crate) fn tokens_len(&self) -> usize {
+        self.tokens.len()
+    }
+
+    /// Append one sentence (it takes id [`Columns::len`]) and build its
+    /// CSR child adjacency: two counting passes, children ascending.
+    ///
+    /// # Panics
+    /// If the fields differ in length, the sentence is longer than
+    /// [`MAX_TOKENS`], a head is out of range, or the columns would pass
+    /// `u32::MAX` tokens.
+    pub fn push(&mut self, tokens: &[Sym], tags: &[PosTag], heads: &[u16]) {
+        let n = tokens.len();
+        assert!(
+            tags.len() == n && heads.len() == n,
+            "one tag and one head per token"
+        );
+        assert!(
+            n <= MAX_TOKENS,
+            "a sentence of {n} tokens passes MAX_TOKENS"
+        );
+        let start = self.tokens.len();
+        let end = u32::try_from(start + n).expect("corpus tokens fit u32 starts");
+        self.tokens.extend_from_slice(tokens);
+        self.tags.extend_from_slice(tags);
+        self.heads.extend_from_slice(heads);
+
+        let o = self.child_offsets.len();
+        self.child_offsets.resize(o + n + 1, 0);
+        let offsets = &mut self.child_offsets[o..];
         for (c, &h) in heads.iter().enumerate() {
             if h as usize != c {
-                child_offsets[h as usize + 1] += 1;
+                offsets[h as usize + 1] += 1;
             }
         }
         for i in 0..n {
-            child_offsets[i + 1] += child_offsets[i];
+            offsets[i + 1] += offsets[i];
         }
-        let mut child_list = vec![0u16; child_offsets[n] as usize];
+        self.child_list.resize(start + n, 0);
+        let list = &mut self.child_list[start..];
         // Fill ascending, bumping each bucket's cursor in place; afterwards
         // offsets[i] holds bucket i's *end*, so shift right to restore starts.
         for (c, &h) in heads.iter().enumerate() {
             if h as usize != c {
-                let pos = child_offsets[h as usize];
-                child_list[pos as usize] = c as u16;
-                child_offsets[h as usize] = pos + 1;
+                let pos = offsets[h as usize];
+                list[pos as usize] = c as u16;
+                offsets[h as usize] = pos + 1;
             }
         }
-        for i in (1..=n).rev() {
-            child_offsets[i] = child_offsets[i - 1];
-        }
-        if n > 0 {
-            child_offsets[0] = 0;
-        }
+        offsets.copy_within(..n, 1);
+        offsets[0] = 0;
+        self.starts.push(end);
+    }
+
+    /// Append every sentence of `other`, in order, after this one's.
+    pub(crate) fn append(&mut self, other: &Columns) {
+        let base = *self.starts.last().expect("starts is never empty");
+        let ends = other.starts[1..]
+            .iter()
+            .map(|&e| base.checked_add(e).expect("corpus tokens fit u32 starts"));
+        self.starts.extend(ends);
+        self.tokens.extend_from_slice(&other.tokens);
+        self.tags.extend_from_slice(&other.tags);
+        self.heads.extend_from_slice(&other.heads);
+        self.child_offsets.extend_from_slice(&other.child_offsets);
+        self.child_list.extend_from_slice(&other.child_list);
+    }
+
+    /// The view of sentence `id`.
+    #[inline]
+    pub fn get(&self, id: u32) -> Sentence<'_> {
+        let i = id as usize;
+        let (s, e) = (self.starts[i] as usize, self.starts[i + 1] as usize);
+        let o = s + i;
         Sentence {
             id,
-            tokens,
-            tags,
-            heads,
-            child_offsets,
-            child_list,
+            tokens: &self.tokens[s..e],
+            tags: &self.tags[s..e],
+            heads: &self.heads[s..e],
+            child_offsets: &self.child_offsets[o..o + e - s + 1],
+            child_list: &self.child_list[s..e],
         }
     }
 
+    /// Every sentence's view, in id order.
+    pub fn iter(
+        &self,
+    ) -> impl ExactSizeIterator<Item = Sentence<'_>> + DoubleEndedIterator + Clone + '_ {
+        (0..self.len() as u32).map(|id| self.get(id))
+    }
+}
+
+/// A fully analyzed sentence, borrowed from its [`Columns`]: interned
+/// tokens, universal POS tags, and a dependency tree as a head array
+/// plus its CSR child adjacency. `Copy`, and owns nothing.
+#[derive(Clone, Copy, Debug)]
+pub struct Sentence<'a> {
+    id: u32,
+    tokens: &'a [Sym],
+    tags: &'a [PosTag],
+    heads: &'a [u16],
+    child_offsets: &'a [u16],
+    child_list: &'a [u16],
+}
+
+impl<'a> Sentence<'a> {
+    /// Position of this sentence in its [`crate::Corpus`].
+    #[inline]
+    pub fn id(&self) -> u32 {
+        self.id
+    }
+
+    #[inline]
+    pub fn tokens(&self) -> &'a [Sym] {
+        self.tokens
+    }
+
+    #[inline]
+    pub fn tags(&self) -> &'a [PosTag] {
+        self.tags
+    }
+
+    /// `heads()[i]` is the index of token `i`'s head; a root points to
+    /// itself.
+    #[inline]
+    pub fn heads(&self) -> &'a [u16] {
+        self.heads
+    }
+
+    #[inline]
     pub fn len(&self) -> usize {
         self.tokens.len()
     }
 
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.tokens.is_empty()
     }
@@ -82,17 +214,16 @@ impl Sentence {
     }
 
     /// Children of token `i` in the dependency tree, ascending: a CSR slice
-    /// iterator (bit-identical order to the head-array filter scan it
-    /// replaced).
+    /// iterator (bit-identical order to a head-array filter scan).
     #[inline]
-    pub fn children(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+    pub fn children(&self, i: usize) -> impl Iterator<Item = usize> + 'a {
         self.children_slice(i).iter().map(|&c| c as usize)
     }
 
     /// Children of token `i` as a raw CSR slice (hot paths index it
     /// directly; token indices fit `u16` by construction).
     #[inline]
-    pub fn children_slice(&self, i: usize) -> &[u16] {
+    pub fn children_slice(&self, i: usize) -> &'a [u16] {
         &self.child_list[self.child_offsets[i] as usize..self.child_offsets[i + 1] as usize]
     }
 
@@ -127,26 +258,28 @@ impl Sentence {
 mod tests {
     use super::*;
 
-    fn sent(heads: Vec<u16>) -> Sentence {
-        let n = heads.len();
-        Sentence::new(
-            0,
-            (0..n as u32).map(Sym).collect(),
-            vec![PosTag::Noun; n],
-            heads,
-        )
+    /// Columns holding one sentence per head array, with tokens `0..n`.
+    fn columns(cases: &[Vec<u16>]) -> Columns {
+        let mut cols = Columns::new();
+        for heads in cases {
+            let n = heads.len();
+            let tokens: Vec<Sym> = (0..n as u32).map(Sym).collect();
+            cols.push(&tokens, &vec![PosTag::Noun; n], heads);
+        }
+        cols
     }
 
     #[test]
     fn root_is_self_headed() {
-        let s = sent(vec![1, 1, 1]);
-        assert_eq!(s.root(), Some(1));
+        let cols = columns(&[vec![1, 1, 1]]);
+        assert_eq!(cols.get(0).root(), Some(1));
     }
 
     #[test]
     fn children_and_descendants() {
         // 0 -> 1 <- 2, 3 -> 2 (tree: 1 is root, children {0, 2}; 2 has child 3)
-        let s = sent(vec![1, 1, 1, 2]);
+        let cols = columns(&[vec![1, 1, 1, 2]]);
+        let s = cols.get(0);
         let mut c: Vec<usize> = s.children(1).collect();
         c.sort_unstable();
         assert_eq!(c, vec![0, 2]);
@@ -160,27 +293,32 @@ mod tests {
 
     #[test]
     fn empty_sentence_has_no_root() {
-        let s = sent(vec![]);
-        assert_eq!(s.root(), None);
-        assert!(s.is_empty());
+        let cols = columns(&[vec![]]);
+        assert_eq!(cols.get(0).root(), None);
+        assert!(cols.get(0).is_empty());
     }
 
-    /// The CSR adjacency must reproduce the head-array filter scan exactly:
-    /// same children, same (ascending) order, self-loops excluded.
-    #[test]
-    fn csr_matches_filter_scan() {
-        let cases: Vec<Vec<u16>> = vec![
-            vec![],
-            vec![0],
-            vec![1, 1, 1, 2],
-            vec![0, 0, 0, 0],
-            vec![3, 3, 3, 3],
-            vec![1, 2, 3, 3, 3, 2],
-            vec![0, 1, 2], // three self-rooted singletons (forest)
-            vec![5, 0, 0, 2, 2, 5, 5, 5],
-        ];
-        for heads in cases {
-            let s = sent(heads.clone());
+    const CASES: [&[u16]; 8] = [
+        &[],
+        &[0],
+        &[1, 1, 1, 2],
+        &[0, 0, 0, 0],
+        &[3, 3, 3, 3],
+        &[1, 2, 3, 3, 3, 2],
+        &[0, 1, 2], // three self-rooted singletons (forest)
+        &[5, 0, 0, 2, 2, 5, 5, 5],
+    ];
+
+    /// Each sentence of `cols` against `cases`, in order: the fields read
+    /// back, and the CSR adjacency reproduces the head-array filter scan
+    /// exactly — same children, same (ascending) order, self-loops
+    /// excluded.
+    fn assert_matches_filter_scan(cols: &Columns, cases: &[Vec<u16>]) {
+        assert_eq!(cols.len(), cases.len());
+        for (s, heads) in cols.iter().zip(cases) {
+            assert_eq!(s.heads(), &heads[..]);
+            assert_eq!(s.tags().len(), heads.len());
+            assert!(s.tokens().iter().map(|t| t.index()).eq(0..heads.len()));
             for i in 0..heads.len() {
                 let scan: Vec<usize> = heads
                     .iter()
@@ -189,8 +327,41 @@ mod tests {
                     .map(|(c, _)| c)
                     .collect();
                 let csr: Vec<usize> = s.children(i).collect();
-                assert_eq!(csr, scan, "heads={heads:?} i={i}");
+                assert_eq!(csr, scan, "sentence {}: heads={heads:?} i={i}", s.id());
             }
         }
+    }
+
+    #[test]
+    fn csr_matches_filter_scan() {
+        let cases: Vec<Vec<u16>> = CASES.iter().map(|h| h.to_vec()).collect();
+        assert_matches_filter_scan(&columns(&cases), &cases);
+    }
+
+    /// Columns appended to columns read back as if every sentence had
+    /// been pushed into one: offsets and children are sentence-relative.
+    #[test]
+    fn csr_survives_appending_chunks() {
+        let cases: Vec<Vec<u16>> = CASES.iter().map(|h| h.to_vec()).collect();
+        for cut in [0, 3, 5, cases.len()] {
+            let mut cols = columns(&cases[..cut]);
+            cols.append(&columns(&cases[cut..]));
+            assert_matches_filter_scan(&cols, &cases);
+            assert_eq!(cols.tokens_len(), cases.iter().map(Vec::len).sum());
+        }
+    }
+
+    #[test]
+    fn longest_sentence_fits_u16_offsets() {
+        // A cycle through every token gives each token one child, so the
+        // last child offset is `MAX_TOKENS` itself.
+        let n = MAX_TOKENS;
+        let heads: Vec<u16> = (0..n).map(|i| ((i + 1) % n) as u16).collect();
+        let cols = columns(&[vec![0], heads]);
+        let s = cols.get(1);
+        assert_eq!(s.len(), n);
+        assert_eq!(s.root(), None);
+        assert_eq!(s.children_slice(0), &[n as u16 - 1]);
+        assert_eq!(s.children_slice(n - 1), &[n as u16 - 2]);
     }
 }

@@ -891,9 +891,9 @@ mod tests {
         let back = slice.restore().unwrap();
         assert_eq!(back.len(), c.len());
         for id in 0..c.len() as u32 {
-            assert_eq!(back.sentence(id).tokens, c.sentence(id).tokens);
-            assert_eq!(back.sentence(id).tags, c.sentence(id).tags);
-            assert_eq!(back.sentence(id).heads, c.sentence(id).heads);
+            assert_eq!(back.sentence(id).tokens(), c.sentence(id).tokens());
+            assert_eq!(back.sentence(id).tags(), c.sentence(id).tags());
+            assert_eq!(back.sentence(id).heads(), c.sentence(id).heads());
         }
         assert!(CorpusSlice {
             base: 1,

@@ -422,16 +422,14 @@ fn match_kernels_replay_reference_trace() {
         let kernel: Vec<u32> = d
             .corpus
             .sentences()
-            .iter()
-            .filter(|s| ctx.matches(p, s))
-            .map(|s| s.id)
+            .filter(|&s| ctx.matches(p, s))
+            .map(|s| s.id())
             .collect();
         let reference: Vec<u32> = d
             .corpus
             .sentences()
-            .iter()
-            .filter(|s| p.matches(s))
-            .map(|s| s.id)
+            .filter(|&s| p.matches(s))
+            .map(|s| s.id())
             .collect();
         assert_eq!(
             kernel,

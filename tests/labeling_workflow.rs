@@ -104,7 +104,7 @@ fn active_learning_and_keyword_sampling_contracts() {
         assert!(data
             .corpus
             .sentence(id)
-            .tokens
+            .tokens()
             .iter()
             .any(|t| keys.contains(t)));
     }

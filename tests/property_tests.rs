@@ -1,6 +1,6 @@
-//! Property-based tests over the core data structures and invariants
-//! (DESIGN.md §5), plus the incremental benefit engine's delta-maintenance
-//! contract.
+//! Property-based tests over the core data structures and the invariants
+//! ARCHITECTURE.md argues in its exactness and equivalence sections, plus
+//! the incremental benefit engine's delta-maintenance contract.
 
 use darwin::core::benefit::benefit;
 use darwin::core::{inproc_shard_connector, BenefitStore, Fanout, ShardedBenefitStore};
@@ -9,7 +9,7 @@ use darwin::index::{IdSet, IndexConfig, IndexSet, PhraseIndex, RuleRef, ShardMap
 use darwin::text::depparse::parse;
 use darwin::text::pos::Tagger;
 use darwin::text::tokenize::tokenize;
-use darwin::text::{Corpus, PosTag, Sym, Vocab};
+use darwin::text::{Columns, Corpus, PosTag, Sym, Vocab};
 use darwin_testkit::strategies::{corpus_texts as corpus_strategy, sentence, word};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -76,16 +76,16 @@ proptest! {
     fn parse_is_always_a_tree(text in sentence()) {
         let corpus = Corpus::from_texts([text]);
         let s = corpus.sentence(0);
-        let roots = s.heads.iter().enumerate().filter(|(i, &h)| *i == h as usize).count();
+        let roots = s.heads().iter().enumerate().filter(|(i, &h)| *i == h as usize).count();
         prop_assert_eq!(roots, 1);
         for start in 0..s.len() {
             let mut cur = start;
             for _ in 0..=s.len() {
-                let h = s.heads[cur] as usize;
+                let h = s.heads()[cur] as usize;
                 if h == cur { break; }
                 cur = h;
             }
-            prop_assert_eq!(s.heads[cur] as usize, cur);
+            prop_assert_eq!(s.heads()[cur] as usize, cur);
         }
     }
 
@@ -319,7 +319,7 @@ proptest! {
     }
 }
 
-/// Non-proptest invariants that complete the DESIGN.md §5 list.
+/// Non-proptest invariants that complete the list.
 #[test]
 fn tree_term_generalization_is_sound() {
     let corpus = Corpus::from_texts(["the storm caused the fire", "lightning caused damage"]);
@@ -384,14 +384,14 @@ fn scan_descendants(heads: &[u16], i: usize) -> Vec<usize> {
     out
 }
 
-fn sentence_with_heads(heads: Vec<u16>) -> darwin::text::Sentence {
+/// One sentence with these heads (tokens `0..n`), pushed onto its own
+/// columns; read it back with `get(0)`.
+fn sentence_with_heads(heads: &[u16]) -> Columns {
     let n = heads.len();
-    darwin::text::Sentence::new(
-        0,
-        (0..n as u32).map(Sym).collect(),
-        vec![PosTag::Noun; n],
-        heads,
-    )
+    let tokens: Vec<Sym> = (0..n as u32).map(Sym).collect();
+    let mut cols = Columns::new();
+    cols.push(&tokens, &vec![PosTag::Noun; n], heads);
+    cols
 }
 
 /// Fully arbitrary head arrays: self-loops, multiple roots, even cycles —
@@ -423,7 +423,8 @@ proptest! {
     /// cycles), and `root()` must still find the first self-loop.
     #[test]
     fn csr_children_equal_filter_scan(heads in arbitrary_heads()) {
-        let s = sentence_with_heads(heads.clone());
+        let cols = sentence_with_heads(&heads);
+        let s = cols.get(0);
         for i in 0..heads.len() {
             prop_assert_eq!(
                 s.children(i).collect::<Vec<_>>(),
@@ -440,7 +441,8 @@ proptest! {
     /// forest-shaped head array.
     #[test]
     fn csr_descendants_equal_scan_walk(heads in forest_heads()) {
-        let s = sentence_with_heads(heads.clone());
+        let cols = sentence_with_heads(&heads);
+        let s = cols.get(0);
         for i in 0..heads.len() {
             prop_assert_eq!(
                 s.descendants(i),
@@ -460,7 +462,6 @@ proptest! {
         let mut ctx = darwin::grammar::MatchCtx::new();
         let pats: Vec<TreePattern> = corpus
             .sentences()
-            .iter()
             .flat_map(|s| darwin::index::sketch::tree_sketch(s, &Default::default()))
             .take(60)
             .collect();
@@ -469,13 +470,13 @@ proptest! {
                 prop_assert_eq!(
                     ctx.matches(p, s),
                     p.matches(s),
-                    "matches: {} on sentence {}", p.display(corpus.vocab()), s.id
+                    "matches: {} on sentence {}", p.display(corpus.vocab()), s.id()
                 );
                 for i in 0..s.len() {
                     prop_assert_eq!(
                         ctx.matches_at(p, s, i),
                         p.matches_at(s, i),
-                        "matches_at {}: {} on sentence {}", i, p.display(corpus.vocab()), s.id
+                        "matches_at {}: {} on sentence {}", i, p.display(corpus.vocab()), s.id()
                     );
                 }
             }
@@ -562,8 +563,8 @@ fn assert_same_index(a: &IndexSet, b: &IndexSet, label: &str) -> Result<(), Test
 }
 
 /// A corpus against the per-sentence analyzer — `tokenize`, `Vocab::intern`,
-/// `Tagger::tag`, `depparse::parse` and `Sentence::new`, one text at a time
-/// — an oracle that shares no resolve or numbering code with
+/// `Tagger::tag` and `depparse::parse`, one text at a time — an oracle
+/// that shares no resolve or numbering code with
 /// `Corpus::append_texts`: vocabulary order and frequencies, tokens, tags
 /// and heads.
 fn assert_matches_analyzer(
@@ -573,13 +574,13 @@ fn assert_matches_analyzer(
 ) -> Result<(), TestCaseError> {
     let mut vocab = Vocab::new();
     prop_assert_eq!(corpus.len(), texts.len(), "{}: corpus length", label);
-    for (s, text) in corpus.sentences().iter().zip(texts) {
+    for (s, text) in corpus.sentences().zip(texts) {
         let words = tokenize(text);
         let tokens: Vec<Sym> = words.iter().map(|w| vocab.intern(w)).collect();
         let tags = Tagger::tag(&words);
-        prop_assert_eq!(&s.tokens, &tokens, "{}: tokens of {}", label, s.id);
-        prop_assert_eq!(&s.heads, &parse(&tags), "{}: heads of {}", label, s.id);
-        prop_assert_eq!(&s.tags, &tags, "{}: tags of {}", label, s.id);
+        prop_assert_eq!(s.tokens(), &tokens, "{}: tokens of {}", label, s.id());
+        prop_assert_eq!(s.heads(), &parse(&tags), "{}: heads of {}", label, s.id());
+        prop_assert_eq!(s.tags(), &tags, "{}: tags of {}", label, s.id());
     }
     assert_same_vocab(corpus.vocab(), &vocab, label)
 }
@@ -659,8 +660,9 @@ fn assert_matches_reference(
 
 /// Every indexed sentence's covering rules, recomputed by the index.
 fn rows(corpus: &Corpus, index: &IndexSet) -> Vec<Vec<RuleRef>> {
-    corpus.sentences()[..index.sentences()]
-        .iter()
+    corpus
+        .sentences()
+        .take(index.sentences())
         .map(|s| {
             let mut row = Vec::new();
             index.covering_rules(s, &mut row);
@@ -751,11 +753,11 @@ proptest! {
 
             prop_assert_eq!(grown.len(), whole.len(), "{}: corpus length", &label);
             assert_same_vocab(grown.vocab(), whole.vocab(), &label)?;
-            for (g, w) in grown.sentences().iter().zip(whole.sentences()) {
-                prop_assert_eq!(g.id, w.id, "{}: sentence id", &label);
-                prop_assert_eq!(&g.tokens, &w.tokens, "{}: tokens of {}", &label, w.id);
-                prop_assert_eq!(&g.tags, &w.tags, "{}: tags of {}", &label, w.id);
-                prop_assert_eq!(&g.heads, &w.heads, "{}: heads of {}", &label, w.id);
+            for (g, w) in grown.sentences().zip(whole.sentences()) {
+                prop_assert_eq!(g.id(), w.id(), "{}: sentence id", &label);
+                prop_assert_eq!(g.tokens(), w.tokens(), "{}: tokens of {}", &label, w.id());
+                prop_assert_eq!(g.tags(), w.tags(), "{}: tags of {}", &label, w.id());
+                prop_assert_eq!(g.heads(), w.heads(), "{}: heads of {}", &label, w.id());
             }
             assert_same_index(&scratch, &index, &label)?;
             prop_assert_eq!(&rows(&grown, &index), &scratch_rows, "{}: covering rules", &label);
