@@ -33,8 +33,10 @@
 //!
 //! **The equivalence guarantee** (tested by `tests/batch_async.rs`): with
 //! `BatchPolicy::Fixed(1)` and the [`crate::Immediate`] adapter the driver
-//! replays a loop of [`Engine::step`] — the sequential reference — byte
-//! for byte, at every shard and thread count; and for any fixed batch
+//! replays the sequential reference — Algorithm 1 as a plain loop of
+//! [`Engine::select`], ask, [`Engine::record`], feedback and retrain,
+//! which the test harness runs with every structure audited — byte for
+//! byte, at every shard and thread count; and for any fixed batch
 //! size, the *final* positive set, accepted rules and scores are
 //! invariant under the answer-arrival schedule — only per-wave trace
 //! ordering can differ.
@@ -742,6 +744,33 @@ impl<'a> Session<'a> {
     }
 }
 
+/// Hold every delta-maintained structure of `engine` to its from-scratch
+/// function at a barrier: the local store against recomputation, remote
+/// mirrors against their workers, each candidate's benefit against
+/// [`crate::benefit::benefit`], and the hierarchy against the full
+/// candidate walk. The in-crate twin of the test harness's stepped-loop
+/// audit, which this crate's own tests cannot depend on.
+#[cfg(test)]
+pub(crate) fn audit(engine: &mut Engine<'_>, label: &str) {
+    assert!(engine.store_is_consistent(), "{label}: local store drifted");
+    assert_eq!(
+        engine.audit_remote_store(),
+        Ok(true),
+        "{label}: remote mirrors drifted"
+    );
+    let ctx = engine.ctx();
+    for &r in ctx.hierarchy.rules() {
+        let scratch = crate::benefit::benefit(ctx.index.coverage(r), ctx.p, ctx.scores);
+        assert_eq!(ctx.benefit(r), scratch, "{label}: benefit of {r:?}");
+    }
+    let darwin = engine.darwin();
+    let cfg = darwin.config();
+    let max_count = (cfg.max_coverage_frac * darwin.corpus().len() as f64).ceil() as usize;
+    let (scratch, _) =
+        crate::candidates::generate_hierarchy_scored(ctx.index, ctx.p, cfg.n_candidates, max_count);
+    assert_eq!(ctx.hierarchy.rules(), scratch.rules(), "{label}: hierarchy");
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -756,6 +785,55 @@ mod tests {
             "the pool opens at nine daily",
         ]);
         (c, vec![true, true, true, false, false])
+    }
+
+    /// Waves of three, driven one barrier at a time: at every barrier the
+    /// engine's benefit store, remote mirrors and hierarchy equal their
+    /// from-scratch functions, locally and over two shard workers — and
+    /// the two deployments ask the same questions.
+    #[test]
+    fn wave_barriers_audit_exact() {
+        let mut texts = Vec::new();
+        let mut labels = Vec::new();
+        for i in 0..12 {
+            texts.push(format!("is there a shuttle to the airport at {i}"));
+            texts.push(format!("order a pizza with {i} toppings to the room"));
+            texts.push(format!("the bus to the pool leaves at {i}"));
+            labels.extend([true, false, i % 3 == 0]);
+        }
+        let c = Corpus::from_texts(texts.iter());
+        let index = darwin_index::IndexSet::build(&c, &darwin_index::IndexConfig::small());
+        let cfg = crate::DarwinConfig {
+            budget: 12,
+            n_candidates: 400,
+            shards: 2,
+            batch: BatchPolicy::Fixed(3),
+            ..crate::DarwinConfig::fast()
+        };
+        let run = |remote: bool| {
+            let mut darwin = Darwin::new(&c, &index, cfg.clone());
+            if remote {
+                darwin = darwin.with_remote_shards(crate::remote::inproc_shard_connector());
+            }
+            let mut session = Session::new(&darwin, Seed::Positives(vec![0, 3]));
+            let mut oracle = crate::Immediate::new(GroundTruthOracle::new(&labels, 0.8));
+            audit(&mut session.engine, &format!("remote={remote}: start"));
+            let mut wave = 1;
+            while !session.drive(&mut oracle, Some(wave)) {
+                audit(
+                    &mut session.engine,
+                    &format!("remote={remote}: barrier {wave}"),
+                );
+                wave += 1;
+            }
+            assert!(wave > 2, "remote={remote}: run ended after {wave} waves");
+            session.finish().run
+        };
+        let (local, remote) = (run(false), run(true));
+        assert!(!local.accepted.is_empty(), "no YES: nothing was folded");
+        assert!(remote.wire_error.is_none(), "{:?}", remote.wire_error);
+        assert_eq!(local.trace, remote.trace);
+        assert_eq!(local.scores, remote.scores);
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! `new − old` when the classifier re-scores it. Floating-point addition is
 //! not associative, so f64 sums patched in delta order would drift from a
 //! from-scratch recomputation by ULPs — enough to flip an argmax tie and
-//! de-synchronize the incremental and rescan paths. Scores are therefore
+//! make delta-maintained selection ask something a from-scratch
+//! [`benefit`] call would not. Scores are therefore
 //! [quantized](quantize) to integer units of 2⁻³⁰ before summing: integer
 //! addition is associative, so any update order produces bit-identical
 //! sums, and a sum converts back to `f64` exactly (`i64 → f64` is exact

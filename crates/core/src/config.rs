@@ -67,22 +67,15 @@ pub struct DarwinConfig {
     pub neg_per_pos: usize,
     /// Floor on the sampled negative count.
     pub min_negatives: usize,
-    /// Use the §4.5 incremental re-scoring optimization.
+    /// Use the §4.5 selective re-scoring optimization: between full passes
+    /// (every third retrain), a retrain re-scores only the sentences whose
+    /// previous score reached the cache threshold, and the rest keep their
+    /// stale scores. This is *semantic*, not a pure perf knob: flipping it
+    /// asks a different question sequence and ends with different scores.
+    /// That is why [`crate::snapshot::config_fingerprint`] keeps it and the
+    /// efficiency experiment (`darwin_bench::experiments::efficiency`)
+    /// compares the two settings.
     pub incremental_scoring: bool,
-    /// Maintain per-rule benefit aggregates by delta (the incremental
-    /// engine) instead of recomputing `benefit()` over every candidate's
-    /// coverage on every question. Both paths select identical rule
-    /// sequences (the engine's sums are exact); `false` keeps the
-    /// full-rescan path as an ablation/reference.
-    pub incremental_benefit: bool,
-    /// Keep the best-first expansion state of hierarchy regeneration alive
-    /// across YES answers (a persistent [`crate::FrontierPool`]): each
-    /// regeneration re-scores only the frontier entries whose postings
-    /// intersect the newly-labeled ids and replays the walk from memoized
-    /// statistics, instead of re-scanning every visited rule's postings
-    /// from the index root. Trace-equivalent to the full rescan — `false`
-    /// keeps the from-scratch walk as the ablation/reference path.
-    pub incremental_frontier: bool,
     /// Warm-start classifier retraining: keep the per-sentence feature
     /// arenas and optimizer allocations alive across the pipeline's
     /// retrain epochs, and skip refits whose training set is unchanged.
@@ -134,8 +127,6 @@ impl Default for DarwinConfig {
             neg_per_pos: 3,
             min_negatives: 50,
             incremental_scoring: true,
-            incremental_benefit: true,
-            incremental_frontier: true,
             warm_start: true,
             threads: 1,
             shards: 1,
@@ -193,12 +184,6 @@ impl DarwinConfig {
     /// Replace the worker-thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Toggle the incremental candidate frontier.
-    pub fn with_incremental_frontier(mut self, on: bool) -> Self {
-        self.incremental_frontier = on;
         self
     }
 

@@ -33,16 +33,17 @@
 //! O(|rules| × |coverage|). Because sums are kept in the fixed-point
 //! domain of [`crate::benefit::quantize`], the aggregates are *bit-equal*
 //! to a from-scratch [`crate::benefit::benefit`] call at every step, so
-//! the incremental engine asks the exact same question sequence as the
-//! rescan path in every deployment
-//! (`DarwinConfig { incremental_benefit: false, .. }` keeps that path alive
-//! as an ablation and as the reference for the equivalence tests).
+//! selection asks the exact question sequence a per-question rescan
+//! would, in every deployment. There is no rescan mode: the test
+//! harness's stepped loop audits the store, the remote mirrors and the
+//! candidate hierarchy against their from-scratch functions after every
+//! update instead.
 
 use crate::benefit::{quantize, Benefit};
-use crate::candidates::{generate_hierarchy_pooled, generate_hierarchy_scored};
+use crate::candidates::generate_hierarchy_pooled;
 use crate::frontier::FrontierPool;
 use crate::hierarchy::Hierarchy;
-use crate::oracle::{Oracle, QuestionId};
+use crate::oracle::QuestionId;
 use crate::pipeline::{Darwin, RunResult, Seed, TraceStep};
 use crate::shard::ShardedBenefitStore;
 use crate::traversal::{Ctx, Strategy};
@@ -548,11 +549,12 @@ pub struct Engine<'a> {
     cache: ScoreCache,
     rng: StdRng,
     hierarchy: Hierarchy,
+    /// `None` only until construction attaches it, or for good when remote
+    /// shard workers failed to connect (the run then aborts via
+    /// `wire_abort`).
     store: Option<ShardedBenefitStore>,
-    /// Persistent best-first expansion state for hierarchy regeneration
-    /// (`None` = the full-walk reference path,
-    /// `DarwinConfig::incremental_frontier = false`).
-    frontier: Option<FrontierPool>,
+    /// Persistent best-first expansion state for hierarchy regeneration.
+    frontier: FrontierPool,
     /// Questions submitted to an async oracle and not yet answered
     /// ([`crate::batch`]): selection keeps proposing around them, answers
     /// resolve them in any order.
@@ -614,9 +616,15 @@ impl<'a> Engine<'a> {
             false => ScoreCache::full_only(n),
         };
         let rng = StdRng::seed_from_u64(cfg.seed ^ 0xDA);
-        let frontier = cfg.incremental_frontier.then(FrontierPool::new);
-        let mut engine =
-            Engine::assemble(darwin, state, cache, rng, frontier, Vec::new(), seed_refs);
+        let mut engine = Engine::assemble(
+            darwin,
+            state,
+            cache,
+            rng,
+            FrontierPool::new(),
+            Vec::new(),
+            seed_refs,
+        );
         engine.retrain_and_sync();
         engine.attach_store()
     }
@@ -647,7 +655,6 @@ impl<'a> Engine<'a> {
         snap: &crate::snapshot::Snapshot,
     ) -> Result<Engine<'a>, crate::snapshot::SnapshotError> {
         use crate::snapshot::SnapshotError;
-        let cfg = darwin.config();
         let n = darwin.corpus().len();
         if snap.n as usize != n || snap.cache.scores.len() != n {
             return Err(SnapshotError::Mismatch(format!(
@@ -666,13 +673,12 @@ impl<'a> Engine<'a> {
             asked: snap.asked.iter().cloned().collect(),
             asked_coverages: snap.asked_coverages.iter().copied().collect(),
         };
-        let frontier = match (&snap.frontier, cfg.incremental_frontier) {
-            (Some(img), true) => Some(FrontierPool::import(img).map_err(SnapshotError::Corrupt)?),
-            // Resuming with the pool enabled but no captured memo: a fresh
-            // pool's first regeneration is a full walk — identical output,
-            // the memo was only ever a cost optimization.
-            (None, true) => Some(FrontierPool::new()),
-            _ => None,
+        let frontier = match &snap.frontier {
+            Some(img) => FrontierPool::import(img).map_err(SnapshotError::Corrupt)?,
+            // No captured memo: a fresh pool's first regeneration is a full
+            // walk — identical output, the memo was only ever a cost
+            // optimization.
+            None => FrontierPool::new(),
         };
         let pending = snap
             .pending
@@ -700,7 +706,7 @@ impl<'a> Engine<'a> {
         state: EngineState,
         cache: ScoreCache,
         rng: StdRng,
-        frontier: Option<FrontierPool>,
+        frontier: FrontierPool,
         pending: Vec<(QuestionId, RuleRef)>,
         seed_refs: Vec<RuleRef>,
     ) -> Engine<'a> {
@@ -749,32 +755,23 @@ impl<'a> Engine<'a> {
     fn attach_store(mut self) -> Engine<'a> {
         let darwin = self.darwin;
         let cfg = darwin.config();
-        if cfg.incremental_benefit {
-            match darwin.remote_shards() {
-                None => self.store = Some(ShardedBenefitStore::local()),
-                // Distributed deployment: one worker per shard, each
-                // initialized with the corpus, the coordinator index's
-                // own build recipe, and the current (P, scores) snapshot.
-                Some(spec) => match ShardedBenefitStore::connect_remote(
-                    ShardMap::new(darwin.corpus().len(), cfg.shards),
-                    darwin.corpus(),
-                    darwin.index().config(),
-                    &self.state.p,
-                    self.cache.scores(),
-                    spec.connect.clone(),
-                    cfg.fanout,
-                ) {
-                    Ok(store) => self.store = Some(store),
-                    Err(e) => self.wire_abort = Some(e),
-                },
-            }
-        } else if darwin.remote_shards().is_some() {
-            // The rescan ablation has no distributed form: refusing
-            // loudly beats silently running an in-process run the caller
-            // believes is distributed.
-            self.wire_abort = Some(darwin_wire::WireError::Protocol(
-                "remote shards require DarwinConfig::incremental_benefit".into(),
-            ));
+        match darwin.remote_shards() {
+            None => self.store = Some(ShardedBenefitStore::local()),
+            // Distributed deployment: one worker per shard, each
+            // initialized with the corpus, the coordinator index's own
+            // build recipe, and the current (P, scores) snapshot.
+            Some(spec) => match ShardedBenefitStore::connect_remote(
+                ShardMap::new(darwin.corpus().len(), cfg.shards),
+                darwin.corpus(),
+                darwin.index().config(),
+                &self.state.p,
+                self.cache.scores(),
+                spec.connect.clone(),
+                cfg.fanout,
+            ) {
+                Ok(store) => self.store = Some(store),
+                Err(e) => self.wire_abort = Some(e),
+            },
         }
         self.regen_hierarchy();
         self
@@ -840,15 +837,16 @@ impl<'a> Engine<'a> {
         &self.hierarchy
     }
 
-    /// The sharded benefit aggregates (`None` when running in rescan mode).
+    /// The sharded benefit aggregates (`None` only when remote shard
+    /// workers failed to connect — see [`Engine::wire_error`]).
     pub fn store(&self) -> Option<&ShardedBenefitStore> {
         self.store.as_ref()
     }
 
-    /// The persistent candidate frontier (`None` when
-    /// `DarwinConfig::incremental_frontier` is off).
+    /// The persistent candidate frontier — always `Some`; the `Option`
+    /// keeps the signature callers already match on.
     pub fn frontier(&self) -> Option<&FrontierPool> {
-        self.frontier.as_ref()
+        Some(&self.frontier)
     }
 
     /// Read-only selection view over the current state.
@@ -1064,11 +1062,9 @@ impl<'a> Engine<'a> {
                 );
                 self.note_wire(r);
             }
-            if let Some(pool) = &mut self.frontier {
-                // Journaled only — the pool re-scores its frontier lazily
-                // at the next regeneration.
-                pool.note_positives(&new_ids);
-            }
+            // Journaled only — the pool re-scores its frontier lazily at
+            // the next regeneration.
+            self.frontier.note_positives(&new_ids);
             self.state.p.extend_from_slice(cov);
             self.state.accepted.push(h.clone());
         } else {
@@ -1147,26 +1143,18 @@ impl<'a> Engine<'a> {
     pub fn regen_hierarchy(&mut self) {
         let darwin = self.darwin;
         let cfg = darwin.config();
-        let (hierarchy, cands) = match &mut self.frontier {
-            // The pool drains the dirty-id journal `record` fed it, patches
-            // the affected frontier statistics, and replays the walk from
-            // the surviving state — identical output, no root-to-frontier
-            // posting rescan.
-            Some(pool) => generate_hierarchy_pooled(
-                darwin.corpus(),
-                darwin.index(),
-                &self.state.p,
-                cfg.n_candidates,
-                self.max_count,
-                pool,
-            ),
-            None => generate_hierarchy_scored(
-                darwin.index(),
-                &self.state.p,
-                cfg.n_candidates,
-                self.max_count,
-            ),
-        };
+        // The pool drains the dirty-id journal `record` fed it, patches the
+        // affected frontier statistics, and replays the walk from the
+        // surviving state — the from-scratch walk's output, without its
+        // root-to-frontier posting rescan.
+        let (hierarchy, cands) = generate_hierarchy_pooled(
+            darwin.corpus(),
+            darwin.index(),
+            &self.state.p,
+            cfg.n_candidates,
+            self.max_count,
+            &mut self.frontier,
+        );
         self.hierarchy = hierarchy;
         if let Some(store) = &mut self.store {
             // Evict rules that left the pool — without this the store (and
@@ -1185,43 +1173,6 @@ impl<'a> Engine<'a> {
             });
             self.note_wire(r);
         }
-    }
-
-    /// One sequential question: select, ask, apply, feed back (retraining
-    /// and regenerating the hierarchy on YES). Returns `false` when the
-    /// strategy has nothing left to ask.
-    ///
-    /// This is the *sequential reference*, not a run entry: no `Darwin`
-    /// method calls it. It is Algorithm 1's loop body written out without
-    /// waves, kept so the equivalence suites have an independent
-    /// implementation to compare the driver ([`crate::batch::Session`])
-    /// against, and for callers that inspect state between questions.
-    ///
-    /// The strategy observes the answer *after* [`Engine::record`] applied
-    /// it — the `ctx` passed to [`Strategy::feedback`] already reflects
-    /// the grown `P`. The driver runs the same order (answers record as
-    /// they arrive, feedback at the wave barrier), so wave size 1 replays
-    /// this step exactly, whatever a strategy reads in its feedback.
-    pub fn step(&mut self, strategy: &mut dyn Strategy, oracle: &mut dyn Oracle) -> bool {
-        let Some(rule) = self.select(strategy) else {
-            return false;
-        };
-        let index = self.darwin.index();
-        let h = index.heuristic(rule);
-        let cov = index.coverage(rule);
-        let answer = oracle.ask(self.darwin.corpus(), &h, cov);
-        self.record(rule, answer);
-        {
-            let ctx = self.ctx();
-            strategy.feedback(rule, answer, &ctx);
-        }
-        if answer {
-            // Score update (§3.7): retrain, refresh scores, regenerate the
-            // hierarchy around the grown positive set.
-            self.retrain_and_sync();
-            self.regen_hierarchy();
-        }
-        true
     }
 
     /// Consume the engine into a [`RunResult`].
@@ -1318,10 +1269,9 @@ impl<'a> Engine<'a> {
     /// Reconcile the engine with a corpus that grew from `old_n` sentences
     /// by `texts` — the wave-barrier append operation. The caller has
     /// already grown the corpus, the index (in place via
-    /// [`IndexSet::append`], or rebuilt from scratch on the grown corpus —
-    /// the two produce identical indexes) and the embeddings
-    /// (zero-padded: appends never retrain embeddings), and `darwin` views
-    /// the grown state.
+    /// [`IndexSet::append`], whose [`AppendDelta`] is `delta`) and the
+    /// embeddings (zero-padded: appends never retrain embeddings), and
+    /// `darwin` views the grown state.
     ///
     /// What happens here, in order:
     ///
@@ -1335,16 +1285,14 @@ impl<'a> Engine<'a> {
     /// 3. a corpus-mirroring classifier (wire worker) is forwarded the
     ///    growth;
     /// 4. the frontier memo folds the appended ids (`delta` carries the
-    ///    dense-id shift; `None` means the index was rebuilt from scratch,
-    ///    so the memo is reset and the next walk is a full one — identical
-    ///    output, the memo is a cost optimization);
+    ///    dense-id shift);
     /// 5. the coverage cap is recomputed for the grown `n` and the
     ///    hierarchy regenerated once.
     ///
     /// Deliberately does **not** retrain: appends are not oracle answers,
-    /// and retraining here would consume RNG words the delta/rebuild
-    /// equivalence (and any suspended twin of this run) depends on.
-    pub fn apply_append(&mut self, old_n: u32, texts: &[String], delta: Option<&AppendDelta>) {
+    /// and retraining here would consume RNG words a run started on the
+    /// grown corpus (and any suspended twin of this run) never draws.
+    pub fn apply_append(&mut self, old_n: u32, texts: &[String], delta: &AppendDelta) {
         let darwin = self.darwin;
         let corpus = darwin.corpus();
         let index = darwin.index();
@@ -1356,22 +1304,11 @@ impl<'a> Engine<'a> {
         }
         self.cache.append(added);
         if let Some(store) = &mut self.store {
-            let mut r = store.on_corpus_appended(corpus, texts, index, self.cache.scores());
-            if r.is_ok() && delta.is_none() {
-                // Scratch-rebuild reference path: recompute every tracked
-                // aggregate from the grown (P, scores) instead of trusting
-                // the delta fold — this is what the append-equivalence
-                // suites compare the fold against.
-                r = store.rebuild(index, &self.state.p, self.cache.scores(), cfg.threads);
-            }
+            let r = store.on_corpus_appended(corpus, texts, index, self.cache.scores());
             self.note_wire(r);
         }
         self.clf.corpus_appended(texts, n);
-        match (&mut self.frontier, delta) {
-            (Some(pool), Some(delta)) => pool.append_ids(index, delta),
-            (Some(pool), None) => *pool = FrontierPool::new(),
-            (None, _) => {}
-        }
+        self.frontier.append_ids(index, delta);
         self.max_count = (cfg.max_coverage_frac * n as f64).ceil() as usize;
         self.regen_hierarchy();
     }
@@ -1423,7 +1360,7 @@ pub struct EngineParts {
     rng: StdRng,
     hierarchy: Hierarchy,
     store: Option<ShardedBenefitStore>,
-    frontier: Option<FrontierPool>,
+    frontier: FrontierPool,
     pending: Vec<(QuestionId, RuleRef)>,
     seed_refs: Vec<RuleRef>,
     max_count: usize,

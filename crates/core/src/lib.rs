@@ -28,10 +28,10 @@
 //!    [`batch::Session`]: it applies a wave's answers in arrival order
 //!    and retrains once per drained wave, and every run entry in
 //!    [`pipeline`] — one question at a time, `k` annotators in rounds,
-//!    suspend/resume, streaming — is a few lines over it.
-//!    [`engine::Engine::step`] is the same loop body written out
-//!    sequentially, kept as the reference the equivalence tests compare
-//!    the driver against.
+//!    suspend/resume, streaming — is a few lines over it. The test
+//!    harness writes the same loop body out sequentially over the
+//!    [`engine::Engine`] verbs and audits every delta-maintained structure
+//!    against its from-scratch function along the way.
 //!
 //! The output is the accepted rule set, the discovered positives, the
 //! trained classifier scores, and a per-question trace from which the
@@ -72,5 +72,5 @@ pub use remote::{
 };
 pub use shard::{RemoteShard, ShardConnector, ShardedBenefitStore};
 pub use snapshot::{SessionCounters, Snapshot, SnapshotError};
-pub use stream::{AppendMode, StreamSession, StreamStatus};
+pub use stream::{StreamSession, StreamStatus};
 pub use traversal::{Strategy, StrategyState};

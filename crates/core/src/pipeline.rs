@@ -185,11 +185,6 @@ impl<'a> Darwin<'a> {
     /// Execution-layer invariance extends across the boundary: a
     /// remote-sharded run replays the local trace byte for byte. A wire
     /// failure mid-run aborts cleanly — see [`RunResult::wire_error`].
-    /// Remote shards require the incremental benefit engine
-    /// (`DarwinConfig::incremental_benefit`, the default) — there is no
-    /// distributed rescan path, and a run configured without it aborts
-    /// with a [`RunResult::wire_error`] instead of silently running
-    /// locally.
     pub fn with_remote_shards(mut self, connect: Box<ShardConnector>) -> Darwin<'a> {
         self.remote = Some(RemoteShards {
             connect: std::sync::Arc::from(connect),
@@ -257,7 +252,9 @@ impl<'a> Darwin<'a> {
 
     /// A step-driven engine over this system — for callers that want to
     /// drive the question loop themselves (inspect state between
-    /// questions, interleave with other work) through [`Engine::step`].
+    /// questions, interleave with other work) through its verbs:
+    /// [`Engine::select`], [`Engine::record`], [`Engine::retrain_and_sync`]
+    /// and [`Engine::regen_hierarchy`].
     pub fn engine(&self, seed: Seed) -> Engine<'_> {
         Engine::new(self, seed)
     }

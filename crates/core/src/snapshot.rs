@@ -143,7 +143,10 @@ pub struct Snapshot {
     pub rng: [u64; 4],
     /// The score cache: per-sentence scores, refresh cadence, journal.
     pub cache: ScoreImage,
-    /// The persistent candidate frontier, when the run maintains one.
+    /// The persistent candidate frontier. [`Snapshot::capture`] always
+    /// writes it; a snapshot that decodes with `None` still resumes, with
+    /// a fresh pool whose first regeneration is a full walk (the memo
+    /// only ever saves cost, never changes the hierarchy).
     pub frontier: Option<FrontierImage>,
     /// The traversal strategy's explicit state.
     pub strategy: StrategyState,
@@ -166,10 +169,10 @@ fn fnv64(bytes: &[u8]) -> u64 {
 }
 
 /// Fingerprint of the *semantic* run configuration — every knob that can
-/// change the trace. Execution-layer knobs (`shards`, `threads`,
-/// `fanout`) and `warm_start` are excluded: they are bit-equivalent by
-/// the engine contract, and resuming under a different deployment is the
-/// point of a durable session.
+/// change the trace, `incremental_scoring` included. Execution-layer
+/// knobs (`shards`, `threads`, `fanout`) and `warm_start` are excluded:
+/// they are bit-equivalent by the engine contract, and resuming under a
+/// different deployment is the point of a durable session.
 pub fn config_fingerprint(cfg: &DarwinConfig) -> u64 {
     let mut buf = Vec::new();
     (cfg.budget as u64).encode(&mut buf);
@@ -187,8 +190,6 @@ pub fn config_fingerprint(cfg: &DarwinConfig) -> u64 {
     (cfg.neg_per_pos as u64).encode(&mut buf);
     (cfg.min_negatives as u64).encode(&mut buf);
     cfg.incremental_scoring.encode(&mut buf);
-    cfg.incremental_benefit.encode(&mut buf);
-    cfg.incremental_frontier.encode(&mut buf);
     match &cfg.batch {
         crate::batch::BatchPolicy::Fixed(k) => {
             0u8.encode(&mut buf);

@@ -23,9 +23,9 @@
 //! * the embeddings zero-pad ([`darwin_text::Embeddings::grow_to`]) —
 //!   appends never retrain embeddings,
 //! * the engine reconciles via [`crate::Engine::apply_append`]: score cache
-//!   (appended ids at the 0.5 neutral prior), benefit store (local spans
-//!   and remote workers, via the `CorpusAppend` wire frame), frontier
-//!   memo (dense-id remap), coverage cap, hierarchy.
+//!   (appended ids at the 0.5 neutral prior), benefit store (the local
+//!   full-span store, or remote workers via the `CorpusAppend` wire
+//!   frame), frontier memo (dense-id remap), coverage cap, hierarchy.
 //!
 //! **Epoch discipline**: the shard partition (`ShardMap`) freezes its
 //! chunk split when it grows — appended ids fold into the *last* shard's
@@ -34,12 +34,14 @@
 //! across appends, which is what lets remote workers grow in place
 //! instead of being redistributed.
 //!
-//! **The equivalence contract**: a session that appends at barriers and
-//! continues is bit-identical — trace, positives, scores — to one that
-//! rebuilt the index (and benefit aggregates, and frontier) from scratch
-//! on the grown corpus at the same barrier ([`AppendMode::Rebuild`], the
-//! reference path the suites compare against). Shards, threads and
-//! transport stay pure perf knobs throughout.
+//! **The equivalence contract**: after every append, each grown structure
+//! equals its from-scratch function on the grown corpus — the index equals
+//! [`IndexSet::build`], the benefit aggregates equal a recomputation from
+//! `(P, scores)`, the hierarchy equals a full candidate walk. So a session
+//! that appends at barriers and continues asks what a session that rebuilt
+//! everything there would ask. The suites audit each structure against
+//! its from-scratch function at every append and wave barrier.
+//! Shards, threads and transport stay pure perf knobs throughout.
 
 use crate::batch::{AsyncRunResult, Parked, Session};
 use crate::oracle::AsyncOracle;
@@ -49,20 +51,6 @@ use crate::DarwinConfig;
 use darwin_index::{AppendError, IndexSet};
 use darwin_text::embed::EmbedConfig;
 use darwin_text::{Corpus, Embeddings};
-
-/// How [`StreamSession::append`] grows the index (and the structures
-/// derived from it).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AppendMode {
-    /// Grow in place: [`IndexSet::append`], benefit aggregates folded by
-    /// delta, frontier memo remapped. The production path.
-    Delta,
-    /// Rebuild from scratch on the grown corpus: fresh index build, full
-    /// benefit recomputation, frontier memo reset. Identical output by
-    /// the append-equivalence contract — this is the reference the
-    /// equivalence suites compare [`AppendMode::Delta`] against.
-    Rebuild,
-}
 
 /// What a [`StreamSession::drive`] call left behind.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -98,7 +86,6 @@ pub struct StreamSession {
     /// `Some` between segments; taken while a `Darwin` view exists.
     emb: Option<Embeddings>,
     cfg: DarwinConfig,
-    mode: AppendMode,
     /// Consumed by the first segment's `Session::new`.
     seed: Option<Seed>,
     /// Consumed by the first segment's `Darwin` (the engine's remote
@@ -139,7 +126,6 @@ impl StreamSession {
             index,
             emb: Some(emb),
             cfg,
-            mode: AppendMode::Delta,
             seed: Some(seed),
             remote: None,
             remote_clf: None,
@@ -163,12 +149,6 @@ impl StreamSession {
     /// the coordinator's).
     pub fn with_remote_classifier(mut self, connect: Box<ClassifierConnector>) -> StreamSession {
         self.remote_clf = Some(connect);
-        self
-    }
-
-    /// Select the append path (default [`AppendMode::Delta`]).
-    pub fn with_append_mode(mut self, mode: AppendMode) -> StreamSession {
-        self.mode = mode;
         self
     }
 
@@ -263,21 +243,13 @@ impl StreamSession {
         }
         let texts: Vec<String> = texts.into_iter().map(|t| t.as_ref().to_string()).collect();
         if texts.is_empty() {
-            return Ok(0); // both modes: exactly no-op
+            return Ok(0); // exactly a no-op
         }
         let old_n = self.corpus.len() as u32;
         self.corpus.append_texts(texts.iter(), self.cfg.threads);
-        let delta = match self.mode {
-            AppendMode::Delta => Some(
-                self.index
-                    .append_with_threads(&self.corpus, self.cfg.threads)?,
-            ),
-            AppendMode::Rebuild => {
-                let config = self.index.config().clone();
-                self.index = IndexSet::build(&self.corpus, &config);
-                None
-            }
-        };
+        let delta = self
+            .index
+            .append_with_threads(&self.corpus, self.cfg.threads)?;
         if let Some(emb) = &mut self.emb {
             emb.grow_to(self.corpus.vocab().len());
         }
@@ -285,7 +257,7 @@ impl StreamSession {
             let emb = self.emb.take().expect("embeddings held between segments");
             let darwin = Darwin::with_embeddings(&self.corpus, &self.index, self.cfg.clone(), emb);
             let mut session = Session::unpark(&darwin, parked);
-            session.engine.apply_append(old_n, &texts, delta.as_ref());
+            session.engine.apply_append(old_n, &texts, &delta);
             self.live = Some(session.park());
             self.emb = Some(darwin.into_embeddings());
         }
@@ -356,19 +328,60 @@ mod tests {
         )
     }
 
-    /// Drive the schedule: to barrier 1, append batch 0, to barrier 3,
-    /// append batch 1, then to completion.
-    fn run_schedule(
-        cfg: DarwinConfig,
-        mode: AppendMode,
-        remote: bool,
-        remote_clf: bool,
-    ) -> RunResult {
+    /// Unpark the live engine over the current corpus and index, hold
+    /// every delta-maintained structure to its from-scratch function
+    /// ([`crate::batch::audit`]), and park it again. A session with no
+    /// live engine (before the first wave, after completion) has nothing
+    /// to audit.
+    fn audit(session: &mut StreamSession, label: &str) {
+        let Some(parked) = session.live.take() else {
+            return;
+        };
+        let emb = session
+            .emb
+            .take()
+            .expect("embeddings held between segments");
+        let darwin =
+            Darwin::with_embeddings(&session.corpus, &session.index, session.cfg.clone(), emb);
+        let mut live = Session::unpark(&darwin, parked);
+        crate::batch::audit(&mut live.engine, label);
+        session.live = Some(live.park());
+        session.emb = Some(darwin.into_embeddings());
+    }
+
+    /// Drive `session` to completion one wave at a time, auditing at every
+    /// barrier, and append `appends[i]` (then audit again) at barrier
+    /// `at[i]`.
+    fn drive_audited(
+        session: &mut StreamSession,
+        oracle: &mut dyn AsyncOracle,
+        at: &[u64],
+        appends: &[Vec<String>],
+        label: &str,
+    ) {
+        for wave in 1.. {
+            if session.drive(oracle, Some(wave)) == StreamStatus::Finished {
+                return;
+            }
+            audit(session, &format!("{label}: barrier {wave}"));
+            if let Some(i) = at.iter().position(|&b| b == wave) {
+                session.append(appends[i].iter()).unwrap();
+                audit(session, &format!("{label}: append at barrier {wave}"));
+            }
+        }
+    }
+
+    /// Drive the schedule, audited: to barrier 1, append batch 0, to
+    /// barrier 3, append batch 1, then to completion.
+    fn run_schedule(cfg: DarwinConfig, remote: bool, remote_clf: bool) -> RunResult {
         let (base, batches, labels) = streaming_fixture();
         let corpus = Corpus::from_texts(base.iter());
         let index = min1_index(&corpus);
-        let mut session = StreamSession::new(corpus, index, cfg, Seed::Positives(vec![0, 3]))
-            .with_append_mode(mode);
+        let label = format!(
+            "S={} t={} remote={remote} remote_clf={remote_clf}",
+            cfg.shards, cfg.threads
+        );
+        let mut session = StreamSession::new(corpus, index, cfg, Seed::Positives(vec![0, 3]));
         if remote {
             session = session.with_remote_shards(inproc_shard_connector());
         }
@@ -376,13 +389,7 @@ mod tests {
             session = session.with_remote_classifier(crate::remote::inproc_classifier_connector());
         }
         let mut oracle = Immediate::new(GroundTruthOracle::new(&labels, 0.8));
-        for (i, barrier) in [1u64, 3].iter().enumerate() {
-            if session.drive(&mut oracle, Some(*barrier)) == StreamStatus::Finished {
-                break;
-            }
-            session.append(batches[i].iter()).unwrap();
-        }
-        session.drive(&mut oracle, None);
+        drive_audited(&mut session, &mut oracle, &[1, 3], &batches, &label);
         session.into_result().expect("run completes").run
     }
 
@@ -395,12 +402,13 @@ mod tests {
         assert_eq!(a.wire_error, b.wire_error, "{label}: wire error");
     }
 
-    /// The delta append path is bit-identical to the from-scratch rebuild
-    /// reference, and shard workers / threads / fan-out stay pure perf
-    /// knobs across appends.
+    /// Appends at barriers keep the benefit store, the remote mirrors and
+    /// the hierarchy equal to their from-scratch functions on the grown
+    /// corpus, and shard workers / threads / fan-out stay pure perf knobs
+    /// across appends.
     #[test]
-    fn append_schedule_matches_rebuild_across_deployments() {
-        let reference = run_schedule(stream_cfg(1, 1), AppendMode::Rebuild, false, false);
+    fn append_schedule_audits_exact_across_deployments() {
+        let reference = run_schedule(stream_cfg(1, 1), false, false);
         assert!(
             reference.trace.len() > 2,
             "fixture must keep the run alive past the appends"
@@ -412,20 +420,9 @@ mod tests {
                 .any(|s| s.new_positive_ids.iter().any(|&id| id >= 30)),
             "appended sentences must be discoverable"
         );
-        for (shards, threads, remote) in [
-            (1, 1, false),
-            (2, 2, true),
-            (3, 1, true),
-            (2, 1, true),
-            (3, 2, true),
-        ] {
-            let got = run_schedule(
-                stream_cfg(shards, threads),
-                AppendMode::Delta,
-                remote,
-                false,
-            );
-            let label = format!("delta S={shards} t={threads} remote={remote}");
+        for (shards, threads, remote) in [(2, 2, true), (3, 1, true), (2, 1, true), (3, 2, true)] {
+            let got = run_schedule(stream_cfg(shards, threads), remote, false);
+            let label = format!("S={shards} t={threads} remote={remote}");
             assert_same_run(&got, &reference, &label);
         }
         let concurrent = run_schedule(
@@ -433,19 +430,18 @@ mod tests {
                 fanout: Fanout::Concurrent,
                 ..stream_cfg(3, 2)
             },
-            AppendMode::Delta,
             true,
             false,
         );
-        assert_same_run(&concurrent, &reference, "delta S=3 concurrent remote");
+        assert_same_run(&concurrent, &reference, "S=3 concurrent remote");
     }
 
     /// The remote classifier mirrors the corpus in its worker; appends
     /// must forward and keep scores bit-identical to the local build.
     #[test]
     fn append_forwards_to_remote_classifier() {
-        let reference = run_schedule(stream_cfg(1, 1), AppendMode::Rebuild, false, false);
-        let got = run_schedule(stream_cfg(1, 1), AppendMode::Delta, false, true);
+        let reference = run_schedule(stream_cfg(1, 1), false, false);
+        let got = run_schedule(stream_cfg(1, 1), false, true);
         assert_same_run(&got, &reference, "remote classifier");
     }
 
@@ -483,7 +479,13 @@ mod tests {
             emb,
         );
         early.append(batches[0].iter()).unwrap();
-        early.drive(&mut oracle, None);
+        drive_audited(
+            &mut early,
+            &mut oracle,
+            &[],
+            &[],
+            "append before first wave",
+        );
         let early = early.into_result().unwrap().run;
 
         let grown_texts: Vec<&String> = base.iter().chain(batches[0].iter()).collect();
@@ -499,7 +501,7 @@ mod tests {
         assert_same_run(&early, &grown, "append before first wave");
     }
 
-    /// Empty appends are exact no-ops in both modes.
+    /// Empty appends are exact no-ops.
     #[test]
     fn empty_append_is_a_no_op() {
         let (base, _, labels) = streaming_fixture();
@@ -508,11 +510,16 @@ mod tests {
         let mut session =
             StreamSession::new(corpus, index, stream_cfg(1, 1), Seed::Positives(vec![0, 3]));
         let mut oracle = Immediate::new(GroundTruthOracle::new(&labels, 0.8));
-        session.drive(&mut oracle, Some(1));
         let n = session.corpus().len();
-        assert_eq!(session.append(Vec::<String>::new()).unwrap(), 0);
+        drive_audited(
+            &mut session,
+            &mut oracle,
+            &[1, 2],
+            &[Vec::new(), Vec::new()],
+            "empty append",
+        );
         assert_eq!(session.corpus().len(), n);
-        session.drive(&mut oracle, None);
+        assert_eq!(session.append(Vec::<String>::new()).unwrap(), 0);
 
         let corpus = Corpus::from_texts(base.iter());
         let index = min1_index(&corpus);
@@ -524,6 +531,37 @@ mod tests {
             &session.into_result().unwrap().run,
             &plain.into_result().unwrap().run,
             "empty append",
+        );
+    }
+
+    /// An append after completion grows the owned corpus and index (for a
+    /// later session) and leaves the finished run exactly as it was.
+    #[test]
+    fn append_after_completion_leaves_the_run_alone() {
+        let (base, batches, labels) = streaming_fixture();
+        let finished = || {
+            let corpus = Corpus::from_texts(base.iter());
+            let index = min1_index(&corpus);
+            let mut session =
+                StreamSession::new(corpus, index, stream_cfg(1, 1), Seed::Positives(vec![0, 3]));
+            let mut oracle = Immediate::new(GroundTruthOracle::new(&labels, 0.8));
+            drive_audited(&mut session, &mut oracle, &[], &[], "before completion");
+            session
+        };
+        let mut session = finished();
+        let waves = session.waves();
+        let n = session.corpus().len();
+
+        assert_eq!(session.append(batches[0].iter()).unwrap(), batches[0].len());
+        assert_eq!(session.corpus().len(), n + batches[0].len());
+        assert_eq!(session.index().sentences(), session.corpus().len());
+        let mut oracle = Immediate::new(GroundTruthOracle::new(&labels, 0.8));
+        assert_eq!(session.drive(&mut oracle, None), StreamStatus::Finished);
+        assert_eq!(session.waves(), waves);
+        assert_same_run(
+            &session.into_result().unwrap().run,
+            &finished().into_result().unwrap().run,
+            "after completion",
         );
     }
 

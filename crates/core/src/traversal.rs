@@ -37,9 +37,9 @@ pub struct Ctx<'a> {
     pub benefit_threshold: f64,
     /// Delta-maintained benefit aggregates. When present, [`Ctx::benefit`]
     /// is a lookup for tracked rules (an O(shards) fragment merge when the
-    /// store is remote); when absent (rescan mode), it recomputes from raw
-    /// coverage. Both paths return bit-identical values — see
-    /// [`crate::benefit`] and [`crate::shard`].
+    /// store is remote); for untracked rules, or a context built without
+    /// an engine, it recomputes from raw coverage. Both return
+    /// bit-identical values — see [`crate::benefit`] and [`crate::shard`].
     pub store: Option<&'a ShardedBenefitStore>,
 }
 

@@ -9,8 +9,10 @@
 //! * [`oracles`] — test doubles: [`ScriptedOracle`] (canned answers) and
 //!   [`NoisyOracle`] (ground truth with seeded answer flips);
 //! * [`trace`] — the stepped sequential reference run
-//!   ([`step_reference`]) and trace-capture assertions: byte-for-byte run
-//!   equivalence, final-state equality, candidate-pool equality;
+//!   ([`step_reference`]), which audits every delta-maintained structure
+//!   against its from-scratch function as it goes, and trace-capture
+//!   assertions: byte-for-byte run equivalence, final-state equality,
+//!   candidate-pool equality;
 //! * [`strategies`] — proptest generators for random corpora;
 //! * [`transports`] — wire-boundary doubles: the fault-injecting
 //!   [`FlakyTransport`] and worker-deployment helpers for distributed

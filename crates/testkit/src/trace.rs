@@ -1,17 +1,27 @@
-//! Trace-capture assertions shared by the equivalence suites.
+//! The audited sequential reference and the trace-capture assertions
+//! shared by the equivalence suites.
 
+use darwin_core::benefit::benefit;
 use darwin_core::candidates::{generate_hierarchy_pooled, generate_hierarchy_scored};
 use darwin_core::traversal::{HybridSearch, LocalSearch, UniversalSearch};
-use darwin_core::{Darwin, FrontierPool, Oracle, RunResult, Seed, Strategy, TraversalKind};
+use darwin_core::{Darwin, Engine, FrontierPool, Oracle, RunResult, Seed, Strategy, TraversalKind};
 use darwin_index::{IdSet, IndexSet, RuleRef};
 use darwin_text::Corpus;
 
-/// The sequential reference run: Algorithm 1 as a plain loop of
-/// `Engine::step` — select, ask, record, feed back, retrain on YES —
-/// until the budget is spent or nothing is left to ask. Every run entry
-/// of `Darwin` goes through the wave driver; the equivalence suites
-/// compare them against this loop, which shares no code with it (the
-/// configured-traversal mapping below is the harness's own copy).
+/// The sequential reference run: Algorithm 1 as a plain loop over the
+/// engine's verbs — select, ask, record, feed back, retrain and
+/// regenerate on YES — until the budget is spent or nothing is left to
+/// ask. Every run entry of `Darwin` goes through the wave driver; the
+/// equivalence suites compare them against this loop, which shares no
+/// code with it (the configured-traversal mapping below is the harness's
+/// own copy).
+///
+/// The loop is also the audit of every delta-maintained structure: after
+/// each `record` and each `retrain_and_sync` the benefit store, the remote
+/// mirrors and every candidate's benefit must equal their from-scratch
+/// values, and after each question (a barrier) the hierarchy must equal
+/// the full candidate walk. A drift panics naming the question and the
+/// point it was caught at.
 pub fn step_reference(darwin: &Darwin<'_>, seed: Seed, oracle: &mut dyn Oracle) -> RunResult {
     let cfg = darwin.config();
     step_reference_with(darwin, seed, oracle, |seeds| match cfg.traversal {
@@ -31,19 +41,72 @@ pub fn step_reference_with(
 ) -> RunResult {
     let mut engine = darwin.engine(seed);
     let mut strategy = make_strategy(engine.seed_refs());
+    audit_benefits(&mut engine, "before the first question");
+    audit_hierarchy(darwin, &engine, "before the first question");
     for _ in 0..darwin.config().budget {
-        if !engine.step(&mut *strategy, oracle) {
+        let Some(rule) = engine.select(&mut *strategy) else {
             break;
+        };
+        let index = darwin.index();
+        let answer = oracle.ask(
+            darwin.corpus(),
+            &index.heuristic(rule),
+            index.coverage(rule),
+        );
+        engine.record(rule, answer);
+        let q = engine.questions();
+        audit_benefits(&mut engine, &format!("question {q}, after record"));
+        // The strategy observes the answer after `record` applied it, as
+        // the wave driver's barrier does.
+        strategy.feedback(rule, answer, &engine.ctx());
+        if answer {
+            engine.retrain_and_sync();
+            audit_benefits(&mut engine, &format!("question {q}, after retrain"));
+            engine.regen_hierarchy();
         }
+        audit_hierarchy(darwin, &engine, &format!("question {q}, at the barrier"));
     }
     engine.finish()
+}
+
+/// Hold the benefit side of `engine` to its from-scratch functions: the
+/// local store's tracked aggregates, the remote mirrors against their
+/// workers, and every hierarchy rule's selection-time benefit against
+/// [`benefit`] over its coverage, `P` and the current scores.
+fn audit_benefits(engine: &mut Engine<'_>, at: &str) {
+    assert!(engine.store_is_consistent(), "{at}: local store drifted");
+    assert_eq!(
+        engine.audit_remote_store(),
+        Ok(true),
+        "{at}: remote mirrors drifted"
+    );
+    let ctx = engine.ctx();
+    for &r in engine.hierarchy().rules() {
+        let scratch = benefit(ctx.index.coverage(r), ctx.p, ctx.scores);
+        assert_eq!(ctx.benefit(r), scratch, "{at}: benefit of {r:?}");
+    }
+}
+
+/// Hold `engine`'s candidate hierarchy to the full candidate walk over
+/// the current `P` (what the frontier pool's incremental regeneration
+/// must reproduce at every barrier).
+fn audit_hierarchy(darwin: &Darwin<'_>, engine: &Engine<'_>, at: &str) {
+    let cfg = darwin.config();
+    let max_count = (cfg.max_coverage_frac * darwin.corpus().len() as f64).ceil() as usize;
+    let (scratch, _) =
+        generate_hierarchy_scored(darwin.index(), &engine.state.p, cfg.n_candidates, max_count);
+    assert_eq!(
+        engine.hierarchy().rules(),
+        scratch.rules(),
+        "{at}: hierarchy differs from the full walk"
+    );
 }
 
 /// Assert two runs are byte-for-byte equivalent: same question sequence,
 /// same answers, same per-step `P` growth, same final positives and
 /// scores. The backbone of every execution-layer equivalence claim
-/// (incremental vs rescan, shard counts, thread counts, async batch 1 vs
-/// the synchronous loop).
+/// (the wave driver vs the audited stepped reference, shard counts,
+/// thread counts, async batch 1 vs the synchronous loop).
 pub fn assert_equivalent(a: &RunResult, b: &RunResult, label: &str) {
     assert_eq!(
         a.trace.len(),

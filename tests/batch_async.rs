@@ -3,8 +3,9 @@
 //! 1. **Synchronous replay.** With `BatchPolicy::Fixed(1)` and the
 //!    `Immediate` adapter, the wave driver (`Darwin::run_async`, and
 //!    `Darwin::run`/`run_with`, which are that configuration) replays the
-//!    sequential reference — a plain loop of `Engine::step`, which shares
-//!    no code with the driver — byte for byte, at every shard count (S > 1
+//!    sequential reference — the harness's audited stepped loop over the
+//!    engine's verbs, which shares no code with the driver — byte for
+//!    byte, at every shard count (S > 1
 //!    runs over InProc shard workers), thread count and answer-arrival
 //!    schedule (one question in flight means a schedule can only delay,
 //!    never reorder).
@@ -40,7 +41,7 @@ fn cfg(batch: BatchPolicy, shards: usize, threads: usize) -> DarwinConfig {
     }
 }
 
-/// The sequential reference: a loop of `Engine::step`, not a `Darwin` run
+/// The sequential reference: the audited stepped loop, not a `Darwin` run
 /// entry (those all go through the driver under test).
 fn run_sync(n: usize, dseed: u64, shards: usize, threads: usize) -> RunResult {
     let (d, index) = directions_fixture(n, dseed);

@@ -1,14 +1,17 @@
 //! The incremental engine's defining guarantee: delta-maintained benefit
-//! aggregates select the *exact same rule sequence* as the pre-refactor
-//! full-rescan path, on every traversal strategy and on the baseline
-//! selectors — and for *every shard count*: shard workers' fragments
-//! merged in the fixed-point domain are bit-identical to the local
-//! store's sums, so `DarwinConfig::shards` can never change a trace.
-//! Shards exist only as workers, so every cell with S > 1 deploys that
-//! many InProc shard workers (`darwin_testkit::inproc_shards`); a local
-//! run ignores the count. `DarwinConfig { incremental_benefit: false, .. }`
-//! keeps the rescan path alive as the reference; the engine's fixed-point
-//! sums make the paths bit-comparable (see `darwin_core::benefit`).
+//! aggregates and the persistent candidate frontier select the *exact
+//! same rule sequence* as the sequential reference, on every traversal
+//! strategy and on the baseline selectors — and for *every shard count*:
+//! shard workers' fragments merged in the fixed-point domain are
+//! bit-identical to the local store's sums, so `DarwinConfig::shards` can
+//! never change a trace. Shards exist only as workers, so every cell with
+//! S > 1 deploys that many InProc shard workers
+//! (`darwin_testkit::inproc_shards`); a local run ignores the count.
+//!
+//! The reference is the harness's stepped loop
+//! (`darwin_testkit::step_reference`), which checks every aggregate, mirror
+//! and hierarchy against its from-scratch function after each update — so
+//! a run that replays it also replays a per-question rescan.
 //!
 //! `DARWIN_TEST_THREADS` (CI runs 1 and 4) sets the worker-thread count
 //! every run in this suite uses — determinism across thread counts is part
@@ -20,25 +23,31 @@ use darwin::prelude::*;
 use darwin::text::embed::EmbedConfig;
 use darwin_core::{AnnotatorPool, DarwinConfig, RunResult};
 use darwin_testkit::strategies::corpus_texts as corpus_strategy;
-use darwin_testkit::{assert_equivalent, directions_fixture, indexed, inproc_shards, test_threads};
+use darwin_testkit::{
+    assert_equivalent, directions_fixture, indexed, inproc_shards, step_reference,
+    step_reference_with, test_threads,
+};
 use proptest::prelude::*;
 
-fn run_mode(incremental: bool, kind: TraversalKind, make: Option<MakeStrategy>) -> RunResult {
-    run_sharded(incremental, kind, make, 1)
+/// How a suite cell drives its run: the audited stepped reference, or
+/// the wave driver through `Darwin::run` / `run_with`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Drive {
+    Stepped,
+    Run,
 }
 
 fn run_sharded(
-    incremental: bool,
+    drive: Drive,
     kind: TraversalKind,
     make: Option<MakeStrategy>,
     shards: usize,
 ) -> RunResult {
-    run_cfg(incremental, true, kind, make, shards, test_threads())
+    run_cfg(drive, kind, make, shards, test_threads())
 }
 
 fn run_cfg(
-    incremental: bool,
-    frontier: bool,
+    drive: Drive,
     kind: TraversalKind,
     make: Option<MakeStrategy>,
     shards: usize,
@@ -48,8 +57,6 @@ fn run_cfg(
     let cfg = DarwinConfig {
         budget: 20,
         n_candidates: 1500,
-        incremental_benefit: incremental,
-        incremental_frontier: frontier,
         shards,
         threads,
         ..DarwinConfig::fast().with_traversal(kind)
@@ -57,9 +64,11 @@ fn run_cfg(
     let darwin = inproc_shards(Darwin::new(&d.corpus, &index, cfg));
     let seed = Seed::Rule(Heuristic::phrase(&d.corpus, d.seed_rules[0]).unwrap());
     let mut oracle = GroundTruthOracle::new(&d.labels, 0.8);
-    match make {
-        None => darwin.run(seed, &mut oracle),
-        Some(f) => darwin.run_with(seed, &mut oracle, |_| f()),
+    match (drive, make) {
+        (Drive::Stepped, None) => step_reference(&darwin, seed, &mut oracle),
+        (Drive::Stepped, Some(f)) => step_reference_with(&darwin, seed, &mut oracle, |_| f()),
+        (Drive::Run, None) => darwin.run(seed, &mut oracle),
+        (Drive::Run, Some(f)) => darwin.run_with(seed, &mut oracle, |_| f()),
     }
 }
 
@@ -70,20 +79,20 @@ fn traversals_select_identical_sequences() {
         TraversalKind::Universal,
         TraversalKind::Hybrid,
     ] {
-        let rescan = run_mode(false, kind, None);
-        let incremental = run_mode(true, kind, None);
+        let reference = run_sharded(Drive::Stepped, kind, None, 1);
+        let run = run_sharded(Drive::Run, kind, None, 1);
         assert!(
-            rescan.questions() > 0,
+            reference.questions() > 0,
             "{kind:?}: reference run asked nothing"
         );
-        assert_equivalent(&rescan, &incremental, &format!("{kind:?}"));
+        assert_equivalent(&reference, &run, &format!("{kind:?}"));
     }
 }
 
 /// Sharding is an execution detail: on every traversal strategy, S ∈
 /// {2, 4, 7} shard workers must replay the local trace byte for byte (and
-/// the local incremental trace already equals the rescan reference, by the
-/// test above).
+/// the local trace already equals the audited reference, by the test
+/// above).
 #[test]
 fn shard_counts_select_identical_sequences() {
     for kind in [
@@ -91,13 +100,13 @@ fn shard_counts_select_identical_sequences() {
         TraversalKind::Universal,
         TraversalKind::Hybrid,
     ] {
-        let reference = run_sharded(true, kind, None, 1);
+        let reference = run_sharded(Drive::Run, kind, None, 1);
         assert!(
             reference.questions() > 0,
             "{kind:?}: reference run asked nothing"
         );
         for shards in [2usize, 4, 7] {
-            let sharded = run_sharded(true, kind, None, shards);
+            let sharded = run_sharded(Drive::Run, kind, None, shards);
             assert_equivalent(&reference, &sharded, &format!("{kind:?} S={shards}"));
         }
     }
@@ -106,16 +115,17 @@ fn shard_counts_select_identical_sequences() {
 /// The incremental candidate frontier is a regeneration detail: replaying
 /// the best-first walk from the pool's memoized statistics must produce the
 /// exact trace of the from-scratch walk, across the S × threads execution
-/// matrix. The reference run disables the frontier (full root-to-frontier
-/// rescan each YES); one reference suffices because shard and thread counts
-/// provably never change a trace (tests above).
+/// matrix. The reference is the audited stepped loop, which holds the
+/// hierarchy to the full root-to-frontier walk at every barrier; one
+/// reference suffices because shard and thread counts provably never
+/// change a trace (tests above).
 #[test]
 fn frontier_regeneration_selects_identical_sequences() {
-    let reference = run_cfg(true, false, TraversalKind::Hybrid, None, 1, 1);
+    let reference = run_cfg(Drive::Stepped, TraversalKind::Hybrid, None, 1, 1);
     assert!(reference.questions() > 0, "reference run asked nothing");
     for shards in [1usize, 2, 4] {
         for threads in [1usize, 4] {
-            let pooled = run_cfg(true, true, TraversalKind::Hybrid, None, shards, threads);
+            let pooled = run_cfg(Drive::Run, TraversalKind::Hybrid, None, shards, threads);
             assert_equivalent(
                 &reference,
                 &pooled,
@@ -123,10 +133,6 @@ fn frontier_regeneration_selects_identical_sequences() {
             );
         }
     }
-    // The frontier also rides the rescan-benefit ablation unchanged.
-    let rescan_ref = run_cfg(false, false, TraversalKind::Hybrid, None, 1, 1);
-    let rescan_pooled = run_cfg(false, true, TraversalKind::Hybrid, None, 1, 1);
-    assert_equivalent(&rescan_ref, &rescan_pooled, "frontier over rescan benefits");
 }
 
 /// Warm-start retraining is pure buffer reuse: a run with
@@ -274,27 +280,28 @@ fn baseline_selectors_select_identical_sequences() {
     let cases: [(&str, MakeStrategy); 2] =
         [("HighP", || Box::new(HighP)), ("HighC", || Box::new(HighC))];
     for (label, make) in cases {
-        let rescan = run_mode(false, TraversalKind::Hybrid, Some(make));
-        let incremental = run_mode(true, TraversalKind::Hybrid, Some(make));
-        assert_equivalent(&rescan, &incremental, label);
+        let reference = run_sharded(Drive::Stepped, TraversalKind::Hybrid, Some(make), 1);
+        let run = run_sharded(Drive::Run, TraversalKind::Hybrid, Some(make), 1);
+        assert_equivalent(&reference, &run, label);
         // The baselines ride the same sharded engine — shard count must
         // not change their traces either.
-        let sharded = run_sharded(true, TraversalKind::Hybrid, Some(make), 4);
-        assert_equivalent(&rescan, &sharded, &format!("{label} S=4"));
+        let sharded = run_sharded(Drive::Run, TraversalKind::Hybrid, Some(make), 4);
+        assert_equivalent(&reference, &sharded, &format!("{label} S=4"));
     }
 }
 
 /// Three annotators in rounds — waves of three over an `AnnotatorPool`,
-/// one retrain per round: the wave refill ranks by the same aggregates,
-/// so rescan ≡ incremental ≡ S=4 there too.
+/// one retrain per round: the wave refill ranks by the same merged
+/// aggregates, so S ∈ {2, 4} shard workers replay the local rounds. (The
+/// wave-barrier audit of those aggregates against their from-scratch
+/// values lives beside the driver, in `darwin_core::batch`'s tests.)
 #[test]
 fn parallel_rounds_select_identical_sequences() {
-    let run = |incremental: bool, shards: usize| {
+    let run = |shards: usize| {
         let (d, index) = directions_fixture(600, 7);
         let cfg = DarwinConfig {
             budget: 12,
             n_candidates: 1200,
-            incremental_benefit: incremental,
             shards,
             threads: test_threads(),
             batch: BatchPolicy::Fixed(3),
@@ -311,17 +318,17 @@ fn parallel_rounds_select_identical_sequences() {
         assert!(done.report.peak_in_flight > 1, "rounds never batched");
         done.run
     };
-    let rescan = run(false, 1);
-    assert!(rescan.questions() > 3, "reference run asked nothing");
-    let incremental = run(true, 1);
-    assert_equivalent(&rescan, &incremental, "parallel");
-    let sharded = run(true, 4);
-    assert_equivalent(&rescan, &sharded, "parallel S=4");
+    let reference = run(1);
+    assert!(reference.questions() > 3, "reference run asked nothing");
+    for shards in [2usize, 4] {
+        assert_equivalent(&reference, &run(shards), &format!("parallel S={shards}"));
+    }
 }
 
-/// Drive the engine step by step and verify the delta-maintained aggregates
-/// never drift mid-run: the local store against a from-scratch
-/// recomputation, and four shard workers' mirrors against the workers.
+/// The audited stepped loop never sees the delta-maintained aggregates
+/// drift mid-run: after every record and retrain, the local store equals a
+/// from-scratch recomputation and four shard workers' mirrors equal the
+/// workers; at every barrier the hierarchy equals the full walk.
 #[test]
 fn aggregates_stay_consistent_through_a_run() {
     for shards in [1usize, 4] {
@@ -334,31 +341,14 @@ fn aggregates_stay_consistent_through_a_run() {
             ..DarwinConfig::fast()
         };
         let darwin = inproc_shards(Darwin::new(&d.corpus, &index, cfg));
-        let seed = Seed::Rule(Heuristic::phrase(&d.corpus, d.seed_rules[0]).unwrap());
+        let seed = || Seed::Rule(Heuristic::phrase(&d.corpus, d.seed_rules[0]).unwrap());
+        let remote = darwin.engine(seed()).store().unwrap().is_remote();
+        assert_eq!(remote, shards > 1, "S={shards}: wrong deployment");
         let mut oracle = GroundTruthOracle::new(&d.labels, 0.8);
-        let mut engine = darwin.engine(seed);
-        let mut strategy =
-            darwin_core::traversal::HybridSearch::new(engine.seed_refs().to_vec(), 5);
-        let consistent = |engine: &mut darwin_core::Engine<'_>| {
-            engine.store_is_consistent() && engine.audit_remote_store() == Ok(true)
-        };
+        let run = step_reference(&darwin, seed(), &mut oracle);
+        assert!(run.wire_error.is_none(), "S={shards}: {:?}", run.wire_error);
         assert!(
-            consistent(&mut engine),
-            "S={shards}: inconsistent before the first question"
-        );
-        for _ in 0..15 {
-            if !engine.step(&mut strategy, &mut oracle) {
-                break;
-            }
-            assert!(
-                consistent(&mut engine),
-                "S={shards}: aggregates drifted after question {}",
-                engine.questions()
-            );
-        }
-        assert_eq!(engine.store().unwrap().is_remote(), shards > 1);
-        assert!(
-            engine.questions() > 3,
+            run.questions() > 3 && run.trace.iter().any(|t| t.answer),
             "S={shards}: run ended suspiciously early"
         );
     }
@@ -382,7 +372,7 @@ fn local_run_is_one_full_span_store_at_any_shard_count() {
     let four = Darwin::new(&d.corpus, &index, cfg(4));
     {
         let engine = four.engine(seed());
-        let store = engine.store().expect("incremental benefit keeps a store");
+        let store = engine.store().expect("a local engine always holds a store");
         assert_eq!(store.shards(), 1);
         assert!(!store.is_remote());
         assert_eq!(store.as_local().map(|b| b.span()), Some((0, u32::MAX)));
@@ -402,8 +392,8 @@ fn local_run_is_one_full_span_store_at_any_shard_count() {
 /// compared against the plain recursive matcher and the index postings.
 #[test]
 fn match_kernels_replay_reference_trace() {
-    let a = run_mode(true, TraversalKind::Hybrid, None);
-    let b = run_mode(true, TraversalKind::Hybrid, None);
+    let a = run_sharded(Drive::Run, TraversalKind::Hybrid, None, 1);
+    let b = run_sharded(Drive::Run, TraversalKind::Hybrid, None, 1);
     assert_equivalent(&a, &b, "match-kernel trace replay");
     assert!(a.questions() > 0, "run asked nothing");
 

@@ -10,7 +10,9 @@ use darwin::core::candidates::generate_hierarchy_pooled;
 use darwin::core::{Darwin, DarwinConfig, FrontierPool, GroundTruthOracle, Seed, TraversalKind};
 use darwin::grammar::Heuristic;
 use darwin::index::IdSet;
-use darwin_testkit::{assert_same_pool, tiny_transport as setup};
+use darwin_testkit::{
+    assert_equivalent, assert_same_pool, step_reference, tiny_transport as setup,
+};
 
 /// A regeneration with an empty dirty set (e.g. the loop regenerates after
 /// a NO, or twice in a row) must apply no deltas and re-score nothing —
@@ -134,32 +136,27 @@ fn compensating_journal_violations_are_rejected() {
 }
 
 /// Engine-level smoke over the same edges: a run whose oracle accepts
-/// everything floods `P` until the hierarchy empties — the frontier and
-/// full-regeneration engines must replay identical traces through it.
+/// everything floods `P` until the hierarchy empties. The audited stepped
+/// loop holds the frontier's hierarchy to the full regeneration at every
+/// barrier through it, and the wave driver replays the stepped trace.
 #[test]
 fn engine_traces_identical_through_pool_exhaustion() {
-    let run = |frontier: bool| {
-        let (c, idx) = setup();
-        let labels = vec![true; c.len()];
-        let cfg = DarwinConfig {
-            incremental_frontier: frontier,
-            budget: 12,
-            n_candidates: 400,
-            max_coverage_frac: 1.0,
-            ..DarwinConfig::fast().with_traversal(TraversalKind::Universal)
-        };
-        let darwin = Darwin::new(&c, &idx, cfg);
-        let seed = Seed::Rule(Heuristic::phrase(&c, "shuttle").unwrap());
-        let mut oracle = GroundTruthOracle::new(&labels, 0.0);
-        darwin.run(seed, &mut oracle)
+    let (c, idx) = setup();
+    let labels = vec![true; c.len()];
+    let cfg = DarwinConfig {
+        budget: 12,
+        n_candidates: 400,
+        max_coverage_frac: 1.0,
+        ..DarwinConfig::fast().with_traversal(TraversalKind::Universal)
     };
-    let full = run(false);
-    let pooled = run(true);
-    assert_eq!(full.trace.len(), pooled.trace.len());
-    for (a, b) in full.trace.iter().zip(&pooled.trace) {
-        assert_eq!(a.rule, b.rule);
-        assert_eq!(a.answer, b.answer);
-        assert_eq!(a.new_positive_ids, b.new_positive_ids);
-    }
-    assert_eq!(full.positives, pooled.positives);
+    let darwin = Darwin::new(&c, &idx, cfg);
+    let seed = || Seed::Rule(Heuristic::phrase(&c, "shuttle").unwrap());
+    let stepped = step_reference(&darwin, seed(), &mut GroundTruthOracle::new(&labels, 0.0));
+    let run = darwin.run(seed(), &mut GroundTruthOracle::new(&labels, 0.0));
+    assert_equivalent(&stepped, &run, "through pool exhaustion");
+    assert_eq!(
+        stepped.positives.len(),
+        c.len(),
+        "the run must flood P until the pool empties"
+    );
 }

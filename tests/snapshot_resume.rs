@@ -410,6 +410,9 @@ fn future_snapshot_version_is_refused() {
 }
 
 /// Perf knobs are outside the config fingerprint; semantic knobs are in.
+/// `warm_start` is buffer reuse (bit-identical weights), so it is out;
+/// `incremental_scoring` is the §4.5 selective refresh, which leaves
+/// scores stale and changes the trace, so it is in.
 #[test]
 fn fingerprint_partitions_the_config() {
     let base = cfg(2, 1, 3);
@@ -419,6 +422,17 @@ fn fingerprint_partitions_the_config() {
     assert_eq!(
         fp,
         config_fingerprint(&base.clone().with_fanout(Fanout::Sequential))
+    );
+    assert_eq!(
+        fp,
+        config_fingerprint(&base.clone().with_warm_start(!base.warm_start))
+    );
+    assert_ne!(
+        fp,
+        config_fingerprint(&DarwinConfig {
+            incremental_scoring: !base.incremental_scoring,
+            ..base.clone()
+        })
     );
     assert_ne!(
         fp,

@@ -1,17 +1,19 @@
-//! Property tests for the append-equivalence contract (ISSUE 9): a
+//! Property tests for the append-equivalence contract: a
 //! [`StreamSession`] that appends at arbitrary wave barriers under an
 //! arbitrary deployment (shards × threads × transport × fanout) is
 //! bit-identical — trace, positives, accepted/rejected, scores — to the
-//! from-scratch [`AppendMode::Rebuild`] reference at S=1, t=1, local,
-//! driven through the *same* schedule. Edge schedules (empty appends,
-//! append before the first wave, appends after completion) fall out of
-//! the generator rather than being pinned one by one.
+//! local S=1, t=1 session driven through the *same* schedule, and after
+//! every append its grown index equals [`IndexSet::build`] on the grown
+//! corpus. Edge schedules (empty appends, append before the first wave,
+//! appends after completion) fall out of the generator rather than being
+//! pinned one by one. The engine-side structures (benefit store, remote
+//! mirrors, hierarchy) are audited against their from-scratch functions
+//! at every append and wave barrier by `darwin_core::stream`'s own tests.
 
 use darwin::core::{
-    AppendMode, BatchPolicy, DarwinConfig, Fanout, GroundTruthOracle, Immediate, RunResult, Seed,
-    StreamSession,
+    BatchPolicy, DarwinConfig, Fanout, GroundTruthOracle, Immediate, RunResult, Seed, StreamSession,
 };
-use darwin::index::{IndexConfig, IndexSet};
+use darwin::index::{IndexConfig, IndexSet, RuleRef};
 use darwin::text::Corpus;
 use darwin_testkit::{shard_connector, TransportKind};
 use proptest::prelude::*;
@@ -114,10 +116,28 @@ fn cfg(d: &Deployment) -> DarwinConfig {
     }
 }
 
-/// Drive `sched` under `d`/`mode` and return the finished run. Labels are
-/// a pure function of the schedule, so the reference and the candidate
-/// see the same oracle.
-fn run_schedule(sched: &Schedule, d: &Deployment, mode: AppendMode) -> RunResult {
+/// Everything a session can observe of an index's rules: the rule
+/// sequence, each rule's heuristic and coverage.
+fn assert_index_is_build(session: &StreamSession, label: &str) {
+    let (index, corpus) = (session.index(), session.corpus());
+    let built = IndexSet::build(corpus, index.config());
+    assert_eq!(index.sentences(), built.sentences(), "{label}: sentences");
+    let rules: Vec<RuleRef> = index.all_rules().collect();
+    assert_eq!(
+        rules,
+        built.all_rules().collect::<Vec<_>>(),
+        "{label}: rule sequence"
+    );
+    for &r in &rules {
+        assert_eq!(index.heuristic(r), built.heuristic(r), "{label}: {r:?}");
+        assert_eq!(index.coverage(r), built.coverage(r), "{label}: {r:?}");
+    }
+}
+
+/// Drive `sched` under `d` and return the finished run, holding the index
+/// to a fresh build after every append. Labels are a pure function of the
+/// schedule, so the reference and the candidate see the same oracle.
+fn run_schedule(sched: &Schedule, d: &Deployment) -> RunResult {
     let (base, mut labels) = base_texts();
     let pre_batch = batch_texts(0, sched.pre, &mut labels);
     let step_batches: Vec<Vec<String>> = sched
@@ -136,13 +156,13 @@ fn run_schedule(sched: &Schedule, d: &Deployment, mode: AppendMode) -> RunResult
             ..Default::default()
         },
     );
-    let mut session = StreamSession::new(corpus, index, cfg(d), Seed::Positives(vec![0, 3]))
-        .with_append_mode(mode);
+    let mut session = StreamSession::new(corpus, index, cfg(d), Seed::Positives(vec![0, 3]));
     if let Some(kind) = d.transport {
         session = session.with_remote_shards(shard_connector(kind, Some(worker_exe())));
     }
     let mut oracle = Immediate::new(GroundTruthOracle::new(&labels, 0.8));
     session.append(pre_batch.iter()).unwrap();
+    assert_index_is_build(&session, "append before the first wave");
     let mut barrier = 0u64;
     for (&(gap, _), batch) in sched.steps.iter().zip(&step_batches) {
         barrier += gap;
@@ -151,6 +171,7 @@ fn run_schedule(sched: &Schedule, d: &Deployment, mode: AppendMode) -> RunResult
         // the contract pins, so keep applying the schedule either way.
         session.drive(&mut oracle, Some(barrier));
         session.append(batch.iter()).unwrap();
+        assert_index_is_build(&session, &format!("append at barrier {barrier}"));
     }
     session.drive(&mut oracle, None);
     session.into_result().expect("run completes").run
@@ -172,35 +193,16 @@ proptest! {
     // corners every time.
     #![proptest_config(ProptestConfig { cases: 6, ..Default::default() })]
 
-    /// Delta-append under any sampled deployment replays the local
-    /// single-shard rebuild reference bit for bit, for any sampled
-    /// append schedule.
+    /// Appends under any sampled deployment replay the local
+    /// single-shard session bit for bit, for any sampled append schedule.
     #[test]
     fn append_schedule_equivalence(sched in schedule(), d in deployment()) {
         let reference = run_schedule(
             &sched,
             &Deployment { shards: 1, threads: 1, transport: None, fanout: Fanout::Sequential },
-            AppendMode::Rebuild,
         );
-        let got = run_schedule(&sched, &d, AppendMode::Delta);
+        let got = run_schedule(&sched, &d);
         let label = format!("schedule {sched:?} under {d:?}");
-        assert_same_run(&got, &reference, &label);
-    }
-
-    /// Rebuild mode itself is deployment-invariant: the reference path
-    /// the contract leans on is not a single-configuration artifact.
-    #[test]
-    fn rebuild_reference_is_deployment_invariant(sched in schedule(), d in deployment()) {
-        // Remote workers always grow by delta (`CorpusAppend`); rebuild
-        // mode on a remote deployment rebuilds coordinator structures and
-        // re-syncs the workers, which must land in the same place.
-        let reference = run_schedule(
-            &sched,
-            &Deployment { shards: 1, threads: 1, transport: None, fanout: Fanout::Sequential },
-            AppendMode::Rebuild,
-        );
-        let got = run_schedule(&sched, &d, AppendMode::Rebuild);
-        let label = format!("rebuild, schedule {sched:?} under {d:?}");
         assert_same_run(&got, &reference, &label);
     }
 }

@@ -26,8 +26,8 @@
 use darwin::prelude::*;
 use darwin_core::AsyncRunResult;
 use darwin_testkit::{
-    assert_equivalent, directions_fixture, shard_connector, test_batch, test_threads,
-    test_transport, wire_oracle, Fault, FlakyTransport, TransportKind,
+    assert_equivalent, directions_fixture, shard_connector, step_reference_with, test_batch,
+    test_threads, test_transport, wire_oracle, Fault, FlakyTransport, TransportKind,
 };
 use darwin_wire::{InProc, Transport, WireError};
 use proptest::prelude::*;
@@ -213,24 +213,24 @@ proptest! {
 }
 
 /// A healthy distributed engine keeps its fragment mirrors *exact*: the
-/// audit fetches every fragment back from the workers and compares.
+/// audited stepped loop fetches every fragment back from the workers
+/// after each record and retrain and compares.
 #[test]
 fn remote_mirrors_audit_exact_after_stepping() {
     let (d, index) = directions_fixture(N, DSEED);
-    let darwin = Darwin::new(&d.corpus, &index, cfg(N, 3, 1, 1))
+    let c = DarwinConfig {
+        budget: 6,
+        ..cfg(N, 3, 1, 1)
+    };
+    let darwin = Darwin::new(&d.corpus, &index, c)
         .with_remote_shards(shard_connector(TransportKind::InProc, None));
     let seed = Seed::Rule(Heuristic::phrase(&d.corpus, d.seed_rules[0]).unwrap());
-    let mut engine = darwin.engine(seed);
-    let mut strategy = darwin_core::traversal::UniversalSearch::new();
     let mut oracle = GroundTruthOracle::new(&d.labels, 0.8);
-    for _ in 0..6 {
-        if !engine.step(&mut strategy, &mut oracle) {
-            break;
-        }
-        assert!(engine.audit_remote_store().unwrap(), "mirror drifted");
-    }
-    assert!(engine.wire_error().is_none());
-    assert!(engine.store_is_consistent());
+    let run = step_reference_with(&darwin, seed, &mut oracle, |_| {
+        Box::new(darwin_core::traversal::UniversalSearch::new())
+    });
+    assert!(run.wire_error.is_none(), "{:?}", run.wire_error);
+    assert_eq!(run.questions(), 6, "every step must be audited");
 }
 
 /// `IndexConfig::threads` is a deployment axis like any other: the
@@ -403,24 +403,6 @@ fn truncating_transport_refuses_cleanly() {
         run.trace.is_empty(),
         "no questions may be asked without a benefit store"
     );
-}
-
-/// Remote shards have no distributed form of the rescan ablation: a
-/// run configured with `incremental_benefit: false` refuses loudly
-/// instead of silently running in-process with no workers.
-#[test]
-fn remote_without_incremental_benefit_refuses() {
-    let (d, index) = directions_fixture(200, DSEED);
-    let mut c = cfg(200, 2, 1, 1);
-    c.incremental_benefit = false;
-    let darwin = Darwin::new(&d.corpus, &index, c)
-        .with_remote_shards(shard_connector(TransportKind::InProc, None));
-    let seed = Seed::Rule(Heuristic::phrase(&d.corpus, d.seed_rules[0]).unwrap());
-    let mut oracle = GroundTruthOracle::new(&d.labels, 0.8);
-    let run = darwin.run(seed, &mut oracle);
-    let err = run.wire_error.as_deref().expect("must refuse");
-    assert!(err.contains("incremental_benefit"), "got {err}");
-    assert!(run.trace.is_empty(), "no questions without a store");
 }
 
 /// A dead oracle worker abandons the wave like PR 4's silent-oracle
