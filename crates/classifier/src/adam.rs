@@ -61,19 +61,77 @@ impl Param {
     /// One Adam step over the accumulated gradient; `t` is the 1-based step
     /// counter shared across all parameters of the model.
     pub fn adam_step(&mut self, lr: f32, t: u32) {
-        const B1: f32 = 0.9;
-        const B2: f32 = 0.999;
-        const EPS: f32 = 1e-8;
-        let bc1 = 1.0 - B1.powi(t as i32);
-        let bc2 = 1.0 - B2.powi(t as i32);
-        for i in 0..self.w.len() {
-            let g = self.g[i];
-            self.m[i] = B1 * self.m[i] + (1.0 - B1) * g;
-            self.v[i] = B2 * self.v[i] + (1.0 - B2) * g * g;
-            let mhat = self.m[i] / bc1;
-            let vhat = self.v[i] / bc2;
-            self.w[i] -= lr * mhat / (vhat.sqrt() + EPS);
+        let k = Adam::new(lr, t);
+        let lanes = self.w.iter_mut().zip(&mut self.m).zip(&mut self.v);
+        for (((w, m), v), &g) in lanes.zip(&self.g) {
+            k.lane(w, m, v, g);
         }
+    }
+
+    /// The L2-regularised gradient and the Adam step in one pass: lane `i`
+    /// takes the gradient `d·x[i] + λ·w[i]`, with `λ = l2[0]` below `split`
+    /// and `l2[1]` from it on, and then the update [`Param::adam_step`]
+    /// gives it. Every lane evaluates the same f32 expression in the same
+    /// order and lanes never interact, so the result is bit for bit that of
+    /// writing the gradient into `g` and calling `adam_step`; `g` itself is
+    /// neither read nor written.
+    pub(crate) fn grad_adam_step(
+        &mut self,
+        x: &[f32],
+        d: f32,
+        split: usize,
+        l2: [f32; 2],
+        lr: f32,
+        t: u32,
+    ) {
+        assert_eq!(x.len(), self.w.len(), "one input per lane");
+        let k = Adam::new(lr, t);
+        let (w0, w1) = self.w.split_at_mut(split);
+        let (m0, m1) = self.m.split_at_mut(split);
+        let (v0, v1) = self.v.split_at_mut(split);
+        let (x0, x1) = x.split_at(split);
+        for (w, m, v, x, l2) in [(w0, m0, v0, x0, l2[0]), (w1, m1, v1, x1, l2[1])] {
+            let lanes = w.iter_mut().zip(m).zip(v);
+            for (((w, m), v), &x) in lanes.zip(x) {
+                let g = d * x + l2 * *w;
+                k.lane(w, m, v, g);
+            }
+        }
+    }
+}
+
+const B1: f32 = 0.9;
+const B2: f32 = 0.999;
+const EPS: f32 = 1e-8;
+
+/// One Adam step's constants: the learning rate and the bias corrections
+/// of step `t`.
+#[derive(Clone, Copy)]
+struct Adam {
+    lr: f32,
+    bc1: f32,
+    bc2: f32,
+}
+
+impl Adam {
+    fn new(lr: f32, t: u32) -> Adam {
+        Adam {
+            lr,
+            bc1: 1.0 - B1.powi(t as i32),
+            bc2: 1.0 - B2.powi(t as i32),
+        }
+    }
+
+    /// The update of one lane with gradient `g` — the only place the Adam
+    /// expression is written. Inlined into zipped-slice loops, which LLVM
+    /// turns into packed arithmetic (IEEE per lane, never contracted).
+    #[inline(always)]
+    fn lane(self, w: &mut f32, m: &mut f32, v: &mut f32, g: f32) {
+        *m = B1 * *m + (1.0 - B1) * g;
+        *v = B2 * *v + (1.0 - B2) * g * g;
+        let mhat = *m / self.bc1;
+        let vhat = *v / self.bc2;
+        *w -= self.lr * mhat / (vhat.sqrt() + EPS);
     }
 }
 
@@ -97,6 +155,7 @@ pub fn bce(p: f32, y: f32) -> f32 {
 
 #[cfg(test)]
 mod tests {
+    #![allow(clippy::needless_range_loop)] // the oracles are indexed loops
     use super::*;
     use rand::SeedableRng;
 
@@ -110,6 +169,115 @@ mod tests {
             p.adam_step(0.05, t);
         }
         assert!((p.w[0] - 3.0).abs() < 0.05, "w = {}", p.w[0]);
+    }
+
+    /// `adam_step` as an indexed loop: the oracle the vectorised
+    /// zipped-slice loops are held to.
+    fn adam_step_indexed(p: &mut Param, lr: f32, t: u32) {
+        let bc1 = 1.0 - B1.powi(t as i32);
+        let bc2 = 1.0 - B2.powi(t as i32);
+        for i in 0..p.w.len() {
+            let g = p.g[i];
+            p.m[i] = B1 * p.m[i] + (1.0 - B1) * g;
+            p.v[i] = B2 * p.v[i] + (1.0 - B2) * g * g;
+            let mhat = p.m[i] / bc1;
+            let vhat = p.v[i] / bc2;
+            p.w[i] -= lr * mhat / (vhat.sqrt() + EPS);
+        }
+    }
+
+    /// The step counters under test: the first two, one from a short fit
+    /// and one from a long fit, where `B1^t` has underflowed to zero.
+    const TS: [u32; 4] = [1, 2, 165, 17_320];
+    const L2: [f32; 2] = [1e-4, 6e-3];
+    const LR: f32 = 0.05;
+
+    /// Mid-training state over `n` lanes with its input row: every third
+    /// lane is untouched (`x = 0`, `w = m = v = +0.0`), the others hold
+    /// non-zero weights and moments.
+    fn state(n: usize, seed: u64) -> (Param, Vec<f32>) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut p = Param::uniform(n, 0.5, &mut rng);
+        let mut x = vec![0.0; n];
+        for i in 0..n {
+            if i % 3 == 2 {
+                p.w[i] = 0.0;
+            } else {
+                x[i] = rng.gen_range(-1.0..1.0);
+                p.m[i] = rng.gen_range(-0.1..0.1);
+                p.v[i] = rng.gen_range(0.0..0.01);
+            }
+        }
+        (p, x)
+    }
+
+    /// Lane counts under test: every remainder the packed body can leave,
+    /// and the active-set width of a paper-size fit.
+    fn lengths() -> impl Iterator<Item = usize> {
+        (1..=13).chain([228])
+    }
+
+    fn assert_same_bits(a: &Param, b: &Param, what: &str) {
+        for (name, x, y) in [("w", &a.w, &b.w), ("m", &a.m, &b.m), ("v", &a.v, &b.v)] {
+            for (i, (x, y)) in x.iter().zip(y).enumerate() {
+                assert_eq!(
+                    x.to_bits(),
+                    y.to_bits(),
+                    "{what}: {name}[{i}] {x:e} vs {y:e}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn zipped_adam_step_equals_the_indexed_loop_bit_for_bit() {
+        for n in lengths() {
+            for t in TS {
+                let (mut p, _) = state(n, n as u64 ^ t as u64);
+                let mut rng = SmallRng::seed_from_u64(t as u64);
+                for (i, g) in p.g.iter_mut().enumerate() {
+                    *g = if i % 3 == 2 {
+                        0.0
+                    } else {
+                        rng.gen_range(-1.0..1.0)
+                    };
+                }
+                let mut want = p.clone();
+                adam_step_indexed(&mut want, LR, t);
+                p.adam_step(LR, t);
+                assert_same_bits(&p, &want, &format!("n {n} t {t}"));
+            }
+        }
+    }
+
+    /// The fused step against its definition: the gradient written into
+    /// `g` by an indexed pass, then the indexed Adam loop. `d·0.0` is
+    /// `-0.0` for `d < 0`, so the untouched lanes check that the sum with
+    /// `λ·(+0.0)` still leaves them at `+0.0`.
+    #[test]
+    fn fused_step_equals_gradient_then_adam_step_bit_for_bit() {
+        for n in lengths() {
+            for split in [0, 1, n - 1, n] {
+                for d in [-0.75f32, 0.0, 0.6] {
+                    for t in TS {
+                        let what = format!("n {n} split {split} d {d} t {t}");
+                        let (mut p, x) = state(n, (n * 31 + split) as u64 ^ t as u64);
+                        let mut want = p.clone();
+                        for i in 0..n {
+                            let l2 = if i < split { L2[0] } else { L2[1] };
+                            want.g[i] = d * x[i] + l2 * want.w[i];
+                        }
+                        adam_step_indexed(&mut want, LR, t);
+                        p.grad_adam_step(&x, d, split, L2, LR, t);
+                        assert_same_bits(&p, &want, &what);
+                        for i in (2..n).step_by(3) {
+                            let lane = [p.w[i], p.m[i], p.v[i]].map(f32::to_bits);
+                            assert_eq!(lane, [0; 3], "{what}: untouched lane {i} moved");
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

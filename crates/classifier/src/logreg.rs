@@ -29,10 +29,12 @@
 //!   `d·0.0 + l2_bow·0.0 = ±0.0 + +0.0 = +0.0` for any finite `d`; both
 //!   Adam moments stay `+0.0`; and `w -= lr·0/(√0 + ε)` leaves `+0.0`.
 //!   Parameters are re-zeroed at every fit, so the set is per fit.
-//! * Active lanes run the same per-lane gradient and [`Param::adam_step`]
-//!   arithmetic over a compact tensor laid out `[embedding | active
-//!   buckets ascending | bias]` — lanes do not interact in either pass, so
-//!   where a lane lives cannot change its value.
+//! * Active lanes run the same per-lane arithmetic over a compact tensor
+//!   laid out `[embedding | active buckets ascending | bias]`, in one pass
+//!   (`Param::grad_adam_step`): each lane takes the dense loop's gradient,
+//!   then the [`Param::adam_step`] update. Lanes do not interact, so
+//!   neither where a lane lives nor whether its gradient is stored in
+//!   between can change its value.
 //! * The forward pass is [`dot_f32`] over the full-width vectors, replayed
 //!   from the row's non-zeros by [`dot_f32_nonzeros`] with each product
 //!   sent to the accumulator its *full-width* index selects.
@@ -162,7 +164,9 @@ impl LogReg {
         }
     }
 
-    /// The full-width dense training loop — the reference arithmetic.
+    /// The full-width dense training loop — the reference arithmetic, in
+    /// two passes per step: the gradient into `g`, then
+    /// [`Param::adam_step`].
     fn fit_dense(
         &mut self,
         corpus: &Corpus,
@@ -262,12 +266,8 @@ impl LogReg {
                 let p = sigmoid(z);
                 let cw = if y > 0.5 { pos_weight } else { 1.0 };
                 let d = cw * (p - y);
-                for i in 0..n {
-                    let l2 = if i < emb_dim { cfg.l2 } else { cfg.l2_bow };
-                    w.g[i] = d * f[i] + l2 * w.w[i];
-                }
                 step += 1;
-                w.adam_step(cfg.lr, step);
+                w.grad_adam_step(&f, d, emb_dim, [cfg.l2, cfg.l2_bow], cfg.lr, step);
                 for &b in idx {
                     f[lane_of[b as usize] as usize] = 0.0;
                 }
