@@ -15,11 +15,6 @@
 //!   between wave barriers: everything above plus embedding zero-pad,
 //!   score-cache growth, benefit-store fold and hierarchy regeneration.
 //!
-//! A fourth cell microbenchmarks the reusable tree match kernel
-//! (`MatchCtx`) against the plain recursive matcher it replays, sweeping
-//! the indexed tree rules over the base corpus — the per-rule coverage
-//! cost the engine pays mid-run.
-//!
 //! Besides the criterion report, running this bench rewrites
 //! `BENCH_stream.json` at the repo root (schema in BENCHES.md).
 
@@ -27,9 +22,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use darwin_core::stream::StreamSession;
 use darwin_core::{BatchPolicy, DarwinConfig, GroundTruthOracle, Immediate, Seed};
 use darwin_datasets::directions;
-use darwin_grammar::{Heuristic, MatchCtx, TreePattern};
 use darwin_index::{IndexConfig, IndexSet};
-use darwin_text::Corpus;
 use std::time::Instant;
 
 const SEED: u64 = 42;
@@ -138,58 +131,6 @@ fn measure_live_session(threads: usize, batch: usize, batches: usize) -> Row {
     row("live_session", batch, batches, total_ns)
 }
 
-struct KernelCell {
-    patterns: usize,
-    sentences: usize,
-    kernel_ns: u64,
-    recursive_ns: u64,
-}
-
-/// Sweep up to 512 indexed tree rules over the base corpus, once with the
-/// reusable kernel (memo/size/stack arenas reused across calls) and once
-/// with the recursive reference it must replay; assert identical hit
-/// counts so the speedup is an equivalence-checked measurement.
-fn measure_match_kernel() -> (Vec<TreePattern>, Corpus, KernelCell) {
-    let d = directions::generate(BASE_SENTENCES, SEED);
-    let index = IndexSet::build(&d.corpus, &min1());
-    let patterns: Vec<TreePattern> = index
-        .all_rules()
-        .filter_map(|r| match index.heuristic(r) {
-            Heuristic::Tree(p) => Some(p),
-            Heuristic::Phrase(_) => None,
-        })
-        .take(512)
-        .collect();
-
-    let mut ctx = MatchCtx::new();
-    let t = Instant::now();
-    let mut kernel_hits = 0usize;
-    for p in &patterns {
-        for s in d.corpus.sentences() {
-            kernel_hits += ctx.matches(p, s) as usize;
-        }
-    }
-    let kernel_ns = t.elapsed().as_nanos() as u64;
-
-    let t = Instant::now();
-    let mut recursive_hits = 0usize;
-    for p in &patterns {
-        for s in d.corpus.sentences() {
-            recursive_hits += p.matches(s) as usize;
-        }
-    }
-    let recursive_ns = t.elapsed().as_nanos() as u64;
-    assert_eq!(kernel_hits, recursive_hits, "kernel must replay reference");
-
-    let cell = KernelCell {
-        patterns: patterns.len(),
-        sentences: d.corpus.len(),
-        kernel_ns,
-        recursive_ns,
-    };
-    (patterns, d.corpus, cell)
-}
-
 fn bench_stream(c: &mut Criterion) {
     let host_threads = std::thread::available_parallelism().map_or(1, |p| p.get());
     let threads = host_threads.min(4);
@@ -205,19 +146,6 @@ fn bench_stream(c: &mut Criterion) {
                 1000,
                 2,
             ))
-        })
-    });
-    let (patterns, corpus, kernel) = measure_match_kernel();
-    g.bench_function("tree_match_kernel", |b| {
-        let mut ctx = MatchCtx::new();
-        b.iter(|| {
-            let mut hits = 0usize;
-            for p in patterns.iter().take(32) {
-                for s in corpus.sentences() {
-                    hits += ctx.matches(p, s) as usize;
-                }
-            }
-            criterion::black_box(hits)
         })
     });
     g.finish();
@@ -249,20 +177,8 @@ fn bench_stream(c: &mut Criterion) {
             r.path, r.batch_sentences, r.sentences_per_sec
         );
     }
-    let kernel_speedup = kernel.recursive_ns as f64 / kernel.kernel_ns.max(1) as f64;
-    let kernel_block = format!(
-        "  \"match_kernel\": {{\n    \"patterns\": {},\n    \"sentences\": {},\n    \"kernel_ns\": {},\n    \"recursive_ns\": {},\n    \"speedup\": {:.2}\n  }},",
-        kernel.patterns, kernel.sentences, kernel.kernel_ns, kernel.recursive_ns, kernel_speedup
-    );
-    println!(
-        "stream_bench match_kernel: {} patterns x {} sentences, kernel {:.1}ms vs recursive {:.1}ms ({kernel_speedup:.2}x)",
-        kernel.patterns,
-        kernel.sentences,
-        kernel.kernel_ns as f64 / 1e6,
-        kernel.recursive_ns as f64 / 1e6
-    );
     let json = format!(
-        "{{\n  \"bench\": \"stream_append\",\n  \"base_sentences\": {BASE_SENTENCES},\n  \"host_threads\": {host_threads},\n  \"append_threads\": {threads},\n  \"sustained_sentences_per_sec\": {sustained:.0},\n{kernel_block}\n  \"rows\": [\n{blocks}\n  ]\n}}\n"
+        "{{\n  \"bench\": \"stream_append\",\n  \"base_sentences\": {BASE_SENTENCES},\n  \"host_threads\": {host_threads},\n  \"append_threads\": {threads},\n  \"sustained_sentences_per_sec\": {sustained:.0},\n  \"rows\": [\n{blocks}\n  ]\n}}\n"
     );
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_stream.json");
     std::fs::write(path, &json).expect("write BENCH_stream.json");

@@ -31,6 +31,7 @@ use darwin_classifier::{ClassifierKind, CnnConfig, LogRegConfig, TextClassifier}
 use darwin_index::fx::FxHashSet;
 use darwin_index::{IdSet, IndexConfig, IndexSet, RuleRef};
 use darwin_text::embed::EmbedConfig;
+use darwin_text::sentence::MAX_TOKENS;
 use darwin_text::{Corpus, Embeddings};
 use darwin_wire::frame::{MIN_SUPPORTED_VERSION, PROTOCOL_VERSION};
 use darwin_wire::msg::{
@@ -147,6 +148,16 @@ pub fn serve_shard(t: &mut dyn Transport) -> Result<(), WireError> {
                 }
                 if positives.iter().any(|&id| id < lo || id >= hi) {
                     reply_error(t, seq, "initial positive outside the span".into())?;
+                    continue;
+                }
+                // Not clamped: the phrase length fixes the rule numbering.
+                if !(1..=MAX_TOKENS).contains(&index.max_phrase_len) {
+                    let len = index.max_phrase_len;
+                    reply_error(
+                        t,
+                        seq,
+                        format!("max_phrase_len {len} outside 1..={MAX_TOKENS}"),
+                    )?;
                     continue;
                 }
                 let corpus = match corpus.restore() {
@@ -912,8 +923,9 @@ mod tests {
     }
 
     /// A malformed init — span past the corpus, inverted span, positives
-    /// outside the span — must be a clean remote error, never a worker
-    /// panic, and the loop must survive to accept a valid init.
+    /// outside the span, a phrase length outside `1..=MAX_TOKENS` — must
+    /// be a clean remote error, never a worker panic, and the loop must
+    /// survive to accept a valid init.
     #[test]
     fn shard_worker_validates_init_spans() {
         let (c, _labels) = corpus();
@@ -922,17 +934,23 @@ mod tests {
         let mut session = Session::new(Box::new(client));
         session.hello().unwrap();
         let slice = CorpusSlice::full(&c);
+        let small = IndexConfig::small().max_phrase_len;
         let bad_inits = [
-            (0u32, 10u32, vec![], vec![0.5; 10]), // hi past the corpus
-            (3, 1, vec![], vec![]),               // inverted span
-            (0, 3, vec![4], vec![0.5; 3]),        // positive outside span
-            (0, 3, vec![0], vec![0.5; 2]),        // scores length mismatch
+            (0u32, 10u32, vec![], vec![0.5; 10], small), // hi past the corpus
+            (3, 1, vec![], vec![], small),               // inverted span
+            (0, 3, vec![4], vec![0.5; 3], small),        // positive outside span
+            (0, 3, vec![0], vec![0.5; 2], small),        // scores length mismatch
+            (0, 3, vec![0], vec![0.5; 3], 0),            // no phrase length
+            (0, 3, vec![0], vec![0.5; 3], usize::MAX),   // phrase end overflows
         ];
-        for (lo, hi, positives, scores) in bad_inits {
+        for (lo, hi, positives, scores, max_phrase_len) in bad_inits {
             let err = session
                 .call(&Request::ShardInit {
                     corpus: slice.clone(),
-                    index: IndexConfig::small(),
+                    index: IndexConfig {
+                        max_phrase_len,
+                        ..IndexConfig::small()
+                    },
                     lo,
                     hi,
                     positives,

@@ -64,25 +64,13 @@ impl Heuristic {
 
     /// Brute-force coverage: ids of all corpus sentences satisfying the
     /// heuristic. The index provides the fast path; this is the reference
-    /// implementation used in tests and for out-of-index heuristics. Tree
-    /// heuristics sweep through one reusable [`crate::tree::MatchCtx`]
-    /// (verdicts bit-identical to [`Heuristic::matches`]).
+    /// implementation used in tests and for out-of-index heuristics.
     pub fn coverage(&self, corpus: &Corpus) -> Vec<u32> {
-        match self {
-            Heuristic::Phrase(p) => corpus
-                .sentences()
-                .filter(|&s| p.matches(s))
-                .map(|s| s.id())
-                .collect(),
-            Heuristic::Tree(t) => {
-                let mut ctx = crate::tree::MatchCtx::new();
-                corpus
-                    .sentences()
-                    .filter(|&s| ctx.matches(t, s))
-                    .map(|s| s.id())
-                    .collect()
-            }
-        }
+        corpus
+            .sentences()
+            .filter(|&s| self.matches(s))
+            .map(|s| s.id())
+            .collect()
     }
 
     /// Derivation length under the owning grammar.

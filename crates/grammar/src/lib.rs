@@ -24,4 +24,4 @@ pub mod tree;
 
 pub use heuristic::{Heuristic, ParseError};
 pub use phrase::{PhraseElem, PhrasePattern};
-pub use tree::{MatchCtx, TreePattern, TreeTerm};
+pub use tree::{TreePattern, TreeTerm};

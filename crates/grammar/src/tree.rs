@@ -73,8 +73,7 @@ impl TreePattern {
     }
 
     /// Does the pattern hold at tree node `i`? Plain recursion over the
-    /// corpus-resident CSR adjacency; [`MatchCtx`] is the amortized kernel
-    /// for whole-sentence sweeps.
+    /// corpus-resident CSR adjacency.
     pub fn matches_at(&self, s: Sentence<'_>, i: usize) -> bool {
         match self {
             TreePattern::Term(t) => t.matches_node(&s, i),
@@ -91,147 +90,6 @@ impl TreePattern {
     /// Does `sentence` satisfy this heuristic (the pattern holds at any node)?
     pub fn matches(&self, sentence: Sentence<'_>) -> bool {
         (0..sentence.len()).any(|i| self.matches_at(sentence, i))
-    }
-}
-
-/// Reusable whole-sentence match scratch — the tree match kernel.
-///
-/// The plain [`TreePattern::matches`] recursion re-derives a subpattern's
-/// verdict at the same tree node once per anchor whose `Child`/`Desc` walk
-/// reaches it, and every `Desc` step allocates a descendants `Vec`.
-/// `MatchCtx` memoizes composite-subpattern (pattern node × token)
-/// verdicts in a flat arena and walks descendants over the sentence's CSR
-/// adjacency with a reusable stack, so sweeping all anchors costs each
-/// subpattern at most once per token and allocates nothing after warm-up.
-/// Term leaves and the root skip the arena — a leaf recomputes cheaper
-/// than it probes, and the root is reached once per anchor.
-///
-/// Verdicts are bit-identical to the plain recursion: every memo cell is a
-/// pure function of (pattern node, sentence, token), and the descendant
-/// walk visits the same nodes in the same order as
-/// [`Sentence::descendants`] (pop from the tail, push children ascending).
-/// The property suite pins this equivalence on arbitrary trees.
-#[derive(Default)]
-pub struct MatchCtx {
-    /// node×token verdict arena: 0 unknown, 1 no, 2 yes.
-    memo: Vec<u8>,
-    /// Pre-order subtree sizes of the currently bound pattern; node ids are
-    /// pre-order positions, so node `n`'s children sit at `n + 1` and
-    /// `n + 1 + sizes[n + 1]`.
-    sizes: Vec<u32>,
-    /// Descendant-walk scratch, segmented by recursion depth.
-    stack: Vec<u16>,
-}
-
-impl MatchCtx {
-    pub fn new() -> MatchCtx {
-        MatchCtx::default()
-    }
-
-    /// Does the pattern hold at any node of `s`? Equivalent to
-    /// [`TreePattern::matches`], amortized over all anchors.
-    pub fn matches(&mut self, p: &TreePattern, s: Sentence<'_>) -> bool {
-        self.bind(p, &s);
-        (0..s.len()).any(|i| self.eval(p, 0, &s, i))
-    }
-
-    /// Does the pattern hold at node `i`? Equivalent to
-    /// [`TreePattern::matches_at`]. Rebinds the arena, so prefer
-    /// [`MatchCtx::matches`] when sweeping anchors.
-    pub fn matches_at(&mut self, p: &TreePattern, s: Sentence<'_>, i: usize) -> bool {
-        self.bind(p, &s);
-        self.eval(p, 0, &s, i)
-    }
-
-    fn bind(&mut self, p: &TreePattern, s: &Sentence) {
-        fn layout(p: &TreePattern, sizes: &mut Vec<u32>) -> u32 {
-            let me = sizes.len();
-            sizes.push(1);
-            if let TreePattern::Child(a, b) | TreePattern::Desc(a, b) | TreePattern::And(a, b) = p {
-                let sz = 1 + layout(a, sizes) + layout(b, sizes);
-                sizes[me] = sz;
-                sz
-            } else {
-                1
-            }
-        }
-        self.sizes.clear();
-        layout(p, &mut self.sizes);
-        self.memo.clear();
-        // Memo cells only ever pay off on *composite* subpatterns strictly
-        // below the root: the root is evaluated once per anchor and Term
-        // nodes are cheaper to recompute than to probe (both bypass the
-        // memo in `eval`). Small patterns — the bulk of the enumerated
-        // family — thus skip the arena memset altogether.
-        let needs_memo = match p {
-            TreePattern::Term(_) => false,
-            TreePattern::Child(a, b) | TreePattern::Desc(a, b) | TreePattern::And(a, b) => {
-                !matches!(**a, TreePattern::Term(_)) || !matches!(**b, TreePattern::Term(_))
-            }
-        };
-        if needs_memo {
-            self.memo.resize(self.sizes.len() * s.len(), 0);
-        }
-        self.stack.clear();
-    }
-
-    fn eval(&mut self, p: &TreePattern, node: usize, s: &Sentence, i: usize) -> bool {
-        // Terms bypass the memo: one load+compare beats a probe and a
-        // store. The root (node 0) does too — `matches` reaches it exactly
-        // once per anchor, so its cells could never be re-read.
-        if let TreePattern::Term(t) = p {
-            return t.matches_node(s, i);
-        }
-        let cell = node * s.len() + i;
-        if node != 0 {
-            match self.memo[cell] {
-                1 => return false,
-                2 => return true,
-                _ => {}
-            }
-        }
-        let hit = match p {
-            TreePattern::Term(_) => unreachable!("terms return before the memo probe"),
-            TreePattern::And(a, b) => {
-                self.eval(a, node + 1, s, i)
-                    && self.eval(b, node + 1 + self.sizes[node + 1] as usize, s, i)
-            }
-            TreePattern::Child(a, b) => {
-                self.eval(a, node + 1, s, i) && {
-                    let bn = node + 1 + self.sizes[node + 1] as usize;
-                    let mut found = false;
-                    for &c in s.children_slice(i) {
-                        if self.eval(b, bn, s, c as usize) {
-                            found = true;
-                            break;
-                        }
-                    }
-                    found
-                }
-            }
-            TreePattern::Desc(a, b) => {
-                self.eval(a, node + 1, s, i) && {
-                    let bn = node + 1 + self.sizes[node + 1] as usize;
-                    let base = self.stack.len();
-                    self.stack.extend_from_slice(s.children_slice(i));
-                    let mut found = false;
-                    while self.stack.len() > base {
-                        let d = self.stack.pop().expect("stack above base") as usize;
-                        if self.eval(b, bn, s, d) {
-                            found = true;
-                            break;
-                        }
-                        self.stack.extend_from_slice(s.children_slice(d));
-                    }
-                    self.stack.truncate(base);
-                    found
-                }
-            }
-        };
-        if node != 0 {
-            self.memo[cell] = if hit { 2 } else { 1 };
-        }
-        hit
     }
 }
 

@@ -5,7 +5,7 @@ use crate::phrase_index::{NodeId, PhraseIndex};
 use crate::sketch::TreeSketchConfig;
 use crate::tree_index::{PatId, TreeIndex};
 use darwin_grammar::{Heuristic, PhrasePattern};
-use darwin_text::fanout::map_chunks;
+use darwin_text::fanout::grow_ordered;
 use darwin_text::{Corpus, Sentence};
 
 /// A handle to a heuristic materialized in the index.
@@ -159,15 +159,11 @@ const WORKER_SENTENCES: usize = 4_096;
 /// Blocks below this many sentences are resolved on the caller's thread.
 const MIN_FAN_OUT: usize = 256;
 
-/// Row word flag: `MISS | i` names `Resolved::misses[i]`; a word without
-/// it is an id that existed before the block.
-pub(crate) const MISS: u32 = 1 << 31;
-
 /// One chunk of a growth block, resolved read-only by a worker: per
 /// sentence, in order, the ids it touches that already existed, and the
 /// misses the serial apply must intern.
 pub(crate) struct Resolved<M> {
-    /// Every sentence's row, back to back: an id, or `MISS | i`.
+    /// Every sentence's row, back to back: an id, or a `fanout::miss` word.
     pub(crate) rows: Vec<u32>,
     /// The chunk's `j`-th row is `rows[ends[j - 1]..ends[j]]`.
     pub(crate) ends: Vec<u32>,
@@ -186,41 +182,28 @@ impl<M> Resolved<M> {
 
     /// Close the current sentence's row.
     pub(crate) fn end_row(&mut self) {
-        assert!(
-            self.misses.len() <= MISS as usize,
-            "miss index overflows its row word"
-        );
         self.ends
             .push(u32::try_from(self.rows.len()).expect("chunk rows fit u32 ends"));
     }
-}
 
-/// The two halves of growing one sub-index over the `corpus` sentences
-/// `new` (ids, ascending), a block at a time: `resolve` maps chunks of the
-/// block's ids to rows on `threads` workers, reading the index only, then
-/// `apply` folds the rows in serially, in sentence order — the one loop
-/// that creates ids.
-fn grow_blocks<I: Sync, M: Send>(
-    index: &mut I,
-    corpus: &Corpus,
-    new: &[u32],
-    threads: usize,
-    resolve: impl Fn(&I, &Corpus, &[u32]) -> Resolved<M> + Sync,
-    mut apply: impl FnMut(&mut I, Sentence<'_>, &[u32], &[M]),
-) {
-    for block in new.chunks(WORKER_SENTENCES * threads.max(1)) {
-        let shared = &*index;
-        let chunks = map_chunks(block, threads, MIN_FAN_OUT, |ids| {
-            vec![resolve(shared, corpus, ids)]
-        });
-        let mut ids = block.iter();
-        for r in &chunks {
-            let mut start = 0;
-            for &end in &r.ends {
-                let s = corpus.sentence(*ids.next().expect("one row per sentence"));
-                apply(index, s, &r.rows[start..end as usize], &r.misses);
-                start = end as usize;
-            }
+    /// Hand the chunk's rows to `apply_row` in sentence order, the `corpus`
+    /// sentences `ids` (the ids the chunk resolved) one row each.
+    fn apply<I>(
+        &self,
+        index: &mut I,
+        corpus: &Corpus,
+        ids: &[u32],
+        mut apply_row: impl FnMut(&mut I, Sentence<'_>, &[u32], &[M]),
+    ) {
+        let mut start = 0;
+        for (&id, &end) in ids.iter().zip(&self.ends) {
+            apply_row(
+                index,
+                corpus.sentence(id),
+                &self.rows[start..end as usize],
+                &self.misses,
+            );
+            start = end as usize;
         }
     }
 }
@@ -314,14 +297,14 @@ impl IndexSet {
     /// sub-index (each table has the cache to itself, and a pruned build
     /// sheds its rare phrases before the tree index exists).
     ///
-    /// Each pass resolves a block's sentences in parallel against the
-    /// index as it stood when the block started — existing trie nodes and
-    /// pattern ids, read only — and then one serial loop walks the rows in
-    /// sentence order, pushing postings and interning the misses. A miss
-    /// that an earlier sentence of the block has since created is found
-    /// by that intern, so ids come out in first-occurrence order exactly
-    /// as the per-sentence `add_sentence` paths number them, at every
-    /// thread count.
+    /// Each pass is one [`grow_ordered`] run: a block's sentences are
+    /// resolved in parallel against the index as it stood when the block
+    /// started — existing trie nodes and pattern ids, read only — and then
+    /// the serial fold walks the rows in sentence order, pushing postings
+    /// and interning the misses. A miss that an earlier sentence of the
+    /// block has since created is found by that intern, so ids come out in
+    /// first-occurrence order exactly as the per-sentence `add_sentence`
+    /// paths number them, at every thread count.
     fn grow(&mut self, corpus: &Corpus, threads: usize) {
         let old_n = self.all_ids.len();
         if corpus.len() == old_n {
@@ -329,13 +312,15 @@ impl IndexSet {
         }
         self.all_ids.extend(old_n as u32..corpus.len() as u32);
         let new = &self.all_ids[old_n..];
-        grow_blocks(
+        let block = WORKER_SENTENCES * threads.max(1);
+        grow_ordered(
             &mut self.phrase,
-            corpus,
             new,
+            block,
             threads,
-            PhraseIndex::resolve,
-            PhraseIndex::apply_row,
+            MIN_FAN_OUT,
+            |p, ids| p.resolve(corpus, ids),
+            |p, ids, r| r.apply(p, corpus, ids, PhraseIndex::apply_row),
         );
         // Only a build can reach here with `min_count > 1` (appends to a
         // pruned index are refused), so the one span a pruned trie ever
@@ -343,13 +328,14 @@ impl IndexSet {
         self.phrase.prune(self.cfg.min_count);
         if let Some(tree) = &mut self.tree {
             let cfg = &self.cfg.tree;
-            grow_blocks(
+            grow_ordered(
                 tree,
-                corpus,
                 new,
+                block,
                 threads,
-                |t, corpus, ids| t.resolve(corpus, ids, cfg),
-                TreeIndex::apply_row,
+                MIN_FAN_OUT,
+                |t, ids| t.resolve(corpus, ids, cfg),
+                |t, ids, r| r.apply(t, corpus, ids, TreeIndex::apply_row),
             );
             tree.finalize();
         }

@@ -7,8 +7,9 @@
 //! walks applied in order by index growth) — the only way nodes are
 //! created, so node ids are first-occurrence order by construction.
 
-use crate::api::{Resolved, MISS};
+use crate::api::Resolved;
 use crate::fx::FxHashMap;
+use darwin_text::fanout::{miss, miss_index};
 use darwin_text::{Corpus, Sentence, Sym};
 
 /// Node id within a [`PhraseIndex`]. Id 0 is the root (`*`, the heuristic
@@ -136,8 +137,7 @@ impl PhraseIndex {
                 |n| out.rows.push(n),
                 |n, i| out.misses.push((n, i as u32)),
             );
-            out.rows
-                .extend((first..out.misses.len()).map(|i| MISS | i as u32));
+            out.rows.extend((first..out.misses.len()).map(miss));
             out.end_row();
         }
         out
@@ -149,11 +149,11 @@ impl PhraseIndex {
     /// created since the block was resolved.
     pub(crate) fn apply_row(&mut self, s: Sentence<'_>, row: &[u32], misses: &[(NodeId, u32)]) {
         for &w in row {
-            if w & MISS == 0 {
+            let Some(i) = miss_index(w) else {
                 self.post(w, s.id());
                 continue;
-            }
-            let (mut cur, pos) = misses[(w & !MISS) as usize];
+            };
+            let (mut cur, pos) = misses[i];
             // The walk started `depth` tokens before `pos`.
             let end = (pos as usize + self.max_len - self.depth(cur)).min(s.tokens().len());
             for &sym in &s.tokens()[pos as usize..end] {

@@ -11,7 +11,7 @@
 //! * `p ∧ q` is a specialization of both `p` and `q`,
 //! * `Term(tok)` is a specialization of `Term(POS-of-tok)` (evidence-based).
 
-use crate::api::{Resolved, MISS};
+use crate::api::Resolved;
 use crate::fx::{FxHashMap, FxHashSet};
 use crate::intern::InternTable;
 use crate::sketch::{
@@ -19,6 +19,7 @@ use crate::sketch::{
     SketchScratch, TreeSketchConfig,
 };
 use darwin_grammar::{TreePattern, TreeTerm};
+use darwin_text::fanout::{miss, miss_index};
 use darwin_text::{Corpus, PosTag, Sentence, Sym};
 
 /// Pattern id within a [`TreeIndex`].
@@ -110,7 +111,7 @@ impl TreeIndex {
     }
 
     /// The worker half of growth: each `corpus` sentence of `ids` enumerated
-    /// into a row of the pattern ids its keys already have, and `MISS`
+    /// into a row of the pattern ids its keys already have, and [`miss`]
     /// words naming the keys that have none yet — each missing key named
     /// once per chunk, so a cold block buffers one word per key. Dedups
     /// exactly as [`TreeIndex::add_sentence`] does, since only fresh keys
@@ -140,7 +141,7 @@ impl TreeIndex {
                             miss_stamp.push(0);
                             out.misses.len() as u32 - 1
                         });
-                        (MISS | i, &mut miss_stamp[i as usize])
+                        (miss(i as usize), &mut miss_stamp[i as usize])
                     }
                 };
                 let fresh = std::mem::replace(last, mark) != mark;
@@ -159,10 +160,9 @@ impl TreeIndex {
     /// the block has interned since is found, not renumbered.
     pub(crate) fn apply_row(&mut self, s: Sentence<'_>, row: &[u32], misses: &[SketchKey]) {
         for &w in row {
-            let id = if w & MISS == 0 {
-                w
-            } else {
-                self.intern(misses[(w & !MISS) as usize])
+            let id = match miss_index(w) {
+                Some(i) => self.intern(misses[i]),
+                None => w,
             };
             self.post(id, s.id());
         }

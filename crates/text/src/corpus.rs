@@ -1,7 +1,7 @@
 //! Corpus container and (parallel) linguistic preprocessing.
 
 use crate::depparse;
-use crate::fanout::map_chunks;
+use crate::fanout::{grow_ordered, miss, miss_index};
 use crate::pos::{PosTag, Tagger};
 use crate::sentence::{Columns, Sentence, MAX_TOKENS};
 use crate::tokenize;
@@ -91,15 +91,15 @@ impl Corpus {
     ///
     /// The result depends only on the concatenation of everything appended
     /// so far — not on how it was split into calls, nor on `threads`.
-    /// One [`map_chunks`] pass analyzes the batch on `threads` workers:
-    /// each resolves its texts' tokens against the vocabulary as it stood
-    /// when the batch started (read only), tags and parses them into
-    /// chunk-local columns, naming the words the vocabulary lacks. Then
-    /// one serial loop in input order numbers those words — so symbols
-    /// keep their first-occurrence order — patches them into the chunk's
-    /// token column, counts frequencies and appends the chunk's columns.
-    /// Pre-existing sentences, symbol ids and the vocabulary prefix are
-    /// never touched.
+    /// The batch is one [`grow_ordered`] block: `threads` workers each
+    /// resolve their texts' tokens against the vocabulary as it stood
+    /// when the batch started (read only), tagging and parsing them into
+    /// chunk-local columns and naming the words the vocabulary lacks.
+    /// Then the serial fold, in input order, numbers those words — so
+    /// symbols keep their first-occurrence order — patches them into the
+    /// chunk's token column, counts frequencies and appends the chunk's
+    /// columns. Pre-existing sentences, symbol ids and the vocabulary
+    /// prefix are never touched.
     pub fn append_texts<I, S>(&mut self, texts: I, threads: usize) -> usize
     where
         I: IntoIterator<Item = S>,
@@ -109,40 +109,45 @@ impl Corpus {
         const MIN_FAN_OUT: usize = 1024;
         let texts: Vec<S> = texts.into_iter().collect();
         let texts: Vec<&str> = texts.iter().map(AsRef::as_ref).collect();
-        let (vocab, base_tags) = (&self.vocab, &self.base_tags[..]);
-        let chunks = map_chunks(&texts, threads, MIN_FAN_OUT, |chunk| {
-            vec![analyze(vocab, base_tags, chunk)]
-        });
-
-        for mut chunk in chunks {
-            // A word an earlier chunk numbered is found here, not renumbered.
-            let syms: Vec<Sym> = (chunk.misses.iter())
-                .map(|(word, tag)| {
-                    let s = self.vocab.number(word);
-                    if s.index() == self.base_tags.len() {
-                        self.base_tags.push(*tag);
-                    }
-                    s
-                })
-                .collect();
-            assert!(
-                self.vocab.len() <= MISS as usize,
-                "vocabulary overflows the miss flag"
-            );
-            for t in &mut chunk.sentences.tokens {
-                if t.0 & MISS != 0 {
-                    *t = syms[(t.0 & !MISS) as usize];
-                }
-                self.vocab.count(*t);
-            }
-            // A build into an empty corpus keeps the first chunk's columns.
-            if self.sentences.is_empty() {
-                self.sentences = chunk.sentences;
-            } else {
-                self.sentences.append(&chunk.sentences);
-            }
-        }
+        grow_ordered(
+            self,
+            &texts,
+            texts.len(),
+            threads,
+            MIN_FAN_OUT,
+            |c, chunk| analyze(&c.vocab, &c.base_tags, chunk),
+            // Taken, not borrowed: a build into an empty corpus keeps the
+            // first chunk's columns, and a later chunk is freed once appended.
+            |c, _, chunk| c.fold(std::mem::take(chunk)),
+        );
         texts.len()
+    }
+
+    /// The serial half of [`Corpus::append_texts`]: number one chunk's
+    /// misses — a word an earlier chunk numbered is found, not renumbered —
+    /// then patch and count its tokens and append its columns.
+    fn fold(&mut self, mut chunk: Analyzed) {
+        let syms: Vec<Sym> = (chunk.misses.iter())
+            .map(|(word, tag)| {
+                let s = self.vocab.number(word);
+                if s.index() == self.base_tags.len() {
+                    self.base_tags.push(*tag);
+                }
+                s
+            })
+            .collect();
+        for t in &mut chunk.sentences.tokens {
+            if let Some(i) = miss_index(t.0) {
+                *t = syms[i];
+            }
+            self.vocab.count(*t);
+        }
+        // A build into an empty corpus keeps the first chunk's columns.
+        if self.sentences.is_empty() {
+            self.sentences = chunk.sentences;
+        } else {
+            self.sentences.append(&chunk.sentences);
+        }
     }
 
     /// Mean sentence length in tokens.
@@ -154,13 +159,10 @@ impl Corpus {
     }
 }
 
-/// Token flag in an [`Analyzed`] sentence: `MISS | i` names `misses[i]`;
-/// a token without it is a symbol that existed before the batch.
-const MISS: u32 = 1 << 31;
-
 /// One chunk of a batch, analyzed by a worker.
+#[derive(Default)]
 struct Analyzed {
-    /// One sentence per text, tokens as `MISS`-flagged words.
+    /// One sentence per text, each token a symbol or a [`miss`] word.
     sentences: Columns,
     /// The words the vocabulary lacked, each named once, in
     /// first-occurrence order, with its [`Tagger::tag_word`].
@@ -169,7 +171,7 @@ struct Analyzed {
 
 /// The worker half of [`Corpus::append_texts`]: tokenize `texts`, resolve
 /// every token against `vocab` (read only) — a hit to its symbol and
-/// cached base tag, a miss to a `MISS` word — then tag and parse each
+/// cached base tag, a miss to a [`miss`] word — then tag and parse each
 /// sentence into the chunk's columns. Tokens past [`MAX_TOKENS`] are
 /// skipped before they are resolved.
 fn analyze(vocab: &Vocab, base_tags: &[PosTag], texts: &[&str]) -> Analyzed {
@@ -196,7 +198,7 @@ fn analyze(vocab: &Vocab, base_tags: &[PosTag], texts: &[&str]) -> Analyzed {
                             misses.len() - 1
                         }
                     };
-                    (Sym(MISS | i as u32), misses[i].1)
+                    (Sym(miss(i)), misses[i].1)
                 }
             };
             tokens.push(sym);

@@ -13,9 +13,9 @@
 //!   tagset (Petrov et al., as cited by the paper),
 //! * [`depparse`] — a deterministic head-attachment dependency parser,
 //! * [`corpus::Corpus`] — the container Darwin operates over: empty, then
-//!   grown by `append_texts`, whose workers resolve tokens against the
-//!   existing vocabulary, tag and parse in one [`fanout::map_chunks`] pass
-//!   (the workspace's one ordered scoped join), and whose one serial loop
+//!   grown by `append_texts`, one block of [`fanout::grow_ordered`] (the
+//!   workspace's one ordered-growth driver): workers resolve tokens
+//!   against the existing vocabulary, tag and parse, and one serial fold
 //!   numbers only the new words,
 //! * [`embed::Embeddings`] — reflective random-indexing word vectors whose
 //!   similarity reflects corpus co-occurrence (the property UniversalSearch

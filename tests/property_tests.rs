@@ -452,37 +452,6 @@ proptest! {
         }
     }
 
-    /// The reusable match kernel (`MatchCtx`, memoized over a node×token
-    /// arena) must agree with the plain recursive matcher on every
-    /// (pattern, sentence, anchor) triple — including cross-sentence pairs
-    /// where the pattern does not match.
-    #[test]
-    fn match_kernel_equals_plain_recursion(texts in corpus_strategy()) {
-        let corpus = Corpus::from_texts(texts.iter());
-        let mut ctx = darwin::grammar::MatchCtx::new();
-        let pats: Vec<TreePattern> = corpus
-            .sentences()
-            .flat_map(|s| darwin::index::sketch::tree_sketch(s, &Default::default()))
-            .take(60)
-            .collect();
-        for p in &pats {
-            for s in corpus.sentences() {
-                prop_assert_eq!(
-                    ctx.matches(p, s),
-                    p.matches(s),
-                    "matches: {} on sentence {}", p.display(corpus.vocab()), s.id()
-                );
-                for i in 0..s.len() {
-                    prop_assert_eq!(
-                        ctx.matches_at(p, s, i),
-                        p.matches_at(s, i),
-                        "matches_at {}: {} on sentence {}", i, p.display(corpus.vocab()), s.id()
-                    );
-                }
-            }
-        }
-    }
-
     /// `append_with_threads` interns pre-enumerated per-sentence key lists;
     /// the result must be indistinguishable from the serial per-sentence
     /// append — rule numbering, coverage and hierarchy — for any split.
