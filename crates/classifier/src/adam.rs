@@ -64,39 +64,122 @@ impl Param {
         let k = Adam::new(lr, t);
         let lanes = self.w.iter_mut().zip(&mut self.m).zip(&mut self.v);
         for (((w, m), v), &g) in lanes.zip(&self.g) {
-            k.lane(w, m, v, g);
+            k.lane::<0>(w, m, v, g);
         }
     }
 
     /// The L2-regularised gradient and the Adam step in one pass: lane `i`
     /// takes the gradient `d·x[i] + λ·w[i]`, with `λ = l2[0]` below `split`
     /// and `l2[1]` from it on, and then the update [`Param::adam_step`]
-    /// gives it. Every lane evaluates the same f32 expression in the same
-    /// order and lanes never interact, so the result is bit for bit that of
-    /// writing the gradient into `g` and calling `adam_step`; `g` itself is
-    /// neither read nor written.
+    /// gives it with step constants `k`. Every lane evaluates the same f32
+    /// expression in the same order and lanes never interact, so the result
+    /// is bit for bit that of writing the gradient into `g` and calling
+    /// `adam_step`; `g` itself is neither read nor written.
+    ///
+    /// The instance of the lane loop is picked here: by how many of `k`'s
+    /// bias corrections are exactly `1.0` (their divisions are dropped,
+    /// see [`Adam::lane`]) and by `lanes`.
     pub(crate) fn grad_adam_step(
         &mut self,
         x: &[f32],
         d: f32,
         split: usize,
         l2: [f32; 2],
-        lr: f32,
-        t: u32,
+        k: Adam,
+        lanes: LaneLoop,
+    ) {
+        match k.saturated() {
+            0 => self.grad_adam_step_with::<0>(x, d, split, l2, k, lanes),
+            1 => self.grad_adam_step_with::<1>(x, d, split, l2, k, lanes),
+            _ => self.grad_adam_step_with::<2>(x, d, split, l2, k, lanes),
+        }
+    }
+
+    /// [`Param::grad_adam_step`] through the lane loop instance that skips
+    /// the first `SAT` bias corrections; legal when `SAT <= k.saturated()`.
+    fn grad_adam_step_with<const SAT: u8>(
+        &mut self,
+        x: &[f32],
+        d: f32,
+        split: usize,
+        l2: [f32; 2],
+        k: Adam,
+        lanes: LaneLoop,
     ) {
         assert_eq!(x.len(), self.w.len(), "one input per lane");
-        let k = Adam::new(lr, t);
+        debug_assert!(SAT <= k.saturated());
         let (w0, w1) = self.w.split_at_mut(split);
         let (m0, m1) = self.m.split_at_mut(split);
         let (v0, v1) = self.v.split_at_mut(split);
         let (x0, x1) = x.split_at(split);
         for (w, m, v, x, l2) in [(w0, m0, v0, x0, l2[0]), (w1, m1, v1, x1, l2[1])] {
-            let lanes = w.iter_mut().zip(m).zip(v);
-            for (((w, m), v), &x) in lanes.zip(x) {
-                let g = d * x + l2 * *w;
-                k.lane(w, m, v, g);
+            #[cfg(target_arch = "x86_64")]
+            if lanes.avx2 {
+                // SAFETY: `avx2` is set only by `LaneLoop::detect`, after
+                // `is_x86_feature_detected!("avx2")` returned true.
+                unsafe { grad_adam_lanes_avx2::<SAT>(w, m, v, x, d, l2, k) };
+                continue;
             }
+            grad_adam_lanes::<SAT>(w, m, v, x, d, l2, k);
         }
+    }
+}
+
+/// The fused step's lane loop over zipped slices (no bounds checks), which
+/// LLVM turns into packed arithmetic.
+#[inline(always)]
+fn grad_adam_lanes<const SAT: u8>(
+    w: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    x: &[f32],
+    d: f32,
+    l2: f32,
+    k: Adam,
+) {
+    let lanes = w.iter_mut().zip(m).zip(v);
+    for (((w, m), v), &x) in lanes.zip(x) {
+        let g = d * x + l2 * *w;
+        k.lane::<SAT>(w, m, v, g);
+    }
+}
+
+/// [`grad_adam_lanes`] compiled for AVX2: the same source, so the same IEEE
+/// operations per lane in 8-wide registers. `fma` is not enabled, and Rust
+/// never contracts `a·b + c` anyway, so every bit is the portable loop's.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn grad_adam_lanes_avx2<const SAT: u8>(
+    w: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    x: &[f32],
+    d: f32,
+    l2: f32,
+    k: Adam,
+) {
+    grad_adam_lanes::<SAT>(w, m, v, x, d, l2, k)
+}
+
+/// Which compiled instance of the fused step's lane loop runs: the AVX2
+/// one where the host has AVX2, the portable one elsewhere. Only
+/// [`LaneLoop::detect`] can select AVX2.
+#[derive(Clone, Copy)]
+pub(crate) struct LaneLoop {
+    avx2: bool,
+}
+
+impl LaneLoop {
+    /// The portable loop, built for the compilation target's baseline.
+    pub(crate) const PORTABLE: LaneLoop = LaneLoop { avx2: false };
+
+    /// The widest instance this host runs.
+    pub(crate) fn detect() -> LaneLoop {
+        #[cfg(target_arch = "x86_64")]
+        if is_x86_feature_detected!("avx2") {
+            return LaneLoop { avx2: true };
+        }
+        LaneLoop::PORTABLE
     }
 }
 
@@ -105,16 +188,16 @@ const B2: f32 = 0.999;
 const EPS: f32 = 1e-8;
 
 /// One Adam step's constants: the learning rate and the bias corrections
-/// of step `t`.
+/// `1 − β^t` of step `t`.
 #[derive(Clone, Copy)]
-struct Adam {
+pub(crate) struct Adam {
     lr: f32,
     bc1: f32,
     bc2: f32,
 }
 
 impl Adam {
-    fn new(lr: f32, t: u32) -> Adam {
+    pub(crate) fn new(lr: f32, t: u32) -> Adam {
         Adam {
             lr,
             bc1: 1.0 - B1.powi(t as i32),
@@ -122,15 +205,42 @@ impl Adam {
         }
     }
 
+    /// Grows `table` to `len` steps, `table[t - 1]` holding step `t`'s
+    /// constants from [`Adam::new`]. They depend on `t` alone (and the
+    /// fixed `lr`), so a table grown once serves every later fit.
+    pub(crate) fn extend_table(table: &mut Vec<Adam>, lr: f32, len: usize) {
+        for t in table.len() + 1..=len {
+            table.push(Adam::new(lr, t as u32));
+        }
+    }
+
+    /// How many leading bias corrections (`bc1`, then `bc2`) are exactly
+    /// `1.0`. `B1 < B2`, so `bc1` reaches `1.0` first (at `t = 165`; `bc2`
+    /// at `t = 17 321`).
+    fn saturated(self) -> u8 {
+        match (self.bc1 == 1.0, self.bc2 == 1.0) {
+            (false, _) => 0,
+            (true, false) => 1,
+            (true, true) => 2,
+        }
+    }
+
     /// The update of one lane with gradient `g` — the only place the Adam
     /// expression is written. Inlined into zipped-slice loops, which LLVM
     /// turns into packed arithmetic (IEEE per lane, never contracted).
+    ///
+    /// The instance `SAT` leaves out the division by the first `SAT` bias
+    /// corrections, which the caller has found to be exactly `1.0`.
+    /// `x / 1.0` is `x`, bits included, for every `x` that is not a
+    /// signalling NaN (zeros keep their sign, subnormals and infinities
+    /// pass through), and `m` and `v` are always results of arithmetic,
+    /// never a signalling NaN. So every instance gives `SAT = 0`'s bits.
     #[inline(always)]
-    fn lane(self, w: &mut f32, m: &mut f32, v: &mut f32, g: f32) {
+    fn lane<const SAT: u8>(self, w: &mut f32, m: &mut f32, v: &mut f32, g: f32) {
         *m = B1 * *m + (1.0 - B1) * g;
         *v = B2 * *v + (1.0 - B2) * g * g;
-        let mhat = *m / self.bc1;
-        let vhat = *v / self.bc2;
+        let mhat = if SAT >= 1 { *m } else { *m / self.bc1 };
+        let vhat = if SAT >= 2 { *v } else { *v / self.bc2 };
         *w -= self.lr * mhat / (vhat.sqrt() + EPS);
     }
 }
@@ -186,9 +296,10 @@ mod tests {
         }
     }
 
-    /// The step counters under test: the first two, one from a short fit
-    /// and one from a long fit, where `B1^t` has underflowed to zero.
-    const TS: [u32; 4] = [1, 2, 165, 17_320];
+    /// The step counters under test: the first two, and each side of the
+    /// steps where `bc1` (165) and then `bc2` (17 321) round to exactly
+    /// `1.0`, and the longest fit of a paper-size session (12 × 2 324).
+    const TS: [u32; 7] = [1, 2, 164, 165, 17_320, 17_321, 27_888];
     const L2: [f32; 2] = [1e-4, 6e-3];
     const LR: f32 = 0.05;
 
@@ -250,33 +361,102 @@ mod tests {
         }
     }
 
+    /// Every compiled instance of the lane loop this host can run: the
+    /// portable one always, the AVX2 one where it is detected.
+    fn lane_loops() -> Vec<(&'static str, LaneLoop)> {
+        let mut loops = vec![("portable", LaneLoop::PORTABLE)];
+        let host = LaneLoop::detect();
+        if host.avx2 {
+            loops.push(("avx2", host));
+        } else {
+            eprintln!("note: AVX2 not detected; the AVX2 lane loop is not tested here");
+        }
+        loops
+    }
+
+    /// The fused step through the lane instance that drops `sat` bias
+    /// corrections; `None` is the instance `grad_adam_step` picks.
+    fn fused_step(
+        p: &mut Param,
+        x: &[f32],
+        d: f32,
+        split: usize,
+        t: u32,
+        lanes: LaneLoop,
+        sat: Option<u8>,
+    ) {
+        let k = Adam::new(LR, t);
+        match sat {
+            None => p.grad_adam_step(x, d, split, L2, k, lanes),
+            Some(0) => p.grad_adam_step_with::<0>(x, d, split, L2, k, lanes),
+            Some(1) => p.grad_adam_step_with::<1>(x, d, split, L2, k, lanes),
+            Some(2) => p.grad_adam_step_with::<2>(x, d, split, L2, k, lanes),
+            Some(_) => unreachable!(),
+        }
+    }
+
     /// The fused step against its definition: the gradient written into
-    /// `g` by an indexed pass, then the indexed Adam loop. `d·0.0` is
-    /// `-0.0` for `d < 0`, so the untouched lanes check that the sum with
-    /// `λ·(+0.0)` still leaves them at `+0.0`.
+    /// `g` by an indexed pass, then the indexed Adam loop (which divides by
+    /// both corrections from `powi` at every step). Each lane loop runs
+    /// every instance that is legal at `t` — the one dividing by both
+    /// corrections, and those dropping the ones that are exactly `1.0` —
+    /// and the instance the step picks. `d·0.0` is `-0.0` for `d < 0`, so
+    /// the untouched lanes check that the sum with `λ·(+0.0)` still leaves
+    /// them at `+0.0`.
     #[test]
     fn fused_step_equals_gradient_then_adam_step_bit_for_bit() {
-        for n in lengths() {
-            for split in [0, 1, n - 1, n] {
-                for d in [-0.75f32, 0.0, 0.6] {
-                    for t in TS {
-                        let what = format!("n {n} split {split} d {d} t {t}");
-                        let (mut p, x) = state(n, (n * 31 + split) as u64 ^ t as u64);
-                        let mut want = p.clone();
-                        for i in 0..n {
-                            let l2 = if i < split { L2[0] } else { L2[1] };
-                            want.g[i] = d * x[i] + l2 * want.w[i];
-                        }
-                        adam_step_indexed(&mut want, LR, t);
-                        p.grad_adam_step(&x, d, split, L2, LR, t);
-                        assert_same_bits(&p, &want, &what);
-                        for i in (2..n).step_by(3) {
-                            let lane = [p.w[i], p.m[i], p.v[i]].map(f32::to_bits);
-                            assert_eq!(lane, [0; 3], "{what}: untouched lane {i} moved");
+        for (name, lanes) in lane_loops() {
+            for t in TS {
+                let instances = (0..=Adam::new(LR, t).saturated()).map(Some);
+                for sat in instances.chain([None]) {
+                    for n in lengths() {
+                        for split in [0, 1, n - 1, n] {
+                            for d in [-0.75f32, 0.0, 0.6] {
+                                let what =
+                                    format!("{name} {sat:?} n {n} split {split} d {d} t {t}");
+                                let (mut p, x) = state(n, (n * 31 + split) as u64 ^ t as u64);
+                                let mut want = p.clone();
+                                for i in 0..n {
+                                    let l2 = if i < split { L2[0] } else { L2[1] };
+                                    want.g[i] = d * x[i] + l2 * want.w[i];
+                                }
+                                adam_step_indexed(&mut want, LR, t);
+                                fused_step(&mut p, &x, d, split, t, lanes, sat);
+                                assert_same_bits(&p, &want, &what);
+                                for i in (2..n).step_by(3) {
+                                    let lane = [p.w[i], p.m[i], p.v[i]].map(f32::to_bits);
+                                    assert_eq!(lane, [0; 3], "{what}: untouched lane {i} moved");
+                                }
+                            }
                         }
                     }
                 }
             }
+        }
+    }
+
+    /// The table a fit reads its constants from equals `Adam::new` bit for
+    /// bit, grown in uneven pieces as successive fits grow it, and the
+    /// corrections become exactly `1.0` at the steps the lane instances are
+    /// picked by: `bc1` from 165, `bc2` from 17 321.
+    #[test]
+    fn step_table_equals_adam_new_and_saturates_at_165_and_17_321() {
+        let mut table = Vec::new();
+        for len in [0, 100, 17_320, 17_000, 40_000] {
+            Adam::extend_table(&mut table, LR, len);
+        }
+        assert_eq!(table.len(), 40_000);
+        for (i, k) in table.iter().enumerate() {
+            let t = i as u32 + 1;
+            let want = Adam::new(LR, t);
+            let bits = |k: &Adam| [k.lr, k.bc1, k.bc2].map(f32::to_bits);
+            assert_eq!(bits(k), bits(&want), "t {t}");
+            let sat = match t {
+                ..=164 => 0,
+                165..=17_320 => 1,
+                _ => 2,
+            };
+            assert_eq!(k.saturated(), sat, "t {t}: bc1 {:e} bc2 {:e}", k.bc1, k.bc2);
         }
     }
 

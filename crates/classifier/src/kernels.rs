@@ -9,11 +9,12 @@
 //! batch paths and the training loops all call it. Batching, sharding and
 //! threading then change only *which buffers* feed the kernel, never the
 //! arithmetic. ([`dot_f32_nonzeros`] is not a second dot product: it
-//! drives [`dot_f32`]'s reduction tree from a sparse operand, and is the
-//! one definition of that. Nor is [`affine_rows_f32`] a second affine: it
-//! runs [`affine_f32`]'s reduction for several weight rows against one
-//! input in step, each row's sum untouched, and is the one definition of
-//! *that* — the CNN's convolution and its first dense layer.)
+//! drives [`dot_f32`]'s reduction tree from a dense prefix and a sparse
+//! rest, and is the one definition of that. Nor is [`affine_rows_f32`] a
+//! second affine: it runs [`affine_f32`]'s reduction for several weight
+//! rows against one input in step, each row's sum untouched, and is the
+//! one definition of *that* — the CNN's convolution and its first dense
+//! layer.)
 //!
 //! The shapes are chosen for auto-vectorization, not explicit SIMD: eight
 //! independent accumulators over `chunks_exact(8)` give the optimizer a
@@ -34,8 +35,24 @@ pub const DOT_LANES: usize = 8;
 #[inline]
 pub fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
     let n = a.len().min(b.len());
-    let (a, b) = (&a[..n], &b[..n]);
     let mut acc = [0.0f32; DOT_LANES];
+    let (ra, rb) = chunk_body(&mut acc, &a[..n], &b[..n]);
+    let mut tail = 0.0f32;
+    for (x, y) in ra.iter().zip(rb) {
+        tail += x * y;
+    }
+    combine(acc, tail)
+}
+
+/// [`dot_f32`]'s packed body: the products of each whole `DOT_LANES`
+/// chunk of `a` and `b` (same length), lane `k` into `acc[k]`, chunk by
+/// chunk. Returns what is left past the last whole chunk.
+#[inline(always)]
+fn chunk_body<'a>(
+    acc: &mut [f32; DOT_LANES],
+    a: &'a [f32],
+    b: &'a [f32],
+) -> (&'a [f32], &'a [f32]) {
     let mut ca = a.chunks_exact(DOT_LANES);
     let mut cb = b.chunks_exact(DOT_LANES);
     for (xa, xb) in ca.by_ref().zip(cb.by_ref()) {
@@ -43,11 +60,7 @@ pub fn dot_f32(a: &[f32], b: &[f32]) -> f32 {
             acc[lane] += xa[lane] * xb[lane];
         }
     }
-    let mut tail = 0.0f32;
-    for (x, y) in ca.remainder().iter().zip(cb.remainder()) {
-        tail += x * y;
-    }
-    combine(acc, tail)
+    (ca.remainder(), cb.remainder())
 }
 
 /// Fixed pairwise reduction: ((0+1)+(2+3)) + ((4+5)+(6+7)), then tail.
@@ -58,9 +71,11 @@ fn combine(acc: [f32; DOT_LANES], tail: f32) -> f32 {
     (lo + hi) + tail
 }
 
-/// [`dot_f32`] over two `len`-long vectors, given only the positions where
-/// the second is non-zero: `terms` yields `(index, a[index], b[index])`
-/// in ascending `index`, and may include positions where `b` is zero.
+/// [`dot_f32`] over two `len`-long vectors `a` and `b`, given a dense
+/// prefix and then only the positions where `b` is non-zero: `prefix` is
+/// `(a[..p], b[..p])`, and `terms` yields `(index, a[index], b[index])`
+/// for positions from `p` on, in ascending `index`, and may include
+/// positions where `b` is zero.
 ///
 /// This replays the dense kernel's reduction tree — product `index` goes
 /// to accumulator `index % DOT_LANES`, positions in the remainder past the
@@ -69,20 +84,33 @@ fn combine(acc: [f32; DOT_LANES], tail: f32) -> f32 {
 /// skipped `a[index]` is finite: a skipped term is `a·0.0 = ±0.0`, and
 /// adding `±0.0` to an accumulator that is `+0.0` or non-zero (it starts
 /// at `+0.0`, and a sum is `-0.0` only when both operands are) is the
-/// identity.
+/// identity. The prefix's whole chunks run [`dot_f32`]'s own packed body
+/// (they are chunks of `a` and `b` too, so each accumulator still takes
+/// its products in ascending `index`); its last `p % DOT_LANES` lanes go
+/// by index like the terms.
 #[inline]
-pub fn dot_f32_nonzeros(len: usize, terms: impl Iterator<Item = (usize, f32, f32)>) -> f32 {
+pub fn dot_f32_nonzeros(
+    len: usize,
+    prefix: (&[f32], &[f32]),
+    terms: impl Iterator<Item = (usize, f32, f32)>,
+) -> f32 {
+    let (pa, pb) = prefix;
+    assert!(pa.len() == pb.len() && pa.len() <= len, "prefix within len");
     let body = len - len % DOT_LANES;
     let mut acc = [0.0f32; DOT_LANES];
+    let (ra, rb) = chunk_body(&mut acc, pa, pb);
+    let rest = (pa.len() - ra.len()..).zip(ra.iter().zip(rb));
     let mut tail = 0.0f32;
-    terms.for_each(|(i, x, y)| {
-        debug_assert!(i < len);
-        if i < body {
-            acc[i % DOT_LANES] += x * y;
-        } else {
-            tail += x * y;
-        }
-    });
+    rest.map(|(i, (&x, &y))| (i, x, y))
+        .chain(terms)
+        .for_each(|(i, x, y)| {
+            debug_assert!(i < len);
+            if i < body {
+                acc[i % DOT_LANES] += x * y;
+            } else {
+                tail += x * y;
+            }
+        });
     combine(acc, tail)
 }
 
@@ -224,10 +252,12 @@ mod tests {
     }
 
     /// The non-zeros replay against the dense kernel on the expanded
-    /// vector, for lengths whose remainder is 0, 1 and 5 lanes, with
-    /// non-zeros in the body, on both sides of the body/remainder seam and
-    /// (where there is one) throughout the remainder. Weights are
-    /// sign-mixed so skipped terms are both `+0.0` and `-0.0`.
+    /// vector, for lengths whose remainder is 0 (the last position lands
+    /// in the body), 1 and 5 lanes, with non-zeros in the body, on both
+    /// sides of the body/remainder seam and (where there is one)
+    /// throughout the remainder, behind dense prefixes of 0, 5, 8, 32 and
+    /// 33 lanes. Weights are sign-mixed so skipped terms are both `+0.0`
+    /// and `-0.0`.
     #[test]
     fn nonzeros_replay_equals_dense_dot_bit_for_bit() {
         for len in [64usize, 65, 69, 4129] {
@@ -235,24 +265,46 @@ mod tests {
             let a: Vec<f32> = (0..len)
                 .map(|i| (((i * 2654435761) % 1000) as f32 / 500.0) - 1.0)
                 .collect();
-            let mut nz: Vec<usize> = vec![0, 3, 8, 11, 12, 40, body - 1];
-            nz.extend(body..len);
-            let mut b = vec![0.0f32; len];
-            for &i in &nz {
-                b[i] = ((i % 7) as f32 + 1.0) * -0.37;
+            // Non-zeros at a few body positions, on both sides of the seam
+            // and throughout the remainder; the first 33 lanes (the dense
+            // prefixes) hold their own zeros too.
+            let seam = [0, 3, 8, 11, 12, 40, body - 1];
+            let b: Vec<f32> = (0..len)
+                .map(|i| {
+                    let hit = seam.contains(&i) || i >= body || (i < 33 && i % 4 != 1);
+                    if hit {
+                        ((i % 7) as f32 + 1.0) * -0.37
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
+            let nz: Vec<usize> = (0..len).filter(|&i| b[i] != 0.0).collect();
+            for p in [0usize, 5, 8, 32, 33] {
+                let what = format!("len {len} prefix {p}");
+                let terms = nz.iter().filter(|&&i| i >= p);
+                let prefix = (&a[..p], &b[..p]);
+                let want = dot_f32(&a, &b);
+                let got = dot_f32_nonzeros(len, prefix, terms.map(|&i| (i, a[i], b[i])));
+                assert_eq!(got.to_bits(), want.to_bits(), "{what}: {got} vs {want}");
+                // Yielding a zero position is allowed: it is the dense term.
+                let z = p + 1;
+                let mut b1 = b.clone();
+                b1[z] = 0.0;
+                let mut ids: Vec<usize> = nz.iter().copied().filter(|&i| i >= p).collect();
+                ids.push(z);
+                ids.sort_unstable();
+                ids.dedup();
+                let got = dot_f32_nonzeros(len, prefix, ids.iter().map(|&i| (i, a[i], b1[i])));
+                assert_eq!(got.to_bits(), dot_f32(&a, &b1).to_bits(), "{what}");
             }
-            let want = dot_f32(&a, &b);
-            let got = dot_f32_nonzeros(len, nz.iter().map(|&i| (i, a[i], b[i])));
-            assert_eq!(got.to_bits(), want.to_bits(), "len {len}: {got} vs {want}");
-            // Yielding a zero position is allowed: it is the dense term.
-            let with_zero = [1usize].iter().chain(&nz[1..]);
-            let got = dot_f32_nonzeros(len, with_zero.map(|&i| (i, a[i], b[i])));
-            let mut b1 = b.clone();
-            b1[0] = 0.0;
-            assert_eq!(got.to_bits(), dot_f32(&a, &b1).to_bits(), "len {len}");
+            // The whole vector as a prefix is the dense kernel.
+            let got = dot_f32_nonzeros(len, (&a, &b), std::iter::empty());
+            assert_eq!(got.to_bits(), dot_f32(&a, &b).to_bits(), "len {len}");
         }
-        assert_eq!(dot_f32_nonzeros(0, std::iter::empty()).to_bits(), 0);
-        assert_eq!(dot_f32_nonzeros(9, std::iter::empty()).to_bits(), 0);
+        let none = (&[][..], &[][..]);
+        assert_eq!(dot_f32_nonzeros(0, none, std::iter::empty()).to_bits(), 0);
+        assert_eq!(dot_f32_nonzeros(9, none, std::iter::empty()).to_bits(), 0);
     }
 
     #[test]

@@ -35,22 +35,33 @@
 //!   then the [`Param::adam_step`] update. Lanes do not interact, so
 //!   neither where a lane lives nor whether its gradient is stored in
 //!   between can change its value.
+//! * Adam's step constants (the bias corrections `1 − β^t`) depend on the
+//!   step `t` alone, so they are computed once per `t` into a table the
+//!   fit reads, not per step. Once a correction has rounded to exactly
+//!   `1.0` (`bc1` from step 165, `bc2` from 17 321) the step runs a lane
+//!   loop instance without that division: `x / 1.0` is `x`, bit for bit.
+//!   On `x86_64` hosts with AVX2 the lane loop runs an AVX2 build of the
+//!   same source, picked once per fit; same IEEE operations, same bits.
 //! * The forward pass is [`dot_f32`] over the full-width vectors, replayed
-//!   from the row's non-zeros by [`dot_f32_nonzeros`] with each product
-//!   sent to the accumulator its *full-width* index selects.
+//!   by [`dot_f32_nonzeros`]: the embedding lanes, a dense prefix, run
+//!   `dot_f32`'s own chunked body, and the row's buckets and the bias
+//!   follow with each product sent to the accumulator its *full-width*
+//!   index selects.
 //!
 //! After the last epoch the compact weights are scattered into the
 //! full-width vector every scoring path reads. The cold path
 //! (`warm_start: false`) is the full-width dense loop, kept as the
-//! reference the equivalence tests compare against. The saving scales with
-//! the share of buckets the training set leaves untouched (every generated
-//! corpus has a vocabulary under 200 words, so under 5 % of the 4096
-//! buckets are active); with every bucket active the loop does the dense
-//! loop's lane work and there is still nothing to select.
+//! reference the equivalence tests compare against: it computes Adam's
+//! constants from `powi` at every step and divides by them in every lane.
+//! The saving scales with the share of buckets the training set leaves
+//! untouched (every generated corpus has a vocabulary under 200 words, so
+//! under 5 % of the 4096 buckets are active); with every bucket active the
+//! loop does the dense loop's lane work and there is still nothing to
+//! select.
 
 #![allow(clippy::needless_range_loop)] // index math mirrors the tensor strides
 
-use crate::adam::{sigmoid, Param};
+use crate::adam::{sigmoid, Adam, LaneLoop, Param};
 use crate::block::{FeatureBlock, BLOCK_ROWS};
 use crate::features::{logreg_dim, logreg_features, BOW_BUCKETS};
 use crate::kernels::{dot_f32, dot_f32_nonzeros};
@@ -131,6 +142,9 @@ pub struct LogReg {
     /// The active-set loop's compact parameters, kept for their
     /// allocations while the active-set size repeats.
     active: Param,
+    /// Adam's constants for steps `1..=steps.len()`, grown to the longest
+    /// fit so far (they depend on the step alone).
+    steps: Vec<Adam>,
     /// The `(pos, neg)` of the last completed fit — the warm-start skip
     /// compares exactly (no hashing), so a skipped refit is provably the
     /// fit it replaces.
@@ -145,6 +159,7 @@ impl LogReg {
             seed,
             arena: FeatureArena::new(emb.dim()),
             active: Param::zeros(0),
+            steps: Vec::new(),
             last_data: None,
         }
     }
@@ -238,36 +253,36 @@ impl LogReg {
         } else {
             self.active = Param::zeros(n);
         }
-        let (w, cfg) = (&mut self.active, &self.cfg);
+        let cfg = &self.cfg;
+        Adam::extend_table(&mut self.steps, cfg.lr, cfg.epochs * rows.len());
+        let (w, lanes) = (&mut self.active, LaneLoop::detect());
         // The current row in the compact layout: zeros in the active
         // buckets it does not touch, the constant bias feature last.
         let mut f = vec![0.0f32; n];
         f[n - 1] = 1.0;
-        let mut step = 0;
+        let mut steps = self.steps.iter();
         for _ in 0..cfg.epochs {
             rows.shuffle(rng);
             for &(r, y) in &rows {
                 let (idx, val) = arena.bow_row(r);
-                f[..emb_dim].copy_from_slice(arena.dense_row(r));
+                let dense = arena.dense_row(r);
+                f[..emb_dim].copy_from_slice(dense);
                 for (&b, &v) in idx.iter().zip(val) {
                     f[lane_of[b as usize] as usize] = v;
                 }
                 let z = dot_f32_nonzeros(
                     dim,
-                    (0..emb_dim)
-                        .map(|i| (i, i))
-                        .chain(
-                            idx.iter()
-                                .map(|&b| (emb_dim + b as usize, lane_of[b as usize] as usize)),
-                        )
+                    (&w.w[..emb_dim], dense),
+                    idx.iter()
+                        .map(|&b| (emb_dim + b as usize, lane_of[b as usize] as usize))
                         .chain(std::iter::once((dim - 1, n - 1)))
                         .map(|(full, lane)| (full, w.w[lane], f[lane])),
                 );
                 let p = sigmoid(z);
                 let cw = if y > 0.5 { pos_weight } else { 1.0 };
                 let d = cw * (p - y);
-                step += 1;
-                w.grad_adam_step(&f, d, emb_dim, [cfg.l2, cfg.l2_bow], cfg.lr, step);
+                let k = *steps.next().expect("one table entry per step");
+                w.grad_adam_step(&f, d, emb_dim, [cfg.l2, cfg.l2_bow], k, lanes);
                 for &b in idx {
                     f[lane_of[b as usize] as usize] = 0.0;
                 }
@@ -549,6 +564,50 @@ mod tests {
                     "(id, warm, cold) prediction, round {}", round
                 );
             }
+        }
+    }
+
+    /// One fit long enough that its steps run past both points where
+    /// Adam's bias corrections round to exactly `1.0` (steps 165 and
+    /// 17 321; 1 460 rows × 12 epochs = 17 520 steps), which the short
+    /// proptest fits never reach: rows drawn with repetition from the
+    /// fixture pool, warm against cold, every weight and prediction by
+    /// bits, at an embedding width whose dense prefix leaves a remainder
+    /// (29) and, in release builds (CI), one that fills whole chunks (8).
+    #[test]
+    fn long_fit_warm_equals_cold_bit_for_bit() {
+        use rand::Rng;
+        let widths: &[usize] = if cfg!(debug_assertions) {
+            &[29]
+        } else {
+            &[29, 8]
+        };
+        for &emb_dim in widths {
+            let (c, e, pool) = wide_fixture(emb_dim);
+            let mut rng = SmallRng::seed_from_u64(emb_dim as u64);
+            let mut draw = |n: usize| -> Vec<u32> {
+                (0..n).map(|_| pool[rng.gen_range(0..pool.len())]).collect()
+            };
+            let (pos, neg) = (draw(500), draw(960));
+            let cfg = LogRegConfig::default();
+            assert!(cfg.epochs * (pos.len() + neg.len()) > 17_321);
+            let cold_cfg = LogRegConfig {
+                warm_start: false,
+                ..cfg.clone()
+            };
+            let mut warm = LogReg::new(e, cfg, 13);
+            let mut cold = LogReg::new(e, cold_cfg, 13);
+            warm.fit(c, e, &pos, &neg);
+            cold.fit(c, e, &pos, &neg);
+            assert_eq!(
+                first_bit_diff(&warm.w, &cold.w),
+                None,
+                "emb {emb_dim}: weights"
+            );
+            let (mut pw, mut pc) = (Vec::new(), Vec::new());
+            warm.predict_all(c, e, &mut pw);
+            cold.predict_all(c, e, &mut pc);
+            assert_eq!(first_bit_diff(&pw, &pc), None, "emb {emb_dim}: predictions");
         }
     }
 
