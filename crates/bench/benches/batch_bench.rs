@@ -1,6 +1,6 @@
 //! Wall-clock of the async batched-oracle loop vs the step-driven loop
 //! under simulated oracle latency (0 / 10 / 100 ms per answer), at batch
-//! sizes 1, 4, 16 and the latency-targeted adaptive policy.
+//! sizes 1, 4 and 16.
 //!
 //! The step-driven reference is `Darwin::run` against a synchronous
 //! oracle that sleeps the simulated latency inside every `ask` — the
@@ -150,11 +150,10 @@ fn bench_batch(c: &mut Criterion) {
         let step_ns = t.elapsed().as_nanos();
         assert_eq!(step.questions(), BUDGET, "fixture must sustain the budget");
 
-        let policies: [(String, BatchPolicy); 4] = [
+        let policies: [(String, BatchPolicy); 3] = [
             ("1".into(), BatchPolicy::Fixed(1)),
             ("4".into(), BatchPolicy::Fixed(4)),
             ("16".into(), BatchPolicy::Fixed(16)),
-            ("adaptive".into(), BatchPolicy::LatencyTargeted { max: 16 }),
         ];
         let mut rows = Vec::new();
         for (label, policy) in policies {
@@ -171,7 +170,7 @@ fn bench_batch(c: &mut Criterion) {
                 speedup_100ms_b4 = speedup;
             }
             println!(
-                "latency {latency_ms:>3} ms  batch {label:>8}  wall {:>9}  waves {:>2}  speedup {speedup:.2}x",
+                "latency {latency_ms:>3} ms  batch {label:>2}  wall {:>9}  waves {:>2}  speedup {speedup:.2}x",
                 darwin_eval::fmt_ns(out.report.wall_ns),
                 out.report.waves
             );

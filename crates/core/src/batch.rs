@@ -8,9 +8,10 @@
 //! one-question-at-a-time loop is its wave size 1:
 //!
 //! 1. **Waves.** The driver fills a *wave* of up to `k` in-flight
-//!    questions ([`crate::DarwinConfig::batch`] sizes `k`): the first pick comes
-//!    from the configured traversal strategy — exactly the synchronous
-//!    selection — and every further pick from
+//!    questions ([`crate::DarwinConfig::batch`] is
+//!    [`BatchPolicy::Fixed`]`(k)`, the paper's rounds of a fixed size):
+//!    the first pick comes from the configured traversal strategy —
+//!    exactly the synchronous selection — and every further pick from
 //!    [`Engine::select_refill_batch`] (maximum gated benefit, skipping
 //!    rules that mostly duplicate a question already in flight).
 //! 2. **Out-of-order application.** Answers come back from
@@ -25,8 +26,8 @@
 //!
 //! Every run entry is an adapter over that loop: [`Darwin::run`] and
 //! [`Darwin::run_with`] pin the wave size to 1 over [`crate::Immediate`];
-//! [`Darwin::run_async`] drives to completion at the configured policy
-//! (`k` annotators in rounds is [`BatchPolicy::Fixed`]`(k)` over a
+//! [`Darwin::run_async`] drives to completion at the configured wave size
+//! (`k` annotators in rounds is `Fixed(k)` over a
 //! [`crate::AnnotatorPool`]); [`Darwin::snapshot`] / [`Darwin::resume`]
 //! stop at and restart from a barrier; [`crate::stream::StreamSession`]
 //! parks the session between segments while its corpus grows.
@@ -78,41 +79,19 @@ use crate::pipeline::{Darwin, RunResult, Seed};
 use crate::snapshot::{SessionCounters, Snapshot, SnapshotError};
 use crate::traversal::Strategy;
 use darwin_grammar::Heuristic;
-use darwin_index::fx::FxHashMap;
 use darwin_index::RuleRef;
 use darwin_text::Corpus;
 use std::time::{Duration, Instant};
 
 /// How the async driver sizes each wave of in-flight questions
-/// ([`crate::DarwinConfig::batch`]).
+/// ([`crate::DarwinConfig::batch`]). The paper asks in rounds of a fixed
+/// size, and so does the driver: every wave holds up to `k` questions.
 #[derive(Clone, Debug, PartialEq)]
 pub enum BatchPolicy {
     /// Keep up to `k` questions in flight per wave. `Fixed(1)` is the
-    /// one-question-at-a-time loop ([`Darwin::run`] pins it).
+    /// one-question-at-a-time loop ([`Darwin::run`] pins it); `Fixed(0)`
+    /// runs as `Fixed(1)`.
     Fixed(usize),
-    /// Size waves adaptively from measured answer latency: propose as
-    /// many questions as selection can prepare during one oracle
-    /// round-trip (`latency / selection-cost`), clamped to `[1, max]`.
-    /// The first wave runs at size 1 to take the first measurement.
-    /// Wave sizes depend on wall-clock measurements, so traces are *not*
-    /// reproducible across hosts — use `Fixed` where replayability
-    /// matters.
-    LatencyTargeted {
-        /// Hard cap on in-flight questions (annotator-pool size).
-        max: usize,
-    },
-    /// Extend a wave only while candidate benefit holds up: stop when the
-    /// next refill's total benefit falls below `cutoff` × the wave's
-    /// first pick. Deterministic (no wall-clock input): batches are big
-    /// while the pool is rich and shrink toward sequential as it thins —
-    /// the paper's benefit function as a batching signal.
-    BenefitDecay {
-        /// Hard cap on in-flight questions.
-        max: usize,
-        /// Fraction of the wave-opening benefit below which the wave
-        /// stops growing (e.g. `0.5`).
-        cutoff: f64,
-    },
 }
 
 impl Default for BatchPolicy {
@@ -122,80 +101,10 @@ impl Default for BatchPolicy {
 }
 
 impl BatchPolicy {
-    /// The policy's hard cap on in-flight questions.
+    /// The policy's cap on in-flight questions: the size of every wave.
     pub fn max_in_flight(&self) -> usize {
-        match *self {
-            BatchPolicy::Fixed(k) => k.max(1),
-            BatchPolicy::LatencyTargeted { max } | BatchPolicy::BenefitDecay { max, .. } => {
-                max.max(1)
-            }
-        }
-    }
-}
-
-/// Runtime companion of a [`BatchPolicy`]: observes per-question selection
-/// cost and per-answer latency (EWMA), and emits each wave's target size
-/// and benefit floor.
-pub struct AdaptiveBatcher {
-    policy: BatchPolicy,
-    latency_ns: Option<f64>,
-    select_ns: Option<f64>,
-}
-
-/// EWMA weight of the newest observation.
-const EWMA_ALPHA: f64 = 0.3;
-
-impl AdaptiveBatcher {
-    /// A batcher executing `policy`.
-    pub fn new(policy: BatchPolicy) -> AdaptiveBatcher {
-        AdaptiveBatcher {
-            policy,
-            latency_ns: None,
-            select_ns: None,
-        }
-    }
-
-    /// Target in-flight size for the next wave.
-    pub fn wave_size(&self) -> usize {
-        match self.policy {
-            BatchPolicy::Fixed(k) => k.max(1),
-            BatchPolicy::BenefitDecay { max, .. } => max.max(1),
-            BatchPolicy::LatencyTargeted { max } => match (self.latency_ns, self.select_ns) {
-                // Fill one oracle round-trip with selection work.
-                (Some(l), Some(s)) if s > 0.0 => ((l / s).round() as usize).clamp(1, max.max(1)),
-                _ => 1, // measure before scaling out
-            },
-        }
-    }
-
-    /// Benefit floor for refills of a wave anchored at `anchor` (the
-    /// first pick's total benefit): `Some` only under
-    /// [`BatchPolicy::BenefitDecay`].
-    pub fn floor(&self, anchor: Option<i64>) -> Option<i64> {
-        match self.policy {
-            BatchPolicy::BenefitDecay { cutoff, .. } => {
-                anchor.map(|a| (a as f64 * cutoff).ceil() as i64)
-            }
-            _ => None,
-        }
-    }
-
-    /// Observe one submit→arrival answer latency.
-    pub fn note_latency(&mut self, ns: u64) {
-        Self::ewma(&mut self.latency_ns, ns);
-    }
-
-    /// Observe the cost of selecting one question.
-    pub fn note_select(&mut self, ns: u64) {
-        Self::ewma(&mut self.select_ns, ns);
-    }
-
-    fn ewma(slot: &mut Option<f64>, ns: u64) {
-        let x = ns as f64;
-        *slot = Some(match *slot {
-            None => x,
-            Some(prev) => EWMA_ALPHA * x + (1.0 - EWMA_ALPHA) * prev,
-        });
+        let BatchPolicy::Fixed(k) = *self;
+        k.max(1)
     }
 }
 
@@ -586,19 +495,13 @@ impl<'a> Session<'a> {
         finished
     }
 
-    fn submit(
-        &mut self,
-        oracle: &mut dyn AsyncOracle,
-        submit_at: &mut FxHashMap<u64, Instant>,
-        rule: RuleRef,
-    ) {
+    fn submit(&mut self, oracle: &mut dyn AsyncOracle, rule: RuleRef) {
         let qid = QuestionId(self.progress.counters.submitted);
         self.progress.counters.submitted += 1;
         self.engine.begin_question(qid, rule);
         let darwin = self.engine.darwin();
         let index = darwin.index();
         let h = index.heuristic(rule);
-        submit_at.insert(qid.0, Instant::now());
         oracle.submit(qid, darwin.corpus(), &h, index.coverage(rule));
     }
 
@@ -607,8 +510,7 @@ impl<'a> Session<'a> {
             return true; // the oracle went silent in an earlier segment
         }
         let budget = self.engine.darwin().config().budget as u64;
-        let mut batcher = AdaptiveBatcher::new(self.policy.clone());
-        let mut submit_at: FxHashMap<u64, Instant> = FxHashMap::default();
+        let k = self.policy.max_in_flight() as u64;
 
         loop {
             // ---- fill a wave ----
@@ -617,23 +519,12 @@ impl<'a> Session<'a> {
             // ranked once for the whole wave. The wave's membership is fixed
             // before any of its answers are applied, which is what makes the
             // final state invariant under arrival order.
-            let k = batcher.wave_size() as u64;
             if self.progress.counters.submitted < budget {
-                let t = Instant::now();
                 if let Some(rule) = self.engine.select(&mut *self.strategy) {
-                    batcher.note_select(t.elapsed().as_nanos() as u64);
-                    self.submit(oracle, &mut submit_at, rule);
+                    self.submit(oracle, rule);
                     let want = (k - 1).min(budget - self.progress.counters.submitted) as usize;
-                    if want > 0 {
-                        let floor = batcher.floor(Some(self.engine.benefit_sum(rule)));
-                        let t = Instant::now();
-                        let picks = self.engine.select_refill_batch(want, floor);
-                        if !picks.is_empty() {
-                            batcher.note_select(t.elapsed().as_nanos() as u64 / picks.len() as u64);
-                        }
-                        for rule in picks {
-                            self.submit(oracle, &mut submit_at, rule);
-                        }
+                    for rule in self.engine.select_refill_batch(want) {
+                        self.submit(oracle, rule);
                     }
                 }
             }
@@ -676,9 +567,6 @@ impl<'a> Session<'a> {
                 // themselves arrive however the oracle pleases.
                 arrived.sort_unstable_by_key(|&(qid, _)| qid);
                 for (qid, answer) in arrived {
-                    if let Some(at) = submit_at.remove(&qid.0) {
-                        batcher.note_latency(at.elapsed().as_nanos() as u64);
-                    }
                     // An unknown or already-resolved id is a misbehaving
                     // oracle (a wire worker fabricating or re-delivering
                     // answers): `resolve` is a no-op for it, so state cannot
@@ -845,39 +733,6 @@ mod tests {
         assert_eq!(c.cents, 60, "10 questions × 3 members × 2¢");
         assert!((c.dollars() - 0.60).abs() < 1e-9);
         assert_eq!(CostModel::single().report(10).cents, 20);
-    }
-
-    #[test]
-    fn fixed_policy_ignores_measurements() {
-        let mut b = AdaptiveBatcher::new(BatchPolicy::Fixed(4));
-        assert_eq!(b.wave_size(), 4);
-        b.note_latency(1_000_000_000);
-        b.note_select(10);
-        assert_eq!(b.wave_size(), 4);
-        assert_eq!(b.floor(Some(100)), None);
-        assert_eq!(AdaptiveBatcher::new(BatchPolicy::Fixed(0)).wave_size(), 1);
-    }
-
-    #[test]
-    fn latency_targeted_scales_with_measured_latency() {
-        let mut b = AdaptiveBatcher::new(BatchPolicy::LatencyTargeted { max: 16 });
-        assert_eq!(b.wave_size(), 1, "measure before scaling out");
-        b.note_select(1_000); // 1 µs to select
-        b.note_latency(8_000); // 8 µs round-trip
-        assert_eq!(b.wave_size(), 8);
-        b.note_latency(1_000_000_000); // latency explodes → cap
-        assert_eq!(b.wave_size(), 16);
-    }
-
-    #[test]
-    fn benefit_decay_floor_scales_with_anchor() {
-        let b = AdaptiveBatcher::new(BatchPolicy::BenefitDecay {
-            max: 8,
-            cutoff: 0.5,
-        });
-        assert_eq!(b.wave_size(), 8);
-        assert_eq!(b.floor(Some(1000)), Some(500));
-        assert_eq!(b.floor(None), None);
     }
 
     #[test]

@@ -97,8 +97,8 @@ pub struct DarwinConfig {
     /// How the question loop sizes its waves of in-flight oracle
     /// questions under the async entry points
     /// ([`crate::Darwin::run_async`], `snapshot`/`resume`,
-    /// [`crate::StreamSession`]): a fixed count, a latency-targeted
-    /// adaptive size, or a benefit-decay cutoff (see [`BatchPolicy`]).
+    /// [`crate::StreamSession`]): every wave holds up to `k` questions
+    /// (see [`BatchPolicy`]).
     /// `Fixed(1)` — the default — asks one question at a time;
     /// [`crate::Darwin::run`] and `run_with` always do, whatever this
     /// says.
@@ -233,8 +233,9 @@ mod tests {
     #[test]
     fn batch_default_is_sequential() {
         assert_eq!(DarwinConfig::default().batch, BatchPolicy::Fixed(1));
-        let c = DarwinConfig::fast().with_batch(BatchPolicy::LatencyTargeted { max: 16 });
+        let c = DarwinConfig::fast().with_batch(BatchPolicy::Fixed(16));
         assert_eq!(c.batch.max_in_flight(), 16);
+        assert_eq!(BatchPolicy::Fixed(0).max_in_flight(), 1);
     }
 
     #[test]

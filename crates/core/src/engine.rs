@@ -607,7 +607,9 @@ impl<'a> Engine<'a> {
                 }
             }
             Seed::Positives(ids) => {
-                state.p.extend_from_slice(ids);
+                for &id in ids.iter().filter(|&&id| (id as usize) < n) {
+                    state.p.insert(id);
+                }
             }
         }
 
@@ -955,12 +957,6 @@ impl<'a> Engine<'a> {
         n
     }
 
-    /// Total benefit (fixed-point) of `r` under the current state — what
-    /// the adaptive batcher's benefit-decay cutoff is anchored on.
-    pub fn benefit_sum(&self, r: RuleRef) -> i64 {
-        self.ctx().benefit(r).sum_q
-    }
-
     /// Propose up to `want` further questions *while others are in
     /// flight*: the highest-ranked candidates under the traversals' gating
     /// (`rank_gated`) whose new coverage overlaps the union of in-flight
@@ -969,16 +965,11 @@ impl<'a> Engine<'a> {
     /// The pool is ranked once per call, so a whole wave refill costs one
     /// scan + sort, not one per slot.
     ///
-    /// `floor` (benefit-decay batching) ends the proposal scan — and with
-    /// it the wave — at the first candidate whose total benefit fell
-    /// below it: once benefit decays past the cutoff, nothing further
-    /// down the proposal order extends the wave.
-    ///
     /// Exact coverage duplicates and cross-grammar aliases of anything
     /// already asked are consumed without being proposed, like
     /// [`Engine::select`]; candidates merely *overlapping* an in-flight
     /// question stay available for later waves.
-    pub fn select_refill_batch(&mut self, want: usize, floor: Option<i64>) -> Vec<RuleRef> {
+    pub fn select_refill_batch(&mut self, want: usize) -> Vec<RuleRef> {
         let mut picks = Vec::new();
         if want == 0 || self.wire_error().is_some() {
             return picks;
@@ -997,12 +988,9 @@ impl<'a> Engine<'a> {
             let ctx = self.ctx();
             rank_gated(&ctx)
         };
-        for (r, _, sum_q, _) in ranked {
+        for (r, ..) in ranked {
             if picks.len() == want {
                 break;
-            }
-            if floor.is_some_and(|f| sum_q < f) {
-                break; // benefit decayed below the cutoff: the wave stops
             }
             let new: Vec<u32> = index
                 .coverage(r)
@@ -1683,7 +1671,7 @@ mod tests {
             let mut engine = engine_over(&darwin, all.clone());
             engine.state.queried.insert(out_rule);
             engine.begin_question(QuestionId(0), out_rule);
-            engine.select_refill_batch(want, None)
+            engine.select_refill_batch(want)
         };
         let picks = refill(all.len() + 50);
         assert!(!picks.is_empty());
@@ -1722,7 +1710,7 @@ mod tests {
             })
             .expect("tiny corpus has coverage-duplicate rules");
         let mut engine = engine_over(&darwin, vec![pair.0, pair.1]);
-        let picks = engine.select_refill_batch(2, None);
+        let picks = engine.select_refill_batch(2);
         assert_eq!(
             picks.len(),
             1,
@@ -1736,14 +1724,14 @@ mod tests {
         let (c, idx) = setup();
         let darwin = Darwin::new(&c, &idx, crate::DarwinConfig::fast());
         assert!(engine_over(&darwin, Vec::new())
-            .select_refill_batch(3, None)
+            .select_refill_batch(3)
             .is_empty());
 
         // A fully queried pool is as empty as an empty one.
         let all: Vec<RuleRef> = idx.all_rules().collect();
         let mut engine = engine_over(&darwin, all.clone());
         engine.state.queried.extend(all);
-        assert!(engine.select_refill_batch(3, None).is_empty());
+        assert!(engine.select_refill_batch(3).is_empty());
     }
 
     #[test]
@@ -1755,7 +1743,7 @@ mod tests {
         for id in 0..c.len() as u32 {
             engine.state.p.insert(id);
         }
-        assert!(engine.select_refill_batch(4, None).is_empty());
+        assert!(engine.select_refill_batch(4).is_empty());
     }
 
     #[test]

@@ -55,8 +55,8 @@ pub mod stream;
 pub mod traversal;
 
 pub use batch::{
-    AdaptiveBatcher, AsyncReport, AsyncRunResult, BatchPolicy, CostModel, CrowdCost,
-    ScriptedArrival, Session, SessionOutcome, SimulatedLatency,
+    AsyncReport, AsyncRunResult, BatchPolicy, CostModel, CrowdCost, ScriptedArrival, Session,
+    SessionOutcome, SimulatedLatency,
 };
 pub use config::{DarwinConfig, Fanout, TraversalKind};
 pub use engine::{BenefitAgg, BenefitStore, Engine, EngineParts, EngineState};

@@ -26,7 +26,8 @@ use darwin_text::{Corpus, Embeddings};
 pub enum Seed {
     /// A seed labeling rule (assumed to capture ≥ 2 positives).
     Rule(Heuristic),
-    /// A couple of known-positive sentence ids.
+    /// A couple of known-positive sentence ids. Ids not below the
+    /// corpus length name no sentence and are dropped.
     Positives(Vec<u32>),
 }
 
@@ -521,6 +522,24 @@ mod tests {
             .count() as f64
             / run.positives.len() as f64;
         assert!(precision > 0.7, "precision {precision}");
+    }
+
+    /// Seed ids outside the corpus are dropped before they reach `P`: the
+    /// run equals the one seeded with the in-range ids alone.
+    #[test]
+    fn out_of_range_positive_seeds_are_dropped() {
+        let (corpus, labels) = fixture();
+        let index = IndexSet::build(&corpus, &IndexConfig::small());
+        let darwin = Darwin::new(&corpus, &index, DarwinConfig::fast().with_budget(6));
+        let run = |ids: Vec<u32>| {
+            let mut oracle = GroundTruthOracle::new(&labels, 0.8);
+            darwin.run(Seed::Positives(ids), &mut oracle)
+        };
+        let n = corpus.len() as u32;
+        let (stray, clean) = (run(vec![0, n + 4]), run(vec![0]));
+        assert_eq!(stray.positives, clean.positives);
+        assert_eq!(stray.trace, clean.trace);
+        assert_eq!(stray.scores, clean.scores);
     }
 
     #[test]

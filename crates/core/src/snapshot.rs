@@ -27,12 +27,10 @@
 //! What is deliberately *not* captured: classifier weights (`fit` is a
 //! pure function of `(P, RNG draws, seed)` — the next retrain reproduces
 //! them bit for bit), the candidate hierarchy and benefit aggregates
-//! (deterministically re-derived from the restored `(P, scores)`), the
-//! adaptive batcher's latency EWMAs (wall-clock measurements; only the
-//! deterministic policies replay exactly anyway), and anything owned by
-//! the deployment rather than the run — transports, worker processes,
-//! `shards`/`threads`/`fanout` and the index's build parallelism
-//! (`IndexConfig::threads`). Resume re-attaches workers by replaying
+//! (deterministically re-derived from the restored `(P, scores)`), and
+//! anything owned by the deployment rather than the run — transports,
+//! worker processes, `shards`/`threads`/`fanout` and the index's build
+//! parallelism (`IndexConfig::threads`). Resume re-attaches workers by replaying
 //! `ShardInit`/`Track` through the *resuming* `Darwin`'s connectors, which
 //! is exactly the reconnect-and-replay machinery a mid-run worker death
 //! already exercises.
@@ -190,21 +188,11 @@ pub fn config_fingerprint(cfg: &DarwinConfig) -> u64 {
     (cfg.neg_per_pos as u64).encode(&mut buf);
     (cfg.min_negatives as u64).encode(&mut buf);
     cfg.incremental_scoring.encode(&mut buf);
-    match &cfg.batch {
-        crate::batch::BatchPolicy::Fixed(k) => {
-            0u8.encode(&mut buf);
-            (*k as u64).encode(&mut buf);
-        }
-        crate::batch::BatchPolicy::LatencyTargeted { max } => {
-            1u8.encode(&mut buf);
-            (*max as u64).encode(&mut buf);
-        }
-        crate::batch::BatchPolicy::BenefitDecay { max, cutoff } => {
-            2u8.encode(&mut buf);
-            (*max as u64).encode(&mut buf);
-            cutoff.to_bits().encode(&mut buf);
-        }
-    }
+    // Tag 0 then `k`: snapshots on disk carry this encoding, so changing
+    // it would refuse to resume them.
+    let crate::batch::BatchPolicy::Fixed(k) = cfg.batch;
+    0u8.encode(&mut buf);
+    (k as u64).encode(&mut buf);
     cfg.max_coverage_frac.to_bits().encode(&mut buf);
     cfg.seed.encode(&mut buf);
     fnv64(&buf)

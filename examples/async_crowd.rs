@@ -2,7 +2,7 @@
 //! (paper §4.3: annotator latency dwarfs engine compute).
 //!
 //! Runs the same discovery task at batch sizes 1 (the synchronous
-//! reference), 4, and latency-adaptive, against an oracle that takes
+//! reference), 4 and 8, against an oracle that takes
 //! 50 ms per answer, and prints the wall-clock, pipelining depth and
 //! §4.3 crowd cost of each.
 //!
@@ -30,7 +30,7 @@ fn main() {
     for (label, policy) in [
         ("batch 1 (sequential)", BatchPolicy::Fixed(1)),
         ("batch 4", BatchPolicy::Fixed(4)),
-        ("adaptive (max 8)", BatchPolicy::LatencyTargeted { max: 8 }),
+        ("batch 8", BatchPolicy::Fixed(8)),
     ] {
         let cfg = DarwinConfig {
             budget: 24,

@@ -441,6 +441,21 @@ fn fingerprint_partitions_the_config() {
     assert_ne!(fp, config_fingerprint(&base.with_seed(DSEED + 1)));
 }
 
+/// Pinned fingerprint values: `Fixed(k)` encodes as tag 0 then `k`, the
+/// encoding snapshots on disk carry. A change to either value refuses to
+/// resume every snapshot written before it.
+#[test]
+fn fixed_policy_fingerprints_are_pinned() {
+    assert_eq!(
+        config_fingerprint(&DarwinConfig::default()),
+        2033033934523853459
+    );
+    assert_eq!(
+        config_fingerprint(&DarwinConfig::fast().with_batch(BatchPolicy::Fixed(4))),
+        7710588680273220156
+    );
+}
+
 // ---- proptest: canonical round-trips for every constituent --------------
 
 fn arb_ruleref() -> impl Strategy<Value = RuleRef> {

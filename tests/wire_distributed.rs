@@ -264,7 +264,7 @@ fn threaded_coordinator_index_numbers_rules_like_its_workers() {
     assert_eq!(tracked, re.hierarchy().rules());
     assert!(tracked.len() > 100, "hierarchy too small to tell");
     for &r in &tracked {
-        assert_eq!(le.benefit_sum(r), re.benefit_sum(r), "{r:?} benefit");
+        assert_eq!(le.ctx().benefit(r), re.ctx().benefit(r), "{r:?} benefit");
     }
     assert!(re.audit_remote_store().unwrap(), "mirror drifted");
     drop((le, re));
