@@ -34,6 +34,21 @@ impl Param {
         }
     }
 
+    /// [`Param::uniform`] with the `k`-th value drawn stored at `place(k)`,
+    /// a permutation of `0..n`: the same values, in another layout.
+    pub(crate) fn uniform_placed(
+        n: usize,
+        scale: f32,
+        rng: &mut SmallRng,
+        place: impl Fn(usize) -> usize,
+    ) -> Param {
+        let mut p = Param::zeros(n);
+        for k in 0..n {
+            p.w[place(k)] = rng.gen_range(-scale..scale);
+        }
+        p
+    }
+
     pub fn len(&self) -> usize {
         self.w.len()
     }
@@ -123,6 +138,67 @@ impl Param {
             grad_adam_lanes::<SAT>(w, m, v, x, d, l2, k);
         }
     }
+
+    /// The minibatch step over an accumulated gradient sum: lane `i` takes
+    /// `g[i]·scale` as its gradient (`scale` is `1/len` for the mean), then
+    /// the update [`Param::adam_step`] gives it with step constants `k`,
+    /// and `g[i]` is zeroed for the next minibatch — one pass, bit for bit
+    /// the scaling pass, `adam_step` and [`Param::zero_grad`] in turn.
+    ///
+    /// The lane loop instance is picked as in [`Param::grad_adam_step`].
+    pub(crate) fn mean_adam_step(&mut self, scale: f32, k: Adam, lanes: LaneLoop) {
+        match k.saturated() {
+            0 => self.mean_adam_step_with::<0>(scale, k, lanes),
+            1 => self.mean_adam_step_with::<1>(scale, k, lanes),
+            _ => self.mean_adam_step_with::<2>(scale, k, lanes),
+        }
+    }
+
+    /// [`Param::mean_adam_step`] through the lane loop instance that skips
+    /// the first `SAT` bias corrections; legal when `SAT <= k.saturated()`.
+    fn mean_adam_step_with<const SAT: u8>(&mut self, scale: f32, k: Adam, lanes: LaneLoop) {
+        debug_assert!(SAT <= k.saturated());
+        let (w, m, v, g) = (&mut self.w, &mut self.m, &mut self.v, &mut self.g);
+        #[cfg(target_arch = "x86_64")]
+        if lanes.avx2 {
+            // SAFETY: `avx2` is set only by `LaneLoop::detect`, after
+            // `is_x86_feature_detected!("avx2")` returned true.
+            unsafe { mean_adam_lanes_avx2::<SAT>(w, m, v, g, scale, k) };
+            return;
+        }
+        mean_adam_lanes::<SAT>(w, m, v, g, scale, k);
+    }
+}
+
+/// The minibatch step's lane loop over zipped slices.
+#[inline(always)]
+fn mean_adam_lanes<const SAT: u8>(
+    w: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    g: &mut [f32],
+    scale: f32,
+    k: Adam,
+) {
+    let lanes = w.iter_mut().zip(m).zip(v);
+    for (((w, m), v), g) in lanes.zip(g) {
+        k.lane::<SAT>(w, m, v, *g * scale);
+        *g = 0.0;
+    }
+}
+
+/// [`mean_adam_lanes`] compiled for AVX2, like [`grad_adam_lanes_avx2`].
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn mean_adam_lanes_avx2<const SAT: u8>(
+    w: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    g: &mut [f32],
+    scale: f32,
+    k: Adam,
+) {
+    mean_adam_lanes::<SAT>(w, m, v, g, scale, k)
 }
 
 /// The fused step's lane loop over zipped slices (no bounds checks), which
@@ -180,6 +256,25 @@ impl LaneLoop {
             return LaneLoop { avx2: true };
         }
         LaneLoop::PORTABLE
+    }
+
+    /// Whether this is the AVX2 instance; set only by [`LaneLoop::detect`].
+    pub(crate) fn avx2(self) -> bool {
+        self.avx2
+    }
+
+    /// Every instance this host runs: the portable one always, the AVX2
+    /// one where it is detected (with a note on stderr where it is not).
+    #[cfg(test)]
+    pub(crate) fn host_instances() -> Vec<(&'static str, LaneLoop)> {
+        let mut loops = vec![("portable", LaneLoop::PORTABLE)];
+        let host = LaneLoop::detect();
+        if host.avx2 {
+            loops.push(("avx2", host));
+        } else {
+            eprintln!("note: AVX2 not detected; only the portable instance is tested here");
+        }
+        loops
     }
 }
 
@@ -361,19 +456,6 @@ mod tests {
         }
     }
 
-    /// Every compiled instance of the lane loop this host can run: the
-    /// portable one always, the AVX2 one where it is detected.
-    fn lane_loops() -> Vec<(&'static str, LaneLoop)> {
-        let mut loops = vec![("portable", LaneLoop::PORTABLE)];
-        let host = LaneLoop::detect();
-        if host.avx2 {
-            loops.push(("avx2", host));
-        } else {
-            eprintln!("note: AVX2 not detected; the AVX2 lane loop is not tested here");
-        }
-        loops
-    }
-
     /// The fused step through the lane instance that drops `sat` bias
     /// corrections; `None` is the instance `grad_adam_step` picks.
     fn fused_step(
@@ -405,7 +487,7 @@ mod tests {
     /// them at `+0.0`.
     #[test]
     fn fused_step_equals_gradient_then_adam_step_bit_for_bit() {
-        for (name, lanes) in lane_loops() {
+        for (name, lanes) in LaneLoop::host_instances() {
             for t in TS {
                 let instances = (0..=Adam::new(LR, t).saturated()).map(Some);
                 for sat in instances.chain([None]) {
@@ -427,6 +509,49 @@ mod tests {
                                     let lane = [p.w[i], p.m[i], p.v[i]].map(f32::to_bits);
                                     assert_eq!(lane, [0; 3], "{what}: untouched lane {i} moved");
                                 }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The minibatch step against its definition: `g` scaled in an indexed
+    /// pass, the indexed Adam loop, then `g` zeroed — through every lane
+    /// loop, every instance legal at `t` and the one the step picks, at
+    /// the scales of a full minibatch of 16, a short last one of 3, and
+    /// one of 1. The untouched lanes hold `g = +0.0`, so their moments and
+    /// weights must stay `+0.0`.
+    #[test]
+    fn mean_step_equals_scale_then_adam_step_bit_for_bit() {
+        for (name, lanes) in LaneLoop::host_instances() {
+            for t in TS {
+                let k = Adam::new(LR, t);
+                let instances = (0..=k.saturated()).map(Some);
+                for sat in instances.chain([None]) {
+                    for n in lengths() {
+                        for scale in [1.0f32 / 16.0, 1.0 / 3.0, 1.0] {
+                            let what = format!("{name} {sat:?} n {n} scale {scale} t {t}");
+                            let (mut p, x) = state(n, n as u64 ^ t as u64);
+                            p.g.copy_from_slice(&x);
+                            let mut want = p.clone();
+                            for i in 0..n {
+                                want.g[i] *= scale;
+                            }
+                            adam_step_indexed(&mut want, LR, t);
+                            match sat {
+                                None => p.mean_adam_step(scale, k, lanes),
+                                Some(0) => p.mean_adam_step_with::<0>(scale, k, lanes),
+                                Some(1) => p.mean_adam_step_with::<1>(scale, k, lanes),
+                                Some(2) => p.mean_adam_step_with::<2>(scale, k, lanes),
+                                Some(_) => unreachable!(),
+                            }
+                            assert_same_bits(&p, &want, &what);
+                            assert!(p.g.iter().all(|g| g.to_bits() == 0), "{what}: g not zeroed");
+                            for i in (2..n).step_by(3) {
+                                let lane = [p.w[i], p.m[i], p.v[i]].map(f32::to_bits);
+                                assert_eq!(lane, [0; 3], "{what}: untouched lane {i} moved");
                             }
                         }
                     }

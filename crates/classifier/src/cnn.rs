@@ -8,24 +8,36 @@
 //! Embeddings are fixed (provided by `darwin-text`); only the filters and
 //! dense layers train, via Adam on binary cross-entropy.
 //!
-//! The stacked matrix is never materialized: a sentence is read as its
-//! symbols plus the shared embedding table, and every entry point (`fit`,
-//! `predict`, `predict_batch`, `predict_all`, `loss`) runs the one
-//! `KimCnn::forward`, which gathers a window's rows, applies all filters
-//! of that width with [`affine_rows_f32`] and max-pools in position order.
-//! While the weights stand still a filter's activation is a pure function
-//! of the window's symbols, so a prediction pass keeps an `ActTable` per
-//! width and computes each distinct window once. A looked-up value *is*
-//! the computed value, so per-id, batched, sharded and threaded prediction
-//! are bit-identical by construction; training runs the same routine with
-//! no table (the weights move every minibatch). `fit` is a pure function
-//! of `(pos, neg, seed, cfg)`, so under [`CnnConfig::warm_start`] a refit
-//! on an unchanged training set is skipped.
+//! Every entry point (`fit`, `predict`, `predict_batch`, `predict_all`,
+//! `loss`) runs the one `KimCnn::forward`. It stacks the sentence's
+//! embedding rows once (`max_len × dim` scratch, zero rows up to the
+//! widest window), reads each window as a slice of that stack, applies all
+//! filters of the window's width with [`affine_outputs_f32`] — the filters
+//! in the vector lanes, their weights in its [`output_slot`] layout — and
+//! max-pools in position order with a `>` select. While the weights stand
+//! still a filter's activation is a pure function of the window's
+//! symbols, so a prediction pass keeps an `ActTable` per width, computes
+//! each distinct window once and stacks a sentence only at its first
+//! miss. A looked-up value *is* the computed value, so per-id, batched,
+//! sharded and threaded prediction are bit-identical by construction.
+//!
+//! Training runs the same routine with no table (the weights move every
+//! minibatch). A minibatch's forward and backward passes are one
+//! `#[inline(always)]` body, `KimCnn::accumulate`, compiled twice —
+//! portable and for AVX2, without `fma` — and `LaneLoop::detect` picks
+//! the instance once per fit. Each step then takes its Adam constants
+//! from a table grown once (`Adam::extend_table`) and runs one pass per
+//! tensor that scales the gradient sum to the mean, applies Adam and
+//! zeroes the sum (`Param::mean_adam_step`). Every instance gives the
+//! bits of the reference fit (stacked-matrix passes, a scaling pass, then
+//! `Param::adam_step`) that the test module keeps. `fit` is a pure
+//! function of `(pos, neg, seed, cfg)`, so under [`CnnConfig::warm_start`]
+//! a refit on an unchanged training set is skipped.
 
 #![allow(clippy::needless_range_loop)] // index math mirrors the tensor strides
 
-use crate::adam::{bce, sigmoid, Param};
-use crate::kernels::{affine_f32, affine_rows_f32};
+use crate::adam::{bce, sigmoid, Adam, LaneLoop, Param};
+use crate::kernels::{affine_f32, affine_outputs_f32, output_groups, output_slot};
 use crate::model::TextClassifier;
 use darwin_text::{Corpus, Embeddings, Sym};
 use rand::rngs::SmallRng;
@@ -80,7 +92,7 @@ const MAX_PROBE: usize = 16;
 
 /// One width's activations by window symbols, for one prediction pass
 /// (the weights are fixed inside one). Purely a cache of values
-/// [`affine_rows_f32`] computed — hit or miss never changes a score.
+/// [`affine_outputs_f32`] computed — hit or miss never changes a score.
 struct ActTable {
     filters: usize,
     cap: usize,
@@ -170,21 +182,60 @@ impl ActTable {
     }
 }
 
-/// The trained model. All tensors are flat `Vec<f32>` with explicit strides.
+/// FC1's backward over one group of `G` hidden units, stored as a row of
+/// `G` weights per input. Each input's gradient row takes `dh·x` in one
+/// vector pass, a closed unit's term being `-0.0` (which adds nothing);
+/// then each open unit in order adds `dh·w` to every `dfeat`, so each
+/// `dfeat` sums its open units in ascending order.
+#[inline(always)]
+fn fc1_back_group<const G: usize>(
+    hpre: &[f32],
+    dh: &[f32],
+    w: &[f32],
+    grad: &mut [f32],
+    feat: &[f32],
+    dfeat: &mut [f32],
+) {
+    let open: [bool; G] = std::array::from_fn(|k| hpre[k] > 0.0);
+    let dh: &[f32; G] = dh[..G].try_into().unwrap();
+    for (gr, &x) in grad.chunks_exact_mut(G).zip(feat) {
+        for k in 0..G {
+            gr[k] += if open[k] { dh[k] * x } else { -0.0 };
+        }
+    }
+    for k in (0..G).filter(|&k| open[k]) {
+        for (wr, d) in w.chunks_exact(G).zip(&mut *dfeat) {
+            *d += dh[k] * wr[k];
+        }
+    }
+}
+
+/// Uniform weights for `outs` outputs of `inputs` inputs each, drawn output
+/// by output, stored where [`affine_outputs_f32`] reads them.
+fn affine_weights(outs: usize, inputs: usize, scale: f32, rng: &mut SmallRng) -> Param {
+    let place = |k| output_slot(inputs, outs, k % inputs, k / inputs);
+    Param::uniform_placed(outs * inputs, scale, rng, place)
+}
+
+/// The trained model. All tensors are flat `Vec<f32>` with explicit strides;
+/// the weights [`affine_outputs_f32`] reads are in its [`output_slot`]
+/// layout.
 pub struct KimCnn {
     cfg: CnnConfig,
     dim: usize,
-    /// One weight tensor per width: `filters × (width·dim)`.
+    /// One weight tensor per width: `filters` outputs of `width·dim` inputs.
     conv_w: Vec<Param>,
     conv_b: Vec<Param>,
-    /// `hidden × total_filters`.
+    /// `hidden` outputs of `total_filters` inputs.
     fc1_w: Param,
     fc1_b: Param,
     /// `1 × hidden`.
     fc2_w: Param,
     fc2_b: Param,
     seed: u64,
-    step: u32,
+    /// Adam's constants for steps `1..=steps.len()`, grown to the longest
+    /// fit so far and kept across fits (see `LogReg::steps`).
+    steps: Vec<Adam>,
     /// The `(pos, neg)` of the last completed fit (exact compare, see
     /// `LogReg::last_data`).
     last_data: Option<(Vec<u32>, Vec<u32>)>,
@@ -197,8 +248,14 @@ struct Scratch {
     h: Vec<f32>,        // hidden (post-ReLU)
     hpre: Vec<f32>,     // hidden (pre-ReLU)
     dfeat: Vec<f32>,    // total_filters — loss gradient at `feat`
-    win: Vec<f32>,      // widest window's gathered embedding rows
-    acts: Vec<f32>,     // filters — a window's activations no table holds
+    dh: Vec<f32>,       // hidden — loss gradient at `hpre` of an open unit
+    /// Per width, filter-major (`filters × width·dim`): the conv weights'
+    /// gradient sum over the minibatch so far, which
+    /// [`KimCnn::fold_conv_grads`] adds into their `g`. Each filter's
+    /// winning window is one contiguous run here.
+    dconv: Vec<Vec<f32>>,
+    stack: Vec<f32>, // the clipped sentence's embedding rows, `max_len × dim`
+    acts: Vec<f32>,  // filters — a window's activations no table holds
 }
 
 impl KimCnn {
@@ -210,7 +267,7 @@ impl KimCnn {
             .iter()
             .map(|&w| {
                 let fan_in = (w * dim) as f32;
-                Param::uniform(cfg.filters * w * dim, (6.0 / fan_in).sqrt(), &mut rng)
+                affine_weights(cfg.filters, w * dim, (6.0 / fan_in).sqrt(), &mut rng)
             })
             .collect();
         let conv_b = cfg
@@ -218,7 +275,7 @@ impl KimCnn {
             .iter()
             .map(|_| Param::zeros(cfg.filters))
             .collect();
-        let fc1_w = Param::uniform(cfg.hidden * total, (6.0 / total as f32).sqrt(), &mut rng);
+        let fc1_w = affine_weights(cfg.hidden, total, (6.0 / total as f32).sqrt(), &mut rng);
         let fc1_b = Param::zeros(cfg.hidden);
         let fc2_w = Param::uniform(cfg.hidden, (6.0 / cfg.hidden as f32).sqrt(), &mut rng);
         let fc2_b = Param::zeros(1);
@@ -232,7 +289,7 @@ impl KimCnn {
             fc2_w,
             fc2_b,
             seed,
-            step: 0,
+            steps: Vec::new(),
             last_data: None,
         }
     }
@@ -246,14 +303,15 @@ impl KimCnn {
     }
 
     fn scratch(&self) -> Scratch {
-        let widest = self.cfg.widths.iter().copied().max().unwrap_or(0);
         Scratch {
             feat: vec![0.0; self.total_filters()],
             argmax: vec![0; self.total_filters()],
             h: vec![0.0; self.cfg.hidden],
             hpre: vec![0.0; self.cfg.hidden],
             dfeat: vec![0.0; self.total_filters()],
-            win: vec![0.0; widest.min(self.cfg.max_len) * self.dim],
+            dh: vec![0.0; self.cfg.hidden],
+            dconv: (self.conv_w.iter()).map(|p| vec![0.0; p.len()]).collect(),
+            stack: vec![0.0; self.cfg.max_len * self.dim],
             acts: vec![0.0; self.cfg.filters],
         }
     }
@@ -285,9 +343,37 @@ impl KimCnn {
         }
     }
 
+    /// Stacks the clipped tokens' embedding rows into `stack`, then zero
+    /// rows up to the widest window's reach: window `t` of any width is
+    /// then `stack[t·dim..(t + rows)·dim]`.
+    fn stack(&self, emb: &Embeddings, toks: &[Sym], stack: &mut [f32]) {
+        let widest = self.cfg.widths.iter().copied().max().unwrap_or(0);
+        let rows = toks.len().max(widest.min(self.cfg.max_len));
+        for (k, row) in stack[..rows * self.dim]
+            .chunks_exact_mut(self.dim)
+            .enumerate()
+        {
+            match toks.get(k) {
+                Some(&sym) => row.copy_from_slice(emb.vector(sym)),
+                None => row.fill(0.0),
+            }
+        }
+    }
+
+    /// The activations of width `wi`'s filters on window `t`, `rows` rows
+    /// of the stacked sentence.
+    #[inline(always)]
+    fn conv(&self, wi: usize, t: usize, rows: usize, stack: &[f32], acts: &mut [f32]) {
+        let (dim, inputs) = (self.dim, self.cfg.widths[wi] * self.dim);
+        let win = &stack[t * dim..(t + rows) * dim];
+        affine_outputs_f32(&self.conv_b[wi].w, &self.conv_w[wi].w, inputs, win, acts);
+    }
+
     /// Forward pass over a sentence's symbols; fills the scratch and
     /// returns P(positive). With `tables` (one per width, this pass's) a
-    /// window's activations are computed on first sight only.
+    /// window's activations are computed on first sight only. The sentence
+    /// is stacked once: up front without tables, at its first miss with.
+    #[inline(always)]
     fn forward(
         &self,
         emb: &Embeddings,
@@ -296,7 +382,11 @@ impl KimCnn {
         s: &mut Scratch,
     ) -> f32 {
         let toks = self.clip(toks);
-        let (n, dim, filters) = (toks.len(), self.dim, self.cfg.filters);
+        let (n, filters) = (toks.len(), self.cfg.filters);
+        let mut stacked = tables.is_none();
+        if stacked {
+            self.stack(emb, toks, &mut s.stack);
+        }
         // Convolution + max-over-time pooling.
         for (wi, &width) in self.cfg.widths.iter().enumerate() {
             let (positions, rows) = self.windows(n, width);
@@ -305,79 +395,83 @@ impl KimCnn {
             feat.fill(f32::NEG_INFINITY);
             argmax.fill(0);
             for t in 0..positions {
-                let win = &mut s.win[..rows * dim];
-                let mut compute = |acts: &mut [f32]| {
-                    for (k, row) in win.chunks_exact_mut(dim).enumerate() {
-                        match toks.get(t + k) {
-                            Some(&sym) => row.copy_from_slice(emb.vector(sym)),
-                            None => row.fill(0.0),
-                        }
-                    }
-                    let (w, b) = (&self.conv_w[wi].w, &self.conv_b[wi].w);
-                    affine_rows_f32(b, w, width * dim, win, acts);
-                };
                 let acts: &[f32] = match tables.as_deref_mut() {
                     Some(tables) => {
                         let key = &toks[t..(t + rows).min(n)];
-                        tables[wi].get_or_fill(key, &mut s.acts, compute)
+                        let (stack, stacked) = (&mut s.stack, &mut stacked);
+                        tables[wi].get_or_fill(key, &mut s.acts, |acts| {
+                            if !*stacked {
+                                self.stack(emb, toks, stack);
+                                *stacked = true;
+                            }
+                            self.conv(wi, t, rows, stack, acts)
+                        })
                     }
                     None => {
-                        compute(&mut s.acts);
+                        self.conv(wi, t, rows, &s.stack, &mut s.acts);
                         &s.acts
                     }
                 };
-                for f in 0..filters {
-                    if acts[f] > feat[f] {
-                        feat[f] = acts[f];
-                        argmax[f] = t;
-                    }
+                // `>` as a select: NaN and ties keep the earlier window.
+                for ((z, a), &v) in feat.iter_mut().zip(argmax.iter_mut()).zip(acts) {
+                    let wins = v > *z;
+                    *a = if wins { t } else { *a };
+                    *z = if wins { v } else { *z };
                 }
             }
             feat.iter_mut().for_each(|z| *z = z.max(0.0)); // ReLU after pooling
         }
         // FC1 (ReLU) + FC2 (sigmoid).
         let total = self.total_filters();
-        affine_rows_f32(&self.fc1_b.w, &self.fc1_w.w, total, &s.feat, &mut s.hpre);
+        affine_outputs_f32(&self.fc1_b.w, &self.fc1_w.w, total, &s.feat, &mut s.hpre);
         for (h, &z) in s.h.iter_mut().zip(&s.hpre) {
             *h = z.max(0.0);
         }
         sigmoid(affine_f32(self.fc2_b.w[0], &self.fc2_w.w, &s.h))
     }
 
-    /// Backward pass for one sample (adds into parameter gradients).
+    /// Backward pass for one sample: adds into the parameter gradients,
+    /// the conv weights' into `s.dconv` until [`KimCnn::fold_conv_grads`].
     /// `dz2` is the loss gradient at the output logit — `p - y` for plain
     /// BCE, scaled by the class weight for balanced training. `toks` and
-    /// `s` must be what the forward pass ran on.
-    fn backward(&mut self, dz2: f32, emb: &Embeddings, toks: &[Sym], s: &mut Scratch) {
-        let toks = self.clip(toks);
-        let total = self.total_filters();
+    /// `s` must be what a table-less forward pass ran on: the winning
+    /// windows are read from its stacked sentence.
+    #[inline(always)]
+    fn backward(&mut self, dz2: f32, toks: &[Sym], s: &mut Scratch) {
+        let n = self.clip(toks).len();
+        let (hidden, filters) = (self.cfg.hidden, self.cfg.filters);
         // FC2.
-        for hidx in 0..self.cfg.hidden {
+        for hidx in 0..hidden {
             self.fc2_w.g[hidx] += dz2 * s.h[hidx];
         }
         self.fc2_b.g[0] += dz2;
-        // FC1.
-        s.dfeat.fill(0.0);
-        for hidx in 0..self.cfg.hidden {
-            if s.hpre[hidx] <= 0.0 {
-                continue;
-            }
-            let dh = dz2 * self.fc2_w.w[hidx];
-            let row = hidx * total;
-            for fi in 0..total {
-                self.fc1_w.g[row + fi] += dh * s.feat[fi];
-                s.dfeat[fi] += dh * self.fc1_w.w[row + fi];
-            }
-            self.fc1_b.g[hidx] += dh;
+        // FC1, a group of units at a time (see `fc1_back_group`), the
+        // groups in order. A closed unit's bias term is `-0.0`, which
+        // leaves every sum as it is (zeros of either sign, infinities and
+        // NaN included): the same bits as skipping it, without a branch.
+        for hidx in 0..hidden {
+            s.dh[hidx] = dz2 * self.fc2_w.w[hidx];
+            self.fc1_b.g[hidx] += if s.hpre[hidx] > 0.0 { s.dh[hidx] } else { -0.0 };
         }
-        // Conv, through the pooling argmax and the post-pool ReLU; the
-        // winning window's rows come straight from the embedding table.
+        s.dfeat.fill(0.0);
+        let total = self.total_filters();
+        for (h0, g) in output_groups(hidden) {
+            let block = h0 * total..(h0 + g) * total;
+            let (w, grad) = (&self.fc1_w.w[block.clone()], &mut self.fc1_w.g[block]);
+            let (open, dh) = (&s.hpre[h0..], &s.dh[h0..]);
+            match g {
+                8 => fc1_back_group::<8>(open, dh, w, grad, &s.feat, &mut s.dfeat),
+                4 => fc1_back_group::<4>(open, dh, w, grad, &s.feat, &mut s.dfeat),
+                _ => fc1_back_group::<1>(open, dh, w, grad, &s.feat, &mut s.dfeat),
+            }
+        }
+        // Conv, through the pooling argmax and the post-pool ReLU; a
+        // zero-padded row adds `df·0.0`, as the stacked matrix always fed.
         let dim = self.dim;
         for (wi, &width) in self.cfg.widths.iter().enumerate() {
-            let wlen = width * dim;
-            let (_, rows) = self.windows(toks.len(), width);
-            for f in 0..self.cfg.filters {
-                let fi = wi * self.cfg.filters + f;
+            let (wlen, (_, rows)) = (width * dim, self.windows(n, width));
+            for f in 0..filters {
+                let fi = wi * filters + f;
                 if s.feat[fi] <= 0.0 {
                     continue; // ReLU gate closed
                 }
@@ -386,31 +480,149 @@ impl KimCnn {
                     continue;
                 }
                 let t = s.argmax[fi];
-                let grow = &mut self.conv_w[wi].g[f * wlen..f * wlen + rows * dim];
-                for (k, grow) in grow.chunks_exact_mut(dim).enumerate() {
-                    match toks.get(t + k) {
-                        Some(&sym) => {
-                            for (g, xv) in grow.iter_mut().zip(emb.vector(sym)) {
-                                *g += df * xv;
-                            }
-                        }
-                        // A zero-padded row: what the stacked matrix fed.
-                        None => grow.iter_mut().for_each(|g| *g += df * 0.0),
-                    }
+                let win = &s.stack[t * dim..(t + rows) * dim];
+                let grow = &mut s.dconv[wi][f * wlen..f * wlen + rows * dim];
+                for (g, xv) in grow.iter_mut().zip(win) {
+                    *g += df * xv;
                 }
                 self.conv_b[wi].g[f] += df;
             }
         }
     }
 
-    fn zero_grads(&mut self) {
-        self.params_mut().for_each(Param::zero_grad);
+    /// Adds the conv weights' gradient sums from `s.dconv` into their `g`
+    /// and zeroes them. Into a `g` of `+0.0` (the state every minibatch
+    /// starts from) this moves each sum unchanged: a sum that starts at
+    /// `+0.0` is never `-0.0`.
+    #[inline(always)]
+    fn fold_conv_grads(&mut self, s: &mut Scratch) {
+        let filters = self.cfg.filters;
+        for (p, d) in self.conv_w.iter_mut().zip(&mut s.dconv) {
+            let wlen = d.len() / filters.max(1);
+            for (f0, g) in output_groups(filters) {
+                let block = &mut p.g[f0 * wlen..(f0 + g) * wlen];
+                for (j, grow) in block.chunks_exact_mut(g).enumerate() {
+                    for (k, gv) in grow.iter_mut().enumerate() {
+                        *gv += d[(f0 + k) * wlen + j];
+                    }
+                }
+            }
+            d.fill(0.0);
+        }
     }
 
-    fn step_all(&mut self) {
-        self.step += 1;
-        let (lr, t) = (self.cfg.lr, self.step);
-        self.params_mut().for_each(|p| p.adam_step(lr, t));
+    /// The forward and backward passes of one minibatch's examples
+    /// (tokens, target), their gradients summed into `g`: the training
+    /// step's body. Inlined into both instances [`KimCnn::accumulate_in`]
+    /// picks from.
+    #[inline(always)]
+    fn accumulate<'t>(
+        &mut self,
+        emb: &Embeddings,
+        examples: impl Iterator<Item = (&'t [Sym], f32)>,
+        pos_weight: f32,
+        s: &mut Scratch,
+    ) {
+        for (toks, y) in examples {
+            let p = self.forward(emb, toks, None, s);
+            let w = if y > 0.5 { pos_weight } else { 1.0 };
+            self.backward(w * (p - y), toks, s);
+        }
+        self.fold_conv_grads(s);
+    }
+
+    /// [`KimCnn::accumulate`] compiled for AVX2: the same source, so the
+    /// same IEEE operations per lane in wider registers. `fma` is not
+    /// enabled and Rust never contracts `a·b + c`, so every bit is the
+    /// portable instance's.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn accumulate_avx2<'t>(
+        &mut self,
+        emb: &Embeddings,
+        examples: impl Iterator<Item = (&'t [Sym], f32)>,
+        pos_weight: f32,
+        s: &mut Scratch,
+    ) {
+        self.accumulate(emb, examples, pos_weight, s)
+    }
+
+    /// [`KimCnn::accumulate`] through the instance `lanes` names.
+    fn accumulate_in<'t>(
+        &mut self,
+        lanes: LaneLoop,
+        emb: &Embeddings,
+        examples: impl Iterator<Item = (&'t [Sym], f32)>,
+        pos_weight: f32,
+        s: &mut Scratch,
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if lanes.avx2() {
+            // SAFETY: `avx2` is set only by `LaneLoop::detect`, after
+            // `is_x86_feature_detected!("avx2")` returned true.
+            unsafe { self.accumulate_avx2(emb, examples, pos_weight, s) };
+            return;
+        }
+        self.accumulate(emb, examples, pos_weight, s)
+    }
+
+    /// [`TextClassifier::fit`] with its minibatch instance given.
+    fn fit_with(
+        &mut self,
+        corpus: &Corpus,
+        emb: &Embeddings,
+        pos: &[u32],
+        neg: &[u32],
+        lanes: LaneLoop,
+    ) {
+        let warm = self.cfg.warm_start;
+        let same = |(lp, ln): &(Vec<u32>, Vec<u32>)| lp == pos && ln == neg;
+        if warm && self.last_data.as_ref().is_some_and(same) {
+            return; // fit is pure in (pos, neg): nothing would change
+        }
+        // Re-initialize: each retraining in the pipeline starts fresh on the
+        // grown positive set (Algorithm 1 line 10 "train_classifier").
+        // `new` is pure, so every reset is identical; the step table
+        // depends on `lr` alone and carries over.
+        *self = KimCnn {
+            last_data: warm.then(|| (pos.to_vec(), neg.to_vec())),
+            steps: std::mem::take(&mut self.steps),
+            ..KimCnn::new(self.dim, self.cfg.clone(), self.seed)
+        };
+        let mut data: Vec<(u32, f32)> = pos
+            .iter()
+            .map(|&i| (i, 1.0))
+            .chain(neg.iter().map(|&i| (i, 0.0)))
+            .collect();
+        if data.is_empty() {
+            return;
+        }
+        let mut rng = SmallRng::seed_from_u64(self.seed ^ 0x7EA);
+        let mut scratch = self.scratch();
+        // Class-balanced loss (see LogReg::fit for the rationale).
+        let pos_weight = if pos.is_empty() || neg.is_empty() {
+            1.0
+        } else {
+            (neg.len() as f32 / pos.len() as f32).clamp(0.25, 2.0)
+        };
+        let batch = self.cfg.batch.max(1);
+        let len = self.cfg.epochs * data.len().div_ceil(batch);
+        Adam::extend_table(&mut self.steps, self.cfg.lr, len);
+        let mut step = 0;
+        for _epoch in 0..self.cfg.epochs {
+            data.shuffle(&mut rng);
+            for chunk in data.chunks(batch) {
+                let examples = chunk
+                    .iter()
+                    .map(|&(id, y)| (corpus.sentence(id).tokens(), y));
+                self.accumulate_in(lanes, emb, examples, pos_weight, &mut scratch);
+                // The mean gradient over the batch.
+                let (k, inv) = (self.steps[step], 1.0 / chunk.len() as f32);
+                step += 1;
+                self.params_mut()
+                    .for_each(|p| p.mean_adam_step(inv, k, lanes));
+            }
+        }
     }
 
     /// Mean training BCE over the given examples (diagnostic).
@@ -448,52 +660,10 @@ impl KimCnn {
 }
 
 impl TextClassifier for KimCnn {
+    /// Minibatches of `cfg.batch` (at least one) examples, each through the
+    /// widest instance of the training body this host runs.
     fn fit(&mut self, corpus: &Corpus, emb: &Embeddings, pos: &[u32], neg: &[u32]) {
-        let warm = self.cfg.warm_start;
-        let same = |(lp, ln): &(Vec<u32>, Vec<u32>)| lp == pos && ln == neg;
-        if warm && self.last_data.as_ref().is_some_and(same) {
-            return; // fit is pure in (pos, neg): nothing would change
-        }
-        // Re-initialize: each retraining in the pipeline starts fresh on the
-        // grown positive set (Algorithm 1 line 10 "train_classifier").
-        // `new` is pure, so every reset is identical.
-        *self = KimCnn {
-            last_data: warm.then(|| (pos.to_vec(), neg.to_vec())),
-            ..KimCnn::new(self.dim, self.cfg.clone(), self.seed)
-        };
-        let mut data: Vec<(u32, f32)> = pos
-            .iter()
-            .map(|&i| (i, 1.0))
-            .chain(neg.iter().map(|&i| (i, 0.0)))
-            .collect();
-        if data.is_empty() {
-            return;
-        }
-        let mut rng = SmallRng::seed_from_u64(self.seed ^ 0x7EA);
-        let mut scratch = self.scratch();
-        // Class-balanced loss (see LogReg::fit for the rationale).
-        let pos_weight = if pos.is_empty() || neg.is_empty() {
-            1.0
-        } else {
-            (neg.len() as f32 / pos.len() as f32).clamp(0.25, 2.0)
-        };
-        for _epoch in 0..self.cfg.epochs {
-            data.shuffle(&mut rng);
-            for batch in data.chunks(self.cfg.batch) {
-                self.zero_grads();
-                for &(id, y) in batch {
-                    let toks = corpus.sentence(id).tokens();
-                    let p = self.forward(emb, toks, None, &mut scratch);
-                    let w = if y > 0.5 { pos_weight } else { 1.0 };
-                    self.backward(w * (p - y), emb, toks, &mut scratch);
-                }
-                // Average gradient over the batch.
-                let inv = 1.0 / batch.len() as f32;
-                self.params_mut()
-                    .for_each(|p| p.g.iter_mut().for_each(|g| *g *= inv));
-                self.step_all();
-            }
-        }
+        self.fit_with(corpus, emb, pos, neg, LaneLoop::detect());
     }
 
     fn predict(&self, corpus: &Corpus, emb: &Embeddings, id: u32) -> f32 {
@@ -674,8 +844,8 @@ mod tests {
         let toks = c.sentence(0).tokens();
         let y = 1.0;
         let p = cnn.forward(&e, toks, None, &mut s);
-        cnn.zero_grads();
-        cnn.backward(p - y, &e, toks, &mut s);
+        cnn.backward(p - y, toks, &mut s);
+        cnn.fold_conv_grads(&mut s);
         let analytic = cnn.fc2_w.g[0];
         let eps = 1e-3;
         let orig = cnn.fc2_w.w[0];
@@ -786,16 +956,23 @@ mod tests {
         (x, n)
     }
 
-    /// The forward pass as it stood before the multi-row kernel and the
+    /// Output `o`'s weights in an `output_slot` tensor of `outs` outputs.
+    fn column(w: &[f32], outs: usize, o: usize) -> Vec<f32> {
+        let inputs = w.len() / outs;
+        (0..inputs)
+            .map(|i| w[output_slot(inputs, outs, i, o)])
+            .collect()
+    }
+
+    /// The forward pass as it stood before the multi-output kernel and the
     /// activation table: one `affine_f32` per (filter, position) over the
     /// stacked matrix. The oracle `forward` is held to.
     fn forward_x(cnn: &KimCnn, x: &[f32], n: usize, s: &mut Scratch) -> f32 {
         let dim = cnn.dim;
         for (wi, &width) in cnn.cfg.widths.iter().enumerate() {
-            let wlen = width * dim;
             let positions = if n >= width { n - width + 1 } else { 1 };
             for f in 0..cnn.cfg.filters {
-                let wrow = &cnn.conv_w[wi].w[f * wlen..(f + 1) * wlen];
+                let wrow = &column(&cnn.conv_w[wi].w, cnn.cfg.filters, f);
                 let bias = cnn.conv_b[wi].w[f];
                 let mut best = f32::NEG_INFINITY;
                 let mut best_t = 0;
@@ -813,9 +990,8 @@ mod tests {
                 s.argmax[fi] = best_t;
             }
         }
-        let total = cnn.total_filters();
         for hidx in 0..cnn.cfg.hidden {
-            let row = &cnn.fc1_w.w[hidx * total..(hidx + 1) * total];
+            let row = &column(&cnn.fc1_w.w, cnn.cfg.hidden, hidx);
             let z = affine_f32(cnn.fc1_b.w[hidx], row, &s.feat);
             s.hpre[hidx] = z;
             s.h[hidx] = z.max(0.0);
@@ -823,48 +999,171 @@ mod tests {
         sigmoid(affine_f32(cnn.fc2_b.w[0], &cnn.fc2_w.w, &s.h))
     }
 
-    /// The backward pass as it stood over the stacked matrix.
+    /// The backward pass as it stood over the stacked matrix; the weight
+    /// and gradient tensors are addressed through `output_slot`.
     fn backward_x(cnn: &mut KimCnn, dz2: f32, x: &[f32], s: &Scratch) {
-        let total = cnn.total_filters();
-        for hidx in 0..cnn.cfg.hidden {
+        let (total, hidden, filters) = (cnn.total_filters(), cnn.cfg.hidden, cnn.cfg.filters);
+        for hidx in 0..hidden {
             cnn.fc2_w.g[hidx] += dz2 * s.h[hidx];
         }
         cnn.fc2_b.g[0] += dz2;
         let mut dfeat = vec![0.0f32; total];
-        for hidx in 0..cnn.cfg.hidden {
+        for hidx in 0..hidden {
             if s.hpre[hidx] <= 0.0 {
                 continue;
             }
             let dh = dz2 * cnn.fc2_w.w[hidx];
-            let row = hidx * total;
             for fi in 0..total {
-                cnn.fc1_w.g[row + fi] += dh * s.feat[fi];
-                dfeat[fi] += dh * cnn.fc1_w.w[row + fi];
+                let k = output_slot(total, hidden, fi, hidx);
+                cnn.fc1_w.g[k] += dh * s.feat[fi];
+                dfeat[fi] += dh * cnn.fc1_w.w[k];
             }
             cnn.fc1_b.g[hidx] += dh;
         }
         let dim = cnn.dim;
         for (wi, &width) in cnn.cfg.widths.iter().enumerate() {
             let wlen = width * dim;
-            for f in 0..cnn.cfg.filters {
-                let fi = wi * cnn.cfg.filters + f;
+            for f in 0..filters {
+                let fi = wi * filters + f;
                 if s.feat[fi] <= 0.0 || dfeat[fi] == 0.0 {
                     continue;
                 }
                 let t = s.argmax[fi];
                 let avail = wlen.min(x.len() - t * dim);
                 let xwin = &x[t * dim..t * dim + avail];
-                let grow = &mut cnn.conv_w[wi].g[f * wlen..f * wlen + avail];
-                for (g, xv) in grow.iter_mut().zip(xwin) {
-                    *g += dfeat[fi] * xv;
+                for (j, xv) in xwin.iter().enumerate() {
+                    cnn.conv_w[wi].g[output_slot(wlen, filters, j, f)] += dfeat[fi] * xv;
                 }
                 cnn.conv_b[wi].g[f] += dfeat[fi];
             }
         }
     }
 
+    /// The fit as it stood before the minibatch instances and the tabled
+    /// step: the oracle passes over a stacked matrix per example, gradients
+    /// zeroed per minibatch, scaled to the mean in their own pass, then
+    /// `Param::adam_step` with the step counter: what `fit` is held to.
+    fn reference_fit(
+        cnn: &mut KimCnn,
+        corpus: &Corpus,
+        emb: &Embeddings,
+        pos: &[u32],
+        neg: &[u32],
+    ) {
+        *cnn = KimCnn::new(cnn.dim, cnn.cfg.clone(), cnn.seed);
+        let mut data: Vec<(u32, f32)> = (pos.iter().map(|&i| (i, 1.0)))
+            .chain(neg.iter().map(|&i| (i, 0.0)))
+            .collect();
+        if data.is_empty() {
+            return;
+        }
+        let mut rng = SmallRng::seed_from_u64(cnn.seed ^ 0x7EA);
+        let mut s = cnn.scratch();
+        let pos_weight = if pos.is_empty() || neg.is_empty() {
+            1.0
+        } else {
+            (neg.len() as f32 / pos.len() as f32).clamp(0.25, 2.0)
+        };
+        let mut t = 0;
+        for _epoch in 0..cnn.cfg.epochs {
+            data.shuffle(&mut rng);
+            for batch in data.chunks(cnn.cfg.batch.max(1)) {
+                cnn.params_mut().for_each(Param::zero_grad);
+                for &(id, y) in batch {
+                    let (x, n) = stack(emb, corpus.sentence(id).tokens(), cnn.cfg.max_len);
+                    let p = forward_x(cnn, &x, n, &mut s);
+                    let w = if y > 0.5 { pos_weight } else { 1.0 };
+                    backward_x(cnn, w * (p - y), &x, &s);
+                }
+                let inv = 1.0 / batch.len() as f32;
+                cnn.params_mut()
+                    .for_each(|p| p.g.iter_mut().for_each(|g| *g *= inv));
+                t += 1;
+                let lr = cnn.cfg.lr;
+                cnn.params_mut().for_each(|p| p.adam_step(lr, t));
+            }
+        }
+    }
+
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Every weight of `a` and `b` and their predictions on the whole
+    /// corpus, by bits.
+    fn assert_same_model(a: &mut KimCnn, b: &mut KimCnn, c: &Corpus, e: &Embeddings, what: &str) {
+        for (i, (pa, pb)) in a.params_mut().zip(b.params_mut()).enumerate() {
+            assert_eq!(bits(&pa.w), bits(&pb.w), "{what}: weights of param {i}");
+        }
+        let (mut qa, mut qb) = (Vec::new(), Vec::new());
+        a.predict_all(c, e, &mut qa);
+        b.predict_all(c, e, &mut qb);
+        assert_eq!(bits(&qa), bits(&qb), "{what}: predictions");
+    }
+
+    /// `fit` against the reference fit, in every instance the host runs,
+    /// over fits long enough that the step table's index and the Adam
+    /// instance pick (`bc1` is exactly 1.0 from step 165) both matter:
+    /// 40 examples in minibatches of 3 (the last one short) for 13 epochs
+    /// is 182 steps. A balanced set and a one-class set (class weight 1),
+    /// and a refit on a grown set, which reuses the grown table.
+    #[test]
+    fn fit_equals_the_reference_fit_bit_for_bit() {
+        let (c, e, pos, neg) = toy();
+        let cfg = CnnConfig {
+            epochs: 13,
+            batch: 3,
+            ..Default::default()
+        };
+        let sets = [
+            (&pos[..12], &neg[..28]),
+            (&pos[..40], &[][..]),
+            (&pos[..20], &neg[..30]),
+        ];
+        for (name, lanes) in LaneLoop::host_instances() {
+            let mut got = KimCnn::new(e.dim(), cfg.clone(), 17);
+            for (round, &(p, n)) in sets.iter().enumerate() {
+                let steps = cfg.epochs * (p.len() + n.len()).div_ceil(cfg.batch);
+                assert!(
+                    steps > 165,
+                    "{steps} steps stop short of the saturated step"
+                );
+                got.fit_with(&c, &e, p, n, lanes);
+                let mut want = KimCnn::new(e.dim(), cfg.clone(), 17);
+                reference_fit(&mut want, &c, &e, p, n);
+                assert_same_model(
+                    &mut got,
+                    &mut want,
+                    &c,
+                    &e,
+                    &format!("{name} round {round}"),
+                );
+            }
+        }
+    }
+
+    /// A minibatch size of 0 trains as 1 does, and trains at all.
+    #[test]
+    fn batch_zero_fits_as_batch_one() {
+        let (c, e, pos, neg) = toy();
+        let at = |batch| {
+            let cfg = CnnConfig {
+                epochs: 2,
+                batch,
+                ..Default::default()
+            };
+            let mut cnn = KimCnn::new(e.dim(), cfg, 8);
+            cnn.fit(&c, &e, &pos[..6], &neg[..6]);
+            cnn
+        };
+        let (mut zero, mut one) = (at(0), at(1));
+        assert_same_model(&mut zero, &mut one, &c, &e, "batch 0 vs 1");
+        let untrained = KimCnn::new(e.dim(), zero.cfg.clone(), 8);
+        assert_ne!(
+            bits(&zero.fc2_w.w),
+            bits(&untrained.fc2_w.w),
+            "no step taken"
+        );
     }
 
     /// A 12-word vocabulary and its embeddings at `dim`.
@@ -913,18 +1212,38 @@ mod tests {
             assert_eq!(bits(&sn.hpre), bits(&so.hpre), "hpre, {ctx}");
             assert_eq!(bits(&sn.h), bits(&so.h), "h, {ctx}");
         }
-        new.backward(want - y, emb, toks, &mut sn);
-        backward_x(&mut old, want - y, &x, &so);
-        for (i, (pn, po)) in new.params_mut().zip(old.params_mut()).enumerate() {
+        new.backward(want - y, toks, &mut sn);
+        new.fold_conv_grads(&mut sn);
+        let mut with_grads = net(emb.dim(), cfg, seed);
+        backward_x(&mut with_grads, want - y, &x, &so);
+        for (i, (pn, po)) in new.params_mut().zip(with_grads.params_mut()).enumerate() {
             assert_eq!(bits(&pn.g), bits(&po.g), "gradient of param {i}, {cfg:?}");
+        }
+        // The training body, in every instance the host runs, on a
+        // one-example minibatch with target 0: the output logit's gradient
+        // is then the output itself.
+        backward_x(&mut old, want, &x, &so);
+        for (name, lanes) in LaneLoop::host_instances() {
+            let mut inst = net(emb.dim(), cfg, seed);
+            let mut si = inst.scratch();
+            inst.accumulate_in(lanes, emb, std::iter::once((toks, 0.0)), 1.0, &mut si);
+            let ctx = format!("{name}: toks {} cfg {cfg:?}", toks.len());
+            assert_eq!(inst.fc2_b.g[0].to_bits(), want.to_bits(), "output, {ctx}");
+            assert_eq!(bits(&si.feat), bits(&so.feat), "feat, {ctx}");
+            assert_eq!(si.argmax, so.argmax, "argmax, {ctx}");
+            assert_eq!(bits(&si.hpre), bits(&so.hpre), "hpre, {ctx}");
+            for (i, (pi, po)) in inst.params_mut().zip(old.params_mut()).enumerate() {
+                assert_eq!(bits(&pi.g), bits(&po.g), "gradient of param {i}, {ctx}");
+            }
         }
     }
 
     /// The lengths the window rule distinguishes — empty, one token,
     /// shorter than a filter, exactly `max_len`, longer than `max_len` —
     /// under filters narrower than, equal to and wider than `max_len`,
-    /// for a `dim` with tail lanes and one without, and a filter count
-    /// that is not a multiple of the kernel's row group.
+    /// for a `dim` with tail lanes and one without, and filter counts that
+    /// split into every kind of the kernel's output groups (5 = 4 + 1,
+    /// 12 = 8 + 4).
     #[test]
     fn forward_and_backward_equal_the_oracle_on_the_edge_lengths() {
         for dim in [5usize, 8] {

@@ -10,11 +10,12 @@
 //! threading then change only *which buffers* feed the kernel, never the
 //! arithmetic. ([`dot_f32_nonzeros`] is not a second dot product: it
 //! drives [`dot_f32`]'s reduction tree from a dense prefix and a sparse
-//! rest, and is the one definition of that. Nor is [`affine_rows_f32`] a
-//! second affine: it runs [`affine_f32`]'s reduction for several weight
-//! rows against one input in step, each row's sum untouched, and is the
-//! one definition of *that* — the CNN's convolution and its first dense
-//! layer.)
+//! rest, and is the one definition of that. Nor is [`affine_outputs_f32`]
+//! a second affine: it runs [`affine_f32`]'s reduction for several outputs
+//! of one input side by side, one output per vector lane, each output's
+//! sum untouched, and is the one definition of *that* — the CNN's
+//! convolution and its first dense layer, whose weights are stored in its
+//! [`output_slot`] layout.)
 //!
 //! The shapes are chosen for auto-vectorization, not explicit SIMD: eight
 //! independent accumulators over `chunks_exact(8)` give the optimizer a
@@ -122,63 +123,107 @@ pub fn affine_f32(bias: f32, w: &[f32], x: &[f32]) -> f32 {
     bias + dot_f32(w, x)
 }
 
-/// Rows whose accumulator chains [`affine_rows_f32`] keeps in flight
-/// together. Not part of the numeric contract: each row's sum is
-/// [`affine_f32`]'s whatever this is.
-const ROW_GROUP: usize = 4;
+/// Where [`affine_outputs_f32`] keeps the weight of output `o` on input `i`,
+/// in a tensor of `outs` outputs of `inputs` inputs each: input-major within
+/// each group of outputs it computes side by side (see
+/// [`output_groups`]), the groups one after another.
+#[inline]
+pub fn output_slot(inputs: usize, outs: usize, i: usize, o: usize) -> usize {
+    let (o0, g) = output_groups(outs)
+        .find(|&(o0, g)| o < o0 + g)
+        .expect("output in range");
+    o0 * inputs + i * g + (o - o0)
+}
 
-/// The multi-row form of [`affine_f32`]: for every `r`,
-/// `out[r] = affine_f32(bias[r], &w[r * stride..(r + 1) * stride], x)`,
-/// bit for bit — all filters of one width on one window, or a dense
-/// layer on its input.
+/// The groups of outputs [`affine_outputs_f32`] computes side by side, as
+/// `(first output, outputs)`: eights while eight are left, then a four,
+/// then ones. Group `(o0, g)`'s weights are `inputs × g` from
+/// `o0 · inputs` on, a row of `g` per input.
+pub fn output_groups(outs: usize) -> impl Iterator<Item = (usize, usize)> {
+    let mut o0 = 0;
+    std::iter::from_fn(move || {
+        let g = match outs - o0 {
+            0 => return None,
+            8.. => 8,
+            4..=7 => 4,
+            _ => 1,
+        };
+        o0 += g;
+        Some((o0 - g, g))
+    })
+}
+
+/// The multi-output form of [`affine_f32`]: for each of `out.len()`
+/// outputs `o`, `out[o] = affine_f32(bias[o], &w_o, x)` bit for bit, where
+/// `w_o` is output `o`'s `inputs` weights, kept at
+/// [`output_slot`]`(inputs, outs, i, o)`. All filters of one width on one
+/// window, or a dense layer on its input.
 ///
-/// One [`dot_f32`] is a single dependent add chain per lane, so a lone row
-/// waits on add latency. Here `ROW_GROUP` (four) rows advance through `x` in
-/// step: every row still adds its own products in [`dot_f32`]'s order into
-/// its own eight lanes, runs the same sequential tail and the same
-/// `combine` — only which independent chains are in flight changes, never
-/// a sum. Rows past the last full group go through [`affine_f32`] itself.
-pub fn affine_rows_f32(bias: &[f32], w: &[f32], stride: usize, x: &[f32], out: &mut [f32]) {
-    let rows = out.len();
-    assert!(bias.len() == rows && w.len() == rows * stride);
-    // Shorter operand wins, as in `dot_f32`.
-    let n = stride.min(x.len());
-    let x = &x[..n];
-    let grouped = rows - rows % ROW_GROUP;
-    let body = n - n % DOT_LANES;
-    for r in (0..grouped).step_by(ROW_GROUP) {
-        let ws: [&[f32]; ROW_GROUP] = std::array::from_fn(|k| &w[(r + k) * stride..][..n]);
-        let mut acc = [[0.0f32; DOT_LANES]; ROW_GROUP];
-        for i in (0..body).step_by(DOT_LANES) {
-            let xc = &x[i..i + DOT_LANES];
-            for k in 0..ROW_GROUP {
-                let wc = &ws[k][i..i + DOT_LANES];
-                for lane in 0..DOT_LANES {
-                    acc[k][lane] += wc[lane] * xc[lane];
-                }
-            }
+/// The outputs sit in the lanes: a group of outputs (see
+/// [`output_groups`]) goes through `x` together, each input element
+/// broadcast against the contiguous row of the group's weights on it.
+/// Each output keeps [`dot_f32`]'s own eight accumulators, its sequential
+/// tail and its `combine`, side by side with the rest of its group, and
+/// adds its products into them in [`dot_f32`]'s order — so the sums are
+/// the per-row sums, while no output needs a horizontal reduction.
+/// Shorter operand wins, as in `dot_f32`: inputs past the end of `x` are
+/// left out.
+#[inline(always)]
+pub fn affine_outputs_f32(bias: &[f32], w: &[f32], inputs: usize, x: &[f32], out: &mut [f32]) {
+    let outs = out.len();
+    assert!(bias.len() == outs && w.len() == inputs * outs);
+    let x = &x[..inputs.min(x.len())];
+    for (o0, g) in output_groups(outs) {
+        let (b, w, out) = (&bias[o0..], &w[o0 * inputs..], &mut out[o0..]);
+        match g {
+            8 => affine_group::<8>(b, w, x, out),
+            4 => affine_group::<4>(b, w, x, out),
+            _ => affine_group::<1>(b, w, x, out),
         }
-        for k in 0..ROW_GROUP {
-            out[r + k] = bias[r + k] + finish_row(acc[k], &ws[k][body..], &x[body..]);
-        }
-    }
-    for r in grouped..rows {
-        out[r] = affine_f32(bias[r], &w[r * stride..(r + 1) * stride], x);
     }
 }
 
-/// A grouped row's epilogue: [`dot_f32`]'s sequential tail and `combine`.
-/// Out of line so the optimizer lowers the group's body row by row
-/// (contiguous loads) instead of transposing the rows' lanes to run their
-/// reduction trees side by side — measured 1.7× on the whole kernel; the
-/// sums are the same either way.
-#[inline(never)]
-fn finish_row(acc: [f32; DOT_LANES], w_tail: &[f32], x_tail: &[f32]) -> f32 {
-    let mut tail = 0.0f32;
-    for (wv, xv) in w_tail.iter().zip(x_tail) {
-        tail += wv * xv;
+/// One group of [`affine_outputs_f32`]: the first `G` outputs of `out`
+/// from the rows of `G` weights that `w` starts with, one per input of
+/// `x`. Accumulator `[lane][g]` is output `g`'s [`dot_f32`] lane `lane`.
+#[inline(always)]
+fn affine_group<const G: usize>(bias: &[f32], w: &[f32], x: &[f32], out: &mut [f32]) {
+    let body = x.len() - x.len() % DOT_LANES;
+    let (wb, wt) = w[..x.len() * G].split_at(body * G);
+    let mut acc = [[0.0f32; G]; DOT_LANES];
+    for (wc, xc) in wb
+        .chunks_exact(DOT_LANES * G)
+        .zip(x.chunks_exact(DOT_LANES))
+    {
+        // Written out lane by lane: the accumulators stay in registers.
+        let [a0, a1, a2, a3, a4, a5, a6, a7] = &mut acc;
+        axpy(a0, &wc[..G], xc[0]);
+        axpy(a1, &wc[G..2 * G], xc[1]);
+        axpy(a2, &wc[2 * G..3 * G], xc[2]);
+        axpy(a3, &wc[3 * G..4 * G], xc[3]);
+        axpy(a4, &wc[4 * G..5 * G], xc[4]);
+        axpy(a5, &wc[5 * G..6 * G], xc[5]);
+        axpy(a6, &wc[6 * G..7 * G], xc[6]);
+        axpy(a7, &wc[7 * G..], xc[7]);
     }
-    combine(acc, tail)
+    let mut tail = [0.0f32; G];
+    for (wr, &xv) in wt.chunks_exact(G).zip(&x[body..]) {
+        for g in 0..G {
+            tail[g] += wr[g] * xv;
+        }
+    }
+    for g in 0..G {
+        let lanes = std::array::from_fn(|lane| acc[lane][g]);
+        out[g] = bias[g] + combine(lanes, tail[g]);
+    }
+}
+
+/// `acc[g] += w[g]·x` for each of the `G` outputs of a group.
+#[inline(always)]
+fn axpy<const G: usize>(acc: &mut [f32; G], w: &[f32], x: f32) {
+    for (a, &wv) in acc.iter_mut().zip(&w[..G]) {
+        *a += wv * x;
+    }
 }
 
 /// Sparse dot: `Σ w[idx[k]] * val[k]`, accumulated sequentially in `k`
@@ -196,6 +241,7 @@ pub fn sparse_dot_f32(w: &[f32], idx: &[u32], val: &[f32]) -> f32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adam::LaneLoop;
     use proptest::prelude::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -318,51 +364,120 @@ mod tests {
         (a.is_nan() && b.is_nan()) || a.to_bits() == b.to_bits()
     }
 
-    /// `affine_rows_f32` against `affine_f32` row by row.
-    fn assert_rows_match(bias: &[f32], w: &[f32], stride: usize, x: &[f32]) {
-        let mut out = vec![f32::NAN; bias.len()];
-        affine_rows_f32(bias, w, stride, x, &mut out);
-        for (r, &got) in out.iter().enumerate() {
-            let want = affine_f32(bias[r], &w[r * stride..(r + 1) * stride], x);
+    /// [`affine_outputs_f32`] compiled for AVX2, as the CNN's training
+    /// instance compiles it.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn affine_outputs_avx2(bias: &[f32], w: &[f32], inputs: usize, x: &[f32], out: &mut [f32]) {
+        affine_outputs_f32(bias, w, inputs, x, out)
+    }
+
+    /// `affine_outputs_f32` through the instance `lanes` names.
+    fn affine_outputs_in(
+        lanes: LaneLoop,
+        bias: &[f32],
+        w: &[f32],
+        inputs: usize,
+        x: &[f32],
+        out: &mut [f32],
+    ) {
+        #[cfg(target_arch = "x86_64")]
+        if lanes.avx2() {
+            // SAFETY: `avx2` is set only by `LaneLoop::detect`, after
+            // `is_x86_feature_detected!("avx2")` returned true.
+            unsafe { affine_outputs_avx2(bias, w, inputs, x, out) };
+            return;
+        }
+        affine_outputs_f32(bias, w, inputs, x, out)
+    }
+
+    /// `affine_outputs_f32`, through the instance `lanes` names, against
+    /// `affine_f32` on each output's weights gathered from their slots.
+    fn assert_outputs_match(lanes: LaneLoop, bias: &[f32], w: &[f32], inputs: usize, x: &[f32]) {
+        let outs = bias.len();
+        let mut out = vec![f32::NAN; outs];
+        affine_outputs_in(lanes, bias, w, inputs, x, &mut out);
+        for (o, &got) in out.iter().enumerate() {
+            let row: Vec<f32> = (0..inputs)
+                .map(|i| w[output_slot(inputs, outs, i, o)])
+                .collect();
+            let want = affine_f32(bias[o], &row, x);
             assert!(
                 same_f32(got, want),
-                "stride {stride} x {} row {r}/{}: {got} vs {want}",
+                "inputs {inputs} x {} output {o}/{outs}: {got} vs {want}",
                 x.len(),
-                bias.len()
             );
         }
     }
 
-    /// The multi-row kernel equals per-row `affine_f32` by bits: window
-    /// lengths with and without tail lanes (dims 5, 8, 12, 32 × widths
-    /// 1..=4), row counts on both sides of a multiple of four, sign-mixed
-    /// weights, an input shorter than the rows (shorter operand wins), and
-    /// NaN/∞ weights landing in the body, the tail, grouped and leftover
-    /// rows.
+    /// Output counts on both sides of every group boundary (8, then 4,
+    /// then 1).
+    const OUTS: [usize; 11] = [0, 1, 3, 4, 5, 7, 8, 9, 12, 13, 24];
+
+    /// The multi-output kernel equals per-row `affine_f32` by bits, in
+    /// every instance the host runs: window lengths with and without tail
+    /// lanes (dims 5, 8, 12, 32 × widths 1..=4), the output counts of
+    /// `OUTS`, sign-mixed weights, an input shorter than the rows (shorter
+    /// operand wins) and an empty one, and NaN/±∞ weights landing in the
+    /// body, the tail, and every kind of group.
     #[test]
-    fn multi_row_affine_equals_per_row_affine_bit_for_bit() {
-        for dim in [5usize, 8, 12, 32] {
-            for width in 1..=4 {
-                let stride = dim * width;
-                for rows in [0usize, 1, 3, 4, 5, 12, 14] {
-                    let w: Vec<f32> = (0..rows * stride)
-                        .map(|i| (((i * 2654435761) % 1000) as f32 / 500.0) - 1.0)
-                        .collect();
-                    let bias: Vec<f32> = (0..rows).map(|r| r as f32 * 0.125 - 0.5).collect();
-                    let x: Vec<f32> = (0..stride).map(|i| (i as f32 * 0.7).sin()).collect();
-                    assert_rows_match(&bias, &w, stride, &x);
-                    assert_rows_match(&bias, &w, stride, &x[..stride - dim]);
-                    assert_rows_match(&bias, &w, stride, &[]);
-                    for special in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
-                        for at in [0, stride - 1, w.len().saturating_sub(1), w.len() / 2] {
-                            if at < w.len() {
-                                let mut w = w.clone();
-                                w[at] = special;
-                                assert_rows_match(&bias, &w, stride, &x);
+    fn multi_output_affine_equals_per_row_affine_bit_for_bit() {
+        for (_, lanes) in LaneLoop::host_instances() {
+            for dim in [5usize, 8, 12, 32] {
+                for width in 1..=4 {
+                    let inputs = dim * width;
+                    for outs in OUTS {
+                        let w: Vec<f32> = (0..inputs * outs)
+                            .map(|i| (((i * 2654435761) % 1000) as f32 / 500.0) - 1.0)
+                            .collect();
+                        let bias: Vec<f32> = (0..outs).map(|o| o as f32 * 0.125 - 0.5).collect();
+                        let x: Vec<f32> = (0..inputs).map(|i| (i as f32 * 0.7).sin()).collect();
+                        let check =
+                            |w: &[f32], x: &[f32]| assert_outputs_match(lanes, &bias, w, inputs, x);
+                        check(&w, &x);
+                        check(&w, &x[..inputs - dim]);
+                        check(&w, &[]);
+                        let edges = |n: usize| [0, n / 2, n.saturating_sub(1)];
+                        for special in [f32::NAN, f32::INFINITY, f32::NEG_INFINITY] {
+                            for o in edges(outs).into_iter().filter(|&o| o < outs) {
+                                for i in edges(inputs) {
+                                    let mut w = w.clone();
+                                    w[output_slot(inputs, outs, i, o)] = special;
+                                    check(&w, &x);
+                                }
                             }
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// The layout is a permutation, grouped as the kernel computes: eights
+    /// while eight are left, then a four, then ones, each group's weights
+    /// one contiguous block of a row per input.
+    #[test]
+    fn output_slots_permute_the_tensor_group_by_group() {
+        for outs in OUTS.into_iter().chain([2, 11, 16, 36]) {
+            let widths: Vec<usize> = output_groups(outs).map(|(_, g)| g).collect();
+            let eights = outs / 8;
+            let four = usize::from(outs % 8 >= 4);
+            let mut want = vec![8; eights];
+            want.extend(std::iter::repeat_n(4, four));
+            want.extend(std::iter::repeat_n(1, outs - 8 * eights - 4 * four));
+            assert_eq!(widths, want, "outs {outs}");
+            for inputs in [0usize, 1, 5, 32] {
+                let mut seen = vec![false; inputs * outs];
+                for (o0, g) in output_groups(outs) {
+                    for i in 0..inputs {
+                        for k in 0..g {
+                            let at = output_slot(inputs, outs, i, o0 + k);
+                            assert_eq!(at, o0 * inputs + i * g + k, "outs {outs} inputs {inputs}");
+                            assert!(!std::mem::replace(&mut seen[at], true));
+                        }
+                    }
+                }
+                assert!(seen.iter().all(|&s| s));
             }
         }
     }
@@ -375,9 +490,9 @@ mod tests {
         })]
 
         #[test]
-        fn multi_row_affine_equals_per_row_affine_on_random_shapes(
-            rows in 0usize..15,
-            stride in 0usize..70,
+        fn multi_output_affine_equals_per_row_affine_on_random_shapes(
+            outs in 0usize..27,
+            inputs in 0usize..70,
             short in 0usize..9,
             seed in 0u64..1_000_000,
         ) {
@@ -385,9 +500,11 @@ mod tests {
             let mut draw = |n: usize| -> Vec<f32> {
                 (0..n).map(|_| rng.gen_range(-2.0f32..2.0)).collect()
             };
-            let (bias, w) = (draw(rows), draw(rows * stride));
-            let x = draw(stride.saturating_sub(short));
-            assert_rows_match(&bias, &w, stride, &x);
+            let (bias, w) = (draw(outs), draw(inputs * outs));
+            let x = draw(inputs.saturating_sub(short));
+            for (_, lanes) in LaneLoop::host_instances() {
+                assert_outputs_match(lanes, &bias, &w, inputs, &x);
+            }
         }
     }
 

@@ -1060,6 +1060,49 @@ mod tests {
         assert!(handle.join().unwrap().is_ok());
     }
 
+    /// A CNN minibatch size of 0 arrives over the wire as a raw integer;
+    /// the worker must train (as at size 1) and score, not die at its
+    /// first `Fit`.
+    #[test]
+    fn classifier_worker_trains_a_zero_batch_cnn() {
+        let (c, _labels) = corpus();
+        let scores_at = |batch: usize| {
+            let (client, mut server) = darwin_wire::InProc::pair();
+            let handle = std::thread::spawn(move || serve_classifier(&mut server));
+            let mut session = Session::new(Box::new(client));
+            session.hello().unwrap();
+            let kind = ClassifierKind::Cnn(CnnConfig {
+                epochs: 3,
+                batch,
+                ..Default::default()
+            });
+            let init = session.call(&Request::ClassifierInit {
+                corpus: CorpusSlice::full(&c),
+                embed_seed: 7,
+                kind: kind_to_wire(&kind),
+                model_seed: 9,
+            });
+            assert_eq!(init.unwrap(), Response::Ack);
+            let fit = session.call(&Request::Fit {
+                pos: vec![0, 1],
+                neg: vec![3, 4],
+            });
+            assert_eq!(fit.unwrap(), Response::Ack, "batch {batch}");
+            let resp = session.call(&Request::PredictBatch { ids: vec![0, 3] });
+            let scores = match resp.unwrap() {
+                Response::Scores { scores } => scores,
+                other => panic!("expected Scores, got {other:?}"),
+            };
+            session.call(&Request::Shutdown).unwrap();
+            assert!(handle.join().unwrap().is_ok());
+            scores
+        };
+        let (zero, one) = (scores_at(0), scores_at(1));
+        assert!(zero.iter().all(|p| (0.0..=1.0).contains(p)), "{zero:?}");
+        let bits = |v: &[f32]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&zero), bits(&one));
+    }
+
     /// The execution-layer invariance contract for the classifier
     /// boundary: a full run with the classifier behind an in-process wire
     /// worker replays the local run's trace and scores bit for bit.
