@@ -9,27 +9,34 @@
 //! dense layers train, via Adam on binary cross-entropy.
 //!
 //! Every entry point (`fit`, `predict`, `predict_batch`, `predict_all`,
-//! `loss`) runs the one `KimCnn::forward`. It stacks the sentence's
-//! embedding rows once (`max_len × dim` scratch, zero rows up to the
-//! widest window), reads each window as a slice of that stack, applies all
-//! filters of the window's width with [`affine_outputs_f32`] — the filters
-//! in the vector lanes, their weights in its [`output_slot`] layout — and
-//! max-pools in position order with a `>` select. While the weights stand
-//! still a filter's activation is a pure function of the window's
-//! symbols, so a prediction pass keeps an `ActTable` per width, computes
-//! each distinct window once and stacks a sentence only at its first
-//! miss. A looked-up value *is* the computed value, so per-id, batched,
-//! sharded and threaded prediction are bit-identical by construction.
+//! `loss`) runs the one `KimCnn::forward`, in one of two instances. It
+//! stacks the sentence's embedding rows once (`max_len × dim` scratch, zero
+//! rows up to the widest window), reads each window as a slice of that
+//! stack, applies all filters of the window's width with
+//! [`affine_outputs_f32`] — the filters in the vector lanes, their weights
+//! in its [`output_slot`] layout — and max-pools in position order with a
+//! `>` select. While the weights stand still a filter's activation is a
+//! pure function of the window's symbols, so the prediction instance keeps
+//! an `ActTable` per width for one pass, probes it for each window (its
+//! symbols packed into one `u128` key up to width 4), pools a hit straight
+//! from it, and stacks a sentence only at its first miss; it keeps no
+//! pooling winners. A looked-up value *is* the computed value, so per-id,
+//! batched, sharded and threaded prediction are bit-identical by
+//! construction. Every prediction pass (`predict_batch`; `predict` and
+//! `predict_all` are passes too) is compiled portable and for AVX2, picked
+//! once per call by `LaneLoop::detect`.
 //!
-//! Training runs the same routine with no table (the weights move every
-//! minibatch). A minibatch's forward and backward passes are one
-//! `#[inline(always)]` body, `KimCnn::accumulate`, compiled twice —
-//! portable and for AVX2, without `fma` — and `LaneLoop::detect` picks
-//! the instance once per fit. Each step then takes its Adam constants
-//! from a table grown once (`Adam::extend_table`) and runs one pass per
-//! tensor that scales the gradient sum to the mean, applies Adam and
-//! zeroes the sum (`Param::mean_adam_step`). Every instance gives the
-//! bits of the reference fit (stacked-matrix passes, a scaling pass, then
+//! The training instance has no table (the weights move every minibatch)
+//! and keeps the winners for `backward`. A minibatch's forward and
+//! backward passes are one `#[inline(always)]` body, `KimCnn::accumulate`,
+//! compiled twice — portable and for AVX2, without `fma` — and
+//! `LaneLoop::detect` picks the instance once per fit. FC1's backward reads
+//! a unit-major copy of its weights taken once per minibatch. Each step
+//! then takes its Adam constants from a table grown once
+//! (`Adam::extend_table`) and runs one pass per tensor that scales the
+//! gradient sum to the mean, applies Adam and zeroes the sum
+//! (`Param::mean_adam_step`). Every instance gives the bits of the
+//! reference fit (stacked-matrix passes, a scaling pass, then
 //! `Param::adam_step`) that the test module keeps. `fit` is a pure
 //! function of `(pos, neg, seed, cfg)`, so under [`CnnConfig::warm_start`]
 //! a refit on an unchanged training set is skipped.
@@ -39,6 +46,7 @@
 use crate::adam::{bce, sigmoid, Adam, LaneLoop, Param};
 use crate::kernels::{affine_f32, affine_outputs_f32, output_groups, output_slot};
 use crate::model::TextClassifier;
+use darwin_text::sentence::MAX_TOKENS;
 use darwin_text::{Corpus, Embeddings, Sym};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -81,6 +89,52 @@ impl Default for CnnConfig {
     }
 }
 
+/// Elements (`f32`s: 256 MiB) that each count [`CnnConfig::check`] makes
+/// may reach.
+const MAX_CNN_ELEMENTS: usize = 1 << 26;
+
+impl CnnConfig {
+    /// `Err` for a shape whose network over `dim`-wide embeddings could
+    /// not be built or run in bounded memory: `max_len` or a width outside
+    /// `1..=MAX_TOKENS`, or — counted with checked arithmetic — more than
+    /// 2²⁶ elements in the conv weights (`filters × width × dim`,
+    /// summed over the widths), FC1's weights (`hidden × widths ×
+    /// filters`), the stacked sentence (`max_len × dim`) or the activation
+    /// tables one prediction pass may fill (`widths × filters × 65 536`).
+    pub fn check(&self, dim: usize) -> Result<(), String> {
+        let in_range = |v: &usize| (1..=MAX_TOKENS).contains(v);
+        if !in_range(&self.max_len) {
+            return Err(format!("max_len {} outside 1..={MAX_TOKENS}", self.max_len));
+        }
+        if let Some(w) = self.widths.iter().find(|w| !in_range(w)) {
+            return Err(format!("width {w} outside 1..={MAX_TOKENS}"));
+        }
+        let conv = (self.widths.iter()).try_fold(0usize, |sum, &w| {
+            sum.checked_add(self.filters.checked_mul(w)?.checked_mul(dim)?)
+        });
+        let total = self.widths.len().checked_mul(self.filters);
+        let counts = [
+            ("conv weights", conv),
+            (
+                "FC1 weights",
+                total.and_then(|t| t.checked_mul(self.hidden)),
+            ),
+            ("stacked sentence", self.max_len.checked_mul(dim)),
+            (
+                "activation tables",
+                total.and_then(|t| t.checked_mul(ACT_TABLE_CAP)),
+            ),
+        ];
+        match counts
+            .iter()
+            .find(|(_, n)| !n.is_some_and(|n| n <= MAX_CNN_ELEMENTS))
+        {
+            Some((what, _)) => Err(format!("{what} past {MAX_CNN_ELEMENTS} elements")),
+            None => Ok(()),
+        }
+    }
+}
+
 /// Entries an [`ActTable`] holds before a miss computes without inserting
 /// (~3 MB of activations per width at the default 12 filters).
 const ACT_TABLE_CAP: usize = 1 << 16;
@@ -90,108 +144,167 @@ const ACT_TABLE_CAP: usize = 1 << 16;
 /// itself nor a free slot is computed as if the table were full.
 const MAX_PROBE: usize = 16;
 
+/// Symbols an [`ActTable`] key packs into one `u128` word.
+const SYMS_PER_WORD: usize = 4;
+
+/// What fills a key word past a window's last symbol. No symbol is this
+/// large: every symbol indexes the embedding table, and the vocabulary
+/// numbers its words below `fanout::MISS` (2³¹).
+const PAD: u32 = u32::MAX;
+
+/// The first four of `syms` as one key word: symbol `j` in bits
+/// `32·j..32·(j + 1)`, [`PAD`] in the slots past the last. Windows of
+/// different lengths differ in a symbol slot, so every window has its own
+/// key.
+#[inline(always)]
+fn pack(syms: &[Sym]) -> u128 {
+    (0..SYMS_PER_WORD)
+        .rev()
+        .fold(0, |w, j| w << 32 | syms.get(j).map_or(PAD, |s| s.0) as u128)
+}
+
+/// Key word `w` folded into the hash `h`.
+#[inline(always)]
+fn mix(h: u64, w: u128) -> u64 {
+    let h = (h ^ w as u64).wrapping_mul(0x517c_c1b7_2722_0a95);
+    (h ^ (w >> 64) as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)
+}
+
 /// One width's activations by window symbols, for one prediction pass
 /// (the weights are fixed inside one). Purely a cache of values
 /// [`affine_outputs_f32`] computed — hit or miss never changes a score.
 struct ActTable {
     filters: usize,
     cap: usize,
+    /// Key words per entry: the width's longest window, four symbols to a
+    /// word (one word up to width 4).
+    words: usize,
     /// Open addressing, linear probing: entry index + 1, 0 = free. Power
     /// of two, at least twice the entries.
     slots: Vec<u32>,
-    /// Entry `e`'s symbols are `keys[key_off[e]..key_off[e + 1]]`.
-    keys: Vec<Sym>,
-    key_off: Vec<usize>,
+    /// Entry `e`'s key is `keys[e·words..(e + 1)·words]`: its symbols
+    /// four to a word, by [`pack`].
+    keys: Vec<u128>,
     /// `entries × filters`.
     acts: Vec<f32>,
+    /// The packed key of the window being looked up.
+    probe: Vec<u128>,
 }
 
 impl ActTable {
-    fn new(filters: usize, cap: usize) -> ActTable {
+    /// A table for windows of up to `syms` symbols.
+    fn new(filters: usize, syms: usize, cap: usize) -> ActTable {
+        let words = syms.div_ceil(SYMS_PER_WORD).max(1);
         ActTable {
             filters,
             cap,
+            words,
             slots: vec![0; 256],
             keys: Vec::new(),
-            key_off: vec![0],
             acts: Vec::new(),
+            probe: vec![0; words],
         }
     }
 
-    fn key(&self, e: usize) -> &[Sym] {
-        &self.keys[self.key_off[e]..self.key_off[e + 1]]
+    fn entries(&self) -> usize {
+        self.keys.len() / self.words
     }
 
-    /// `Ok(entry)` holding `key`, or `Err(slot)`: the free slot it would
-    /// take, if the probe met one.
-    fn find(&self, key: &[Sym]) -> Result<usize, Option<usize>> {
-        let hash = key.iter().fold(0u64, |h, s| {
-            (h.rotate_left(5) ^ s.0 as u64).wrapping_mul(0x517c_c1b7_2722_0a95)
-        });
+    fn key(&self, e: usize) -> &[u128] {
+        &self.keys[e * self.words..(e + 1) * self.words]
+    }
+
+    /// `Ok(entry)` holding the packed `key`, or `Err(slot)`: the free slot
+    /// it would take, if the probe met one.
+    #[inline(always)]
+    fn lookup(&self, key: &[u128]) -> Result<usize, Option<usize>> {
+        let hash = match key {
+            [w] => mix(0, *w),
+            _ => key.iter().fold(0, |h, &w| mix(h, w)),
+        };
         let mask = self.slots.len() - 1;
         let mut i = (hash >> 32) as usize & mask;
         for _ in 0..MAX_PROBE {
-            match self.slots[i] as usize {
+            let e = match self.slots[i] as usize {
                 0 => return Err(Some(i)),
-                e if self.key(e - 1) == key => return Ok(e - 1),
-                _ => i = (i + 1) & mask,
+                e => e - 1,
+            };
+            let same = match self.words {
+                1 => self.keys[e] == key[0],
+                _ => self.key(e) == key,
+            };
+            if same {
+                return Ok(e);
             }
+            i = (i + 1) & mask;
         }
         Err(None)
     }
 
-    /// The activations of the window `key`: looked up, or computed by
-    /// `fill` — into the table while it has room, into `spill` otherwise.
-    fn get_or_fill<'a>(
-        &'a mut self,
-        key: &[Sym],
-        spill: &'a mut [f32],
-        fill: impl FnOnce(&mut [f32]),
-    ) -> &'a [f32] {
-        let (f, entries) = (self.filters, self.key_off.len() - 1);
-        let e = match self.find(key) {
-            Ok(e) => e,
-            Err(Some(slot)) if entries < self.cap => {
-                self.keys.extend_from_slice(key);
-                self.key_off.push(self.keys.len());
-                self.acts.resize((entries + 1) * f, 0.0);
-                fill(&mut self.acts[entries * f..]);
-                self.slots[slot] = entries as u32 + 1;
-                if (entries + 1) * 2 > self.slots.len() {
-                    self.grow();
+    /// Looks `window` up, packed into `probe` four symbols to a word (one
+    /// [`pack`] up to width 4): `Ok(entry)`, or `Err(slot)` as
+    /// [`ActTable::lookup`]; a miss leaves the packed key for
+    /// [`ActTable::claim`].
+    #[inline(always)]
+    fn find(&mut self, window: &[Sym]) -> Result<usize, Option<usize>> {
+        match &mut self.probe[..] {
+            [word] => *word = pack(window),
+            words => {
+                for (k, word) in words.iter_mut().enumerate() {
+                    *word = pack(window.get(k * SYMS_PER_WORD..).unwrap_or(&[]));
                 }
-                entries
             }
-            Err(_) => {
-                fill(spill);
-                return spill;
-            }
+        }
+        self.lookup(&self.probe)
+    }
+
+    /// Entry `e`'s activations.
+    #[inline(always)]
+    fn acts(&self, e: usize) -> &[f32] {
+        &self.acts[e * self.filters..(e + 1) * self.filters]
+    }
+
+    /// Where the activations of the window [`ActTable::find`] just missed
+    /// go: a new entry under its key while the table has room and the
+    /// probe met a free slot, `spill` otherwise. The caller fills them.
+    fn claim<'a>(&'a mut self, miss: Option<usize>, spill: &'a mut [f32]) -> &'a mut [f32] {
+        let (f, e) = (self.filters, self.entries());
+        let Some(slot) = miss.filter(|_| e < self.cap) else {
+            return spill;
         };
-        &self.acts[e * f..(e + 1) * f]
+        self.keys.extend_from_slice(&self.probe);
+        self.acts.resize((e + 1) * f, 0.0);
+        self.slots[slot] = e as u32 + 1;
+        if (e + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        &mut self.acts[e * f..]
     }
 
     /// Double the slots and re-place every entry. One that finds no slot
     /// within the probe bound is left out: a later lookup recomputes it.
     fn grow(&mut self) {
         self.slots = vec![0; self.slots.len() * 2];
-        for e in 0..self.key_off.len() - 1 {
-            if let Err(Some(slot)) = self.find(self.key(e)) {
+        for e in 0..self.entries() {
+            if let Err(Some(slot)) = self.lookup(self.key(e)) {
                 self.slots[slot] = e as u32 + 1;
             }
         }
     }
 }
 
-/// FC1's backward over one group of `G` hidden units, stored as a row of
-/// `G` weights per input. Each input's gradient row takes `dh·x` in one
-/// vector pass, a closed unit's term being `-0.0` (which adds nothing);
-/// then each open unit in order adds `dh·w` to every `dfeat`, so each
-/// `dfeat` sums its open units in ascending order.
+/// FC1's backward over one group of `G` hidden units, whose gradient is
+/// stored as a row of `G` per input and whose weights `units` holds unit
+/// by unit (a row of `feat.len()` per unit). Each input's gradient row
+/// takes `dh·x` in one vector pass, a closed unit's term being `-0.0`
+/// (which adds nothing); then each open unit in order adds `dh·w` from
+/// its weight row to every `dfeat`, so each `dfeat` sums its open units in
+/// ascending order.
 #[inline(always)]
 fn fc1_back_group<const G: usize>(
     hpre: &[f32],
     dh: &[f32],
-    w: &[f32],
+    units: &[f32],
     grad: &mut [f32],
     feat: &[f32],
     dfeat: &mut [f32],
@@ -203,11 +316,25 @@ fn fc1_back_group<const G: usize>(
             gr[k] += if open[k] { dh[k] * x } else { -0.0 };
         }
     }
-    for k in (0..G).filter(|&k| open[k]) {
-        for (wr, d) in w.chunks_exact(G).zip(&mut *dfeat) {
-            *d += dh[k] * wr[k];
+    for (k, row) in units.chunks_exact(feat.len()).enumerate() {
+        if open[k] {
+            for (d, &w) in dfeat.iter_mut().zip(row) {
+                *d += dh[k] * w;
+            }
         }
     }
+}
+
+/// The prediction instance's max-pooling of one window into the first `G`
+/// features: the training instance's `>` select (NaN and ties keep the
+/// earlier window), `G` lanes at a time, so a width's filters take the
+/// kernel's groups of whole registers. Copied in and out whole: with the
+/// stores between the lanes' loads the group stayed scalar.
+#[inline(always)]
+fn pool<const G: usize>(feat: &mut [f32], acts: &[f32]) {
+    let v: [f32; G] = acts[..G].try_into().unwrap();
+    let z: &mut [f32; G] = (&mut feat[..G]).try_into().unwrap();
+    *z = std::array::from_fn(|k| if v[k] > z[k] { v[k] } else { z[k] });
 }
 
 /// Uniform weights for `outs` outputs of `inputs` inputs each, drawn output
@@ -249,6 +376,9 @@ struct Scratch {
     hpre: Vec<f32>,     // hidden (pre-ReLU)
     dfeat: Vec<f32>,    // total_filters — loss gradient at `feat`
     dh: Vec<f32>,       // hidden — loss gradient at `hpre` of an open unit
+    /// `hidden × total_filters`: FC1's weights unit by unit, copied by
+    /// [`KimCnn::copy_fc1_units`] once per minibatch for `backward`.
+    fc1_units: Vec<f32>,
     /// Per width, filter-major (`filters × width·dim`): the conv weights'
     /// gradient sum over the minibatch so far, which
     /// [`KimCnn::fold_conv_grads`] adds into their `g`. Each filter's
@@ -310,6 +440,7 @@ impl KimCnn {
             hpre: vec![0.0; self.cfg.hidden],
             dfeat: vec![0.0; self.total_filters()],
             dh: vec![0.0; self.cfg.hidden],
+            fc1_units: vec![0.0; self.fc1_w.len()],
             dconv: (self.conv_w.iter()).map(|p| vec![0.0; p.len()]).collect(),
             stack: vec![0.0; self.cfg.max_len * self.dim],
             acts: vec![0.0; self.cfg.filters],
@@ -370,21 +501,30 @@ impl KimCnn {
     }
 
     /// Forward pass over a sentence's symbols; fills the scratch and
-    /// returns P(positive). With `tables` (one per width, this pass's) a
-    /// window's activations are computed on first sight only. The sentence
-    /// is stacked once: up front without tables, at its first miss with.
+    /// returns P(positive). One routine, two instances:
+    ///
+    /// * `TRAIN` (fit, `loss`): no table; the sentence is stacked up front,
+    ///   every window convolved, and the pooling winners kept in
+    ///   `s.argmax` for `backward`.
+    /// * prediction: `tables` holds this pass's [`ActTable`] per width. A
+    ///   window is probed first and a hit pooled straight from the table;
+    ///   the sentence is stacked at its first miss only, and no winner is
+    ///   kept.
+    ///
+    /// Both pool in position order with the same `>` select, so they give
+    /// the same bits.
     #[inline(always)]
-    fn forward(
+    fn forward<const TRAIN: bool>(
         &self,
         emb: &Embeddings,
         toks: &[Sym],
-        mut tables: Option<&mut [ActTable]>,
+        tables: &mut [ActTable],
         s: &mut Scratch,
     ) -> f32 {
         let toks = self.clip(toks);
         let (n, filters) = (toks.len(), self.cfg.filters);
-        let mut stacked = tables.is_none();
-        if stacked {
+        let mut stacked = TRAIN;
+        if TRAIN {
             self.stack(emb, toks, &mut s.stack);
         }
         // Convolution + max-over-time pooling.
@@ -393,30 +533,44 @@ impl KimCnn {
             let feat = &mut s.feat[wi * filters..(wi + 1) * filters];
             let argmax = &mut s.argmax[wi * filters..(wi + 1) * filters];
             feat.fill(f32::NEG_INFINITY);
-            argmax.fill(0);
+            if TRAIN {
+                argmax.fill(0);
+            }
             for t in 0..positions {
-                let acts: &[f32] = match tables.as_deref_mut() {
-                    Some(tables) => {
-                        let key = &toks[t..(t + rows).min(n)];
-                        let (stack, stacked) = (&mut s.stack, &mut stacked);
-                        tables[wi].get_or_fill(key, &mut s.acts, |acts| {
-                            if !*stacked {
-                                self.stack(emb, toks, stack);
-                                *stacked = true;
+                let acts: &[f32] = if TRAIN {
+                    self.conv(wi, t, rows, &s.stack, &mut s.acts);
+                    &s.acts
+                } else {
+                    let table = &mut tables[wi];
+                    match table.find(&toks[t..(t + rows).min(n)]) {
+                        Ok(e) => table.acts(e),
+                        Err(miss) => {
+                            if !stacked {
+                                self.stack(emb, toks, &mut s.stack);
+                                stacked = true;
                             }
-                            self.conv(wi, t, rows, stack, acts)
-                        })
-                    }
-                    None => {
-                        self.conv(wi, t, rows, &s.stack, &mut s.acts);
-                        &s.acts
+                            let acts = table.claim(miss, &mut s.acts);
+                            self.conv(wi, t, rows, &s.stack, acts);
+                            acts
+                        }
                     }
                 };
-                // `>` as a select: NaN and ties keep the earlier window.
-                for ((z, a), &v) in feat.iter_mut().zip(argmax.iter_mut()).zip(acts) {
-                    let wins = v > *z;
-                    *a = if wins { t } else { *a };
-                    *z = if wins { v } else { *z };
+                if TRAIN {
+                    // `>` as a select: NaN and ties keep the earlier window.
+                    for ((z, a), &v) in feat.iter_mut().zip(argmax.iter_mut()).zip(acts) {
+                        let wins = v > *z;
+                        *a = if wins { t } else { *a };
+                        *z = if wins { v } else { *z };
+                    }
+                    continue;
+                }
+                for (f0, g) in output_groups(filters) {
+                    let (z, v) = (&mut feat[f0..], &acts[f0..]);
+                    match g {
+                        8 => pool::<8>(z, v),
+                        4 => pool::<4>(z, v),
+                        _ => pool::<1>(z, v),
+                    }
                 }
             }
             feat.iter_mut().for_each(|z| *z = z.max(0.0)); // ReLU after pooling
@@ -434,8 +588,9 @@ impl KimCnn {
     /// the conv weights' into `s.dconv` until [`KimCnn::fold_conv_grads`].
     /// `dz2` is the loss gradient at the output logit — `p - y` for plain
     /// BCE, scaled by the class weight for balanced training. `toks` and
-    /// `s` must be what a table-less forward pass ran on: the winning
-    /// windows are read from its stacked sentence.
+    /// `s` must be what a training forward pass ran on (the winning
+    /// windows are read from its stacked sentence), and `s.fc1_units` a
+    /// copy of the current FC1 weights.
     #[inline(always)]
     fn backward(&mut self, dz2: f32, toks: &[Sym], s: &mut Scratch) {
         let n = self.clip(toks).len();
@@ -457,7 +612,7 @@ impl KimCnn {
         let total = self.total_filters();
         for (h0, g) in output_groups(hidden) {
             let block = h0 * total..(h0 + g) * total;
-            let (w, grad) = (&self.fc1_w.w[block.clone()], &mut self.fc1_w.g[block]);
+            let (w, grad) = (&s.fc1_units[block.clone()], &mut self.fc1_w.g[block]);
             let (open, dh) = (&s.hpre[h0..], &s.dh[h0..]);
             match g {
                 8 => fc1_back_group::<8>(open, dh, w, grad, &s.feat, &mut s.dfeat),
@@ -486,6 +641,21 @@ impl KimCnn {
                     *g += df * xv;
                 }
                 self.conv_b[wi].g[f] += df;
+            }
+        }
+    }
+
+    /// Copies FC1's weights unit by unit into `s.fc1_units` (what
+    /// `backward` reads them from): once per minibatch, as they move only
+    /// at the step.
+    fn copy_fc1_units(&self, s: &mut Scratch) {
+        let total = self.total_filters();
+        for (h0, g) in output_groups(self.cfg.hidden) {
+            let block = &self.fc1_w.w[h0 * total..(h0 + g) * total];
+            for (i, row) in block.chunks_exact(g).enumerate() {
+                for (k, &w) in row.iter().enumerate() {
+                    s.fc1_units[(h0 + k) * total + i] = w;
+                }
             }
         }
     }
@@ -523,8 +693,9 @@ impl KimCnn {
         pos_weight: f32,
         s: &mut Scratch,
     ) {
+        self.copy_fc1_units(s);
         for (toks, y) in examples {
-            let p = self.forward(emb, toks, None, s);
+            let p = self.forward::<true>(emb, toks, &mut [], s);
             let w = if y > 0.5 { pos_weight } else { 1.0 };
             self.backward(w * (p - y), toks, s);
         }
@@ -632,30 +803,72 @@ impl KimCnn {
         for (ids, y) in [(pos, 1.0), (neg, 0.0)] {
             for &id in ids {
                 let toks = corpus.sentence(id).tokens();
-                total += bce(self.forward(emb, toks, None, &mut s), y);
+                total += bce(self.forward::<true>(emb, toks, &mut [], &mut s), y);
             }
         }
         total / (pos.len() + neg.len()).max(1) as f32
     }
 
-    /// [`TextClassifier::predict_batch`] with the activation tables capped
-    /// at `cap` entries each.
-    fn predict_batch_capped(
+    /// The prediction instance of [`KimCnn::forward`] over `ids`, through
+    /// `tables`: the body of a prediction pass, inlined into both
+    /// instances [`KimCnn::predict_in`] picks from.
+    #[inline(always)]
+    fn predict_pass(
         &self,
         corpus: &Corpus,
         emb: &Embeddings,
         ids: &[u32],
+        tables: &mut [ActTable],
+        s: &mut Scratch,
+        out: &mut Vec<f32>,
+    ) {
+        for &id in ids {
+            let toks = corpus.sentence(id).tokens();
+            out.push(self.forward::<false>(emb, toks, tables, s));
+        }
+    }
+
+    /// [`KimCnn::predict_pass`] compiled for AVX2, as
+    /// [`KimCnn::accumulate_avx2`] is: the same bits in wider registers.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn predict_pass_avx2(
+        &self,
+        corpus: &Corpus,
+        emb: &Embeddings,
+        ids: &[u32],
+        tables: &mut [ActTable],
+        s: &mut Scratch,
+        out: &mut Vec<f32>,
+    ) {
+        self.predict_pass(corpus, emb, ids, tables, s, out)
+    }
+
+    /// [`TextClassifier::predict_batch`] through the instance `lanes`
+    /// names, with this pass's activation tables capped at `cap` entries
+    /// each.
+    fn predict_in(
+        &self,
+        lanes: LaneLoop,
         cap: usize,
+        corpus: &Corpus,
+        emb: &Embeddings,
+        ids: &[u32],
         out: &mut Vec<f32>,
     ) {
         let mut s = self.scratch();
-        let table = |_| ActTable::new(self.cfg.filters, cap);
+        let max_len = self.cfg.max_len;
+        let table = |&w: &usize| ActTable::new(self.cfg.filters, w.min(max_len), cap);
         let mut tables: Vec<ActTable> = self.cfg.widths.iter().map(table).collect();
         out.reserve(ids.len());
-        for &id in ids {
-            let toks = corpus.sentence(id).tokens();
-            out.push(self.forward(emb, toks, Some(&mut tables), &mut s));
+        #[cfg(target_arch = "x86_64")]
+        if lanes.avx2() {
+            // SAFETY: `avx2` is set only by `LaneLoop::detect`, after
+            // `is_x86_feature_detected!("avx2")` returned true.
+            unsafe { self.predict_pass_avx2(corpus, emb, ids, &mut tables, &mut s, out) };
+            return;
         }
+        self.predict_pass(corpus, emb, ids, &mut tables, &mut s, out)
     }
 }
 
@@ -667,8 +880,9 @@ impl TextClassifier for KimCnn {
     }
 
     fn predict(&self, corpus: &Corpus, emb: &Embeddings, id: u32) -> f32 {
-        let toks = corpus.sentence(id).tokens();
-        self.forward(emb, toks, None, &mut self.scratch())
+        let mut out = Vec::with_capacity(1);
+        self.predict_batch(corpus, emb, &[id], &mut out);
+        out[0]
     }
 
     fn predict_all(&self, corpus: &Corpus, emb: &Embeddings, out: &mut Vec<f32>) {
@@ -677,8 +891,10 @@ impl TextClassifier for KimCnn {
         self.predict_batch(corpus, emb, &ids, out);
     }
 
+    /// One prediction pass: its own activation tables, through the widest
+    /// instance this host runs.
     fn predict_batch(&self, corpus: &Corpus, emb: &Embeddings, ids: &[u32], out: &mut Vec<f32>) {
-        self.predict_batch_capped(corpus, emb, ids, ACT_TABLE_CAP, out);
+        self.predict_in(LaneLoop::detect(), ACT_TABLE_CAP, corpus, emb, ids, out);
     }
 }
 
@@ -843,16 +1059,17 @@ mod tests {
         let mut s = cnn.scratch();
         let toks = c.sentence(0).tokens();
         let y = 1.0;
-        let p = cnn.forward(&e, toks, None, &mut s);
+        let p = cnn.forward::<true>(&e, toks, &mut [], &mut s);
+        cnn.copy_fc1_units(&mut s);
         cnn.backward(p - y, toks, &mut s);
         cnn.fold_conv_grads(&mut s);
         let analytic = cnn.fc2_w.g[0];
         let eps = 1e-3;
         let orig = cnn.fc2_w.w[0];
         cnn.fc2_w.w[0] = orig + eps;
-        let lp = bce(cnn.forward(&e, toks, None, &mut s), y);
+        let lp = bce(cnn.forward::<true>(&e, toks, &mut [], &mut s), y);
         cnn.fc2_w.w[0] = orig - eps;
-        let lm = bce(cnn.forward(&e, toks, None, &mut s), y);
+        let lm = bce(cnn.forward::<true>(&e, toks, &mut [], &mut s), y);
         cnn.fc2_w.w[0] = orig;
         let numeric = (lp - lm) / (2.0 * eps);
         assert!(
@@ -902,8 +1119,7 @@ mod tests {
         cnn.predict_batch(&c, &e, &ids, &mut batch);
         let expect: Vec<f32> = ids.iter().map(|&id| per_id[id as usize]).collect();
         assert_eq!(batch, expect, "predict_batch diverged from per-id predict");
-        // A batch crossing the BLOCK_ROWS boundary: the arena refill
-        // between chunks must not perturb anything.
+        // A batch longer than one feature block.
         let many: Vec<u32> = (0..crate::block::BLOCK_ROWS as u32 + 8)
             .map(|i| ids[i as usize % ids.len()])
             .collect();
@@ -1189,29 +1405,38 @@ mod tests {
         cnn
     }
 
-    /// `forward` (through a small table twice — first sight, then second,
-    /// with whatever fit under the cap a hit — and with no table) and
-    /// `backward` against the stacked-matrix oracle on one token
-    /// sequence: pooled features, pooling winners, hidden layer, output
-    /// and every gradient, by bits.
+    /// `forward`'s prediction instance (through a small table twice —
+    /// first sight, then second, with whatever fit under the cap a hit),
+    /// its training instance and `backward` against the stacked-matrix
+    /// oracle on one token sequence: pooled features, pooling winners (the
+    /// training instance's), hidden layer, output and every gradient, by
+    /// bits.
     fn assert_matches_oracle(emb: &Embeddings, cfg: &CnnConfig, seed: u64, toks: &[Sym], y: f32) {
         let (mut new, mut old) = (net(emb.dim(), cfg, seed), net(emb.dim(), cfg, seed));
         let (mut sn, mut so) = (new.scratch(), old.scratch());
         let (x, n) = stack(emb, toks, cfg.max_len);
         let want = forward_x(&old, &x, n, &mut so);
         let mut tables: Vec<ActTable> = (cfg.widths.iter())
-            .map(|_| ActTable::new(cfg.filters, 8))
+            .map(|&w| ActTable::new(cfg.filters, w.min(cfg.max_len), 8))
             .collect();
-        for pass in ["first sight", "second sight", "no table"] {
-            let tables = (pass != "no table").then_some(&mut tables[..]);
-            let got = new.forward(emb, toks, tables, &mut sn);
+        for pass in ["first sight", "second sight", "training"] {
+            let got = match pass {
+                "training" => new.forward::<true>(emb, toks, &mut [], &mut sn),
+                _ => new.forward::<false>(emb, toks, &mut tables, &mut sn),
+            };
             let ctx = format!("{pass}: toks {} cfg {cfg:?}", toks.len());
             assert_eq!(got.to_bits(), want.to_bits(), "output, {ctx}");
             assert_eq!(bits(&sn.feat), bits(&so.feat), "feat, {ctx}");
-            assert_eq!(sn.argmax, so.argmax, "argmax, {ctx}");
             assert_eq!(bits(&sn.hpre), bits(&so.hpre), "hpre, {ctx}");
             assert_eq!(bits(&sn.h), bits(&so.h), "h, {ctx}");
         }
+        assert_eq!(
+            sn.argmax,
+            so.argmax,
+            "argmax: toks {} cfg {cfg:?}",
+            toks.len()
+        );
+        new.copy_fc1_units(&mut sn);
         new.backward(want - y, toks, &mut sn);
         new.fold_conv_grads(&mut sn);
         let mut with_grads = net(emb.dim(), cfg, seed);
@@ -1332,7 +1557,7 @@ mod tests {
             .collect();
         for cap in [0usize, 3, 10, ACT_TABLE_CAP] {
             let mut got = Vec::new();
-            cnn.predict_batch_capped(&c, &e, &ids, cap, &mut got);
+            cnn.predict_in(LaneLoop::detect(), cap, &c, &e, &ids, &mut got);
             assert_eq!(bits(&got), want, "cap {cap}");
         }
         let mut got = Vec::new();
@@ -1357,31 +1582,110 @@ mod tests {
         assert_ne!(bits(&second), bits(&first), "the refit moved no score");
     }
 
-    /// The table itself: a hit returns what the first sight computed and
-    /// never calls `fill`; growth keeps every entry reachable; past `cap`
-    /// a miss fills the spill buffer and inserts nothing.
+    /// The table itself, for windows of up to 3 symbols (one key word)
+    /// and up to 6 (two): a hit returns what the first sight stored, keys
+    /// of every length up to the widest are told apart, growth keeps every
+    /// entry reachable, and past `cap` a miss hands out the spill buffer
+    /// and inserts nothing.
     #[test]
     fn act_table_looks_up_what_it_filled_and_stops_at_cap() {
         let cap = 1000;
-        let mut table = ActTable::new(2, cap);
-        let key = |i: u32| [Sym(i % 40), Sym(i / 40), Sym(7)];
-        let mut spill = [0.0f32; 2];
-        for round in 0..2 {
-            for i in 0..1200u32 {
-                let mut filled = false;
-                let acts = table.get_or_fill(&key(i)[..2 + (i % 2) as usize], &mut spill, |a| {
-                    filled = true;
-                    a.copy_from_slice(&[i as f32, -(i as f32)]);
-                });
-                assert_eq!(acts, [i as f32, -(i as f32)], "round {round} key {i}");
-                assert_eq!(
-                    filled,
-                    round == 0 || i >= cap as u32,
-                    "round {round} key {i}"
-                );
+        for syms in [3usize, 6] {
+            let mut table = ActTable::new(2, syms, cap);
+            // Key `i`: `i / syms` followed by zeros, `1 + i % syms` long,
+            // so keys that share a first symbol differ in length alone.
+            let key = |i: u32| {
+                let mut k = [Sym(0); 6];
+                k[0] = Sym(i / syms as u32);
+                k
+            };
+            let len = |i: u32| 1 + i as usize % syms;
+            let mut spill = [0.0f32; 2];
+            for round in 0..2 {
+                for i in 0..1200u32 {
+                    let want = [i as f32, -(i as f32)];
+                    let (acts, filled) = match table.find(&key(i)[..len(i)]) {
+                        Ok(e) => (table.acts(e), false),
+                        Err(miss) => {
+                            let acts = table.claim(miss, &mut spill);
+                            acts.copy_from_slice(&want);
+                            (&*acts, true)
+                        }
+                    };
+                    let ctx = format!("syms {syms} round {round} key {i}");
+                    assert_eq!(acts, want, "{ctx}");
+                    assert_eq!(filled, round == 0 || i >= cap as u32, "{ctx}");
+                }
+                assert_eq!(table.entries(), cap);
+                assert!(table.slots.len() >= 2 * cap);
             }
-            assert_eq!(table.key_off.len() - 1, cap);
-            assert!(table.slots.len() >= 2 * cap);
+        }
+    }
+
+    /// A corpus with the lengths the window rule distinguishes at
+    /// `max_len` 6 — empty, one token, shorter than a filter, exactly
+    /// `max_len`, longer — and windows that repeat within and across
+    /// sentences.
+    fn edge_corpus(dim: usize) -> (Corpus, Embeddings) {
+        let c = Corpus::from_texts([
+            "",
+            "a",
+            "a b",
+            "a b c",
+            "a b c d e f",
+            "a b c d e f g h i j k l",
+            "b c d b c d b c d",
+            "a b",
+            "f e d c b a",
+            "a b c d e f",
+        ]);
+        let cfg = EmbedConfig {
+            dim,
+            ..Default::default()
+        };
+        let e = Embeddings::train(&c, &cfg);
+        (c, e)
+    }
+
+    /// The prediction instance against the training instance (no table,
+    /// every window convolved, the stacked sentence) and per-id `predict`,
+    /// by bits, in every instance the host runs: tables that never hold a
+    /// window (cap 0), hold one (cap 1) or take the default cap, over the
+    /// corpus twice (the second time every stored window a hit); filters
+    /// narrower than, as wide as and wider than `max_len`, keys of one and
+    /// of two words.
+    #[test]
+    fn prediction_instance_equals_the_training_instance_bit_for_bit() {
+        for dim in [5usize, 8] {
+            let (c, e) = edge_corpus(dim);
+            let ids: Vec<u32> = (0..c.len() as u32).chain(0..c.len() as u32).collect();
+            for (widths, filters) in [(vec![2usize, 3, 4], 12usize), (vec![1, 5, 6, 9], 5)] {
+                let cfg = CnnConfig {
+                    widths,
+                    filters,
+                    hidden: 9,
+                    max_len: 6,
+                    ..Default::default()
+                };
+                let cnn = net(dim, &cfg, dim as u64);
+                let mut s = cnn.scratch();
+                let want: Vec<u32> = (ids.iter())
+                    .map(|&id| {
+                        let toks = c.sentence(id).tokens();
+                        cnn.forward::<true>(&e, toks, &mut [], &mut s).to_bits()
+                    })
+                    .collect();
+                let per_id: Vec<f32> = ids.iter().map(|&id| cnn.predict(&c, &e, id)).collect();
+                assert_eq!(bits(&per_id), want, "predict, dim {dim} {cfg:?}");
+                for (name, lanes) in LaneLoop::host_instances() {
+                    for cap in [0, 1, ACT_TABLE_CAP] {
+                        let mut got = Vec::new();
+                        cnn.predict_in(lanes, cap, &c, &e, &ids, &mut got);
+                        let ctx = format!("{name} cap {cap} dim {dim} {cfg:?}");
+                        assert_eq!(bits(&got), want, "{ctx}");
+                    }
+                }
+            }
         }
     }
 }

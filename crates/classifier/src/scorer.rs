@@ -274,6 +274,7 @@ impl ScoreCache {
 mod tests {
     use super::*;
     use crate::model::ClassifierKind;
+    use crate::CnnConfig;
     use darwin_text::embed::EmbedConfig;
 
     fn setup() -> (Corpus, Embeddings) {
@@ -395,37 +396,51 @@ mod tests {
 
     /// The thread count is an execution detail: every configuration must
     /// produce bit-identical scores and journals through full and
-    /// incremental rounds alike.
+    /// incremental rounds alike — for the CNN too, whose every refresh
+    /// chunk builds its own activation tables.
     #[test]
     fn sharded_refresh_is_bit_identical_to_unsharded() {
         let (c, e) = setup();
-        let mut clf = ClassifierKind::logreg().build(&e, 1);
-        clf.fit(&c, &e, &[0, 2, 4], &[1, 3, 5]);
-        let mut reference = ScoreCache::new(c.len());
-        reference.full_every = 100;
-        reference.refresh(clf.as_ref(), &c, &e); // full
-        clf.fit(&c, &e, &[0, 2, 4, 6, 8], &[1, 3, 5, 7, 9]);
-        reference.refresh(clf.as_ref(), &c, &e); // incremental
-
-        for threads in [1usize, 2, 3, 7] {
-            let mut clf = ClassifierKind::logreg().build(&e, 1);
-            clf.fit(&c, &e, &[0, 2, 4], &[1, 3, 5]);
-            let mut cache = ScoreCache::new(c.len()).with_threads(threads);
-            cache.full_every = 100;
-            cache.refresh(clf.as_ref(), &c, &e);
-            clf.fit(&c, &e, &[0, 2, 4, 6, 8], &[1, 3, 5, 7, 9]);
-            cache.refresh(clf.as_ref(), &c, &e);
-            assert_eq!(
-                cache.scores(),
-                reference.scores(),
-                "T={threads}: scores diverged"
+        // Minibatches of one: enough steps on six examples that the first
+        // fit puts some scores under the refresh threshold.
+        let cnn = ClassifierKind::Cnn(CnnConfig {
+            batch: 1,
+            ..CnnConfig::default()
+        });
+        for kind in [ClassifierKind::logreg(), cnn] {
+            let run = |threads: usize| {
+                let mut clf = kind.build(&e, 1);
+                clf.fit(&c, &e, &[0, 2, 4], &[1, 3, 5]);
+                let mut cache = ScoreCache::new(c.len()).with_threads(threads);
+                cache.full_every = 100;
+                cache.refresh(clf.as_ref(), &c, &e); // full
+                let full = cache.scores().to_vec();
+                clf.fit(&c, &e, &[0, 2, 4, 6, 8], &[1, 3, 5, 7, 9]);
+                cache.refresh(clf.as_ref(), &c, &e); // incremental
+                assert!(!cache.last_refresh_was_full());
+                (full, cache)
+            };
+            let (full, reference) = run(1);
+            assert!(
+                reference.last_refresh_size() < c.len(),
+                "{kind:?}: the incremental round skipped nothing"
             );
-            assert_eq!(
-                cache.last_changes(),
-                reference.last_changes(),
-                "T={threads}: journals diverged"
+            assert!(
+                !reference.last_changes().is_empty(),
+                "{kind:?}: no score moved"
             );
-            assert_eq!(cache.last_refresh_size(), reference.last_refresh_size());
+            for threads in [2usize, 3, 7] {
+                let ctx = format!("{kind:?} T={threads}");
+                let (got_full, cache) = run(threads);
+                assert_eq!(got_full, full, "{ctx}: full-round scores diverged");
+                assert_eq!(cache.scores(), reference.scores(), "{ctx}: scores diverged");
+                assert_eq!(
+                    cache.last_changes(),
+                    reference.last_changes(),
+                    "{ctx}: journals diverged"
+                );
+                assert_eq!(cache.last_refresh_size(), reference.last_refresh_size());
+            }
         }
     }
 

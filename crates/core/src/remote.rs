@@ -522,8 +522,11 @@ fn kind_to_wire(kind: &ClassifierKind) -> WireClassifierKind {
     }
 }
 
-fn kind_from_wire(kind: &WireClassifierKind) -> ClassifierKind {
-    match kind {
+/// The classifier a `ClassifierInit` describes, for embeddings `dim` wide;
+/// `Err` for a CNN shape [`CnnConfig::check`] refuses (a peer's sizes
+/// must not make this worker's allocations abort it).
+fn kind_from_wire(kind: &WireClassifierKind, dim: usize) -> Result<ClassifierKind, String> {
+    let kind = match kind {
         WireClassifierKind::Cnn {
             widths,
             filters,
@@ -554,7 +557,11 @@ fn kind_from_wire(kind: &WireClassifierKind) -> ClassifierKind {
             l2_bow: *l2_bow,
             warm_start: true,
         }),
+    };
+    if let ClassifierKind::Cnn(cfg) = &kind {
+        cfg.check(dim)?;
     }
+    Ok(kind)
 }
 
 /// Serve the classifier protocol over `t` until shutdown or disconnect:
@@ -585,6 +592,17 @@ pub fn serve_classifier(t: &mut dyn Transport) -> Result<(), WireError> {
                 kind,
                 model_seed,
             } => {
+                let embed = EmbedConfig {
+                    seed: embed_seed,
+                    ..Default::default()
+                };
+                let kind = match kind_from_wire(&kind, embed.dim) {
+                    Ok(kind) => kind,
+                    Err(e) => {
+                        reply_error(t, seq, e)?;
+                        continue;
+                    }
+                };
                 let corpus = match corpus.restore() {
                     Ok(c) => c,
                     Err(e) => {
@@ -592,14 +610,8 @@ pub fn serve_classifier(t: &mut dyn Transport) -> Result<(), WireError> {
                         continue;
                     }
                 };
-                let emb = Embeddings::train(
-                    &corpus,
-                    &EmbedConfig {
-                        seed: embed_seed,
-                        ..Default::default()
-                    },
-                );
-                let clf = kind_from_wire(&kind).build(&emb, model_seed);
+                let emb = Embeddings::train(&corpus, &embed);
+                let clf = kind.build(&emb, model_seed);
                 state = Some(State { corpus, emb, clf });
                 reply(t, seq, &Response::Ack)?;
             }
@@ -1101,6 +1113,74 @@ mod tests {
         assert!(zero.iter().all(|p| (0.0..=1.0).contains(p)), "{zero:?}");
         let bits = |v: &[f32]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&zero), bits(&one));
+    }
+
+    /// A CNN shape whose tensors the worker could not allocate — a
+    /// sentence or window length past `MAX_TOKENS` or zero, or sizes whose
+    /// product overflows or passes the cap `CnnConfig::check` states —
+    /// must be a clean remote error, never an allocator abort, and the
+    /// worker must then take a valid init on the same connection and
+    /// score with it.
+    #[test]
+    fn classifier_worker_refuses_hostile_cnn_shapes() {
+        let (c, _labels) = corpus();
+        let (client, mut server) = darwin_wire::InProc::pair();
+        let handle = std::thread::spawn(move || serve_classifier(&mut server));
+        let mut session = Session::new(Box::new(client));
+        session.hello().unwrap();
+        let shape = |widths: Vec<usize>, filters, hidden, max_len| {
+            ClassifierKind::Cnn(CnnConfig {
+                widths,
+                filters,
+                hidden,
+                max_len,
+                epochs: 2,
+                ..Default::default()
+            })
+        };
+        let max = u32::MAX as usize;
+        let bad = [
+            shape(vec![2, 3, 4], 12, 24, max), // a 2^32-row stacked sentence
+            shape(vec![max], 12, 24, 32),      // a 2^32-wide window
+            shape(vec![2, 3, 4], 12, 24, 0),   // no sentence at all
+            shape(vec![2, 0, 4], 12, 24, 32),  // an empty window
+            shape(vec![2, MAX_TOKENS + 1], 12, 24, 32), // one token past the cap
+            shape(vec![2, 3, 4], max, 24, 32), // filters × width × dim overflow the cap
+            shape(vec![2, 3, 4], 12, max, 32), // hidden × filters past the cap
+            shape(vec![1], 2048, 1, 32),       // activation tables past the cap
+        ];
+        for kind in bad {
+            let err = session
+                .call(&Request::ClassifierInit {
+                    corpus: CorpusSlice::full(&c),
+                    embed_seed: 7,
+                    kind: kind_to_wire(&kind),
+                    model_seed: 9,
+                })
+                .unwrap_err();
+            assert!(matches!(err, WireError::Remote(_)), "{kind:?}: got {err:?}");
+        }
+        // The worker survived all of it: a valid init trains and scores.
+        let init = session.call(&Request::ClassifierInit {
+            corpus: CorpusSlice::full(&c),
+            embed_seed: 7,
+            kind: kind_to_wire(&shape(vec![2, 3, 4], 12, 24, 32)),
+            model_seed: 9,
+        });
+        assert_eq!(init.unwrap(), Response::Ack);
+        let fit = session.call(&Request::Fit {
+            pos: vec![0, 1],
+            neg: vec![3, 4],
+        });
+        assert_eq!(fit.unwrap(), Response::Ack);
+        match session.call(&Request::PredictBatch { ids: vec![0, 3] }) {
+            Ok(Response::Scores { scores }) => {
+                assert!(scores.iter().all(|p| (0.0..=1.0).contains(p)), "{scores:?}")
+            }
+            other => panic!("expected Scores, got {other:?}"),
+        }
+        session.call(&Request::Shutdown).unwrap();
+        assert!(handle.join().unwrap().is_ok());
     }
 
     /// The execution-layer invariance contract for the classifier
