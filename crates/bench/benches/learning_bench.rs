@@ -53,9 +53,11 @@ fn bench_classifiers(c: &mut Criterion) {
         bench_fit(b, clf.as_mut(), &d, &emb, &small);
     });
 
-    // The session-shaped pair: 580 + 1740 rows is the size of the late
-    // fits of `session_bench`'s `directions_logreg`. The cold row is the
-    // full-width dense loop, the same-run reference for the active-set one.
+    // The session-shaped pair asks for 580 + 1740 rows, the size of the
+    // late fits of `session_bench`'s `directions_logreg`; this 3 000-sentence
+    // corpus holds only 114 positives, so it fits 114 + 1740. The cold row
+    // is the full-width dense loop, the same-run reference for the
+    // active-set one.
     let late = training_ids(&d, 580, 1741);
     let mut warm = ClassifierKind::logreg().build(&emb, 1);
     let mut cold = ClassifierKind::logreg()
@@ -75,6 +77,21 @@ fn bench_classifiers(c: &mut Criterion) {
     });
     g.bench_function("logreg_fit_2320_cold", |b| {
         bench_fit(b, cold.as_mut(), &d, &emb, &late);
+    });
+
+    // The stream-shaped fit: 2 700 positives + 8 140 negatives, the size
+    // of the final fit of `session_bench`'s `stream_ingest`. Over 10 840
+    // rows a rarely used word's bucket goes long between touches, and its
+    // Adam lanes decay toward subnormal values there (ARCHITECTURE.md
+    // "Subnormal operands in the optimizer"), so this row slows if the
+    // optimizer's wide path stops avoiding their microcode assists.
+    let big = directions::generate(75_000, 42);
+    let big_emb = Embeddings::train(&big.corpus, &EmbedConfig::default());
+    let stream = training_ids(&big, 2_700, 8_141);
+    assert_eq!((stream.0.len(), stream.1.len()), (2_700, 8_141));
+    g.bench_function("logreg_fit_10840", |b| {
+        let mut clf = ClassifierKind::logreg().build(&big_emb, 1);
+        bench_fit(b, clf.as_mut(), &big, &big_emb, &stream);
     });
 
     let mut trained = ClassifierKind::logreg().build(&emb, 1);

@@ -1,7 +1,41 @@
 //! Adam-optimized parameter tensors.
+//!
+//! The Adam lane expression is written once, `Adam::lane`, generic over
+//! the arithmetic it runs in (`Arith`): plain `f32` in the zipped-slice
+//! loops LLVM packs, and, for the lanes of a LogReg step's *zone* on the
+//! AVX2 instance, `Wide`: four lanes whose every product, quotient, root
+//! and sum is taken in f64 and rounded to f32 after each operation.
+//!
+//! The zone is there for microcode assists. On the x86 hosts measured, a
+//! packed `vmulps`, `vdivps` or `vsqrtps` with a subnormal operand or
+//! result costs ~34 ns instead of ~0.5 ns, once per instruction however
+//! many of its lanes are subnormal (`vaddps`, `vsubps` and the f32 ↔ f64
+//! conversions cost none). The Adam lanes of rarely touched bag-of-words
+//! buckets decay toward zero between touches and meet such values; the
+//! LogReg fit keeps them side by side (`Param::group_near_subnormal`)
+//! and passes their count to `Param::grad_adam_step` as the zone. In f64
+//! none of this arithmetic leaves the normal range, so the wide path pays
+//! no assist, and it gives the f32 bits:
+//!
+//! * the product of two f32 values is exact in f64 (24 + 24 ≤ 53 bits),
+//!   so rounding it once gives the f32 product;
+//! * rounding +, −, ÷ and √ first to binary64 and then to binary32 is
+//!   innocuous, since 53 ≥ 2·24 + 2;
+//! * no f64 value here underflows or overflows (the smallest non-zero
+//!   product of two f32 values is 2⁻²⁹⁸, the largest quotient 2²⁷⁷).
+//!
+//! (NaNs aside: where two NaN operands with different payloads meet,
+//! which payload survives is the compiler's choice of operand order in
+//! either path. A fit over finite data makes no NaN.)
+//!
+//! LLVM knows the second fact as well and folds `fptrunc(op(fpext a,
+//! fpext b))` back into the f32 operation, assist included, so each f64
+//! result passes through an empty `asm!` before it is rounded
+//! (ARCHITECTURE.md "Subnormal operands in the optimizer").
 
 use rand::rngs::SmallRng;
 use rand::Rng;
+use std::ops::{Add, Div, Mul, Range, Sub};
 
 /// A flat parameter tensor with its gradient accumulator and Adam moments.
 #[derive(Clone, Debug)]
@@ -79,7 +113,7 @@ impl Param {
         let k = Adam::new(lr, t);
         let lanes = self.w.iter_mut().zip(&mut self.m).zip(&mut self.v);
         for (((w, m), v), &g) in lanes.zip(&self.g) {
-            k.lane::<0>(w, m, v, g);
+            k.lane::<0, f32>(w, m, v, g);
         }
     }
 
@@ -91,52 +125,108 @@ impl Param {
     /// is bit for bit that of writing the gradient into `g` and calling
     /// `adam_step`; `g` itself is neither read nor written.
     ///
+    /// Lanes `split..split + zone` are the zone: the AVX2 instance steps
+    /// them in `Wide` arithmetic, which gives the same bits without the
+    /// microcode assists near-subnormal values cost (module docs); the
+    /// portable instance runs them through its ordinary loop. Either path
+    /// is exact for any lane, so `zone` decides time, never bits.
+    ///
     /// The instance of the lane loop is picked here: by how many of `k`'s
     /// bias corrections are exactly `1.0` (their divisions are dropped,
     /// see [`Adam::lane`]) and by `lanes`.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn grad_adam_step(
         &mut self,
         x: &[f32],
         d: f32,
         split: usize,
+        zone: usize,
         l2: [f32; 2],
         k: Adam,
         lanes: LaneLoop,
     ) {
         match k.saturated() {
-            0 => self.grad_adam_step_with::<0>(x, d, split, l2, k, lanes),
-            1 => self.grad_adam_step_with::<1>(x, d, split, l2, k, lanes),
-            _ => self.grad_adam_step_with::<2>(x, d, split, l2, k, lanes),
+            0 => self.grad_adam_step_with::<0>(x, d, split, zone, l2, k, lanes),
+            1 => self.grad_adam_step_with::<1>(x, d, split, zone, l2, k, lanes),
+            _ => self.grad_adam_step_with::<2>(x, d, split, zone, l2, k, lanes),
         }
     }
 
     /// [`Param::grad_adam_step`] through the lane loop instance that skips
     /// the first `SAT` bias corrections; legal when `SAT <= k.saturated()`.
+    #[allow(clippy::too_many_arguments)]
     fn grad_adam_step_with<const SAT: u8>(
         &mut self,
         x: &[f32],
         d: f32,
         split: usize,
+        zone: usize,
         l2: [f32; 2],
         k: Adam,
         lanes: LaneLoop,
     ) {
-        assert_eq!(x.len(), self.w.len(), "one input per lane");
+        let n = self.w.len();
+        assert_eq!(x.len(), n, "one input per lane");
         debug_assert!(SAT <= k.saturated());
-        let (w0, w1) = self.w.split_at_mut(split);
-        let (m0, m1) = self.m.split_at_mut(split);
-        let (v0, v1) = self.v.split_at_mut(split);
-        let (x0, x1) = x.split_at(split);
-        for (w, m, v, x, l2) in [(w0, m0, v0, x0, l2[0]), (w1, m1, v1, x1, l2[1])] {
+        // The zone runs in whole groups of four lanes: widened to them
+        // where the tensor has room, narrowed where it has not. Either path
+        // is exact for any lane, so this moves time, never bits.
+        let zone_end = split + 4 * zone.div_ceil(4).min((n - split) / 4);
+        let regions = [
+            (0..split, l2[0], false),
+            (split..zone_end, l2[1], true),
+            (zone_end..n, l2[1], false),
+        ];
+        for (r, l2, in_zone) in regions {
+            let (w, m, v) = (
+                &mut self.w[r.clone()],
+                &mut self.m[r.clone()],
+                &mut self.v[r.clone()],
+            );
+            let x = &x[r];
             #[cfg(target_arch = "x86_64")]
             if lanes.avx2 {
                 // SAFETY: `avx2` is set only by `LaneLoop::detect`, after
                 // `is_x86_feature_detected!("avx2")` returned true.
-                unsafe { grad_adam_lanes_avx2::<SAT>(w, m, v, x, d, l2, k) };
+                if in_zone {
+                    unsafe { grad_adam_zone_avx2::<SAT>(w, m, v, x, d, l2, k) };
+                } else {
+                    unsafe { grad_adam_lanes_avx2::<SAT>(w, m, v, x, d, l2, k) };
+                }
                 continue;
             }
+            // The portable instance runs the zone through its ordinary loop.
+            let _ = in_zone;
             grad_adam_lanes::<SAT>(w, m, v, x, d, l2, k);
         }
+    }
+
+    /// Moves every lane of `lanes` that holds a non-zero `w`, `m` or `v`
+    /// below its [`NEAR_SUBNORMAL`] margin to the front of `lanes`, calling
+    /// `swapped(i, j)` for each pair of lanes exchanged, and returns how
+    /// many such lanes there are: the zone [`Param::grad_adam_step`] takes.
+    /// Lanes never interact, so a permutation moves values, never changes
+    /// them.
+    pub(crate) fn group_near_subnormal(
+        &mut self,
+        lanes: Range<usize>,
+        mut swapped: impl FnMut(usize, usize),
+    ) -> usize {
+        let [mw, mm, mv] = NEAR_SUBNORMAL;
+        let near = |x: f32, margin: f32| x != 0.0 && x.abs() < margin;
+        let mut front = lanes.start;
+        for i in lanes.clone() {
+            if near(self.w[i], mw) || near(self.m[i], mm) || near(self.v[i], mv) {
+                if i != front {
+                    for t in [&mut self.w, &mut self.g, &mut self.m, &mut self.v] {
+                        t.swap(i, front);
+                    }
+                    swapped(i, front);
+                }
+                front += 1;
+            }
+        }
+        front - lanes.start
     }
 
     /// The minibatch step over an accumulated gradient sum: lane `i` takes
@@ -182,7 +272,7 @@ fn mean_adam_lanes<const SAT: u8>(
 ) {
     let lanes = w.iter_mut().zip(m).zip(v);
     for (((w, m), v), g) in lanes.zip(g) {
-        k.lane::<SAT>(w, m, v, *g * scale);
+        k.lane::<SAT, f32>(w, m, v, *g * scale);
         *g = 0.0;
     }
 }
@@ -215,8 +305,7 @@ fn grad_adam_lanes<const SAT: u8>(
 ) {
     let lanes = w.iter_mut().zip(m).zip(v);
     for (((w, m), v), &x) in lanes.zip(x) {
-        let g = d * x + l2 * *w;
-        k.lane::<SAT>(w, m, v, g);
+        k.grad_lane::<SAT, f32>(w, m, v, x, d, l2);
     }
 }
 
@@ -235,6 +324,123 @@ fn grad_adam_lanes_avx2<const SAT: u8>(
     k: Adam,
 ) {
     grad_adam_lanes::<SAT>(w, m, v, x, d, l2, k)
+}
+
+/// The zone's lane loop on the AVX2 instance: [`Adam::grad_lane`] in
+/// [`Wide`] arithmetic, four lanes at a time over whole groups of four.
+/// Bit for bit [`grad_adam_lanes`], without its assists.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn grad_adam_zone_avx2<const SAT: u8>(
+    w: &mut [f32],
+    m: &mut [f32],
+    v: &mut [f32],
+    x: &[f32],
+    d: f32,
+    l2: f32,
+    k: Adam,
+) {
+    let (d, l2) = (Wide::from(d), Wide::from(l2));
+    let (w, m, v, x) = (
+        w.as_chunks_mut::<4>(),
+        m.as_chunks_mut::<4>(),
+        v.as_chunks_mut::<4>(),
+        x.as_chunks::<4>(),
+    );
+    assert!(w.1.is_empty(), "the zone is whole groups of four");
+    for (((w, m), v), x) in w.0.iter_mut().zip(m.0).zip(v.0).zip(x.0) {
+        let (mut wl, mut ml, mut vl) = (Wide::load(w), Wide::load(m), Wide::load(v));
+        k.grad_lane::<SAT, Wide>(&mut wl, &mut ml, &mut vl, Wide::load(x), d, l2);
+        wl.store(w);
+        ml.store(m);
+        vl.store(v);
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+use wide::Wide;
+
+/// The zone's arithmetic on the AVX2 instance (module docs).
+#[cfg(target_arch = "x86_64")]
+mod wide {
+    use super::Arith;
+    use std::arch::asm;
+    use std::arch::x86_64::*;
+    use std::ops::{Add, Div, Mul, Sub};
+
+    /// Four f32 lanes whose every operation is taken in f64 and rounded to
+    /// f32: bit for bit the f32 operation, without its microcode assists.
+    /// Every operation runs AVX instructions, so a `Wide` is made only
+    /// inside `grad_adam_zone_avx2` (and its tests), which run after
+    /// `LaneLoop::detect` found AVX2; the type is private to `adam.rs`.
+    #[derive(Clone, Copy)]
+    pub(super) struct Wide(__m128);
+
+    impl Wide {
+        #[inline(always)]
+        pub(super) fn load(x: &[f32; 4]) -> Wide {
+            // SAFETY: `x` holds four f32 values.
+            Wide(unsafe { _mm_loadu_ps(x.as_ptr()) })
+        }
+
+        #[inline(always)]
+        pub(super) fn store(self, x: &mut [f32; 4]) {
+            // SAFETY: `x` has room for four f32 values.
+            unsafe { _mm_storeu_ps(x.as_mut_ptr(), self.0) };
+        }
+    }
+
+    impl From<f32> for Wide {
+        #[inline(always)]
+        fn from(x: f32) -> Wide {
+            // SAFETY: a `Wide` exists only where AVX2 was detected.
+            Wide(unsafe { _mm_set1_ps(x) })
+        }
+    }
+
+    /// The lanes of `x` exactly in f64.
+    #[target_feature(enable = "avx2")]
+    fn widen(x: Wide) -> __m256d {
+        _mm256_cvtps_pd(x.0)
+    }
+
+    /// `x` rounded to f32 after an empty `asm!` that holds it in its
+    /// register: LLVM cannot see that `x` is an operation on widened f32
+    /// values, so it cannot fold the pair back into the f32 operation,
+    /// which would pay the assist again.
+    #[target_feature(enable = "avx2")]
+    fn round(mut x: __m256d) -> Wide {
+        // SAFETY: the template is empty; `x` leaves its register unchanged.
+        unsafe {
+            asm!("/* {0} */", inout(ymm_reg) x, options(pure, nomem, nostack, preserves_flags))
+        };
+        Wide(_mm256_cvtpd_ps(x))
+    }
+
+    macro_rules! wide_op {
+        ($trait:ident, $method:ident, $pd:ident) => {
+            impl $trait for Wide {
+                type Output = Wide;
+                #[inline(always)]
+                fn $method(self, o: Wide) -> Wide {
+                    // SAFETY: a `Wide` exists only where AVX2 was detected.
+                    unsafe { round($pd(widen(self), widen(o))) }
+                }
+            }
+        };
+    }
+    wide_op!(Add, add, _mm256_add_pd);
+    wide_op!(Sub, sub, _mm256_sub_pd);
+    wide_op!(Mul, mul, _mm256_mul_pd);
+    wide_op!(Div, div, _mm256_div_pd);
+
+    impl Arith for Wide {
+        #[inline(always)]
+        fn sqrt(self) -> Wide {
+            // SAFETY: a `Wide` exists only where AVX2 was detected.
+            unsafe { round(_mm256_sqrt_pd(widen(self))) }
+        }
+    }
 }
 
 /// Which compiled instance of the fused step's lane loop runs: the AVX2
@@ -282,6 +488,38 @@ const B1: f32 = 0.9;
 const B2: f32 = 0.999;
 const EPS: f32 = 1e-8;
 
+/// The magnitudes below which a non-zero `w`, `m` or `v` puts its lane in
+/// the zone: 2⁻⁴⁰, 2⁻⁹⁰ and 2⁻¹¹⁰. Each leaves room for a value to fall
+/// between regroups before its products (`λ·w`, `β·m`, `(1 − β)·g·g`)
+/// reach the subnormal range; a lane that gets there early costs time,
+/// never bits.
+const NEAR_SUBNORMAL: [f32; 3] = [pow2(-40), pow2(-90), pow2(-110)];
+
+/// `2^e` for a normal exponent `e`.
+const fn pow2(e: i32) -> f32 {
+    f32::from_bits(((127 + e) as u32) << 23)
+}
+
+/// Adam's bias correction `1 − β^t` at step `t`.
+fn correction(b: f32, t: u32) -> f32 {
+    1.0 - b.powi(t as i32)
+}
+
+/// The arithmetic an Adam lane is written in: `f32`, or (the zone on the
+/// AVX2 instance) `Wide`, which gives the same bits (module docs).
+trait Arith:
+    Copy + From<f32> + Add<Output = Self> + Sub<Output = Self> + Mul<Output = Self> + Div<Output = Self>
+{
+    fn sqrt(self) -> Self;
+}
+
+impl Arith for f32 {
+    #[inline(always)]
+    fn sqrt(self) -> f32 {
+        f32::sqrt(self)
+    }
+}
+
 /// One Adam step's constants: the learning rate and the bias corrections
 /// `1 − β^t` of step `t`.
 #[derive(Clone, Copy)]
@@ -295,17 +533,34 @@ impl Adam {
     pub(crate) fn new(lr: f32, t: u32) -> Adam {
         Adam {
             lr,
-            bc1: 1.0 - B1.powi(t as i32),
-            bc2: 1.0 - B2.powi(t as i32),
+            bc1: correction(B1, t),
+            bc2: correction(B2, t),
         }
     }
 
     /// Grows `table` to `len` steps, `table[t - 1]` holding step `t`'s
     /// constants from [`Adam::new`]. They depend on `t` alone (and the
     /// fixed `lr`), so a table grown once serves every later fit.
+    ///
+    /// A correction that has reached exactly `1.0` is carried forward, not
+    /// recomputed: `β^t` only shrinks as `t` grows, so `Adam::new` gives
+    /// `1.0` there too, while its `powi` passes through subnormal values
+    /// (`0.9^t` from `t ≈ 830`, `0.999^t` from `t ≈ 87 000`) whose
+    /// multiplies pay microcode assists. Once both are `1.0` the rest of
+    /// the table is copies, with no `powi` left to evaluate.
     pub(crate) fn extend_table(table: &mut Vec<Adam>, lr: f32, len: usize) {
-        for t in table.len() + 1..=len {
-            table.push(Adam::new(lr, t as u32));
+        while table.len() < len {
+            let t = table.len() as u32 + 1;
+            let k = match table.last() {
+                Some(&k) if k.saturated() == 2 => return table.resize(len, k),
+                Some(k) if k.saturated() == 1 => Adam {
+                    lr,
+                    bc1: 1.0,
+                    bc2: correction(B2, t),
+                },
+                _ => Adam::new(lr, t),
+            };
+            table.push(k);
         }
     }
 
@@ -322,7 +577,8 @@ impl Adam {
 
     /// The update of one lane with gradient `g` — the only place the Adam
     /// expression is written. Inlined into zipped-slice loops, which LLVM
-    /// turns into packed arithmetic (IEEE per lane, never contracted).
+    /// turns into packed arithmetic (IEEE per lane, never contracted), and,
+    /// in `Wide` arithmetic, into the zone's loop.
     ///
     /// The instance `SAT` leaves out the division by the first `SAT` bias
     /// corrections, which the caller has found to be exactly `1.0`.
@@ -331,12 +587,29 @@ impl Adam {
     /// pass through), and `m` and `v` are always results of arithmetic,
     /// never a signalling NaN. So every instance gives `SAT = 0`'s bits.
     #[inline(always)]
-    fn lane<const SAT: u8>(self, w: &mut f32, m: &mut f32, v: &mut f32, g: f32) {
-        *m = B1 * *m + (1.0 - B1) * g;
-        *v = B2 * *v + (1.0 - B2) * g * g;
-        let mhat = if SAT >= 1 { *m } else { *m / self.bc1 };
-        let vhat = if SAT >= 2 { *v } else { *v / self.bc2 };
-        *w -= self.lr * mhat / (vhat.sqrt() + EPS);
+    fn lane<const SAT: u8, T: Arith>(self, w: &mut T, m: &mut T, v: &mut T, g: T) {
+        let c = T::from;
+        *m = c(B1) * *m + c(1.0 - B1) * g;
+        *v = c(B2) * *v + c(1.0 - B2) * g * g;
+        let mhat = if SAT >= 1 { *m } else { *m / c(self.bc1) };
+        let vhat = if SAT >= 2 { *v } else { *v / c(self.bc2) };
+        *w = *w - c(self.lr) * mhat / (vhat.sqrt() + c(EPS));
+    }
+
+    /// The fused step's lane: the L2-regularised gradient `d·x + λ·w`,
+    /// then [`Adam::lane`].
+    #[inline(always)]
+    fn grad_lane<const SAT: u8, T: Arith>(
+        self,
+        w: &mut T,
+        m: &mut T,
+        v: &mut T,
+        x: T,
+        d: T,
+        l2: T,
+    ) {
+        let g = d * x + l2 * *w;
+        self.lane::<SAT, T>(w, m, v, g);
     }
 }
 
@@ -458,21 +731,23 @@ mod tests {
 
     /// The fused step through the lane instance that drops `sat` bias
     /// corrections; `None` is the instance `grad_adam_step` picks.
+    #[allow(clippy::too_many_arguments)]
     fn fused_step(
         p: &mut Param,
         x: &[f32],
         d: f32,
         split: usize,
+        zone: usize,
         t: u32,
         lanes: LaneLoop,
         sat: Option<u8>,
     ) {
         let k = Adam::new(LR, t);
         match sat {
-            None => p.grad_adam_step(x, d, split, L2, k, lanes),
-            Some(0) => p.grad_adam_step_with::<0>(x, d, split, L2, k, lanes),
-            Some(1) => p.grad_adam_step_with::<1>(x, d, split, L2, k, lanes),
-            Some(2) => p.grad_adam_step_with::<2>(x, d, split, L2, k, lanes),
+            None => p.grad_adam_step(x, d, split, zone, L2, k, lanes),
+            Some(0) => p.grad_adam_step_with::<0>(x, d, split, zone, L2, k, lanes),
+            Some(1) => p.grad_adam_step_with::<1>(x, d, split, zone, L2, k, lanes),
+            Some(2) => p.grad_adam_step_with::<2>(x, d, split, zone, L2, k, lanes),
             Some(_) => unreachable!(),
         }
     }
@@ -503,7 +778,7 @@ mod tests {
                                     want.g[i] = d * x[i] + l2 * want.w[i];
                                 }
                                 adam_step_indexed(&mut want, LR, t);
-                                fused_step(&mut p, &x, d, split, t, lanes, sat);
+                                fused_step(&mut p, &x, d, split, 0, t, lanes, sat);
                                 assert_same_bits(&p, &want, &what);
                                 for i in (2..n).step_by(3) {
                                     let lane = [p.w[i], p.m[i], p.v[i]].map(f32::to_bits);
@@ -514,6 +789,247 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// Values that exercise the zone's arithmetic: signed zeros,
+    /// subnormals of both signs (the smallest, one mid-range, the largest),
+    /// the neighbours of 2⁻¹²⁶, values whose square (2⁻⁶⁴, 2⁻⁷⁰, 2⁻⁸⁰) or
+    /// whose `(1 − β)·g` (3e-36) underflows, ordinary values, infinities
+    /// and NaNs (the default one and one with a payload).
+    fn specials() -> Vec<f32> {
+        let sub = [1, 0x0040_0000, 0x007f_ffff].map(f32::from_bits);
+        let mut v = vec![0.0, -0.0];
+        v.extend(sub.iter().flat_map(|&x| [x, -x]));
+        let tiny = f32::MIN_POSITIVE;
+        v.extend([tiny, -tiny, f32::from_bits(tiny.to_bits() + 1)]);
+        v.extend([pow2(-64), -pow2(-70), pow2(-80), 3e-36, -1e-20]);
+        v.extend([0.5, -0.75, 1.0, 3.0, 1e30, -2.5e-3]);
+        v.extend([
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::from_bits(0x7fc0_1234),
+        ]);
+        v
+    }
+
+    /// `a` and `b` by bits, except that two NaNs compare equal (their
+    /// payloads are counted in `payloads` when they differ): which NaN
+    /// operand's payload survives an operation is the compiler's choice
+    /// once it may commute the operands, in either path.
+    fn same_or_both_nan(a: f32, b: f32, payloads: &mut usize) -> bool {
+        if a.is_nan() && b.is_nan() {
+            *payloads += (a.to_bits() != b.to_bits()) as usize;
+            return true;
+        }
+        a.to_bits() == b.to_bits()
+    }
+
+    /// The zone against the plain loop: states drawn from [`specials`]
+    /// (lane by lane, `w`, `m`, `v` and `x` drawn independently), stepped
+    /// with zones of 0, 1, 3, 4, 5, 8 and 9 lanes and one covering the
+    /// whole bucket half, after embedding halves of 0 and 3 lanes, through
+    /// every SAT instance and every lane loop the host runs, compared with
+    /// the same step at zone 0 by bits (NaN against NaN by NaN-ness; any
+    /// payload that differs is reported).
+    #[test]
+    fn wide_lane_equals_lane_bit_for_bit() {
+        let vals = specials();
+        let mut payloads = 0;
+        for (name, lanes) in LaneLoop::host_instances() {
+            for t in TS {
+                let k = Adam::new(LR, t);
+                for sat in 0..=k.saturated() {
+                    for seed in 0..8u64 {
+                        let mut rng = SmallRng::seed_from_u64(seed ^ (t as u64) << 8);
+                        let n = 40;
+                        let mut pick = || vals[rng.gen_range(0..vals.len())];
+                        let mut p = Param::zeros(n);
+                        let mut x = vec![0.0; n];
+                        for i in 0..n {
+                            (p.w[i], p.m[i], p.v[i], x[i]) = (pick(), pick(), pick(), pick());
+                        }
+                        let d = [-0.75, 0.0, 0.6, f32::from_bits(3), 1e-30][seed as usize % 5];
+                        for split in [0, 3] {
+                            for zone in [0, 1, 3, 4, 5, 8, 9, n - split] {
+                                let what = format!(
+                                    "{name} SAT {sat} t {t} seed {seed} split {split} zone {zone}"
+                                );
+                                let mut want = p.clone();
+                                let mut got = p.clone();
+                                fused_step(&mut want, &x, d, split, 0, t, lanes, Some(sat));
+                                fused_step(&mut got, &x, d, split, zone, t, lanes, Some(sat));
+                                for (field, a, b) in [
+                                    ("w", &got.w, &want.w),
+                                    ("m", &got.m, &want.m),
+                                    ("v", &got.v, &want.v),
+                                ] {
+                                    for i in 0..n {
+                                        assert!(
+                                            same_or_both_nan(a[i], b[i], &mut payloads),
+                                            "{what}: {field}[{i}] {:e} vs {:e} (lane state w {:e} m {:e} v {:e} x {:e})",
+                                            a[i], b[i], p.w[i], p.m[i], p.v[i], x[i]
+                                        );
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        if payloads > 0 {
+            eprintln!("note: {payloads} NaN results differ in payload only");
+        }
+    }
+
+    /// Draws f32 values that are zero or subnormal half the time, near the
+    /// bottom of the normal range (where products and quotients underflow)
+    /// a quarter of the time, and of any exponent (infinities and NaNs
+    /// included) otherwise, each with a random sign and fraction.
+    fn subnormal_heavy(rng: &mut SmallRng) -> f32 {
+        let exp: u32 = match rng.gen_range(0..4) {
+            0 | 1 => 0,
+            2 => rng.gen_range(1..64),
+            _ => rng.gen_range(0..256),
+        };
+        f32::from_bits(rand::RngCore::next_u32(rng) & 0x807f_ffff | exp << 23)
+    }
+
+    /// Each wide binary operation against its f32 operation over 10⁷
+    /// subnormal-heavy pairs (release builds; 2¹⁶ in debug ones), by bits,
+    /// NaN against NaN by NaN-ness.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn wide_ops_equal_f32_ops_on_subnormal_heavy_pairs() {
+        if !LaneLoop::detect().avx2() {
+            eprintln!("note: AVX2 not detected; there is no wide arithmetic to test");
+            return;
+        }
+        let pairs = if cfg!(debug_assertions) {
+            1 << 16
+        } else {
+            10_000_000
+        };
+        // SAFETY: AVX2 was detected above.
+        let payloads = unsafe { wide_binary_ops_avx2(pairs) };
+        if payloads > 0 {
+            eprintln!("note: {payloads} NaN results differ in payload only");
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn wide_binary_ops_avx2(pairs: usize) -> usize {
+        let mut rng = SmallRng::seed_from_u64(43);
+        let mut payloads = 0;
+        for _ in 0..pairs.div_ceil(4) {
+            let a: [f32; 4] = std::array::from_fn(|_| subnormal_heavy(&mut rng));
+            let b: [f32; 4] = std::array::from_fn(|_| subnormal_heavy(&mut rng));
+            let (wa, wb) = (Wide::load(&a), Wide::load(&b));
+            let f32_ops: [fn(f32, f32) -> f32; 4] =
+                [|x, y| x + y, |x, y| x - y, |x, y| x * y, |x, y| x / y];
+            let wide_ops = [wa + wb, wa - wb, wa * wb, wa / wb];
+            for ((op, f32_op), wide) in ["+", "-", "*", "/"].iter().zip(f32_ops).zip(wide_ops) {
+                let mut got = [0.0f32; 4];
+                wide.store(&mut got);
+                for i in 0..4 {
+                    let want = f32_op(a[i], b[i]);
+                    assert!(
+                        same_or_both_nan(got[i], want, &mut payloads),
+                        "{:e} {op} {:e}: wide {:e} ({:#x}), f32 {:e} ({:#x})",
+                        a[i],
+                        b[i],
+                        got[i],
+                        got[i].to_bits(),
+                        want,
+                        want.to_bits()
+                    );
+                }
+            }
+        }
+        payloads
+    }
+
+    /// The wide square root against `f32::sqrt` on every one of the 2³²
+    /// bit patterns (release builds; every 4 099th group of four in debug
+    /// ones), by bits, NaN against NaN by NaN-ness.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn wide_sqrt_equals_f32_sqrt_on_every_bit_pattern() {
+        if !LaneLoop::detect().avx2() {
+            eprintln!("note: AVX2 not detected; there is no wide arithmetic to test");
+            return;
+        }
+        let stride = if cfg!(debug_assertions) { 4099 } else { 1 };
+        // SAFETY: AVX2 was detected above.
+        let (groups, payloads) = unsafe { wide_sqrt_avx2(stride) };
+        if stride == 1 {
+            assert_eq!(groups, 1 << 30, "every bit pattern, four at a time");
+        }
+        if payloads > 0 {
+            eprintln!("note: {payloads} NaN results differ in payload only");
+        }
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    fn wide_sqrt_avx2(stride: usize) -> (usize, usize) {
+        let (mut groups, mut payloads) = (0, 0);
+        for base in (0..=u32::MAX / 4).step_by(stride) {
+            let x: [f32; 4] = std::array::from_fn(|i| f32::from_bits(base * 4 + i as u32));
+            let mut got = [0.0f32; 4];
+            Wide::load(&x).sqrt().store(&mut got);
+            for i in 0..4 {
+                let want = x[i].sqrt();
+                assert!(
+                    same_or_both_nan(got[i], want, &mut payloads),
+                    "sqrt {:#x}: wide {:#x}, f32 {:#x}",
+                    x[i].to_bits(),
+                    got[i].to_bits(),
+                    want.to_bits()
+                );
+            }
+            groups += 1;
+        }
+        (groups, payloads)
+    }
+
+    /// Grouping moves exactly the lanes with a non-zero `w`, `m` or `v`
+    /// under its margin to the front of the range, reports each swap, and
+    /// moves every lane's values as a unit.
+    #[test]
+    fn group_near_subnormal_fronts_the_near_subnormal_lanes() {
+        let [mw, mm, mv] = NEAR_SUBNORMAL;
+        let mut p = Param::zeros(10);
+        // Lane 0 lies outside the range; 1, 4, 6 and 9 are near subnormal.
+        let lanes = [
+            (mw / 4.0, 0.0, 0.0),
+            (1.0, 0.5, 0.1),
+            (0.0, mm / 2.0, 0.0),
+            (0.0, 0.0, 0.0),
+            (1.0, 0.5, mv / 2.0),
+            (mw, mm, mv),
+            (-mw / 2.0, 0.3, 0.2),
+            (0.0, -0.0, 0.0),
+            (f32::NAN, 1.0, 1.0),
+            (2.0, f32::from_bits(1), 1.0),
+        ];
+        for (i, &(w, m, v)) in lanes.iter().enumerate() {
+            (p.w[i], p.m[i], p.v[i], p.g[i]) = (w, m, v, i as f32);
+        }
+        let mut order: Vec<usize> = (0..10).collect();
+        let zone = p.group_near_subnormal(1..10, |i, j| order.swap(i, j));
+        assert_eq!(zone, 4);
+        assert_eq!(order, [0, 2, 4, 6, 9, 5, 3, 7, 8, 1]);
+        for (at, &from) in order.iter().enumerate() {
+            let (w, m, v) = lanes[from];
+            let bits = |x: f32| x.to_bits();
+            assert_eq!(bits(p.w[at]), bits(w), "w at {at}");
+            assert_eq!(bits(p.m[at]), bits(m), "m at {at}");
+            assert_eq!(bits(p.v[at]), bits(v), "v at {at}");
+            assert_eq!(p.g[at], from as f32, "g at {at}");
         }
     }
 
@@ -561,16 +1077,17 @@ mod tests {
     }
 
     /// The table a fit reads its constants from equals `Adam::new` bit for
-    /// bit, grown in uneven pieces as successive fits grow it, and the
-    /// corrections become exactly `1.0` at the steps the lane instances are
-    /// picked by: `bc1` from 165, `bc2` from 17 321.
+    /// bit, grown in uneven pieces as successive fits grow it, past the
+    /// 130 080 steps of `stream_ingest`'s final fit, and the corrections
+    /// become exactly `1.0` at the steps the lane instances are picked by:
+    /// `bc1` from 165, `bc2` from 17 321.
     #[test]
     fn step_table_equals_adam_new_and_saturates_at_165_and_17_321() {
         let mut table = Vec::new();
-        for len in [0, 100, 17_320, 17_000, 40_000] {
+        for len in [0, 100, 17_320, 17_000, 40_000, 140_000] {
             Adam::extend_table(&mut table, LR, len);
         }
-        assert_eq!(table.len(), 40_000);
+        assert_eq!(table.len(), 140_000);
         for (i, k) in table.iter().enumerate() {
             let t = i as u32 + 1;
             let want = Adam::new(LR, t);

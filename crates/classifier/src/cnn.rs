@@ -45,7 +45,7 @@
 
 use crate::adam::{bce, sigmoid, Adam, LaneLoop, Param};
 use crate::kernels::{affine_f32, affine_outputs_f32, output_groups, output_slot};
-use crate::model::TextClassifier;
+use crate::model::{TextClassifier, MAX_EPOCHS};
 use darwin_text::sentence::MAX_TOKENS;
 use darwin_text::{Corpus, Embeddings, Sym};
 use rand::rngs::SmallRng;
@@ -95,13 +95,17 @@ const MAX_CNN_ELEMENTS: usize = 1 << 26;
 
 impl CnnConfig {
     /// `Err` for a shape whose network over `dim`-wide embeddings could
-    /// not be built or run in bounded memory: `max_len` or a width outside
-    /// `1..=MAX_TOKENS`, or — counted with checked arithmetic — more than
+    /// not be built or run in bounded memory: `epochs` above
+    /// [`MAX_EPOCHS`], `max_len` or a width outside `1..=MAX_TOKENS`, or —
+    /// counted with checked arithmetic — more than
     /// 2²⁶ elements in the conv weights (`filters × width × dim`,
     /// summed over the widths), FC1's weights (`hidden × widths ×
     /// filters`), the stacked sentence (`max_len × dim`) or the activation
     /// tables one prediction pass may fill (`widths × filters × 65 536`).
     pub fn check(&self, dim: usize) -> Result<(), String> {
+        if self.epochs > MAX_EPOCHS {
+            return Err(format!("epochs {} above {MAX_EPOCHS}", self.epochs));
+        }
         let in_range = |v: &usize| (1..=MAX_TOKENS).contains(v);
         if !in_range(&self.max_len) {
             return Err(format!("max_len {} outside 1..={MAX_TOKENS}", self.max_len));

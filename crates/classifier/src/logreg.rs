@@ -42,6 +42,16 @@
 //!   loop instance without that division: `x / 1.0` is `x`, bit for bit.
 //!   On `x86_64` hosts with AVX2 the lane loop runs an AVX2 build of the
 //!   same source, picked once per fit; same IEEE operations, same bits.
+//! * The Adam lanes of a bucket that rarely used words touch decay toward
+//!   subnormal values between touches, where a packed multiply, divide or
+//!   square root pays a microcode assist. Every `REGROUP_STEPS` steps
+//!   the loop swaps each bucket lane with a near-subnormal `w`, `m` or `v`
+//!   to the front of the bucket region, moving `lane_of` and `buckets`
+//!   with it, and the step runs that zone on the AVX2 instance's wide path
+//!   (`adam.rs` module docs): the same bits, no assists. Bucket lanes are
+//!   free to move, as the forward pass picks a bucket's accumulator by its
+//!   full-width index and the final scatter reads `buckets`; the embedding
+//!   prefix stays in place, as its accumulators follow position.
 //! * The forward pass is [`dot_f32`] over the full-width vectors, replayed
 //!   by [`dot_f32_nonzeros`]: the embedding lanes, a dense prefix, run
 //!   `dot_f32`'s own chunked body, and the row's buckets and the bias
@@ -65,12 +75,16 @@ use crate::adam::{sigmoid, Adam, LaneLoop, Param};
 use crate::block::{FeatureBlock, BLOCK_ROWS};
 use crate::features::{logreg_dim, logreg_features, BOW_BUCKETS};
 use crate::kernels::{dot_f32, dot_f32_nonzeros};
-use crate::model::TextClassifier;
+use crate::model::{TextClassifier, MAX_EPOCHS};
 use darwin_text::{Corpus, Embeddings};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::collections::HashMap;
+
+/// Steps between two groupings of the near-subnormal bucket lanes into the
+/// zone ([`Param::group_near_subnormal`]).
+const REGROUP_STEPS: usize = 64;
 
 /// Hyper-parameters for [`LogReg`].
 #[derive(Clone, Debug, PartialEq)]
@@ -89,6 +103,17 @@ pub struct LogRegConfig {
     /// training set. Bit-identical to the cold path; `false` keeps the
     /// full-width from-scratch reference alive.
     pub warm_start: bool,
+}
+
+impl LogRegConfig {
+    /// `Err` for `epochs` above [`MAX_EPOCHS`], whose fits could not run
+    /// in bounded time or step-table memory.
+    pub fn check(&self) -> Result<(), String> {
+        if self.epochs > MAX_EPOCHS {
+            return Err(format!("epochs {} above {MAX_EPOCHS}", self.epochs));
+        }
+        Ok(())
+    }
 }
 
 impl Default for LogRegConfig {
@@ -179,6 +204,51 @@ impl LogReg {
         }
     }
 
+    /// [`TextClassifier::fit`] with the active-set loop's lane instance
+    /// given, and `regrouped` told each zone length it forms.
+    fn fit_with(
+        &mut self,
+        corpus: &Corpus,
+        emb: &Embeddings,
+        pos: &[u32],
+        neg: &[u32],
+        lanes: LaneLoop,
+        regrouped: impl FnMut(usize),
+    ) {
+        let warm = self.cfg.warm_start;
+        if warm {
+            if let Some((lp, ln)) = &self.last_data {
+                if lp.as_slice() == pos && ln.as_slice() == neg {
+                    return; // fit is pure in (pos, neg): nothing would change
+                }
+            }
+            self.last_data = Some((pos.to_vec(), neg.to_vec()));
+        }
+        let mut data: Vec<(u32, f32)> = pos
+            .iter()
+            .map(|&i| (i, 1.0))
+            .chain(neg.iter().map(|&i| (i, 0.0)))
+            .collect();
+        if data.is_empty() {
+            self.w.fill(0.0);
+            return;
+        }
+        let mut rng = SmallRng::seed_from_u64(self.seed ^ 0x10C);
+        // Class-balanced loss: Darwin trains on few positives against many
+        // sampled negatives; without re-weighting, predicted probabilities
+        // collapse below the 0.5 benefit threshold of UniversalSearch.
+        let pos_weight = if pos.is_empty() || neg.is_empty() {
+            1.0
+        } else {
+            (neg.len() as f32 / pos.len() as f32).clamp(0.25, 2.0)
+        };
+        if warm {
+            self.fit_active(corpus, emb, &data, pos_weight, &mut rng, lanes, regrouped);
+        } else {
+            self.fit_dense(corpus, emb, &mut data, pos_weight, &mut rng);
+        }
+    }
+
     /// The full-width dense training loop — the reference arithmetic, in
     /// two passes per step: the gradient into `g`, then
     /// [`Param::adam_step`].
@@ -215,7 +285,11 @@ impl LogReg {
     }
 
     /// The active-set training loop: [`LogReg::fit_dense`] restricted to
-    /// the lanes this training set can move (module docs).
+    /// the lanes this training set can move (module docs), through the
+    /// lane loop instance `lanes`. Every [`REGROUP_STEPS`] steps the
+    /// near-subnormal bucket lanes are grouped into the zone, and
+    /// `regrouped` is told its length.
+    #[allow(clippy::too_many_arguments)]
     fn fit_active(
         &mut self,
         corpus: &Corpus,
@@ -223,6 +297,8 @@ impl LogReg {
         data: &[(u32, f32)],
         pos_weight: f32,
         rng: &mut SmallRng,
+        lanes: LaneLoop,
+        mut regrouped: impl FnMut(usize),
     ) {
         let dim = self.w.len();
         let emb_dim = dim - BOW_BUCKETS - 1;
@@ -255,15 +331,30 @@ impl LogReg {
         }
         let cfg = &self.cfg;
         Adam::extend_table(&mut self.steps, cfg.lr, cfg.epochs * rows.len());
-        let (w, lanes) = (&mut self.active, LaneLoop::detect());
+        let w = &mut self.active;
         // The current row in the compact layout: zeros in the active
         // buckets it does not touch, the constant bias feature last.
         let mut f = vec![0.0f32; n];
         f[n - 1] = 1.0;
-        let mut steps = self.steps.iter();
+        let mut steps = self.steps.iter().enumerate();
+        let mut zone = 0;
         for _ in 0..cfg.epochs {
             rows.shuffle(rng);
             for &(r, y) in &rows {
+                let (t, &k) = steps.next().expect("one table entry per step");
+                if t % REGROUP_STEPS == 0 {
+                    // Bucket lanes may move: the forward pass picks a
+                    // bucket's accumulator by its full-width index and the
+                    // scatter below reads `buckets`. The embedding prefix
+                    // stays, as its accumulators follow position.
+                    zone = w.group_near_subnormal(emb_dim..n - 1, |i, j| {
+                        buckets.swap(i - emb_dim, j - emb_dim);
+                        for lane in [i, j] {
+                            lane_of[buckets[lane - emb_dim] as usize] = lane as u32;
+                        }
+                    });
+                    regrouped(zone);
+                }
                 let (idx, val) = arena.bow_row(r);
                 let dense = arena.dense_row(r);
                 f[..emb_dim].copy_from_slice(dense);
@@ -281,8 +372,8 @@ impl LogReg {
                 let p = sigmoid(z);
                 let cw = if y > 0.5 { pos_weight } else { 1.0 };
                 let d = cw * (p - y);
-                let k = *steps.next().expect("one table entry per step");
-                w.grad_adam_step(&f, d, emb_dim, [cfg.l2, cfg.l2_bow], k, lanes);
+                let l2 = [cfg.l2, cfg.l2_bow];
+                w.grad_adam_step(&f, d, emb_dim, zone, l2, k, lanes);
                 for &b in idx {
                     f[lane_of[b as usize] as usize] = 0.0;
                 }
@@ -300,38 +391,7 @@ impl LogReg {
 
 impl TextClassifier for LogReg {
     fn fit(&mut self, corpus: &Corpus, emb: &Embeddings, pos: &[u32], neg: &[u32]) {
-        let warm = self.cfg.warm_start;
-        if warm {
-            if let Some((lp, ln)) = &self.last_data {
-                if lp.as_slice() == pos && ln.as_slice() == neg {
-                    return; // fit is pure in (pos, neg): nothing would change
-                }
-            }
-            self.last_data = Some((pos.to_vec(), neg.to_vec()));
-        }
-        let mut data: Vec<(u32, f32)> = pos
-            .iter()
-            .map(|&i| (i, 1.0))
-            .chain(neg.iter().map(|&i| (i, 0.0)))
-            .collect();
-        if data.is_empty() {
-            self.w.fill(0.0);
-            return;
-        }
-        let mut rng = SmallRng::seed_from_u64(self.seed ^ 0x10C);
-        // Class-balanced loss: Darwin trains on few positives against many
-        // sampled negatives; without re-weighting, predicted probabilities
-        // collapse below the 0.5 benefit threshold of UniversalSearch.
-        let pos_weight = if pos.is_empty() || neg.is_empty() {
-            1.0
-        } else {
-            (neg.len() as f32 / pos.len() as f32).clamp(0.25, 2.0)
-        };
-        if warm {
-            self.fit_active(corpus, emb, &data, pos_weight, &mut rng);
-        } else {
-            self.fit_dense(corpus, emb, &mut data, pos_weight, &mut rng);
-        }
+        self.fit_with(corpus, emb, pos, neg, LaneLoop::detect(), |_| {});
     }
 
     fn predict(&self, corpus: &Corpus, emb: &Embeddings, id: u32) -> f32 {
@@ -608,6 +668,60 @@ mod tests {
             warm.predict_all(c, e, &mut pw);
             cold.predict_all(c, e, &mut pc);
             assert_eq!(first_bit_diff(&pw, &pc), None, "emb {emb_dim}: predictions");
+        }
+    }
+
+    /// One fit of 2 600 rows × 12 epochs = 31 200 steps (release builds,
+    /// as CI runs it; 900 rows in debug ones) in which bucket lanes enter
+    /// and leave the zone: the 300 sentences of six words seen nowhere
+    /// else each come once per epoch, so their buckets decay for a whole
+    /// epoch between touches, and move back out when touched. Through
+    /// every lane loop the host runs (the portable one groups the same
+    /// lanes and runs the zone through its ordinary loop), every weight
+    /// and prediction must equal the dense fit's by bits; the zone must be
+    /// non-empty at some regroup and shrink at a later one.
+    #[test]
+    fn long_fit_with_a_moving_zone_equals_the_dense_fit() {
+        use rand::Rng;
+        let (c, e, _) = wide_fixture(29);
+        let mut rng = SmallRng::seed_from_u64(29);
+        let rare = 17..c.len() as u32;
+        let (mut pos, mut neg): (Vec<u32>, Vec<u32>) = rare.partition(|id| id % 3 == 0);
+        let rows = if cfg!(debug_assertions) { 900 } else { 2_600 };
+        while pos.len() + neg.len() < rows {
+            let id = rng.gen_range(0..16);
+            if id % 2 == 0 {
+                pos.push(id)
+            } else {
+                neg.push(id)
+            }
+        }
+        let cfg = LogRegConfig::default();
+        assert!(cfg!(debug_assertions) || cfg.epochs * rows >= 30_000);
+        let cold_cfg = LogRegConfig {
+            warm_start: false,
+            ..cfg.clone()
+        };
+        let mut cold = LogReg::new(e, cold_cfg, 17);
+        cold.fit(c, e, &pos, &neg);
+        let mut pc = Vec::new();
+        cold.predict_all(c, e, &mut pc);
+        for (name, lanes) in LaneLoop::host_instances() {
+            let mut warm = LogReg::new(e, cfg.clone(), 17);
+            let mut zones = Vec::new();
+            warm.fit_with(c, e, &pos, &neg, lanes, |zone| zones.push(zone));
+            assert_eq!(first_bit_diff(&warm.w, &cold.w), None, "{name}: weights");
+            let mut pw = Vec::new();
+            warm.predict_all(c, e, &mut pw);
+            assert_eq!(first_bit_diff(&pw, &pc), None, "{name}: predictions");
+            let widest = zones.iter().copied().max().unwrap_or(0);
+            let shrank = zones.windows(2).filter(|z| z[1] < z[0]).count();
+            eprintln!(
+                "{name}: {} regroups, widest zone {widest}, {shrank} shrank",
+                zones.len()
+            );
+            assert!(widest > 0, "{name}: the zone was always empty");
+            assert!(shrank > 0, "{name}: no lane ever left the zone");
         }
     }
 

@@ -41,6 +41,15 @@ pub trait TextClassifier: Send + Sync {
     fn corpus_appended(&mut self, _texts: &[String], _new_len: usize) {}
 }
 
+/// Most training epochs a classifier config may ask for
+/// ([`LogRegConfig::check`], [`CnnConfig::check`]); the paper's Figure 14
+/// sweeps 4..12.
+pub const MAX_EPOCHS: usize = 1 << 10;
+
+/// Most Adam steps one fit may take (2²⁴: a 192 MiB step table, and
+/// seconds to minutes of training), whatever its epochs and row count.
+pub const MAX_FIT_STEPS: usize = 1 << 24;
+
 /// Which classifier the pipeline should train (paper default: the Kim CNN;
 /// logistic regression is the fast ablation).
 #[derive(Clone, Debug, PartialEq)]
@@ -75,6 +84,23 @@ impl ClassifierKind {
             ClassifierKind::LogReg(cfg) => cfg.warm_start = warm,
         }
         self
+    }
+
+    /// `Err` for a fit on `rows` training rows that would take more than
+    /// [`MAX_FIT_STEPS`] Adam steps: `epochs × rows` for LogReg (one step
+    /// per row), `epochs × ⌈rows / batch⌉` for the CNN, counted with
+    /// checked arithmetic.
+    pub fn check_fit(&self, rows: usize) -> Result<(), String> {
+        let steps = match self {
+            ClassifierKind::Cnn(cfg) => cfg.epochs.checked_mul(rows.div_ceil(cfg.batch.max(1))),
+            ClassifierKind::LogReg(cfg) => cfg.epochs.checked_mul(rows),
+        };
+        match steps {
+            Some(steps) if steps <= MAX_FIT_STEPS => Ok(()),
+            _ => Err(format!(
+                "a fit on {rows} rows takes more than {MAX_FIT_STEPS} steps"
+            )),
+        }
     }
 
     /// Instantiate an untrained classifier.

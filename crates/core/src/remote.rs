@@ -523,8 +523,9 @@ fn kind_to_wire(kind: &ClassifierKind) -> WireClassifierKind {
 }
 
 /// The classifier a `ClassifierInit` describes, for embeddings `dim` wide;
-/// `Err` for a CNN shape [`CnnConfig::check`] refuses (a peer's sizes
-/// must not make this worker's allocations abort it).
+/// `Err` for a config [`CnnConfig::check`] or [`LogRegConfig::check`]
+/// refuses (a peer's sizes and epochs must not make this worker's
+/// allocations abort it or its fits run without bound).
 fn kind_from_wire(kind: &WireClassifierKind, dim: usize) -> Result<ClassifierKind, String> {
     let kind = match kind {
         WireClassifierKind::Cnn {
@@ -558,8 +559,9 @@ fn kind_from_wire(kind: &WireClassifierKind, dim: usize) -> Result<ClassifierKin
             warm_start: true,
         }),
     };
-    if let ClassifierKind::Cnn(cfg) = &kind {
-        cfg.check(dim)?;
+    match &kind {
+        ClassifierKind::Cnn(cfg) => cfg.check(dim)?,
+        ClassifierKind::LogReg(cfg) => cfg.check()?,
     }
     Ok(kind)
 }
@@ -573,6 +575,7 @@ pub fn serve_classifier(t: &mut dyn Transport) -> Result<(), WireError> {
     struct State {
         corpus: Corpus,
         emb: Embeddings,
+        kind: ClassifierKind,
         clf: Box<dyn TextClassifier>,
     }
     let mut state: Option<State> = None;
@@ -612,7 +615,12 @@ pub fn serve_classifier(t: &mut dyn Transport) -> Result<(), WireError> {
                 };
                 let emb = Embeddings::train(&corpus, &embed);
                 let clf = kind.build(&emb, model_seed);
-                state = Some(State { corpus, emb, clf });
+                state = Some(State {
+                    corpus,
+                    emb,
+                    kind,
+                    clf,
+                });
                 reply(t, seq, &Response::Ack)?;
             }
             Request::Fit { pos, neg } => match state.as_mut() {
@@ -624,6 +632,12 @@ pub fn serve_classifier(t: &mut dyn Transport) -> Result<(), WireError> {
                         .any(|&id| id as usize >= s.corpus.len())
                     {
                         reply_error(t, seq, "training id out of range".into())?;
+                        continue;
+                    }
+                    // Ids may repeat, so the row count is the peer's to
+                    // choose: bound the steps it buys.
+                    if let Err(e) = s.kind.check_fit(pos.len() + neg.len()) {
+                        reply_error(t, seq, e)?;
                         continue;
                     }
                     s.clf.fit(&s.corpus, &s.emb, &pos, &neg);
@@ -1181,6 +1195,71 @@ mod tests {
         }
         session.call(&Request::Shutdown).unwrap();
         assert!(handle.join().unwrap().is_ok());
+    }
+
+    /// A peer's `epochs`, and the repeated ids of a `Fit`, decide how many
+    /// steps a fit takes and how large its step table grows: for LogReg
+    /// and the CNN alike, `epochs = u32::MAX` must be refused at init, a
+    /// `Fit` whose step count passes `MAX_FIT_STEPS` must be refused
+    /// before it trains, both as clean remote errors, and the worker must
+    /// then init, train and score on the same connection.
+    #[test]
+    fn classifier_worker_refuses_hostile_step_counts() {
+        use darwin_classifier::model::{MAX_EPOCHS, MAX_FIT_STEPS};
+        let (c, _labels) = corpus();
+        let with_epochs = |kind: &ClassifierKind, epochs: usize| match kind.clone() {
+            ClassifierKind::Cnn(cfg) => ClassifierKind::Cnn(CnnConfig {
+                epochs,
+                batch: 1,
+                ..cfg
+            }),
+            ClassifierKind::LogReg(cfg) => ClassifierKind::LogReg(LogRegConfig { epochs, ..cfg }),
+        };
+        for valid in [ClassifierKind::logreg(), ClassifierKind::cnn_with_epochs(2)] {
+            let (client, mut server) = darwin_wire::InProc::pair();
+            let handle = std::thread::spawn(move || serve_classifier(&mut server));
+            let mut session = Session::new(Box::new(client));
+            session.hello().unwrap();
+            let init = |session: &mut Session, kind: &ClassifierKind| {
+                session.call(&Request::ClassifierInit {
+                    corpus: CorpusSlice::full(&c),
+                    embed_seed: 7,
+                    kind: kind_to_wire(kind),
+                    model_seed: 9,
+                })
+            };
+            let refused = |err: WireError, what: &str| match err {
+                WireError::Remote(e) => assert!(e.contains(what), "{valid:?}: {e}"),
+                other => panic!("{valid:?}: got {other:?}"),
+            };
+            let err = init(&mut session, &with_epochs(&valid, u32::MAX as usize)).unwrap_err();
+            refused(err, "epochs");
+            // The most epochs a config may ask for, one step per row: one
+            // row past `MAX_FIT_STEPS / MAX_EPOCHS` is over the cap.
+            let most = with_epochs(&valid, MAX_EPOCHS);
+            assert_eq!(init(&mut session, &most).unwrap(), Response::Ack);
+            let rows = MAX_FIT_STEPS / MAX_EPOCHS + 1;
+            let fit = Request::Fit {
+                pos: vec![0; rows / 2],
+                neg: vec![3; rows - rows / 2],
+            };
+            refused(session.call(&fit).unwrap_err(), "steps");
+            // The worker survived: a valid init trains and scores.
+            assert_eq!(init(&mut session, &valid).unwrap(), Response::Ack);
+            let fit = session.call(&Request::Fit {
+                pos: vec![0, 1],
+                neg: vec![3, 4],
+            });
+            assert_eq!(fit.unwrap(), Response::Ack);
+            match session.call(&Request::PredictBatch { ids: vec![0, 3] }) {
+                Ok(Response::Scores { scores }) => {
+                    assert!(scores.iter().all(|p| (0.0..=1.0).contains(p)), "{scores:?}")
+                }
+                other => panic!("expected Scores, got {other:?}"),
+            }
+            session.call(&Request::Shutdown).unwrap();
+            assert!(handle.join().unwrap().is_ok());
+        }
     }
 
     /// The execution-layer invariance contract for the classifier
