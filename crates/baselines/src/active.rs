@@ -55,6 +55,7 @@ impl ActiveLearning {
         let mut labeled: Vec<u32> = seed_ids.to_vec();
         let mut clf = self.classifier.build(emb, self.seed);
         let mut scores: Vec<f32> = vec![0.5; corpus.len()];
+        let all: Vec<u32> = (0..corpus.len() as u32).collect();
         let mut f1_curve = Curve::new("AL");
 
         let retrain =
@@ -73,7 +74,8 @@ impl ActiveLearning {
                     return;
                 }
                 clf.fit(corpus, emb, &pos, &neg);
-                clf.predict_all(corpus, emb, scores);
+                scores.clear();
+                clf.predict_batch(corpus, emb, &all, scores);
             };
         retrain(&labeled, &mut clf, &mut scores);
 

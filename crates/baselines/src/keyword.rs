@@ -67,6 +67,7 @@ impl KeywordSampling {
         let mut labeled: Vec<u32> = Vec::new();
         let mut clf = self.classifier.build(emb, self.seed);
         let mut scores = vec![0.5f32; corpus.len()];
+        let all: Vec<u32> = (0..corpus.len() as u32).collect();
         let mut f1_curve = Curve::new("KS");
 
         for (q, &pick) in pool.iter().take(budget).enumerate() {
@@ -85,7 +86,8 @@ impl KeywordSampling {
                     .collect();
                 if !pos.is_empty() && !neg.is_empty() {
                     clf.fit(corpus, emb, &pos, &neg);
-                    clf.predict_all(corpus, emb, &mut scores);
+                    scores.clear();
+                    clf.predict_batch(corpus, emb, &all, &mut scores);
                 }
                 f1_curve.push(q, darwin_eval::f1_score(&scores, labels, 0.5));
             }

@@ -27,7 +27,7 @@ use darwin_datasets::directions;
 use darwin_grammar::Heuristic;
 use darwin_index::{IdSet, IndexConfig, IndexSet, RuleRef, ShardMap};
 use darwin_text::Corpus;
-use darwin_wire::{Encode, InProc, ProcTransport, StdioTransport, Transport, WireError};
+use darwin_wire::{Encode, InProc, ProcTransport, StreamTransport, Transport, WireError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -176,7 +176,7 @@ fn main() {
                 serve_shard(&mut t).expect("bench tcp shard worker");
             }
             Err(_) => {
-                let mut t = StdioTransport::new();
+                let mut t = StreamTransport::new(std::io::stdin(), std::io::stdout());
                 serve_shard(&mut t).expect("bench shard worker");
             }
         }

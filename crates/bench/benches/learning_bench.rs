@@ -63,11 +63,12 @@ fn bench_classifiers(c: &mut Criterion) {
     let mut cold = ClassifierKind::logreg()
         .with_warm_start(false)
         .build(&emb, 1);
+    let all: Vec<u32> = (0..d.len() as u32).collect();
     let (mut pw, mut pc) = (Vec::new(), Vec::new());
     warm.fit(&d.corpus, &emb, &late.0, &late.1);
     cold.fit(&d.corpus, &emb, &late.0, &late.1);
-    warm.predict_all(&d.corpus, &emb, &mut pw);
-    cold.predict_all(&d.corpus, &emb, &mut pc);
+    warm.predict_batch(&d.corpus, &emb, &all, &mut pw);
+    cold.predict_batch(&d.corpus, &emb, &all, &mut pc);
     assert!(
         pw.iter().zip(&pc).all(|(a, b)| a.to_bits() == b.to_bits()),
         "active-set and dense fits must score bit-identically"
@@ -96,9 +97,13 @@ fn bench_classifiers(c: &mut Criterion) {
 
     let mut trained = ClassifierKind::logreg().build(&emb, 1);
     trained.fit(&d.corpus, &emb, &small.0, &small.1);
+    // One all-ids call, the shape of a full refresh at `threads: 1`.
     g.bench_function("logreg_predict_all_3k", |b| {
         let mut out = Vec::new();
-        b.iter(|| trained.predict_all(&d.corpus, &emb, &mut out));
+        b.iter(|| {
+            out.clear();
+            trained.predict_batch(&d.corpus, &emb, &all, &mut out)
+        });
     });
     g.finish();
 

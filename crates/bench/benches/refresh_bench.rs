@@ -56,12 +56,6 @@ impl DenseScalarLogReg {
 impl TextClassifier for DenseScalarLogReg {
     fn fit(&mut self, _c: &Corpus, _e: &Embeddings, _p: &[u32], _n: &[u32]) {}
 
-    fn predict(&self, corpus: &Corpus, emb: &Embeddings, id: u32) -> f32 {
-        let mut f = vec![0.0f32; self.w.len()];
-        logreg_features(corpus, emb, id, &mut f);
-        self.score(&f)
-    }
-
     fn predict_batch(&self, corpus: &Corpus, emb: &Embeddings, ids: &[u32], out: &mut Vec<f32>) {
         let mut f = vec![0.0f32; self.w.len()];
         for &id in ids {

@@ -106,8 +106,9 @@ impl Prepared {
             }
             let mut clf = kind.build(&self.emb, 0xF5);
             clf.fit(&self.data.corpus, &self.emb, &pos, &neg);
+            let all: Vec<u32> = (0..self.data.len() as u32).collect();
             let mut scores = Vec::new();
-            clf.predict_all(&self.data.corpus, &self.emb, &mut scores);
+            clf.predict_batch(&self.data.corpus, &self.emb, &all, &mut scores);
             curve.push(q, darwin_eval::f1_score(&scores, &self.data.labels, 0.5));
         }
         curve

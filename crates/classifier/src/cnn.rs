@@ -8,23 +8,22 @@
 //! Embeddings are fixed (provided by `darwin-text`); only the filters and
 //! dense layers train, via Adam on binary cross-entropy.
 //!
-//! Every entry point (`fit`, `predict`, `predict_batch`, `predict_all`,
-//! `loss`) runs the one `KimCnn::forward`, in one of two instances. It
-//! stacks the sentence's embedding rows once (`max_len × dim` scratch, zero
-//! rows up to the widest window), reads each window as a slice of that
-//! stack, applies all filters of the window's width with
-//! [`affine_outputs_f32`] — the filters in the vector lanes, their weights
-//! in its [`output_slot`] layout — and max-pools in position order with a
-//! `>` select. While the weights stand still a filter's activation is a
-//! pure function of the window's symbols, so the prediction instance keeps
-//! an `ActTable` per width for one pass, probes it for each window (its
-//! symbols packed into one `u128` key up to width 4), pools a hit straight
-//! from it, and stacks a sentence only at its first miss; it keeps no
-//! pooling winners. A looked-up value *is* the computed value, so per-id,
-//! batched, sharded and threaded prediction are bit-identical by
-//! construction. Every prediction pass (`predict_batch`; `predict` and
-//! `predict_all` are passes too) is compiled portable and for AVX2, picked
-//! once per call by `LaneLoop::detect`.
+//! Every entry point (`fit`, `predict_batch`, `loss`) runs the one
+//! `KimCnn::forward`, in one of two instances. It stacks the sentence's
+//! embedding rows once (`max_len × dim` scratch, zero rows up to the
+//! widest window), reads each window as a slice of that stack, applies all
+//! filters of the window's width with [`affine_outputs_f32`] — the
+//! filters in the vector lanes, their weights in its [`output_slot`]
+//! layout — and max-pools in position order with a `>` select. While the
+//! weights stand still a filter's activation is a pure function of the
+//! window's symbols, so the prediction instance keeps an `ActTable` per
+//! width for one pass, probes it for each window (its symbols packed into
+//! one `u128` key up to width 4), pools a hit straight from it, and stacks
+//! a sentence only at its first miss; it keeps no pooling winners. A
+//! looked-up value *is* the computed value, so one-id, batched, sharded
+//! and threaded prediction are bit-identical by construction. Every
+//! prediction pass (one `predict_batch` call) is compiled portable and for
+//! AVX2, picked once per call by `LaneLoop::detect`.
 //!
 //! The training instance has no table (the weights move every minibatch)
 //! and keeps the winners for `backward`. A minibatch's forward and
@@ -883,18 +882,6 @@ impl TextClassifier for KimCnn {
         self.fit_with(corpus, emb, pos, neg, LaneLoop::detect());
     }
 
-    fn predict(&self, corpus: &Corpus, emb: &Embeddings, id: u32) -> f32 {
-        let mut out = Vec::with_capacity(1);
-        self.predict_batch(corpus, emb, &[id], &mut out);
-        out[0]
-    }
-
-    fn predict_all(&self, corpus: &Corpus, emb: &Embeddings, out: &mut Vec<f32>) {
-        out.clear();
-        let ids: Vec<u32> = (0..corpus.len() as u32).collect();
-        self.predict_batch(corpus, emb, &ids, out);
-    }
-
     /// One prediction pass: its own activation tables, through the widest
     /// instance this host runs.
     fn predict_batch(&self, corpus: &Corpus, emb: &Embeddings, ids: &[u32], out: &mut Vec<f32>) {
@@ -905,6 +892,7 @@ impl TextClassifier for KimCnn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::testing::{grouping_free_scores, score_all, score_one};
     use darwin_text::embed::EmbedConfig;
     use proptest::prelude::*;
     use rand::Rng;
@@ -943,15 +931,10 @@ mod tests {
             3,
         );
         cnn.fit(&c, &e, &pos[..30], &neg[..30]);
-        let acc = pos[30..]
-            .iter()
-            .map(|&i| (cnn.predict(&c, &e, i) > 0.5) as usize)
-            .chain(
-                neg[30..]
-                    .iter()
-                    .map(|&i| (cnn.predict(&c, &e, i) <= 0.5) as usize),
-            )
-            .sum::<usize>();
+        let p = score_all(&cnn, &c, &e);
+        let acc = (pos[30..].iter().filter(|&&i| p[i as usize] > 0.5))
+            .chain(neg[30..].iter().filter(|&&i| p[i as usize] <= 0.5))
+            .count();
         assert!(acc >= 54, "accuracy {acc}/60");
     }
 
@@ -994,9 +977,7 @@ mod tests {
         );
         a.fit(&c, &e, &pos[..10], &neg[..10]);
         b.fit(&c, &e, &pos[..10], &neg[..10]);
-        for id in 0..10u32 {
-            assert_eq!(a.predict(&c, &e, id), b.predict(&c, &e, id));
-        }
+        assert_eq!(score_all(&a, &c, &e), score_all(&b, &c, &e));
     }
 
     /// Warm-start is a buffer-reuse strategy, never an arithmetic change:
@@ -1019,8 +1000,8 @@ mod tests {
         for (round, &(np, nn)) in sets.iter().enumerate() {
             warm.fit(&c, &e, &pos[..np], &neg[..nn]);
             cold.fit(&c, &e, &pos[..np], &neg[..nn]);
-            for id in (0..c.len() as u32).step_by(11) {
-                let (pw, pc) = (warm.predict(&c, &e, id), cold.predict(&c, &e, id));
+            let (pw, pc) = (score_all(&warm, &c, &e), score_all(&cold, &c, &e));
+            for (id, (pw, pc)) in pw.iter().zip(&pc).enumerate().step_by(11) {
                 assert_eq!(
                     pw.to_bits(),
                     pc.to_bits(),
@@ -1042,8 +1023,7 @@ mod tests {
             1,
         );
         cnn.fit(&c, &e, &pos[..5], &neg[..5]);
-        for id in 0..c.len() as u32 {
-            let p = cnn.predict(&c, &e, id);
+        for p in score_all(&cnn, &c, &e) {
             assert!((0.0..=1.0).contains(&p) && p.is_finite());
         }
     }
@@ -1082,12 +1062,11 @@ mod tests {
         );
     }
 
-    /// The batched entry points must reproduce per-id `predict` bit for
-    /// bit (the `TextClassifier` contract the sharded score cache leans
-    /// on) — including across reused scratch buffers and sentences of
-    /// very different lengths.
+    /// One-id calls, one all-ids call and uneven chunkings give the same
+    /// scores (the sharded score cache leans on it), across sentences of
+    /// very different lengths and a call longer than one feature block.
     #[test]
-    fn batched_prediction_is_bit_identical() {
+    fn scores_do_not_depend_on_grouping() {
         let c = Corpus::from_texts([
             "hi",
             "the shuttle to the airport now leaves from the main gate",
@@ -1110,27 +1089,16 @@ mod tests {
             6,
         );
         cnn.fit(&c, &e, &[1, 3], &[0, 2]);
-        let per_id: Vec<f32> = (0..c.len() as u32)
-            .map(|id| cnn.predict(&c, &e, id))
-            .collect();
-        let mut all = Vec::new();
-        cnn.predict_all(&c, &e, &mut all);
-        assert_eq!(all, per_id, "predict_all diverged from per-id predict");
+        let all = score_all(&cnn, &c, &e);
         // A long sentence before a short one: stale scratch would leak
         // embeddings into the short sentence's padding.
         let ids = [1u32, 0, 3, 2, 1];
-        let mut batch = Vec::new();
-        cnn.predict_batch(&c, &e, &ids, &mut batch);
-        let expect: Vec<f32> = ids.iter().map(|&id| per_id[id as usize]).collect();
-        assert_eq!(batch, expect, "predict_batch diverged from per-id predict");
-        // A batch longer than one feature block.
-        let many: Vec<u32> = (0..crate::block::BLOCK_ROWS as u32 + 8)
-            .map(|i| ids[i as usize % ids.len()])
+        let many: Vec<u32> = (0..crate::block::BLOCK_ROWS + 8)
+            .map(|i| ids[i % ids.len()])
             .collect();
-        let mut big = Vec::new();
-        cnn.predict_batch(&c, &e, &many, &mut big);
-        let expect_big: Vec<f32> = many.iter().map(|&id| per_id[id as usize]).collect();
-        assert_eq!(big, expect_big, "block-boundary batch diverged");
+        let got = grouping_free_scores(&cnn, &c, &e, &many);
+        let want: Vec<f32> = many.iter().map(|&id| all[id as usize]).collect();
+        assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]
@@ -1138,7 +1106,7 @@ mod tests {
         let (c, e, _, _) = toy();
         let mut cnn = KimCnn::new(e.dim(), CnnConfig::default(), 2);
         cnn.fit(&c, &e, &[], &[]);
-        assert!(cnn.predict(&c, &e, 0).is_finite());
+        assert!(score_one(&cnn, &c, &e, 0).is_finite());
     }
 
     #[test]
@@ -1160,7 +1128,7 @@ mod tests {
             4,
         );
         cnn.fit(&c, &e, &[0], &[1]);
-        assert!(cnn.predict(&c, &e, 0).is_finite());
+        assert!(score_one(&cnn, &c, &e, 0).is_finite());
     }
 
     /// The stacked embedding matrix the convolution read before it
@@ -1315,9 +1283,7 @@ mod tests {
         for (i, (pa, pb)) in a.params_mut().zip(b.params_mut()).enumerate() {
             assert_eq!(bits(&pa.w), bits(&pb.w), "{what}: weights of param {i}");
         }
-        let (mut qa, mut qb) = (Vec::new(), Vec::new());
-        a.predict_all(c, e, &mut qa);
-        b.predict_all(c, e, &mut qb);
+        let (qa, qb) = (score_all(&*a, c, e), score_all(&*b, c, e));
         assert_eq!(bits(&qa), bits(&qb), "{what}: predictions");
     }
 
@@ -1547,31 +1513,31 @@ mod tests {
         (c, e, cnn)
     }
 
-    /// `predict_batch` ≡ per-id `predict` by bits whatever the table does:
-    /// every window of the second half a hit (the batch is the corpus
-    /// twice), none ever (cap 0), and tables that fill up part-way through
-    /// the first sentences (caps 3 and 10).
+    /// A pass scores as one-id calls do, by bits, whatever the table does:
+    /// every window of the second half a hit (the pass is the corpus
+    /// twice), none ever (cap 0), tables that fill up part-way through the
+    /// first sentences (caps 3 and 10), and tables split across uneven
+    /// chunkings of the pass.
     #[test]
     fn table_hits_misses_and_overflow_leave_scores_bit_identical() {
         let (c, e, cnn) = table_fixture();
         let ids: Vec<u32> = (0..c.len() as u32).chain(0..c.len() as u32).collect();
         let want: Vec<u32> = ids
             .iter()
-            .map(|&id| cnn.predict(&c, &e, id).to_bits())
+            .map(|&id| score_one(&cnn, &c, &e, id).to_bits())
             .collect();
         for cap in [0usize, 3, 10, ACT_TABLE_CAP] {
             let mut got = Vec::new();
             cnn.predict_in(LaneLoop::detect(), cap, &c, &e, &ids, &mut got);
             assert_eq!(bits(&got), want, "cap {cap}");
         }
-        let mut got = Vec::new();
-        cnn.predict_batch(&c, &e, &ids, &mut got);
+        let got = grouping_free_scores(&cnn, &c, &e, &ids);
         assert_eq!(bits(&got), want, "predict_batch");
     }
 
     /// A table belongs to one pass: after a refit on a different set the
     /// next `predict_batch` scores with the new weights only, exactly as
-    /// per-id `predict` (which never sees a table) does.
+    /// one-id calls (whose tables hold one sentence) do.
     #[test]
     fn nothing_from_one_pass_table_survives_into_the_next() {
         let (c, e, mut cnn) = table_fixture();
@@ -1581,7 +1547,7 @@ mod tests {
         cnn.fit(&c, &e, &[1, 5], &[0, 2, 4, 6]);
         let mut second = Vec::new();
         cnn.predict_batch(&c, &e, &ids, &mut second);
-        let want: Vec<f32> = ids.iter().map(|&id| cnn.predict(&c, &e, id)).collect();
+        let want: Vec<f32> = ids.iter().map(|&id| score_one(&cnn, &c, &e, id)).collect();
         assert_eq!(bits(&second), bits(&want));
         assert_ne!(bits(&second), bits(&first), "the refit moved no score");
     }
@@ -1652,7 +1618,7 @@ mod tests {
     }
 
     /// The prediction instance against the training instance (no table,
-    /// every window convolved, the stacked sentence) and per-id `predict`,
+    /// every window convolved, the stacked sentence) and one-id calls,
     /// by bits, in every instance the host runs: tables that never hold a
     /// window (cap 0), hold one (cap 1) or take the default cap, over the
     /// corpus twice (the second time every stored window a hit); filters
@@ -1679,8 +1645,8 @@ mod tests {
                         cnn.forward::<true>(&e, toks, &mut [], &mut s).to_bits()
                     })
                     .collect();
-                let per_id: Vec<f32> = ids.iter().map(|&id| cnn.predict(&c, &e, id)).collect();
-                assert_eq!(bits(&per_id), want, "predict, dim {dim} {cfg:?}");
+                let per_id: Vec<f32> = ids.iter().map(|&id| score_one(&cnn, &c, &e, id)).collect();
+                assert_eq!(bits(&per_id), want, "one-id calls, dim {dim} {cfg:?}");
                 for (name, lanes) in LaneLoop::host_instances() {
                     for cap in [0, 1, ACT_TABLE_CAP] {
                         let mut got = Vec::new();

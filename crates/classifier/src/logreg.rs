@@ -394,20 +394,6 @@ impl TextClassifier for LogReg {
         self.fit_with(corpus, emb, pos, neg, LaneLoop::detect(), |_| {});
     }
 
-    fn predict(&self, corpus: &Corpus, emb: &Embeddings, id: u32) -> f32 {
-        let mut block = FeatureBlock::new(emb.dim());
-        let mut out = Vec::with_capacity(1);
-        self.score_block(&mut block, corpus, emb, &[id], &mut out);
-        out[0]
-    }
-
-    fn predict_all(&self, corpus: &Corpus, emb: &Embeddings, out: &mut Vec<f32>) {
-        out.clear();
-        let ids: Vec<u32> = (0..corpus.len() as u32).collect();
-        let mut block = FeatureBlock::new(emb.dim());
-        self.score_block(&mut block, corpus, emb, &ids, out);
-    }
-
     fn predict_batch(&self, corpus: &Corpus, emb: &Embeddings, ids: &[u32], out: &mut Vec<f32>) {
         let mut block = FeatureBlock::new(emb.dim());
         self.score_block(&mut block, corpus, emb, ids, out);
@@ -417,6 +403,7 @@ impl TextClassifier for LogReg {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::testing::{grouping_free_scores, score_all, score_one};
     use darwin_text::embed::EmbedConfig;
     use proptest::prelude::*;
 
@@ -444,15 +431,10 @@ mod tests {
         let neg: Vec<u32> = (0..100).filter(|i| i % 2 == 1).collect();
         let mut lr = LogReg::new(&e, LogRegConfig::default(), 7);
         lr.fit(&c, &e, &pos[..25], &neg[..25]);
-        let acc: usize = pos[25..]
-            .iter()
-            .map(|&i| (lr.predict(&c, &e, i) > 0.5) as usize)
-            .chain(
-                neg[25..]
-                    .iter()
-                    .map(|&i| (lr.predict(&c, &e, i) <= 0.5) as usize),
-            )
-            .sum();
+        let p = score_all(&lr, &c, &e);
+        let acc = (pos[25..].iter().filter(|&&i| p[i as usize] > 0.5))
+            .chain(neg[25..].iter().filter(|&&i| p[i as usize] <= 0.5))
+            .count();
         assert!(acc >= 45, "accuracy {acc}/50");
     }
 
@@ -460,7 +442,7 @@ mod tests {
     fn untrained_predicts_half() {
         let (c, e) = toy();
         let lr = LogReg::new(&e, LogRegConfig::default(), 7);
-        assert!((lr.predict(&c, &e, 0) - 0.5).abs() < 1e-6);
+        assert!((score_one(&lr, &c, &e, 0) - 0.5).abs() < 1e-6);
     }
 
     #[test]
@@ -472,8 +454,8 @@ mod tests {
         a.fit(&c, &e, &[0, 2], &[1, 3]);
         a.fit(&c, &e, &[0, 2], &[1, 3]);
         b.fit(&c, &e, &[0, 2], &[1, 3]);
-        for id in 0..6u32 {
-            let (pa, pb) = (a.predict(&c, &e, id), b.predict(&c, &e, id));
+        let (pa, pb) = (score_all(&a, &c, &e), score_all(&b, &c, &e));
+        for (pa, pb) in pa.iter().zip(&pb).take(6) {
             assert!((pa - pb).abs() < 1e-5, "{pa} vs {pb}");
         }
     }
@@ -499,8 +481,8 @@ mod tests {
         for (round, (pos, neg)) in sets.iter().enumerate() {
             warm.fit(&c, &e, pos, neg);
             cold.fit(&c, &e, pos, neg);
-            for id in (0..c.len() as u32).step_by(13) {
-                let (pw, pc) = (warm.predict(&c, &e, id), cold.predict(&c, &e, id));
+            let (pw, pc) = (score_all(&warm, &c, &e), score_all(&cold, &c, &e));
+            for (id, (pw, pc)) in pw.iter().zip(&pc).enumerate().step_by(13) {
                 assert_eq!(
                     pw.to_bits(),
                     pc.to_bits(),
@@ -597,7 +579,6 @@ mod tests {
             let mut warm = LogReg::new(e, LogRegConfig::default(), seed);
             let mut cold = LogReg::new(e, cold_cfg, seed);
             let (mut pos, mut neg): (Vec<u32>, Vec<u32>) = (Vec::new(), Vec::new());
-            let (mut pw, mut pc) = (Vec::new(), Vec::new());
             for (round, (op, draws)) in steps.iter().enumerate() {
                 // The special ids sit at the pool's end; folding the draw
                 // range over it keeps them frequent.
@@ -617,8 +598,7 @@ mod tests {
                     first_bit_diff(&warm.w, &cold.w), None,
                     "(lane, warm, cold) weight, round {} pos {:?} neg {:?}", round, &pos, &neg
                 );
-                warm.predict_all(c, e, &mut pw);
-                cold.predict_all(c, e, &mut pc);
+                let (pw, pc) = (score_all(&warm, c, e), score_all(&cold, c, e));
                 prop_assert_eq!(
                     first_bit_diff(&pw, &pc), None,
                     "(id, warm, cold) prediction, round {}", round
@@ -664,9 +644,7 @@ mod tests {
                 None,
                 "emb {emb_dim}: weights"
             );
-            let (mut pw, mut pc) = (Vec::new(), Vec::new());
-            warm.predict_all(c, e, &mut pw);
-            cold.predict_all(c, e, &mut pc);
+            let (pw, pc) = (score_all(&warm, c, e), score_all(&cold, c, e));
             assert_eq!(first_bit_diff(&pw, &pc), None, "emb {emb_dim}: predictions");
         }
     }
@@ -704,15 +682,13 @@ mod tests {
         };
         let mut cold = LogReg::new(e, cold_cfg, 17);
         cold.fit(c, e, &pos, &neg);
-        let mut pc = Vec::new();
-        cold.predict_all(c, e, &mut pc);
+        let pc = score_all(&cold, c, e);
         for (name, lanes) in LaneLoop::host_instances() {
             let mut warm = LogReg::new(e, cfg.clone(), 17);
             let mut zones = Vec::new();
             warm.fit_with(c, e, &pos, &neg, lanes, |zone| zones.push(zone));
             assert_eq!(first_bit_diff(&warm.w, &cold.w), None, "{name}: weights");
-            let mut pw = Vec::new();
-            warm.predict_all(c, e, &mut pw);
+            let pw = score_all(&warm, c, e);
             assert_eq!(first_bit_diff(&pw, &pc), None, "{name}: predictions");
             let widest = zones.iter().copied().max().unwrap_or(0);
             let shrank = zones.windows(2).filter(|z| z[1] < z[0]).count();
@@ -757,22 +733,26 @@ mod tests {
         assert!(touched.iter().filter(|&&t| t).count() < BOW_BUCKETS / 10);
     }
 
+    /// One-id calls, one all-ids call and uneven chunkings give the same
+    /// scores, for ids in order and for a call longer than one feature
+    /// block that holds every id several times, backwards.
     #[test]
-    fn predict_all_fast_path_agrees() {
+    fn scores_do_not_depend_on_grouping() {
         let (c, e) = toy();
         let mut lr = LogReg::new(&e, LogRegConfig::default(), 9);
         lr.fit(&c, &e, &[0, 2, 4], &[1, 3, 5]);
-        let mut all = Vec::new();
-        lr.predict_all(&c, &e, &mut all);
-        for id in (0..c.len() as u32).step_by(17) {
-            assert_eq!(all[id as usize], lr.predict(&c, &e, id));
-        }
-        // And the batch path, across a block boundary ordering.
-        let ids: Vec<u32> = (0..c.len() as u32).rev().collect();
-        let mut batch = Vec::new();
-        lr.predict_batch(&c, &e, &ids, &mut batch);
-        for (&id, &p) in ids.iter().zip(&batch) {
-            assert_eq!(p, all[id as usize]);
+        let ids: Vec<u32> = (0..c.len() as u32).collect();
+        let all = grouping_free_scores(&lr, &c, &e, &ids);
+        let many: Vec<u32> = ids
+            .iter()
+            .rev()
+            .cycle()
+            .take(BLOCK_ROWS + 37)
+            .copied()
+            .collect();
+        let got = grouping_free_scores(&lr, &c, &e, &many);
+        for (&id, &p) in many.iter().zip(&got) {
+            assert_eq!(p.to_bits(), all[id as usize].to_bits(), "id {id}");
         }
     }
 }

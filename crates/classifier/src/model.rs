@@ -1,40 +1,27 @@
-//! The classifier abstraction used by the pipeline.
+//! The classifier abstraction used by the pipeline: train on two id sets,
+//! score a list of ids.
 
 use crate::cnn::{CnnConfig, KimCnn};
 use crate::logreg::{LogReg, LogRegConfig};
 use darwin_text::{Corpus, Embeddings};
 
 /// A binary short-text classifier ("Any short text classifier would be
-/// ideal for this task", paper §3.3 footnote). `Sync` because prediction
-/// is `&self` and [`crate::ScoreCache`] fans id chunks out across threads
-/// against one shared classifier.
+/// ideal for this task", paper §3.3 footnote). Scoring has one verb,
+/// [`TextClassifier::predict_batch`], and per-id scores do not depend on
+/// how ids are grouped into calls. `Sync` because scoring is `&self` and
+/// [`crate::ScoreCache`] fans id chunks out across threads against one
+/// shared classifier.
 pub trait TextClassifier: Send + Sync {
     /// Train from scratch on positive ids vs. negative ids.
     fn fit(&mut self, corpus: &Corpus, emb: &Embeddings, pos: &[u32], neg: &[u32]);
 
-    /// P(positive) for one sentence.
-    fn predict(&self, corpus: &Corpus, emb: &Embeddings, id: u32) -> f32;
-
-    /// P(positive) for every sentence, in id order.
-    fn predict_all(&self, corpus: &Corpus, emb: &Embeddings, out: &mut Vec<f32>) {
-        out.clear();
-        out.extend((0..corpus.len() as u32).map(|id| self.predict(corpus, emb, id)));
-    }
-
     /// P(positive) for each id in `ids`, appended to `out` in `ids` order.
-    /// This is the unit of work of [`crate::ScoreCache`]: one call per
-    /// worker chunk, concatenated in chunk order, must reproduce
-    /// [`TextClassifier::predict_all`] bit for bit — implementations that
-    /// override either method must keep per-id scores identical across all
-    /// three entry points.
-    fn predict_batch(&self, corpus: &Corpus, emb: &Embeddings, ids: &[u32], out: &mut Vec<f32>) {
-        out.extend(ids.iter().map(|&id| self.predict(corpus, emb, id)));
-    }
+    fn predict_batch(&self, corpus: &Corpus, emb: &Embeddings, ids: &[u32], out: &mut Vec<f32>);
 
     /// Notification that `texts` were appended to the corpus, which now
     /// holds `new_len` sentences. Local classifiers are stateless with
-    /// respect to corpus size — every `fit`/`predict` call receives the
-    /// corpus and embeddings as arguments — so the default is a no-op.
+    /// respect to corpus size — every `fit`/`predict_batch` call receives
+    /// the corpus and embeddings as arguments — so the default is a no-op.
     /// Classifiers that *mirror* the corpus elsewhere (a wire classifier
     /// ships it to a worker at connect) override this to forward the
     /// growth.
@@ -113,6 +100,57 @@ impl ClassifierKind {
 }
 
 #[cfg(test)]
+/// Scoring helpers for the crate's tests, all through the one verb.
+pub(crate) mod testing {
+    use super::TextClassifier;
+    use darwin_text::{Corpus, Embeddings};
+
+    /// Every sentence's score, from one all-ids call.
+    pub fn score_all(clf: &dyn TextClassifier, c: &Corpus, e: &Embeddings) -> Vec<f32> {
+        let ids: Vec<u32> = (0..c.len() as u32).collect();
+        let mut out = Vec::new();
+        clf.predict_batch(c, e, &ids, &mut out);
+        out
+    }
+
+    /// One sentence's score, from a one-id call.
+    pub fn score_one(clf: &dyn TextClassifier, c: &Corpus, e: &Embeddings, id: u32) -> f32 {
+        let mut out = Vec::new();
+        clf.predict_batch(c, e, &[id], &mut out);
+        out[0]
+    }
+
+    /// The scores of `ids` from one call, after checking by bits that
+    /// one-id calls and uneven chunkings of `ids`, each call appending to
+    /// what the previous ones left, give the same scores.
+    pub fn grouping_free_scores(
+        clf: &dyn TextClassifier,
+        c: &Corpus,
+        e: &Embeddings,
+        ids: &[u32],
+    ) -> Vec<f32> {
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut whole = Vec::new();
+        clf.predict_batch(c, e, ids, &mut whole);
+        assert_eq!(whole.len(), ids.len());
+        for sizes in [&[1usize][..], &[2, 5, 1], &[3, 1, 4, 1, 5, 9, 2, 6]] {
+            let mut out = Vec::new();
+            let mut rest = ids;
+            for &k in sizes.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (head, tail) = rest.split_at(k.min(rest.len()));
+                clf.predict_batch(c, e, head, &mut out);
+                rest = tail;
+            }
+            assert_eq!(bits(&out), bits(&whole), "chunk sizes {sizes:?}");
+        }
+        whole
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use darwin_text::embed::EmbedConfig;
@@ -139,24 +177,19 @@ mod tests {
             let mut clf = kind.build(&e, 42);
             clf.fit(&c, &e, &pos[..20], &neg[..20]);
             // Held-out accuracy well above chance.
-            let mut correct = 0;
-            for &id in pos[20..].iter() {
-                if clf.predict(&c, &e, id) > 0.5 {
-                    correct += 1;
-                }
-            }
-            for &id in neg[20..].iter() {
-                if clf.predict(&c, &e, id) <= 0.5 {
-                    correct += 1;
-                }
-            }
+            let scores = testing::score_all(clf.as_ref(), &c, &e);
+            let correct = (pos[20..].iter().filter(|&&id| scores[id as usize] > 0.5))
+                .chain(neg[20..].iter().filter(|&&id| scores[id as usize] <= 0.5))
+                .count();
             assert!(correct >= 32, "{kind:?}: {correct}/40 correct");
         }
     }
 
+    /// Both kinds: one-id calls, one all-ids call and uneven chunkings
+    /// give the same scores, also for ids repeated and out of order.
     #[test]
-    fn predict_all_matches_predict() {
-        let c = Corpus::from_texts(["a b c", "d e f", "a d"]);
+    fn scores_do_not_depend_on_grouping() {
+        let c = Corpus::from_texts(["a b c", "d e f", "a d", "", "c b a d e f a"]);
         let e = Embeddings::train(
             &c,
             &EmbedConfig {
@@ -164,13 +197,15 @@ mod tests {
                 ..Default::default()
             },
         );
-        let mut clf = ClassifierKind::logreg().build(&e, 1);
-        clf.fit(&c, &e, &[0], &[1]);
-        let mut all = Vec::new();
-        clf.predict_all(&c, &e, &mut all);
-        assert_eq!(all.len(), 3);
-        for id in 0..3u32 {
-            assert_eq!(all[id as usize], clf.predict(&c, &e, id));
+        let ids = [4u32, 0, 3, 1, 1, 2, 0, 4, 3];
+        for kind in [ClassifierKind::cnn_with_epochs(2), ClassifierKind::logreg()] {
+            let mut clf = kind.build(&e, 1);
+            clf.fit(&c, &e, &[0, 4], &[1, 3]);
+            let all = testing::score_all(clf.as_ref(), &c, &e);
+            let got = testing::grouping_free_scores(clf.as_ref(), &c, &e, &ids);
+            for (&id, &p) in ids.iter().zip(&got) {
+                assert_eq!(p.to_bits(), all[id as usize].to_bits(), "{kind:?} id {id}");
+            }
         }
     }
 }

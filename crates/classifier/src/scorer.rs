@@ -7,12 +7,14 @@
 //! every third round. This cut the professions runtime from 2h45m to 65m.
 //!
 //! The paper says which ids a pass touches, not how the pass is
-//! partitioned. Here the sorted id list is split into `threads` contiguous
-//! chunks, each scored as one [`TextClassifier::predict_batch`] call (the
-//! batch entry point lets classifiers reuse feature buffers instead of
-//! paying a fresh allocation per sentence) and the outputs joined in chunk
-//! order. Per-id predictions are pure, so every contiguous split yields
-//! bit-identical scores: the thread count is a pure performance knob.
+//! partitioned. Here both passes, the full one over every id and the §4.5
+//! one over the ids at or above the threshold, go one way: the sorted id
+//! list is split into `threads` contiguous chunks (one at `threads <= 1`),
+//! each scored as one [`TextClassifier::predict_batch`] call, and the
+//! outputs are joined in chunk order. A classifier reuses its feature
+//! buffers across a call, and a remote one pays one round trip per chunk,
+//! not per sentence. Per-id scores do not depend on how ids are grouped
+//! into calls, so the thread count is a pure performance knob.
 
 use crate::model::TextClassifier;
 use darwin_text::fanout::map_chunks;
@@ -238,34 +240,24 @@ impl ScoreCache {
             || self.round.is_multiple_of(self.full_every.max(1));
         self.changes.clear();
         self.last_was_full = full;
+        // The full pass scores every id; the §4.5 pass only the ids at or
+        // above the threshold.
+        let ids: Vec<u32> = (0..self.scores.len() as u32)
+            .filter(|&id| full || self.scores[id as usize] >= self.threshold)
+            .collect();
+        let fresh = self.predict_ids(clf, corpus, emb, &ids);
+        self.refreshed_last_round = ids.len();
         if full {
-            if self.threads <= 1 {
-                let mut out = Vec::with_capacity(self.scores.len());
-                clf.predict_all(corpus, emb, &mut out);
-                self.scores = out;
-            } else {
-                let all: Vec<u32> = (0..self.scores.len() as u32).collect();
-                self.scores = self.predict_ids(clf, corpus, emb, &all);
-            }
-            self.refreshed_last_round = self.scores.len();
+            self.scores = fresh;
             self.epoch += 1;
-        } else {
-            // §4.5 selective refresh, batched: collect the above-threshold
-            // ids first, then score them through the same chunked batch
-            // path as a threaded full pass — instead of interleaving the scan
-            // with one `predict` call per sentence.
-            let ids: Vec<u32> = (0..self.scores.len() as u32)
-                .filter(|&id| self.scores[id as usize] >= self.threshold)
-                .collect();
-            let fresh = self.predict_ids(clf, corpus, emb, &ids);
-            for (&id, &new) in ids.iter().zip(&fresh) {
-                let old = self.scores[id as usize];
-                if new != old {
-                    self.changes.push((id, old, new));
-                    self.scores[id as usize] = new;
-                }
+            return;
+        }
+        for (&id, &new) in ids.iter().zip(&fresh) {
+            let old = self.scores[id as usize];
+            if new != old {
+                self.changes.push((id, old, new));
+                self.scores[id as usize] = new;
             }
-            self.refreshed_last_round = ids.len();
         }
     }
 }
@@ -456,29 +448,27 @@ mod tests {
             self.generation += 1;
         }
 
-        fn predict(&self, _: &Corpus, _: &Embeddings, id: u32) -> f32 {
-            // Ids divisible by 4 fall under the 0.3 threshold; the rest
-            // stay above it and move with every generation.
-            if id.is_multiple_of(4) {
-                0.1
-            } else {
-                0.4 + 0.01 * self.generation as f32 + 0.001 * id as f32
-            }
-        }
-
-        fn predict_batch(&self, c: &Corpus, e: &Embeddings, ids: &[u32], out: &mut Vec<f32>) {
+        fn predict_batch(&self, _: &Corpus, _: &Embeddings, ids: &[u32], out: &mut Vec<f32>) {
             self.batches
                 .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            out.extend(ids.iter().map(|&id| self.predict(c, e, id)));
+            // Ids divisible by 4 fall under the 0.3 threshold; the rest
+            // stay above it and move with every generation.
+            out.extend(ids.iter().map(|&id| {
+                if id.is_multiple_of(4) {
+                    0.1
+                } else {
+                    0.4 + 0.01 * self.generation as f32 + 0.001 * id as f32
+                }
+            }));
         }
     }
 
-    /// One pass, one split: an incremental refresh issues one
-    /// `predict_batch` call per worker chunk — `threads` of them, whatever
-    /// shard count was recorded — and the result equals the sequential
-    /// cache's.
+    /// One pass, one split: the full and the incremental refresh each
+    /// issue one `predict_batch` call per worker chunk — one at
+    /// `threads: 1`, `threads` of them otherwise, whatever shard count was
+    /// recorded — and the result equals the sequential cache's.
     #[test]
-    fn incremental_refresh_issues_one_batch_per_thread() {
+    fn every_refresh_issues_one_batch_per_thread() {
         use std::sync::atomic::Ordering;
         let (c, e) = setup();
         let run = |threads: usize| {
@@ -491,20 +481,22 @@ mod tests {
                 .with_threads(threads);
             cache.full_every = 100;
             cache.refresh(&clf, &c, &e); // round 1: full
+            assert!(cache.last_refresh_was_full());
+            let full_calls = clf.batches.swap(0, Ordering::Relaxed);
             clf.fit(&c, &e, &[], &[]);
-            clf.batches.store(0, Ordering::Relaxed);
             cache.refresh(&clf, &c, &e); // round 2: incremental
             assert!(!cache.last_refresh_was_full());
-            (cache, clf.batches.into_inner())
+            (cache, full_calls, clf.batches.into_inner())
         };
-        let (reference, calls) = run(1);
-        assert_eq!(calls, 1);
+        let (reference, full_calls, calls) = run(1);
+        assert_eq!((full_calls, calls), (1, 1), "T=1: one batch per pass");
         // 40 sentences, every fourth below threshold: 30 ids re-scored.
         assert_eq!(reference.last_refresh_size(), 30);
         assert_eq!(reference.last_changes().len(), 30);
         for threads in [2usize, 3] {
-            let (cache, calls) = run(threads);
-            assert_eq!(calls, threads, "T={threads}: one batch per worker chunk");
+            let (cache, full_calls, calls) = run(threads);
+            let ctx = format!("T={threads}: one batch per worker chunk");
+            assert_eq!((full_calls, calls), (threads, threads), "{ctx}");
             assert_eq!(cache.scores(), reference.scores(), "T={threads}");
             assert_eq!(cache.last_changes(), reference.last_changes());
             assert_eq!(cache.last_refresh_size(), 30);
@@ -588,10 +580,9 @@ mod tests {
         // The next incremental refresh re-scores them (0.5 >= threshold).
         cache.refresh(clf.as_ref(), &c, &e);
         assert!(!cache.last_refresh_was_full());
-        for id in c.len() - 3..c.len() {
-            let mut want = Vec::new();
-            clf.predict_batch(&c, &e, &[id as u32], &mut want);
-            assert_eq!(cache.score(id as u32), want[0], "appended id {id} scored");
+        for id in c.len() as u32 - 3..c.len() as u32 {
+            let want = crate::model::testing::score_one(clf.as_ref(), &c, &e, id);
+            assert_eq!(cache.score(id), want, "appended id {id} scored");
         }
     }
 

@@ -319,17 +319,20 @@ impl Oracle for GroundTruthOracle<'_> {
 
 /// A human-like annotator: inspects `k` randomly sampled matching
 /// sentences (the paper's query UI shows 5, Figure 2) and answers YES iff
-/// at least `ceil(accept_ratio·k)` of them are positive. Errors concentrate
-/// on rules whose small sample happens to look better (or worse) than the
-/// full coverage set; presenting more samples lowers the error rate
-/// (paper §4.5).
+/// at least `ceil(ACCEPT_RATIO·k)` of them are positive. Errors
+/// concentrate on rules whose small sample happens to look better (or
+/// worse) than the full coverage set; presenting more samples lowers the
+/// error rate (paper §4.5).
 pub struct SampledAnnotatorOracle<'a> {
     labels: &'a [bool],
     k: usize,
-    accept_ratio: f64,
     rng: StdRng,
     queries: usize,
 }
+
+/// The share of a [`SampledAnnotatorOracle`]'s sample that must be
+/// positive for a YES: the empirical precision bar users apply.
+const ACCEPT_RATIO: f64 = 0.8;
 
 impl<'a> SampledAnnotatorOracle<'a> {
     /// An annotator that inspects `k` sampled covered sentences per
@@ -338,17 +341,9 @@ impl<'a> SampledAnnotatorOracle<'a> {
         SampledAnnotatorOracle {
             labels,
             k,
-            accept_ratio: 0.8,
             rng: StdRng::seed_from_u64(seed),
             queries: 0,
         }
-    }
-
-    /// Override the acceptance ratio (default 0.8, matching the empirical
-    /// precision bar users apply).
-    pub fn with_accept_ratio(mut self, r: f64) -> Self {
-        self.accept_ratio = r;
-        self
     }
 }
 
@@ -364,7 +359,7 @@ impl Oracle for SampledAnnotatorOracle<'_> {
             .copied()
             .collect();
         let pos = sample.iter().filter(|&&i| self.labels[i as usize]).count();
-        let needed = (self.accept_ratio * k as f64).ceil() as usize;
+        let needed = (ACCEPT_RATIO * k as f64).ceil() as usize;
         pos >= needed.max(1)
     }
 

@@ -748,12 +748,6 @@ impl TextClassifier for WireClassifier {
         }
     }
 
-    fn predict(&self, corpus: &Corpus, emb: &Embeddings, id: u32) -> f32 {
-        let mut out = Vec::with_capacity(1);
-        self.predict_batch(corpus, emb, &[id], &mut out);
-        out[0]
-    }
-
     fn predict_batch(&self, _corpus: &Corpus, _emb: &Embeddings, ids: &[u32], out: &mut Vec<f32>) {
         let mut link = self.link.lock().unwrap();
         if link.1.is_none() {
@@ -926,12 +920,25 @@ mod tests {
         local.fit(&c, &emb, &[0, 1], &[3, 4]);
         let mut remote = inproc_wire_classifier(&c, 7, &kind, 9).unwrap();
         remote.fit(&c, &emb, &[0, 1], &[3, 4]);
-        let ids: Vec<u32> = (0..c.len() as u32).collect();
-        let (mut a, mut b) = (Vec::new(), Vec::new());
-        local.predict_batch(&c, &emb, &ids, &mut a);
-        remote.predict_batch(&c, &emb, &ids, &mut b);
-        assert_eq!(a, b, "wire scores must be bit-identical");
-        assert_eq!(remote.predict(&c, &emb, 0), a[0]);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let ids = [4u32, 0, 2, 2, 1, 3, 0];
+        let mut want = Vec::new();
+        local.predict_batch(&c, &emb, &ids, &mut want);
+        // One call, one-id calls and uneven chunkings, each appending to
+        // what the previous calls left.
+        for sizes in [&[ids.len()][..], &[1], &[2, 5], &[3, 1]] {
+            let mut got = Vec::new();
+            let mut rest = &ids[..];
+            for &k in sizes.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (head, tail) = rest.split_at(k.min(rest.len()));
+                remote.predict_batch(&c, &emb, head, &mut got);
+                rest = tail;
+            }
+            assert_eq!(bits(&got), bits(&want), "chunk sizes {sizes:?}");
+        }
         assert!(remote.last_error().is_none());
     }
 
@@ -1262,9 +1269,40 @@ mod tests {
         }
     }
 
+    /// Counts the `Fit` and `PredictBatch` requests that pass through it.
+    struct CountingTransport {
+        inner: darwin_wire::InProc,
+        counts: std::sync::Arc<Mutex<(usize, usize)>>,
+    }
+
+    impl Transport for CountingTransport {
+        fn send(&mut self, payload: &[u8]) -> Result<(), WireError> {
+            use darwin_wire::Decode;
+            let mut r = darwin_wire::Reader::new(payload);
+            let _seq = u64::decode(&mut r)?;
+            let mut counts = self.counts.lock().unwrap();
+            match Request::decode(&mut r)? {
+                Request::Fit { .. } => counts.0 += 1,
+                Request::PredictBatch { .. } => counts.1 += 1,
+                _ => {}
+            }
+            self.inner.send(payload)
+        }
+
+        fn recv_timeout(
+            &mut self,
+            timeout: Option<Duration>,
+        ) -> Result<Option<Vec<u8>>, WireError> {
+            self.inner.recv_timeout(timeout)
+        }
+    }
+
     /// The execution-layer invariance contract for the classifier
     /// boundary: a full run with the classifier behind an in-process wire
-    /// worker replays the local run's trace and scores bit for bit.
+    /// worker replays the local run's trace and scores bit for bit, at
+    /// one thread and at two. Every refresh follows a `Fit`, and costs one
+    /// `PredictBatch` round trip per worker chunk: one at `threads: 1`,
+    /// at most two at `threads: 2`.
     #[test]
     fn remote_classifier_run_replays_local_trace() {
         use crate::config::DarwinConfig;
@@ -1287,27 +1325,50 @@ mod tests {
         }
         let corpus = Corpus::from_texts(texts.iter());
         let index = IndexSet::build(&corpus, &IndexConfig::small());
-        let cfg = DarwinConfig::fast().with_budget(8);
         let seed = || Seed::Rule(Heuristic::phrase(&corpus, "shuttle to the airport").unwrap());
 
-        let local = Darwin::new(&corpus, &index, cfg.clone());
-        let mut o = GroundTruthOracle::new(&labels, 0.8);
-        let a = local.run(seed(), &mut o);
+        for threads in [1usize, 2] {
+            let cfg = DarwinConfig::fast().with_budget(8).with_threads(threads);
+            let local = Darwin::new(&corpus, &index, cfg.clone());
+            let mut o = GroundTruthOracle::new(&labels, 0.8);
+            let a = local.run(seed(), &mut o);
 
-        let remote =
-            Darwin::new(&corpus, &index, cfg).with_remote_classifier(inproc_classifier_connector());
-        let mut o = GroundTruthOracle::new(&labels, 0.8);
-        let b = remote.run(seed(), &mut o);
+            let counts = std::sync::Arc::new(Mutex::new((0, 0)));
+            let worker_counts = counts.clone();
+            let remote =
+                Darwin::new(&corpus, &index, cfg).with_remote_classifier(Box::new(move || {
+                    let (client, mut server) = darwin_wire::InProc::pair();
+                    std::thread::spawn(move || {
+                        let _ = serve_classifier(&mut server);
+                    });
+                    Ok(Box::new(CountingTransport {
+                        inner: client,
+                        counts: worker_counts.clone(),
+                    }))
+                }));
+            let mut o = GroundTruthOracle::new(&labels, 0.8);
+            let b = remote.run(seed(), &mut o);
 
-        assert!(b.wire_error.is_none(), "{:?}", b.wire_error);
-        assert_eq!(a.positives, b.positives);
-        assert_eq!(a.trace.len(), b.trace.len());
-        for (x, y) in a.trace.iter().zip(&b.trace) {
-            assert_eq!(x.rule, y.rule);
-            assert_eq!(x.answer, y.answer);
-            assert_eq!(x.new_positive_ids, y.new_positive_ids);
+            assert!(b.wire_error.is_none(), "{:?}", b.wire_error);
+            assert_eq!(a.positives, b.positives);
+            assert_eq!(a.trace.len(), b.trace.len());
+            for (x, y) in a.trace.iter().zip(&b.trace) {
+                assert_eq!(x.rule, y.rule);
+                assert_eq!(x.answer, y.answer);
+                assert_eq!(x.new_positive_ids, y.new_positive_ids);
+            }
+            assert_eq!(a.scores, b.scores, "scores bit-identical across the wire");
+            let (fits, batches) = *counts.lock().unwrap();
+            assert!(fits > 1, "T={threads}: the run never retrained");
+            if threads == 1 {
+                assert_eq!(batches, fits, "T=1: one PredictBatch per refresh");
+            } else {
+                assert!(
+                    batches <= 2 * fits,
+                    "T=2: {batches} batches for {fits} refreshes"
+                );
+            }
         }
-        assert_eq!(a.scores, b.scores, "scores bit-identical across the wire");
     }
 
     /// A classifier connector whose transport is dead must abort the run

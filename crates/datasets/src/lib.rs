@@ -31,7 +31,7 @@ pub mod tweets;
 use darwin_text::Corpus;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 /// Labeling task type (Table 1's "Labeling" column).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -137,33 +137,6 @@ impl Dataset {
         pos.truncate(n_pos);
         pos
     }
-
-    /// Two random positive sentence ids (the "couple of positive sentences"
-    /// initialization of Algorithm 1).
-    pub fn two_positives(&self, seed: u64) -> Vec<u32> {
-        self.positive_seed_sample(2, seed)
-    }
-
-    /// Uniformly random sentence ids (the pipeline samples these as
-    /// presumed negatives for classifier training).
-    pub fn random_negatives(&self, n: usize, seed: u64) -> Vec<u32> {
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x4E47);
-        (0..n)
-            .map(|_| rng.gen_range(0..self.len() as u32))
-            .collect()
-    }
-}
-
-/// Generate all five datasets at their paper sizes (professions capped at
-/// `professions_n`; pass 1_000_000 for the full-paper scale).
-pub fn all_datasets(professions_n: usize, seed: u64) -> Vec<Dataset> {
-    vec![
-        cause_effect::generate(10_700, seed),
-        musicians::generate(15_800, seed),
-        directions::generate(15_300, seed),
-        professions::generate(professions_n, seed),
-        tweets::generate(2_130, seed),
-    ]
 }
 
 #[cfg(test)]

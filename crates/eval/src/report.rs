@@ -29,15 +29,6 @@ impl Table {
         self
     }
 
-    pub fn row_display(&mut self, cells: &[&dyn std::fmt::Display]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
-    }
-
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render with column alignment.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();

@@ -61,14 +61,6 @@ impl IndexConfig {
             ..Default::default()
         }
     }
-
-    /// Phrase-only indexing (TreeMatch off).
-    pub fn phrase_only() -> IndexConfig {
-        IndexConfig {
-            enable_tree: false,
-            ..Default::default()
-        }
-    }
 }
 
 /// Why [`IndexSet::append`] refused to grow the index.

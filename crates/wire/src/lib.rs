@@ -16,8 +16,8 @@
 //!   discipline;
 //! * the [`Transport`] trait with two shipped backends ([`transport`]):
 //!   [`InProc`] channels (worker threads — tests, CI) and
-//!   [`ProcTransport`]/[`StdioTransport`] (spawned child processes over
-//!   stdio pipes).
+//!   [`ProcTransport`] (spawned child processes over stdio pipes, whose
+//!   side is a [`StreamTransport`] over their stdin/stdout).
 //!
 //! The layer above (`darwin-core`) builds the actual workers and clients:
 //! `RemoteShard` partitions, `WireOracle`, `WireClassifier`, and the
@@ -50,6 +50,4 @@ pub use net::{
     accept_registration, dial, register, Listener, Registration, TcpTransport, WorkerRegistry,
     WorkerRole,
 };
-pub use transport::{
-    DeadTransport, InProc, ProcTransport, StdioTransport, StreamTransport, Transport,
-};
+pub use transport::{DeadTransport, InProc, ProcTransport, StreamTransport, Transport};

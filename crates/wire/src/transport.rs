@@ -7,11 +7,12 @@
 //!   Frames still pass through the real encoder, framer and checksum, so
 //!   tests and CI exercise the full codec path with zero process-spawn
 //!   cost.
-//! * [`ProcTransport`] / [`StdioTransport`] — a spawned child process
-//!   spoken to over its stdin/stdout pipes ([`ProcTransport`] is the
-//!   parent side, [`StdioTransport`] the child side). A reader thread
-//!   owns the child's stdout so receives can honor timeouts; the child is
-//!   killed when the transport drops.
+//! * [`ProcTransport`] — a spawned child process spoken to over its
+//!   stdin/stdout pipes. A reader thread owns the child's stdout so
+//!   receives can honor timeouts; the child is killed when the transport
+//!   drops. The child side is a [`StreamTransport`] over its own
+//!   `io::stdin()` / `io::stdout()` (stdout must carry nothing but frames;
+//!   log to stderr).
 //!
 //! Both implement the same trait, and the engine's equivalence guarantee
 //! quantifies over it: any transport replays the in-process trace byte
@@ -176,46 +177,6 @@ impl Drop for ProcTransport {
     }
 }
 
-/// Child side of a [`ProcTransport`]: the current process's stdin/stdout.
-/// Workers block on requests, so `recv_timeout` here ignores the timeout
-/// and blocks (the parent owns pacing).
-pub struct StdioTransport {
-    stdin: std::io::Stdin,
-    stdout: BufWriter<std::io::Stdout>,
-}
-
-impl StdioTransport {
-    /// The current process's stdio as a transport. Take it once; stdout
-    /// must carry nothing but frames (log to stderr).
-    pub fn new() -> StdioTransport {
-        StdioTransport {
-            stdin: std::io::stdin(),
-            stdout: BufWriter::with_capacity(WRITE_BUF_BYTES, std::io::stdout()),
-        }
-    }
-}
-
-impl Default for StdioTransport {
-    fn default() -> StdioTransport {
-        StdioTransport::new()
-    }
-}
-
-impl Transport for StdioTransport {
-    fn send(&mut self, payload: &[u8]) -> Result<(), WireError> {
-        frame::write_frame(&mut self.stdout, payload)
-    }
-
-    fn flush(&mut self) -> Result<(), WireError> {
-        self.stdout.flush()?;
-        Ok(())
-    }
-
-    fn recv_timeout(&mut self, _timeout: Option<Duration>) -> Result<Option<Vec<u8>>, WireError> {
-        frame::read_frame(&mut self.stdin.lock()).map(Some)
-    }
-}
-
 /// A transport whose pipe already closed — every operation reports
 /// [`WireError::Disconnected`]. Fault-injection tests use it to model a
 /// worker that died before (or mid-) conversation.
@@ -232,8 +193,9 @@ impl Transport for DeadTransport {
 }
 
 /// Generic byte-stream transport over any `Read + Write` pair — the
-/// building block for socket-backed deployments (a `TcpStream` clone pair
-/// slots straight in, see [`crate::net`]). Blocking; timeouts fall back
+/// child side of a [`ProcTransport`] (`io::stdin()` / `io::stdout()`) and
+/// the building block for socket-backed deployments (a `TcpStream` clone
+/// pair slots straight in, see [`crate::net`]). Blocking; timeouts fall back
 /// to blocking reads, so wrap sockets with their own read timeouts where
 /// needed. Writes are buffered ([`WRITE_BUF_BYTES`]) and pushed to the
 /// peer by [`Transport::flush`] at request/response boundaries.

@@ -18,7 +18,7 @@
 
 use darwin::core::{serve_oracle, serve_shard, ShardConnector, WireOracle};
 use darwin::prelude::*;
-use darwin::wire::{ProcTransport, StdioTransport, Transport};
+use darwin::wire::{ProcTransport, StreamTransport, Transport};
 use darwin_datasets::directions;
 use std::process::Command;
 use std::time::Instant;
@@ -32,14 +32,14 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("worker-shard") => {
-            let mut t = StdioTransport::new();
+            let mut t = StreamTransport::new(std::io::stdin(), std::io::stdout());
             serve_shard(&mut t).expect("shard worker failed");
             return;
         }
         Some("worker-oracle") => {
             let data = directions::generate(N, SEED);
             let mut oracle = GroundTruthOracle::new(&data.labels, 0.8);
-            let mut t = StdioTransport::new();
+            let mut t = StreamTransport::new(std::io::stdin(), std::io::stdout());
             serve_oracle(&mut t, &data.corpus, &mut oracle).expect("oracle worker failed");
             return;
         }

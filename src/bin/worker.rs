@@ -47,7 +47,7 @@ use darwin_core::{
 };
 use darwin_grammar::Heuristic;
 use darwin_index::{IndexConfig, IndexSet};
-use darwin_wire::{register, Encode, Registration, StdioTransport, Transport, WorkerRole};
+use darwin_wire::{register, Encode, Registration, StreamTransport, Transport, WorkerRole};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -79,7 +79,7 @@ fn main() -> ExitCode {
         _ => return usage(),
     };
     let mut transport: Box<dyn Transport> = match &dial_addr {
-        None => Box::new(StdioTransport::new()),
+        None => Box::new(StreamTransport::new(std::io::stdin(), std::io::stdout())),
         Some(addr) => {
             let mut t = match darwin_wire::dial(addr.as_str()) {
                 Ok(t) => t,

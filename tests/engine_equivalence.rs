@@ -213,9 +213,9 @@ fn cnn_sessions_are_invariant_under_threads_shards_and_warm_start() {
 proptest! {
     #![proptest_config(ProptestConfig { cases: 16, ..Default::default() })]
 
-    /// The classifier scoring matrix on random corpora: every batched,
-    /// sharded, threaded entry point — and warm-started refits — must
-    /// reproduce the per-id cold-start scores bit for bit. An empty
+    /// The classifier scoring matrix on random corpora: calls of every
+    /// chunk size, sharded and threaded refreshes — and warm-started
+    /// refits — must reproduce the one-id cold-start scores bit for bit. An empty
     /// sentence is pinned into every corpus (the kernel edge case: its
     /// score is bias-only).
     #[test]
@@ -246,17 +246,21 @@ proptest! {
         let cold = fit_rounds(false);
         let warm = fit_rounds(true);
 
-        // Per-id scalar path: the reference every other path must match.
-        let reference: Vec<u32> =
-            (0..n as u32).map(|id| cold.predict(&corpus, &emb, id).to_bits()).collect();
+        // One-id calls: the reference every other path must match.
+        let one_id = |clf: &LogReg, id: u32| {
+            let mut out = Vec::new();
+            clf.predict_batch(&corpus, &emb, &[id], &mut out);
+            out[0].to_bits()
+        };
+        let reference: Vec<u32> = (0..n as u32).map(|id| one_id(&cold, id)).collect();
 
         // Warm refit ≡ cold refit, per id.
         for id in 0..n as u32 {
-            prop_assert_eq!(warm.predict(&corpus, &emb, id).to_bits(), reference[id as usize],
+            prop_assert_eq!(one_id(&warm, id), reference[id as usize],
                 "warm≠cold at id {}", id);
         }
 
-        // Batched scoring in arbitrary chunk sizes ≡ scalar.
+        // Calls in arbitrary chunk sizes ≡ one-id calls.
         let ids: Vec<u32> = (0..n as u32).collect();
         let mut batched = Vec::new();
         for chunk in ids.chunks(batch) {
@@ -265,7 +269,7 @@ proptest! {
         let batched_bits: Vec<u32> = batched.iter().map(|s| s.to_bits()).collect();
         prop_assert_eq!(&batched_bits, &reference, "batch={}", batch);
 
-        // Sharded + threaded cache refresh ≡ scalar.
+        // Sharded + threaded cache refresh ≡ one-id calls.
         let mut cache = ScoreCache::full_only(n).with_shards(shards).with_threads(threads);
         cache.refresh(&warm, &corpus, &emb);
         let cache_bits: Vec<u32> = cache.scores().iter().map(|s| s.to_bits()).collect();

@@ -75,8 +75,9 @@ fn rules_to_labelmodel_to_classifier() {
         .step_by(7)
         .collect();
     clf.fit(&data.corpus, &emb, &denoised, &negs);
+    let all: Vec<u32> = (0..data.len() as u32).collect();
     let mut scores = Vec::new();
-    clf.predict_all(&data.corpus, &emb, &mut scores);
+    clf.predict_batch(&data.corpus, &emb, &all, &mut scores);
     let f1 = f1_score(&scores, &data.labels, 0.5);
     assert!(f1 > 0.5, "downstream F1 {f1}");
 }
