@@ -29,8 +29,9 @@
 //! [`Darwin::run_async`] drives to completion at the configured wave size
 //! (`k` annotators in rounds is `Fixed(k)` over a
 //! [`crate::AnnotatorPool`]); [`Darwin::snapshot`] / [`Darwin::resume`]
-//! stop at and restart from a barrier; [`crate::stream::StreamSession`]
-//! parks the session between segments while its corpus grows.
+//! stop at and restart from a barrier; [`Session::append`] grows the
+//! corpus of a session that owns it at a barrier, and
+//! [`crate::stream::StreamSession`] drives one such session.
 //!
 //! **The equivalence guarantee** (tested by `tests/batch_async.rs`): with
 //! `BatchPolicy::Fixed(1)` and the [`crate::Immediate`] adapter the driver
@@ -73,13 +74,13 @@
 //! assert_eq!(out.report.cost.questions, out.run.questions());
 //! ```
 
-use crate::engine::{Engine, EngineParts};
+use crate::engine::Engine;
 use crate::oracle::{AsyncOracle, Oracle, QuestionId};
-use crate::pipeline::{Darwin, RunResult, Seed};
+use crate::pipeline::{Darwin, Held, RunResult, Seed};
 use crate::snapshot::{SessionCounters, Snapshot, SnapshotError};
 use crate::traversal::Strategy;
 use darwin_grammar::Heuristic;
-use darwin_index::RuleRef;
+use darwin_index::{AppendError, RuleRef};
 use darwin_text::Corpus;
 use std::time::{Duration, Instant};
 
@@ -383,12 +384,14 @@ pub enum SessionOutcome {
 
 /// What a session has done so far that the engine does not itself record.
 /// `counters` is the part a [`Snapshot`] carries across processes;
-/// `wall_ns` and `abandoned` live only as long as the process.
+/// `wall_ns`, `abandoned` and `finished` live only as long as the process
+/// (a snapshot is only ever taken of a run that is not over).
 #[derive(Clone, Copy, Default)]
 struct Progress {
     counters: SessionCounters,
     abandoned: usize,
     wall_ns: u128,
+    finished: bool,
 }
 
 /// The question loop — the only code in this crate that asks an oracle on
@@ -403,29 +406,18 @@ pub struct Session<'a> {
     progress: Progress,
 }
 
-/// A [`Session`] between segments with the `Darwin` borrow released: the
-/// engine decomposed but alive (classifier trained, remote sessions
-/// connected, frontier memo warm), so the corpus it views may grow.
-pub(crate) struct Parked {
-    parts: EngineParts,
-    strategy: Box<dyn Strategy>,
-    progress: Progress,
-}
-
-impl Parked {
-    /// Cumulative wave barriers crossed.
-    pub(crate) fn waves(&self) -> u64 {
-        self.progress.counters.waves
-    }
-}
-
 impl<'a> Session<'a> {
     /// A fresh run from `seed`, selecting with the configured traversal
-    /// strategy and batching by [`crate::DarwinConfig::batch`].
-    pub fn new(darwin: &'a Darwin<'a>, seed: Seed) -> Session<'a> {
+    /// strategy and batching by [`crate::DarwinConfig::batch`]. The system
+    /// is lent (`&darwin`) or handed over (`darwin`); only a session that
+    /// owns its system, corpus and index included, can
+    /// [`Session::append`].
+    pub fn new(darwin: impl Into<Held<'a, Darwin<'a>>>, seed: Seed) -> Session<'a> {
         let engine = Engine::new(darwin, seed);
-        let strategy = crate::pipeline::default_strategy(darwin.config(), engine.seed_refs());
-        Session::with_strategy(engine, strategy, darwin.config().batch.clone())
+        let cfg = engine.darwin().config();
+        let strategy = crate::pipeline::default_strategy(cfg, engine.seed_refs());
+        let policy = cfg.batch.clone();
+        Session::with_strategy(engine, strategy, policy)
     }
 
     /// A fresh run over `engine` selecting with `strategy` in waves sized
@@ -449,36 +441,66 @@ impl<'a> Session<'a> {
     /// rebuilt; question ids and the wave/submit/retrain counts continue
     /// where the suspended run stopped. [`AsyncReport::wall_ns`] counts
     /// from the resuming process — wall-clock is not part of a snapshot.
-    pub fn resume(darwin: &'a Darwin<'a>, bytes: &[u8]) -> Result<Session<'a>, SnapshotError> {
+    /// Lent or owned, like [`Session::new`].
+    pub fn resume(
+        darwin: impl Into<Held<'a, Darwin<'a>>>,
+        bytes: &[u8],
+    ) -> Result<Session<'a>, SnapshotError> {
+        let darwin = darwin.into();
         let snap = Snapshot::from_bytes(bytes)?;
-        snap.validate_against(darwin)?;
+        snap.validate_against(&darwin)?;
         let engine = Engine::resume(darwin, &snap)?;
-        let mut strategy = crate::pipeline::default_strategy(darwin.config(), engine.seed_refs());
+        let cfg = engine.darwin().config();
+        let mut strategy = crate::pipeline::default_strategy(cfg, engine.seed_refs());
         strategy.import_state(&snap.strategy);
-        let mut session = Session::with_strategy(engine, strategy, darwin.config().batch.clone());
+        let policy = cfg.batch.clone();
+        let mut session = Session::with_strategy(engine, strategy, policy);
         session.progress.counters = snap.counters;
         Ok(session)
     }
 
-    /// Release the `Darwin` borrow, keeping everything else alive.
-    pub(crate) fn park(self) -> Parked {
-        Parked {
-            parts: self.engine.into_parts(),
-            strategy: self.strategy,
-            progress: self.progress,
+    /// Append `texts` to the corpus the session owns, grow the index and
+    /// the embeddings with it, and reconcile every id-dimensioned structure
+    /// in the same call ([`crate::stream`] lists what grows); returns the
+    /// number of sentences appended. Legal at any barrier
+    /// [`Session::drive`] stopped at, and before the first drive. After the
+    /// run is over only the data grows: the finished run's output stays as
+    /// it ended.
+    ///
+    /// Refused before anything changes when the session does not own its
+    /// system, corpus and index ([`AppendError::Lent`]), when the index is
+    /// pruned (`min_count > 1` renumbers rules on growth), and when the
+    /// index does not cover the corpus exactly.
+    ///
+    /// **Resuming a grown session.** A [`Snapshot`] fingerprints the grown
+    /// corpus but does not record the corpus prefix the embeddings were
+    /// trained on, so a grown session resumes exactly only over the grown
+    /// corpus, its index and the base-trained embeddings grown to its
+    /// vocabulary ([`Darwin::with_embeddings`]). Resumed through
+    /// [`Darwin::new`] — it trains embeddings over the grown corpus — or
+    /// with a remote classifier, whose worker trains its embeddings over the
+    /// corpus it is sent, the run silently diverges from the uninterrupted
+    /// one.
+    pub fn append<I, S>(&mut self, texts: I) -> Result<usize, AppendError>
+    where
+        I: IntoIterator<Item = S>,
+        S: AsRef<str>,
+    {
+        let texts: Vec<String> = texts.into_iter().map(|t| t.as_ref().to_string()).collect();
+        match self.progress.finished {
+            true => self.engine.grow(&texts).map(|_| texts.len()),
+            false => self.engine.append(&texts),
         }
     }
 
-    /// Continue a parked session against `darwin` — the view the parts
-    /// were taken from, or one whose growth the caller reconciles through
-    /// [`Engine::apply_append`] before driving.
-    pub(crate) fn unpark(darwin: &'a Darwin<'a>, parked: Parked) -> Session<'a> {
-        Session {
-            engine: Engine::from_parts(darwin, parked.parts),
-            strategy: parked.strategy,
-            policy: darwin.config().batch.clone(),
-            progress: parked.progress,
-        }
+    /// Cumulative wave barriers crossed.
+    pub(crate) fn waves(&self) -> u64 {
+        self.progress.counters.waves
+    }
+
+    /// Whether [`Session::drive`] has run the session to its end.
+    pub(crate) fn finished(&self) -> bool {
+        self.progress.finished
     }
 
     /// Drive waves until the run is over (`true`: budget exhausted,
@@ -487,12 +509,15 @@ impl<'a> Session<'a> {
     /// *cumulative* wave count reaches `w` (`false`). A barrier is the
     /// only stopping point — pending set drained, feedback applied,
     /// retrain done — which is what makes [`Session::snapshot`] and a
-    /// corpus append there trace-exact.
+    /// corpus append there trace-exact. A finished session stays finished.
     pub fn drive(&mut self, oracle: &mut dyn AsyncOracle, until_waves: Option<u64>) -> bool {
+        if self.progress.finished {
+            return true;
+        }
         let started = Instant::now();
-        let finished = self.drive_waves(oracle, until_waves);
+        self.progress.finished = self.drive_waves(oracle, until_waves);
         self.progress.wall_ns += started.elapsed().as_nanos();
-        finished
+        self.progress.finished
     }
 
     fn submit(&mut self, oracle: &mut dyn AsyncOracle, rule: RuleRef) {
@@ -506,9 +531,6 @@ impl<'a> Session<'a> {
     }
 
     fn drive_waves(&mut self, oracle: &mut dyn AsyncOracle, until_waves: Option<u64>) -> bool {
-        if self.progress.abandoned > 0 {
-            return true; // the oracle went silent in an earlier segment
-        }
         let budget = self.engine.darwin().config().budget as u64;
         let k = self.policy.max_in_flight() as u64;
 
@@ -617,6 +639,7 @@ impl<'a> Session<'a> {
             counters,
             abandoned,
             wall_ns,
+            finished: _,
         } = self.progress;
         let run = self.engine.finish();
         let report = AsyncReport {

@@ -38,19 +38,25 @@
 //! harness's stepped loop audits the store, the remote mirrors and the
 //! candidate hierarchy against their from-scratch functions after every
 //! update instead.
+//!
+//! The engine holds its [`Darwin`] lent or owned ([`Held`]). An engine
+//! that owns its system, corpus and index included, can grow it at a
+//! wave barrier: [`crate::batch::Session::append`] grows the corpus, the
+//! index and the embeddings, and the engine folds the appended ids into
+//! every structure above in the same call.
 
 use crate::benefit::{quantize, Benefit};
 use crate::candidates::generate_hierarchy_pooled;
 use crate::frontier::FrontierPool;
 use crate::hierarchy::Hierarchy;
 use crate::oracle::QuestionId;
-use crate::pipeline::{Darwin, RunResult, Seed, TraceStep};
+use crate::pipeline::{Darwin, Held, RunResult, Seed, TraceStep};
 use crate::shard::ShardedBenefitStore;
 use crate::traversal::{Ctx, Strategy};
 use darwin_classifier::{ScoreCache, TextClassifier};
 use darwin_grammar::Heuristic;
 use darwin_index::fx::{FxHashMap, FxHashSet};
-use darwin_index::{AppendDelta, IdSet, IndexSet, RuleRef, ShardMap};
+use darwin_index::{AppendDelta, AppendError, IdSet, IndexSet, RuleRef, ShardMap};
 use darwin_text::fanout::map_chunks;
 use darwin_text::Corpus;
 use rand::rngs::StdRng;
@@ -541,8 +547,11 @@ impl EngineState {
 
 /// The step-driven question loop: owns the classifier, score cache,
 /// hierarchy and benefit aggregates; strategies pull questions from it.
+/// It holds its system lent (`&Darwin`, as [`Darwin::engine`] and every
+/// run entry build it) or owned (a `Darwin` moved in), and only an owned
+/// system can grow under it ([`crate::batch::Session::append`]).
 pub struct Engine<'a> {
-    darwin: &'a Darwin<'a>,
+    darwin: Held<'a, Darwin<'a>>,
     /// Shared run state (positives, queried, accepted/rejected, trace).
     pub state: EngineState,
     clf: Box<dyn TextClassifier>,
@@ -570,7 +579,8 @@ pub struct Engine<'a> {
 impl<'a> Engine<'a> {
     /// Build the engine: apply the seed, train the initial classifier and
     /// generate the first hierarchy (Algorithm 1 lines 1–6).
-    pub fn new(darwin: &'a Darwin<'a>, seed: Seed) -> Engine<'a> {
+    pub fn new(darwin: impl Into<Held<'a, Darwin<'a>>>, seed: Seed) -> Engine<'a> {
+        let darwin = darwin.into();
         let corpus = darwin.corpus();
         let index = darwin.index();
         let cfg = darwin.config();
@@ -653,10 +663,11 @@ impl<'a> Engine<'a> {
     /// Deliberately does **not** retrain: that would consume RNG words
     /// the uninterrupted reference never drew at this point.
     pub fn resume(
-        darwin: &'a Darwin<'a>,
+        darwin: impl Into<Held<'a, Darwin<'a>>>,
         snap: &crate::snapshot::Snapshot,
     ) -> Result<Engine<'a>, crate::snapshot::SnapshotError> {
         use crate::snapshot::SnapshotError;
+        let darwin = darwin.into();
         let n = darwin.corpus().len();
         if snap.n as usize != n || snap.cache.scores.len() != n {
             return Err(SnapshotError::Mismatch(format!(
@@ -704,7 +715,7 @@ impl<'a> Engine<'a> {
     /// this deployment's connector — around the given run state, with no
     /// benefit store or hierarchy yet.
     fn assemble(
-        darwin: &'a Darwin<'a>,
+        darwin: Held<'a, Darwin<'a>>,
         state: EngineState,
         cache: ScoreCache,
         rng: StdRng,
@@ -733,18 +744,21 @@ impl<'a> Engine<'a> {
                 }
             },
         };
+        let cache = cache.with_threads(cfg.threads);
+        let hierarchy = Hierarchy::new(darwin.index(), Vec::new());
+        let max_count = (cfg.max_coverage_frac * corpus.len() as f64).ceil() as usize;
         Engine {
             darwin,
             state,
             clf,
-            cache: cache.with_threads(cfg.threads),
+            cache,
             rng,
-            hierarchy: Hierarchy::new(darwin.index(), Vec::new()),
+            hierarchy,
             store: None,
             frontier,
             pending,
             seed_refs,
-            max_count: (cfg.max_coverage_frac * corpus.len() as f64).ceil() as usize,
+            max_count,
             wire_abort,
         }
     }
@@ -755,7 +769,7 @@ impl<'a> Engine<'a> {
     /// seeds the store from the candidate-search statistics (on resume it
     /// doubles as the `Track` replay).
     fn attach_store(mut self) -> Engine<'a> {
-        let darwin = self.darwin;
+        let darwin = &*self.darwin;
         let cfg = darwin.config();
         match darwin.remote_shards() {
             None => self.store = Some(ShardedBenefitStore::local()),
@@ -780,8 +794,8 @@ impl<'a> Engine<'a> {
     }
 
     /// The system this engine runs over.
-    pub(crate) fn darwin(&self) -> &'a Darwin<'a> {
-        self.darwin
+    pub(crate) fn darwin(&self) -> &Darwin<'a> {
+        &self.darwin
     }
 
     /// The score cache (snapshot capture).
@@ -801,13 +815,6 @@ impl<'a> Engine<'a> {
         self.wire_abort
             .as_ref()
             .or_else(|| self.store.as_ref().and_then(|s| s.wire_error()))
-    }
-
-    /// Record a wire failure from a store operation (first one wins).
-    fn note_wire(&mut self, r: Result<(), darwin_wire::WireError>) {
-        if let Err(e) = r {
-            self.wire_abort.get_or_insert(e);
-        }
     }
 
     /// Audit every remote shard mirror against its worker (`Ok(true)` =
@@ -1048,7 +1055,7 @@ impl<'a> Engine<'a> {
                     index,
                     self.cache.scores(),
                 );
-                self.note_wire(r);
+                note_wire(&mut self.wire_abort, r);
             }
             // Journaled only — the pool re-scores its frontier lazily at
             // the next regeneration.
@@ -1073,7 +1080,7 @@ impl<'a> Engine<'a> {
     /// sync — patched from the score journal after an incremental pass,
     /// rebuilt (in parallel when configured) after a full epoch.
     pub fn retrain_and_sync(&mut self) {
-        let darwin = self.darwin;
+        let darwin = &*self.darwin;
         let corpus = darwin.corpus();
         let cfg = darwin.config();
         let pos: Vec<u32> = self.state.p.iter().collect();
@@ -1117,7 +1124,7 @@ impl<'a> Engine<'a> {
                     darwin.index(),
                 )
             };
-            self.note_wire(r);
+            note_wire(&mut self.wire_abort, r);
         }
     }
 
@@ -1129,7 +1136,7 @@ impl<'a> Engine<'a> {
     /// `RuleRef`s are stable index handles, so nothing is recomputed for
     /// them.
     pub fn regen_hierarchy(&mut self) {
-        let darwin = self.darwin;
+        let darwin = &*self.darwin;
         let cfg = darwin.config();
         // The pool drains the dirty-id journal `record` fed it, patches the
         // affected frontier statistics, and replays the walk from the
@@ -1159,7 +1166,7 @@ impl<'a> Engine<'a> {
                     cfg.threads,
                 )
             });
-            self.note_wire(r);
+            note_wire(&mut self.wire_abort, r);
         }
     }
 
@@ -1206,62 +1213,24 @@ impl<'a> Engine<'a> {
             .all(|(r, agg)| *agg == local.compute(index, p, scores, r))
     }
 
-    /// Decompose the engine into its owned state, releasing the `Darwin`
-    /// borrow — the suspend half of the streaming-session contract
-    /// ([`crate::stream::StreamSession`]). Unlike a
-    /// [`crate::snapshot::Snapshot`], nothing is serialized or re-derived:
-    /// the live classifier (including a connected wire worker), the score
-    /// cache, the RNG, the hierarchy, the benefit store (including remote
-    /// shard sessions) and the frontier memo all move out intact, so
-    /// [`Engine::from_parts`] against an *equal* corpus/index view
-    /// continues the run as if the engine had never been taken apart.
-    pub fn into_parts(self) -> EngineParts {
-        EngineParts {
-            state: self.state,
-            clf: self.clf,
-            cache: self.cache,
-            rng: self.rng,
-            hierarchy: self.hierarchy,
-            store: self.store,
-            frontier: self.frontier,
-            pending: self.pending,
-            seed_refs: self.seed_refs,
-            max_count: self.max_count,
-            wire_abort: self.wire_abort,
+    /// Grow the system this engine owns by `texts` ([`Darwin::grow`]:
+    /// corpus, index and embeddings) — data only, nothing reconciled. A
+    /// lent system refuses with [`AppendError::Lent`], and every refusal
+    /// comes before anything changes.
+    pub(crate) fn grow(&mut self, texts: &[String]) -> Result<Option<AppendDelta>, AppendError> {
+        match &mut self.darwin {
+            Held::Owned(darwin) => darwin.grow(texts),
+            Held::Lent(_) => Err(AppendError::Lent),
         }
     }
 
-    /// Reassemble an engine from [`Engine::into_parts`] against a (possibly
-    /// rebuilt) `Darwin` view. Pure reassembly: no reconnects, no retrain,
-    /// no hierarchy regeneration — the caller guarantees `darwin` presents
-    /// the same corpus/index the parts were taken from (or that corpus/
-    /// index growth has been reconciled via [`Engine::apply_append`]
-    /// immediately after reassembly).
-    pub fn from_parts(darwin: &'a Darwin<'a>, parts: EngineParts) -> Engine<'a> {
-        Engine {
-            darwin,
-            state: parts.state,
-            clf: parts.clf,
-            cache: parts.cache,
-            rng: parts.rng,
-            hierarchy: parts.hierarchy,
-            store: parts.store,
-            frontier: parts.frontier,
-            pending: parts.pending,
-            seed_refs: parts.seed_refs,
-            max_count: parts.max_count,
-            wire_abort: parts.wire_abort,
-        }
-    }
-
-    /// Reconcile the engine with a corpus that grew from `old_n` sentences
-    /// by `texts` — the wave-barrier append operation. The caller has
-    /// already grown the corpus, the index (in place via
-    /// [`IndexSet::append`], whose [`AppendDelta`] is `delta`) and the
-    /// embeddings (zero-padded: appends never retrain embeddings), and
-    /// `darwin` views the grown state.
+    /// Grow the system this engine owns by `texts` ([`Engine::grow`]) and
+    /// reconcile every id-dimensioned structure with the growth — the
+    /// wave-barrier append operation, reached through
+    /// [`crate::batch::Session::append`]. Returns the number of sentences
+    /// appended.
     ///
-    /// What happens here, in order:
+    /// The reconcile, in order:
     ///
     /// 1. the score cache grows — appended ids enter at the 0.5 neutral
     ///    prior and are journaled so the next incremental refresh scores
@@ -1272,33 +1241,40 @@ impl<'a> Engine<'a> {
     ///    the `CorpusAppend` frame, and the last one's span grows);
     /// 3. a corpus-mirroring classifier (wire worker) is forwarded the
     ///    growth;
-    /// 4. the frontier memo folds the appended ids (`delta` carries the
-    ///    dense-id shift);
+    /// 4. the frontier memo folds the appended ids (the index's
+    ///    [`AppendDelta`] carries the dense-id shift);
     /// 5. the coverage cap is recomputed for the grown `n` and the
     ///    hierarchy regenerated once.
     ///
     /// Deliberately does **not** retrain: appends are not oracle answers,
     /// and retraining here would consume RNG words a run started on the
     /// grown corpus (and any suspended twin of this run) never draws.
-    pub fn apply_append(&mut self, old_n: u32, texts: &[String], delta: &AppendDelta) {
-        let darwin = self.darwin;
+    pub(crate) fn append(&mut self, texts: &[String]) -> Result<usize, AppendError> {
+        let Some(delta) = self.grow(texts)? else {
+            return Ok(0);
+        };
+        let darwin = &*self.darwin;
         let corpus = darwin.corpus();
         let index = darwin.index();
-        let cfg = darwin.config();
         let n = corpus.len();
-        let added = n - old_n as usize;
-        if added == 0 {
-            return;
-        }
-        self.cache.append(added);
+        self.cache.append(delta.sentences);
         if let Some(store) = &mut self.store {
             let r = store.on_corpus_appended(corpus, texts, index, self.cache.scores());
-            self.note_wire(r);
+            note_wire(&mut self.wire_abort, r);
         }
         self.clf.corpus_appended(texts, n);
-        self.frontier.append_ids(index, delta);
-        self.max_count = (cfg.max_coverage_frac * n as f64).ceil() as usize;
+        self.frontier.append_ids(index, &delta);
+        self.max_count = (darwin.config().max_coverage_frac * n as f64).ceil() as usize;
         self.regen_hierarchy();
+        Ok(texts.len())
+    }
+}
+
+/// Record a wire failure from a store operation in `abort` (first one
+/// wins).
+fn note_wire(abort: &mut Option<darwin_wire::WireError>, r: Result<(), darwin_wire::WireError>) {
+    if let Err(e) = r {
+        abort.get_or_insert(e);
     }
 }
 
@@ -1335,24 +1311,6 @@ fn rank_gated(ctx: &Ctx<'_>) -> Vec<(RuleRef, bool, i64, f64)> {
             .then_with(|| a.0.cmp(&b.0))
     });
     scored
-}
-
-/// The owned state of a suspended-in-memory [`Engine`] — everything but
-/// the `Darwin` borrow. Produced by [`Engine::into_parts`] at a wave
-/// barrier, held across a corpus append (during which no engine exists and
-/// the corpus/index are mutable), and consumed by [`Engine::from_parts`].
-pub struct EngineParts {
-    state: EngineState,
-    clf: Box<dyn TextClassifier>,
-    cache: ScoreCache,
-    rng: StdRng,
-    hierarchy: Hierarchy,
-    store: Option<ShardedBenefitStore>,
-    frontier: FrontierPool,
-    pending: Vec<(QuestionId, RuleRef)>,
-    seed_refs: Vec<RuleRef>,
-    max_count: usize,
-    wire_abort: Option<darwin_wire::WireError>,
 }
 
 #[cfg(test)]

@@ -59,13 +59,13 @@ pub use batch::{
     SessionOutcome, SimulatedLatency,
 };
 pub use config::{DarwinConfig, Fanout, TraversalKind};
-pub use engine::{BenefitAgg, BenefitStore, Engine, EngineParts, EngineState};
+pub use engine::{BenefitAgg, BenefitStore, Engine, EngineState};
 pub use frontier::{FrontierImage, FrontierPool, FrontierStats};
 pub use oracle::{
     AnnotatorPool, AsyncOracle, GroundTruthOracle, Immediate, MajorityOracle, Oracle, QuestionId,
     SampledAnnotatorOracle,
 };
-pub use pipeline::{Darwin, RemoteShards, RunResult, Seed, TraceStep};
+pub use pipeline::{Darwin, RunResult, Seed, TraceStep};
 pub use remote::{
     inproc_shard_connector, inproc_wire_classifier, inproc_wire_oracle, serve_classifier,
     serve_oracle, serve_shard, WireClassifier, WireOracle,

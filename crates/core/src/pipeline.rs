@@ -3,7 +3,10 @@
 //! The question loop itself is [`crate::batch::Session`]; this module owns
 //! the run-level API ([`Darwin`], [`Seed`], [`RunResult`]) — every run
 //! entry here is a few lines over that one loop — and maps the configured
-//! traversal strategy onto the engine. Execution-layer knobs
+//! traversal strategy onto the engine. A [`Darwin`] holds its corpus and
+//! index, and an engine holds its `Darwin`, either lent or owned
+//! ([`Held`]): the run entries here lend, and a session that owns its
+//! system can grow it ([`crate::batch::Session::append`]). Execution-layer knobs
 //! ([`DarwinConfig::shards`], [`DarwinConfig::threads`]) never change a
 //! run's output — any configuration replays the same trace, so results
 //! are comparable across machines and deployments.
@@ -17,9 +20,44 @@ use crate::snapshot::SnapshotError;
 use crate::traversal::{HybridSearch, LocalSearch, Strategy, UniversalSearch};
 use darwin_grammar::Heuristic;
 use darwin_index::fx::FxHashSet;
-use darwin_index::{IndexSet, RuleRef};
+use darwin_index::{AppendDelta, AppendError, IndexSet, RuleRef};
 use darwin_text::embed::EmbedConfig;
 use darwin_text::{Corpus, Embeddings};
+use std::ops::Deref;
+
+/// A value held either on loan or as the holder's own — `Cow` without
+/// the copy: a lent value is only ever read, and only an owned one may
+/// grow. `&T` converts into the lent side and `T` into the owned side, so
+/// a constructor taking `impl Into<Held<'a, T>>` serves both.
+pub enum Held<'a, T> {
+    /// Borrowed from the caller, who keeps it.
+    Lent(&'a T),
+    /// Moved in, and dropped with the holder.
+    Owned(T),
+}
+
+impl<T> Deref for Held<'_, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        match self {
+            Held::Lent(t) => t,
+            Held::Owned(t) => t,
+        }
+    }
+}
+
+impl<'a, T> From<&'a T> for Held<'a, T> {
+    fn from(t: &'a T) -> Self {
+        Held::Lent(t)
+    }
+}
+
+impl<T> From<T> for Held<'_, T> {
+    fn from(t: T) -> Self {
+        Held::Owned(t)
+    }
+}
 
 /// How a run is initialized (Algorithm 1 accepts either).
 #[derive(Clone, Debug)]
@@ -109,9 +147,9 @@ impl RunResult {
 /// coordinator's own index recipe ([`IndexSet::config`]), so rule
 /// handles agree by construction. Shared (`Arc`) because the engine
 /// keeps it alive for reconnect-and-replay after a worker dies.
-pub struct RemoteShards {
+pub(crate) struct RemoteShards {
     /// Builds the transport to each shard's worker.
-    pub connect: std::sync::Arc<ShardConnector>,
+    pub(crate) connect: std::sync::Arc<ShardConnector>,
 }
 
 /// Builds the transport to a classifier worker (a spawned process, a
@@ -123,52 +161,54 @@ pub type ClassifierConnector =
 /// A remote classifier deployment: training and scoring run in a
 /// [`crate::remote::serve_classifier`] worker behind the connector's
 /// transport.
-pub struct RemoteClassifier {
+pub(crate) struct RemoteClassifier {
     /// Builds the transport to the classifier worker.
-    pub connect: Box<ClassifierConnector>,
+    pub(crate) connect: Box<ClassifierConnector>,
 }
 
 /// The Darwin system, bound to a corpus and its index.
 pub struct Darwin<'a> {
-    corpus: &'a Corpus,
-    index: &'a IndexSet,
+    corpus: Held<'a, Corpus>,
+    index: Held<'a, IndexSet>,
     emb: Embeddings,
     cfg: DarwinConfig,
     remote: Option<RemoteShards>,
     remote_clf: Option<RemoteClassifier>,
 }
 
+/// The embeddings every run trains by default: the default recipe, seeded
+/// with the run seed (what a remote classifier worker re-derives).
+pub(crate) fn default_embeddings(corpus: &Corpus, cfg: &DarwinConfig) -> Embeddings {
+    Embeddings::train(
+        corpus,
+        &EmbedConfig {
+            seed: cfg.seed,
+            ..Default::default()
+        },
+    )
+}
+
 impl<'a> Darwin<'a> {
-    /// Create the system, training word embeddings over the corpus.
+    /// Create the system over a lent corpus and index, training word
+    /// embeddings over the corpus.
     pub fn new(corpus: &'a Corpus, index: &'a IndexSet, cfg: DarwinConfig) -> Darwin<'a> {
-        let emb = Embeddings::train(
-            corpus,
-            &EmbedConfig {
-                seed: cfg.seed,
-                ..Default::default()
-            },
-        );
-        Darwin {
-            corpus,
-            index,
-            emb,
-            cfg,
-            remote: None,
-            remote_clf: None,
-        }
+        let emb = default_embeddings(corpus, &cfg);
+        Darwin::with_embeddings(corpus, index, cfg, emb)
     }
 
     /// Create with pre-trained embeddings (reuse across runs of the same
-    /// corpus — experiment sweeps do this).
+    /// corpus — experiment sweeps do this). The corpus and index may be
+    /// lent (`&Corpus`) or handed over (`Corpus`); a system that owns both
+    /// can grow them in a session ([`crate::batch::Session::append`]).
     pub fn with_embeddings(
-        corpus: &'a Corpus,
-        index: &'a IndexSet,
+        corpus: impl Into<Held<'a, Corpus>>,
+        index: impl Into<Held<'a, IndexSet>>,
         cfg: DarwinConfig,
         emb: Embeddings,
     ) -> Darwin<'a> {
         Darwin {
-            corpus,
-            index,
+            corpus: corpus.into(),
+            index: index.into(),
             emb,
             cfg,
             remote: None,
@@ -232,23 +272,46 @@ impl<'a> Darwin<'a> {
         &self.emb
     }
 
-    /// Consume the system and reclaim its embeddings. The streaming
-    /// session ([`crate::stream::StreamSession`]) rebuilds a `Darwin` view
-    /// per segment against its growing corpus; the embeddings move in and
-    /// out because appends grow them in place ([`Embeddings::grow_to`])
-    /// instead of retraining.
-    pub fn into_embeddings(self) -> Embeddings {
-        self.emb
-    }
-
     /// The corpus under labeling.
-    pub fn corpus(&self) -> &'a Corpus {
-        self.corpus
+    pub fn corpus(&self) -> &Corpus {
+        &self.corpus
     }
 
     /// The heuristic index candidates are drawn from.
-    pub fn index(&self) -> &'a IndexSet {
-        self.index
+    pub fn index(&self) -> &IndexSet {
+        &self.index
+    }
+
+    /// Grow the corpus by `texts`, the index over it and the embeddings to
+    /// the grown vocabulary (zero rows: appends never retrain embeddings).
+    /// Every refusal comes before anything changes: a corpus or index held
+    /// on loan ([`AppendError::Lent`]), a pruned index, and a corpus the
+    /// index does not cover exactly. `Ok(None)` when `texts` is empty.
+    ///
+    /// The growth half of [`crate::batch::Session::append`]; an engine
+    /// over this system must reconcile with the returned delta.
+    pub(crate) fn grow(&mut self, texts: &[String]) -> Result<Option<AppendDelta>, AppendError> {
+        let (Held::Owned(corpus), Held::Owned(index)) = (&mut self.corpus, &mut self.index) else {
+            return Err(AppendError::Lent);
+        };
+        let min_count = index.config().min_count;
+        if min_count > 1 {
+            return Err(AppendError::PrunedIndex { min_count });
+        }
+        let (n, indexed) = (corpus.len(), index.sentences());
+        if n < indexed {
+            return Err(AppendError::CorpusBehindIndex { corpus: n, indexed });
+        }
+        if n > indexed {
+            return Err(AppendError::IndexBehindCorpus { corpus: n, indexed });
+        }
+        if texts.is_empty() {
+            return Ok(None);
+        }
+        corpus.append_texts(texts.iter(), self.cfg.threads);
+        let delta = index.append_with_threads(corpus, self.cfg.threads)?;
+        self.emb.grow_to(corpus.vocab().len());
+        Ok(Some(delta))
     }
 
     /// A step-driven engine over this system — for callers that want to

@@ -1,28 +1,24 @@
 //! Labeling under updates: append-delta corpora at wave barriers.
 //!
 //! A Darwin run is dimensioned to its corpus — scores, shard spans,
-//! frontier memos and benefit aggregates are all indexed by sentence id —
-//! so the classic pipeline treats the corpus as frozen for the lifetime
-//! of a session. [`StreamSession`] lifts that restriction for the one
-//! mutation real labeling deployments need: **appending** new sentences
-//! while a session is underway.
+//! frontier memos and benefit aggregates are all indexed by sentence id.
+//! A session that owns its corpus, index and embeddings can still grow
+//! them while it runs: [`crate::batch::Session::append`], legal at any
+//! wave barrier (the only point where no question is in flight, feedback
+//! is applied and the retrain, if any, is done). [`StreamSession`] is the
+//! convenience around that: it builds its [`Darwin`] once, over the corpus
+//! and index it is handed, and drives one session over it in segments.
 //!
-//! The session owns the corpus, the index and the embeddings, and drives
-//! the question loop ([`crate::batch::Session`]) in *segments*. Between
-//! segments — always at a wave barrier, the only point where no question
-//! is in flight, feedback is applied and the retrain (if any) is done —
-//! the loop's state is parked with its engine decomposed into owned parts
-//! ([`crate::Engine::into_parts`]), the corpus grows, and every
-//! id-dimensioned structure grows with it:
+//! What one append grows, in place:
 //!
-//! * the corpus appends in place (existing ids, symbols and the vocabulary
-//!   prefix untouched — `darwin_text::Corpus::append_texts`),
-//! * the index grows by delta ([`IndexSet::append`]; `min_count == 1`
-//!   indexes only — pruning renumbers nodes) producing an identical index
-//!   to a from-scratch rebuild on the grown corpus,
-//! * the embeddings zero-pad ([`darwin_text::Embeddings::grow_to`]) —
+//! * the corpus (existing ids, symbols and the vocabulary prefix untouched
+//!   — `darwin_text::Corpus::append_texts`),
+//! * the index, by delta ([`IndexSet::append`]; `min_count == 1` indexes
+//!   only — pruning renumbers nodes) into the index a from-scratch build
+//!   on the grown corpus makes,
+//! * the embeddings, by zero rows ([`darwin_text::Embeddings::grow_to`]) —
 //!   appends never retrain embeddings,
-//! * the engine reconciles via [`crate::Engine::apply_append`]: score cache
+//! * and the engine's state, reconciled in the same call: score cache
 //!   (appended ids at the 0.5 neutral prior), benefit store (the local
 //!   full-span store, or remote workers via the `CorpusAppend` wire
 //!   frame), frontier memo (dense-id remap), coverage cap, hierarchy.
@@ -43,13 +39,12 @@
 //! its from-scratch function at every append and wave barrier.
 //! Shards, threads and transport stay pure perf knobs throughout.
 
-use crate::batch::{AsyncRunResult, Parked, Session};
+use crate::batch::{AsyncRunResult, Session};
 use crate::oracle::AsyncOracle;
-use crate::pipeline::{ClassifierConnector, Darwin, Seed};
+use crate::pipeline::{default_embeddings, ClassifierConnector, Darwin, Seed};
 use crate::shard::ShardConnector;
 use crate::DarwinConfig;
 use darwin_index::{AppendError, IndexSet};
-use darwin_text::embed::EmbedConfig;
 use darwin_text::{Corpus, Embeddings};
 
 /// What a [`StreamSession::drive`] call left behind.
@@ -59,7 +54,7 @@ pub enum StreamStatus {
     /// held live and [`StreamSession::append`] /
     /// [`StreamSession::drive`] may continue it.
     Suspended,
-    /// The run completed — [`StreamSession::result`] has the output.
+    /// The run completed — [`StreamSession::into_result`] has the output.
     Finished,
 }
 
@@ -81,20 +76,12 @@ pub enum StreamStatus {
 /// let result = session.into_result().unwrap();
 /// ```
 pub struct StreamSession {
-    corpus: Corpus,
-    index: IndexSet,
-    /// `Some` between segments; taken while a `Darwin` view exists.
-    emb: Option<Embeddings>,
-    cfg: DarwinConfig,
-    /// Consumed by the first segment's `Session::new`.
-    seed: Option<Seed>,
-    /// Consumed by the first segment's `Darwin` (the engine's remote
-    /// sessions outlive the view that connected them).
-    remote: Option<Box<ShardConnector>>,
-    remote_clf: Option<Box<ClassifierConnector>>,
-    /// The question loop between segments.
-    live: Option<Parked>,
-    result: Option<AsyncRunResult>,
+    /// The system and the seed, until the first drive moves them into
+    /// `session` — an append before it grows the system the first engine
+    /// is built over.
+    ready: Option<(Darwin<'static>, Seed)>,
+    /// The question loop, from the first drive on.
+    session: Option<Session<'static>>,
 }
 
 impl StreamSession {
@@ -103,13 +90,7 @@ impl StreamSession {
     /// zero-padding, never retrained, so a word first seen in an append
     /// contributes a zero vector exactly as an OOV word does).
     pub fn new(corpus: Corpus, index: IndexSet, cfg: DarwinConfig, seed: Seed) -> StreamSession {
-        let emb = Embeddings::train(
-            &corpus,
-            &EmbedConfig {
-                seed: cfg.seed,
-                ..Default::default()
-            },
-        );
+        let emb = default_embeddings(&corpus, &cfg);
         StreamSession::with_embeddings(corpus, index, cfg, seed, emb)
     }
 
@@ -122,64 +103,62 @@ impl StreamSession {
         emb: Embeddings,
     ) -> StreamSession {
         StreamSession {
-            corpus,
-            index,
-            emb: Some(emb),
-            cfg,
-            seed: Some(seed),
-            remote: None,
-            remote_clf: None,
-            live: None,
-            result: None,
+            ready: Some((Darwin::with_embeddings(corpus, index, cfg, emb), seed)),
+            session: None,
         }
+    }
+
+    /// Apply `deploy` to the system before the first drive builds the
+    /// engine over it; later it is too late, and `deploy` is not called.
+    fn deploy(mut self, deploy: impl FnOnce(Darwin<'static>) -> Darwin<'static>) -> StreamSession {
+        self.ready = self.ready.map(|(darwin, seed)| (deploy(darwin), seed));
+        self
     }
 
     /// Distribute the benefit shards to workers — see
     /// [`Darwin::with_remote_shards`]. Appends reach the workers through
     /// the `CorpusAppend` frame; the epoch discipline above keeps each
     /// worker's span stable (only the last shard's span grows).
-    pub fn with_remote_shards(mut self, connect: Box<ShardConnector>) -> StreamSession {
-        self.remote = Some(connect);
-        self
+    pub fn with_remote_shards(self, connect: Box<ShardConnector>) -> StreamSession {
+        self.deploy(|darwin| darwin.with_remote_shards(connect))
     }
 
     /// Train and score the classifier in a worker — see
     /// [`Darwin::with_remote_classifier`]. The worker mirrors the corpus,
     /// so appends forward to it (and its embeddings zero-pad in step with
     /// the coordinator's).
-    pub fn with_remote_classifier(mut self, connect: Box<ClassifierConnector>) -> StreamSession {
-        self.remote_clf = Some(connect);
-        self
+    pub fn with_remote_classifier(self, connect: Box<ClassifierConnector>) -> StreamSession {
+        self.deploy(|darwin| darwin.with_remote_classifier(connect))
+    }
+
+    /// The system the session runs over.
+    fn darwin(&self) -> &Darwin<'static> {
+        match (&self.session, &self.ready) {
+            (Some(session), _) => session.engine.darwin(),
+            (None, Some((darwin, _))) => darwin,
+            (None, None) => unreachable!("a session is ready or live"),
+        }
     }
 
     /// The corpus as of now (base plus every append so far).
     pub fn corpus(&self) -> &Corpus {
-        &self.corpus
+        self.darwin().corpus()
     }
 
     /// The index over the current corpus.
     pub fn index(&self) -> &IndexSet {
-        &self.index
+        self.darwin().index()
     }
 
     /// Cumulative wave barriers crossed.
     pub fn waves(&self) -> u64 {
-        match (&self.live, &self.result) {
-            (Some(parked), _) => parked.waves(),
-            (None, Some(done)) => done.report.waves as u64,
-            (None, None) => 0,
-        }
-    }
-
-    /// The completed run, once [`StreamStatus::Finished`].
-    pub fn result(&self) -> Option<&AsyncRunResult> {
-        self.result.as_ref()
+        self.session.as_ref().map_or(0, Session::waves)
     }
 
     /// Consume the session into the completed run (`None` if it never
     /// finished).
     pub fn into_result(self) -> Option<AsyncRunResult> {
-        self.result
+        self.session.filter(Session::finished).map(Session::finish)
     }
 
     /// Drive the question loop until the *cumulative* wave count reaches
@@ -191,77 +170,37 @@ impl StreamSession {
         oracle: &mut dyn AsyncOracle,
         until_waves: Option<u64>,
     ) -> StreamStatus {
-        if self.result.is_some() {
-            return StreamStatus::Finished;
+        if let Some((darwin, seed)) = self.ready.take() {
+            self.session = Some(Session::new(darwin, seed));
         }
-        let emb = self.emb.take().expect("embeddings held between segments");
-        let mut darwin = Darwin::with_embeddings(&self.corpus, &self.index, self.cfg.clone(), emb);
-        if let Some(connect) = self.remote.take() {
-            darwin = darwin.with_remote_shards(connect);
-        }
-        if let Some(connect) = self.remote_clf.take() {
-            darwin = darwin.with_remote_classifier(connect);
-        }
-        let mut session = match self.live.take() {
-            Some(parked) => Session::unpark(&darwin, parked),
-            None => {
-                let seed = self.seed.take().expect("fresh session carries a seed");
-                Session::new(&darwin, seed)
-            }
+        let Some(session) = &mut self.session else {
+            unreachable!("the first drive starts the session")
         };
-        let status = if session.drive(oracle, until_waves) {
-            self.result = Some(session.finish());
-            StreamStatus::Finished
-        } else {
-            self.live = Some(session.park());
-            StreamStatus::Suspended
-        };
-        self.emb = Some(darwin.into_embeddings());
-        status
+        match session.drive(oracle, until_waves) {
+            true => StreamStatus::Finished,
+            false => StreamStatus::Suspended,
+        }
     }
 
-    /// Append `texts` to the corpus and reconcile every id-dimensioned
-    /// structure — the wave-barrier append operation. Legal at any point
-    /// the session is not mid-segment: before the first wave (the first
-    /// engine is then simply built over the grown corpus), between
-    /// segments, or after completion (the growth applies, for a later
-    /// session over the same owned corpus). Returns the number of
-    /// sentences appended.
-    ///
-    /// Requires a `min_count == 1` index — pruned indexes renumber nodes
-    /// on growth, which would invalidate every live rule handle — and
-    /// rejects with [`AppendError::PrunedIndex`] *before* touching any
-    /// state.
+    /// Append `texts` to the corpus and grow everything with it — see
+    /// [`Session::append`], refusals included. Legal at any point the
+    /// session is not mid-segment: before the first wave (the first engine
+    /// is then simply built over the grown corpus), between segments, or
+    /// after completion. Returns the number of sentences appended.
     pub fn append<I, S>(&mut self, texts: I) -> Result<usize, AppendError>
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
-        let min_count = self.index.config().min_count;
-        if min_count > 1 {
-            return Err(AppendError::PrunedIndex { min_count });
+        match (&mut self.session, &mut self.ready) {
+            (Some(session), _) => session.append(texts),
+            (None, Some((darwin, _))) => {
+                let texts: Vec<String> =
+                    texts.into_iter().map(|t| t.as_ref().to_string()).collect();
+                darwin.grow(&texts).map(|_| texts.len())
+            }
+            (None, None) => unreachable!("a session is ready or live"),
         }
-        let texts: Vec<String> = texts.into_iter().map(|t| t.as_ref().to_string()).collect();
-        if texts.is_empty() {
-            return Ok(0); // exactly a no-op
-        }
-        let old_n = self.corpus.len() as u32;
-        self.corpus.append_texts(texts.iter(), self.cfg.threads);
-        let delta = self
-            .index
-            .append_with_threads(&self.corpus, self.cfg.threads)?;
-        if let Some(emb) = &mut self.emb {
-            emb.grow_to(self.corpus.vocab().len());
-        }
-        if let Some(parked) = self.live.take() {
-            let emb = self.emb.take().expect("embeddings held between segments");
-            let darwin = Darwin::with_embeddings(&self.corpus, &self.index, self.cfg.clone(), emb);
-            let mut session = Session::unpark(&darwin, parked);
-            session.engine.apply_append(old_n, &texts, &delta);
-            self.live = Some(session.park());
-            self.emb = Some(darwin.into_embeddings());
-        }
-        Ok(texts.len())
     }
 }
 
@@ -328,25 +267,14 @@ mod tests {
         )
     }
 
-    /// Unpark the live engine over the current corpus and index, hold
-    /// every delta-maintained structure to its from-scratch function
-    /// ([`crate::batch::audit`]), and park it again. A session with no
-    /// live engine (before the first wave, after completion) has nothing
-    /// to audit.
+    /// Hold every delta-maintained structure of the live engine to its
+    /// from-scratch function ([`crate::batch::audit`]). A session with no
+    /// live run (before the first wave, after completion) has nothing to
+    /// audit.
     fn audit(session: &mut StreamSession, label: &str) {
-        let Some(parked) = session.live.take() else {
-            return;
-        };
-        let emb = session
-            .emb
-            .take()
-            .expect("embeddings held between segments");
-        let darwin =
-            Darwin::with_embeddings(&session.corpus, &session.index, session.cfg.clone(), emb);
-        let mut live = Session::unpark(&darwin, parked);
-        crate::batch::audit(&mut live.engine, label);
-        session.live = Some(live.park());
-        session.emb = Some(darwin.into_embeddings());
+        if let Some(live) = session.session.as_mut().filter(|s| !s.finished()) {
+            crate::batch::audit(&mut live.engine, label);
+        }
     }
 
     /// Drive `session` to completion one wave at a time, auditing at every
@@ -456,13 +384,7 @@ mod tests {
         let cfg = stream_cfg(2, 1);
         let base_emb = |corpus_len_vocab: usize| {
             let base_corpus = Corpus::from_texts(base.iter());
-            let mut emb = Embeddings::train(
-                &base_corpus,
-                &EmbedConfig {
-                    seed: cfg.seed,
-                    ..Default::default()
-                },
-            );
+            let mut emb = default_embeddings(&base_corpus, &cfg);
             emb.grow_to(corpus_len_vocab);
             emb
         };
@@ -648,5 +570,138 @@ mod tests {
             other => panic!("expected PrunedIndex, got {other:?}"),
         }
         assert_eq!(session.corpus().len(), n, "corpus untouched on refusal");
+    }
+
+    /// An append the session refuses changes nothing: an index over more
+    /// sentences than the corpus, or over fewer, is refused before the
+    /// corpus or the index grows.
+    #[test]
+    fn refused_append_changes_nothing() {
+        let (base, _, _) = streaming_fixture();
+        let longer: Vec<String> = base
+            .iter()
+            .cloned()
+            .chain((0..5).map(|i| format!("the spa opens at {i}")))
+            .collect();
+        let (short, long) = (base.len(), longer.len());
+        for (corpus_texts, index_texts, refusal) in [
+            (
+                &base,
+                &longer,
+                AppendError::CorpusBehindIndex {
+                    corpus: short,
+                    indexed: long,
+                },
+            ),
+            (
+                &longer,
+                &base,
+                AppendError::IndexBehindCorpus {
+                    corpus: long,
+                    indexed: short,
+                },
+            ),
+        ] {
+            let corpus = Corpus::from_texts(corpus_texts.iter());
+            let index = min1_index(&Corpus::from_texts(index_texts.iter()));
+            let sizes = (corpus.len(), index.sentences());
+            let mut session =
+                StreamSession::new(corpus, index, stream_cfg(1, 1), Seed::Positives(vec![0]));
+            assert_eq!(session.append(["a brand new sentence"]), Err(refusal));
+            assert_eq!(
+                (session.corpus().len(), session.index().sentences()),
+                sizes,
+                "corpus and index untouched on refusal"
+            );
+        }
+    }
+
+    /// A session over a lent corpus and index reads them but cannot grow
+    /// them.
+    #[test]
+    fn lent_session_refuses_append() {
+        let (base, _, _) = streaming_fixture();
+        let corpus = Corpus::from_texts(base.iter());
+        let index = min1_index(&corpus);
+        let darwin = Darwin::new(&corpus, &index, stream_cfg(1, 1));
+        let mut session = Session::new(&darwin, Seed::Positives(vec![0, 3]));
+        assert_eq!(
+            session.append(["a brand new sentence"]),
+            Err(AppendError::Lent)
+        );
+        assert_eq!(darwin.corpus().len(), base.len());
+    }
+
+    /// A grown session suspends at a barrier and resumes under another
+    /// deployment (threads 2, or two shard workers), appends again and
+    /// finishes exactly as the uninterrupted audited run — retrains after
+    /// the resume included. The resumer is handed the grown corpus, its
+    /// index and the base-trained embeddings grown to its vocabulary: what
+    /// a snapshot does not record.
+    #[test]
+    fn grown_session_suspends_and_resumes() {
+        let (base, batches, labels) = streaming_fixture();
+        let cfg = DarwinConfig {
+            budget: 20,
+            ..stream_cfg(1, 1)
+        };
+        let seed = || Seed::Positives(vec![0, 3]);
+        let oracle = || Immediate::new(GroundTruthOracle::new(&labels, 0.8));
+        let owned = |texts: Vec<&String>, cfg: DarwinConfig| {
+            let corpus = Corpus::from_texts(texts);
+            let index = min1_index(&corpus);
+            let mut emb = default_embeddings(&Corpus::from_texts(base.iter()), &cfg);
+            emb.grow_to(corpus.vocab().len());
+            Darwin::with_embeddings(corpus, index, cfg, emb)
+        };
+
+        let corpus = Corpus::from_texts(base.iter());
+        let index = min1_index(&corpus);
+        let mut whole = StreamSession::new(corpus, index, cfg.clone(), seed());
+        drive_audited(
+            &mut whole,
+            &mut oracle(),
+            &[1, 2],
+            &batches,
+            "uninterrupted",
+        );
+        let reference = whole.into_result().unwrap().run;
+
+        let mut first = Session::new(owned(base.iter().collect(), cfg.clone()), seed());
+        let mut first_oracle = oracle();
+        assert!(
+            !first.drive(&mut first_oracle, Some(1)),
+            "alive at barrier 1"
+        );
+        assert_eq!(first.append(batches[0].iter()), Ok(batches[0].len()));
+        assert!(
+            !first.drive(&mut first_oracle, Some(2)),
+            "alive at barrier 2"
+        );
+        let asked = first.engine.questions();
+        let bytes = first.snapshot().to_bytes();
+        drop(first);
+        assert!(
+            reference.trace[asked..].iter().any(|s| s.answer),
+            "a YES after the suspend, so the resumed run retrains"
+        );
+
+        for (label, threads, shards) in [("threads 2", 2, 1), ("two shard workers", 1, 2)] {
+            let resumed_cfg = DarwinConfig {
+                threads,
+                shards,
+                ..cfg.clone()
+            };
+            let grown = base.iter().chain(&batches[0]).collect();
+            let mut darwin = owned(grown, resumed_cfg);
+            if shards > 1 {
+                darwin = darwin.with_remote_shards(inproc_shard_connector());
+            }
+            let mut session = Session::resume(darwin, &bytes).unwrap();
+            assert_eq!(session.append(batches[1].iter()), Ok(batches[1].len()));
+            crate::batch::audit(&mut session.engine, &format!("{label}: resumed append"));
+            assert!(session.drive(&mut oracle(), None));
+            assert_same_run(&session.finish().run, &reference, label);
+        }
     }
 }

@@ -63,7 +63,9 @@ impl IndexConfig {
     }
 }
 
-/// Why [`IndexSet::append`] refused to grow the index.
+/// Why an append was refused: by [`IndexSet::append`] itself, or by an
+/// owner that grows a corpus and its index together (a labeling session),
+/// which checks the pair before it changes either.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AppendError {
     /// The index was built with `min_count > 1`: pruning renumbers trie
@@ -82,6 +84,19 @@ pub enum AppendError {
         /// Sentences already indexed.
         indexed: usize,
     },
+    /// The corpus holds sentences the index has not seen yet. An owner
+    /// that grows the two together refuses: its state was sized to the
+    /// corpus, so the unseen sentences would enter its rules' coverage
+    /// without being folded in.
+    IndexBehindCorpus {
+        /// Sentences in the corpus.
+        corpus: usize,
+        /// Sentences indexed.
+        indexed: usize,
+    },
+    /// The corpus and index are lent to their holder, which may read them
+    /// but not grow them.
+    Lent,
 }
 
 impl std::fmt::Display for AppendError {
@@ -96,6 +111,11 @@ impl std::fmt::Display for AppendError {
                 f,
                 "corpus has {corpus} sentences but {indexed} are already indexed"
             ),
+            AppendError::IndexBehindCorpus { corpus, indexed } => write!(
+                f,
+                "corpus has {corpus} sentences but only {indexed} are indexed"
+            ),
+            AppendError::Lent => write!(f, "the corpus and index are lent, not owned"),
         }
     }
 }
